@@ -43,6 +43,13 @@
 //! `MLSS`): the same `section*`/`block*` grammar as above, with
 //! snapshot-owned section ids (header, embedded `.mlsc` scenario blob,
 //! event queue, devices, flights, RNG streams, delivery, collector).
+//! The event-queue section holds live events only — the traffic,
+//! transmission and disruption events pending at the captured instant
+//! and the trip ends of buses on the road. The timetable is not in it:
+//! a trip that has not departed has no record, and the reader derives
+//! where the timetable stands from the captured instant. Files written
+//! before that rule carry a start and an end record per undeparted
+//! trip; the reader checks those against the timetable and drops them.
 //! One consequence worth knowing when sizing records: a record never
 //! spans blocks, but a single record may occupy a whole oversized block
 //! (up to the 256 MiB cap) — that is how the snapshot embeds its

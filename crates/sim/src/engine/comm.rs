@@ -312,9 +312,8 @@ pub(crate) struct ShardWorker {
     /// ascending by index (static superset; exact range re-checked per
     /// plan).
     gateways: Vec<(u32, Point)>,
-    /// All trips, ascending by `(depart, node)`, shared by every worker.
-    departures: Arc<Vec<(SimTime, NodeId)>>,
-    /// Departures below this index are folded into `tracked`; the tail
+    /// Trips below this index (the network sorts them by departure and
+    /// numbers them in that order) are folded into `tracked`; the tail
     /// up to the query instant is side-scanned per plan, so membership
     /// never misses a bus that activated since the last barrier.
     cursor: usize,
@@ -352,7 +351,6 @@ impl ShardWorker {
         id: usize,
         part: Arc<Partition>,
         net: Arc<BusNetwork>,
-        departures: Arc<Vec<(SimTime, NodeId)>>,
         gateways: Vec<(u32, Point)>,
         params: ShardParams,
     ) -> ShardWorker {
@@ -363,7 +361,6 @@ impl ShardWorker {
             net,
             params,
             gateways,
-            departures,
             cursor: 0,
             barrier: 0,
             tracked_pos: vec![None; trips],
@@ -437,6 +434,14 @@ impl ShardWorker {
         }
     }
 
+    /// Whether trip `k` exists and has departed by `t`.
+    fn departs_by(&self, k: usize, t: SimTime) -> bool {
+        self.net
+            .trips()
+            .get(k)
+            .is_some_and(|trip| trip.depart() <= t)
+    }
+
     /// Starts tracking `n` at `pos`.
     fn track(&mut self, n: NodeId, pos: Point) {
         if self.tracked_pos[n.index()].is_some() {
@@ -459,8 +464,8 @@ impl ShardWorker {
     ) -> bool {
         let halo = self.part.device_halo_m();
         // 1. Fold activations up to the barrier into the tracked set.
-        while self.cursor < self.departures.len() && self.departures[self.cursor].0 <= until {
-            let (_, n) = self.departures[self.cursor];
+        while self.departs_by(self.cursor, until) {
+            let n = NodeId::new(self.cursor as u32);
             self.cursor += 1;
             if self.net.trip(n).end() <= until {
                 continue;
@@ -623,8 +628,8 @@ impl ShardWorker {
             }
         });
         let mut k = self.cursor;
-        while k < self.departures.len() && self.departures[k].0 <= end {
-            ids.push(self.departures[k].1);
+        while self.departs_by(k, end) {
+            ids.push(NodeId::new(k as u32));
             k += 1;
         }
         ids.sort_unstable();
@@ -839,8 +844,8 @@ impl ShardWorker {
         ids.clear();
         ids.extend(self.scratch_within.iter().map(|&(n, _)| n));
         let mut k = self.cursor;
-        while k < self.departures.len() && self.departures[k].0 <= end {
-            ids.push(self.departures[k].1);
+        while self.departs_by(k, end) {
+            ids.push(NodeId::new(k as u32));
             k += 1;
         }
         ids.sort_unstable();

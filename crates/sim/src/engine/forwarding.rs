@@ -99,14 +99,15 @@ impl Engine {
     /// leave no trace on the RNG stream.
     ///
     /// Reads only the world's hot columns — a handful of contiguous
-    /// loads per candidate, no device-map lookup (the `active` column
-    /// is `false` for ids that never activated, covering existence).
-    /// The device class is scenario-uniform, so it comes from the
+    /// loads per candidate, no device-map lookup (an id past the last
+    /// opened row never departed — a shard worker can list a trip
+    /// departing at the horizon itself — and is inactive like a retired
+    /// one). The device class is scenario-uniform, so it comes from the
     /// configuration rather than a per-device field.
     fn neighbour_admitted(&self, x: NodeId, flight: FlightRef<'_>) -> bool {
         let i = x.index();
         let hot = &self.world.hot;
-        if !hot.active[i] {
+        if hot.active.get(i) != Some(&true) {
             return false;
         }
         // Half-duplex: a device transmitting during any part of the

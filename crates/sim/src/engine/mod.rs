@@ -37,6 +37,19 @@
 //! This file owns the event queue and the loop driving those
 //! subsystems.
 //!
+//! # The timetable stays out of the queue
+//!
+//! Trips are sorted by departure, so the day's `TripStart`s are a
+//! presorted stream and need no heap: a cursor (`next_trip`) walks the
+//! timetable, and the loop takes whichever of cursor and queue holds
+//! the smaller `(time, seq)`. Trip `i` owns the sequence numbers `2i`
+//! (start) and `2i + 1` (end) — the numbers seeding every lifecycle
+//! event up front would assign — and its `TripEnd` enters the queue
+//! under `2i + 1` when the bus departs. The event order is therefore
+//! exactly that of a fully seeded queue, while the queue, every
+//! checkpoint's events section and every resume hold only the events of
+//! buses on the road.
+//!
 //! # Hot-path layout
 //!
 //! Per-event state is dense and index-addressed: devices live in a
@@ -61,7 +74,7 @@ mod world;
 pub use self::snapshot::{Snapshot, SnapshotError, SNAPSHOT_MAGIC};
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mlora_geo::Point;
 use mlora_mac::{
@@ -104,12 +117,24 @@ enum Event {
     Disruption(u32),
 }
 
-/// Execution statistics of one engine run, returned by
-/// [`Engine::run_instrumented`] for throughput benchmarking.
+/// Execution statistics of one engine run: returned by
+/// [`Engine::run_instrumented`] for throughput benchmarking and readable
+/// mid-run through [`Engine::stats`].
+///
+/// The last two fields measure how much state the engine holds, in
+/// units a test can compare without a clock: both follow the buses that
+/// have departed, not the length of the timetable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
     /// Discrete events processed by the main loop.
     pub events_processed: u64,
+    /// The most events the queue held at once. Host telemetry, not run
+    /// state: a resumed engine starts counting from the queue it
+    /// restored.
+    pub queue_depth_high_water: usize,
+    /// Per-device rows in existence: one per bus that has departed so
+    /// far, in service or retired.
+    pub device_rows: usize,
 }
 
 /// Commit-thread state of a sharded run: the transport to the shard
@@ -251,6 +276,12 @@ pub struct Engine {
     /// gateway placement, RNG stream identities).
     seed: u64,
     events: AnyEventQueue<Event>,
+    /// The timetable cursor: trips below it have departed (see the
+    /// module docs). Not checkpointed — a resume derives it from `now`.
+    next_trip: usize,
+    /// Trips departing before the horizon; later ones never run. Trips
+    /// are sorted by departure, so these are the first `live_trips`.
+    live_trips: usize,
     /// Precomputed per-payload airtime under the configured PHY —
     /// bit-identical to calling `time_on_air` per transmission, one
     /// table load instead of the float formula on the hot path.
@@ -287,6 +318,12 @@ pub struct Engine {
     started: bool,
     /// Events processed since the run began, across every stepping call.
     events_processed: u64,
+    /// See [`EngineStats::queue_depth_high_water`].
+    queue_depth_high_water: usize,
+    /// The configuration in `.mlsc` form as every snapshot embeds it,
+    /// encoded by the first [`Engine::snapshot`] and reused by the rest
+    /// (the configuration never changes once the engine is built).
+    cfg_blob: OnceLock<Vec<u8>>,
     /// Every scripted withdrawal applied so far, as `(node, when)` in
     /// application order. A snapshot resume replays these against the
     /// freshly regenerated mobility substrate before anything else, so
@@ -311,11 +348,14 @@ impl Engine {
         // file) bypasses seeded generation entirely; fork(11) is then
         // simply never drawn from, which perturbs no other stream.
         let net = match &cfg.world {
-            Some(world) => mlora_mobility::BusNetwork::clone(world),
+            Some(world) => Arc::clone(world),
             None => {
                 let mut net_cfg = cfg.network.clone();
                 net_cfg.horizon = cfg.horizon;
-                mlora_mobility::BusNetwork::generate(&net_cfg, root.fork(11).seed())
+                Arc::new(mlora_mobility::BusNetwork::generate(
+                    &net_cfg,
+                    root.fork(11).seed(),
+                ))
             }
         };
         let gateways = place_gateways(net.area(), cfg.num_gateways, cfg.placement, &mut deploy_rng);
@@ -326,6 +366,7 @@ impl Engine {
             &cfg.traffic,
         );
         let horizon = SimTime::ZERO + cfg.horizon;
+        let live_trips = net.trips().partition_point(|t| t.depart() < horizon);
         let cell = cfg.environment.d2d_range_m().max(200.0);
         let world = World::new(net, cell, cfg.network.max_speed_mps);
         let airtime = AirtimeTable::new(&cfg.phy);
@@ -352,6 +393,8 @@ impl Engine {
         Engine {
             seed,
             events: AnyEventQueue::with_capacity(cfg.queue, 1 << 16),
+            next_trip: 0,
+            live_trips,
             airtime,
             now: SimTime::ZERO,
             horizon,
@@ -367,6 +410,8 @@ impl Engine {
             executed: false,
             started: false,
             events_processed: 0,
+            queue_depth_high_water: 0,
+            cfg_blob: OnceLock::new(),
             withdrawn: Vec::new(),
             shard_rt: None,
             cfg,
@@ -433,6 +478,15 @@ impl Engine {
         self.delivery.gateways_up()
     }
 
+    /// Execution statistics so far (see [`EngineStats`]).
+    pub fn stats(&self) -> EngineStats {
+        EngineStats {
+            events_processed: self.events_processed,
+            queue_depth_high_water: self.queue_depth_high_water,
+            device_rows: self.world.devices.slot_count(),
+        }
+    }
+
     /// The current simulation time: the timestamp of the last processed
     /// event ([`SimTime::ZERO`] before any), the horizon after a full
     /// run.
@@ -481,8 +535,9 @@ impl Engine {
         self.finalize(observer)
     }
 
-    /// Seeds the initial events (trip lifecycle, compiled disruption
-    /// timeline) and launches the shard workers of a parallel run.
+    /// Seeds the initial events (the compiled disruption timeline; trip
+    /// lifecycle events only reserve their sequence numbers, see the
+    /// module docs) and launches the shard workers of a parallel run.
     /// Idempotent: stepping entry points call it lazily; a snapshot
     /// resume marks the engine started and never seeds.
     fn start(&mut self) {
@@ -495,16 +550,10 @@ impl Engine {
         if self.cfg.shards > 1 {
             self.shard_rt = Some(self.build_shard_runtime());
         }
-        // Seed trip lifecycle events.
-        for trip in self.world.net.trips() {
-            if trip.depart() >= self.horizon {
-                continue;
-            }
-            self.events
-                .schedule(trip.depart(), Event::TripStart(trip.node()));
-            self.events
-                .schedule(trip.end().min(self.horizon), Event::TripEnd(trip.node()));
-        }
+        // Trip `i` owns sequence numbers `2i` and `2i + 1`; everything
+        // scheduled from here on sorts after the whole timetable at
+        // equal times.
+        self.events.reserve_seqs(2 * self.live_trips as u64);
         // Seed the compiled disruption timeline (no-op when the plan is
         // empty, leaving event sequence numbers — and therefore same-time
         // ordering — exactly as in an undisrupted build).
@@ -522,6 +571,18 @@ impl Engine {
     /// event sequence one uninterrupted run to the horizon would.
     /// Returns the number of events processed by this call.
     fn advance_until(&mut self, limit: SimTime, observer: &mut dyn SimObserver) -> u64 {
+        self.advance_tracing(limit, observer, |_, _, _| {})
+    }
+
+    /// [`Engine::advance_until`], reporting each event's `(time, seq)`
+    /// key to `on_event` before it is handled (the hook the event-order
+    /// proptests observe through [`probe::timetable_order`]).
+    fn advance_tracing(
+        &mut self,
+        limit: SimTime,
+        observer: &mut dyn SimObserver,
+        mut on_event: impl FnMut(SimTime, u64, Event),
+    ) -> u64 {
         // The run consumers all take `self` by value, so this can only
         // trip if a future caller tries to re-run the engine returned by
         // `run_returning_engine` — whose state is spent.
@@ -529,11 +590,32 @@ impl Engine {
         self.start();
         let limit = limit.min(self.horizon);
         let mut events_processed: u64 = 0;
-        while let Some(t) = self.events.peek_time() {
+        let mut high_water = self.queue_depth_high_water;
+        let mut departure = self.next_departure();
+        loop {
+            high_water = high_water.max(self.events.len());
+            // The next event is the smaller `(time, seq)` of the
+            // timetable cursor and the queue head.
+            let queued = self.events.peek_key();
+            let departs_first = match (departure, queued) {
+                (Some(d), Some(q)) => d < q,
+                (d, _) => d.is_some(),
+            };
+            let Some((t, seq)) = (if departs_first { departure } else { queued }) else {
+                break;
+            };
             if t > limit {
                 break;
             }
-            let (t, ev) = self.events.pop().expect("peeked above");
+            let ev = if departs_first {
+                let node = NodeId::new(self.next_trip as u32);
+                self.next_trip += 1;
+                departure = self.next_departure();
+                Event::TripStart(node)
+            } else {
+                self.events.pop().expect("peeked above").1
+            };
+            on_event(t, seq, ev);
             // Sharded runs broadcast membership barriers before the
             // event that crosses them, so shard-side state is always
             // synchronized to the latest barrier at or before any plan
@@ -557,8 +639,26 @@ impl Engine {
                 Event::Disruption(i) => self.on_disruption(i, observer),
             }
         }
+        self.queue_depth_high_water = high_water;
         self.events_processed += events_processed;
         events_processed
+    }
+
+    /// The `(time, seq)` key of the next trip to depart, if any is left
+    /// before the horizon (see the module docs).
+    fn next_departure(&self) -> Option<(SimTime, u64)> {
+        (self.next_trip < self.live_trips).then(|| self.lifecycle_keys(self.next_trip)[0])
+    }
+
+    /// The reserved `(time, seq)` keys of trip `i`'s `TripStart` and
+    /// `TripEnd` — what seeding both up front would have assigned.
+    fn lifecycle_keys(&self, i: usize) -> [(SimTime, u64); 2] {
+        let trip = &self.world.net.trips()[i];
+        let seq = 2 * i as u64;
+        [
+            (trip.depart(), seq),
+            (trip.end().min(self.horizon), seq + 1),
+        ]
     }
 
     /// Ends the run: retires the surviving fleet at the horizon, closes
@@ -606,12 +706,7 @@ impl Engine {
         );
         let report = collector.finish();
         observer.on_run_end(&report);
-        (
-            report,
-            EngineStats {
-                events_processed: self.events_processed,
-            },
-        )
+        (report, self.stats())
     }
 
     /// Applies one compiled disruption event.
@@ -681,6 +776,11 @@ impl Engine {
     }
 
     fn on_trip_start(&mut self, n: NodeId) {
+        // The bus's `TripEnd` joins the queue now, under the second of
+        // the trip's two reserved sequence numbers.
+        let (end, seq) = self.lifecycle_keys(n.index())[1];
+        self.events.schedule_reserved(end, seq, Event::TripEnd(n));
+        self.world.open_row(n);
         let pos = self.world.position_now(n, self.now);
         // Traffic state and the delay to the first reading. The paper
         // default draws its phase from the channel stream (the historical
@@ -1053,11 +1153,6 @@ impl Engine {
             self.cfg.network.max_speed_mps,
             max_airtime,
         ));
-        let net = Arc::new(self.world.net.clone());
-        let mut departures: Vec<(SimTime, NodeId)> =
-            net.trips().iter().map(|t| (t.depart(), t.node())).collect();
-        departures.sort_unstable_by_key(|&(d, n)| (d, n.index()));
-        let departures = Arc::new(departures);
         let params = ShardParams {
             d2d_range_m: d2d,
             gateway_range_m: gw_range,
@@ -1081,8 +1176,7 @@ impl Engine {
                 ShardWorker::new(
                     id,
                     Arc::clone(&part),
-                    Arc::clone(&net),
-                    Arc::clone(&departures),
+                    Arc::clone(&self.world.net),
                     gateways,
                     params.clone(),
                 )
@@ -1197,6 +1291,38 @@ mod tests {
         for gw in engine.gateways() {
             assert!(engine.network().area().contains(*gw));
         }
+    }
+
+    #[test]
+    fn state_is_built_at_departure_not_at_construction() {
+        use crate::Scenario;
+        use mlora_mobility::{DiurnalProfile, MetroConfig};
+        let metro = MetroConfig {
+            area_side_m: 10_000.0,
+            num_radials: 16,
+            num_rings: 8,
+            peak_active_buses: 6_000,
+            min_legs: 1,
+            max_legs: 1,
+            profile: DiurnalProfile::flat(1.0),
+            ..MetroConfig::default()
+        };
+        let cfg = Scenario::urban().metro(&metro, 5).build().unwrap();
+        let trips = cfg.world.as_ref().unwrap().trips().len();
+        assert!(trips >= 100_000, "only {trips} trips");
+        let mut engine = Engine::new(cfg, 5);
+        assert_eq!(engine.world.devices.slot_count(), 0);
+        assert_eq!(engine.world.devices.iter().count(), 0);
+        assert_eq!(engine.stats().device_rows, 0);
+        assert_eq!(engine.stats().queue_depth_high_water, 0);
+        // One row per departure so far, and nothing queued for the rest
+        // of the day: each bus on the road has at most its trip end,
+        // one reading and one transmission pending.
+        engine.run_until(SimTime::from_secs(60));
+        let stats = engine.stats();
+        assert_eq!(stats.device_rows, engine.next_trip);
+        assert!(stats.device_rows > 0 && stats.device_rows < trips / 10);
+        assert!(stats.queue_depth_high_water <= 3 * stats.device_rows);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! self-contained drivers — [`FlightScanProbe`] over the serial
 //! [`Channel`] and [`WorkerProbe`] over a single [`ShardWorker`] — plus
 //! the [`set_eager_flight_prune`] knob the lazy-vs-eager pruning
-//! proptest uses to force the historical per-event sweep.
+//! proptest uses to force the historical per-event sweep, and
+//! [`timetable_order`], which shows the event-order proptest the
+//! `(time, seq)` key of every timetable event the loop handles.
 //!
 //! Everything here is `#[doc(hidden)]`: the shapes below track engine
 //! internals and carry no stability promise.
@@ -27,7 +29,8 @@ use mlora_simcore::{NodeId, SimDuration, SimRng, SimTime};
 use super::channel::Channel;
 use super::comm::{ShardParams, ShardWorker};
 use super::partition::Partition;
-use super::Engine;
+use super::{Engine, Event};
+use crate::observer::NullObserver;
 
 /// Forces (or clears) the historical eager per-TxEnd flight sweep on a
 /// built engine. Default is the lazy growth-boundary sweep; the pruning
@@ -35,6 +38,37 @@ use super::Engine;
 /// reports.
 pub fn set_eager_flight_prune(engine: &mut Engine, eager: bool) {
     engine.channel.eager_prune = eager;
+}
+
+/// An event whose `(time, seq)` key the timetable and the disruption
+/// plan fix before the run starts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TimetableEvent {
+    /// Trip `i` departs.
+    TripStart(u32),
+    /// Trip `i` reaches its scheduled end (or the horizon).
+    TripEnd(u32),
+    /// Entry `i` of the compiled disruption timeline fires.
+    Disruption(u32),
+}
+
+/// Steps `engine` to `until` like [`Engine::run_until`] and returns, in
+/// handling order, every trip-lifecycle and disruption event with the
+/// `(time, seq)` key it was taken under — the part of the event order
+/// that must equal what seeding the whole timetable into the queue up
+/// front would produce, whatever else the run schedules in between.
+pub fn timetable_order(engine: &mut Engine, until: SimTime) -> Vec<(SimTime, u64, TimetableEvent)> {
+    let mut order = Vec::new();
+    engine.advance_tracing(until, &mut NullObserver, |t, seq, ev| {
+        let ev = match ev {
+            Event::TripStart(n) => TimetableEvent::TripStart(n.raw()),
+            Event::TripEnd(n) => TimetableEvent::TripEnd(n.raw()),
+            Event::Disruption(i) => TimetableEvent::Disruption(i),
+            Event::Generate(_) | Event::TxStart(_) | Event::TxEnd(_) => return,
+        };
+        order.push((t, seq, ev));
+    });
+    order
 }
 
 /// Drives the serial channel's hot loop — launch, contiguous
@@ -180,9 +214,6 @@ impl WorkerProbe {
             cfg.max_speed_mps,
             airtime,
         ));
-        let mut departures: Vec<(SimTime, NodeId)> =
-            net.trips().iter().map(|t| (t.depart(), t.node())).collect();
-        departures.sort_unstable_by_key(|&(t, n)| (t, n.index()));
         // A 3×3 gateway grid over the area, as `place_gateways` would.
         let side = cfg.area_side_m;
         let mut gateways = Vec::new();
@@ -199,7 +230,6 @@ impl WorkerProbe {
             0,
             part,
             Arc::clone(&net),
-            Arc::new(departures),
             gateways,
             ShardParams {
                 d2d_range_m: 500.0,

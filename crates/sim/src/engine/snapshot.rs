@@ -19,10 +19,30 @@
 //! The container reuses the scenario format's block framing (checksummed
 //! 64 KiB blocks, varint/f64 primitives) under its own `MLSS` magic;
 //! see the format notes in the `scenario-io` crate docs.
+//!
+//! # The events section holds live events only
+//!
+//! The timetable is not in the queue (see the engine module docs): a
+//! checkpoint records the `TripEnd`s of buses on the road next to the
+//! traffic, transmission and disruption events, and nothing for a trip
+//! that has not departed. Resume derives the timetable cursor as the
+//! number of trips with `depart <= now` — every event due at or before
+//! the captured instant has been processed, departures included — so
+//! the header needs no field for it.
+//!
+//! Builds that seeded the whole timetable up front wrote a `TripStart`
+//! and a `TripEnd` record for every undeparted trip into the same
+//! section, under the same version word. Those files still resume bit
+//! for bit: each such record must carry exactly the `(time, seq)` key
+//! the cursor will re-issue for that trip, and is then dropped at load.
+//! A lifecycle record that disagrees with the timetable — one that
+//! would start a trip a second time, or at another instant — is refused
+//! as [`SnapshotError::Format`].
 
 use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::OnceLock;
 
 use mlora_core::{
     CaEtxEstimator, ContactTracker, DonorLedger, Ewma, RcaEtxEstimator, RoutingState,
@@ -148,6 +168,10 @@ pub struct Snapshot {
     seed: u64,
     shards: usize,
     time: SimTime,
+    /// The embedded scenario, decoded on first use: every engine
+    /// resumed or forked from this snapshot clones it, and so shares one
+    /// prebuilt world instead of decoding its own.
+    config: OnceLock<SimConfig>,
 }
 
 impl Snapshot {
@@ -184,9 +208,13 @@ impl Snapshot {
     /// [`SnapshotError::Scenario`] when the embedded configuration does
     /// not decode.
     pub fn config(&self) -> Result<SimConfig, SnapshotError> {
+        if let Some(cfg) = self.config.get() {
+            return Ok(cfg.clone());
+        }
         let mut r = ScenarioReader::with_magic(self.bytes.as_slice(), SNAPSHOT_MAGIC)?;
         let header = read_header(&mut r)?;
-        read_config(&mut r, header.shards)
+        let cfg = read_config(&mut r, header.shards)?;
+        Ok(self.config.get_or_init(|| cfg).clone())
     }
 
     /// Writes the serialized snapshot into `out`.
@@ -251,6 +279,7 @@ impl Snapshot {
             shards: header.shards,
             time: header.now,
             bytes,
+            config: OnceLock::new(),
         })
     }
 }
@@ -289,8 +318,25 @@ impl Engine {
                 "run already finished; nothing left to capture",
             ));
         }
-        let mut cfg_blob = Vec::new();
-        self.cfg.to_writer(&mut cfg_blob)?;
+        let (queue_records, event_seq) = self.events.checkpoint_events();
+        self.encode_snapshot(&queue_records, event_seq)
+    }
+
+    /// Writes the container around the given events section (the
+    /// queue's own records in [`Engine::snapshot`]).
+    fn encode_snapshot(
+        &self,
+        queue_records: &[(u128, Event)],
+        event_seq: u64,
+    ) -> Result<Snapshot, SnapshotError> {
+        let cfg_blob = match self.cfg_blob.get() {
+            Some(blob) => blob,
+            None => {
+                let mut blob = Vec::new();
+                self.cfg.to_writer(&mut blob)?;
+                self.cfg_blob.get_or_init(|| blob)
+            }
+        };
 
         let mut w = ScenarioWriter::with_magic(Vec::new(), SNAPSHOT_MAGIC)?;
 
@@ -299,7 +345,6 @@ impl Engine {
         // historical snapshots hold) and ascending key order for the
         // calendar kind; either order rebuilds either kind, so the
         // snapshot never records which one was running.
-        let (queue_records, event_seq) = self.events.checkpoint_events();
         w.begin_section(SEC_HEADER, 1)?;
         let enc = w.enc();
         enc.put_varint(self.seed);
@@ -314,14 +359,15 @@ impl Engine {
         // The scenario, embedded verbatim as one `.mlsc` blob (records
         // never span blocks, but one record may fill a whole block).
         w.begin_section(SEC_CONFIG, 1)?;
-        w.enc().put_bytes(&cfg_blob);
+        w.enc().put_bytes(cfg_blob);
         w.end_record()?;
         w.end_section()?;
 
-        // The event queue, in record order (see above) so the restored
-        // queue pops in exactly the original sequence.
+        // The event queue — live events only, see the module docs — in
+        // record order (see above) so the restored queue pops in exactly
+        // the original sequence.
         w.begin_section(SEC_EVENTS, queue_records.len() as u64)?;
-        for &(key, ev) in &queue_records {
+        for &(key, ev) in queue_records {
             let enc = w.enc();
             enc.put_varint((key >> 64) as u64);
             enc.put_varint(key as u64);
@@ -437,6 +483,7 @@ impl Engine {
             seed: self.seed,
             shards: self.cfg.shards,
             time: self.now,
+            config: OnceLock::new(),
         })
     }
 
@@ -498,7 +545,20 @@ impl Engine {
     ) -> Result<Engine, SnapshotError> {
         let mut r = ScenarioReader::with_magic(snapshot.bytes.as_slice(), SNAPSHOT_MAGIC)?;
         let header = read_header(&mut r)?;
-        let mut cfg = read_config(&mut r, header.shards)?;
+        // The scenario is decoded by the first resume of this snapshot;
+        // later ones clone that copy — prebuilt world shared, not
+        // rebuilt — and only step over the section.
+        let mut cfg = match snapshot.config.get() {
+            Some(cfg) => {
+                expect_section(&mut r, SEC_CONFIG, "snapshot config")?;
+                r.skip_section()?;
+                cfg.clone()
+            }
+            None => {
+                let cfg = read_config(&mut r, header.shards)?;
+                snapshot.config.get_or_init(|| cfg).clone()
+            }
+        };
         // Like `shards`, the queue kind is host state, not snapshot
         // content: the loaded config defaults to the heap and the
         // caller's choice lands here, before the engine is built.
@@ -561,17 +621,51 @@ impl Engine {
         engine.next_msg = header.next_msg;
         engine.events_processed = header.events_processed;
 
+        // Every event due at or before `now` has been processed, so the
+        // timetable cursor stands past exactly the trips departed by then.
+        let departed = engine
+            .world
+            .net
+            .trips()
+            .partition_point(|t| t.depart() <= header.now);
+        engine.next_trip = departed.min(engine.live_trips);
+
         // Pending events, in the writer's record order (heap layout or
-        // ascending keys — either rebuilds either queue kind).
+        // ascending keys — either rebuilds either queue kind). Lifecycle
+        // records of undeparted trips (see the module docs) are checked
+        // against the timetable and dropped.
         let n = expect_section(&mut r, SEC_EVENTS, "snapshot events")?;
-        let mut records = Vec::with_capacity(n as usize);
+        let mut records = Vec::with_capacity((n as usize).min(1 << 16));
+        let mut dropped = false;
         for _ in 0..n {
             r.begin_record()?;
-            let time_ms = r.varint()?;
+            let time = SimTime::from_millis(r.varint()?);
             let seq = r.varint()?;
             let ev = get_event(&mut r)?;
-            records.push(((u128::from(time_ms) << 64) | u128::from(seq), ev));
+            let reissued = match ev {
+                Event::TripStart(node) => Some((node.index(), 0)),
+                Event::TripEnd(node) if node.index() >= engine.next_trip => Some((node.index(), 1)),
+                _ => None,
+            };
+            if let Some((trip, which)) = reissued {
+                let undeparted = (engine.next_trip..engine.live_trips).contains(&trip);
+                if !undeparted || engine.lifecycle_keys(trip)[which] != (time, seq) {
+                    return Err(ScenarioIoError::Corrupt(
+                        "trip lifecycle record disagrees with the timetable",
+                    )
+                    .into());
+                }
+                dropped = true;
+                continue;
+            }
+            records.push(((u128::from(time.as_millis()) << 64) | u128::from(seq), ev));
         }
+        if dropped {
+            // What is left of a heap layout with holes in it is no heap
+            // layout; ascending keys are one.
+            records.sort_unstable_by_key(|&(key, _)| key);
+        }
+        engine.queue_depth_high_water = records.len();
         engine.events = AnyEventQueue::from_events(engine.cfg.queue, records, header.event_seq);
         // Overlay disruptions are scheduled *after* the queue restore so
         // they take fresh (higher) sequence numbers: at equal times they
@@ -589,7 +683,11 @@ impl Engine {
         for _ in 0..n {
             r.begin_record()?;
             let node = NodeId::new(u32::try_from(r.varint()?).map_err(bad_index)?);
+            if node.index() >= engine.next_trip {
+                return Err(ScenarioIoError::Corrupt("device record of an undeparted trip").into());
+            }
             let (dev, hot) = get_device(&mut r, &engine.cfg)?;
+            engine.world.open_row(node);
             if hot.active {
                 let pos = dev.grid_pos;
                 engine.world.activate(node, dev, pos);
@@ -602,8 +700,9 @@ impl Engine {
             engine.world.hot.set(node.index(), hot);
         }
 
-        // Replay withdrawals against the regenerated network — before
-        // the shard runtime below clones it for the workers.
+        // Replay withdrawals against the network (the first takes this
+        // engine's private copy) — before the shard runtime below hands
+        // the workers their reference to it.
         let n = expect_section(&mut r, SEC_WITHDRAWN, "snapshot withdrawals")?;
         for _ in 0..n {
             r.begin_record()?;
@@ -1368,6 +1467,8 @@ mod tests {
     use super::*;
     use crate::Environment;
     use mlora_core::Scheme;
+    use mlora_mobility::BusNetwork;
+    use std::sync::Arc;
 
     fn cfg() -> SimConfig {
         SimConfig::smoke_test(Scheme::Robc, Environment::Urban)
@@ -1426,6 +1527,109 @@ mod tests {
             Engine::resume_with_overlay(&snap, overlay),
             Err(SnapshotError::Overlay(_))
         ));
+    }
+
+    /// Lifecycle records as `((time, seq), event)`.
+    type Lifecycle = Vec<((SimTime, u64), Event)>;
+
+    /// The engine's checkpoint with its events section rewritten the
+    /// way eager-seeding builds filled it: the live records plus both
+    /// lifecycle records of every trip still to depart. `tamper` may
+    /// edit the undeparted trips' records before they are filed.
+    fn eager_era_snapshot(engine: &Engine, tamper: impl FnOnce(&mut Lifecycle)) -> Snapshot {
+        let mut lifecycle = Vec::new();
+        for i in engine.next_trip..engine.live_trips {
+            let [start, end] = engine.lifecycle_keys(i);
+            let node = NodeId::new(i as u32);
+            lifecycle.push((start, Event::TripStart(node)));
+            lifecycle.push((end, Event::TripEnd(node)));
+        }
+        assert!(!lifecycle.is_empty(), "every trip already departed");
+        tamper(&mut lifecycle);
+        let (mut records, event_seq) = engine.events.checkpoint_events();
+        records.extend(
+            lifecycle
+                .into_iter()
+                .map(|((t, seq), ev)| ((u128::from(t.as_millis()) << 64) | u128::from(seq), ev)),
+        );
+        records.sort_unstable_by_key(|&(key, _)| key);
+        engine
+            .encode_snapshot(&records, event_seq)
+            .expect("snapshot encodes")
+    }
+
+    #[test]
+    fn eager_era_events_section_resumes_bit_identically() {
+        let baseline = Engine::new(cfg(), 7).run();
+        let mut engine = Engine::new(cfg(), 7);
+        engine.run_until(SimTime::from_secs(900));
+        let live = engine.snapshot().expect("snapshot");
+        let eager = eager_era_snapshot(&engine, |_| {});
+        assert!(eager.as_bytes().len() > live.as_bytes().len());
+        let resumed = Engine::resume(&eager).expect("eager-era snapshot resumes");
+        // The undeparted trips' records are gone, not queued beside the
+        // cursor that will start those trips.
+        assert_eq!(resumed.events.len(), engine.events.len());
+        assert_eq!(resumed.next_trip, engine.next_trip);
+        assert_eq!(resumed.finish(), baseline);
+    }
+
+    #[test]
+    fn lifecycle_record_off_the_timetable_is_refused() {
+        let mut engine = Engine::new(cfg(), 7);
+        engine.run_until(SimTime::from_secs(900));
+        let departed = NodeId::new(engine.next_trip as u32 - 1);
+        let refused = |tamper: &dyn Fn(&mut Lifecycle)| {
+            let snap = eager_era_snapshot(&engine, tamper);
+            matches!(
+                Engine::resume(&snap),
+                Err(SnapshotError::Format(ScenarioIoError::Corrupt(_)))
+            )
+        };
+        // A second start for a bus already on the road.
+        assert!(refused(&|l| {
+            let [start, _] = engine.lifecycle_keys(departed.index());
+            l.push((start, Event::TripStart(departed)));
+        }));
+        // A start at another instant than the timetable's.
+        assert!(refused(&|l| l[0].0 .0 += SimDuration::from_millis(1)));
+        // An end filed under a sequence number that is not the trip's.
+        assert!(refused(&|l| l[1].0 .1 += 2));
+        // Untampered, the same snapshot resumes.
+        assert!(!refused(&|_| {}));
+    }
+
+    #[test]
+    fn resumed_and_forked_engines_share_the_snapshots_world() {
+        let world = Arc::new(BusNetwork::generate(&cfg().network, 3));
+        let mut with_world = cfg();
+        with_world.world = Some(Arc::clone(&world));
+        let mut engine = Engine::new(with_world, 7);
+        assert!(Arc::ptr_eq(&engine.world.net, &world));
+        engine.run_until(SimTime::from_secs(600));
+        let snap = engine.snapshot().expect("snapshot");
+        let a = Engine::resume(&snap).expect("resume");
+        let b = Engine::resume(&snap).expect("resume");
+        assert!(Arc::ptr_eq(&a.world.net, &b.world.net));
+        // The first withdrawal takes a private copy; the others keep
+        // sharing.
+        let mut c = Engine::resume(&snap).expect("resume");
+        c.world
+            .withdraw_trip(NodeId::new(0), SimTime::from_secs(600));
+        assert!(!Arc::ptr_eq(&c.world.net, &a.world.net));
+        assert!(Arc::ptr_eq(&a.world.net, &b.world.net));
+    }
+
+    #[test]
+    fn scenario_blob_is_encoded_once_per_engine() {
+        let mut engine = Engine::new(cfg(), 7);
+        engine.run_until(SimTime::from_secs(300));
+        assert!(engine.cfg_blob.get().is_none());
+        engine.snapshot().expect("snapshot");
+        let first = engine.cfg_blob.get().expect("cached").as_ptr();
+        engine.run_until(SimTime::from_secs(600));
+        engine.snapshot().expect("snapshot");
+        assert_eq!(engine.cfg_blob.get().expect("cached").as_ptr(), first);
     }
 
     #[test]

@@ -24,6 +24,20 @@
 //! the split is invisible outside the engine, and snapshots write the
 //! exact same per-device wire record by gathering a [`DeviceHot`] view
 //! next to each device.
+//!
+//! # Rows follow departures, not the timetable
+//!
+//! [`BusNetwork`](mlora_mobility::BusNetwork) sorts its trips by
+//! departure and numbers them in that order, so devices activate in
+//! ascending id order. Every per-id structure here — the device map,
+//! the hot columns, the position cursors — reserves address space for
+//! the whole timetable and gains a row only when
+//! [`World::open_row`] admits the next departure: direct `[id]`
+//! indexing needs no id→row table, and an engine's resident state is
+//! proportional to the buses that have departed so far, however long
+//! the service day.
+
+use std::sync::Arc;
 
 use mlora_core::RoutingState;
 use mlora_geo::{GridIndex, Point};
@@ -91,14 +105,11 @@ pub(super) struct DeviceHot {
 }
 
 /// Struct-of-arrays columns for the per-event hot fields, indexed by
-/// [`NodeId::index`] (sized to the fleet at build time, like the
-/// position-hint cursors). Entries for devices not yet activated hold
-/// the inert defaults (`active == false`), so admission checks never
-/// need a map lookup to distinguish "never existed" from "retired".
+/// [`NodeId::index`]. Rows exist for every id up to the latest
+/// departure (see the module docs), like the position-hint cursors.
 #[derive(Debug)]
 pub(super) struct HotColumns {
-    /// In service right now. `false` covers retired *and* never
-    /// activated.
+    /// In service right now.
     pub(super) active: Vec<bool>,
     /// A frame from this device is on the air right now.
     pub(super) transmitting: Vec<bool>,
@@ -112,14 +123,23 @@ pub(super) struct HotColumns {
 }
 
 impl HotColumns {
-    fn new(n: usize) -> Self {
+    fn with_capacity(n: usize) -> Self {
         HotColumns {
-            active: vec![false; n],
-            transmitting: vec![false; n],
-            tx_window: vec![None; n],
-            last_tx_end: vec![None; n],
-            gamma: vec![0.0; n],
+            active: Vec::with_capacity(n),
+            transmitting: Vec::with_capacity(n),
+            tx_window: Vec::with_capacity(n),
+            last_tx_end: Vec::with_capacity(n),
+            gamma: Vec::with_capacity(n),
         }
+    }
+
+    /// Extends every column to `rows` rows of inert defaults.
+    fn grow_to(&mut self, rows: usize) {
+        self.active.resize(rows, false);
+        self.transmitting.resize(rows, false);
+        self.tx_window.resize(rows, None);
+        self.last_tx_end.resize(rows, None);
+        self.gamma.resize(rows, 0.0);
     }
 
     /// Gathers one device's row across the columns.
@@ -154,7 +174,11 @@ pub(super) struct Retirement {
 /// The dense device world (see the module docs).
 #[derive(Debug)]
 pub(super) struct World {
-    pub(super) net: mlora_mobility::BusNetwork,
+    /// The mobility substrate, shared with the configuration it came
+    /// from, the shard workers and every engine resumed or forked from
+    /// the same snapshot; copied on the first scripted withdrawal only
+    /// ([`World::withdraw_trip`]).
+    pub(super) net: Arc<mlora_mobility::BusNetwork>,
     pub(super) devices: DenseMap<NodeId, Device>,
     /// The per-event hot fields, in column form (see the module docs).
     pub(super) hot: HotColumns,
@@ -167,7 +191,8 @@ pub(super) struct World {
     /// Sweep period: chosen so no stored position can drift more than
     /// [`GRID_MARGIN_M`] between sweeps at the fleet's top speed.
     grid_refresh_every: SimDuration,
-    /// Per-device polyline segment cursors for O(1) position queries.
+    /// Per-device polyline segment cursors for O(1) position queries,
+    /// one per opened row.
     pos_hints: Vec<u32>,
     /// Scratch: withdrawal candidate pool.
     scratch_withdraw: Vec<NodeId>,
@@ -176,21 +201,37 @@ pub(super) struct World {
 impl World {
     /// Builds the world over a generated bus network. `cell_m` sizes the
     /// neighbour-grid cells and `max_speed_mps` paces the drift sweep.
-    pub(super) fn new(net: mlora_mobility::BusNetwork, cell_m: f64, max_speed_mps: f64) -> Self {
+    pub(super) fn new(
+        net: Arc<mlora_mobility::BusNetwork>,
+        cell_m: f64,
+        max_speed_mps: f64,
+    ) -> Self {
         let num_trips = net.trips().len();
         // Sweep early enough that drift at the fastest service speed stays
         // inside the query margin (0.95: headroom for rounding to ms).
         let grid_refresh_every = SimDuration::from_secs_f64(GRID_MARGIN_M / max_speed_mps * 0.95);
         World {
             devices: DenseMap::with_capacity(num_trips),
-            hot: HotColumns::new(num_trips),
+            hot: HotColumns::with_capacity(num_trips),
             active: Vec::new(),
             grid: GridIndex::new(cell_m),
             grid_refresh_due: SimTime::ZERO,
             grid_refresh_every,
-            pos_hints: vec![0; num_trips],
+            pos_hints: Vec::with_capacity(num_trips),
             scratch_withdraw: Vec::new(),
             net,
+        }
+    }
+
+    /// Opens the per-id rows (hot columns at their inert defaults, a
+    /// fresh position cursor) up to and including `n`. Departures arrive
+    /// in ascending id order, so on a running engine this appends exactly
+    /// one row; a snapshot restore opens its rows the same way.
+    pub(super) fn open_row(&mut self, n: NodeId) {
+        let rows = n.index() + 1;
+        if rows > self.pos_hints.len() {
+            self.hot.grow_to(rows);
+            self.pos_hints.resize(rows, 0);
         }
     }
 
@@ -243,7 +284,8 @@ impl World {
     ) {
         self.refresh_grid_if_due(now);
         out.clear();
-        let net = &self.net;
+        // Through the shared handle once, not once per candidate.
+        let net: &mlora_mobility::BusNetwork = &self.net;
         let hints = &mut self.pos_hints;
         let coarse = radius + GRID_MARGIN_M;
         let coarse_sq = coarse * coarse;
@@ -266,9 +308,10 @@ impl World {
         out.sort_unstable_by_key(|&(n, _)| n);
     }
 
-    /// Activates a device: files it in the device map, the sorted active
-    /// set and the neighbour grid at `pos`, and resets its hot columns
-    /// to the fresh-activation state.
+    /// Activates a device whose row is open ([`World::open_row`]): files
+    /// it in the device map, the sorted active set and the neighbour
+    /// grid at `pos`, and resets its hot columns to the fresh-activation
+    /// state.
     pub(super) fn activate(&mut self, n: NodeId, device: Device, pos: Point) {
         self.hot.set(
             n.index(),
@@ -345,9 +388,11 @@ impl World {
         self.scratch_withdraw = pool;
     }
 
-    /// Truncates a withdrawn bus's trip in the mobility substrate.
+    /// Truncates a withdrawn bus's trip in the mobility substrate. The
+    /// first withdrawal takes this engine's private copy of a shared
+    /// network; an undisrupted run never copies it.
     pub(super) fn withdraw_trip(&mut self, n: NodeId, now: SimTime) {
-        self.net.withdraw(n, now);
+        Arc::make_mut(&mut self.net).withdraw(n, now);
     }
 
     /// When the next periodic grid drift sweep is due — checkpoint

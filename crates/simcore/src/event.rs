@@ -13,6 +13,19 @@
 //! [`QueueKind`], and both export their pending events in a common
 //! checkpoint shape so snapshots taken under one kind resume under the
 //! other.
+//!
+//! # Reserved sequence numbers
+//!
+//! A caller that knows a block of events in advance — a timetable of
+//! departures, say — need not hold them in the queue. It takes their
+//! sequence numbers with [`AnyEventQueue::reserve_seqs`], keeps the
+//! events in whatever presorted form it already has, and merges that
+//! source with the queue by comparing its next `(time, seq)` against
+//! [`AnyEventQueue::peek_key`]. Follow-ups that belong to the block
+//! enter the queue under their reserved number through
+//! [`AnyEventQueue::schedule_reserved`]. The merged pop order is exactly
+//! what scheduling the whole block up front would have produced, while
+//! the queue holds only events that are live.
 
 use serde::{Deserialize, Serialize};
 
@@ -63,6 +76,10 @@ fn unpack_time(key: u128) -> SimTime {
     SimTime::from_millis((key >> 64) as u64)
 }
 
+fn unpack(key: u128) -> (SimTime, u64) {
+    (unpack_time(key), key as u64)
+}
+
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
@@ -82,9 +99,24 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` to fire at `time`.
     pub fn schedule(&mut self, time: SimTime, event: E) {
-        let key = pack(time, self.seq);
-        self.seq += 1;
-        self.heap.push((key, event));
+        let seq = self.reserve_seqs(1);
+        self.schedule_reserved(time, seq, event);
+    }
+
+    /// Takes the next `n` insertion sequence numbers without scheduling
+    /// anything and returns the first (see the module docs).
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.seq;
+        self.seq += n;
+        first
+    }
+
+    /// Schedules `event` at `time` under a sequence number obtained
+    /// from [`EventQueue::reserve_seqs`]; the insertion counter does not
+    /// move. Each reserved number must be used at most once.
+    pub fn schedule_reserved(&mut self, time: SimTime, seq: u64, event: E) {
+        debug_assert!(seq < self.seq, "sequence number {seq} was never reserved");
+        self.heap.push((pack(time, seq), event));
         self.sift_up(self.heap.len() - 1);
     }
 
@@ -102,6 +134,11 @@ impl<E> EventQueue<E> {
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.first().map(|&(key, _)| unpack_time(key))
+    }
+
+    /// The `(time, sequence)` key of the earliest pending event, if any.
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.heap.first().map(|&(key, _)| unpack(key))
     }
 
     /// Number of pending events.
@@ -375,12 +412,27 @@ impl<E> CalendarQueue<E> {
 
     /// Schedules `event` to fire at `time`.
     pub fn schedule(&mut self, time: SimTime, event: E) {
-        let key = pack(time, self.seq);
-        self.seq += 1;
+        let seq = self.reserve_seqs(1);
+        self.schedule_reserved(time, seq, event);
+    }
+
+    /// Takes the next `n` insertion sequence numbers without scheduling
+    /// anything and returns the first (see the module docs).
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        let first = self.seq;
+        self.seq += n;
+        first
+    }
+
+    /// Schedules `event` at `time` under a sequence number obtained
+    /// from [`CalendarQueue::reserve_seqs`]; the insertion counter does
+    /// not move. Each reserved number must be used at most once.
+    pub fn schedule_reserved(&mut self, time: SimTime, seq: u64, event: E) {
+        debug_assert!(seq < self.seq, "sequence number {seq} was never reserved");
         if self.len == self.buckets.len() {
             self.grow();
         }
-        self.insert_key(key, event);
+        self.insert_key(pack(time, seq), event);
     }
 
     /// Files an already-packed key without growing; the caller ensures
@@ -519,6 +571,11 @@ impl<E> CalendarQueue<E> {
         self.head.map(unpack_time)
     }
 
+    /// The `(time, sequence)` key of the earliest pending event, if any.
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        self.head.map(unpack)
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.len
@@ -626,12 +683,41 @@ impl<E> AnyEventQueue<E> {
         }
     }
 
+    /// Takes the next `n` insertion sequence numbers without scheduling
+    /// anything and returns the first (see the module docs).
+    pub fn reserve_seqs(&mut self, n: u64) -> u64 {
+        match self {
+            AnyEventQueue::Heap(q) => q.reserve_seqs(n),
+            AnyEventQueue::Calendar(q) => q.reserve_seqs(n),
+        }
+    }
+
+    /// Schedules `event` at `time` under a sequence number obtained
+    /// from [`AnyEventQueue::reserve_seqs`]; the insertion counter does
+    /// not move. Each reserved number must be used at most once.
+    #[inline]
+    pub fn schedule_reserved(&mut self, time: SimTime, seq: u64, event: E) {
+        match self {
+            AnyEventQueue::Heap(q) => q.schedule_reserved(time, seq, event),
+            AnyEventQueue::Calendar(q) => q.schedule_reserved(time, seq, event),
+        }
+    }
+
     /// Removes and returns the earliest event, or `None` if empty.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         match self {
             AnyEventQueue::Heap(q) => q.pop(),
             AnyEventQueue::Calendar(q) => q.pop(),
+        }
+    }
+
+    /// The `(time, sequence)` key of the earliest pending event, if any.
+    #[inline]
+    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
+        match self {
+            AnyEventQueue::Heap(q) => q.peek_key(),
+            AnyEventQueue::Calendar(q) => q.peek_key(),
         }
     }
 
@@ -841,6 +927,25 @@ mod tests {
                 assert_eq!(next_heap, cal.pop().unwrap());
                 assert_eq!(next_heap, want);
             }
+        }
+    }
+
+    #[test]
+    fn reserved_sequence_numbers_keep_their_place_in_the_order() {
+        for kind in QueueKind::ALL {
+            let mut q = AnyEventQueue::new(kind);
+            q.schedule(SimTime::from_secs(1), "first");
+            assert_eq!(q.reserve_seqs(2), 1);
+            q.schedule(SimTime::from_secs(1), "fourth");
+            // Filed late, under the numbers taken before "fourth".
+            q.schedule_reserved(SimTime::from_secs(1), 2, "third");
+            q.schedule_reserved(SimTime::from_secs(1), 1, "second");
+            assert_eq!(q.peek_key(), Some((SimTime::from_secs(1), 0)));
+            let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+            assert_eq!(order, ["first", "second", "third", "fourth"], "{kind}");
+            assert_eq!(q.peek_key(), None);
+            // The counter stands where the reservations left it.
+            assert_eq!(q.checkpoint_events().1, 4);
         }
     }
 

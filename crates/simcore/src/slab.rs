@@ -322,7 +322,10 @@ pub trait DenseKey: Copy {
 ///
 /// Lookup, insertion and removal are a single bounds-checked array
 /// access. The backing vector grows to the largest inserted index and is
-/// never shrunk, so steady-state operation performs no allocation.
+/// never shrunk, so steady-state operation performs no allocation; rows
+/// exist only up to that index, so a map whose keys arrive in ascending
+/// order costs memory in proportion to the keys inserted so far, however
+/// much room [`DenseMap::with_capacity`] reserved.
 ///
 /// # Example
 ///
@@ -352,15 +355,21 @@ impl<K: DenseKey, V> DenseMap<K, V> {
         }
     }
 
-    /// Creates an empty map with `capacity` pre-allocated slots.
+    /// Creates an empty map with room reserved for keys below
+    /// `capacity`: inserting them never reallocates, and no slot is
+    /// written until its key (or a larger one) is inserted.
     pub fn with_capacity(capacity: usize) -> Self {
-        let mut slots = Vec::new();
-        slots.resize_with(capacity, || None);
         DenseMap {
-            slots,
+            slots: Vec::with_capacity(capacity),
             len: 0,
             _key: PhantomData,
         }
+    }
+
+    /// Number of slots in existence (occupied or not): one past the
+    /// largest index ever inserted.
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
     }
 
     /// Number of occupied slots.
@@ -521,6 +530,22 @@ mod tests {
         assert_eq!(m.remove(NodeId::new(1)), Some(11));
         assert_eq!(m.remove(NodeId::new(1)), None);
         assert_eq!(m.len(), 1);
+    }
+
+    #[test]
+    fn dense_map_with_capacity_reserves_without_filling() {
+        let n = 1_000;
+        let mut m: DenseMap<NodeId, u64> = DenseMap::with_capacity(n);
+        assert_eq!(m.iter().count(), 0);
+        assert_eq!(m.slot_count(), 0);
+        assert!(m.slots.capacity() >= n);
+        let base = m.slots.as_ptr();
+        for i in 0..n as u32 {
+            m.insert(NodeId::new(i), u64::from(i));
+            assert_eq!(m.slot_count(), i as usize + 1);
+        }
+        assert_eq!(m.slots.as_ptr(), base, "reallocated within capacity");
+        assert_eq!(m.len(), n);
     }
 
     #[test]

@@ -250,3 +250,27 @@ fn metro_scale_resume_is_bit_identical() {
         "metro-scale resume must be bit-identical"
     );
 }
+
+/// A checkpoint written by the last build that seeded the whole
+/// timetable into the event queue (the smoke preset under ROBC with a
+/// flat activity profile, seed 7, stepped to 1 800 s of its 131-trip,
+/// two-hour day): its events section carries a `TripStart` and a
+/// `TripEnd` record for every trip yet to depart. It resumes to the
+/// same report as today's uninterrupted run — the undeparted trips'
+/// records are dropped at load, and the timetable cursor starts each of
+/// those trips exactly once.
+#[test]
+fn eager_seeding_era_snapshot_resumes_bit_identically() {
+    let written = include_bytes!("fixtures/eager_seeding.mlss");
+    let snap = Snapshot::from_bytes(written.to_vec()).expect("fixture loads");
+    let cfg = snap.config().expect("fixture embeds its scenario");
+    let baseline = Engine::new(cfg, snap.seed()).run();
+    assert_eq!(baseline.devices_seen, 131);
+
+    let resumed = Engine::resume(&snap).expect("fixture resumes");
+    // Re-captured at the same instant, the file shrinks by the records
+    // that were dropped.
+    let recaptured = resumed.snapshot().expect("resumed engine snapshots");
+    assert!(recaptured.as_bytes().len() < written.len());
+    assert_eq!(resumed.finish(), baseline);
+}
