@@ -6,76 +6,38 @@
 //! ([`mlora_bench::metro_throughput_config`]) and prints one JSON object
 //! per scenario with the processed-event count, wall-clock time,
 //! events/sec and the host's available parallelism (so a recorded
-//! artifact says on its face whether sharded tiers had real cores). The 2000- and 20 000-bus tiers are additionally measured
-//! with the spatially partitioned engine at 4 shards (the `_4shards`
-//! rows) and on the calendar event queue (the `_calendar` rows), so the
-//! CI regression gate covers the parallel and calendar paths like the
-//! serial heap ones. The repo-level `BENCH_engine.json` baseline/after
-//! pair is recorded with this binary; passing `full` adds the
-//! 100 000-bus metro tier, which is measured out-of-gate (it runs for
-//! minutes).
+//! artifact says on its face whether sharded tiers had real cores). The
+//! 2000- and 20 000-bus tiers are additionally measured with the
+//! spatially partitioned engine at 2 and 4 shards (the `_2shards` and
+//! `_4shards` rows), so the CI regression gate covers the parallel path
+//! like the serial one. The repo-level `BENCH_engine.json` is recorded
+//! with this binary; passing `full` adds the 100 000-bus metro tier,
+//! which is measured out-of-gate (it runs for minutes).
 //!
 //! Usage:
-//! `cargo run --release -p mlora-bench --bin engine_events [runs] [full] [--shards <n>] [--queue <kind>]`
+//! `cargo run --release -p mlora-bench --bin engine_events [runs] [full] [--shards <n>]`
 //!
 //! `--shards <n>` overrides the shard count of every tier (the default
-//! scenario list then drops the built-in `_4shards` rows), for probing
-//! scaling at other widths. `--queue <heap|calendar>` overrides the
-//! event-queue kind of every tier the same way (dropping the built-in
-//! `_calendar` rows); both produce bit-identical reports, so the rows
-//! measure pure queue mechanics.
+//! scenario list then drops the built-in sharded rows), for probing
+//! scaling at other widths.
 
 use std::time::Instant;
 
 use mlora_bench::{engine_throughput_config, metro_throughput_config, HARNESS_SEED};
-use mlora_sim::{Engine, QueueKind, SimConfig};
-
-fn sharded(cfg: &SimConfig, shards: usize) -> SimConfig {
-    let mut cfg = cfg.clone();
-    cfg.shards = shards;
-    cfg
-}
-
-fn on_queue(cfg: &SimConfig, queue: QueueKind) -> SimConfig {
-    let mut cfg = cfg.clone();
-    cfg.queue = queue;
-    cfg
-}
+use mlora_sim::Engine;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let shards_override: Option<usize> = args
-        .iter()
-        .position(|a| a == "--shards")
+    let shards_at = args.iter().position(|a| a == "--shards");
+    let shards_override: Option<usize> = shards_at
         .and_then(|i| args.get(i + 1))
         .and_then(|s| s.parse().ok());
-    let queue_override: Option<QueueKind> = args
+    let positional: Vec<&String> = args
         .iter()
-        .position(|a| a == "--queue")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| match s.parse() {
-            Ok(kind) => kind,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        });
-    let positional: Vec<&String> = {
-        let mut skip_next = false;
-        args.iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if *a == "--shards" || *a == "--queue" {
-                    skip_next = true;
-                    return false;
-                }
-                true
-            })
-            .collect()
-    };
+        .enumerate()
+        .filter(|&(i, _)| shards_at.is_none_or(|at| i != at && i != at + 1))
+        .map(|(_, a)| a)
+        .collect();
     let runs: usize = positional.first().and_then(|s| s.parse().ok()).unwrap_or(3);
     let full = positional.iter().any(|a| **a == "full");
 
@@ -87,6 +49,12 @@ fn main() {
             metro_throughput_config(20_000),
         ),
     ];
+    if full {
+        scenarios.push((
+            "100000_buses_metro".to_string(),
+            metro_throughput_config(100_000),
+        ));
+    }
     match shards_override {
         // Probe mode: run every tier at the requested width instead.
         Some(n) => {
@@ -95,52 +63,20 @@ fn main() {
                 name.push_str(&format!("_{n}shards"));
             }
         }
-        // Default list: serial tiers plus the two gated 4-shard rows
-        // (skipped when probing a specific queue kind — those runs
-        // compare queue mechanics, not partitioning).
-        None if queue_override.is_none() => {
-            let d2d = sharded(&scenarios[1].1, 4);
-            let metro = sharded(&scenarios[2].1, 4);
-            scenarios.push(("2000_buses_4shards".to_string(), d2d));
-            scenarios.push(("20000_buses_metro_4shards".to_string(), metro));
-        }
-        None => {}
-    }
-    match queue_override {
-        // Probe mode: run every tier (including any `_Nshards` rows)
-        // on the requested queue kind instead.
-        Some(kind) => {
-            for (name, cfg) in &mut scenarios {
-                cfg.queue = kind;
-                name.push_str(&format!("_{kind}"));
+        // Default list: serial tiers plus the four gated sharded rows.
+        None => {
+            for shards in [2, 4] {
+                for tier in 1..=2 {
+                    let (name, mut cfg) = scenarios[tier].clone();
+                    cfg.shards = shards;
+                    scenarios.push((format!("{name}_{shards}shards"), cfg));
+                }
             }
         }
-        // Default list: add the two gated calendar rows.
-        None if shards_override.is_none() => {
-            let d2d = on_queue(&scenarios[1].1, QueueKind::Calendar);
-            let metro = on_queue(&scenarios[2].1, QueueKind::Calendar);
-            scenarios.push(("2000_buses_calendar".to_string(), d2d));
-            scenarios.push(("20000_buses_metro_calendar".to_string(), metro));
-        }
-        None => {}
-    }
-    if full {
-        let mut cfg = metro_throughput_config(100_000);
-        let mut name = "100000_buses_metro".to_string();
-        if let Some(n) = shards_override {
-            cfg.shards = n;
-            name.push_str(&format!("_{n}shards"));
-        }
-        if let Some(kind) = queue_override {
-            cfg.queue = kind;
-            name.push_str(&format!("_{kind}"));
-        }
-        scenarios.push((name, cfg));
     }
 
     // Host parallelism goes into every row: sharded-tier ratios are only
-    // interpretable against the hardware threads actually available (the
-    // recorded baselines come from a single-hardware-thread box).
+    // interpretable against the hardware threads actually available.
     let host_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(0);

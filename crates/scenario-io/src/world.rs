@@ -203,7 +203,7 @@ impl WorldAssembler {
                 return Err(ScenarioIoError::Corrupt("route speed not positive"));
             }
             let n = r.varint()? as usize;
-            let mut points = Vec::with_capacity(n);
+            let mut points = Vec::with_capacity(n.min(1 << 16));
             for _ in 0..n {
                 points.push(Point::new(
                     finite(r.f64()?, "route point")?,
@@ -436,6 +436,24 @@ mod tests {
             Err(ScenarioIoError::Corrupt("fleet before routes"))
         ));
         drop(bytes);
+    }
+
+    #[test]
+    fn inflated_route_point_count_is_corrupt_not_an_abort() {
+        // A record the writer checksums like any other, claiming 2^60
+        // path points and carrying none.
+        let mut w = ScenarioWriter::new(Vec::new()).unwrap();
+        w.begin_section(section::ROUTES, 1).unwrap();
+        w.enc().put_f64(10.0);
+        w.enc().put_varint(1 << 60);
+        w.end_record().unwrap();
+        w.end_section().unwrap();
+        let bytes = w.finish().unwrap();
+        let mut r = ScenarioReader::new(&bytes[..]).unwrap();
+        assert!(matches!(
+            read_world_sections(&mut r),
+            Err(ScenarioIoError::Corrupt("record crosses block boundary"))
+        ));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use mlora_core::{PolicySpec, RoutingConfig, RoutingState, Scheme};
 use mlora_mobility::{BusNetwork, BusNetworkConfig};
 use mlora_phy::{CapacityModel, LogDistanceModel, PhyParams};
-use mlora_simcore::{QueueKind, SimDuration};
+use mlora_simcore::SimDuration;
 use serde::{Deserialize, Serialize};
 
 use crate::disruption::DisruptionPlan;
@@ -138,16 +138,11 @@ pub struct SimConfig {
     /// (see [`crate::Partition`]). A host-execution knob, not scenario
     /// content: any shard count produces bit-identical results, so
     /// scenario files neither carry nor require it (loaded configs
-    /// default to `1`).
+    /// default to `1`). Measured on a two-thread host (EXPERIMENTS.md,
+    /// "Parallel engine"): 2 shards is the only width that has beaten
+    /// the serial engine in every session, and only at 20 000-bus metro
+    /// scale; a 2000-bus run is four to nine times slower sharded.
     pub shards: usize,
-    /// Which event-queue implementation the engine runs on: the binary
-    /// heap (the default) or the calendar queue / time wheel. Like
-    /// [`SimConfig::shards`], a host-execution knob, not scenario
-    /// content: both kinds pop the identical `(time, seq)` sequence, so
-    /// any choice produces bit-identical results and neither `.mlsc`
-    /// scenario files nor `.mlss` snapshots carry it (loaded files
-    /// default to [`QueueKind::BinaryHeap`]).
-    pub queue: QueueKind,
 }
 
 /// Error returned when a [`SimConfig`] is internally inconsistent.
@@ -248,7 +243,7 @@ impl std::error::Error for ConfigError {}
 const MAX_POLICY_LABEL: usize = 48;
 
 /// Most engine shards one run may request (see [`SimConfig::shards`]).
-const MAX_SHARDS: usize = 64;
+pub(crate) const MAX_SHARDS: usize = 64;
 
 /// Validates that `value` is finite and within `(lo, hi]`.
 pub(crate) fn check_unit_interval(
@@ -299,7 +294,6 @@ impl SimConfig {
             series_bucket: SimDuration::from_mins(10),
             disruptions: DisruptionPlan::default(),
             shards: 1,
-            queue: QueueKind::default(),
         }
     }
 

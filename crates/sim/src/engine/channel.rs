@@ -179,10 +179,6 @@ pub(super) struct Channel {
     /// still in the air finds every time-overlapping interferer in the
     /// collision scan.
     flight_retention: SimDuration,
-    /// Test knob (see the engine probe module): sweep on every
-    /// transmission end, reproducing the historical eager prune, so a
-    /// property test can pin lazy-vs-eager bit-equality.
-    pub(super) eager_prune: bool,
     /// Scratch: time-overlapping flights as `(seq, position)`.
     pub(super) scratch_overlaps: Vec<(u64, Point)>,
     /// Scratch: the subset of `scratch_overlaps` close enough to the
@@ -217,7 +213,6 @@ impl Channel {
             cols: FlightColumns::default(),
             next_flight_seq: 0,
             flight_retention,
-            eager_prune: false,
             scratch_overlaps: Vec::new(),
             scratch_near_overlaps: Vec::new(),
             scratch_rssi: Vec::new(),

@@ -7,12 +7,14 @@
 //! scenario configured — the paper's built-in schemes and user-defined
 //! policies ride exactly the same code path.
 //!
-//! The serial and sharded engines share one candidate pipeline: the
-//! geometric prefilter (sender/range) differs — a live grid query versus
-//! a shard-precomputed [`FlightPlan`] — but the state-dependent
-//! admission filters ([`Engine::neighbour_admitted`]) and the
-//! post-reception policy dispatch ([`Engine::apply_reception`]) are the
-//! same functions, so the two paths cannot drift apart.
+//! The serial and sharded engines share one transmission-end body
+//! (`Engine::on_tx_end`) and one candidate pipeline: the geometric
+//! prefilter (sender/range) differs — a live grid query versus a
+//! shard-precomputed [`FlightPlan`] — but the state-dependent admission
+//! filters ([`Engine::neighbour_admitted`]), the post-reception policy
+//! dispatch ([`Engine::apply_reception`]) and the sender's settlement
+//! ([`Engine::settle_sender`]) are the same functions, so the two paths
+//! cannot drift apart.
 
 use mlora_core::{Beacon, ForwardDecision};
 use mlora_geo::Point;

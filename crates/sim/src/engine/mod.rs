@@ -82,7 +82,7 @@ use mlora_mac::{
     MAX_BUNDLE, MAX_BUNDLE_BYTES,
 };
 use mlora_phy::AirtimeTable;
-use mlora_simcore::{AnyEventQueue, NodeId, SimDuration, SimRng, SimTime, SlabKey};
+use mlora_simcore::{EventQueue, NodeId, SimDuration, SimRng, SimTime, SlabKey};
 
 use self::channel::{Channel, FlightRef};
 use self::comm::{
@@ -275,7 +275,7 @@ pub struct Engine {
     /// so a resume can regenerate the deterministic substrate (network,
     /// gateway placement, RNG stream identities).
     seed: u64,
-    events: AnyEventQueue<Event>,
+    events: EventQueue<Event>,
     /// The timetable cursor: trips below it have departed (see the
     /// module docs). Not checkpointed — a resume derives it from `now`.
     next_trip: usize,
@@ -392,7 +392,7 @@ impl Engine {
         let timeline = cfg.disruptions.compile(cfg.horizon);
         Engine {
             seed,
-            events: AnyEventQueue::with_capacity(cfg.queue, 1 << 16),
+            events: EventQueue::with_capacity(1 << 16),
             next_trip: 0,
             live_trips,
             airtime,
@@ -1001,18 +1001,14 @@ impl Engine {
         self.events.schedule(self.now + airtime, Event::TxEnd(key));
     }
 
+    /// A transmission ends: receptions resolve at the gateways and the
+    /// neighbours, then the sender settles. The serial and the sharded
+    /// engine differ only in where the receiver sets come from
+    /// ([`Engine::resolve_scanned`] / [`Engine::resolve_planned`]).
     fn on_tx_end(&mut self, key: SlabKey, observer: &mut dyn SimObserver) {
-        if self.shard_rt.is_some() {
-            return self.on_tx_end_sharded(key, observer);
-        }
         // Expired-flight reclamation is deferred to the launch path
         // (`Channel::maybe_sweep`); a stale flight cannot pass the
-        // time-overlap filter below, so nothing here depends on it. The
-        // eager knob reinstates the historical per-event sweep for the
-        // lazy-vs-eager property test.
-        if self.channel.eager_prune {
-            self.channel.sweep(self.now);
-        }
+        // time-overlap filter, so nothing here depends on it.
 
         // Copy the subject's hot row out of the columns, then take the
         // cold table out of the channel so its frame can be borrowed
@@ -1040,6 +1036,34 @@ impl Engine {
         self.world.hot.transmitting[sender.index()] = false;
         self.world.hot.last_tx_end[sender.index()] = Some(self.now);
 
+        let mut to_schedule = std::mem::take(&mut self.scratch_schedule);
+        to_schedule.clear();
+        let (gateway_rssi, accepted_by_target) = match self.shard_rt.take() {
+            None => self.resolve_scanned(flight, &mut to_schedule, observer),
+            Some(mut rt) => {
+                let resolved = self.resolve_planned(&mut rt, flight, &mut to_schedule, observer);
+                self.shard_rt = Some(rt);
+                resolved
+            }
+        };
+        self.settle_sender(flight, gateway_rssi, accepted_by_target, observer);
+        for &n in &to_schedule {
+            self.maybe_schedule_tx(n);
+        }
+
+        self.scratch_schedule = to_schedule;
+        self.channel.flights = flights;
+    }
+
+    /// The serial engine's resolve step: one overlap scan of the flight
+    /// columns and a grid candidate sweep, done here and now. Returns
+    /// the best gateway RSSI and whether the handover target decoded.
+    fn resolve_scanned(
+        &mut self,
+        flight: FlightRef<'_>,
+        to_schedule: &mut Vec<NodeId>,
+        observer: &mut dyn SimObserver,
+    ) -> (Option<f64>, bool) {
         // Frames overlapping this one in time (including itself), in
         // creation order — one pass over the contiguous flight columns.
         let mut overlaps = std::mem::take(&mut self.channel.scratch_overlaps);
@@ -1052,7 +1076,7 @@ impl Engine {
         let d2d = self.cfg.environment.d2d_range_m();
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
         self.world
-            .batched_candidates(self.now, sender, flight.pos, d2d, &mut candidates);
+            .batched_candidates(self.now, flight.sender, flight.pos, d2d, &mut candidates);
         // Every device receiver sits within `d2d` of the sender, so an
         // overlapping frame farther than `2 * d2d` from the sender is out
         // of range of all of them (triangle inequality; +1 m float
@@ -1068,74 +1092,35 @@ impl Engine {
                 .copied()
                 .filter(|&(_, p)| p.distance_sq(flight.pos) <= reach_sq),
         );
-        let mut to_schedule = std::mem::take(&mut self.scratch_schedule);
-        to_schedule.clear();
         let accepted_by_target =
-            self.resolve_neighbours(flight, &near, &candidates, &mut to_schedule, observer);
-        self.settle_sender(flight, gateway_rssi, accepted_by_target, observer);
-        for &n in &to_schedule {
-            self.maybe_schedule_tx(n);
-        }
+            self.resolve_neighbours(flight, &near, &candidates, to_schedule, observer);
 
-        self.scratch_schedule = to_schedule;
         self.scratch_candidates = candidates;
         self.channel.scratch_near_overlaps = near;
         self.channel.scratch_overlaps = overlaps;
-        self.channel.flights = flights;
+        (gateway_rssi, accepted_by_target)
     }
 
-    /// [`Engine::on_tx_end`] for a sharded run: the overlap scan and
-    /// the two spatial queries are replaced by the flight's precomputed
+    /// The sharded engine's resolve step: the overlap scan and the two
+    /// spatial queries are replaced by the flight's precomputed
     /// [`FlightPlan`] plus the commit-side dynamic-interferer ring;
     /// every draw, filter and mutation then runs in the serial order.
-    fn on_tx_end_sharded(&mut self, key: SlabKey, observer: &mut dyn SimObserver) {
-        if self.channel.eager_prune {
-            self.channel.sweep(self.now);
-        }
-        let Some(hot) = self.channel.flight_hot(key) else {
-            return;
-        };
-        let flights = std::mem::take(&mut self.channel.flights);
-        let Some(cold) = flights.get(key) else {
-            self.channel.flights = flights;
-            return;
-        };
-        let flight = FlightRef {
-            seq: hot.seq,
-            sender: hot.sender,
-            frame: &cold.frame,
-            target: cold.target,
-            start: hot.start,
-            end: hot.end,
-            pos: hot.pos,
-        };
-        let sender = flight.sender;
-
-        // Sender leaves the transmit state.
-        self.world.hot.transmitting[sender.index()] = false;
-        self.world.hot.last_tx_end[sender.index()] = Some(self.now);
-
-        let mut rt = self.shard_rt.take().expect("sharded path");
+    fn resolve_planned(
+        &mut self,
+        rt: &mut ShardRuntime,
+        flight: FlightRef<'_>,
+        to_schedule: &mut Vec<NodeId>,
+        observer: &mut dyn SimObserver,
+    ) -> (Option<f64>, bool) {
         let plan = rt.take_plan(flight.seq);
         rt.dynamic_overlaps(flight.seq, flight.pos, flight.start, flight.end);
-        let dynamic = std::mem::take(&mut rt.dyn_scratch);
-
+        let dynamic = &rt.dyn_scratch;
         let gateway_rssi =
             self.delivery
-                .resolve_gateways_planned(&mut self.channel, &plan, &dynamic, flight);
-        let mut to_schedule = std::mem::take(&mut self.scratch_schedule);
-        to_schedule.clear();
+                .resolve_gateways_planned(&mut self.channel, &plan, dynamic, flight);
         let accepted_by_target =
-            self.resolve_neighbours_planned(flight, &plan, &dynamic, &mut to_schedule, observer);
-        self.settle_sender(flight, gateway_rssi, accepted_by_target, observer);
-        for &n in &to_schedule {
-            self.maybe_schedule_tx(n);
-        }
-
-        self.scratch_schedule = to_schedule;
-        rt.dyn_scratch = dynamic;
-        self.shard_rt = Some(rt);
-        self.channel.flights = flights;
+            self.resolve_neighbours_planned(flight, &plan, dynamic, to_schedule, observer);
+        (gateway_rssi, accepted_by_target)
     }
 
     /// Builds the partition, the per-shard workers and the local

@@ -6,8 +6,8 @@
 //! up a full engine run. This module packages those paths behind two
 //! self-contained drivers — [`FlightScanProbe`] over the serial
 //! [`Channel`] and [`WorkerProbe`] over a single [`ShardWorker`] — plus
-//! the [`set_eager_flight_prune`] knob the lazy-vs-eager pruning
-//! proptest uses to force the historical per-event sweep, and
+//! [`sweep_flights`], with which the lazy-vs-eager pruning proptest
+//! reclaims expired flights far more often than the engine does, and
 //! [`timetable_order`], which shows the event-order proptest the
 //! `(time, seq)` key of every timetable event the loop handles.
 //!
@@ -32,12 +32,12 @@ use super::partition::Partition;
 use super::{Engine, Event};
 use crate::observer::NullObserver;
 
-/// Forces (or clears) the historical eager per-TxEnd flight sweep on a
-/// built engine. Default is the lazy growth-boundary sweep; the pruning
-/// proptest runs every scenario both ways and requires bit-identical
-/// reports.
-pub fn set_eager_flight_prune(engine: &mut Engine, eager: bool) {
-    engine.channel.eager_prune = eager;
+/// Reclaims every expired flight of a stepped engine now, between two
+/// `run_until` slices. The engine itself sweeps only at slab growth
+/// boundaries; the pruning proptest sweeps after every slice and
+/// requires a bit-identical report.
+pub fn sweep_flights(engine: &mut Engine) {
+    engine.channel.sweep(engine.now);
 }
 
 /// An event whose `(time, seq)` key the timetable and the disruption

@@ -52,12 +52,13 @@ use mlora_mac::{AppMessage, DataQueue, DutyCycleTracker, Priority, RetransmitPol
 use mlora_scenario_io::{Enc, ScenarioIoError, ScenarioReader, ScenarioWriter};
 use mlora_simcore::stats::{TimeSeries, Welford};
 use mlora_simcore::{
-    AnyEventQueue, DenseMap, MessageId, NodeId, QueueKind, SimDuration, SimRng, SimTime, SlabKey,
+    DenseMap, EventQueue, MessageId, NodeId, SimDuration, SimRng, SimTime, SlabKey,
 };
 
 use super::channel::{Flight, FlightRef};
 use super::world::{Device, DeviceHot, DeviceTraffic};
 use super::{Engine, Event};
+use crate::config::MAX_SHARDS;
 use crate::metrics::Collector;
 use crate::{
     DeviceClassChoice, DisruptionEvent, DisruptionPlan, ProfileReport, ScenarioFileError,
@@ -318,8 +319,8 @@ impl Engine {
                 "run already finished; nothing left to capture",
             ));
         }
-        let (queue_records, event_seq) = self.events.checkpoint_events();
-        self.encode_snapshot(&queue_records, event_seq)
+        let (queue_records, event_seq) = self.events.raw_parts();
+        self.encode_snapshot(queue_records, event_seq)
     }
 
     /// Writes the container around the given events section (the
@@ -340,11 +341,7 @@ impl Engine {
 
         let mut w = ScenarioWriter::with_magic(Vec::new(), SNAPSHOT_MAGIC)?;
 
-        // Header: run identity and loop counters. The queue's records
-        // come out in heap layout order for the heap kind (what
-        // historical snapshots hold) and ascending key order for the
-        // calendar kind; either order rebuilds either kind, so the
-        // snapshot never records which one was running.
+        // Header: run identity and loop counters.
         w.begin_section(SEC_HEADER, 1)?;
         let enc = w.enc();
         enc.put_varint(self.seed);
@@ -364,8 +361,8 @@ impl Engine {
         w.end_section()?;
 
         // The event queue — live events only, see the module docs — in
-        // record order (see above) so the restored queue pops in exactly
-        // the original sequence.
+        // heap layout order, so the restored queue pops in exactly the
+        // original sequence.
         w.begin_section(SEC_EVENTS, queue_records.len() as u64)?;
         for &(key, ev) in queue_records {
             let enc = w.enc();
@@ -499,25 +496,6 @@ impl Engine {
         Engine::resume_with_overlay(snapshot, DisruptionPlan::default())
     }
 
-    /// [`Engine::resume_with_overlay`] on an explicit event-queue kind.
-    ///
-    /// The queue kind is a host-execution knob snapshots deliberately do
-    /// not record (see [`SimConfig::queue`](crate::SimConfig)): the
-    /// default entry points resume on the binary heap, and this one lets
-    /// the host pick — resuming a heap-recorded snapshot on the calendar
-    /// queue (or vice versa) is bit-identical either way.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::resume_with_overlay`].
-    pub fn resume_on_queue(
-        snapshot: &Snapshot,
-        overlay: DisruptionPlan,
-        queue: QueueKind,
-    ) -> Result<Engine, SnapshotError> {
-        Engine::resume_inner(snapshot, overlay, queue)
-    }
-
     /// [`Engine::resume`] with an additional [`DisruptionPlan`] overlay
     /// — the what-if fork primitive. The resumed branch replays the
     /// captured state exactly, then diverges only once the overlay's
@@ -535,14 +513,6 @@ impl Engine {
         snapshot: &Snapshot,
         overlay: DisruptionPlan,
     ) -> Result<Engine, SnapshotError> {
-        Engine::resume_inner(snapshot, overlay, QueueKind::default())
-    }
-
-    fn resume_inner(
-        snapshot: &Snapshot,
-        overlay: DisruptionPlan,
-        queue: QueueKind,
-    ) -> Result<Engine, SnapshotError> {
         let mut r = ScenarioReader::with_magic(snapshot.bytes.as_slice(), SNAPSHOT_MAGIC)?;
         let header = read_header(&mut r)?;
         // The scenario is decoded by the first resume of this snapshot;
@@ -559,10 +529,6 @@ impl Engine {
                 snapshot.config.get_or_init(|| cfg).clone()
             }
         };
-        // Like `shards`, the queue kind is host state, not snapshot
-        // content: the loaded config defaults to the heap and the
-        // caller's choice lands here, before the engine is built.
-        cfg.queue = queue;
         let original = cfg.disruptions.clone();
 
         // Compile the overlay against the captured horizon, offsetting
@@ -630,10 +596,10 @@ impl Engine {
             .partition_point(|t| t.depart() <= header.now);
         engine.next_trip = departed.min(engine.live_trips);
 
-        // Pending events, in the writer's record order (heap layout or
-        // ascending keys — either rebuilds either queue kind). Lifecycle
-        // records of undeparted trips (see the module docs) are checked
-        // against the timetable and dropped.
+        // Pending events, in the writer's record order: a heap layout
+        // (ascending keys, which builds that ran on a calendar queue
+        // wrote, are one). Lifecycle records of undeparted trips (see
+        // the module docs) are checked against the timetable and dropped.
         let n = expect_section(&mut r, SEC_EVENTS, "snapshot events")?;
         let mut records = Vec::with_capacity((n as usize).min(1 << 16));
         let mut dropped = false;
@@ -666,7 +632,9 @@ impl Engine {
             records.sort_unstable_by_key(|&(key, _)| key);
         }
         engine.queue_depth_high_water = records.len();
-        engine.events = AnyEventQueue::from_events(engine.cfg.queue, records, header.event_seq);
+        engine.events = EventQueue::from_raw_parts(records, header.event_seq).ok_or(
+            ScenarioIoError::Corrupt("event records are not in heap order"),
+        )?;
         // Overlay disruptions are scheduled *after* the queue restore so
         // they take fresh (higher) sequence numbers: at equal times they
         // fire after everything the original run had already scheduled.
@@ -715,7 +683,7 @@ impl Engine {
         // The flight slab: slots verbatim (vacant included), then the
         // free list.
         let n = expect_section(&mut r, SEC_FLIGHT_SLOTS, "snapshot flight slots")?;
-        let mut slots = Vec::with_capacity(n as usize);
+        let mut slots = Vec::with_capacity((n as usize).min(1 << 16));
         for _ in 0..n {
             r.begin_record()?;
             let generation = u32::try_from(r.varint()?).map_err(bad_index)?;
@@ -727,7 +695,7 @@ impl Engine {
             slots.push((generation, flight));
         }
         let n = expect_section(&mut r, SEC_FLIGHT_FREE, "snapshot flight free list")?;
-        let mut free = Vec::with_capacity(n as usize);
+        let mut free = Vec::with_capacity((n as usize).min(1 << 16));
         for _ in 0..n {
             r.begin_record()?;
             free.push(u32::try_from(r.varint()?).map_err(bad_index)?);
@@ -738,7 +706,7 @@ impl Engine {
         let channel_rng = get_rng(&mut r)?;
         let next_flight_seq = r.varint()?;
         let n_noise = r.varint()?;
-        let mut active_noise = Vec::with_capacity(n_noise as usize);
+        let mut active_noise = Vec::with_capacity((n_noise as usize).min(1 << 16));
         for _ in 0..n_noise {
             active_noise.push(u32::try_from(r.varint()?).map_err(bad_index)?);
         }
@@ -808,8 +776,7 @@ impl Engine {
             let mut rt = engine.build_shard_runtime();
             rt.pump_barriers(engine.now);
             let mut pending: HashSet<u64> = HashSet::new();
-            let (queue_records, _) = engine.events.checkpoint_events();
-            for &(_, ev) in &queue_records {
+            for &(_, ev) in engine.events.raw_parts().0 {
                 if let Event::TxEnd(key) = ev {
                     if let Some(hot) = engine.channel.flight_hot(key) {
                         pending.insert(hot.seq);
@@ -859,10 +826,16 @@ fn read_header<R: Read>(r: &mut ScenarioReader<R>) -> Result<Header, ScenarioIoE
     }
     r.begin_record()?;
     let seed = r.varint()?;
-    let shards = r.varint()? as usize;
-    if shards == 0 {
-        return Err(ScenarioIoError::Corrupt("snapshot shard count is zero"));
-    }
+    // Resume spawns one worker thread per shard, so the count is held
+    // to what a configuration may ask for before anything acts on it.
+    let shards = match usize::try_from(r.varint()?) {
+        Ok(n) if (1..=MAX_SHARDS).contains(&n) => n,
+        _ => {
+            return Err(ScenarioIoError::Corrupt(
+                "snapshot shard count out of range",
+            ))
+        }
+    };
     let now = SimTime::from_millis(r.varint()?);
     let next_msg = r.varint()?;
     let events_processed = r.varint()?;
@@ -1097,7 +1070,7 @@ fn get_flight<R: Read>(r: &mut ScenarioReader<R>) -> Result<Flight, ScenarioIoEr
     };
     let frame_sender = NodeId::new(u32::try_from(r.varint()?).map_err(bad_index)?);
     let n = r.varint()?;
-    let mut messages = Vec::with_capacity(n as usize);
+    let mut messages = Vec::with_capacity((n as usize).min(1 << 16));
     for _ in 0..n {
         messages.push(get_message(r)?);
     }
@@ -1226,7 +1199,7 @@ fn get_device<R: Read>(
     let capacity = r.varint()? as usize;
     let dropped = r.varint()?;
     let n = r.varint()?;
-    let mut messages = Vec::with_capacity(n as usize);
+    let mut messages = Vec::with_capacity((n as usize).min(1 << 16));
     for _ in 0..n {
         messages.push(get_message(r)?);
     }
@@ -1262,7 +1235,7 @@ fn get_device<R: Read>(
     let last_contact = get_opt_time(r)?;
     let ca = CaEtxEstimator::from_raw_parts(ca_bits, gaps, capacities, last_contact);
     let n_donors = r.varint()?;
-    let mut donors = Vec::with_capacity(n_donors as usize);
+    let mut donors = Vec::with_capacity((n_donors as usize).min(1 << 16));
     for _ in 0..n_donors {
         donors.push(NodeId::new(u32::try_from(r.varint()?).map_err(bad_index)?));
     }
@@ -1393,7 +1366,7 @@ fn get_report<R: Read>(r: &mut ScenarioReader<R>) -> Result<SimReport, ScenarioI
     let bucket = get_dur(r)?;
     let bounded = r.bool()?;
     let n = r.varint()?;
-    let mut counts = Vec::with_capacity(n as usize);
+    let mut counts = Vec::with_capacity((n as usize).min(1 << 16));
     for _ in 0..n {
         counts.push(r.varint()?);
     }
@@ -1414,7 +1387,7 @@ fn get_report<R: Read>(r: &mut ScenarioReader<R>) -> Result<SimReport, ScenarioI
     let delivered_of_outage_generated = r.varint()?;
     let total_airtime_s = r.f64()?;
     let n = r.varint()?;
-    let mut profiles = Vec::with_capacity(n as usize);
+    let mut profiles = Vec::with_capacity((n as usize).min(1 << 16));
     for _ in 0..n {
         let name = r.string()?;
         let generated = r.varint()?;
@@ -1546,7 +1519,8 @@ mod tests {
         }
         assert!(!lifecycle.is_empty(), "every trip already departed");
         tamper(&mut lifecycle);
-        let (mut records, event_seq) = engine.events.checkpoint_events();
+        let (records, event_seq) = engine.events.raw_parts();
+        let mut records = records.to_vec();
         records.extend(
             lifecycle
                 .into_iter()
@@ -1630,6 +1604,84 @@ mod tests {
         engine.run_until(SimTime::from_secs(600));
         engine.snapshot().expect("snapshot");
         assert_eq!(engine.cfg_blob.get().expect("cached").as_ptr(), first);
+    }
+
+    fn is_corrupt<T>(result: Result<T, SnapshotError>) -> bool {
+        matches!(
+            result,
+            Err(SnapshotError::Format(ScenarioIoError::Corrupt(_)))
+        )
+    }
+
+    #[test]
+    fn shard_count_beyond_the_limit_is_refused_at_load() {
+        // Written by the engine itself, so every checksum holds; only
+        // the header's shard count is out of range. (The first snapshot
+        // encodes the scenario blob, which would refuse the count.)
+        let mut engine = Engine::new(cfg(), 7);
+        engine.run_until(SimTime::from_secs(300));
+        engine.snapshot().expect("snapshot");
+        engine.cfg.shards = MAX_SHARDS + 1;
+        let bytes = engine.snapshot().expect("snapshot").as_bytes().to_vec();
+        assert!(is_corrupt(Snapshot::from_bytes(bytes)));
+    }
+
+    #[test]
+    fn event_records_out_of_heap_order_are_refused() {
+        let mut engine = Engine::new(cfg(), 7);
+        engine.run_until(SimTime::from_secs(900));
+        let (records, event_seq) = engine.events.raw_parts();
+        let mut records = records.to_vec();
+        records.sort_unstable_by_key(|&(key, _)| std::cmp::Reverse(key));
+        assert!(records[0].0 > records[1].0);
+        let snap = engine
+            .encode_snapshot(&records, event_seq)
+            .expect("snapshot encodes");
+        assert!(is_corrupt(Engine::resume(&snap)));
+    }
+
+    #[test]
+    fn inflated_counts_are_corrupt_not_an_abort() {
+        use crate::io::tests::with_inflated_section;
+        let mut engine = Engine::new(cfg(), 7);
+        engine.run_until(SimTime::from_secs(900));
+        let snap = engine.snapshot().expect("snapshot");
+        // A section header promising 2^60 records.
+        for id in [
+            SEC_EVENTS,
+            SEC_DEVICES,
+            SEC_WITHDRAWN,
+            SEC_FLIGHT_SLOTS,
+            SEC_FLIGHT_FREE,
+        ] {
+            let hostile = with_inflated_section(snap.as_bytes(), SNAPSHOT_MAGIC, id);
+            let loaded = Snapshot::from_bytes(hostile).expect("header is intact");
+            assert!(is_corrupt(Engine::resume(&loaded)), "section {id}");
+        }
+        // The same promise inside a checksummed record: the message
+        // count of a flight the writer framed like any other.
+        let mut w = ScenarioWriter::with_magic(Vec::new(), SNAPSHOT_MAGIC).unwrap();
+        w.begin_section(SEC_FLIGHT_SLOTS, 1).unwrap();
+        let enc = w.enc();
+        enc.put_varint(3); // seq
+        enc.put_varint(1); // sender
+        enc.put_bool(false); // no target
+        put_time(enc, SimTime::from_secs(1));
+        put_time(enc, SimTime::from_secs(2));
+        enc.put_f64(0.0);
+        enc.put_f64(0.0);
+        enc.put_varint(1); // frame sender
+        enc.put_varint(1 << 60); // messages
+        w.end_record().unwrap();
+        w.end_section().unwrap();
+        let bytes = w.finish().unwrap();
+        let mut r = ScenarioReader::with_magic(bytes.as_slice(), SNAPSHOT_MAGIC).unwrap();
+        r.next_section().unwrap();
+        r.begin_record().unwrap();
+        assert!(matches!(
+            get_flight(&mut r),
+            Err(ScenarioIoError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -198,11 +198,9 @@ impl SimConfig {
             horizon: params.horizon,
             series_bucket: params.series_bucket,
             disruptions,
-            // Host-execution knobs, not scenario content: files carry
-            // neither a shard count nor a queue kind, and loaded
-            // configs default to serial on the binary heap.
+            // A host-execution knob, not scenario content: files carry
+            // no shard count, and loaded configs default to serial.
             shards: 1,
-            queue: mlora_simcore::QueueKind::default(),
         };
         cfg.validate()?;
         Ok(cfg)
@@ -525,7 +523,7 @@ fn read_traffic<R: Read>(
     r: &mut ScenarioReader<R>,
     count: u64,
 ) -> Result<TrafficModel, ScenarioIoError> {
-    let mut profiles = Vec::with_capacity(count as usize);
+    let mut profiles = Vec::with_capacity((count as usize).min(1 << 16));
     for _ in 0..count {
         r.begin_record()?;
         let name = r.string()?;
@@ -680,8 +678,9 @@ fn read_disruptions<R: Read>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use mlora_scenario_io::{Enc, MAGIC};
 
     fn rich_config() -> SimConfig {
         Scenario::urban()
@@ -787,6 +786,40 @@ mod tests {
         assert!(matches!(
             SimConfig::from_reader(&bytes[..]),
             Err(ScenarioFileError::Io(ScenarioIoError::MissingSection(_)))
+        ));
+    }
+
+    /// `bytes` with the record count in section `id`'s header raised to
+    /// 2^60. Section headers are framing metadata outside the
+    /// checksummed blocks, so every checksum of the result still holds.
+    pub(crate) fn with_inflated_section(bytes: &[u8], magic: [u8; 4], id: u8) -> Vec<u8> {
+        let mut cursor = std::io::Cursor::new(bytes);
+        let mut r = ScenarioReader::with_magic(&mut cursor, magic).unwrap();
+        let mut old = Enc::default();
+        loop {
+            let (section, records) = r.next_section().unwrap().expect("section present");
+            if section == id {
+                old.put_varint(records);
+                break;
+            }
+            r.skip_section().unwrap();
+        }
+        // The reader has consumed the header up to the end of its count.
+        let end = cursor.position() as usize;
+        let huge = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10];
+        [&bytes[..end - old.len()], &huge, &bytes[end..]].concat()
+    }
+
+    #[test]
+    fn inflated_traffic_count_is_corrupt_not_an_abort() {
+        let mut bytes = Vec::new();
+        rich_config().to_writer(&mut bytes).unwrap();
+        let hostile = with_inflated_section(&bytes, MAGIC, section::TRAFFIC);
+        assert!(matches!(
+            SimConfig::from_reader(&hostile[..]),
+            Err(ScenarioFileError::Io(ScenarioIoError::Corrupt(
+                "section ended before its records"
+            )))
         ));
     }
 

@@ -99,7 +99,6 @@ pub use metrics::{ProfileReport, SimReport};
 pub use mlora_core::{ForwardingPolicy, PolicyContext, PolicySpec};
 pub use mlora_mac::Priority;
 pub use mlora_mobility::{BusNetwork, MetroConfig, MetroWorld};
-pub use mlora_simcore::QueueKind;
 pub use observer::{
     BusWithdrawn, EventCounter, FrameTransmitted, GatewayOutageChanged, HandoverAccepted,
     MessageDelivered, MessageGenerated, NoiseBurstChanged, NullObserver, ReportWriter,
@@ -132,9 +131,9 @@ pub mod prelude {
     };
     pub use crate::{
         BusWithdrawal, ConfigError, DeviceClassChoice, DisruptionPlan, Engine, Environment,
-        ExperimentPlan, GatewayOutage, GatewayPlacement, MetroConfig, NoiseBurst, QueueKind,
-        ReplicatedReport, Runner, Scenario, ScenarioBuilder, SimConfig, SimReport, Snapshot,
-        TrafficModel, TrafficProfile,
+        ExperimentPlan, GatewayOutage, GatewayPlacement, MetroConfig, NoiseBurst, ReplicatedReport,
+        Runner, Scenario, ScenarioBuilder, SimConfig, SimReport, Snapshot, TrafficModel,
+        TrafficProfile,
     };
     pub use mlora_core::Scheme;
 }

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use mlora_core::Scheme;
 use mlora_geo::Point;
 use mlora_mobility::{BusNetwork, MetroConfig, MetroWorld};
-use mlora_simcore::{QueueKind, SimDuration, SimTime};
+use mlora_simcore::{SimDuration, SimTime};
 
 use crate::{
     BusWithdrawal, ConfigError, DeviceClassChoice, DisruptionPlan, Environment, GatewayOutage,
@@ -276,19 +276,10 @@ impl ScenarioBuilder {
     /// `n` worker threads per run. Results are bit-identical for every
     /// shard count; [`Runner`](crate::Runner) divides its thread budget
     /// by this so plan-level × intra-run parallelism cannot
-    /// oversubscribe the host.
+    /// oversubscribe the host. Worth setting only at metro scale, and
+    /// then to 2 (see [`SimConfig::shards`] for what was measured).
     pub fn shards(mut self, shards: usize) -> Self {
         self.config.shards = shards;
-        self
-    }
-
-    /// Sets the event-queue implementation (see [`SimConfig::queue`]):
-    /// the binary heap (the default) or the calendar queue. Like
-    /// [`ScenarioBuilder::shards`] this is a host-execution knob —
-    /// results are bit-identical for either kind, and scenario files
-    /// and snapshots never carry it.
-    pub fn queue(mut self, kind: QueueKind) -> Self {
-        self.config.queue = kind;
         self
     }
 

@@ -40,7 +40,7 @@ mod slab;
 pub mod stats;
 mod time;
 
-pub use event::{AnyEventQueue, CalendarQueue, EventQueue, ParseQueueKindError, QueueKind};
+pub use event::EventQueue;
 pub use id::{GatewayId, MessageId, NodeId};
 pub use rng::SimRng;
 pub use slab::{DenseKey, DenseMap, Slab, SlabKey};

@@ -18,8 +18,8 @@
 use mlora::core::Scheme;
 use mlora::geo::Point;
 use mlora::sim::{
-    ArrivalProcess, DisruptionPlan, Environment, ExperimentPlan, PayloadModel, QueueKind, Runner,
-    Scenario, SimConfig, SimReport, TrafficModel, TrafficProfile,
+    ArrivalProcess, DisruptionPlan, Environment, ExperimentPlan, PayloadModel, Runner, Scenario,
+    SimConfig, SimReport, TrafficModel, TrafficProfile,
 };
 use mlora::simcore::SimDuration;
 
@@ -282,30 +282,6 @@ fn sharded_engine_reproduces_golden_fixtures() {
     }
 }
 
-/// The calendar event queue must reproduce the binary-heap fixtures bit
-/// for bit, serially and under sharding: both queue kinds pop in the
-/// packed `(time, seq)` total order, so the queue is pure mechanics with
-/// no fingerprint of its own.
-#[test]
-fn calendar_queue_reproduces_golden_fixtures() {
-    for shards in [1, 2, 4] {
-        for ((scheme, env), want) in scenarios().into_iter().zip(FIXTURES) {
-            let mut cfg = SimConfig::smoke_test(scheme, env);
-            cfg.shards = shards;
-            cfg.queue = QueueKind::Calendar;
-            let got = fingerprint(
-                &cfg.run(GOLDEN_SEED)
-                    .expect("calendar smoke config is valid"),
-            );
-            assert_eq!(
-                got, want,
-                "calendar-queue ({shards} shard) fingerprint drift for {scheme:?}/{env:?} \
-                 at seed {GOLDEN_SEED}"
-            );
-        }
-    }
-}
-
 /// An explicitly attached empty [`DisruptionPlan`] must reproduce the
 /// recorded pre-subsystem fingerprints byte-for-byte: the disruption
 /// machinery costs nothing — no events, no RNG draws — until a plan
@@ -475,21 +451,6 @@ fn sharded_disrupted_run_matches_golden_fixture() {
             "sharded ({shards}) fingerprint drift for the disrupted fixture"
         );
     }
-}
-
-/// The calendar queue reproduces the disrupted fixture too — timed
-/// disruption events interleave with the simulation's own at identical
-/// keys, so bucket rotation must preserve their relative order.
-#[test]
-fn calendar_disrupted_run_matches_golden_fixture() {
-    let mut cfg = disrupted_config();
-    cfg.queue = QueueKind::Calendar;
-    let report = cfg.run(GOLDEN_SEED).expect("valid disrupted config");
-    assert_eq!(
-        disrupted_fingerprint(&report),
-        DISRUPTED_FIXTURE,
-        "calendar-queue fingerprint drift for the disrupted fixture"
-    );
 }
 
 /// Regeneration helper: prints the `DISRUPTED_FIXTURE` row for pasting.
@@ -680,21 +641,6 @@ fn sharded_mixed_traffic_matches_fixture_and_runner_stays_deterministic() {
     for (a, b) in sharded.iter().zip(&serial) {
         assert_eq!(a.report.runs(), b.report.runs());
     }
-}
-
-/// The calendar queue reproduces the mixed-traffic fixture — jittered,
-/// Poisson and bursty arrivals give the densest, most irregular event
-/// timeline any fixture produces.
-#[test]
-fn calendar_mixed_traffic_matches_golden_fixture() {
-    let mut cfg = traffic_config();
-    cfg.queue = QueueKind::Calendar;
-    let report = cfg.run(GOLDEN_SEED).expect("valid traffic config");
-    assert_eq!(
-        traffic_fingerprint(&report),
-        TRAFFIC_FIXTURE,
-        "calendar-queue fingerprint drift for the mixed-traffic fixture"
-    );
 }
 
 /// Regeneration helper: prints the `TRAFFIC_FIXTURE` row for pasting.

@@ -21,9 +21,9 @@
 
 use mlora::core::Scheme;
 use mlora::mobility::DiurnalProfile;
-use mlora::sim::{MetroConfig, Scenario, SimConfig};
 #[cfg(not(debug_assertions))]
-use mlora::sim::{QueueKind, SimReport};
+use mlora::sim::SimReport;
+use mlora::sim::{MetroConfig, Scenario, SimConfig};
 use mlora::simcore::SimDuration;
 
 /// The seed every fixture run uses.
@@ -226,27 +226,6 @@ fn metro_fingerprints_survive_sharding() {
                 fingerprint(&report),
                 expected,
                 "{scheme:?} fingerprint drifted at {shards} shards"
-            );
-        }
-    }
-}
-
-/// The calendar event queue reproduces the metro fingerprints bit for
-/// bit, serially and sharded — the fixture family the calendar-queue
-/// throughput tiers in `BENCH_engine.json` are measured against.
-#[cfg(not(debug_assertions))]
-#[test]
-fn metro_fingerprints_survive_calendar_queue() {
-    for shards in [1, 2, 4] {
-        for (scheme, expected) in SCHEMES.into_iter().zip(FIXTURES) {
-            let mut cfg = metro_scenario(scheme);
-            cfg.shards = shards;
-            cfg.queue = QueueKind::Calendar;
-            let report = cfg.run(GOLDEN_SEED).expect("calendar metro run");
-            assert_eq!(
-                fingerprint(&report),
-                expected,
-                "{scheme:?} fingerprint drifted on the calendar queue ({shards} shard)"
             );
         }
     }

@@ -2,9 +2,8 @@
 //! reduced scale — who wins and in which direction, not absolute numbers.
 //!
 //! These run at the bench scale (6 simulated hours, ~800-bus peak, full
-//! 600 km² area) and therefore take a few seconds each in release mode;
-//! they are `#[ignore]`d by default and exercised via
-//! `cargo test --release -- --ignored` or the repro harness.
+//! 600 km² area) and are part of the plain test run: all four together
+//! take about half a second in release mode and three to five in debug.
 
 use mlora::core::Scheme;
 use mlora::sim::{Environment, SimConfig};
@@ -16,7 +15,6 @@ fn bench_run(scheme: Scheme, env: Environment, gateways: usize) -> mlora::sim::S
 }
 
 #[test]
-#[ignore = "multi-second bench-scale simulation; run with --ignored"]
 fn robc_throughput_at_least_baseline_rural_sparse() {
     // Fig. 9 / Fig. 11: ROBC's queue-aware forwarding must not lose
     // throughput against plain LoRaWAN, and gains where coverage is thin.
@@ -31,7 +29,6 @@ fn robc_throughput_at_least_baseline_rural_sparse() {
 }
 
 #[test]
-#[ignore = "multi-second bench-scale simulation; run with --ignored"]
 fn rca_etx_trades_throughput_when_sparse() {
     // Fig. 9: "RCA-ETX receives its performance gain by trading
     // throughput" — it must not beat the baseline where coverage is thin.
@@ -46,7 +43,6 @@ fn rca_etx_trades_throughput_when_sparse() {
 }
 
 #[test]
-#[ignore = "multi-second bench-scale simulation; run with --ignored"]
 fn forwarding_raises_hop_count() {
     // Fig. 12: LoRaWAN is single-hop by construction; ROBC relays.
     let base = bench_run(Scheme::NoRouting, Environment::Rural, 40);
@@ -60,7 +56,6 @@ fn forwarding_raises_hop_count() {
 }
 
 #[test]
-#[ignore = "multi-second bench-scale simulation; run with --ignored"]
 fn density_crossover_forwarding_gain_shrinks() {
     // Fig. 8: the schemes' delay advantage is largest at low gateway
     // density and shrinks as coverage saturates.

@@ -1,11 +1,13 @@
 //! Lazy-vs-eager flight pruning bit-equality: the deferred
-//! growth-boundary sweep the channel runs by default and the historical
-//! per-transmission-end eager sweep must produce byte-identical reports
-//! over arbitrary traffic mixes and disruption plans. The lazy sweep is
-//! safe because a stale flight (`end + retention < now`) can never pass
-//! the time-overlap filter of any frame still in the air — any
-//! divergence here means a stale flight leaked into an interferer set
-//! (or slab slot reuse bled into an RNG draw order).
+//! growth-boundary sweep the channel runs on its own and an eager sweep
+//! driven from outside — the run stepped in slices of at most one
+//! simulated second, expired flights reclaimed after each — must
+//! produce byte-identical reports over arbitrary traffic mixes and
+//! disruption plans. The lazy sweep is safe because a stale flight
+//! (`end + retention < now`) can never pass the time-overlap filter of
+//! any frame still in the air — any divergence here means a stale flight
+//! leaked into an interferer set (or slab slot reuse bled into an RNG
+//! draw order).
 
 use mlora::geo::Point;
 use mlora::sim::probe;
@@ -21,8 +23,8 @@ use proptest::prelude::*;
 const GATEWAYS: usize = 9;
 
 proptest! {
-    /// A default (lazily pruned) run and an eagerly pruned run of the
-    /// same scenario report identically, field for field — counters,
+    /// A lazily pruned run and an eagerly pruned run of the same
+    /// scenario report identically, field for field — counters,
     /// float accumulators, per-profile rows and time series.
     #[test]
     fn lazy_and_eager_pruning_report_identically(
@@ -89,8 +91,15 @@ proptest! {
 
         let lazy = Engine::new(config.clone(), seed).run();
         let mut engine = Engine::new(config, seed);
-        probe::set_eager_flight_prune(&mut engine, true);
-        let eager = engine.run();
+        let slice = SimDuration::from_millis(100 + seed % 901);
+        let horizon = SimTime::ZERO + SimDuration::from_mins(duration_min);
+        let mut t = SimTime::ZERO;
+        while t < horizon {
+            t += slice;
+            engine.run_until(t);
+            probe::sweep_flights(&mut engine);
+        }
+        let eager = engine.finish();
 
         prop_assert_eq!(lazy, eager, "lazy and eager pruning diverged");
     }

@@ -1,11 +1,9 @@
-//! Property-based tests over the pluggable event queue: the calendar
-//! queue is observationally identical to the binary heap — same pop
-//! sequence, same peek, same length — under arbitrary interleavings of
-//! schedules and pops, including duplicate timestamps (where the packed
-//! `(time, seq)` key decides) and far-future jumps that force bucket
-//! rotation and calendar re-tuning. Checkpointing one kind and restoring
-//! into the other mid-run must be invisible too: the ascending-key
-//! record list is a shared wire format.
+//! Property-based tests over the event queue: under arbitrary
+//! interleavings of schedules and pops — duplicate timestamps (where the
+//! packed `(time, seq)` key decides) and far-future jumps included —
+//! the heap pops what a sorted list would, and a queue rebuilt from its
+//! checkpoint records mid-workload is indistinguishable from the one
+//! that was never interrupted.
 //!
 //! The engine keeps the timetable out of the queue (a cursor over the
 //! sorted trips, merged with the queue by `(time, seq)`); the second
@@ -21,7 +19,7 @@ use mlora::sim::probe::{timetable_order, TimetableEvent};
 use mlora::sim::{
     BusWithdrawal, DisruptionPlan, Engine, GatewayOutage, MetroConfig, Scenario, SimConfig,
 };
-use mlora::simcore::{AnyEventQueue, CalendarQueue, NodeId, QueueKind, SimDuration, SimTime};
+use mlora::simcore::{EventQueue, NodeId, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// One step of a queue workload.
@@ -34,9 +32,8 @@ enum Op {
 }
 
 /// Decodes one raw draw into a workload step. The mix — near-term
-/// schedules (dense buckets, duplicate timestamps), far-future jumps
-/// (bucket rotation across many empty days, grow-only re-tuning) and
-/// pops — comes from the low bits; the time from the rest.
+/// schedules (duplicate timestamps), far-future jumps and pops — comes
+/// from the low bits; the time from the rest.
 fn decode(word: u64) -> Op {
     match word & 7 {
         0..=3 => Op::Schedule((word >> 3) % 5_000),
@@ -47,7 +44,7 @@ fn decode(word: u64) -> Op {
 
 /// Applies one op to a queue, tagging each scheduled event with its
 /// ordinal so pop results expose the full `(time, seq)` order.
-fn apply(q: &mut AnyEventQueue<u32>, op: &Op, ordinal: u32) -> Option<(SimTime, u32)> {
+fn apply(q: &mut EventQueue<u32>, op: &Op, ordinal: u32) -> Option<(SimTime, u32)> {
     match op {
         Op::Schedule(ms) => {
             q.schedule(SimTime::from_millis(*ms), ordinal);
@@ -58,105 +55,66 @@ fn apply(q: &mut AnyEventQueue<u32>, op: &Op, ordinal: u32) -> Option<(SimTime, 
 }
 
 proptest! {
-    /// Heap and calendar queues driven by the same workload agree on
+    /// The heap and a list kept sorted by `(time, ordinal)` agree on
     /// every observation: each pop returns the same `(time, payload)`,
     /// and `peek_time`/`len` match after every step.
     #[test]
-    fn calendar_pops_bit_identical_to_heap(
+    fn heap_pops_match_a_sorted_reference(
         raw in proptest::collection::vec(0u64..u64::MAX, 1..300),
     ) {
-        let ops: Vec<Op> = raw.iter().map(|&w| decode(w)).collect();
-        let mut heap = AnyEventQueue::new(QueueKind::BinaryHeap);
-        let mut cal = AnyEventQueue::new(QueueKind::Calendar);
-        for (i, op) in ops.iter().enumerate() {
-            let a = apply(&mut heap, op, i as u32);
-            let b = apply(&mut cal, op, i as u32);
-            prop_assert_eq!(a, b, "divergence at op {}: {:?}", i, op);
-            prop_assert_eq!(heap.peek_time(), cal.peek_time());
-            prop_assert_eq!(heap.len(), cal.len());
+        let mut heap = EventQueue::new();
+        let mut sorted: Vec<(SimTime, u32)> = Vec::new();
+        for (i, op) in raw.iter().map(|&w| decode(w)).enumerate() {
+            let want = match op {
+                Op::Schedule(ms) => {
+                    let entry = (SimTime::from_millis(ms), i as u32);
+                    sorted.insert(sorted.partition_point(|&e| e < entry), entry);
+                    None
+                }
+                Op::Pop => (!sorted.is_empty()).then(|| sorted.remove(0)),
+            };
+            prop_assert_eq!(apply(&mut heap, &op, i as u32), want, "op {}: {:?}", i, op);
+            prop_assert_eq!(heap.peek_time(), sorted.first().map(|&(t, _)| t));
+            prop_assert_eq!(heap.len(), sorted.len());
         }
-        // Drain whatever remains: the tails must be identical and sorted
-        // by the packed key (time ascending, insertion order within a
-        // timestamp).
-        let mut last: Option<(SimTime, u32)> = None;
-        while let Some(a) = heap.pop() {
-            prop_assert_eq!(Some(a), cal.pop());
-            if let Some((lt, lp)) = last {
-                prop_assert!(a.0 > lt || (a.0 == lt && a.1 > lp), "total order violated");
-            }
-            last = Some(a);
-        }
-        prop_assert!(cal.pop().is_none());
     }
 
-    /// Checkpointing mid-workload and restoring into the *other* queue
-    /// kind leaves the remaining pop sequence unchanged: snapshots
-    /// written under one kind resume under the other bit-identically.
+    /// Rebuilding a queue from its checkpoint records mid-workload —
+    /// verbatim, or sorted by key as builds that ran on a calendar queue
+    /// wrote them — leaves the remaining pop sequence unchanged.
     #[test]
-    fn checkpoint_crosses_queue_kinds(
+    fn checkpoint_rebuilds_the_queue_mid_workload(
         raw in proptest::collection::vec(0u64..u64::MAX, 1..300),
         cut in 0usize..300,
+        ascending in proptest::bool::ANY,
     ) {
         let ops: Vec<Op> = raw.iter().map(|&w| decode(w)).collect();
-        let mut reference = AnyEventQueue::new(QueueKind::BinaryHeap);
-        let mut swapped = AnyEventQueue::new(QueueKind::Calendar);
+        let mut reference = EventQueue::new();
+        let mut rebuilt = EventQueue::new();
         let cut = cut.min(ops.len());
         for (i, op) in ops.iter().enumerate() {
             if i == cut {
-                // Migrate each queue onto the opposite kind through the
-                // shared checkpoint format.
-                let (records, seq) = swapped.checkpoint_events();
-                swapped = AnyEventQueue::from_events(QueueKind::BinaryHeap, records, seq);
-                prop_assert_eq!(swapped.kind(), QueueKind::BinaryHeap);
-                let (records, seq) = reference.checkpoint_events();
-                reference = AnyEventQueue::from_events(QueueKind::Calendar, records, seq);
+                let (records, seq) = rebuilt.raw_parts();
+                let mut records = records.to_vec();
+                if ascending {
+                    records.sort_unstable_by_key(|&(key, _)| key);
+                }
+                rebuilt = EventQueue::from_raw_parts(records, seq).expect("a heap layout");
             }
             let a = apply(&mut reference, op, i as u32);
-            let b = apply(&mut swapped, op, i as u32);
-            prop_assert_eq!(a, b, "divergence at op {} after kind swap", i);
+            let b = apply(&mut rebuilt, op, i as u32);
+            prop_assert_eq!(a, b, "divergence at op {} after the rebuild", i);
         }
         while let Some(a) = reference.pop() {
-            prop_assert_eq!(Some(a), swapped.pop());
+            prop_assert_eq!(Some(a), rebuilt.pop());
         }
-        prop_assert!(swapped.pop().is_none());
-    }
-
-    /// Day-width auto-tuning is invisible to the ordering contract: an
-    /// auto-tuned calendar queue and one pinned to an arbitrary fixed
-    /// day width (the escape hatch) pop the identical `(time, seq)`
-    /// sequence under any workload — long enough runs here that the gap
-    /// histogram crosses its sample threshold and re-tunes for real.
-    #[test]
-    fn tuned_and_fixed_width_calendars_pop_identically(
-        raw in proptest::collection::vec(0u64..u64::MAX, 1..600),
-        width_pow in 0u32..16,
-    ) {
-        let ops: Vec<Op> = raw.iter().map(|&w| decode(w)).collect();
-        let mut tuned: CalendarQueue<u32> = CalendarQueue::new();
-        let mut fixed: CalendarQueue<u32> = CalendarQueue::with_fixed_day_width_ms(1u64 << width_pow);
-        for (i, op) in ops.iter().enumerate() {
-            let (a, b) = match op {
-                Op::Schedule(ms) => {
-                    tuned.schedule(SimTime::from_millis(*ms), i as u32);
-                    fixed.schedule(SimTime::from_millis(*ms), i as u32);
-                    (None, None)
-                }
-                Op::Pop => (tuned.pop(), fixed.pop()),
-            };
-            prop_assert_eq!(a, b, "divergence at op {}: {:?}", i, op);
-            prop_assert_eq!(tuned.peek_time(), fixed.peek_time());
-            prop_assert_eq!(tuned.len(), fixed.len());
-        }
-        while let Some(a) = tuned.pop() {
-            prop_assert_eq!(Some(a), fixed.pop());
-        }
-        prop_assert!(fixed.pop().is_none());
+        prop_assert!(rebuilt.pop().is_none());
     }
 
     /// The cursor-merged event source equals the eager seeding, event
-    /// for event and key for key, on both queue kinds, stepped through
-    /// an arbitrary cut and through a checkpoint resumed on the other
-    /// kind (which derives the cursor from the captured instant alone).
+    /// for event and key for key, stepped through an arbitrary cut and
+    /// through a checkpoint resumed there (which derives the cursor from
+    /// the captured instant alone).
     #[test]
     fn cursor_merged_timetable_matches_eager_seeding(
         raw in proptest::collection::vec(0u64..u64::MAX, 1..14),
@@ -168,21 +126,14 @@ proptest! {
         let horizon = SimTime::ZERO + cfg.horizon;
         // On a departure slot one draw in four, between slots otherwise.
         let cut_ms = cut_quarter * SLOT_MS / 4;
-        let cut = SimTime::from_millis(cut_ms);
-        for kind in QueueKind::ALL {
-            let other = QueueKind::ALL[1 - kind as usize];
-            let mut cfg = cfg.clone();
-            cfg.queue = kind;
-            let mut engine = Engine::new(cfg, 7);
-            let head = timetable_order(&mut engine, cut);
-            let snap = engine.snapshot().expect("stepped engine snapshots");
-            let mut resumed = Engine::resume_on_queue(&snap, DisruptionPlan::default(), other)
-                .expect("snapshot resumes");
-            for branch in [&mut engine, &mut resumed] {
-                let mut got = head.clone();
-                got.extend(timetable_order(branch, horizon));
-                prop_assert_eq!(&got, &want, "{} queue, cut at {} ms", kind, cut_ms);
-            }
+        let mut engine = Engine::new(cfg, 7);
+        let head = timetable_order(&mut engine, SimTime::from_millis(cut_ms));
+        let snap = engine.snapshot().expect("stepped engine snapshots");
+        let mut resumed = Engine::resume(&snap).expect("snapshot resumes");
+        for branch in [&mut engine, &mut resumed] {
+            let mut got = head.clone();
+            got.extend(timetable_order(branch, horizon));
+            prop_assert_eq!(&got, &want, "cut at {} ms", cut_ms);
         }
     }
 }
