@@ -1,10 +1,12 @@
 //! Micro-benchmarks of the substrates: airtime, path loss, collisions,
-//! spatial index, queues, duty cycling.
+//! spatial index, queues, duty cycling, and the scenario container's
+//! byte path (framing, checksums, copies) in MiB/s.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use mlora_geo::{GridIndex, Point};
 use mlora_mac::{AppMessage, DataQueue, DutyCycleTracker};
 use mlora_phy::{resolve_collision, time_on_air, LogDistanceModel, PhyParams, CAPTURE_MARGIN_DB};
+use mlora_scenario_io::{ScenarioReader, ScenarioWriter};
 use mlora_simcore::{MessageId, NodeId, SimDuration, SimRng, SimTime};
 
 fn bench(c: &mut Criterion) {
@@ -76,6 +78,47 @@ fn bench(c: &mut Criterion) {
             dc.tx_count()
         })
     });
+
+    // The persistence byte path: 4 MiB of 1 KiB opaque records, which
+    // the writer cuts into 64 KiB checksummed blocks. Writing is encode
+    // + CRC + copy-out per block; reading is copy-in + CRC per block and
+    // a borrow per record — nothing is decoded, so what is timed is what
+    // every `.mlsc`/`.mlss` byte pays whatever it means.
+    const RECORDS: u64 = 4096;
+    let record: Vec<u8> = {
+        let mut rng = SimRng::new(5);
+        (0..1024).map(|_| rng.gen_u64() as u8).collect()
+    };
+    let write = |capacity: usize| {
+        let mut w = ScenarioWriter::new(Vec::with_capacity(capacity)).expect("vec sink");
+        w.begin_section(10, RECORDS).expect("vec sink");
+        for _ in 0..RECORDS {
+            w.enc().put_bytes(&record);
+            w.end_record().expect("vec sink");
+        }
+        w.end_section().expect("vec sink");
+        w.finish().expect("vec sink")
+    };
+    let file = write(0);
+    let mut group = c.benchmark_group("micro_substrates");
+    group.throughput(Throughput::Bytes(file.len() as u64));
+    group.bench_function("container_write_4MiB", |b| {
+        b.iter(|| write(file.len()).len())
+    });
+    group.bench_function("container_read_4MiB", |b| {
+        b.iter(|| {
+            let mut r = ScenarioReader::new(black_box(&file[..])).expect("header");
+            let (_, n) = r.next_section().expect("section").expect("present");
+            let mut bytes = 0;
+            for _ in 0..n {
+                r.begin_record().expect("record");
+                bytes += r.byte_slice().expect("blob").len();
+            }
+            assert!(r.next_section().expect("end marker").is_none());
+            bytes
+        })
+    });
+    group.finish();
 }
 
 criterion_group!(benches, bench);

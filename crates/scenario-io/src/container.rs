@@ -212,6 +212,25 @@ impl<W: Write> ScenarioWriter<W> {
         Ok(())
     }
 
+    /// Appends a section that is already framed — header, checksummed
+    /// blocks and terminator, exactly the bytes this writer emitted for
+    /// it between a [`ScenarioWriter::begin_section`] and the return of
+    /// its [`ScenarioWriter::end_section`] — without encoding or
+    /// checksumming it again. For a section whose content repeats
+    /// verbatim across many containers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a section is open.
+    ///
+    /// # Errors
+    ///
+    /// Propagates IO errors from the sink.
+    pub fn write_framed_section(&mut self, framed: &[u8]) -> std::io::Result<()> {
+        assert!(!self.section_open, "framed section inside an open section");
+        self.out.write_all(framed)
+    }
+
     /// Writes the end marker, flushes, and returns the sink.
     ///
     /// # Panics
@@ -460,6 +479,16 @@ impl<R: Read> ScenarioReader<R> {
     ///
     /// [`ScenarioIoError::Corrupt`] on truncation.
     pub fn bytes(&mut self) -> Result<Vec<u8>, ScenarioIoError> {
+        self.byte_slice().map(<[u8]>::to_vec)
+    }
+
+    /// [`ScenarioReader::bytes`] without the copy: the blob as a slice
+    /// of the resident block, valid until the reader is next advanced.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioIoError::Corrupt`] on truncation.
+    pub fn byte_slice(&mut self) -> Result<&[u8], ScenarioIoError> {
         let len = self.varint()? as usize;
         let end = self
             .pos
@@ -468,8 +497,7 @@ impl<R: Read> ScenarioReader<R> {
         let bytes = self
             .block
             .get(self.pos..end)
-            .ok_or(ScenarioIoError::Corrupt("record crosses block boundary"))?
-            .to_vec();
+            .ok_or(ScenarioIoError::Corrupt("record crosses block boundary"))?;
         self.pos = end;
         Ok(bytes)
     }
@@ -828,6 +856,32 @@ mod tests {
         r.next_section().unwrap();
         r.begin_record().unwrap();
         assert!(matches!(r.bytes(), Err(ScenarioIoError::Corrupt(_))));
+    }
+
+    #[test]
+    fn framed_section_is_appended_verbatim() {
+        let whole = sample_file(10_000);
+        // Section 11 framed on its own: a container of that one section,
+        // less the file header and the end marker.
+        let mut w = ScenarioWriter::new(Vec::new()).unwrap();
+        w.begin_section(11, 1).unwrap();
+        w.enc().put_str("metro");
+        w.end_record().unwrap();
+        w.end_section().unwrap();
+        let alone = w.finish().unwrap();
+        let framed = &alone[MAGIC.len() + 2..alone.len() - 1];
+
+        let mut w = ScenarioWriter::new(Vec::new()).unwrap();
+        w.begin_section(10, 10_000).unwrap();
+        for i in 0..10_000u64 {
+            w.enc().put_varint(i * 3);
+            w.enc().put_f64(i as f64 * 0.5);
+            w.end_record().unwrap();
+        }
+        w.end_section().unwrap();
+        w.write_framed_section(framed).unwrap();
+        assert_eq!(w.finish().unwrap(), whole);
+        assert!(drive(&whole).is_ok());
     }
 
     #[test]

@@ -27,6 +27,17 @@
 //! skippable ([`ScenarioReader::skip_section`]), so the format is
 //! forward-extensible.
 //!
+//! The checksum is CRC-32/IEEE (reflected polynomial `0xEDB88320`,
+//! check value `0xCBF43926`) over the block payload. How it is computed
+//! is an implementation detail — eight bytes per step over
+//! compile-time tables, held equal to the byte-at-a-time definition by
+//! a property test; the bytes are not: files written by any build read
+//! back under every other, and a writer that already holds a section in
+//! framed form may append it verbatim
+//! ([`ScenarioWriter::write_framed_section`]) instead of encoding and
+//! checksumming it again. Readers verify every block they load either
+//! way.
+//!
 //! Section ids 1–4 (network config, world header, routes, fleet) are
 //! encoded by this crate ([`write_world`], [`WorldAssembler`]); the
 //! simulation-level sections (parameters, gateways, traffic,
@@ -53,7 +64,8 @@
 //! One consequence worth knowing when sizing records: a record never
 //! spans blocks, but a single record may occupy a whole oversized block
 //! (up to the 256 MiB cap) — that is how the snapshot embeds its
-//! scenario as one opaque byte record.
+//! scenario as one opaque byte record, which its reader decodes in
+//! place ([`ScenarioReader::byte_slice`]) rather than copying out.
 //!
 //! # Example
 //!

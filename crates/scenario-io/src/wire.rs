@@ -1,10 +1,13 @@
 //! Primitive wire encoding: LEB128 varints, little-endian floats, and
 //! the CRC32 the block framing checksums payloads with.
 
-/// CRC32 (IEEE 802.3, reflected) lookup table, built at compile time so
-/// no runtime initialisation or external crate is needed.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32 (IEEE 802.3, reflected) slicing tables, built at compile time
+/// so no runtime initialisation or external crate is needed.
+/// `CRC_TABLES[0]` is the classic byte-at-a-time table; `CRC_TABLES[k][b]`
+/// is the CRC state after byte `b` followed by `k` zero bytes, which is
+/// what lets [`crc32`] fold eight input bytes per step.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -17,17 +20,41 @@ const CRC_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// The CRC32 (IEEE) of `bytes`.
+/// The CRC32 (IEEE) of `bytes`, eight bytes per step (slicing-by-8).
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -135,12 +162,56 @@ impl Enc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time table CRC the container shipped with: the
+    /// reference [`crc32`] must agree with on every input.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
 
     #[test]
     fn crc32_known_vector() {
         // The classic check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_at_every_tail_length_and_offset() {
+        let mut rng = mlora_simcore::SimRng::new(32);
+        let buf: Vec<u8> = (0..65_536 + 8).map(|_| rng.gen_u64() as u8).collect();
+        // Every tail length 0..=7 after zero, one and many full steps,
+        // and the sizes around the writer's block target.
+        let lengths = (0..=24).chain([65_535, 65_536]);
+        for len in lengths {
+            // Sub-slices starting at every offset of an eight-byte
+            // stride: the result must not depend on alignment.
+            for offset in 0..8 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bytewise(bytes),
+                    "len {len} at offset {offset}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_matches_bytewise_on_arbitrary_bytes(
+            words in proptest::collection::vec(0u32..256, 0..4_096),
+            offset in 0usize..8,
+        ) {
+            let bytes: Vec<u8> = words.iter().map(|&w| w as u8).collect();
+            let bytes = &bytes[offset.min(bytes.len())..];
+            prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes));
+        }
     }
 
     #[test]

@@ -74,6 +74,7 @@ mod world;
 pub use self::snapshot::{Snapshot, SnapshotError, SNAPSHOT_MAGIC};
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, OnceLock};
 
 use mlora_geo::Point;
@@ -320,10 +321,14 @@ pub struct Engine {
     events_processed: u64,
     /// See [`EngineStats::queue_depth_high_water`].
     queue_depth_high_water: usize,
-    /// The configuration in `.mlsc` form as every snapshot embeds it,
-    /// encoded by the first [`Engine::snapshot`] and reused by the rest
+    /// The snapshot section embedding the configuration, framed and
+    /// checksummed as it stands in the `.mlss` container: built by the
+    /// first [`Engine::snapshot`] and appended verbatim by the rest
     /// (the configuration never changes once the engine is built).
-    cfg_blob: OnceLock<Vec<u8>>,
+    cfg_section: OnceLock<Vec<u8>>,
+    /// Byte length of the last snapshot taken, which sizes the next
+    /// one's buffer up front.
+    last_snapshot_len: AtomicUsize,
     /// Every scripted withdrawal applied so far, as `(node, when)` in
     /// application order. A snapshot resume replays these against the
     /// freshly regenerated mobility substrate before anything else, so
@@ -411,7 +416,8 @@ impl Engine {
             started: false,
             events_processed: 0,
             queue_depth_high_water: 0,
-            cfg_blob: OnceLock::new(),
+            cfg_section: OnceLock::new(),
+            last_snapshot_len: AtomicUsize::new(0),
             withdrawn: Vec::new(),
             shard_rt: None,
             cfg,

@@ -42,6 +42,7 @@
 use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 
 use mlora_core::{
@@ -330,16 +331,22 @@ impl Engine {
         queue_records: &[(u128, Event)],
         event_seq: u64,
     ) -> Result<Snapshot, SnapshotError> {
-        let cfg_blob = match self.cfg_blob.get() {
-            Some(blob) => blob,
+        let cfg_section = match self.cfg_section.get() {
+            Some(section) => section,
             None => {
-                let mut blob = Vec::new();
-                self.cfg.to_writer(&mut blob)?;
-                self.cfg_blob.get_or_init(|| blob)
+                let section = frame_config_section(&self.cfg)?;
+                self.cfg_section.get_or_init(|| section)
             }
         };
 
-        let mut w = ScenarioWriter::with_magic(Vec::new(), SNAPSHOT_MAGIC)?;
+        // One allocation: consecutive checkpoints of a run differ in
+        // size by the few devices and flights that came or went.
+        // (`Relaxed`: a size hint, it publishes nothing.)
+        let expected = cfg_section
+            .len()
+            .max(self.last_snapshot_len.load(Ordering::Relaxed));
+        let out = Vec::with_capacity(expected + expected / 8);
+        let mut w = ScenarioWriter::with_magic(out, SNAPSHOT_MAGIC)?;
 
         // Header: run identity and loop counters.
         w.begin_section(SEC_HEADER, 1)?;
@@ -353,12 +360,8 @@ impl Engine {
         w.end_record()?;
         w.end_section()?;
 
-        // The scenario, embedded verbatim as one `.mlsc` blob (records
-        // never span blocks, but one record may fill a whole block).
-        w.begin_section(SEC_CONFIG, 1)?;
-        w.enc().put_bytes(cfg_blob);
-        w.end_record()?;
-        w.end_section()?;
+        // The scenario, embedded verbatim as one `.mlsc` blob.
+        w.write_framed_section(cfg_section)?;
 
         // The event queue — live events only, see the module docs — in
         // heap layout order, so the restored queue pops in exactly the
@@ -475,6 +478,7 @@ impl Engine {
         w.end_section()?;
 
         let bytes = w.finish()?;
+        self.last_snapshot_len.store(bytes.len(), Ordering::Relaxed);
         Ok(Snapshot {
             bytes,
             seed: self.seed,
@@ -800,6 +804,29 @@ impl Engine {
     }
 }
 
+/// Frames the snapshot's scenario section — one record holding `cfg`
+/// as an `.mlsc` blob (records never span blocks, but one record may
+/// fill a whole block) — as the bytes [`ScenarioWriter`] emits for it.
+fn frame_config_section(cfg: &SimConfig) -> Result<Vec<u8>, SnapshotError> {
+    let mut blob = Vec::new();
+    cfg.to_writer(&mut blob)?;
+    // Sized for the blob and its few dozen bytes of framing: the
+    // engine keeps this buffer, so it should not carry the slack that
+    // growth by doubling leaves.
+    let out = Vec::with_capacity(blob.len() + 64);
+    let mut w = ScenarioWriter::with_magic(out, SNAPSHOT_MAGIC)?;
+    w.begin_section(SEC_CONFIG, 1)?;
+    w.enc().put_bytes(&blob);
+    w.end_record()?;
+    w.end_section()?;
+    // A container of this one section: what lies between the file
+    // header (magic, version word) and the end marker is the section.
+    let mut framed = w.finish()?;
+    framed.pop();
+    framed.drain(..SNAPSHOT_MAGIC.len() + std::mem::size_of::<u16>());
+    Ok(framed)
+}
+
 /// Maps an out-of-range stored index to a typed corruption error.
 fn bad_index(_: std::num::TryFromIntError) -> ScenarioIoError {
     ScenarioIoError::Corrupt("stored index out of range")
@@ -861,8 +888,7 @@ fn read_config<R: Read>(
         _ => return Err(ScenarioIoError::Corrupt("snapshot config record count").into()),
     }
     r.begin_record()?;
-    let blob = r.bytes()?;
-    let mut cfg = SimConfig::from_reader(blob.as_slice())?;
+    let mut cfg = SimConfig::from_reader(r.byte_slice()?)?;
     cfg.shards = shards;
     Ok(cfg)
 }
@@ -1594,16 +1620,38 @@ mod tests {
         assert!(Arc::ptr_eq(&a.world.net, &b.world.net));
     }
 
+    /// Two checkpoints of one engine at one instant, against
+    /// `tests/fixtures/framed_once.mlss`: the smoke preset under ROBC
+    /// with mixed traffic and one gateway outage, seed 15, stopped
+    /// mid-outage with frames in the air.
     #[test]
     fn scenario_blob_is_encoded_once_per_engine() {
-        let mut engine = Engine::new(cfg(), 7);
-        engine.run_until(SimTime::from_secs(300));
-        assert!(engine.cfg_blob.get().is_none());
-        engine.snapshot().expect("snapshot");
-        let first = engine.cfg_blob.get().expect("cached").as_ptr();
-        engine.run_until(SimTime::from_secs(600));
-        engine.snapshot().expect("snapshot");
-        assert_eq!(engine.cfg_blob.get().expect("cached").as_ptr(), first);
+        let mut cfg = cfg();
+        cfg.traffic = crate::TrafficModel::mix([
+            crate::TrafficProfile::telemetry(),
+            crate::TrafficProfile::alerts(),
+        ]);
+        cfg.disruptions.outages.push(crate::GatewayOutage {
+            gateway: 0,
+            start: SimTime::from_secs(600),
+            duration: Some(SimDuration::from_secs(900)),
+        });
+        let mut engine = Engine::new(cfg, 15);
+        engine.run_until(SimTime::from_millis(1_388_679));
+        let in_the_air = engine.channel.iter_hot().filter(|f| f.end > engine.now);
+        assert_eq!(in_the_air.count(), 2);
+        assert_eq!(engine.delivery.outage_depths()[0], 1, "gateway 0 is down");
+        assert!(engine.cfg_section.get().is_none());
+        let first = engine.snapshot().expect("snapshot");
+        let cached = engine.cfg_section.get().expect("cached").as_ptr();
+        let second = engine.snapshot().expect("snapshot");
+        // The second checkpoint appends the section the first one framed.
+        assert_eq!(engine.cfg_section.get().expect("cached").as_ptr(), cached);
+        assert_eq!(first.as_bytes(), second.as_bytes());
+        // Written by the last build that encoded and checksummed the
+        // scenario section on every checkpoint: same run, same bytes.
+        let written: &[u8] = include_bytes!("../../../../tests/fixtures/framed_once.mlss");
+        assert!(first.as_bytes() == written, "snapshot bytes changed");
     }
 
     fn is_corrupt<T>(result: Result<T, SnapshotError>) -> bool {
@@ -1681,6 +1729,21 @@ mod tests {
         assert!(matches!(
             get_flight(&mut r),
             Err(ScenarioIoError::Corrupt(_))
+        ));
+    }
+
+    #[test]
+    fn newer_format_version_is_refused_at_load() {
+        use mlora_scenario_io::FORMAT_VERSION;
+        let mut engine = Engine::new(cfg(), 7);
+        engine.run_until(SimTime::from_secs(300));
+        let mut bytes = engine.snapshot().expect("snapshot").as_bytes().to_vec();
+        // The version word follows the four magic bytes.
+        bytes[4..6].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
+        assert!(matches!(
+            Snapshot::from_bytes(bytes),
+            Err(SnapshotError::Format(ScenarioIoError::UnsupportedVersion(v)))
+                if v == FORMAT_VERSION + 1
         ));
     }
 
