@@ -5,9 +5,7 @@
 //! * incremental `GridIndex` maintenance versus the from-scratch rebuild
 //!   the engine used to perform every query window,
 //! * `EventQueue` schedule/pop churn at simulation queue depths,
-//! * the shard worker's batched interferer prefilter versus the
-//!   per-flight reference walk it replaced (bit-identical plans, so the
-//!   pair measures pure data-layout/batching win).
+//! * one shard-worker plan at 2000-bus scale.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mlora_bench::{engine_throughput_config, HARNESS_SEED};
@@ -79,22 +77,13 @@ fn bench(c: &mut Criterion) {
     });
 
     // Shard-worker plan computation over a generated 2000-bus network
-    // with 96 frames in flight: the batched prefilter (one near-overlap
-    // cut per transmission + bucket-sweep candidate scan) against the
-    // per-flight reference walk. Both produce bit-identical plans —
-    // asserted once up front — so the delta is pure prefilter cost.
+    // with 96 frames in flight: one near-overlap cut per transmission,
+    // the bucket-sweep candidate scan and the per-receiver interferer
+    // walks, through the function the worker thread runs.
     {
         let mut probe = WorkerProbe::new(HARNESS_SEED, 2_000, 96);
-        assert_eq!(
-            probe.plan_batched(),
-            probe.plan_reference(),
-            "batched and reference worker plans diverged"
-        );
-        c.bench_function("micro_engine/worker_plan_batched_2000", |b| {
-            b.iter(|| black_box(probe.plan_batched()))
-        });
-        c.bench_function("micro_engine/worker_plan_per_flight_2000", |b| {
-            b.iter(|| black_box(probe.plan_reference()))
+        c.bench_function("micro_engine/worker_plan_2000", |b| {
+            b.iter(|| black_box(probe.plan()))
         });
     }
 

@@ -19,8 +19,8 @@
 //!   randomness of the surviving fleet is untouched.
 //! * [`NoiseBurst`] — a regional channel impairment: every receiver
 //!   inside a disc loses `extra_loss_db` of RSSI on every frame while
-//!   the burst is active (a raised noise floor, applied through
-//!   [`mlora_phy::LogDistanceModel::sample_rssi_dbm_attenuated`]).
+//!   the burst is active (a raised noise floor, subtracted after the
+//!   shadowing draw by [`mlora_phy::LogDistanceModel::compose_rssi_dbm`]).
 //!
 //! An **empty plan is free**: no events are scheduled, no RNG stream is
 //! consumed, and runs are bit-identical to a build without the

@@ -6,9 +6,10 @@
 //! so an identically seeded run reproduces the golden fixtures bit for
 //! bit), the generational flight slab with its monotone creation
 //! sequence, and the per-receiver RSSI scratch buffer. Reception at any
-//! receiver — gateway or neighbouring device — goes through one method,
-//! [`Channel::receive`], so the capture rule, the noise model and the
-//! RNG draw order cannot drift apart between the two resolution paths.
+//! receiver — gateway or neighbouring device, in a serial or a sharded
+//! run — goes through one method, [`Channel::receive`], so the capture
+//! rule, the noise model and the RNG draw order have nowhere to drift
+//! apart.
 //!
 //! Flight state is split hot/cold: the fields the interferer scan reads
 //! per overlapping flight (`seq`, `start`, `end`, `pos`, `sender`) live
@@ -31,6 +32,7 @@ use mlora_mac::UplinkFrame;
 use mlora_phy::{resolve_collision, LogDistanceModel, CAPTURE_MARGIN_DB};
 use mlora_simcore::{NodeId, SimDuration, SimRng, SimTime, Slab, SlabKey};
 
+use super::comm::PlannedInterferer;
 use crate::disruption::NoiseBurst;
 
 /// Below this slot count the deferred sweep never runs: the slab is
@@ -231,6 +233,13 @@ impl Channel {
         self.rng.gen_range_u64(0, max_exclusive)
     }
 
+    /// How long an ended flight stays interference-relevant. Shard
+    /// workers prune their flight tables by this same value, so they
+    /// never drop an interferer the commit thread still scans for.
+    pub(super) fn flight_retention(&self) -> SimDuration {
+        self.flight_retention
+    }
+
     /// Sequence number of the most recently launched flight.
     ///
     /// # Panics
@@ -324,6 +333,30 @@ impl Channel {
         out.sort_unstable_by_key(|&(seq, _)| seq);
     }
 
+    /// The near-overlap cut. Every device receiver sits within `range`
+    /// of the sender at `center`, so an overlapping frame farther than
+    /// `2 * range` from the sender is out of range of all of them
+    /// (triangle inequality; +1 m float margin, per-receiver exact check
+    /// unchanged). One filter pass here replaces a full-overlap distance
+    /// scan per candidate; the subset keeps creation order, so draw
+    /// order is untouched.
+    pub(super) fn near_overlaps_into(
+        overlaps: &[(u64, Point)],
+        center: Point,
+        range: f64,
+        out: &mut Vec<(u64, Point)>,
+    ) {
+        let reach = 2.0 * range + 1.0;
+        let reach_sq = reach * reach;
+        out.clear();
+        out.extend(
+            overlaps
+                .iter()
+                .copied()
+                .filter(|&(_, p)| p.distance_sq(center) <= reach_sq),
+        );
+    }
+
     /// The hot row behind `key`, if the key is still valid.
     pub(super) fn flight_hot(&self, key: SlabKey) -> Option<FlightHot> {
         self.flights.get(key).map(|_| self.cols.gather(key.index()))
@@ -401,13 +434,27 @@ impl Channel {
     }
 
     /// Resolves reception of the subject frame `flight_seq` at one
-    /// receiver: samples shadowed RSSI for every overlapping frame whose
-    /// sender is within `range` of `at` (one RNG draw each, in creation
-    /// order — identical for gateway and device receivers), applies any
-    /// regional noise at the receiver, and runs capture-model collision
-    /// resolution over the audible set.
+    /// receiver: one shadowed RSSI per audible frame (one RNG draw each,
+    /// in creation order — identical for gateway and device receivers),
+    /// any regional noise at the receiver applied, then capture-model
+    /// collision resolution over the audible set.
+    ///
+    /// The audible set arrives in two parts: `planned`, the interferers
+    /// a shard worker already range-checked, ascending by sequence with
+    /// their mean RSSI computed, then `overlaps`, the frames nothing was
+    /// precomputed for — `(seq, position)`, sequence numbers above every
+    /// planned one, range-checked here. A serial run passes an empty
+    /// `planned` and its whole overlap scan; a sharded run the plan's
+    /// slice and the frames launched after the plan was requested. The
+    /// concatenation is the ascending-sequence draw order either way,
+    /// and a mean recombines with its draw via
+    /// [`LogDistanceModel::compose_rssi_dbm`] bit-identically to the
+    /// fused [`LogDistanceModel::sample_rssi_dbm_attenuated`], so where
+    /// a mean was computed shows neither in the result nor in the RNG
+    /// stream (`precomputed_means_never_change_a_reception`).
     pub(super) fn receive(
         &mut self,
+        planned: &[PlannedInterferer],
         overlaps: &[(u64, Point)],
         at: Point,
         range: f64,
@@ -416,71 +463,26 @@ impl Channel {
         let noise_db = self.noise_penalty_at(at);
         self.scratch_rssi.clear();
         let mut flight_rssi = None;
+        // Two plain loops against `self`'s fields, on purpose: chained
+        // iterators or a closure copy the model into locals, which cost
+        // the rejection loop below its register for `range` — +2.6 % on
+        // `metro_20k` (EXPERIMENTS.md, "One reception path").
+        for &(seq, mean_dbm) in planned {
+            let rssi = self.hear(seq, mean_dbm, noise_db);
+            if seq == flight_seq {
+                flight_rssi = Some(rssi);
+            }
+        }
         for &(seq, pos) in overlaps {
             let dist = at.distance(pos);
             if dist > range {
                 continue;
             }
-            let rssi = self.path_loss.sample_rssi_dbm_attenuated(
-                self.tx_power_dbm,
-                dist,
-                noise_db,
-                &mut self.rng,
-            );
+            let mean_dbm = self.path_loss.mean_rssi_dbm(self.tx_power_dbm, dist);
+            let rssi = self.hear(seq, mean_dbm, noise_db);
             if seq == flight_seq {
                 flight_rssi = Some(rssi);
             }
-            self.scratch_rssi.push((seq, rssi));
-        }
-        self.resolve_reception(flight_seq, flight_rssi)
-    }
-
-    /// [`Channel::receive`] for the sharded engine: the audible-set scan
-    /// is replaced by a shard-precomputed interferer slice (`planned`,
-    /// in ascending sequence order, means already computed) followed by
-    /// the commit thread's recent-launch entries (`dynamic`, sequence
-    /// numbers above every planned one — frames launched after the
-    /// subject's plan was requested). The concatenation reproduces the
-    /// serial scan's ascending-sequence draw order, and each planned
-    /// mean recombines with a fresh shadowing draw via
-    /// [`LogDistanceModel::compose_rssi_dbm`] bit-identically to the
-    /// fused sampling path.
-    pub(super) fn receive_planned(
-        &mut self,
-        planned: &[(u64, f64)],
-        dynamic: &[(u64, Point)],
-        at: Point,
-        range: f64,
-        flight_seq: u64,
-    ) -> Reception {
-        let noise_db = self.noise_penalty_at(at);
-        self.scratch_rssi.clear();
-        let mut flight_rssi = None;
-        for &(seq, mean_dbm) in planned {
-            let rssi = LogDistanceModel::compose_rssi_dbm(
-                mean_dbm,
-                self.path_loss.shadow_db(&mut self.rng),
-                noise_db,
-            );
-            if seq == flight_seq {
-                flight_rssi = Some(rssi);
-            }
-            self.scratch_rssi.push((seq, rssi));
-        }
-        for &(seq, pos) in dynamic {
-            let dist = at.distance(pos);
-            if dist > range {
-                continue;
-            }
-            let rssi = LogDistanceModel::compose_rssi_dbm(
-                self.path_loss.mean_rssi_dbm(self.tx_power_dbm, dist),
-                self.path_loss.shadow_db(&mut self.rng),
-                noise_db,
-            );
-            if seq == flight_seq {
-                flight_rssi = Some(rssi);
-            }
-            self.scratch_rssi.push((seq, rssi));
         }
         self.resolve_reception(flight_seq, flight_rssi)
     }
@@ -537,8 +539,17 @@ impl Channel {
         self.active_noise = active_noise;
     }
 
-    /// Shared tail of the reception paths: capture-model resolution over
-    /// the collected audible set.
+    /// Adds frame `seq` to the audible set: its mean RSSI here, one
+    /// fresh shadowing draw and the receiver's noise penalty.
+    #[inline]
+    fn hear(&mut self, seq: u64, mean_dbm: f64, noise_db: f64) -> f64 {
+        let shadow_db = self.path_loss.shadow_db(&mut self.rng);
+        let rssi = LogDistanceModel::compose_rssi_dbm(mean_dbm, shadow_db, noise_db);
+        self.scratch_rssi.push((seq, rssi));
+        rssi
+    }
+
+    /// Capture-model resolution over the collected audible set.
     fn resolve_reception(&mut self, flight_seq: u64, flight_rssi: Option<f64>) -> Reception {
         let decoded = matches!(
             resolve_collision(&self.scratch_rssi, self.sensitivity_dbm, CAPTURE_MARGIN_DB),
@@ -552,6 +563,118 @@ impl Channel {
                 None
             },
             interfered,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const TX_DBM: f64 = 14.0;
+    const SENSITIVITY_DBM: f64 = -123.0;
+    const RANGE_M: f64 = 500.0;
+
+    /// A channel with one noise burst active over the receiver at the
+    /// origin (and a second, active one that does not reach it).
+    fn noisy_channel() -> Channel {
+        let burst = |x: f64, extra_loss_db: f64| NoiseBurst {
+            center: Point::new(x, 0.0),
+            radius_m: 150.0,
+            start: SimTime::ZERO,
+            duration: None,
+            extra_loss_db,
+        };
+        let mut channel = Channel::new(
+            SimRng::new(2020).fork(12),
+            SimDuration::from_secs(2),
+            vec![burst(40.0, 7.5), burst(5_000.0, 30.0)],
+            LogDistanceModel::paper_default(),
+            SENSITIVITY_DBM,
+            TX_DBM,
+        );
+        channel.noise_start(0);
+        channel.noise_start(1);
+        channel
+    }
+
+    fn bits(r: Reception) -> (Option<u64>, bool) {
+        (r.rssi.map(f64::to_bits), r.interfered)
+    }
+
+    /// The identity the single reception path rests on: where an
+    /// interferer's mean RSSI was computed — ahead of time by a shard
+    /// worker, or on the spot from its position — shows neither in the
+    /// outcome nor in the RNG stream.
+    #[test]
+    fn precomputed_means_never_change_a_reception() {
+        let at = Point::new(0.0, 0.0);
+        // Eight overlapping frames in creation order, two of them out of
+        // the receiver's range.
+        let audible = [
+            (3, Point::new(100.0, 0.0)),
+            (5, Point::new(900.0, 0.0)),
+            (8, Point::new(0.0, 200.0)),
+            (9, Point::new(50.0, 50.0)),
+            (12, Point::new(-300.0, 100.0)),
+            (13, Point::new(0.0, -800.0)),
+            (17, Point::new(450.0, 0.0)),
+            (20, Point::new(-200.0, -300.0)),
+        ];
+        let in_range = |&(_, pos): &(u64, Point)| at.distance(pos) <= RANGE_M;
+        let n_in_range = audible.iter().filter(|f| in_range(f)).count();
+        assert_eq!(n_in_range, 6);
+        let model = LogDistanceModel::paper_default();
+
+        // Two subjects from the middle of the list: the nearest frame,
+        // which captures the receiver, and a distant one, which is lost
+        // to interference.
+        for (subject, decodes) in [(9, true), (12, false)] {
+            // The reference: the fused sampling loop of `mlora-phy`, one
+            // draw per in-range frame in creation order.
+            let mut reference = noisy_channel();
+            let noise_db = reference.noise_penalty_at(at);
+            assert_eq!(noise_db, 7.5, "exactly one burst covers the receiver");
+            let mut rng = SimRng::new(2020).fork(12);
+            let fused: Vec<(u64, f64)> = audible
+                .iter()
+                .filter(|f| in_range(f))
+                .map(|&(seq, pos)| {
+                    let dist = at.distance(pos);
+                    let rssi = model.sample_rssi_dbm_attenuated(TX_DBM, dist, noise_db, &mut rng);
+                    (seq, rssi)
+                })
+                .collect();
+            let winner = resolve_collision(&fused, SENSITIVITY_DBM, CAPTURE_MARGIN_DB);
+            assert_eq!(winner == Some(subject), decodes);
+            let subject_rssi = fused.iter().find(|&&(seq, _)| seq == subject).unwrap().1;
+            let expected = (decodes.then(|| subject_rssi.to_bits()), !decodes);
+
+            let unplanned = reference.receive(&[], &audible, at, RANGE_M, subject);
+            assert_eq!(bits(unplanned), expected);
+            assert_eq!(reference.rng.state(), rng.state());
+
+            // Every split point: the first `k` in-range frames handed
+            // over as precomputed means, everything after them as
+            // positions.
+            for k in 0..=n_in_range {
+                let cut = audible
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, f)| in_range(f))
+                    .nth(k)
+                    .map_or(audible.len(), |(i, _)| i);
+                let planned: Vec<PlannedInterferer> = audible[..cut]
+                    .iter()
+                    .filter(|f| in_range(f))
+                    .map(|&(seq, pos)| (seq, model.mean_rssi_dbm(TX_DBM, at.distance(pos))))
+                    .collect();
+                assert_eq!(planned.len(), k);
+                let mut channel = noisy_channel();
+                let split = channel.receive(&planned, &audible[cut..], at, RANGE_M, subject);
+                assert_eq!(bits(split), expected, "subject {subject}, split at {k}");
+                assert_eq!(channel.rng.state(), rng.state(), "RNG, split at {k}");
+            }
         }
     }
 }

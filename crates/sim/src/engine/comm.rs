@@ -1,6 +1,5 @@
-//! The shard broker: edge messages, the barrier protocol, the
-//! [`ShardCommunicator`] transport trait and its in-process
-//! [`LocalCommunicator`] backend (threads + channels).
+//! The shard broker: edge messages, the barrier protocol and the
+//! in-process [`LocalCommunicator`] transport (threads + channels).
 //!
 //! # Architecture
 //!
@@ -22,13 +21,16 @@
 //!   *deterministic mean* RSSI of every in-range interfering flight —
 //!   everything `Channel::receive` needs except the shadowing draws.
 //!
-//! The commit thread replays the plan at the transmission-end event:
-//! state-dependent filters (device liveness, half-duplex, device class,
-//! gateway outages), the per-pair shadowing draws in the canonical
-//! receiver × flight order, capture resolution and all mutation. The
-//! replay consumes the same RNG stream in the same order as the serial
-//! scan, so a sharded run is **bit-identical to the serial engine for
-//! any shard count** — the property `tests/partition_properties.rs`
+//! The commit thread consumes the plan at the transmission-end event
+//! through the resolve step a serial run uses — a serial run is the
+//! case where nothing was precomputed: state-dependent filters (device
+//! liveness, half-duplex, device class, gateway outages), the per-pair
+//! shadowing draws in the canonical receiver × flight order, capture
+//! resolution and all mutation. A planned mean recombined with its draw
+//! is the float the serial scan computes (`Channel::receive`'s
+//! split-point unit test), and the draws leave the same stream in the
+//! same order, so a sharded run is **bit-identical to the serial engine
+//! for any shard count** — the property `tests/partition_properties.rs`
 //! and the golden fixtures pin.
 //!
 //! Plans reference only launches the commit thread dispatched *before*
@@ -37,11 +39,11 @@
 //! commit from a small "recent launches" ring, in sequence order, so
 //! the canonical interferer order never diverges.
 //!
-//! [`ShardCommunicator`] is deliberately object-safe and message-based:
-//! the commit thread only ever `send`s plain-data [`EdgeMessage`]s and
-//! receives [`FlightPlan`]s, so a future process- or TCP-backed
-//! implementation (node-partitioned nets in the style of petri /
-//! parallel_qsim) can slot in without touching the engine.
+//! The transport is message-based: the commit thread only ever `send`s
+//! plain-data [`EdgeMessage`]s and receives [`FlightPlan`]s. There is
+//! one transport, held by value; a process- or TCP-backed one (in the
+//! style of petri / parallel_qsim) would move the same messages behind
+//! the same five methods, and is the moment to put a trait over them.
 
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -133,7 +135,7 @@ pub struct PlannedCandidate {
 /// The precomputed, draw-free part of one flight's transmission-end
 /// resolution (see the module docs). Pure geometry over launch history
 /// and the static world: identical whichever shard computes it.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlightPlan {
     /// The subject flight's sequence number.
     pub seq: u64,
@@ -156,38 +158,10 @@ impl FlightPlan {
     }
 }
 
-/// Commit-side transport to the shard workers.
-///
-/// Object-safe by construction (exercised by a compile-time test): the
-/// engine holds a `Box<dyn ShardCommunicator>`, so a future process- or
-/// TCP-backed transport only has to move the same plain-data messages.
-pub trait ShardCommunicator: Send + std::fmt::Debug {
-    /// Number of shards behind this transport.
-    fn num_shards(&self) -> usize;
-    /// Sends one message to one shard. Per-shard FIFO ordering is part
-    /// of the contract: plans are computed against exactly the launches
-    /// sent before the planned flight's own launch message.
-    fn send(&mut self, shard: usize, msg: EdgeMessage);
-    /// Blocks for the next flight plan, in whatever order workers
-    /// finish them (the engine reorders by sequence number).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker died — determinism is unrecoverable then.
-    fn recv_plan(&mut self) -> FlightPlan;
-    /// Non-blocking: the next finished plan, if one is already queued.
-    /// Lets the commit thread fold plan buffering into the gaps between
-    /// events instead of paying it on the transmission-end critical
-    /// path.
-    fn try_recv_plan(&mut self) -> Option<FlightPlan>;
-    /// Shuts the workers down and reclaims their resources. Idempotent.
-    fn shutdown(&mut self);
-}
-
-/// The in-process [`ShardCommunicator`]: one OS thread per shard,
-/// `std::sync::mpsc` channels for commit → worker and worker → worker
-/// edges, one shared channel funnelling plans back to the commit
-/// thread.
+/// Commit-side transport to the shard workers, in process: one OS
+/// thread per shard, `std::sync::mpsc` channels for commit → worker and
+/// worker → worker edges, one shared channel funnelling plans back to
+/// the commit thread.
 #[derive(Debug)]
 pub struct LocalCommunicator {
     to_shards: Vec<mpsc::Sender<EdgeMessage>>,
@@ -231,29 +205,42 @@ impl LocalCommunicator {
             handles,
         }
     }
-}
 
-impl ShardCommunicator for LocalCommunicator {
-    fn num_shards(&self) -> usize {
+    /// Number of shards behind this transport.
+    pub(crate) fn num_shards(&self) -> usize {
         self.to_shards.len()
     }
 
-    fn send(&mut self, shard: usize, msg: EdgeMessage) {
+    /// Sends one message to one shard. Per-shard FIFO ordering is part
+    /// of the contract: plans are computed against exactly the launches
+    /// sent before the planned flight's own launch message.
+    pub(crate) fn send(&mut self, shard: usize, msg: EdgeMessage) {
         // A send to a dead worker surfaces on the next recv_plan.
         let _ = self.to_shards[shard].send(msg);
     }
 
-    fn recv_plan(&mut self) -> FlightPlan {
+    /// Blocks for the next flight plan, in whatever order workers
+    /// finish them (the engine reorders by sequence number).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a worker died — determinism is unrecoverable then.
+    pub(crate) fn recv_plan(&mut self) -> FlightPlan {
         self.plans
             .recv_timeout(RECV_TIMEOUT)
             .expect("shard worker died or stalled; cannot preserve determinism")
     }
 
-    fn try_recv_plan(&mut self) -> Option<FlightPlan> {
+    /// Non-blocking: the next finished plan, if one is already queued.
+    /// Lets the commit thread fold plan buffering into the gaps between
+    /// events instead of paying it on the transmission-end critical
+    /// path.
+    pub(crate) fn try_recv_plan(&mut self) -> Option<FlightPlan> {
         self.plans.try_recv().ok()
     }
 
-    fn shutdown(&mut self) {
+    /// Shuts the workers down and reclaims their resources. Idempotent.
+    pub(crate) fn shutdown(&mut self) {
         for tx in &self.to_shards {
             let _ = tx.send(EdgeMessage::Shutdown);
         }
@@ -320,7 +307,10 @@ pub(crate) struct ShardWorker {
     /// Barriers completed so far.
     barrier: u64,
     /// Tracked device positions as of the last barrier (`None` =
-    /// untracked), indexed by node.
+    /// untracked), indexed by node. Like `hints`, rows open on demand
+    /// ([`ShardWorker::open_row`]): trips are numbered by departure and
+    /// a worker only touches ids departed by the instant it is asked
+    /// about, so both tables follow departures, not the timetable.
     tracked_pos: Vec<Option<Point>>,
     /// Tracked device ids (unordered; plans sort their candidates).
     tracked_ids: Vec<NodeId>,
@@ -340,9 +330,6 @@ pub(crate) struct ShardWorker {
     /// Once-per-plan near-overlap cut for device receivers (within
     /// 2 × device range of the sender).
     scratch_near_dev: Vec<(u64, Point)>,
-    /// Only the pre-batched reference plan path uses this (see
-    /// [`ShardWorker::probe_plan_reference`]).
-    scratch_within: Vec<(NodeId, Point)>,
     scratch_ids: Vec<NodeId>,
 }
 
@@ -354,7 +341,6 @@ impl ShardWorker {
         gateways: Vec<(u32, Point)>,
         params: ShardParams,
     ) -> ShardWorker {
-        let trips = net.trips().len();
         ShardWorker {
             id,
             part,
@@ -363,16 +349,15 @@ impl ShardWorker {
             gateways,
             cursor: 0,
             barrier: 0,
-            tracked_pos: vec![None; trips],
+            tracked_pos: Vec::new(),
             tracked_ids: Vec::new(),
             grid: GridIndex::new(200.0_f64.max(0.0)),
-            hints: vec![0; trips],
+            hints: Vec::new(),
             flights: Vec::new(),
             stash: Vec::new(),
             scratch_overlaps: Vec::new(),
             scratch_near_gw: Vec::new(),
             scratch_near_dev: Vec::new(),
-            scratch_within: Vec::new(),
             scratch_ids: Vec::new(),
         }
     }
@@ -404,15 +389,10 @@ impl ShardWorker {
                     end,
                     wants_plan,
                 } => {
-                    debug_assert!(self.flights.last().is_none_or(|f| f.seq < seq));
-                    self.flights.push(LocalFlight {
-                        seq,
-                        pos,
-                        start,
-                        end,
-                    });
+                    self.file_flight(seq, pos, start, end);
                     if wants_plan {
-                        let plan = self.plan_for(seq, sender, pos, start, end);
+                        let mut plan = FlightPlan::default();
+                        self.plan_into(&mut plan, seq, sender, pos, start, end);
                         if plans.send(plan).is_err() {
                             return;
                         }
@@ -442,8 +422,30 @@ impl ShardWorker {
             .is_some_and(|trip| trip.depart() <= t)
     }
 
+    /// Opens the per-id rows (untracked, a fresh polyline cursor) up to
+    /// and including `n`, as `World::open_row` does on the commit side.
+    fn open_row(&mut self, n: NodeId) {
+        let rows = n.index() + 1;
+        if rows > self.hints.len() {
+            self.tracked_pos.resize(rows, None);
+            self.hints.resize(rows, 0);
+        }
+    }
+
+    /// Files a launched frame in the tile-local flight table.
+    pub(crate) fn file_flight(&mut self, seq: u64, pos: Point, start: SimTime, end: SimTime) {
+        debug_assert!(self.flights.last().is_none_or(|f| f.seq < seq));
+        self.flights.push(LocalFlight {
+            seq,
+            pos,
+            start,
+            end,
+        });
+    }
+
     /// Starts tracking `n` at `pos`.
-    fn track(&mut self, n: NodeId, pos: Point) {
+    pub(crate) fn track(&mut self, n: NodeId, pos: Point) {
+        self.open_row(n);
         if self.tracked_pos[n.index()].is_some() {
             return;
         }
@@ -470,6 +472,7 @@ impl ShardWorker {
             if self.net.trip(n).end() <= until {
                 continue;
             }
+            self.open_row(n);
             let pos = self
                 .net
                 .position_hinted(n, until, &mut self.hints[n.index()]);
@@ -613,8 +616,7 @@ impl ShardWorker {
     /// per contiguous bucket slice instead of materializing a
     /// `(id, position)` list first — plus the departures tail since the
     /// last barrier (buses that activated after the snapshot). The
-    /// sort + dedup yields exactly the membership and order of the old
-    /// `within_into` path.
+    /// sort + dedup puts the union in canonical ascending-id order.
     fn collect_candidate_ids(&mut self, pos: Point, end: SimTime) {
         let r = self.params.d2d_range_m + self.part.query_slack_m();
         let r_sq = r * r;
@@ -638,32 +640,32 @@ impl ShardWorker {
     }
 
     /// Computes the [`FlightPlan`] of a flight launched in this shard's
-    /// tiles (see the module docs for why every filter below matches
-    /// the serial engine's bit for bit). Interferer walks consume the
-    /// once-per-plan near cuts; candidate discovery is one batched grid
-    /// sweep ([`ShardWorker::collect_candidate_ids`]).
-    fn plan_for(
+    /// tiles into `plan`, clearing whatever it held (see the module docs
+    /// for why every filter below matches the serial engine's bit for
+    /// bit). Interferer walks consume the once-per-plan near cuts;
+    /// candidate discovery is one batched grid sweep
+    /// ([`ShardWorker::collect_candidate_ids`]).
+    pub(crate) fn plan_into(
         &mut self,
+        plan: &mut FlightPlan,
         seq: u64,
         sender: NodeId,
         pos: Point,
         start: SimTime,
         end: SimTime,
-    ) -> FlightPlan {
+    ) {
         let p = &self.params;
         let (d2d, gw_range, tx_dbm) = (p.d2d_range_m, p.gateway_range_m, p.tx_power_dbm);
         let path_loss = p.path_loss;
         self.collect_interferers(pos, start, end);
-        let mut plan = FlightPlan {
-            seq,
-            gateways: Vec::new(),
-            candidates: Vec::new(),
-            interferers: Vec::new(),
-        };
+        plan.seq = seq;
+        plan.gateways.clear();
+        plan.candidates.clear();
+        plan.interferers.clear();
         // Gateways: static superset, ascending by index, exact range
-        // re-check — the sequence `Delivery::resolve_gateways` iterates,
-        // before its outage filter. The near-gateway cut is a superset
-        // of every in-range gateway's audible set.
+        // re-check — the sequence `Delivery::gateways_in_range` yields
+        // (outages are the commit thread's to filter). The near-gateway
+        // cut is a superset of every in-range gateway's audible set.
         for &(gi, gw) in &self.gateways {
             if gw.distance(pos) > gw_range {
                 continue;
@@ -685,6 +687,9 @@ impl ShardWorker {
         // Neighbour candidates: the barrier-snapshot grid (slack covers
         // drift since the barrier) plus buses that activated after it.
         self.collect_candidate_ids(pos, end);
+        if let Some(&last) = self.scratch_ids.last() {
+            self.open_row(last);
+        }
         for i in 0..self.scratch_ids.len() {
             let n = self.scratch_ids[i];
             if n == sender {
@@ -709,188 +714,12 @@ impl ShardWorker {
                 len: plan.interferers.len() as u32 - s,
             });
         }
-        plan
-    }
-}
-
-/// Test/bench hooks: seed a worker's tile-local state directly and run
-/// the plan paths without the thread/channel machinery. Used by the
-/// engine probe module (allocation-count tests, the batched-vs-
-/// per-flight microbench); never by the engine itself.
-#[doc(hidden)]
-impl ShardWorker {
-    /// Seeds a tracked device at `pos`, as a crossing batch would.
-    pub(crate) fn probe_track(&mut self, n: NodeId, pos: Point) {
-        self.track(n, pos);
-    }
-
-    /// Seeds a tile-local flight, as a `FlightLaunched` edge would.
-    pub(crate) fn probe_flight(&mut self, seq: u64, pos: Point, start: SimTime, end: SimTime) {
-        debug_assert!(self.flights.last().is_none_or(|f| f.seq < seq));
-        self.flights.push(LocalFlight {
-            seq,
-            pos,
-            start,
-            end,
-        });
-    }
-
-    /// The engine's batched plan path.
-    pub(crate) fn probe_plan(
-        &mut self,
-        seq: u64,
-        sender: NodeId,
-        pos: Point,
-        start: SimTime,
-        end: SimTime,
-    ) -> FlightPlan {
-        self.plan_for(seq, sender, pos, start, end)
-    }
-
-    /// The prefilter stages of [`ShardWorker::plan_for`] alone —
-    /// overlap collection, near cuts, batched candidate sweep and the
-    /// exact-range candidate walk over the device cut — without the
-    /// per-plan output allocation. This is the path the counting-
-    /// allocator test pins at zero steady-state allocations. Returns
-    /// the in-range candidate count and a mean-RSSI checksum so the
-    /// work cannot be optimized away.
-    pub(crate) fn probe_prefilter(
-        &mut self,
-        sender: NodeId,
-        pos: Point,
-        start: SimTime,
-        end: SimTime,
-    ) -> (usize, f64) {
-        self.collect_interferers(pos, start, end);
-        self.collect_candidate_ids(pos, end);
-        let d2d = self.params.d2d_range_m;
-        let (tx_dbm, path_loss) = (self.params.tx_power_dbm, self.params.path_loss);
-        let mut in_range = 0usize;
-        let mut acc = 0.0f64;
-        for i in 0..self.scratch_ids.len() {
-            let n = self.scratch_ids[i];
-            if n == sender {
-                continue;
-            }
-            let pos_n = self.net.position_hinted(n, end, &mut self.hints[n.index()]);
-            if pos_n.distance(pos) > d2d {
-                continue;
-            }
-            in_range += 1;
-            for &(_, fpos) in &self.scratch_near_dev {
-                let dist = pos_n.distance(fpos);
-                if dist <= d2d {
-                    acc += path_loss.mean_rssi_dbm(tx_dbm, dist);
-                }
-            }
-        }
-        (in_range, acc)
-    }
-
-    /// The pre-batched reference plan path — grid `within_into` into an
-    /// intermediate `(id, position)` list and a full overlap walk per
-    /// receiver — kept verbatim for the microbench that records the
-    /// batched prefilter's win. Bit-identical output to
-    /// [`ShardWorker::probe_plan`].
-    pub(crate) fn probe_plan_reference(
-        &mut self,
-        seq: u64,
-        sender: NodeId,
-        pos: Point,
-        start: SimTime,
-        end: SimTime,
-    ) -> FlightPlan {
-        let p = &self.params;
-        let (d2d, gw_range, tx_dbm) = (p.d2d_range_m, p.gateway_range_m, p.tx_power_dbm);
-        let path_loss = p.path_loss;
-        let mut overlaps = std::mem::take(&mut self.scratch_overlaps);
-        overlaps.clear();
-        overlaps.extend(
-            self.flights
-                .iter()
-                .filter(|f| f.start < end && f.end > start)
-                .map(|f| (f.seq, f.pos)),
-        );
-        let mut plan = FlightPlan {
-            seq,
-            gateways: Vec::new(),
-            candidates: Vec::new(),
-            interferers: Vec::new(),
-        };
-        for &(gi, gw) in &self.gateways {
-            if gw.distance(pos) > gw_range {
-                continue;
-            }
-            let s = plan.interferers.len() as u32;
-            for &(fseq, fpos) in &overlaps {
-                let dist = gw.distance(fpos);
-                if dist <= gw_range {
-                    plan.interferers
-                        .push((fseq, path_loss.mean_rssi_dbm(tx_dbm, dist)));
-                }
-            }
-            plan.gateways.push(PlannedGateway {
-                gateway: gi,
-                start: s,
-                len: plan.interferers.len() as u32 - s,
-            });
-        }
-        let mut ids = std::mem::take(&mut self.scratch_ids);
-        self.grid.within_into(
-            pos,
-            d2d + self.part.query_slack_m(),
-            &mut self.scratch_within,
-        );
-        ids.clear();
-        ids.extend(self.scratch_within.iter().map(|&(n, _)| n));
-        let mut k = self.cursor;
-        while self.departs_by(k, end) {
-            ids.push(NodeId::new(k as u32));
-            k += 1;
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        for &n in &ids {
-            if n == sender {
-                continue;
-            }
-            let pos_n = self.net.position_hinted(n, end, &mut self.hints[n.index()]);
-            if pos_n.distance(pos) > d2d {
-                continue;
-            }
-            let s = plan.interferers.len() as u32;
-            for &(fseq, fpos) in &overlaps {
-                let dist = pos_n.distance(fpos);
-                if dist <= d2d {
-                    plan.interferers
-                        .push((fseq, path_loss.mean_rssi_dbm(tx_dbm, dist)));
-                }
-            }
-            plan.candidates.push(PlannedCandidate {
-                node: n,
-                pos: pos_n,
-                start: s,
-                len: plan.interferers.len() as u32 - s,
-            });
-        }
-        self.scratch_ids = ids;
-        self.scratch_overlaps = overlaps;
-        plan
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The trait must stay object-safe for future transport backends.
-    #[test]
-    fn communicator_is_object_safe() {
-        fn _takes_dyn(_: &mut dyn ShardCommunicator) {}
-        fn _boxed(c: LocalCommunicator) -> Box<dyn ShardCommunicator> {
-            Box::new(c)
-        }
-    }
 
     #[test]
     fn plan_slices_index_flat_storage() {
@@ -910,10 +739,58 @@ mod tests {
 
     #[test]
     fn local_communicator_shuts_down_cleanly_with_no_work() {
-        let comm = LocalCommunicator::launch(Vec::new());
-        let mut boxed: Box<dyn ShardCommunicator> = Box::new(comm);
-        assert_eq!(boxed.num_shards(), 0);
-        boxed.shutdown();
-        boxed.shutdown(); // idempotent
+        let mut comm = LocalCommunicator::launch(Vec::new());
+        assert_eq!(comm.num_shards(), 0);
+        comm.shutdown();
+        comm.shutdown(); // idempotent
+    }
+
+    #[test]
+    fn worker_tables_follow_departures_not_the_timetable() {
+        use mlora_mobility::{BusNetworkConfig, DiurnalProfile};
+        let cfg = BusNetworkConfig {
+            area_side_m: 10_000.0,
+            num_routes: 24,
+            max_active_buses: 200,
+            horizon: SimDuration::from_hours(24),
+            profile: DiurnalProfile::flat(1.0),
+            ..BusNetworkConfig::default()
+        };
+        let net = Arc::new(BusNetwork::generate(&cfg, 2020));
+        let airtime = SimDuration::from_millis(370);
+        let part = Arc::new(Partition::new(
+            net.area(),
+            1,
+            500.0,
+            2_000.0,
+            cfg.max_speed_mps,
+            airtime,
+        ));
+        let params = ShardParams {
+            d2d_range_m: 500.0,
+            gateway_range_m: 2_000.0,
+            tx_power_dbm: 14.0,
+            path_loss: LogDistanceModel::paper_default(),
+            flight_retention: SimDuration::from_secs(2),
+        };
+        let mut worker = ShardWorker::new(0, part, Arc::clone(&net), Vec::new(), params);
+        assert!(worker.tracked_pos.is_empty() && worker.hints.is_empty());
+
+        // A membership barrier at minute 20 (a lone shard has no peer
+        // to wait for), then a plan for the last bus it tracked.
+        let t = SimTime::from_secs(20 * 60);
+        let (_tx, rx) = mpsc::channel();
+        assert!(worker.advance_to(t, &[None], &rx, &mut VecDeque::new()));
+        let sender = *worker.tracked_ids.last().expect("a bus is on the road");
+        let pos = worker.tracked_pos[sender.index()].expect("tracked");
+        let mut plan = FlightPlan::default();
+        worker.plan_into(&mut plan, 0, sender, pos, t, t + airtime);
+
+        let departed = net
+            .trips()
+            .partition_point(|trip| trip.depart() <= t + airtime);
+        assert!(departed > 0 && departed < net.trips().len() / 10);
+        assert!(worker.tracked_pos.len() <= departed, "tracked_pos rows");
+        assert!(worker.hints.len() <= departed, "hint rows");
     }
 }

@@ -4,16 +4,15 @@
 //! [`Delivery`] owns the static gateway grid (incrementally mutated by
 //! scripted outages/recoveries), the per-gateway outage depths and the
 //! [`Collector`] every metric funnels into. Gateway-side reception
-//! resolves through the shared [`Channel`](super::channel::Channel) so
-//! the RNG draw order matches the historical full-scan engine bit for
-//! bit.
+//! resolves through the shared [`Channel`] so the RNG draw order matches
+//! the historical full-scan engine bit for bit.
 
 use mlora_geo::{BBox, GridIndex, Point};
 use mlora_mac::AppMessage;
 use mlora_simcore::SimTime;
 
 use super::channel::{Channel, FlightRef};
-use super::comm::FlightPlan;
+use super::comm::PlannedInterferer;
 use crate::metrics::Collector;
 use crate::observer::{GatewayOutageChanged, MessageDelivered, SimObserver};
 
@@ -34,8 +33,6 @@ pub(super) struct Delivery {
     gateway_range_m: f64,
     /// Scratch: raw gateway-grid query output.
     scratch_within_gw: Vec<(u32, Point)>,
-    /// Scratch: indices of gateways near a sender.
-    scratch_gateways: Vec<u32>,
 }
 
 impl Delivery {
@@ -52,7 +49,6 @@ impl Delivery {
             gateway_down_depth: vec![0; num_gateways],
             gateway_range_m,
             scratch_within_gw: Vec::new(),
-            scratch_gateways: Vec::new(),
         }
     }
 
@@ -109,73 +105,50 @@ impl Delivery {
         }
     }
 
-    /// Resolves reception at every in-service gateway; returns the best
-    /// RSSI among gateways that decoded this flight, if any. Lost-to-
-    /// interference receptions are counted on the collector.
-    pub(super) fn resolve_gateways(
-        &mut self,
-        channel: &mut Channel,
-        overlaps: &[(u64, Point)],
-        flight: FlightRef<'_>,
-    ) -> Option<f64> {
+    /// The serial engine's gateway discovery: fills `out` with the
+    /// gateways within range of `pos`, ascending by index — the receiver
+    /// sequence a shard worker's plan lists.
+    pub(super) fn gateways_in_range(&mut self, pos: Point, out: &mut Vec<u32>) {
         let range = self.gateway_range_m;
-        let mut best: Option<f64> = None;
         // Gateways are static: the grid narrows the scan to the cells
         // around the sender. Grid order is (cell key, id) — id-sorted
         // only *within* each cell — so the explicit sort below restores
         // the historical full-scan iteration order (and the exact range
         // check re-applies); RNG draw order matches a full scan bit for
         // bit. Do not remove the sort.
-        let mut nearby = std::mem::take(&mut self.scratch_gateways);
         self.gateway_grid
-            .within_into(flight.pos, range + 1.0, &mut self.scratch_within_gw);
-        nearby.clear();
-        nearby.extend(self.scratch_within_gw.iter().map(|&(i, _)| i));
-        nearby.sort_unstable();
-        for &gi in &nearby {
-            let gw = self.gateways[gi as usize];
-            if gw.distance(flight.pos) > range {
-                continue;
-            }
-            let reception = channel.receive(overlaps, gw, range, flight.seq);
-            match reception.rssi {
-                Some(rssi) => best = Some(best.map_or(rssi, |b: f64| b.max(rssi))),
-                None if reception.interfered => self.collector.on_collision(),
-                None => {}
-            }
-        }
-        self.scratch_gateways = nearby;
-        best
+            .within_into(pos, range + 1.0, &mut self.scratch_within_gw);
+        out.clear();
+        out.extend(self.scratch_within_gw.iter().map(|&(i, _)| i));
+        out.sort_unstable();
+        out.retain(|&gi| self.gateways[gi as usize].distance(pos) <= range);
     }
 
-    /// [`Delivery::resolve_gateways`] for the sharded engine: the
-    /// grid query is replaced by the flight's precomputed plan. The
-    /// planned gateways are exactly the in-range set in ascending index
-    /// order — the sequence the serial grid query + sort + range check
-    /// yields — with the outage filter (worker-invisible state) applied
-    /// here, reproducing the serial path's receiver sequence and RNG
-    /// draw order bit for bit.
-    pub(super) fn resolve_gateways_planned(
+    /// Resolves reception at every in-service gateway among `receivers`
+    /// — the in-range gateways in ascending index order, each with the
+    /// interferer slice precomputed for it (empty in a serial run); see
+    /// [`Channel::receive`] for `overlaps`. Returns the best RSSI among
+    /// gateways that decoded this flight, if any. Lost-to-interference
+    /// receptions are counted on the collector.
+    ///
+    /// The outage filter runs here because shard workers do not track
+    /// outages; the serial grid never lists a downed gateway, so for it
+    /// the filter passes everything.
+    pub(super) fn resolve_gateways<'p>(
         &mut self,
         channel: &mut Channel,
-        plan: &FlightPlan,
-        dynamic: &[(u64, Point)],
+        receivers: impl Iterator<Item = (u32, &'p [PlannedInterferer])>,
+        overlaps: &[(u64, Point)],
         flight: FlightRef<'_>,
     ) -> Option<f64> {
         let range = self.gateway_range_m;
         let mut best: Option<f64> = None;
-        for pg in &plan.gateways {
-            if self.gateway_down_depth[pg.gateway as usize] != 0 {
+        for (gi, planned) in receivers {
+            if self.gateway_down_depth[gi as usize] != 0 {
                 continue;
             }
-            let gw = self.gateways[pg.gateway as usize];
-            let reception = channel.receive_planned(
-                plan.slice(pg.start, pg.len),
-                dynamic,
-                gw,
-                range,
-                flight.seq,
-            );
+            let gw = self.gateways[gi as usize];
+            let reception = channel.receive(planned, overlaps, gw, range, flight.seq);
             match reception.rssi {
                 Some(rssi) => best = Some(best.map_or(rssi, |b: f64| b.max(rssi))),
                 None if reception.interfered => self.collector.on_collision(),

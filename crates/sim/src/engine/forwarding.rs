@@ -7,90 +7,59 @@
 //! scenario configured — the paper's built-in schemes and user-defined
 //! policies ride exactly the same code path.
 //!
-//! The serial and sharded engines share one transmission-end body
-//! (`Engine::on_tx_end`) and one candidate pipeline: the geometric
-//! prefilter (sender/range) differs — a live grid query versus a
-//! shard-precomputed [`FlightPlan`] — but the state-dependent admission
-//! filters ([`Engine::neighbour_admitted`]), the post-reception policy
+//! There is one reception path from the receiver set to the sender's
+//! settlement. `Engine::on_tx_end` decides where the receivers come
+//! from — a live grid query in a serial run, a shard-precomputed
+//! [`FlightPlan`](super::comm::FlightPlan) in a sharded one — and hands
+//! them to [`Engine::resolve_neighbours`] as one sequence in canonical
+//! order; the state-dependent admission filters
+//! ([`Engine::neighbour_admitted`]), the reception itself
+//! ([`Channel::receive`](super::channel::Channel::receive)), the policy
 //! dispatch ([`Engine::apply_reception`]) and the sender's settlement
-//! ([`Engine::settle_sender`]) are the same functions, so the two paths
-//! cannot drift apart.
+//! ([`Engine::settle_sender`]) are written once, so a serial and a
+//! sharded run have nothing to drift apart in.
 
 use mlora_core::{Beacon, ForwardDecision};
 use mlora_geo::Point;
 use mlora_simcore::NodeId;
 
 use super::channel::{FlightRef, Reception};
-use super::comm::FlightPlan;
+use super::comm::PlannedInterferer;
 use super::Engine;
 use crate::observer::{HandoverAccepted, SimObserver};
 
 impl Engine {
-    /// Resolves overhearing at every active neighbour. `candidates` is
-    /// the batched prefilter's output — sender-excluded,
-    /// exact-range-filtered `(id, position)` pairs in ascending id
-    /// order (see [`World::batched_candidates`](super::world::World)) —
-    /// so this loop is pure admission + collision resolution. Returns
-    /// whether the handover target decoded the frame; devices that need
-    /// a new transmission opportunity are appended to `to_schedule`.
-    pub(super) fn resolve_neighbours(
+    /// Resolves overhearing at every active neighbour. `receivers` is
+    /// the geometric prefilter's output — sender-excluded,
+    /// exact-range-filtered `(id, position)` pairs in ascending id order
+    /// (see [`World::batched_candidates`](super::world::World)), each
+    /// with the interferer slice precomputed for it (empty in a serial
+    /// run; see [`Channel::receive`](super::channel::Channel::receive)
+    /// for `overlaps`) — so this loop is pure admission + collision
+    /// resolution. Returns whether the handover target decoded the
+    /// frame; devices that need a new transmission opportunity are
+    /// appended to `to_schedule`.
+    pub(super) fn resolve_neighbours<'p>(
         &mut self,
         flight: FlightRef<'_>,
+        receivers: impl Iterator<Item = (NodeId, Point, &'p [PlannedInterferer])>,
         overlaps: &[(u64, Point)],
-        candidates: &[(NodeId, Point)],
         to_schedule: &mut Vec<NodeId>,
         observer: &mut dyn SimObserver,
     ) -> bool {
         let d2d = self.cfg.environment.d2d_range_m();
         let mut accepted = false;
 
-        for &(x, pos_x) in candidates {
+        for (x, pos_x, planned) in receivers {
             if !self.neighbour_admitted(x, flight) {
                 continue;
             }
             // Collision resolution at x, under any regional noise at
             // its position.
-            let reception = self.channel.receive(overlaps, pos_x, d2d, flight.seq);
+            let reception = self
+                .channel
+                .receive(planned, overlaps, pos_x, d2d, flight.seq);
             self.apply_reception(flight, x, reception, to_schedule, observer, &mut accepted);
-        }
-        accepted
-    }
-
-    /// [`Engine::resolve_neighbours`] for the sharded engine: the grid
-    /// query + range check are replaced by the flight's precomputed
-    /// candidate list (already sender-excluded, exact-range-filtered and
-    /// id-sorted — the serial prefilter's output), while the
-    /// state-dependent admission filters and policy dispatch run
-    /// unchanged on the commit thread.
-    pub(super) fn resolve_neighbours_planned(
-        &mut self,
-        flight: FlightRef<'_>,
-        plan: &FlightPlan,
-        dynamic: &[(u64, Point)],
-        to_schedule: &mut Vec<NodeId>,
-        observer: &mut dyn SimObserver,
-    ) -> bool {
-        let d2d = self.cfg.environment.d2d_range_m();
-        let mut accepted = false;
-        for pc in &plan.candidates {
-            if !self.neighbour_admitted(pc.node, flight) {
-                continue;
-            }
-            let reception = self.channel.receive_planned(
-                plan.slice(pc.start, pc.len),
-                dynamic,
-                pc.pos,
-                d2d,
-                flight.seq,
-            );
-            self.apply_reception(
-                flight,
-                pc.node,
-                reception,
-                to_schedule,
-                observer,
-                &mut accepted,
-            );
         }
         accepted
     }

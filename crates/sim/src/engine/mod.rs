@@ -10,10 +10,12 @@
 //! `(time, seq)` order. With `shards > 1` the *spatial* work of
 //! transmission-end resolution — the candidate/gateway/interferer
 //! queries that dominate at metro scale — is precomputed by per-tile
-//! shard workers ([`partition`], [`comm`]) while frames are on the air;
-//! the loop replays those plans with every RNG draw, filter and
-//! mutation in the serial order, so a sharded run is bit-identical to a
-//! single-shard run.
+//! shard workers ([`partition`], [`comm`]) while frames are on the air.
+//! Either way a transmission end runs one resolve step
+//! (`Engine::on_tx_end`): a serial run is the case where nothing was
+//! precomputed and the receiver sets are found on the spot, and every
+//! RNG draw, filter and mutation happens in the same order, so a
+//! sharded run is bit-identical to a single-shard run.
 //!
 //! # Layout
 //!
@@ -87,7 +89,7 @@ use mlora_simcore::{EventQueue, NodeId, SimDuration, SimRng, SimTime, SlabKey};
 
 use self::channel::{Channel, FlightRef};
 use self::comm::{
-    EdgeMessage, FlightPlan, LocalCommunicator, ShardCommunicator, ShardParams, ShardWorker,
+    EdgeMessage, FlightPlan, LocalCommunicator, PlannedInterferer, ShardParams, ShardWorker,
 };
 use self::delivery::Delivery;
 use self::partition::Partition;
@@ -144,7 +146,7 @@ pub struct EngineStats {
 /// flight's plan was requested (see the [`comm`] module docs).
 #[derive(Debug)]
 struct ShardRuntime {
-    comm: Box<dyn ShardCommunicator>,
+    comm: LocalCommunicator,
     part: Arc<Partition>,
     /// Next membership barrier to broadcast.
     next_barrier: SimTime,
@@ -267,6 +269,9 @@ impl ShardRuntime {
     }
 }
 
+/// A serial run's interferer slice, at every receiver.
+const NOTHING_PLANNED: &[PlannedInterferer] = &[];
+
 /// The simulation engine. Construct with [`Engine::new`], execute with
 /// [`Engine::run`].
 #[derive(Debug)]
@@ -296,6 +301,8 @@ pub struct Engine {
     channel: Channel,
     /// The sink side (gateways, outages, collector).
     delivery: Delivery,
+    /// Scratch: in-range gateway indices, ascending.
+    scratch_gateways: Vec<u32>,
     /// Scratch: sorted neighbour candidates `(id, exact position)`.
     scratch_candidates: Vec<(NodeId, Point)>,
     /// Scratch: devices needing a transmission opportunity scheduled.
@@ -407,6 +414,7 @@ impl Engine {
             world,
             channel,
             delivery,
+            scratch_gateways: Vec::new(),
             scratch_candidates: Vec::new(),
             scratch_schedule: Vec::new(),
             timeline,
@@ -1008,9 +1016,10 @@ impl Engine {
     }
 
     /// A transmission ends: receptions resolve at the gateways and the
-    /// neighbours, then the sender settles. The serial and the sharded
-    /// engine differ only in where the receiver sets come from
-    /// ([`Engine::resolve_scanned`] / [`Engine::resolve_planned`]).
+    /// neighbours, then the sender settles. Only where the receiver sets
+    /// come from is decided here — found on the spot in a serial run,
+    /// taken from the flight's [`FlightPlan`] in a sharded one; the
+    /// resolve step they feed is the same code either way.
     fn on_tx_end(&mut self, key: SlabKey, observer: &mut dyn SimObserver) {
         // Expired-flight reclamation is deferred to the launch path
         // (`Channel::maybe_sweep`); a stale flight cannot pass the
@@ -1045,11 +1054,68 @@ impl Engine {
         let mut to_schedule = std::mem::take(&mut self.scratch_schedule);
         to_schedule.clear();
         let (gateway_rssi, accepted_by_target) = match self.shard_rt.take() {
-            None => self.resolve_scanned(flight, &mut to_schedule, observer),
+            // Serial: nothing is precomputed. The frames overlapping
+            // this one in time (including itself), in creation order —
+            // one pass over the contiguous flight columns — and the two
+            // spatial queries, done here and now.
+            None => {
+                let mut overlaps = std::mem::take(&mut self.channel.scratch_overlaps);
+                self.channel
+                    .overlaps_into(flight.start, flight.end, &mut overlaps);
+                let mut gateways = std::mem::take(&mut self.scratch_gateways);
+                self.delivery.gateways_in_range(flight.pos, &mut gateways);
+                let gateway_rssi = self.delivery.resolve_gateways(
+                    &mut self.channel,
+                    gateways.iter().map(|&gi| (gi, NOTHING_PLANNED)),
+                    &overlaps,
+                    flight,
+                );
+
+                let d2d = self.cfg.environment.d2d_range_m();
+                let mut candidates = std::mem::take(&mut self.scratch_candidates);
+                self.world
+                    .batched_candidates(self.now, sender, flight.pos, d2d, &mut candidates);
+                let mut near = std::mem::take(&mut self.channel.scratch_near_overlaps);
+                Channel::near_overlaps_into(&overlaps, flight.pos, d2d, &mut near);
+                let accepted_by_target = self.resolve_neighbours(
+                    flight,
+                    candidates.iter().map(|&(n, pos)| (n, pos, NOTHING_PLANNED)),
+                    &near,
+                    &mut to_schedule,
+                    observer,
+                );
+
+                self.scratch_gateways = gateways;
+                self.scratch_candidates = candidates;
+                self.channel.scratch_near_overlaps = near;
+                self.channel.scratch_overlaps = overlaps;
+                (gateway_rssi, accepted_by_target)
+            }
+            // Sharded: the flight's shard worker did all of that while
+            // the frame was on the air; only the frames launched since
+            // are left to range-check.
             Some(mut rt) => {
-                let resolved = self.resolve_planned(&mut rt, flight, &mut to_schedule, observer);
+                let plan = rt.take_plan(flight.seq);
+                rt.dynamic_overlaps(flight.seq, flight.pos, flight.start, flight.end);
+                let gateway_rssi = self.delivery.resolve_gateways(
+                    &mut self.channel,
+                    plan.gateways
+                        .iter()
+                        .map(|g| (g.gateway, plan.slice(g.start, g.len))),
+                    &rt.dyn_scratch,
+                    flight,
+                );
+                let accepted_by_target = self.resolve_neighbours(
+                    flight,
+                    plan.candidates
+                        .iter()
+                        .map(|c| (c.node, c.pos, plan.slice(c.start, c.len))),
+                    &rt.dyn_scratch,
+                    &mut to_schedule,
+                    observer,
+                );
                 self.shard_rt = Some(rt);
-                resolved
+                (gateway_rssi, accepted_by_target)
             }
         };
         self.settle_sender(flight, gateway_rssi, accepted_by_target, observer);
@@ -1059,74 +1125,6 @@ impl Engine {
 
         self.scratch_schedule = to_schedule;
         self.channel.flights = flights;
-    }
-
-    /// The serial engine's resolve step: one overlap scan of the flight
-    /// columns and a grid candidate sweep, done here and now. Returns
-    /// the best gateway RSSI and whether the handover target decoded.
-    fn resolve_scanned(
-        &mut self,
-        flight: FlightRef<'_>,
-        to_schedule: &mut Vec<NodeId>,
-        observer: &mut dyn SimObserver,
-    ) -> (Option<f64>, bool) {
-        // Frames overlapping this one in time (including itself), in
-        // creation order — one pass over the contiguous flight columns.
-        let mut overlaps = std::mem::take(&mut self.channel.scratch_overlaps);
-        self.channel
-            .overlaps_into(flight.start, flight.end, &mut overlaps);
-
-        let gateway_rssi = self
-            .delivery
-            .resolve_gateways(&mut self.channel, &overlaps, flight);
-        let d2d = self.cfg.environment.d2d_range_m();
-        let mut candidates = std::mem::take(&mut self.scratch_candidates);
-        self.world
-            .batched_candidates(self.now, flight.sender, flight.pos, d2d, &mut candidates);
-        // Every device receiver sits within `d2d` of the sender, so an
-        // overlapping frame farther than `2 * d2d` from the sender is out
-        // of range of all of them (triangle inequality; +1 m float
-        // margin, per-receiver exact check unchanged). One filter pass
-        // here replaces a full-overlap distance scan per candidate; the
-        // subset keeps creation order, so draw order is untouched.
-        let mut near = std::mem::take(&mut self.channel.scratch_near_overlaps);
-        near.clear();
-        let reach_sq = (2.0 * d2d + 1.0) * (2.0 * d2d + 1.0);
-        near.extend(
-            overlaps
-                .iter()
-                .copied()
-                .filter(|&(_, p)| p.distance_sq(flight.pos) <= reach_sq),
-        );
-        let accepted_by_target =
-            self.resolve_neighbours(flight, &near, &candidates, to_schedule, observer);
-
-        self.scratch_candidates = candidates;
-        self.channel.scratch_near_overlaps = near;
-        self.channel.scratch_overlaps = overlaps;
-        (gateway_rssi, accepted_by_target)
-    }
-
-    /// The sharded engine's resolve step: the overlap scan and the two
-    /// spatial queries are replaced by the flight's precomputed
-    /// [`FlightPlan`] plus the commit-side dynamic-interferer ring;
-    /// every draw, filter and mutation then runs in the serial order.
-    fn resolve_planned(
-        &mut self,
-        rt: &mut ShardRuntime,
-        flight: FlightRef<'_>,
-        to_schedule: &mut Vec<NodeId>,
-        observer: &mut dyn SimObserver,
-    ) -> (Option<f64>, bool) {
-        let plan = rt.take_plan(flight.seq);
-        rt.dynamic_overlaps(flight.seq, flight.pos, flight.start, flight.end);
-        let dynamic = &rt.dyn_scratch;
-        let gateway_rssi =
-            self.delivery
-                .resolve_gateways_planned(&mut self.channel, &plan, dynamic, flight);
-        let accepted_by_target =
-            self.resolve_neighbours_planned(flight, &plan, dynamic, to_schedule, observer);
-        (gateway_rssi, accepted_by_target)
     }
 
     /// Builds the partition, the per-shard workers and the local
@@ -1149,7 +1147,7 @@ impl Engine {
             gateway_range_m: gw_range,
             tx_power_dbm: self.cfg.phy.tx_power_dbm,
             path_loss: self.cfg.path_loss,
-            flight_retention: max_airtime.max(SimDuration::from_secs(2)),
+            flight_retention: self.channel.flight_retention(),
         };
         let workers = (0..shards)
             .map(|id| {
@@ -1174,7 +1172,7 @@ impl Engine {
             })
             .collect();
         ShardRuntime {
-            comm: Box::new(LocalCommunicator::launch(workers)),
+            comm: LocalCommunicator::launch(workers),
             part,
             next_barrier: SimTime::ZERO,
             pending: HashMap::new(),

@@ -1,11 +1,12 @@
 //! Hidden instrumentation hooks for the engine's hot paths.
 //!
-//! The counting-allocator tests (`crates/sim/tests/engine_alloc.rs`) and
+//! The counting-allocator test (`crates/sim/tests/engine_alloc.rs`) and
 //! the `micro_engine` benches need to drive the flight-column scan and
-//! the shard worker's batched prefilter in isolation, without standing
+//! the shard worker's plan computation in isolation, without standing
 //! up a full engine run. This module packages those paths behind two
-//! self-contained drivers — [`FlightScanProbe`] over the serial
-//! [`Channel`] and [`WorkerProbe`] over a single [`ShardWorker`] — plus
+//! self-contained drivers — [`FlightScanProbe`] over the [`Channel`] as
+//! a serial run drives it and [`WorkerProbe`] over a single
+//! [`ShardWorker`], each calling the functions the engine calls — plus
 //! [`sweep_flights`], with which the lazy-vs-eager pruning proptest
 //! reclaims expired flights far more often than the engine does, and
 //! [`timetable_order`], which shows the event-order proptest the
@@ -27,7 +28,7 @@ use mlora_phy::LogDistanceModel;
 use mlora_simcore::{NodeId, SimDuration, SimRng, SimTime};
 
 use super::channel::Channel;
-use super::comm::{ShardParams, ShardWorker};
+use super::comm::{FlightPlan, ShardParams, ShardWorker};
 use super::partition::Partition;
 use super::{Engine, Event};
 use crate::observer::NullObserver;
@@ -71,11 +72,12 @@ pub fn timetable_order(engine: &mut Engine, until: SimTime) -> Vec<(SimTime, u64
     order
 }
 
-/// Drives the serial channel's hot loop — launch, contiguous
-/// time-overlap scan over [`FlightColumns`], the near-overlap cut and
-/// capture resolution — with steadily advancing time so the deferred
-/// slab sweep triggers and slots recycle. After a warm-up round the
-/// whole cycle is allocation-free, which `engine_alloc.rs` pins.
+/// Drives the channel's hot loop as a serial run does — launch,
+/// contiguous time-overlap scan over [`FlightColumns`], the engine's
+/// near-overlap cut and a reception with nothing precomputed — with
+/// steadily advancing time so the deferred slab sweep triggers and
+/// slots recycle. After a warm-up round the whole cycle is
+/// allocation-free, which `engine_alloc.rs` pins.
 ///
 /// [`FlightColumns`]: super::channel::FlightColumns
 #[derive(Debug)]
@@ -138,16 +140,10 @@ impl FlightScanProbe {
             // The serial engine's near-overlap cut, at a receiver-side
             // range of 500 m (urban device-to-device).
             let at = Point::new(250.0, 0.0);
-            let reach = 2.0 * 500.0 + 1.0;
-            let reach_sq = reach * reach;
-            self.near.clear();
-            self.near.extend(
-                self.overlaps
-                    .iter()
-                    .filter(|&&(_, pos)| pos.distance_sq(at) <= reach_sq)
-                    .copied(),
-            );
-            let reception = self.channel.receive(&self.near, at, 500.0, subject_seq);
+            Channel::near_overlaps_into(&self.overlaps, at, 500.0, &mut self.near);
+            let reception = self
+                .channel
+                .receive(&[], &self.near, at, 500.0, subject_seq);
             digest = digest
                 .wrapping_mul(31)
                 .wrapping_add(reception.rssi.is_some() as u64)
@@ -158,8 +154,8 @@ impl FlightScanProbe {
     }
 }
 
-/// A compressed view of a [`FlightPlan`](super::comm::FlightPlan) for
-/// equivalence checks and bench digests.
+/// A compressed view of a [`FlightPlan`] for determinism checks and
+/// bench digests.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanDigest {
     /// In-range gateway count.
@@ -172,19 +168,20 @@ pub struct PlanDigest {
     pub rssi_sum: f64,
 }
 
-/// Drives one [`ShardWorker`]'s plan computation over a real generated
-/// bus network, comparing the batched prefilter path against the
-/// per-flight reference walk and exposing the allocation-free prefilter
-/// core for the counting tests.
+/// Drives one [`ShardWorker`]'s plan computation
+/// ([`ShardWorker::plan_into`], the function the worker thread runs)
+/// over a real generated bus network, refilling one plan so the
+/// counting test sees the path's own steady-state allocations.
 #[derive(Debug)]
 pub struct WorkerProbe {
     worker: ShardWorker,
     /// The subject transmission: an active bus at `start`.
+    seq: u64,
     sender: NodeId,
     pos: Point,
     start: SimTime,
     end: SimTime,
-    next_seq: u64,
+    plan: FlightPlan,
 }
 
 impl WorkerProbe {
@@ -257,7 +254,7 @@ impl WorkerProbe {
             "probe network has no active bus at the query instant"
         );
         for &(n, p) in &active {
-            worker.probe_track(n, p);
+            worker.track(n, p);
         }
         let (sender, pos) = active[0];
         let start = t0;
@@ -274,59 +271,38 @@ impl WorkerProbe {
                     start - SimDuration::from_secs(9),
                 )
             };
-            worker.probe_flight(seq, fpos, fs, fe);
+            worker.file_flight(seq, fpos, fs, fe);
         }
         WorkerProbe {
             worker,
+            seq: flights as u64,
             sender,
             pos,
             start,
             end,
-            next_seq: flights as u64,
+            plan: FlightPlan::default(),
         }
     }
 
-    /// One batched-prefilter pass — overlap collection, the gateway and
-    /// device near cuts, the bucket-sweep candidate scan and the
-    /// exact-range candidate walk — with no per-plan output allocation.
+    /// One full plan — overlap collection, the gateway and device near
+    /// cuts, the bucket-sweep candidate scan and the exact-range
+    /// gateway and candidate walks — into the probe's own plan.
     /// Allocation-free after the first call.
-    pub fn prefilter(&mut self) -> (usize, f64) {
-        self.worker
-            .probe_prefilter(self.sender, self.pos, self.start, self.end)
-    }
-
-    /// A full plan through the batched prefilter path.
-    pub fn plan_batched(&mut self) -> PlanDigest {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let plan = self
-            .worker
-            .probe_plan(seq, self.sender, self.pos, self.start, self.end);
-        Self::digest(&plan)
-    }
-
-    /// The same plan through the pre-batched per-flight reference walk
-    /// (grid `within_into` plus a full overlap scan per receiver). Must
-    /// produce a digest identical to [`WorkerProbe::plan_batched`].
-    pub fn plan_reference(&mut self) -> PlanDigest {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let plan =
-            self.worker
-                .probe_plan_reference(seq, self.sender, self.pos, self.start, self.end);
-        Self::digest(&plan)
-    }
-
-    fn digest(plan: &super::comm::FlightPlan) -> PlanDigest {
-        let mut rssi_sum = 0.0;
-        for &(_, mean_rssi_dbm) in &plan.interferers {
-            rssi_sum += mean_rssi_dbm;
-        }
+    pub fn plan(&mut self) -> PlanDigest {
+        self.worker.plan_into(
+            &mut self.plan,
+            self.seq,
+            self.sender,
+            self.pos,
+            self.start,
+            self.end,
+        );
+        let plan = &self.plan;
         PlanDigest {
             gateways: plan.gateways.len(),
             candidates: plan.candidates.len(),
             interferers: plan.interferers.len(),
-            rssi_sum,
+            rssi_sum: plan.interferers.iter().map(|&(_, mean_dbm)| mean_dbm).sum(),
         }
     }
 }

@@ -739,16 +739,28 @@ impl Engine {
         expect_section(&mut r, SEC_COLLECTOR, "snapshot collector")?;
         r.begin_record()?;
         let report = get_report(&mut r)?;
+        // A `DenseMap` grows to the id it is handed, so an id the run
+        // never issued — every issued one is below the header's
+        // counter — must not reach it: one large number in a re-sealed
+        // file would be a multi-terabyte resize.
+        let next_msg = engine.next_msg;
+        let issued_id = |raw: u64| {
+            if raw < next_msg {
+                Ok(MessageId::new(raw))
+            } else {
+                Err(ScenarioIoError::Corrupt("message id was never issued"))
+            }
+        };
         let n = r.varint()?;
         let mut arrived = DenseMap::new();
         for _ in 0..n {
-            let id = MessageId::new(r.varint()?);
+            let id = issued_id(r.varint()?)?;
             arrived.insert(id, SimTime::from_millis(r.varint()?));
         }
         let n = r.varint()?;
         let mut transfers = DenseMap::new();
         for _ in 0..n {
-            let id = MessageId::new(r.varint()?);
+            let id = issued_id(r.varint()?)?;
             transfers.insert(id, u32::try_from(r.varint()?).map_err(bad_index)?);
         }
         let outage_depth = u32::try_from(r.varint()?).map_err(bad_index)?;
@@ -756,7 +768,7 @@ impl Engine {
         let n = r.varint()?;
         let mut outage_generated = DenseMap::new();
         for _ in 0..n {
-            outage_generated.insert(MessageId::new(r.varint()?), ());
+            outage_generated.insert(issued_id(r.varint()?)?, ());
         }
         engine.delivery.collector = Collector {
             report,
@@ -1672,6 +1684,19 @@ mod tests {
         engine.cfg.shards = MAX_SHARDS + 1;
         let bytes = engine.snapshot().expect("snapshot").as_bytes().to_vec();
         assert!(is_corrupt(Snapshot::from_bytes(bytes)));
+    }
+
+    #[test]
+    fn collector_message_ids_beyond_the_counter_are_refused() {
+        // Written by the engine itself, so every checksum holds; only
+        // the header's message counter is wound back, which leaves every
+        // id in the collector section one the run "never issued".
+        let mut engine = Engine::new(cfg(), 7);
+        engine.run_until(SimTime::from_secs(900));
+        assert!(engine.next_msg > 0 && engine.delivery.collector.report.delivered > 0);
+        engine.next_msg = 0;
+        let snap = engine.snapshot().expect("snapshot");
+        assert!(is_corrupt(Engine::resume(&snap)));
     }
 
     #[test]

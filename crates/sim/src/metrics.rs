@@ -9,7 +9,7 @@ use crate::traffic::TrafficModel;
 /// Per-traffic-profile slice of a run's results.
 ///
 /// One entry per profile of the scenario's
-/// [`TrafficModel`](crate::TrafficModel), in model order; a run under
+/// [`TrafficModel`], in model order; a run under
 /// the paper's homogeneous default carries none. All ratio/mean
 /// accessors guard their zero-denominator cases explicitly (mirroring
 /// [`SimReport::mean_delay_s`]) so empty profiles print cleanly.
@@ -165,7 +165,7 @@ pub struct SimReport {
     /// Total frame airtime across the fleet, seconds.
     pub total_airtime_s: f64,
     /// Per-profile breakdowns, one entry per profile of the scenario's
-    /// [`TrafficModel`](crate::TrafficModel) in model order; empty under
+    /// [`TrafficModel`] in model order; empty under
     /// the paper's homogeneous default.
     pub profiles: Vec<ProfileReport>,
 }

@@ -1,8 +1,8 @@
 //! Allocation accounting for the engine's flight hot paths: the
 //! contiguous `FlightColumns` time-overlap scan (launch → scan → near
-//! cut → capture resolution, with the deferred slab sweep recycling
-//! slots) and the shard worker's batched interferer prefilter must not
-//! touch the heap in steady state.
+//! cut → reception, with the deferred slab sweep recycling slots) and
+//! the shard worker's plan computation — the function the worker thread
+//! runs, refilling one plan — must not touch the heap in steady state.
 //!
 //! Uses a counting wrapper around the system allocator; the counter is
 //! a process-wide total, so each assertion brackets exactly the code
@@ -62,24 +62,28 @@ fn flight_scan_and_worker_prefilter_do_not_allocate() {
     // consume both digests so neither pass can be optimised away.
     std::hint::black_box((warm, digest));
 
-    // Shard worker: the batched prefilter — overlap collection, the
-    // gateway/device near cuts and the bucket-sweep candidate scan —
-    // over a generated 200-bus network with 48 frames in flight.
+    // Shard worker: a whole plan — overlap collection, the
+    // gateway/device near cuts, the bucket-sweep candidate scan and the
+    // per-receiver interferer walks — over a generated 200-bus network
+    // with 48 frames in flight.
     let mut worker = WorkerProbe::new(2020, 200, 48);
-    let warm = worker.prefilter();
+    let warm = worker.plan();
 
     let before = allocations();
-    let mut last = (0usize, 0.0f64);
+    let mut last = warm.clone();
     for _ in 0..32 {
-        last = worker.prefilter();
+        last = worker.plan();
     }
     let after = allocations();
     assert_eq!(
         after - before,
         0,
-        "worker batched prefilter allocated {} times in steady state",
+        "worker plan path allocated {} times in steady state",
         after - before
     );
-    assert_eq!(warm, last, "prefilter must be deterministic");
-    assert!(last.0 > 0, "probe scenario must have in-range candidates");
+    assert_eq!(warm, last, "plans must be deterministic");
+    assert!(
+        last.gateways > 0 && last.candidates > 0 && last.interferers > 0,
+        "probe scenario must have in-range receivers and interferers: {last:?}"
+    );
 }
