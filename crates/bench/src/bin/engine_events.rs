@@ -5,8 +5,11 @@
 //! a 20 000-bus metro-generator tier
 //! ([`mlora_bench::metro_throughput_config`]) and prints one JSON object
 //! per scenario with the processed-event count, wall-clock time,
-//! events/sec and the host's available parallelism (so a recorded
-//! artifact says on its face whether sharded tiers had real cores). The
+//! events/sec, the channel's reception counters (receptions resolved,
+//! frames heard, exact RSSI evaluations — the share of heard frames
+//! whose logarithms were actually taken is read off these) and the
+//! host's available parallelism (so a recorded artifact says on its
+//! face whether sharded tiers had real cores). The
 //! 2000- and 20 000-bus tiers are additionally measured with the
 //! spatially partitioned engine at 2 and 4 shards (the `_2shards` and
 //! `_4shards` rows), so the CI regression gate covers the parallel path
@@ -87,24 +90,24 @@ fn main() {
         // run, which is the standard wall-clock benching convention.
         let mut best_s = f64::INFINITY;
         let mut setup_s = f64::INFINITY;
-        let mut events = 0u64;
-        let _ = Engine::new(cfg.clone(), HARNESS_SEED).run_instrumented();
+        let (_, mut stats) = Engine::new(cfg.clone(), HARNESS_SEED).run_instrumented();
         for _ in 0..runs {
             let start = Instant::now();
             let engine = Engine::new(cfg.clone(), HARNESS_SEED);
             setup_s = setup_s.min(start.elapsed().as_secs_f64());
             let start = Instant::now();
-            let (_, stats) = engine.run_instrumented();
-            let elapsed = start.elapsed().as_secs_f64();
-            events = stats.events_processed;
-            best_s = best_s.min(elapsed);
+            (_, stats) = engine.run_instrumented();
+            best_s = best_s.min(start.elapsed().as_secs_f64());
         }
+        let events = stats.events_processed;
         let eps = events as f64 / best_s;
         let comma = if i + 1 < scenarios.len() { "," } else { "" };
         println!(
             "  {{\"scenario\": \"{name}\", \"events\": {events}, \
              \"setup_wall_s\": {setup_s:.4}, \"best_wall_s\": {best_s:.4}, \
-             \"events_per_sec\": {eps:.0}, \"host_threads\": {host_threads}}}{comma}"
+             \"events_per_sec\": {eps:.0}, \"receptions\": {}, \"frames_heard\": {}, \
+             \"rssi_evaluated\": {}, \"host_threads\": {host_threads}}}{comma}",
+            stats.receptions, stats.frames_heard, stats.rssi_evaluated
         );
     }
     println!("]");

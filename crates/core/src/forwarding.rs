@@ -1,6 +1,6 @@
 //! Per-device routing state and the three forwarding schemes (§VII.A.7).
 
-use mlora_phy::CapacityModel;
+use mlora_phy::{CapacityModel, Rssi};
 use mlora_simcore::{NodeId, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -318,18 +318,19 @@ impl RoutingState {
     ///
     /// `now` and `wait_s` (the duty-cycle wait an immediate transmission
     /// would face) feed the real-time metric preview; `queue_len` is the
-    /// device's current backlog and `rssi_dbm` the received strength of
-    /// the overheard frame (driving the Eq. 5–6 link metric). Takes
-    /// `&mut self` because policies may carry mutable per-device state
-    /// (spray budgets, timers); the shared estimators and ledger are
-    /// never mutated here.
-    pub fn decide(
+    /// device's current backlog and `rssi` the received strength of the
+    /// overheard frame (driving the Eq. 5–6 link metric) — a plain dBm
+    /// figure, or the channel's deferred [`Rssi`], which is evaluated
+    /// only if the policy reads it. Takes `&mut self` because policies
+    /// may carry mutable per-device state (spray budgets, timers); the
+    /// shared estimators and ledger are never mutated here.
+    pub fn decide<'r>(
         &mut self,
         now: SimTime,
         wait_s: f64,
         queue_len: usize,
         beacon: &Beacon,
-        rssi_dbm: f64,
+        rssi: impl Into<Rssi<'r>>,
     ) -> ForwardDecision {
         let RoutingState {
             config,
@@ -347,7 +348,7 @@ impl RoutingState {
             ca_estimator,
             ledger,
         );
-        policy.decide(&ctx, beacon, rssi_dbm)
+        policy.decide(&ctx, beacon, rssi.into())
     }
 }
 

@@ -42,6 +42,8 @@ pub use contact::{ContactTracker, RcaEtxEstimator};
 pub use ewma::Ewma;
 pub use forwarding::{Beacon, ForwardDecision, RoutingConfig, RoutingState, Scheme};
 pub use metric::{greedy_forward_rule, link_rca_etx, packet_service_time, RCA_ETX_CEILING};
+/// The deferred received-strength value [`ForwardingPolicy`] hooks take.
+pub use mlora_phy::Rssi;
 pub use policy::{
     CaEtxPolicy, ForwardingPolicy, NoRoutingPolicy, PolicyContext, PolicySpec, RcaEtxPolicy,
     RobcPolicy,

@@ -24,7 +24,7 @@
 //!
 //! ```
 //! use mlora_core::{
-//!     Beacon, ForwardingPolicy, PolicyContext, RoutingState, Scheme,
+//!     Beacon, ForwardingPolicy, PolicyContext, RoutingState, Rssi, Scheme,
 //! };
 //!
 //! /// Forward a fixed quota to any strictly better-connected neighbour.
@@ -38,7 +38,7 @@
 //!     fn clone_box(&self) -> Box<dyn ForwardingPolicy> {
 //!         Box::new(self.clone())
 //!     }
-//!     fn forwards(&mut self, ctx: &PolicyContext<'_>, beacon: &Beacon, _rssi_dbm: f64) -> bool {
+//!     fn forwards(&mut self, ctx: &PolicyContext<'_>, beacon: &Beacon, _rssi: Rssi<'_>) -> bool {
 //!         beacon.rca_etx < ctx.rca_etx()
 //!     }
 //!     fn transfer_amount(&self, _ctx: &PolicyContext<'_>, _beacon: &Beacon) -> usize {
@@ -46,11 +46,16 @@
 //!     }
 //! }
 //!
+//! // The beacon's strength arrives unevaluated; a policy that wants it
+//! // (for `ctx.link_rca_etx(rssi)`, say) pays for its logarithms by
+//! // reading `rssi.dbm()`, and one that ignores it, like this one, pays
+//! // nothing.
 //! let state = RoutingState::for_policy(Box::new(Quota(3)));
 //! assert_eq!(state.policy().label(), "quota");
 //! assert_eq!(state.config().scheme, Scheme::NoRouting); // default config
 //! ```
 
+use mlora_phy::Rssi;
 use mlora_simcore::{NodeId, SimTime};
 
 use crate::{
@@ -160,9 +165,14 @@ impl<'a> PolicyContext<'a> {
     }
 
     /// The Eq. 5–6 device-to-device link metric for a frame received at
-    /// `rssi_dbm`, seconds.
-    pub fn link_rca_etx(&self, rssi_dbm: f64) -> f64 {
-        link_rca_etx(rssi_dbm, &self.config.capacity, self.config.packet_bits)
+    /// `rssi` (a deferred [`Rssi`], evaluated here, or a plain dBm
+    /// figure), seconds.
+    pub fn link_rca_etx<'r>(&self, rssi: impl Into<Rssi<'r>>) -> f64 {
+        link_rca_etx(
+            rssi.into().dbm(),
+            &self.config.capacity,
+            self.config.packet_bits,
+        )
     }
 
     /// True if the anti-loop ledger currently bars `node` as a target.
@@ -202,10 +212,15 @@ pub trait ForwardingPolicy: std::fmt::Debug + Send + Sync {
         ctx.rca_etx()
     }
 
-    /// Whether an overheard `beacon` (received at `rssi_dbm`) should
-    /// trigger a handover to its sender. Called only with a non-empty
-    /// queue.
-    fn forwards(&mut self, ctx: &PolicyContext<'_>, beacon: &Beacon, rssi_dbm: f64) -> bool;
+    /// Whether an overheard `beacon` (received at strength `rssi`)
+    /// should trigger a handover to its sender. Called only with a
+    /// non-empty queue.
+    ///
+    /// The strength is a deferred value: [`Rssi::dbm`] (or
+    /// [`PolicyContext::link_rca_etx`], which calls it) evaluates the
+    /// channel model for this frame; a policy that decides without it
+    /// leaves it unevaluated.
+    fn forwards(&mut self, ctx: &PolicyContext<'_>, beacon: &Beacon, rssi: Rssi<'_>) -> bool;
 
     /// How many queued messages to move once
     /// [`ForwardingPolicy::forwards`] fired (the engine caps the result
@@ -222,9 +237,9 @@ pub trait ForwardingPolicy: std::fmt::Debug + Send + Sync {
         &mut self,
         ctx: &PolicyContext<'_>,
         beacon: &Beacon,
-        rssi_dbm: f64,
+        rssi: Rssi<'_>,
     ) -> ForwardDecision {
-        if ctx.queue_len() == 0 || !self.forwards(ctx, beacon, rssi_dbm) {
+        if ctx.queue_len() == 0 || !self.forwards(ctx, beacon, rssi) {
             return ForwardDecision::Keep;
         }
         // Clamp to both invariants the enum path always enforced: never
@@ -275,7 +290,7 @@ impl ForwardingPolicy for NoRoutingPolicy {
         Box::new(*self)
     }
 
-    fn forwards(&mut self, _ctx: &PolicyContext<'_>, _beacon: &Beacon, _rssi_dbm: f64) -> bool {
+    fn forwards(&mut self, _ctx: &PolicyContext<'_>, _beacon: &Beacon, _rssi: Rssi<'_>) -> bool {
         false
     }
 
@@ -307,9 +322,9 @@ impl ForwardingPolicy for CaEtxPolicy {
         ctx.ca_etx()
     }
 
-    fn forwards(&mut self, ctx: &PolicyContext<'_>, beacon: &Beacon, rssi_dbm: f64) -> bool {
+    fn forwards(&mut self, ctx: &PolicyContext<'_>, beacon: &Beacon, rssi: Rssi<'_>) -> bool {
         // Long-term statistics only: no real-time preview.
-        greedy_forward_rule(ctx.ca_etx(), beacon.rca_etx, ctx.link_rca_etx(rssi_dbm))
+        greedy_forward_rule(ctx.ca_etx(), beacon.rca_etx, ctx.link_rca_etx(rssi))
     }
 
     fn default_config(&self) -> RoutingConfig {
@@ -330,12 +345,8 @@ impl ForwardingPolicy for RcaEtxPolicy {
         Box::new(*self)
     }
 
-    fn forwards(&mut self, ctx: &PolicyContext<'_>, beacon: &Beacon, rssi_dbm: f64) -> bool {
-        greedy_forward_rule(
-            ctx.rca_etx_now(),
-            beacon.rca_etx,
-            ctx.link_rca_etx(rssi_dbm),
-        )
+    fn forwards(&mut self, ctx: &PolicyContext<'_>, beacon: &Beacon, rssi: Rssi<'_>) -> bool {
+        greedy_forward_rule(ctx.rca_etx_now(), beacon.rca_etx, ctx.link_rca_etx(rssi))
     }
 
     fn default_config(&self) -> RoutingConfig {
@@ -358,7 +369,7 @@ impl ForwardingPolicy for RobcPolicy {
         Box::new(*self)
     }
 
-    fn forwards(&mut self, ctx: &PolicyContext<'_>, beacon: &Beacon, _rssi_dbm: f64) -> bool {
+    fn forwards(&mut self, ctx: &PolicyContext<'_>, beacon: &Beacon, _rssi: Rssi<'_>) -> bool {
         if ctx.is_barred(beacon.sender) {
             return false;
         }
@@ -556,7 +567,7 @@ mod tests {
                 &mut self,
                 _ctx: &PolicyContext<'_>,
                 _beacon: &Beacon,
-                _rssi_dbm: f64,
+                _rssi: Rssi<'_>,
             ) -> bool {
                 true
             }
@@ -603,7 +614,7 @@ mod tests {
                 &mut self,
                 _ctx: &PolicyContext<'_>,
                 _beacon: &Beacon,
-                _rssi_dbm: f64,
+                _rssi: Rssi<'_>,
             ) -> bool {
                 false
             }

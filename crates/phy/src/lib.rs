@@ -8,6 +8,9 @@
 //!   1 % duty-cycle arithmetic in [`duty_cycle_wait`].
 //! * [`LogDistanceModel`] — log-distance path loss with shadowing
 //!   (path-loss exponent 2.32 per Petäjäjärvi et al., §VII.A.5).
+//! * [`RssiModel`] / [`Rssi`] — the same model for a receiver that
+//!   decides before it computes: table-bounded strengths, exact values
+//!   on demand.
 //! * [`CapacityModel`] — the RSSI→link-capacity mapping of Eq. 5.
 //! * [`resolve_collision`] — same-channel/same-SF collision with a 6 dB
 //!   capture margin.
@@ -26,4 +29,4 @@ pub use airtime::{
 pub use capacity::CapacityModel;
 pub use channel::{resolve_collision, CAPTURE_MARGIN_DB};
 pub use params::{Bandwidth, CodingRate, PhyParams, SpreadingFactor};
-pub use pathloss::LogDistanceModel;
+pub use pathloss::{LogDistanceModel, Rssi, RssiModel};

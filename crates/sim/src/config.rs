@@ -408,6 +408,7 @@ impl SimConfig {
             });
         }
         check_unit_interval("alpha", self.alpha, 0.0, 1.0)?;
+        self.validate_channel_model()?;
         if let Some(spec) = &self.policy {
             // Labels are the policy's identity in reports and sweep
             // cells; an empty one would collapse table rows.
@@ -457,6 +458,34 @@ impl SimConfig {
                 value: self.shards as f64,
                 lo: 1.0,
                 hi: MAX_SHARDS as f64,
+            });
+        }
+        Ok(())
+    }
+
+    /// The channel model's part of [`SimConfig::validate`]: the engine
+    /// tabulates these fields and compares what it computes from them,
+    /// so a NaN would panic the first reception and a negative σ would
+    /// silently disable shadowing.
+    fn validate_channel_model(&self) -> Result<(), ConfigError> {
+        let model = &self.path_loss;
+        for (field, value) in [
+            ("phy.tx_power_dbm", self.phy.tx_power_dbm),
+            ("path_loss.pl0_db", model.pl0_db),
+            ("path_loss.shadowing_sigma_db", model.shadowing_sigma_db),
+        ] {
+            if !value.is_finite() {
+                return Err(ConfigError::NotFinite { field, value });
+            }
+        }
+        check_unit_interval("path_loss.d0_m", model.d0_m, 0.0, f64::INFINITY)?;
+        check_unit_interval("path_loss.exponent", model.exponent, 0.0, f64::INFINITY)?;
+        if model.shadowing_sigma_db < 0.0 {
+            return Err(ConfigError::OutOfRange {
+                field: "path_loss.shadowing_sigma_db",
+                value: model.shadowing_sigma_db,
+                lo: 0.0,
+                hi: f64::INFINITY,
             });
         }
         Ok(())
@@ -592,6 +621,58 @@ mod tests {
     }
 
     #[test]
+    fn validation_covers_the_channel_model() {
+        let base = SimConfig::smoke_test(Scheme::NoRouting, Environment::Urban);
+        type Field = fn(&mut SimConfig) -> &mut f64;
+        let fields: [(&str, Field); 5] = [
+            ("phy.tx_power_dbm", |c| &mut c.phy.tx_power_dbm),
+            ("path_loss.pl0_db", |c| &mut c.path_loss.pl0_db),
+            ("path_loss.d0_m", |c| &mut c.path_loss.d0_m),
+            ("path_loss.exponent", |c| &mut c.path_loss.exponent),
+            ("path_loss.shadowing_sigma_db", |c| {
+                &mut c.path_loss.shadowing_sigma_db
+            }),
+        ];
+        for (name, field) in fields {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut c = base.clone();
+                *field(&mut c) = bad;
+                assert!(
+                    matches!(c.validate(), Err(ConfigError::NotFinite { field, .. }) if field == name),
+                    "{name} = {bad}: {:?}",
+                    c.validate()
+                );
+            }
+        }
+        // A reference distance and an exponent must be positive; σ may
+        // be zero (shadowing off) but not negative.
+        for (name, field, bad) in [
+            (fields[2].0, fields[2].1, 0.0),
+            (fields[2].0, fields[2].1, -1_000.0),
+            (fields[3].0, fields[3].1, 0.0),
+            (fields[3].0, fields[3].1, -2.32),
+            (fields[4].0, fields[4].1, -3.0),
+        ] {
+            let mut c = base.clone();
+            *field(&mut c) = bad;
+            assert_eq!(
+                c.validate(),
+                Err(ConfigError::OutOfRange {
+                    field: name,
+                    value: bad,
+                    lo: 0.0,
+                    hi: f64::INFINITY,
+                })
+            );
+        }
+        let mut c = base.clone();
+        c.path_loss.shadowing_sigma_db = 0.0;
+        c.phy.tx_power_dbm = -4.0;
+        c.path_loss.pl0_db = -10.0;
+        assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
     fn validation_covers_traffic_model() {
         let mut c = SimConfig::smoke_test(Scheme::NoRouting, Environment::Urban);
         c.traffic = crate::TrafficModel::mix([crate::TrafficProfile::telemetry().weight(-1.0)]);
@@ -602,7 +683,7 @@ mod tests {
 
     #[test]
     fn validation_covers_policy_labels() {
-        use mlora_core::{Beacon, ForwardingPolicy, PolicyContext, PolicySpec};
+        use mlora_core::{Beacon, ForwardingPolicy, PolicyContext, PolicySpec, Rssi};
 
         /// A policy whose label is whatever the test wants.
         #[derive(Debug, Clone)]
@@ -614,7 +695,7 @@ mod tests {
             fn clone_box(&self) -> Box<dyn ForwardingPolicy> {
                 Box::new(self.clone())
             }
-            fn forwards(&mut self, _: &PolicyContext<'_>, _: &Beacon, _: f64) -> bool {
+            fn forwards(&mut self, _: &PolicyContext<'_>, _: &Beacon, _: Rssi<'_>) -> bool {
                 false
             }
         }

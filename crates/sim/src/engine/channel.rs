@@ -5,11 +5,23 @@
 //! (fork 12 of the master seed — the stream the historical engine used,
 //! so an identically seeded run reproduces the golden fixtures bit for
 //! bit), the generational flight slab with its monotone creation
-//! sequence, and the per-receiver RSSI scratch buffer. Reception at any
-//! receiver — gateway or neighbouring device, in a serial or a sharded
-//! run — goes through one method, [`Channel::receive`], so the capture
-//! rule, the noise model and the RNG draw order have nowhere to drift
-//! apart.
+//! sequence, and the per-receiver scratch of audible frames. Reception
+//! at any receiver — gateway or neighbouring device, in a serial or a
+//! sharded run — goes through one method, [`Channel::receive`], so the
+//! capture rule, the noise model and the RNG draw order have nowhere to
+//! drift apart.
+//!
+//! A reception decides before it computes. What the bit-identity rule
+//! fixes is which RNG words are drawn, in which order, and what the
+//! reception decides — not how many logarithms are taken on the way.
+//! `receive` draws every audible frame's two words, bounds each
+//! frame's strength from three table lookups
+//! ([`RssiModel::bounds_dbm`]) and compares intervals; only a
+//! comparison the intervals leave open evaluates the two strengths
+//! involved, with the exact expressions in their historical order. The
+//! decoded frame's own strength leaves as a [`Strength`], evaluated if
+//! and when someone reads it (a gateway always does; of the built-in
+//! policies only the greedy ones do).
 //!
 //! Flight state is split hot/cold: the fields the interferer scan reads
 //! per overlapping flight (`seq`, `start`, `end`, `pos`, `sender`) live
@@ -29,8 +41,8 @@
 
 use mlora_geo::Point;
 use mlora_mac::UplinkFrame;
-use mlora_phy::{resolve_collision, LogDistanceModel, CAPTURE_MARGIN_DB};
-use mlora_simcore::{NodeId, SimDuration, SimRng, SimTime, Slab, SlabKey};
+use mlora_phy::{LogDistanceModel, Rssi, RssiModel, CAPTURE_MARGIN_DB};
+use mlora_simcore::{NodeId, NormalDraw, SimDuration, SimRng, SimTime, Slab, SlabKey};
 
 use super::comm::PlannedInterferer;
 use crate::disruption::NoiseBurst;
@@ -153,12 +165,31 @@ impl FlightColumns {
     }
 }
 
+/// One audible frame at the receiver under resolution: how far its
+/// sender is and the shadowing words drawn for it (`None` when
+/// shadowing is disabled).
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Heard {
+    distance_m: f64,
+    draw: Option<NormalDraw>,
+}
+
+/// The strength of a decoded frame, as resolution left it: already
+/// evaluated when a comparison needed the exact value, otherwise still
+/// the link, the words and the receiver's noise penalty.
+/// [`Channel::rssi`] turns it into the value a reader evaluates.
+#[derive(Debug, Clone, Copy)]
+pub(super) enum Strength {
+    Known(f64),
+    Deferred(Heard, f64),
+}
+
 /// What one receiver heard of a subject frame.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Reception {
-    /// `Some(rssi)` when the subject frame decoded at this receiver
+    /// `Some(strength)` when the subject frame decoded at this receiver
     /// (it won capture over every time-overlapping frame).
-    pub(super) rssi: Option<f64>,
+    pub(super) rssi: Option<Strength>,
     /// True when the subject frame was audible here but lost to
     /// same-channel interference — the collision-counter condition.
     pub(super) interfered: bool,
@@ -186,18 +217,22 @@ pub(super) struct Channel {
     /// Scratch: the subset of `scratch_overlaps` close enough to the
     /// sender to be audible at *some* device receiver.
     pub(super) scratch_near_overlaps: Vec<(u64, Point)>,
-    /// Scratch: per-receiver collision candidates as `(seq, rssi)`.
-    scratch_rssi: Vec<(u64, f64)>,
+    /// Scratch: the frames audible at the receiver under resolution,
+    /// in creation order.
+    scratch_heard: Vec<Heard>,
     /// Indices of currently active noise bursts, in activation order.
     active_noise: Vec<u32>,
     /// The scenario's noise-burst table (indexed by `active_noise`).
     noise_bursts: Vec<NoiseBurst>,
-    /// Path-loss + shadowing model.
-    path_loss: LogDistanceModel,
+    /// Path loss and shadowing at the configured transmit power.
+    model: RssiModel,
     /// Decode sensitivity, dBm.
     sensitivity_dbm: f64,
-    /// Transmit power, dBm.
-    tx_power_dbm: f64,
+    /// Receptions resolved and audible frames drawn for so far. Host
+    /// telemetry, like the model's evaluation count: not checkpointed,
+    /// a resumed engine counts from zero.
+    receptions: u64,
+    frames_heard: u64,
 }
 
 impl Channel {
@@ -217,13 +252,22 @@ impl Channel {
             flight_retention,
             scratch_overlaps: Vec::new(),
             scratch_near_overlaps: Vec::new(),
-            scratch_rssi: Vec::new(),
+            scratch_heard: Vec::new(),
             active_noise: Vec::new(),
             noise_bursts,
-            path_loss,
+            model: RssiModel::new(path_loss, tx_power_dbm),
             sensitivity_dbm,
-            tx_power_dbm,
+            receptions: 0,
+            frames_heard: 0,
         }
+    }
+
+    /// `(receptions, frames_heard, rssi_evaluated)`: receptions resolved,
+    /// audible frames drawn for, and exact strengths evaluated — by a
+    /// comparison the bounds left open or by a reader of the decoded
+    /// value (see [`EngineStats`](super::EngineStats)).
+    pub(super) fn reception_counts(&self) -> (u64, u64, u64) {
+        (self.receptions, self.frames_heard, self.model.evaluations())
     }
 
     /// The legacy per-device generation-phase draw. The paper-default
@@ -434,24 +478,23 @@ impl Channel {
     }
 
     /// Resolves reception of the subject frame `flight_seq` at one
-    /// receiver: one shadowed RSSI per audible frame (one RNG draw each,
-    /// in creation order — identical for gateway and device receivers),
-    /// any regional noise at the receiver applied, then capture-model
-    /// collision resolution over the audible set.
+    /// receiver: two RNG words per audible frame (in creation order —
+    /// identical for gateway and device receivers; none when shadowing
+    /// is disabled), any regional noise at the receiver applied, then
+    /// capture-model collision resolution over the audible set
+    /// ([`Channel::resolve`]).
     ///
     /// The audible set arrives in two parts: `planned`, the interferers
     /// a shard worker already range-checked, ascending by sequence with
-    /// their mean RSSI computed, then `overlaps`, the frames nothing was
-    /// precomputed for — `(seq, position)`, sequence numbers above every
-    /// planned one, range-checked here. A serial run passes an empty
-    /// `planned` and its whole overlap scan; a sharded run the plan's
-    /// slice and the frames launched after the plan was requested. The
-    /// concatenation is the ascending-sequence draw order either way,
-    /// and a mean recombines with its draw via
-    /// [`LogDistanceModel::compose_rssi_dbm`] bit-identically to the
-    /// fused [`LogDistanceModel::sample_rssi_dbm_attenuated`], so where
-    /// a mean was computed shows neither in the result nor in the RNG
-    /// stream (`precomputed_means_never_change_a_reception`).
+    /// their distance from the receiver, then `overlaps`, the frames
+    /// nothing was precomputed for — `(seq, position)`, sequence numbers
+    /// above every planned one, range-checked here. A serial run passes
+    /// an empty `planned` and its whole overlap scan; a sharded run the
+    /// plan's slice and the frames launched after the plan was
+    /// requested. The concatenation is the ascending-sequence draw order
+    /// either way, so where a distance was computed shows neither in the
+    /// result nor in the RNG stream
+    /// (`planned_distances_never_change_a_reception`).
     pub(super) fn receive(
         &mut self,
         planned: &[PlannedInterferer],
@@ -461,30 +504,116 @@ impl Channel {
         flight_seq: u64,
     ) -> Reception {
         let noise_db = self.noise_penalty_at(at);
-        self.scratch_rssi.clear();
-        let mut flight_rssi = None;
+        self.scratch_heard.clear();
+        let mut subject = None;
         // Two plain loops against `self`'s fields, on purpose: chained
         // iterators or a closure copy the model into locals, which cost
         // the rejection loop below its register for `range` — +2.6 % on
         // `metro_20k` (EXPERIMENTS.md, "One reception path").
-        for &(seq, mean_dbm) in planned {
-            let rssi = self.hear(seq, mean_dbm, noise_db);
+        for &(seq, distance_m) in planned {
             if seq == flight_seq {
-                flight_rssi = Some(rssi);
+                subject = Some(self.scratch_heard.len());
             }
+            self.add_audible(distance_m);
         }
         for &(seq, pos) in overlaps {
-            let dist = at.distance(pos);
-            if dist > range {
+            let distance_m = at.distance(pos);
+            if distance_m > range {
                 continue;
             }
-            let mean_dbm = self.path_loss.mean_rssi_dbm(self.tx_power_dbm, dist);
-            let rssi = self.hear(seq, mean_dbm, noise_db);
             if seq == flight_seq {
-                flight_rssi = Some(rssi);
+                subject = Some(self.scratch_heard.len());
+            }
+            self.add_audible(distance_m);
+        }
+        self.receptions += 1;
+        self.frames_heard += self.scratch_heard.len() as u64;
+        match subject {
+            Some(subject) => self.resolve(subject, noise_db),
+            // The subject itself is out of range here.
+            None => Reception {
+                rssi: None,
+                interfered: false,
+            },
+        }
+    }
+
+    /// Adds a frame `distance_m` away to the audible set, with its
+    /// shadowing words fresh off the stream.
+    #[inline]
+    fn add_audible(&mut self, distance_m: f64) {
+        let draw = self.model.path_loss().shadow_draw(&mut self.rng);
+        self.scratch_heard.push(Heard { distance_m, draw });
+    }
+
+    /// Capture-model resolution of audible frame `subject` over the
+    /// collected set: it decodes iff it is at or above sensitivity and
+    /// at least [`CAPTURE_MARGIN_DB`] above every other audible frame —
+    /// the condition under which [`mlora_phy::resolve_collision`] over
+    /// the exact strengths returns it (a frame that is not the strict
+    /// maximum has some difference ≤ 0, below any positive margin).
+    ///
+    /// Each comparison is made on table bounds first. One they leave
+    /// open evaluates both sides exactly and repeats the historical
+    /// float comparison; the subject, once evaluated, stays exact.
+    fn resolve(&self, subject: usize, noise_db: f64) -> Reception {
+        let model = &self.model;
+        let heard = &self.scratch_heard;
+        let lost = Reception {
+            rssi: None,
+            interfered: heard.len() > 1,
+        };
+        // Copied out, and its fields passed one by one, on purpose: with
+        // the entry borrowed (or the calls below wrapped in closures over
+        // `&Heard`) LLVM reloads the entry the push just stored with
+        // 16-byte loads, which the 8-byte stores cannot forward to —
+        // 11 ns on a lone reception that otherwise takes 19.
+        let s = heard[subject];
+        let (mut s_lo, mut s_hi) = model.bounds_dbm(s.distance_m, s.draw, noise_db);
+        let mut known = None;
+        if s_hi < self.sensitivity_dbm {
+            return lost;
+        }
+        if s_lo < self.sensitivity_dbm {
+            let rssi = model.rssi_dbm(s.distance_m, s.draw, noise_db);
+            if rssi < self.sensitivity_dbm {
+                return lost;
+            }
+            (s_lo, s_hi, known) = (rssi, rssi, Some(rssi));
+        }
+        for (i, o) in heard.iter().enumerate() {
+            if i == subject {
+                continue;
+            }
+            let (o_lo, o_hi) = model.bounds_dbm(o.distance_m, o.draw, noise_db);
+            if s_lo - o_hi >= CAPTURE_MARGIN_DB {
+                continue;
+            }
+            if s_hi - o_lo < CAPTURE_MARGIN_DB {
+                return lost;
+            }
+            let rssi = *known.get_or_insert_with(|| model.rssi_dbm(s.distance_m, s.draw, noise_db));
+            (s_lo, s_hi) = (rssi, rssi);
+            let captured =
+                rssi - model.rssi_dbm(o.distance_m, o.draw, noise_db) >= CAPTURE_MARGIN_DB;
+            if !captured {
+                return lost;
             }
         }
-        self.resolve_reception(flight_seq, flight_rssi)
+        Reception {
+            rssi: Some(known.map_or(Strength::Deferred(s, noise_db), Strength::Known)),
+            interfered: false,
+        }
+    }
+
+    /// The value of a decoded frame's strength, evaluated when read.
+    pub(super) fn rssi(&self, strength: Strength) -> Rssi<'_> {
+        match strength {
+            Strength::Known(dbm) => Rssi::from(dbm),
+            Strength::Deferred(heard, noise_db) => {
+                self.model.deferred(heard.distance_m, heard.draw, noise_db)
+            }
+        }
     }
 
     /// The channel's checkpoint state: the shadowing-stream RNG words,
@@ -538,46 +667,22 @@ impl Channel {
         self.next_flight_seq = next_flight_seq;
         self.active_noise = active_noise;
     }
-
-    /// Adds frame `seq` to the audible set: its mean RSSI here, one
-    /// fresh shadowing draw and the receiver's noise penalty.
-    #[inline]
-    fn hear(&mut self, seq: u64, mean_dbm: f64, noise_db: f64) -> f64 {
-        let shadow_db = self.path_loss.shadow_db(&mut self.rng);
-        let rssi = LogDistanceModel::compose_rssi_dbm(mean_dbm, shadow_db, noise_db);
-        self.scratch_rssi.push((seq, rssi));
-        rssi
-    }
-
-    /// Capture-model resolution over the collected audible set.
-    fn resolve_reception(&mut self, flight_seq: u64, flight_rssi: Option<f64>) -> Reception {
-        let decoded = matches!(
-            resolve_collision(&self.scratch_rssi, self.sensitivity_dbm, CAPTURE_MARGIN_DB),
-            Some(winner) if winner == flight_seq
-        );
-        let interfered = !decoded && self.scratch_rssi.len() > 1 && flight_rssi.is_some();
-        Reception {
-            rssi: if decoded {
-                Some(flight_rssi.expect("winner has an RSSI"))
-            } else {
-                None
-            },
-            interfered,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlora_phy::{resolve_collision, SpreadingFactor};
 
     const TX_DBM: f64 = 14.0;
     const SENSITIVITY_DBM: f64 = -123.0;
     const RANGE_M: f64 = 500.0;
+    const ORIGIN: Point = Point::new(0.0, 0.0);
+    const NOISE_DB: f64 = 7.5;
 
-    /// A channel with one noise burst active over the receiver at the
-    /// origin (and a second, active one that does not reach it).
-    fn noisy_channel() -> Channel {
+    /// A channel whose burst 0 covers the receiver at the origin when
+    /// active; burst 1, always active, never reaches it.
+    fn channel(path_loss: LogDistanceModel, sensitivity_dbm: f64, seed: u64) -> Channel {
         let burst = |x: f64, extra_loss_db: f64| NoiseBurst {
             center: Point::new(x, 0.0),
             radius_m: 150.0,
@@ -586,32 +691,59 @@ mod tests {
             extra_loss_db,
         };
         let mut channel = Channel::new(
-            SimRng::new(2020).fork(12),
+            SimRng::new(seed).fork(12),
             SimDuration::from_secs(2),
-            vec![burst(40.0, 7.5), burst(5_000.0, 30.0)],
-            LogDistanceModel::paper_default(),
-            SENSITIVITY_DBM,
+            vec![burst(40.0, NOISE_DB), burst(5_000.0, 30.0)],
+            path_loss,
+            sensitivity_dbm,
             TX_DBM,
         );
-        channel.noise_start(0);
         channel.noise_start(1);
         channel
     }
 
-    fn bits(r: Reception) -> (Option<u64>, bool) {
-        (r.rssi.map(f64::to_bits), r.interfered)
+    /// What the differential tests compare: the decoded strength's bits
+    /// (evaluated, as a reader would) and the collision flag.
+    fn outcome(channel: &Channel, r: Reception) -> (Option<u64>, bool) {
+        (
+            r.rssi.map(|s| channel.rssi(s).dbm().to_bits()),
+            r.interfered,
+        )
     }
 
-    /// The identity the single reception path rests on: where an
-    /// interferer's mean RSSI was computed — ahead of time by a shard
-    /// worker, or on the spot from its position — shows neither in the
-    /// outcome nor in the RNG stream.
+    /// The fused reference: one `sample_rssi_dbm_attenuated` per audible
+    /// frame in creation order, then `resolve_collision` over the lot.
+    fn reference(
+        path_loss: &LogDistanceModel,
+        sensitivity_dbm: f64,
+        audible: &[(u64, f64)],
+        noise_db: f64,
+        subject: u64,
+        rng: &mut SimRng,
+        fused: &mut Vec<(u64, f64)>,
+    ) -> (Option<u64>, bool) {
+        fused.clear();
+        for &(seq, distance_m) in audible {
+            let rssi = path_loss.sample_rssi_dbm_attenuated(TX_DBM, distance_m, noise_db, rng);
+            fused.push((seq, rssi));
+        }
+        let subject_rssi = fused.iter().find(|&&(seq, _)| seq == subject);
+        let decoded = resolve_collision(fused, sensitivity_dbm, CAPTURE_MARGIN_DB) == Some(subject);
+        match subject_rssi {
+            Some(&(_, rssi)) if decoded => (Some(rssi.to_bits()), false),
+            Some(_) => (None, fused.len() > 1),
+            None => (None, false),
+        }
+    }
+
+    /// Where an audible frame's distance was computed — ahead of time by
+    /// a shard worker, or on the spot from its position — shows neither
+    /// in the outcome nor in the RNG stream.
     #[test]
-    fn precomputed_means_never_change_a_reception() {
-        let at = Point::new(0.0, 0.0);
+    fn planned_distances_never_change_a_reception() {
         // Eight overlapping frames in creation order, two of them out of
         // the receiver's range.
-        let audible = [
+        let frames = [
             (3, Point::new(100.0, 0.0)),
             (5, Point::new(900.0, 0.0)),
             (8, Point::new(0.0, 200.0)),
@@ -621,60 +753,324 @@ mod tests {
             (17, Point::new(450.0, 0.0)),
             (20, Point::new(-200.0, -300.0)),
         ];
-        let in_range = |&(_, pos): &(u64, Point)| at.distance(pos) <= RANGE_M;
-        let n_in_range = audible.iter().filter(|f| in_range(f)).count();
-        assert_eq!(n_in_range, 6);
+        let in_range = |&(_, pos): &(u64, Point)| ORIGIN.distance(pos) <= RANGE_M;
+        let audible: Vec<(u64, f64)> = frames
+            .iter()
+            .filter(|f| in_range(f))
+            .map(|&(seq, pos)| (seq, ORIGIN.distance(pos)))
+            .collect();
+        assert_eq!(audible.len(), 6);
         let model = LogDistanceModel::paper_default();
 
-        // Two subjects from the middle of the list: the nearest frame,
-        // which captures the receiver, and a distant one, which is lost
-        // to interference.
-        for (subject, decodes) in [(9, true), (12, false)] {
-            // The reference: the fused sampling loop of `mlora-phy`, one
-            // draw per in-range frame in creation order.
-            let mut reference = noisy_channel();
-            let noise_db = reference.noise_penalty_at(at);
-            assert_eq!(noise_db, 7.5, "exactly one burst covers the receiver");
+        // Two subjects from the middle of the list, the nearest frame
+        // and a distant one, with and without noise over the receiver,
+        // and one that is out of range itself.
+        for (subject, noisy) in [(9, true), (12, true), (9, false), (12, false), (13, true)] {
+            let noise_db = if noisy { NOISE_DB } else { 0.0 };
             let mut rng = SimRng::new(2020).fork(12);
-            let fused: Vec<(u64, f64)> = audible
-                .iter()
-                .filter(|f| in_range(f))
-                .map(|&(seq, pos)| {
-                    let dist = at.distance(pos);
-                    let rssi = model.sample_rssi_dbm_attenuated(TX_DBM, dist, noise_db, &mut rng);
-                    (seq, rssi)
-                })
-                .collect();
-            let winner = resolve_collision(&fused, SENSITIVITY_DBM, CAPTURE_MARGIN_DB);
-            assert_eq!(winner == Some(subject), decodes);
-            let subject_rssi = fused.iter().find(|&&(seq, _)| seq == subject).unwrap().1;
-            let expected = (decodes.then(|| subject_rssi.to_bits()), !decodes);
-
-            let unplanned = reference.receive(&[], &audible, at, RANGE_M, subject);
-            assert_eq!(bits(unplanned), expected);
-            assert_eq!(reference.rng.state(), rng.state());
+            let expected = reference(
+                &model,
+                SENSITIVITY_DBM,
+                &audible,
+                noise_db,
+                subject,
+                &mut rng,
+                &mut Vec::new(),
+            );
+            if subject == 13 {
+                assert_eq!(expected, (None, false));
+            }
 
             // Every split point: the first `k` in-range frames handed
-            // over as precomputed means, everything after them as
-            // positions.
-            for k in 0..=n_in_range {
-                let cut = audible
+            // over as planned distances, everything after them as
+            // positions (`k = 0` is the serial run).
+            for k in 0..=audible.len() {
+                let cut = frames
                     .iter()
                     .enumerate()
                     .filter(|(_, f)| in_range(f))
                     .nth(k)
-                    .map_or(audible.len(), |(i, _)| i);
-                let planned: Vec<PlannedInterferer> = audible[..cut]
-                    .iter()
-                    .filter(|f| in_range(f))
-                    .map(|&(seq, pos)| (seq, model.mean_rssi_dbm(TX_DBM, at.distance(pos))))
-                    .collect();
-                assert_eq!(planned.len(), k);
-                let mut channel = noisy_channel();
-                let split = channel.receive(&planned, &audible[cut..], at, RANGE_M, subject);
-                assert_eq!(bits(split), expected, "subject {subject}, split at {k}");
+                    .map_or(frames.len(), |(i, _)| i);
+                let mut channel = channel(model, SENSITIVITY_DBM, 2020);
+                if noisy {
+                    channel.noise_start(0);
+                }
+                assert_eq!(channel.noise_penalty_at(ORIGIN), noise_db);
+                let split =
+                    channel.receive(&audible[..k], &frames[cut..], ORIGIN, RANGE_M, subject);
+                assert_eq!(
+                    outcome(&channel, split),
+                    expected,
+                    "subject {subject}, noisy {noisy}, split at {k}"
+                );
                 assert_eq!(channel.rng.state(), rng.state(), "RNG, split at {k}");
+                let (receptions, frames_heard, evaluated) = channel.reception_counts();
+                assert_eq!((receptions, frames_heard), (1, audible.len() as u64));
+                assert!(evaluated <= frames_heard);
             }
         }
+    }
+
+    /// The identity the reception path rests on, at volume: a million
+    /// random receptions — 1–12 frames, some out of range, any planned /
+    /// unplanned split, noise on and off, shadowing on and off, every
+    /// spreading factor's sensitivity — decide exactly what the fused
+    /// reference decides, report the same strength bit for bit and leave
+    /// the RNG stream where the reference leaves it.
+    #[test]
+    fn receive_matches_the_fused_reference() {
+        const RECEPTIONS_PER_CHANNEL: usize = 84_000;
+        let mut pick = SimRng::new(0x5eed);
+        let mut frames: Vec<(u64, Point)> = Vec::new();
+        let mut audible: Vec<(u64, f64)> = Vec::new();
+        let mut fused: Vec<(u64, f64)> = Vec::new();
+        let (mut total, mut decoded, mut collided, mut out_of_range) = (0u64, 0u64, 0u64, 0u64);
+        let (mut heard, mut evaluated) = (0u64, 0u64);
+        for path_loss in [
+            LogDistanceModel::paper_default(),
+            LogDistanceModel::deterministic(),
+        ] {
+            for sf in [
+                SpreadingFactor::Sf7,
+                SpreadingFactor::Sf8,
+                SpreadingFactor::Sf9,
+                SpreadingFactor::Sf10,
+                SpreadingFactor::Sf11,
+                SpreadingFactor::Sf12,
+            ] {
+                let sensitivity_dbm = sf.sensitivity_dbm();
+                // SF7 hears 500 m comfortably; scale the geometry with
+                // the link budget so every sensitivity sees close calls.
+                let range = 0.4 * path_loss.range_for_sensitivity_m(TX_DBM, sensitivity_dbm);
+                let seed = pick.gen_u64();
+                let mut channel = channel(path_loss, sensitivity_dbm, seed);
+                let mut rng = SimRng::new(seed).fork(12);
+                let mut noisy = false;
+                for _ in 0..RECEPTIONS_PER_CHANNEL {
+                    if pick.gen_bool(0.05) {
+                        noisy = !noisy;
+                        if noisy {
+                            channel.noise_start(0);
+                        } else {
+                            channel.noise_end(0);
+                        }
+                    }
+                    let noise_db = if noisy { NOISE_DB } else { 0.0 };
+                    // The receiver stays inside burst 0's disc; frames
+                    // land on a disc a little wider than the range.
+                    let at = Point::new(pick.gen_range_f64(-60.0, 60.0), 0.0);
+                    let n = pick.gen_range_u64(1, 13) as usize;
+                    frames.clear();
+                    audible.clear();
+                    for i in 0..n {
+                        let r = range * 1.15 * pick.gen_range_f64(0.0, 1.0).sqrt();
+                        let phi = pick.gen_range_f64(0.0, std::f64::consts::TAU);
+                        let pos = Point::new(at.x + r * phi.cos(), at.y + r * phi.sin());
+                        let seq = 7 + 3 * i as u64;
+                        frames.push((seq, pos));
+                        if at.distance(pos) <= range {
+                            audible.push((seq, at.distance(pos)));
+                        }
+                    }
+                    let subject = frames[pick.gen_range_u64(0, n as u64) as usize].0;
+                    let expected = reference(
+                        &path_loss,
+                        sensitivity_dbm,
+                        &audible,
+                        noise_db,
+                        subject,
+                        &mut rng,
+                        &mut fused,
+                    );
+                    // A random prefix of the audible frames arrives as
+                    // planned distances, the rest as positions.
+                    let k = pick.gen_range_u64(0, audible.len() as u64 + 1) as usize;
+                    let cut = match audible.get(k) {
+                        Some(&(seq, _)) => frames.iter().position(|f| f.0 == seq).unwrap(),
+                        None => frames.len(),
+                    };
+                    let got = channel.receive(&audible[..k], &frames[cut..], at, range, subject);
+                    assert_eq!(
+                        outcome(&channel, got),
+                        expected,
+                        "{sf:?}, sigma {}, frames {frames:?}, subject {subject}, split {k}",
+                        path_loss.shadowing_sigma_db
+                    );
+                    assert_eq!(channel.rng.state(), rng.state());
+                    total += 1;
+                    decoded += expected.0.is_some() as u64;
+                    collided += expected.1 as u64;
+                    out_of_range += audible.iter().all(|&(seq, _)| seq != subject) as u64;
+                }
+                let (receptions, frames_heard, rssi_evaluated) = channel.reception_counts();
+                assert_eq!(receptions, RECEPTIONS_PER_CHANNEL as u64);
+                assert!(rssi_evaluated <= frames_heard);
+                heard += frames_heard;
+                evaluated += rssi_evaluated;
+            }
+        }
+        // The mix is worth the name: a million receptions, every outcome
+        // well represented — and even with each decoded strength read,
+        // most frames heard were never evaluated.
+        assert!(total >= 1_000_000);
+        for (what, count) in [
+            ("decoded", decoded),
+            ("collided", collided),
+            ("out of range", out_of_range),
+        ] {
+            assert!(count > total / 20, "only {count} receptions {what}");
+        }
+        assert!(2 * evaluated < heard, "{evaluated} of {heard} evaluated");
+    }
+
+    /// The smallest distance in `[lo, hi]` at which `f`, non-decreasing
+    /// in the distance, reaches `target`: bisection over the floats'
+    /// bit patterns, which order as the floats do.
+    fn distance_reaching(f: impl Fn(f64) -> f64, target: f64, lo: f64, hi: f64) -> f64 {
+        assert!(f(lo) < target && f(hi) >= target);
+        let (mut below, mut reached) = (lo.to_bits(), hi.to_bits());
+        while reached - below > 1 {
+            let mid = below + (reached - below) / 2;
+            if f(f64::from_bits(mid)) >= target {
+                reached = mid;
+            } else {
+                below = mid;
+            }
+        }
+        f64::from_bits(reached)
+    }
+
+    /// Receptions only the exact fallback can get right: the subject
+    /// within an ulp, 10⁻¹⁰ dB and 10⁻⁶ dB of the sensitivity, and of the
+    /// capture margin over one interferer — and exactly on both.
+    #[test]
+    fn thresholds_are_decided_exactly() {
+        let offsets = |x: f64| {
+            [
+                x,
+                x.next_up(),
+                x.next_down(),
+                x + 1e-10,
+                x - 1e-10,
+                x + 1e-6,
+                x - 1e-6,
+            ]
+        };
+        let mut fused = Vec::new();
+        let (mut cases, mut on_the_margin) = (0, 0);
+        for path_loss in [
+            LogDistanceModel::deterministic(),
+            LogDistanceModel::paper_default(),
+        ] {
+            for (seed, subject_m, noisy) in [
+                (1, 83.0, false),
+                (2, 310.5, true),
+                (3, 1_250.0, false),
+                (4, 77.7, true),
+                (5, 4_000.0, true),
+            ] {
+                let noise_db = if noisy { NOISE_DB } else { 0.0 };
+                let noisy_channel = |sensitivity_dbm: f64| {
+                    let mut channel = channel(path_loss, sensitivity_dbm, seed);
+                    if noisy {
+                        channel.noise_start(0);
+                    }
+                    channel
+                };
+                let model = RssiModel::new(path_loss, TX_DBM);
+                let stream = || SimRng::new(seed).fork(12);
+
+                // Alone, against a sensitivity placed around its own
+                // exact strength.
+                let exact = path_loss.sample_rssi_dbm_attenuated(
+                    TX_DBM,
+                    subject_m,
+                    noise_db,
+                    &mut stream(),
+                );
+                for sensitivity_dbm in offsets(exact) {
+                    let mut channel = noisy_channel(sensitivity_dbm);
+                    let got = channel.receive(&[(0, subject_m)], &[], ORIGIN, 1e4, 0);
+                    let decodes = exact >= sensitivity_dbm;
+                    assert_eq!(
+                        outcome(&channel, got),
+                        (decodes.then(|| exact.to_bits()), false),
+                        "sensitivity {sensitivity_dbm:e} against {exact:e}"
+                    );
+                    assert_eq!(channel.reception_counts().2, 1, "bounds cannot decide this");
+                    cases += 1;
+                }
+
+                // Against one interferer, created before or after the
+                // subject (which fixes whose words are drawn first),
+                // placed so the exact difference lands around the margin.
+                for subject_first in [true, false] {
+                    let mut rng = stream();
+                    let mut draws = [
+                        path_loss.shadow_draw(&mut rng),
+                        path_loss.shadow_draw(&mut rng),
+                    ];
+                    if !subject_first {
+                        draws.swap(0, 1);
+                    }
+                    let [subject_draw, other_draw] = draws;
+                    let subject_dbm = model.rssi_dbm(subject_m, subject_draw, noise_db);
+                    let difference =
+                        |other_m: f64| subject_dbm - model.rssi_dbm(other_m, other_draw, noise_db);
+                    for target in offsets(CAPTURE_MARGIN_DB) {
+                        let other_m = distance_reaching(difference, target, 1.0, 1e7);
+                        assert!(
+                            difference(other_m) - target < 1e-12,
+                            "{}",
+                            difference(other_m)
+                        );
+                        on_the_margin += (difference(other_m) == CAPTURE_MARGIN_DB) as u32;
+                        // The distance found and its neighbour just short
+                        // of the target.
+                        for other_m in [other_m, other_m.next_down()] {
+                            let planned = if subject_first {
+                                [(0, subject_m), (1, other_m)]
+                            } else {
+                                [(1, other_m), (0, subject_m)]
+                            };
+                            let expected = reference(
+                                &path_loss,
+                                -200.0,
+                                &planned,
+                                noise_db,
+                                0,
+                                &mut stream(),
+                                &mut fused,
+                            );
+                            let captured = difference(other_m) >= CAPTURE_MARGIN_DB;
+                            assert_eq!(
+                                expected,
+                                (captured.then(|| subject_dbm.to_bits()), !captured)
+                            );
+                            let mut channel = noisy_channel(-200.0);
+                            let got = channel.receive(&planned, &[], ORIGIN, 1e7, 0);
+                            assert_eq!(
+                                outcome(&channel, got),
+                                expected,
+                                "difference {:e} against the margin",
+                                difference(other_m)
+                            );
+                            assert_eq!(channel.rng.state(), rng.state());
+                            assert_eq!(
+                                channel.reception_counts().2,
+                                2,
+                                "bounds cannot decide this"
+                            );
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 2 * 5 * (7 + 2 * 7 * 2));
+        assert!(
+            on_the_margin >= 10,
+            "only {on_the_margin} differences of exactly the margin"
+        );
     }
 }

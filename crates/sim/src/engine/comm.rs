@@ -18,16 +18,21 @@
 //! * when a frame launches inside a worker's own tiles, the worker
 //!   computes its [`FlightPlan`]: the exact in-range gateway and
 //!   neighbour-candidate sets at the transmission-end instant, plus the
-//!   *deterministic mean* RSSI of every in-range interfering flight —
+//!   distance of every in-range interfering flight from each receiver —
 //!   everything `Channel::receive` needs except the shadowing draws.
+//!   (Distances, not mean strengths: the commit thread bounds a
+//!   strength from its distance by table and evaluates a mean for the
+//!   few percent of frames whose comparison is close, so a logarithm
+//!   per planned pair would be computed here to be read there almost
+//!   never.)
 //!
 //! The commit thread consumes the plan at the transmission-end event
 //! through the resolve step a serial run uses — a serial run is the
 //! case where nothing was precomputed: state-dependent filters (device
 //! liveness, half-duplex, device class, gateway outages), the per-pair
 //! shadowing draws in the canonical receiver × flight order, capture
-//! resolution and all mutation. A planned mean recombined with its draw
-//! is the float the serial scan computes (`Channel::receive`'s
+//! resolution and all mutation. A planned distance is the float the
+//! serial scan computes from the same two positions (`Channel::receive`'s
 //! split-point unit test), and the draws leave the same stream in the
 //! same order, so a sharded run is **bit-identical to the serial engine
 //! for any shard count** — the property `tests/partition_properties.rs`
@@ -52,7 +57,6 @@ use std::time::Duration;
 
 use mlora_geo::{GridIndex, Point};
 use mlora_mobility::BusNetwork;
-use mlora_phy::LogDistanceModel;
 use mlora_simcore::{NodeId, SimDuration, SimTime};
 
 use super::partition::Partition;
@@ -102,8 +106,8 @@ pub enum EdgeMessage {
 }
 
 /// An in-range interferer of one planned receiver: the flight's
-/// canonical sequence number and the deterministic mean RSSI (dBm) of
-/// its signal at the receiver — everything but the shadowing draw.
+/// canonical sequence number and its sender's distance from the
+/// receiver, metres.
 pub type PlannedInterferer = (u64, f64);
 
 /// One in-range gateway in a [`FlightPlan`], with its interferer slice.
@@ -272,11 +276,6 @@ pub(crate) struct ShardParams {
     pub(crate) d2d_range_m: f64,
     /// Device-to-gateway range, metres.
     pub(crate) gateway_range_m: f64,
-    /// Transmit power, dBm.
-    pub(crate) tx_power_dbm: f64,
-    /// Path-loss model (means only; the shadowing draws stay on the
-    /// commit thread).
-    pub(crate) path_loss: LogDistanceModel,
     /// How long an ended flight stays interference-relevant.
     pub(crate) flight_retention: SimDuration,
 }
@@ -654,9 +653,7 @@ impl ShardWorker {
         start: SimTime,
         end: SimTime,
     ) {
-        let p = &self.params;
-        let (d2d, gw_range, tx_dbm) = (p.d2d_range_m, p.gateway_range_m, p.tx_power_dbm);
-        let path_loss = p.path_loss;
+        let (d2d, gw_range) = (self.params.d2d_range_m, self.params.gateway_range_m);
         self.collect_interferers(pos, start, end);
         plan.seq = seq;
         plan.gateways.clear();
@@ -674,8 +671,7 @@ impl ShardWorker {
             for &(fseq, fpos) in &self.scratch_near_gw {
                 let dist = gw.distance(fpos);
                 if dist <= gw_range {
-                    plan.interferers
-                        .push((fseq, path_loss.mean_rssi_dbm(tx_dbm, dist)));
+                    plan.interferers.push((fseq, dist));
                 }
             }
             plan.gateways.push(PlannedGateway {
@@ -703,8 +699,7 @@ impl ShardWorker {
             for &(fseq, fpos) in &self.scratch_near_dev {
                 let dist = pos_n.distance(fpos);
                 if dist <= d2d {
-                    plan.interferers
-                        .push((fseq, path_loss.mean_rssi_dbm(tx_dbm, dist)));
+                    plan.interferers.push((fseq, dist));
                 }
             }
             plan.candidates.push(PlannedCandidate {
@@ -731,9 +726,9 @@ mod tests {
                 len: 2,
             }],
             candidates: Vec::new(),
-            interferers: vec![(5, -80.0), (6, -90.0), (7, -100.0)],
+            interferers: vec![(5, 80.0), (6, 90.0), (7, 100.0)],
         };
-        assert_eq!(plan.slice(1, 2), &[(6, -90.0), (7, -100.0)]);
+        assert_eq!(plan.slice(1, 2), &[(6, 90.0), (7, 100.0)]);
         assert_eq!(plan.slice(0, 0), &[] as &[PlannedInterferer]);
     }
 
@@ -769,8 +764,6 @@ mod tests {
         let params = ShardParams {
             d2d_range_m: 500.0,
             gateway_range_m: 2_000.0,
-            tx_power_dbm: 14.0,
-            path_loss: LogDistanceModel::paper_default(),
             flight_retention: SimDuration::from_secs(2),
         };
         let mut worker = ShardWorker::new(0, part, Arc::clone(&net), Vec::new(), params);

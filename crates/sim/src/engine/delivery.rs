@@ -150,7 +150,12 @@ impl Delivery {
             let gw = self.gateways[gi as usize];
             let reception = channel.receive(planned, overlaps, gw, range, flight.seq);
             match reception.rssi {
-                Some(rssi) => best = Some(best.map_or(rssi, |b: f64| b.max(rssi))),
+                // The best decoder's strength sets the sender's observed
+                // capacity, so a gateway always reads the value.
+                Some(strength) => {
+                    let rssi = channel.rssi(strength).dbm();
+                    best = Some(best.map_or(rssi, |b: f64| b.max(rssi)));
+                }
                 None if reception.interfered => self.collector.on_collision(),
                 None => {}
             }

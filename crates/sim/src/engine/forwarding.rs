@@ -18,6 +18,14 @@
 //! dispatch ([`Engine::apply_reception`]) and the sender's settlement
 //! ([`Engine::settle_sender`]) are written once, so a serial and a
 //! sharded run have nothing to drift apart in.
+//!
+//! A reception says whether the frame decoded; how strongly is a
+//! deferred value ([`Strength`](super::channel::Strength)) that
+//! `apply_reception` hands to the policy as an unevaluated
+//! [`Rssi`](mlora_phy::Rssi). Whether the channel model's logarithms
+//! are ever taken for an overheard beacon is therefore the policy's
+//! choice: the greedy schemes read the value for Eq. 5–6, ROBC and the
+//! baseline do not.
 
 use mlora_core::{Beacon, ForwardDecision};
 use mlora_geo::Point;
@@ -110,7 +118,7 @@ impl Engine {
         accepted: &mut bool,
     ) {
         let now = self.now;
-        let Some(rssi) = reception.rssi else {
+        let Some(strength) = reception.rssi else {
             if reception.interfered {
                 self.delivery.collector.on_collision();
             }
@@ -160,6 +168,9 @@ impl Engine {
                 .next_opportunity(now)
                 .saturating_since(now)
                 .as_secs_f64();
+            // Handed over unevaluated: only a policy that reads the
+            // strength pays for its logarithms (see the module docs).
+            let rssi = self.channel.rssi(strength);
             let decision = dev
                 .routing
                 .decide(now, wait_s, dev.queue.len(), &beacon, rssi);

@@ -124,9 +124,19 @@ enum Event {
 /// [`Engine::run_instrumented`] for throughput benchmarking and readable
 /// mid-run through [`Engine::stats`].
 ///
-/// The last two fields measure how much state the engine holds, in
-/// units a test can compare without a clock: both follow the buses that
-/// have departed, not the length of the timetable.
+/// `queue_depth_high_water` and `device_rows` measure how much state the
+/// engine holds, in units a test can compare without a clock: both
+/// follow the buses that have departed, not the length of the timetable.
+///
+/// The last three fields count the channel's work. `receptions` and
+/// `frames_heard` are properties of the model — how often a receiver
+/// resolved a frame and how many audible frames (one shadowing draw
+/// each) that took; `rssi_evaluated` is how many of those strengths
+/// were computed exactly, logarithms and all, because a comparison was
+/// too close for the channel's table bounds or because a gateway or a
+/// policy read the value. Like the high-water mark they are host
+/// telemetry, not run state: none is checkpointed, and a resumed engine
+/// counts from zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
     /// Discrete events processed by the main loop.
@@ -138,6 +148,14 @@ pub struct EngineStats {
     /// Per-device rows in existence: one per bus that has departed so
     /// far, in service or retired.
     pub device_rows: usize,
+    /// Receptions resolved: one per (transmission end, admitted
+    /// receiver) pair, gateways and devices alike.
+    pub receptions: u64,
+    /// Audible frames across all receptions: the subject and every
+    /// in-range time-overlapping frame, one shadowing draw each.
+    pub frames_heard: u64,
+    /// Exact RSSI evaluations (at most one per frame heard).
+    pub rssi_evaluated: u64,
 }
 
 /// Commit-thread state of a sharded run: the transport to the shard
@@ -494,10 +512,14 @@ impl Engine {
 
     /// Execution statistics so far (see [`EngineStats`]).
     pub fn stats(&self) -> EngineStats {
+        let (receptions, frames_heard, rssi_evaluated) = self.channel.reception_counts();
         EngineStats {
             events_processed: self.events_processed,
             queue_depth_high_water: self.queue_depth_high_water,
             device_rows: self.world.devices.slot_count(),
+            receptions,
+            frames_heard,
+            rssi_evaluated,
         }
     }
 
@@ -1145,8 +1167,6 @@ impl Engine {
         let params = ShardParams {
             d2d_range_m: d2d,
             gateway_range_m: gw_range,
-            tx_power_dbm: self.cfg.phy.tx_power_dbm,
-            path_loss: self.cfg.path_loss,
             flight_retention: self.channel.flight_retention(),
         };
         let workers = (0..shards)
@@ -1324,6 +1344,36 @@ mod tests {
             stats.events_processed > report.generated + report.frames_sent,
             "loop must process at least one event per message and frame"
         );
+    }
+
+    /// The reception counters: how much the channel heard is a property
+    /// of the model and the seed; how much of it was evaluated exactly
+    /// depends on who reads strengths. Gateways always do (and at smoke
+    /// scale they are a large share of all receivers), the greedy
+    /// scheme's policy does, ROBC's and the baseline's never.
+    #[test]
+    fn reception_counters_follow_the_readers() {
+        for scheme in Scheme::WITH_CA_ETX {
+            let cfg = SimConfig::smoke_test(scheme, Environment::Urban);
+            let (_, stats) = Engine::new(cfg.clone(), 7).run_instrumented();
+            let (_, again) = Engine::new(cfg, 7).run_instrumented();
+            assert_eq!(stats, again, "{scheme}");
+            assert!(stats.receptions > 100, "{scheme}: {stats:?}");
+            assert!(
+                stats.frames_heard >= stats.receptions / 2,
+                "{scheme}: {stats:?}"
+            );
+            assert!(
+                stats.rssi_evaluated <= stats.frames_heard,
+                "{scheme}: {stats:?}"
+            );
+            if matches!(scheme, Scheme::Robc | Scheme::NoRouting) {
+                assert!(
+                    2 * stats.rssi_evaluated <= stats.frames_heard,
+                    "{scheme}: {stats:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -89,11 +89,32 @@ pub struct FlightScanProbe {
     senders: u32,
     overlaps: Vec<(u64, Point)>,
     near: Vec<(u64, Point)>,
+    /// `wave` frames in range of [`FlightScanProbe::RECEIVER`], for
+    /// [`FlightScanProbe::receive_crowd`].
+    crowd: Vec<(u64, Point)>,
 }
 
 impl FlightScanProbe {
+    /// Where the probe listens; receiver-side range 500 m (urban
+    /// device-to-device).
+    const RECEIVER: Point = Point::new(250.0, 0.0);
+    const RANGE_M: f64 = 500.0;
+
     /// A probe launching `wave` concurrent flights per round.
     pub fn new(seed: u64, wave: usize) -> FlightScanProbe {
+        // The subject 150 m from the receiver, the rest of the crowd on
+        // a spiral of growing radius, all inside 450 m.
+        let crowd = (0..wave)
+            .map(|i| {
+                let r = 150.0 + 300.0 * i as f64 / wave as f64;
+                let phi = 2.4 * i as f64;
+                let pos = Point::new(
+                    Self::RECEIVER.x + r * phi.cos(),
+                    Self::RECEIVER.y + r * phi.sin(),
+                );
+                (i as u64, pos)
+            })
+            .collect();
         FlightScanProbe {
             channel: Channel::new(
                 SimRng::new(seed).fork(12),
@@ -109,7 +130,18 @@ impl FlightScanProbe {
             senders: 0,
             overlaps: Vec::new(),
             near: Vec::new(),
+            crowd,
         }
+    }
+
+    /// One reception as a serial run makes it — nothing planned — of
+    /// the first of `wave` audible frames, all in range: `wave = 1` is
+    /// the frame heard alone. Returns the outcome as two bits.
+    pub fn receive_crowd(&mut self) -> u64 {
+        let reception = self
+            .channel
+            .receive(&[], &self.crowd, Self::RECEIVER, Self::RANGE_M, 0);
+        reception.rssi.is_some() as u64 | (reception.interfered as u64) << 1
     }
 
     /// Runs `rounds` launch/scan/receive cycles and folds the reception
@@ -137,13 +169,12 @@ impl FlightScanProbe {
             let subject_seq = self.channel.last_launched_seq();
             self.channel.overlaps_into(start, end, &mut self.overlaps);
             digest = digest.wrapping_add(self.overlaps.len() as u64);
-            // The serial engine's near-overlap cut, at a receiver-side
-            // range of 500 m (urban device-to-device).
-            let at = Point::new(250.0, 0.0);
-            Channel::near_overlaps_into(&self.overlaps, at, 500.0, &mut self.near);
+            // The serial engine's near-overlap cut.
+            let (at, range) = (Self::RECEIVER, Self::RANGE_M);
+            Channel::near_overlaps_into(&self.overlaps, at, range, &mut self.near);
             let reception = self
                 .channel
-                .receive(&[], &self.near, at, 500.0, subject_seq);
+                .receive(&[], &self.near, at, range, subject_seq);
             digest = digest
                 .wrapping_mul(31)
                 .wrapping_add(reception.rssi.is_some() as u64)
@@ -164,8 +195,8 @@ pub struct PlanDigest {
     pub candidates: usize,
     /// Total interferer entries across all receivers.
     pub interferers: usize,
-    /// Sum of every planned interferer mean RSSI.
-    pub rssi_sum: f64,
+    /// Sum of every planned interferer distance, metres.
+    pub distance_sum: f64,
 }
 
 /// Drives one [`ShardWorker`]'s plan computation
@@ -231,8 +262,6 @@ impl WorkerProbe {
             ShardParams {
                 d2d_range_m: 500.0,
                 gateway_range_m: 2_000.0,
-                tx_power_dbm: 14.0,
-                path_loss: LogDistanceModel::paper_default(),
                 flight_retention: SimDuration::from_secs(2),
             },
         );
@@ -302,7 +331,7 @@ impl WorkerProbe {
             gateways: plan.gateways.len(),
             candidates: plan.candidates.len(),
             interferers: plan.interferers.len(),
-            rssi_sum: plan.interferers.iter().map(|&(_, mean_dbm)| mean_dbm).sum(),
+            distance_sum: plan.interferers.iter().map(|&(_, dist)| dist).sum(),
         }
     }
 }

@@ -823,6 +823,28 @@ pub(crate) mod tests {
         ));
     }
 
+    /// A well-formed file, every checksum valid, whose channel model
+    /// holds a NaN: it used to load, validate, and panic the first
+    /// reception of the run.
+    #[test]
+    fn nan_channel_model_is_a_typed_error_at_load() {
+        let mut cfg = rich_config();
+        cfg.path_loss.pl0_db = f64::NAN;
+        // The section writers, without `to_writer`'s own validation.
+        let mut w = ScenarioWriter::new(Vec::new()).unwrap();
+        write_network_config(&mut w, &cfg.network).unwrap();
+        write_sim_params(&mut w, &cfg).unwrap();
+        write_gateways(&mut w, &cfg).unwrap();
+        let bytes = w.finish().unwrap();
+        assert!(matches!(
+            SimConfig::from_reader(&bytes[..]),
+            Err(ScenarioFileError::Config(ConfigError::NotFinite {
+                field: "path_loss.pl0_db",
+                ..
+            }))
+        ));
+    }
+
     #[test]
     fn file_roundtrip_via_scenario_front_door() {
         let dir = std::env::temp_dir().join("mlora-io-test");

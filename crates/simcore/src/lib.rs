@@ -8,7 +8,8 @@
 //! * [`EventQueue`] — a monotonic, FIFO-tie-broken priority queue of
 //!   timestamped events; the heart of the discrete-event loop.
 //! * [`SimRng`] — a seeded, fork-able random number generator so that a
-//!   single `u64` seed reproduces an entire simulation run bit-for-bit.
+//!   single `u64` seed reproduces an entire simulation run bit-for-bit;
+//!   [`NormalDraw`] is a normal sample drawn but not yet evaluated.
 //! * [`Slab`] / [`DenseMap`] — dense, index-addressed storage for hot
 //!   per-entity state (generational arena and flat id-keyed map), so the
 //!   inner event loop never hashes.
@@ -42,6 +43,6 @@ mod time;
 
 pub use event::EventQueue;
 pub use id::{GatewayId, MessageId, NodeId};
-pub use rng::SimRng;
+pub use rng::{NormalDraw, SimRng};
 pub use slab::{DenseKey, DenseMap, Slab, SlabKey};
 pub use time::{SimDuration, SimTime};

@@ -5,6 +5,16 @@
 //! seed and a stream label, so subsystems (mobility, shadowing, workload)
 //! draw from decoupled streams: adding draws in one subsystem does not
 //! perturb another.
+//!
+//! A normal sample is split in two: [`SimRng::standard_normal_draw`]
+//! takes the two uniform words off the stream and [`NormalDraw::value`]
+//! runs the Box–Muller arithmetic on them. A caller that only needs to
+//! know *roughly* where the sample lies — a threshold comparison that is
+//! almost never close — reads [`NormalDraw::bounds`], two table lookups
+//! and no libm, and evaluates only the samples whose interval straddles
+//! the threshold. The stream advances identically either way.
+
+use std::sync::OnceLock;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -118,12 +128,20 @@ impl SimRng {
         self.inner.gen_bool(p)
     }
 
-    /// A sample from the standard normal distribution (Box–Muller).
-    pub fn standard_normal(&mut self) -> f64 {
-        // Box–Muller transform; u1 in (0,1] avoids ln(0).
+    /// Draws the two uniforms of one standard-normal sample without
+    /// evaluating it: the stream advances by exactly the two words
+    /// [`SimRng::standard_normal`] consumes.
+    #[inline]
+    pub fn standard_normal_draw(&mut self) -> NormalDraw {
+        // u1 in (0,1] avoids ln(0).
         let u1: f64 = 1.0 - self.inner.gen::<f64>();
         let u2: f64 = self.inner.gen();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+        NormalDraw { u1, u2 }
+    }
+
+    /// A sample from the standard normal distribution (Box–Muller).
+    pub fn standard_normal(&mut self) -> f64 {
+        self.standard_normal_draw().value()
     }
 
     /// A sample from `N(mean, std_dev²)`.
@@ -133,7 +151,7 @@ impl SimRng {
     /// Panics if `std_dev` is negative.
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         assert!(std_dev >= 0.0, "negative std dev: {std_dev}");
-        mean + std_dev * self.standard_normal()
+        self.standard_normal_draw().scaled(mean, std_dev)
     }
 
     /// A sample from a log-normal distribution with the given parameters of
@@ -169,6 +187,131 @@ impl SimRng {
             slice.swap(i, j);
         }
     }
+}
+
+/// The two uniforms of one Box–Muller sample, drawn from the stream but
+/// not yet evaluated (see the module docs).
+///
+/// # Example
+///
+/// ```
+/// use mlora_simcore::SimRng;
+///
+/// let draw = SimRng::new(7).standard_normal_draw();
+/// let (lo, hi) = draw.bounds();
+/// assert!(lo <= draw.value() && draw.value() <= hi);
+/// assert_eq!(draw.value(), SimRng::new(7).standard_normal());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NormalDraw {
+    /// The radius uniform, a multiple of 2⁻⁵³ in `(0, 1]`.
+    u1: f64,
+    /// The angle uniform, a multiple of 2⁻⁵³ in `[0, 1)`.
+    u2: f64,
+}
+
+impl NormalDraw {
+    /// The standard-normal sample these uniforms produce.
+    pub fn value(self) -> f64 {
+        radius(self.u1) * cosine(self.u2)
+    }
+
+    /// `mean + std_dev * value()`: the `N(mean, std_dev²)` sample, in
+    /// the operation order of [`SimRng::normal`].
+    pub fn scaled(self, mean: f64, std_dev: f64) -> f64 {
+        mean + std_dev * self.value()
+    }
+
+    /// A conservative interval around [`NormalDraw::value`], from two
+    /// table lookups and no libm call: `lo <= value() <= hi` always.
+    #[inline]
+    pub fn bounds(self) -> (f64, f64) {
+        let (r_lo, r_hi) = radius_table()[radius_bin(self.u1)];
+        let (c_lo, c_hi) = cosine_table()[cosine_bin(self.u2)];
+        // The radius is never negative, the cosine has either sign.
+        (
+            (r_lo * c_lo).min(r_hi * c_lo),
+            (r_lo * c_hi).max(r_hi * c_hi),
+        )
+    }
+}
+
+/// The Box–Muller radius of a uniform in `(0, 1]`. Zero at `u1 = 1`
+/// (as `-0.0`: the square root of `-2.0 * 0.0`).
+fn radius(u1: f64) -> f64 {
+    (-2.0 * u1.ln()).sqrt()
+}
+
+/// The Box–Muller cosine of a uniform in `[0, 1)`.
+fn cosine(u2: f64) -> f64 {
+    (std::f64::consts::TAU * u2).cos()
+}
+
+/// Biased exponent of 2⁻⁵³, the smallest radius uniform.
+const RADIUS_MIN_EXPONENT: u64 = 1023 - 53;
+/// Leading mantissa bits that index the radius table within an octave.
+const RADIUS_MANTISSA_BITS: u32 = 5;
+/// One bin per mantissa prefix of every octave of `[2⁻⁵³, 1)`, and a
+/// last one that only `u1 = 1` falls in.
+const RADIUS_BINS: usize = (53 << RADIUS_MANTISSA_BITS) + 1;
+/// Equal bins over `[0, 1)`; a multiple of four, so the quarter turns
+/// are bin edges and the cosine is monotone inside every bin.
+const COSINE_BINS: usize = 512;
+/// Every table endpoint is widened by this much. The libm calls that
+/// produce the endpoints are the ones [`NormalDraw::value`] makes, and
+/// are monotone to within a few units in the last place (≤ 2·10⁻¹⁵ at
+/// these magnitudes); on the cosine it also covers the rounding of the
+/// product in [`NormalDraw::bounds`], which is at most 10⁻¹⁵.
+const TABLE_GUARD: f64 = 1e-12;
+
+/// The radius bin of a uniform in `[2⁻⁵³, 1]`: its exponent and leading
+/// mantissa bits.
+fn radius_bin(u1: f64) -> usize {
+    let prefix = u1.to_bits() >> (52 - RADIUS_MANTISSA_BITS);
+    (prefix - (RADIUS_MIN_EXPONENT << RADIUS_MANTISSA_BITS)) as usize
+}
+
+/// The lower edge of radius bin `bin` (the upper edge of the one before).
+fn radius_bin_edge(bin: usize) -> f64 {
+    let prefix = bin as u64 + (RADIUS_MIN_EXPONENT << RADIUS_MANTISSA_BITS);
+    f64::from_bits(prefix << (52 - RADIUS_MANTISSA_BITS))
+}
+
+/// The cosine bin of a uniform in `[0, 1)`.
+fn cosine_bin(u2: f64) -> usize {
+    (u2 * COSINE_BINS as f64) as usize
+}
+
+/// `(lo, hi)` of the radius over each bin, built once per process. The
+/// radius falls as the uniform rises, so a bin's interval runs from its
+/// upper edge's radius to its lower edge's.
+fn radius_table() -> &'static [(f64, f64)] {
+    static TABLE: OnceLock<Box<[(f64, f64)]>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        (0..RADIUS_BINS)
+            .map(|bin| {
+                let upper = radius_bin_edge(bin + 1).min(1.0);
+                (
+                    (radius(upper) - TABLE_GUARD).max(0.0),
+                    radius(radius_bin_edge(bin)) + TABLE_GUARD,
+                )
+            })
+            .collect()
+    })
+}
+
+/// `(lo, hi)` of the cosine over each bin, built once per process.
+fn cosine_table() -> &'static [(f64, f64)] {
+    static TABLE: OnceLock<Box<[(f64, f64)]>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let edge = |bin: usize| cosine(bin as f64 / COSINE_BINS as f64);
+        (0..COSINE_BINS)
+            .map(|bin| {
+                let (a, b) = (edge(bin), edge(bin + 1));
+                (a.min(b) - TABLE_GUARD, a.max(b) + TABLE_GUARD)
+            })
+            .collect()
+    })
 }
 
 #[cfg(test)]
@@ -267,5 +410,117 @@ mod tests {
         let mut rng = SimRng::new(11);
         assert_eq!(rng.choose_index(0), None);
         assert!(rng.choose_index(5).unwrap() < 5);
+    }
+
+    #[test]
+    fn draw_splits_the_sample_without_moving_the_stream() {
+        let mut whole = SimRng::new(12);
+        let mut split = SimRng::new(12);
+        for _ in 0..1000 {
+            let draw = split.standard_normal_draw();
+            assert_eq!(draw.value().to_bits(), whole.standard_normal().to_bits());
+            assert_eq!(split.state(), whole.state());
+            let (lo, hi) = draw.bounds();
+            assert!(lo <= draw.value() && draw.value() <= hi);
+        }
+        let draw = split.standard_normal_draw();
+        assert_eq!(
+            draw.scaled(-3.0, 7.8).to_bits(),
+            whole.normal(-3.0, 7.8).to_bits()
+        );
+    }
+
+    /// The edges of `[lo, hi)`, their neighbours inside it and a few
+    /// interior points.
+    fn probes(lo: f64, hi: f64) -> [f64; 7] {
+        let last = hi.next_down();
+        [
+            lo,
+            lo.next_up(),
+            lo + (hi - lo) * 0.25,
+            lo + (hi - lo) * 0.5,
+            lo + (hi - lo) * 0.8125,
+            last.next_down(),
+            last,
+        ]
+    }
+
+    #[test]
+    fn radius_table_bounds_every_bin() {
+        let table = radius_table();
+        assert_eq!(table.len(), RADIUS_BINS);
+        for (bin, &(lo, hi)) in table.iter().enumerate().take(RADIUS_BINS - 1) {
+            assert!(0.0 <= lo && lo < hi);
+            for u1 in probes(radius_bin_edge(bin), radius_bin_edge(bin + 1)) {
+                assert_eq!(radius_bin(u1), bin, "u1 {u1:e}");
+                let r = radius(u1);
+                assert!(lo <= r && r <= hi, "bin {bin}: {r} outside [{lo}, {hi}]");
+            }
+        }
+        // The largest radius uniform: radius zero, as the negative zero
+        // the square root of `-2.0 * 0.0` is.
+        assert_eq!(radius_bin(1.0), RADIUS_BINS - 1);
+        assert!(radius(1.0) == 0.0 && radius(1.0).is_sign_negative());
+        let (lo, hi) = table[RADIUS_BINS - 1];
+        assert!(lo <= radius(1.0) && radius(1.0) <= hi && hi <= 2.0 * TABLE_GUARD);
+        // The smallest: the radius's maximum, the first bin's lower edge.
+        let smallest = (-53.0f64).exp2();
+        assert_eq!(radius_bin(smallest), 0);
+        assert_eq!(radius_bin_edge(0), smallest);
+        assert!(radius(smallest) <= table[0].1 && table[0].1 < 8.6);
+    }
+
+    #[test]
+    fn cosine_table_bounds_every_bin() {
+        let table = cosine_table();
+        assert_eq!(table.len(), COSINE_BINS);
+        let edge = |bin: usize| bin as f64 / COSINE_BINS as f64;
+        for (bin, &(lo, hi)) in table.iter().enumerate() {
+            assert!(-1.0 - TABLE_GUARD <= lo && lo < hi && hi <= 1.0 + TABLE_GUARD);
+            // Quarter turns are bin edges: no bin straddles a zero of
+            // the cosine by more than the guard and a rounding of π/2.
+            assert!(
+                lo >= -2.0 * TABLE_GUARD || hi <= 2.0 * TABLE_GUARD,
+                "bin {bin}"
+            );
+            for u2 in probes(edge(bin), edge(bin + 1)) {
+                assert_eq!(cosine_bin(u2), bin, "u2 {u2:e}");
+                let c = cosine(u2);
+                assert!(lo <= c && c <= hi, "bin {bin}: {c} outside [{lo}, {hi}]");
+            }
+        }
+        assert_eq!(cosine_bin(0.0), 0);
+        assert_eq!(cosine(0.0), 1.0);
+        let largest = 1.0 - (-53.0f64).exp2();
+        assert_eq!(cosine_bin(largest), COSINE_BINS - 1);
+    }
+
+    /// The product interval holds at the corners of both tables at once:
+    /// every radius bin against every cosine bin, edge uniforms.
+    #[test]
+    fn bounds_hold_at_every_pair_of_bin_edges() {
+        let u2_step = 1.0 / COSINE_BINS as f64;
+        for r_bin in 0..RADIUS_BINS {
+            let u1_lo = radius_bin_edge(r_bin);
+            let u1_hi = radius_bin_edge(r_bin + 1).next_down().min(1.0).max(u1_lo);
+            for c_bin in 0..COSINE_BINS {
+                let u2_lo = c_bin as f64 * u2_step;
+                let u2_hi = (u2_lo + u2_step).next_down();
+                for (u1, u2) in [
+                    (u1_lo, u2_lo),
+                    (u1_lo, u2_hi),
+                    (u1_hi, u2_lo),
+                    (u1_hi, u2_hi),
+                ] {
+                    let draw = NormalDraw { u1, u2 };
+                    let (lo, hi) = draw.bounds();
+                    let z = draw.value();
+                    assert!(
+                        lo <= z && z <= hi,
+                        "({u1:e}, {u2:e}): {z} outside [{lo}, {hi}]"
+                    );
+                }
+            }
+        }
     }
 }

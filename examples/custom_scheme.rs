@@ -10,7 +10,7 @@
 //! ```
 
 use mlora::core::{
-    Beacon, ForwardingPolicy, PolicyContext, PolicySpec, RoutingConfig, RCA_ETX_CEILING,
+    Beacon, ForwardingPolicy, PolicyContext, PolicySpec, RoutingConfig, Rssi, RCA_ETX_CEILING,
 };
 use mlora::sim::prelude::*;
 use mlora::sim::report;
@@ -53,13 +53,15 @@ impl ForwardingPolicy for SprayAndWait {
         Box::new(self.clone())
     }
 
-    fn forwards(&mut self, ctx: &PolicyContext<'_>, beacon: &Beacon, rssi_dbm: f64) -> bool {
+    fn forwards(&mut self, ctx: &PolicyContext<'_>, beacon: &Beacon, rssi: Rssi<'_>) -> bool {
         // Wait phase: the budget is spent, hold the remaining copies.
         if self.sprays_left == 0 {
             return false;
         }
-        // Respect the anti-loop ledger and require a usable link.
-        if ctx.is_barred(beacon.sender) || ctx.link_rca_etx(rssi_dbm) >= RCA_ETX_CEILING {
+        // Respect the anti-loop ledger and require a usable link. The
+        // beacon's strength is a deferred value: the link metric is
+        // what evaluates it, and only when the cheaper checks pass.
+        if ctx.is_barred(beacon.sender) || ctx.link_rca_etx(rssi) >= RCA_ETX_CEILING {
             return false;
         }
         // Spray only towards carriers at least as well connected as we
