@@ -18,13 +18,10 @@
 //!   (receive window scaled by normalised backlog, Eq. 11).
 //! * [`EnergyModel`] / [`EnergyAccount`] — time-in-state energy
 //!   accounting for the class comparison (§VII.C).
-//! * [`encode_frame`] / [`decode_frame`] — the reference wire layout for
-//!   the metric-piggybacking uplink, for on-device ports.
 
 #![deny(missing_docs)]
 
 mod class;
-mod codec;
 mod dutycycle;
 mod energy;
 mod frame;
@@ -32,7 +29,6 @@ mod queue;
 mod retransmit;
 
 pub use class::{queue_based_window_fraction, ClassAWindows, DeviceClass};
-pub use codec::{decode_frame, encode_frame, DecodeError};
 pub use dutycycle::DutyCycleTracker;
 pub use energy::{EnergyAccount, EnergyModel, RadioState};
 pub use frame::{

@@ -620,8 +620,8 @@ impl Channel {
     /// the monotone flight counter and the active-noise stack (in
     /// activation order). The flight slab is read via
     /// [`Channel::raw_flight_slots`] / [`Channel::flight_free_list`].
-    pub(super) fn checkpoint_parts(&self) -> ((u64, [u64; 4]), u64, &[u32]) {
-        (self.rng.state(), self.next_flight_seq, &self.active_noise)
+    pub(super) fn checkpoint_parts(&self) -> (&SimRng, u64, &[u32]) {
+        (&self.rng, self.next_flight_seq, &self.active_noise)
     }
 
     /// Restores the state captured by [`Channel::checkpoint_parts`] plus

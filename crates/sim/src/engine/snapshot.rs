@@ -38,9 +38,24 @@
 //! A lifecycle record that disagrees with the timetable — one that
 //! would start a trip a second time, or at another instant — is refused
 //! as [`SnapshotError::Format`].
+//!
+//! # Reading never panics on file content
+//!
+//! Every record is decoded through `crate::persist`, and every id the
+//! restored engine will index with is checked in
+//! [`Engine::resume_with_overlay`] against what it indexes. Clippy holds
+//! the module to it: no indexing, `unwrap`, `expect` or `panic!` outside
+//! its tests.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 
 use std::collections::HashSet;
 use std::io::{Read, Write};
+use std::mem::replace;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
@@ -52,15 +67,17 @@ use mlora_geo::Point;
 use mlora_mac::{AppMessage, DataQueue, DutyCycleTracker, Priority, RetransmitPolicy, UplinkFrame};
 use mlora_scenario_io::{Enc, ScenarioIoError, ScenarioReader, ScenarioWriter};
 use mlora_simcore::stats::{TimeSeries, Welford};
-use mlora_simcore::{
-    DenseMap, EventQueue, MessageId, NodeId, SimDuration, SimRng, SimTime, SlabKey,
-};
+use mlora_simcore::{DenseMap, EventQueue, MessageId, NodeId, SimRng, SimTime};
 
 use super::channel::{Flight, FlightRef};
 use super::world::{Device, DeviceHot, DeviceTraffic};
 use super::{Engine, Event};
 use crate::config::MAX_SHARDS;
 use crate::metrics::Collector;
+use crate::persist::{
+    ensure, persist_struct, put_slice, read_record, read_records, reserve_for, write_record,
+    write_records, Persist,
+};
 use crate::{
     DeviceClassChoice, DisruptionEvent, DisruptionPlan, ProfileReport, ScenarioFileError,
     SimConfig, SimReport,
@@ -167,9 +184,7 @@ impl From<ScenarioFileError> for SnapshotError {
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     bytes: Vec<u8>,
-    seed: u64,
-    shards: usize,
-    time: SimTime,
+    header: Header,
     /// The embedded scenario, decoded on first use: every engine
     /// resumed or forked from this snapshot clones it, and so shares one
     /// prebuilt world instead of decoding its own.
@@ -180,18 +195,18 @@ impl Snapshot {
     /// The simulation instant the snapshot was taken at (the timestamp
     /// of the last processed event).
     pub fn time(&self) -> SimTime {
-        self.time
+        self.header.now
     }
 
     /// The master seed of the captured run.
     pub fn seed(&self) -> u64 {
-        self.seed
+        self.header.seed
     }
 
     /// The shard count the captured run executes with (resume rebuilds
     /// the same spatial partitioning).
     pub fn shards(&self) -> usize {
-        self.shards
+        self.header.shards
     }
 
     /// The raw serialized container, exactly what
@@ -214,8 +229,8 @@ impl Snapshot {
             return Ok(cfg.clone());
         }
         let mut r = ScenarioReader::with_magic(self.bytes.as_slice(), SNAPSHOT_MAGIC)?;
-        let header = read_header(&mut r)?;
-        let cfg = read_config(&mut r, header.shards)?;
+        read_header(&mut r)?;
+        let cfg = read_config(&mut r, self.header.shards)?;
         Ok(self.config.get_or_init(|| cfg).clone())
     }
 
@@ -277,23 +292,24 @@ impl Snapshot {
         let mut r = ScenarioReader::with_magic(bytes.as_slice(), SNAPSHOT_MAGIC)?;
         let header = read_header(&mut r)?;
         Ok(Snapshot {
-            seed: header.seed,
-            shards: header.shards,
-            time: header.now,
             bytes,
+            header,
             config: OnceLock::new(),
         })
     }
 }
 
-/// The decoded header section: run identity and loop counters.
-struct Header {
-    seed: u64,
-    shards: usize,
-    now: SimTime,
-    next_msg: u64,
-    events_processed: u64,
-    event_seq: u64,
+persist_struct! {
+    /// The header section's record: run identity and loop counters.
+    #[derive(Debug, Clone)]
+    struct Header {
+        seed: u64,
+        shards: usize,
+        now: SimTime,
+        next_msg: u64,
+        events_processed: u64,
+        event_seq: u64,
+    }
 }
 
 impl Engine {
@@ -348,30 +364,26 @@ impl Engine {
         let out = Vec::with_capacity(expected + expected / 8);
         let mut w = ScenarioWriter::with_magic(out, SNAPSHOT_MAGIC)?;
 
-        // Header: run identity and loop counters.
-        w.begin_section(SEC_HEADER, 1)?;
-        let enc = w.enc();
-        enc.put_varint(self.seed);
-        enc.put_varint(self.cfg.shards as u64);
-        enc.put_varint(self.now.as_millis());
-        enc.put_varint(self.next_msg);
-        enc.put_varint(self.events_processed);
-        enc.put_varint(event_seq);
-        w.end_record()?;
-        w.end_section()?;
+        let header = Header {
+            seed: self.seed,
+            shards: self.cfg.shards,
+            now: self.now,
+            next_msg: self.next_msg,
+            events_processed: self.events_processed,
+            event_seq,
+        };
+        write_record(&mut w, SEC_HEADER, |enc| header.put(enc))?;
 
         // The scenario, embedded verbatim as one `.mlsc` blob.
         w.write_framed_section(cfg_section)?;
 
         // The event queue — live events only, see the module docs — in
         // heap layout order, so the restored queue pops in exactly the
-        // original sequence.
+        // original sequence. A record is the key's two halves (time,
+        // sequence number) and the event.
         w.begin_section(SEC_EVENTS, queue_records.len() as u64)?;
         for &(key, ev) in queue_records {
-            let enc = w.enc();
-            enc.put_varint((key >> 64) as u64);
-            enc.put_varint(key as u64);
-            put_event(enc, ev);
+            ((key >> 64) as u64, key as u64, ev).put(w.enc());
             w.end_record()?;
         }
         w.end_section()?;
@@ -381,109 +393,63 @@ impl Engine {
         // per-device wire record is byte-identical to the AoS era.
         w.begin_section(SEC_DEVICES, self.world.devices.len() as u64)?;
         for (idx, dev) in self.world.devices.iter() {
-            let hot = self.world.hot.device_hot(idx);
-            let enc = w.enc();
-            enc.put_varint(idx as u64);
-            put_device(enc, dev, hot);
+            idx.put(w.enc());
+            put_device(w.enc(), dev, self.world.hot.device_hot(idx));
             w.end_record()?;
         }
         w.end_section()?;
 
         // Applied withdrawals, in application order: resume replays the
         // trip truncations against the freshly regenerated network.
-        w.begin_section(SEC_WITHDRAWN, self.withdrawn.len() as u64)?;
-        for &(node, t) in &self.withdrawn {
-            let enc = w.enc();
-            enc.put_varint(node.raw() as u64);
-            enc.put_varint(t.as_millis());
-            w.end_record()?;
-        }
-        w.end_section()?;
+        write_records(&mut w, SEC_WITHDRAWN, &self.withdrawn)?;
 
         // The flight slab, slot by slot (vacant included) plus the free
         // list, so restored slab keys resolve identically.
         let slot_count = self.channel.flight_slot_count() as u64;
         w.begin_section(SEC_FLIGHT_SLOTS, slot_count)?;
         for (generation, flight) in self.channel.raw_flight_slots() {
-            let enc = w.enc();
-            enc.put_varint(generation as u64);
-            match flight {
-                None => enc.put_bool(false),
-                Some(f) => {
-                    enc.put_bool(true);
-                    put_flight(enc, f);
-                }
+            // `(u32, Option<Flight>)`, from the borrowed view.
+            (generation, flight.is_some()).put(w.enc());
+            if let Some(flight) = flight {
+                flight.put(w.enc());
             }
             w.end_record()?;
         }
         w.end_section()?;
-        let free = self.channel.flight_free_list();
-        w.begin_section(SEC_FLIGHT_FREE, free.len() as u64)?;
-        for &i in free {
-            w.enc().put_varint(i as u64);
-            w.end_record()?;
-        }
-        w.end_section()?;
+        write_records(&mut w, SEC_FLIGHT_FREE, self.channel.flight_free_list())?;
 
         // Every RNG stream's exact words plus the channel and world
         // runtime scalars.
         let (channel_rng, next_flight_seq, active_noise) = self.channel.checkpoint_parts();
-        w.begin_section(SEC_STREAMS, 1)?;
-        let enc = w.enc();
-        put_rng(enc, channel_rng);
-        enc.put_varint(next_flight_seq);
-        enc.put_varint(active_noise.len() as u64);
-        for &b in active_noise {
-            enc.put_varint(b as u64);
-        }
-        put_rng(enc, self.disruption_rng.state());
-        put_rng(enc, self.traffic_root.state());
-        enc.put_varint(self.world.grid_refresh_due().as_millis());
-        w.end_record()?;
-        w.end_section()?;
+        write_record(&mut w, SEC_STREAMS, |enc| {
+            channel_rng.put(enc);
+            next_flight_seq.put(enc);
+            put_slice(active_noise, enc);
+            self.disruption_rng.put(enc);
+            self.traffic_root.put(enc);
+            self.world.grid_refresh_due().put(enc);
+        })?;
 
         // Gateway outage depths.
-        let depths = self.delivery.outage_depths();
-        w.begin_section(SEC_DELIVERY, 1)?;
-        let enc = w.enc();
-        enc.put_varint(depths.len() as u64);
-        for &d in depths {
-            enc.put_varint(d as u64);
-        }
-        w.end_record()?;
-        w.end_section()?;
+        write_record(&mut w, SEC_DELIVERY, |enc| {
+            put_slice(self.delivery.outage_depths(), enc);
+        })?;
 
         // The mid-run metric collector, wholesale.
         let c = &self.delivery.collector;
-        w.begin_section(SEC_COLLECTOR, 1)?;
-        let enc = w.enc();
-        put_report(enc, &c.report);
-        enc.put_varint(c.arrived.len() as u64);
-        for (idx, &t) in c.arrived.iter() {
-            enc.put_varint(idx as u64);
-            enc.put_varint(t.as_millis());
-        }
-        enc.put_varint(c.transfers.len() as u64);
-        for (idx, &n) in c.transfers.iter() {
-            enc.put_varint(idx as u64);
-            enc.put_varint(n as u64);
-        }
-        enc.put_varint(c.outage_depth as u64);
-        enc.put_varint(c.outage_since.as_millis());
-        enc.put_varint(c.outage_generated.len() as u64);
-        for (idx, _) in c.outage_generated.iter() {
-            enc.put_varint(idx as u64);
-        }
-        w.end_record()?;
-        w.end_section()?;
+        write_record(&mut w, SEC_COLLECTOR, |enc| {
+            c.report.put(enc);
+            put_map(enc, &c.arrived);
+            put_map(enc, &c.transfers);
+            (c.outage_depth, c.outage_since).put(enc);
+            put_map(enc, &c.outage_generated);
+        })?;
 
         let bytes = w.finish()?;
         self.last_snapshot_len.store(bytes.len(), Ordering::Relaxed);
         Ok(Snapshot {
             bytes,
-            seed: self.seed,
-            shards: self.cfg.shards,
-            time: self.now,
+            header,
             config: OnceLock::new(),
         })
     }
@@ -507,6 +473,11 @@ impl Engine {
     /// are appended to the scenario's own plan (original disruption
     /// indices stay stable) and their compiled events are scheduled on
     /// top of the restored queue.
+    ///
+    /// Every value the restored engine will index with — device ids in
+    /// events, handovers, flights and withdrawals, timeline and table
+    /// indices, message ids — is checked here against what it indexes,
+    /// so a file that resumes also runs.
     ///
     /// # Errors
     ///
@@ -574,6 +545,9 @@ impl Engine {
         };
 
         let mut engine = Engine::new(cfg, header.seed);
+        // An engine never steps past its horizon; a sharded resume
+        // replays its barrier sequence up to `now`.
+        ensure(header.now <= engine.horizon, "captured past the horizon")?;
         // Engine::new compiled the *merged* plan, which interleaves
         // overlay events among the originals by time — breaking the
         // index stability the restored `Disruption(i)` queue events
@@ -599,32 +573,44 @@ impl Engine {
             .trips()
             .partition_point(|t| t.depart() <= header.now);
         engine.next_trip = departed.min(engine.live_trips);
+        // The devices section holds a row for each of those trips and
+        // for no other, so "names a device" is a comparison.
+        let limits = Limits {
+            devices: engine.next_trip,
+            next_msg: header.next_msg,
+        };
 
         // Pending events, in the writer's record order: a heap layout
         // (ascending keys, which builds that ran on a calendar queue
         // wrote, are one). Lifecycle records of undeparted trips (see
         // the module docs) are checked against the timetable and dropped.
         let n = expect_section(&mut r, SEC_EVENTS, "snapshot events")?;
-        let mut records = Vec::with_capacity((n as usize).min(1 << 16));
+        let mut records = Vec::with_capacity(reserve_for(n));
         let mut dropped = false;
         for _ in 0..n {
-            r.begin_record()?;
-            let time = SimTime::from_millis(r.varint()?);
-            let seq = r.varint()?;
-            let ev = get_event(&mut r)?;
+            let (time, seq, ev): (SimTime, u64, Event) = read_record(&mut r)?;
             let reissued = match ev {
-                Event::TripStart(node) => Some((node.index(), 0)),
-                Event::TripEnd(node) if node.index() >= engine.next_trip => Some((node.index(), 1)),
-                _ => None,
-            };
-            if let Some((trip, which)) = reissued {
-                let undeparted = (engine.next_trip..engine.live_trips).contains(&trip);
-                if !undeparted || engine.lifecycle_keys(trip)[which] != (time, seq) {
-                    return Err(ScenarioIoError::Corrupt(
-                        "trip lifecycle record disagrees with the timetable",
-                    )
-                    .into());
+                Event::TripStart(node) => Some((node.index(), false)),
+                Event::TripEnd(node) if node.index() >= engine.next_trip => {
+                    Some((node.index(), true))
                 }
+                Event::TripEnd(node) | Event::Generate(node) | Event::TxStart(node) => {
+                    limits.device(node)?;
+                    None
+                }
+                // A key the slab does not hold resolves to no flight.
+                Event::TxEnd(_) => None,
+                Event::Disruption(i) => {
+                    ensure((i as usize) < overlay_base, "disruption past the timeline")?;
+                    None
+                }
+            };
+            if let Some((trip, is_end)) = reissued {
+                let agrees = (engine.next_trip..engine.live_trips).contains(&trip) && {
+                    let [start, end] = engine.lifecycle_keys(trip);
+                    (time, seq) == if is_end { end } else { start }
+                };
+                ensure(agrees, "trip lifecycle record disagrees with the timetable")?;
                 dropped = true;
                 continue;
             }
@@ -648,17 +634,17 @@ impl Engine {
                 .schedule(t, Event::Disruption((overlay_base + j) as u32));
         }
 
-        // Devices: active ones re-enter the world through activate()
-        // (which rebuilds the sorted active set and the neighbour grid),
-        // retired ones only re-enter the device map.
+        // Devices, one per departed trip in id order: active ones
+        // re-enter the world through activate() (which rebuilds the
+        // sorted active set and the neighbour grid), retired ones only
+        // re-enter the device map.
         let n = expect_section(&mut r, SEC_DEVICES, "snapshot devices")?;
-        for _ in 0..n {
-            r.begin_record()?;
-            let node = NodeId::new(u32::try_from(r.varint()?).map_err(bad_index)?);
-            if node.index() >= engine.next_trip {
-                return Err(ScenarioIoError::Corrupt("device record of an undeparted trip").into());
-            }
-            let (dev, hot) = get_device(&mut r, &engine.cfg)?;
+        let departed = n == limits.devices as u64;
+        ensure(departed, "device records are not the departed trips")?;
+        for id in 0..limits.devices {
+            let node: NodeId = read_record(&mut r)?;
+            ensure(node.index() == id, "device records out of order")?;
+            let (dev, hot) = get_device(&mut r, &engine.cfg, &limits)?;
             engine.world.open_row(node);
             if hot.active {
                 let pos = dev.grid_pos;
@@ -677,111 +663,69 @@ impl Engine {
         // the workers their reference to it.
         let n = expect_section(&mut r, SEC_WITHDRAWN, "snapshot withdrawals")?;
         for _ in 0..n {
-            r.begin_record()?;
-            let node = NodeId::new(u32::try_from(r.varint()?).map_err(bad_index)?);
-            let t = SimTime::from_millis(r.varint()?);
+            let (node, t): (NodeId, SimTime) = read_record(&mut r)?;
+            limits.device(node)?;
             engine.world.withdraw_trip(node, t);
             engine.withdrawn.push((node, t));
         }
 
         // The flight slab: slots verbatim (vacant included), then the
-        // free list.
+        // free list, which may name each vacant slot once and nothing
+        // else.
         let n = expect_section(&mut r, SEC_FLIGHT_SLOTS, "snapshot flight slots")?;
-        let mut slots = Vec::with_capacity((n as usize).min(1 << 16));
-        for _ in 0..n {
-            r.begin_record()?;
-            let generation = u32::try_from(r.varint()?).map_err(bad_index)?;
-            let flight = if r.bool()? {
-                Some(get_flight(&mut r)?)
-            } else {
-                None
-            };
-            slots.push((generation, flight));
+        let slots: Vec<(u32, Option<Flight>)> = read_records(&mut r, n)?;
+        for flight in slots.iter().filter_map(|(_, flight)| flight.as_ref()) {
+            limits.device(flight.sender)?;
+            flight
+                .target
+                .map_or(Ok(()), |target| limits.device(target))?;
+            limits.messages(&flight.frame.messages)?;
         }
         let n = expect_section(&mut r, SEC_FLIGHT_FREE, "snapshot flight free list")?;
-        let mut free = Vec::with_capacity((n as usize).min(1 << 16));
-        for _ in 0..n {
-            r.begin_record()?;
-            free.push(u32::try_from(r.varint()?).map_err(bad_index)?);
+        let free: Vec<u32> = read_records(&mut r, n)?;
+        let mut listed = vec![false; slots.len()];
+        for &i in &free {
+            let vacant = matches!(slots.get(i as usize), Some((_, None)));
+            let first = listed
+                .get_mut(i as usize)
+                .is_some_and(|seen| !replace(seen, true));
+            ensure(vacant && first, "free list names no vacant slot")?;
         }
+
         // RNG streams and runtime scalars.
         expect_section(&mut r, SEC_STREAMS, "snapshot streams")?;
-        r.begin_record()?;
-        let channel_rng = get_rng(&mut r)?;
-        let next_flight_seq = r.varint()?;
-        let n_noise = r.varint()?;
-        let mut active_noise = Vec::with_capacity((n_noise as usize).min(1 << 16));
-        for _ in 0..n_noise {
-            active_noise.push(u32::try_from(r.varint()?).map_err(bad_index)?);
-        }
+        let (channel_rng, next_flight_seq, active_noise): (SimRng, u64, Vec<u32>) =
+            read_record(&mut r)?;
+        let bursts = engine.cfg.disruptions.noise_bursts.len();
+        let listed = active_noise.iter().all(|&burst| (burst as usize) < bursts);
+        ensure(listed, "active noise burst past the table")?;
         engine
             .channel
             .restore(channel_rng, slots, free, next_flight_seq, active_noise);
-        engine.disruption_rng = get_rng(&mut r)?;
-        engine.traffic_root = get_rng(&mut r)?;
-        let grid_refresh_due = SimTime::from_millis(r.varint()?);
-        engine.world.restore_runtime(grid_refresh_due);
+        engine.disruption_rng = Persist::get(&mut r)?;
+        engine.traffic_root = Persist::get(&mut r)?;
+        engine.world.restore_runtime(Persist::get(&mut r)?);
 
         // Gateway outage depths (silently re-applied to the grid).
         expect_section(&mut r, SEC_DELIVERY, "snapshot delivery")?;
-        r.begin_record()?;
-        let n_gw = r.varint()? as usize;
-        if n_gw != engine.delivery.gateways().len() {
-            return Err(ScenarioIoError::Corrupt("gateway count mismatch").into());
-        }
-        let mut depths = Vec::with_capacity(n_gw);
-        for _ in 0..n_gw {
-            depths.push(u32::try_from(r.varint()?).map_err(bad_index)?);
-        }
+        let depths: Vec<u32> = read_record(&mut r)?;
+        let every_gateway = depths.len() == engine.delivery.gateways().len();
+        ensure(every_gateway, "gateway count mismatch")?;
         engine.delivery.restore_outages(depths);
 
-        // The mid-run collector, wholesale.
+        // The mid-run collector, wholesale (fields in wire order).
         expect_section(&mut r, SEC_COLLECTOR, "snapshot collector")?;
         r.begin_record()?;
-        let report = get_report(&mut r)?;
-        // A `DenseMap` grows to the id it is handed, so an id the run
-        // never issued — every issued one is below the header's
-        // counter — must not reach it: one large number in a re-sealed
-        // file would be a multi-terabyte resize.
-        let next_msg = engine.next_msg;
-        let issued_id = |raw: u64| {
-            if raw < next_msg {
-                Ok(MessageId::new(raw))
-            } else {
-                Err(ScenarioIoError::Corrupt("message id was never issued"))
-            }
-        };
-        let n = r.varint()?;
-        let mut arrived = DenseMap::new();
-        for _ in 0..n {
-            let id = issued_id(r.varint()?)?;
-            arrived.insert(id, SimTime::from_millis(r.varint()?));
-        }
-        let n = r.varint()?;
-        let mut transfers = DenseMap::new();
-        for _ in 0..n {
-            let id = issued_id(r.varint()?)?;
-            transfers.insert(id, u32::try_from(r.varint()?).map_err(bad_index)?);
-        }
-        let outage_depth = u32::try_from(r.varint()?).map_err(bad_index)?;
-        let outage_since = SimTime::from_millis(r.varint()?);
-        let n = r.varint()?;
-        let mut outage_generated = DenseMap::new();
-        for _ in 0..n {
-            outage_generated.insert(issued_id(r.varint()?)?, ());
-        }
         engine.delivery.collector = Collector {
-            report,
-            arrived,
-            transfers,
-            outage_depth,
-            outage_since,
-            outage_generated,
+            report: Persist::get(&mut r)?,
+            arrived: get_map(&mut r, &limits)?,
+            transfers: get_map(&mut r, &limits)?,
+            outage_depth: Persist::get(&mut r)?,
+            outage_since: Persist::get(&mut r)?,
+            outage_generated: get_map(&mut r, &limits)?,
         };
 
-        if r.next_section()?.is_some() {
-            return Err(ScenarioIoError::Corrupt("unexpected trailing section").into());
-        }
+        ensure(r.next_section()?.is_none(), "unexpected trailing section")?;
 
         // A sharded run rebuilds its commit-side runtime from scratch:
         // fresh workers, the original barrier sequence re-broadcast up
@@ -827,10 +771,7 @@ fn frame_config_section(cfg: &SimConfig) -> Result<Vec<u8>, SnapshotError> {
     // growth by doubling leaves.
     let out = Vec::with_capacity(blob.len() + 64);
     let mut w = ScenarioWriter::with_magic(out, SNAPSHOT_MAGIC)?;
-    w.begin_section(SEC_CONFIG, 1)?;
-    w.enc().put_bytes(&blob);
-    w.end_record()?;
-    w.end_section()?;
+    write_record(&mut w, SEC_CONFIG, |enc| enc.put_bytes(&blob))?;
     // A container of this one section: what lies between the file
     // header (magic, version word) and the end marker is the section.
     let mut framed = w.finish()?;
@@ -839,9 +780,30 @@ fn frame_config_section(cfg: &SimConfig) -> Result<Vec<u8>, SnapshotError> {
     Ok(framed)
 }
 
-/// Maps an out-of-range stored index to a typed corruption error.
-fn bad_index(_: std::num::TryFromIntError) -> ScenarioIoError {
-    ScenarioIoError::Corrupt("stored index out of range")
+/// What the ids in a snapshot may name: the captured run's departed
+/// trips (each has a device row, no other trip does) and the messages
+/// it had issued.
+struct Limits {
+    devices: usize,
+    next_msg: u64,
+}
+
+impl Limits {
+    fn device(&self, node: NodeId) -> Result<(), ScenarioIoError> {
+        ensure(node.index() < self.devices, "names a device that never was")
+    }
+
+    /// A `DenseMap` grows to the id it is handed, so an id the run
+    /// never issued — every issued one is below the header's counter —
+    /// must not reach one: one large number in a re-sealed file would
+    /// be a multi-terabyte resize.
+    fn message(&self, id: MessageId) -> Result<(), ScenarioIoError> {
+        ensure(id.raw() < self.next_msg, "message id was never issued")
+    }
+
+    fn messages(&self, messages: &[AppMessage]) -> Result<(), ScenarioIoError> {
+        messages.iter().try_for_each(|m| self.message(m.id))
+    }
 }
 
 /// Requires the next section to be `id`; `what` names it for the error.
@@ -859,34 +821,14 @@ fn expect_section<R: Read>(
 
 /// Decodes the header section (which must come first).
 fn read_header<R: Read>(r: &mut ScenarioReader<R>) -> Result<Header, ScenarioIoError> {
-    match expect_section(r, SEC_HEADER, "snapshot header")? {
-        1 => {}
-        _ => return Err(ScenarioIoError::Corrupt("snapshot header record count")),
-    }
-    r.begin_record()?;
-    let seed = r.varint()?;
+    let records = expect_section(r, SEC_HEADER, "snapshot header")?;
+    ensure(records == 1, "snapshot header record count")?;
+    let header: Header = read_record(r)?;
     // Resume spawns one worker thread per shard, so the count is held
     // to what a configuration may ask for before anything acts on it.
-    let shards = match usize::try_from(r.varint()?) {
-        Ok(n) if (1..=MAX_SHARDS).contains(&n) => n,
-        _ => {
-            return Err(ScenarioIoError::Corrupt(
-                "snapshot shard count out of range",
-            ))
-        }
-    };
-    let now = SimTime::from_millis(r.varint()?);
-    let next_msg = r.varint()?;
-    let events_processed = r.varint()?;
-    let event_seq = r.varint()?;
-    Ok(Header {
-        seed,
-        shards,
-        now,
-        next_msg,
-        events_processed,
-        event_seq,
-    })
+    let shards = (1..=MAX_SHARDS).contains(&header.shards);
+    ensure(shards, "snapshot shard count out of range")?;
+    Ok(header)
 }
 
 /// Decodes the embedded scenario, restoring the captured shard count
@@ -895,10 +837,8 @@ fn read_config<R: Read>(
     r: &mut ScenarioReader<R>,
     shards: usize,
 ) -> Result<SimConfig, SnapshotError> {
-    match expect_section(r, SEC_CONFIG, "snapshot config")? {
-        1 => {}
-        _ => return Err(ScenarioIoError::Corrupt("snapshot config record count").into()),
-    }
+    let records = expect_section(r, SEC_CONFIG, "snapshot config")?;
+    ensure(records == 1, "snapshot config record count")?;
     r.begin_record()?;
     let mut cfg = SimConfig::from_reader(r.byte_slice()?)?;
     cfg.shards = shards;
@@ -922,306 +862,154 @@ fn offset_event(ev: DisruptionEvent, withdraw_off: u32, noise_off: u32) -> Disru
     }
 }
 
-fn put_event(enc: &mut Enc, ev: Event) {
-    match ev {
-        Event::TripStart(n) => {
-            enc.put_u8(0);
-            enc.put_varint(n.raw() as u64);
+// ---------------------------------------------------------------------
+// Record layouts, each written once (see `crate::persist`)
+// ---------------------------------------------------------------------
+
+impl Persist for Event {
+    fn put(&self, enc: &mut Enc) {
+        match *self {
+            Event::TripStart(n) => (0u8, n).put(enc),
+            Event::TripEnd(n) => (1u8, n).put(enc),
+            Event::Generate(n) => (2u8, n).put(enc),
+            Event::TxStart(n) => (3u8, n).put(enc),
+            Event::TxEnd(key) => (4u8, key).put(enc),
+            Event::Disruption(i) => (5u8, i).put(enc),
         }
-        Event::TripEnd(n) => {
-            enc.put_u8(1);
-            enc.put_varint(n.raw() as u64);
-        }
-        Event::Generate(n) => {
-            enc.put_u8(2);
-            enc.put_varint(n.raw() as u64);
-        }
-        Event::TxStart(n) => {
-            enc.put_u8(3);
-            enc.put_varint(n.raw() as u64);
-        }
-        Event::TxEnd(key) => {
-            enc.put_u8(4);
-            enc.put_varint(key.index() as u64);
-            enc.put_varint(key.generation() as u64);
-        }
-        Event::Disruption(i) => {
-            enc.put_u8(5);
-            enc.put_varint(i as u64);
-        }
+    }
+
+    fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
+        Ok(match r.u8()? {
+            0 => Event::TripStart(Persist::get(r)?),
+            1 => Event::TripEnd(Persist::get(r)?),
+            2 => Event::Generate(Persist::get(r)?),
+            3 => Event::TxStart(Persist::get(r)?),
+            4 => Event::TxEnd(Persist::get(r)?),
+            5 => Event::Disruption(Persist::get(r)?),
+            _ => return Err(ScenarioIoError::Corrupt("unknown event tag")),
+        })
     }
 }
 
-fn get_event<R: Read>(r: &mut ScenarioReader<R>) -> Result<Event, ScenarioIoError> {
-    let node = |raw: u64| u32::try_from(raw).map(NodeId::new).map_err(bad_index);
-    Ok(match r.u8()? {
-        0 => Event::TripStart(node(r.varint()?)?),
-        1 => Event::TripEnd(node(r.varint()?)?),
-        2 => Event::Generate(node(r.varint()?)?),
-        3 => Event::TxStart(node(r.varint()?)?),
-        4 => {
-            let index = u32::try_from(r.varint()?).map_err(bad_index)?;
-            let generation = u32::try_from(r.varint()?).map_err(bad_index)?;
-            Event::TxEnd(SlabKey::from_parts(index, generation))
-        }
-        5 => Event::Disruption(u32::try_from(r.varint()?).map_err(bad_index)?),
-        _ => return Err(ScenarioIoError::Corrupt("unknown event tag")),
-    })
-}
+persist_struct!(AppMessage {
+    id: MessageId,
+    origin: NodeId,
+    created: SimTime,
+    payload_bytes: u16,
+    profile: u8,
+    priority: Priority,
+});
+persist_struct!(UplinkFrame {
+    sender: NodeId,
+    messages: Vec<AppMessage>,
+    rca_etx: f64,
+    queue_len: usize,
+});
+// A flight is captured through the borrowed row view the channel
+// gathers and restored as the owned row it scatters.
+persist_struct!(Flight, written from FlightRef<'_> as put {
+    seq: u64,
+    sender: NodeId,
+    target: Option<NodeId>,
+    start: SimTime,
+    end: SimTime,
+    pos: Point,
+    frame: UplinkFrame,
+});
+persist_struct!(DeviceTraffic {
+    profile: u32,
+    rng: SimRng,
+    burst_left: u32,
+});
+persist_struct!(ProfileReport {
+    name: String,
+    generated: u64,
+    delivered: u64,
+    messages_sent: u64,
+    payload_bytes_sent: u64,
+    airtime_s: f64,
+    delay: Welford,
+});
+persist_struct!(SimReport {
+    scheme: String,
+    generated: u64,
+    delivered: u64,
+    duplicates: u64,
+    stranded: u64,
+    queue_drops: u64,
+    delay: Welford,
+    hops: Welford,
+    throughput_series: TimeSeries,
+    frames_sent: u64,
+    messages_sent: u64,
+    handover_frames: u64,
+    handover_messages: u64,
+    collisions: u64,
+    devices_seen: u64,
+    total_energy_mj: f64,
+    total_active_s: f64,
+    gateway_outages: u64,
+    buses_withdrawn: u64,
+    noise_bursts: u64,
+    outage_time_s: f64,
+    generated_during_outage: u64,
+    delivered_of_outage_generated: u64,
+    total_airtime_s: f64,
+    profiles: Vec<ProfileReport>,
+});
 
-fn put_time(enc: &mut Enc, t: SimTime) {
-    enc.put_varint(t.as_millis());
-}
-
-fn get_time<R: Read>(r: &mut ScenarioReader<R>) -> Result<SimTime, ScenarioIoError> {
-    Ok(SimTime::from_millis(r.varint()?))
-}
-
-fn put_dur(enc: &mut Enc, d: SimDuration) {
-    enc.put_varint(d.as_millis());
-}
-
-fn get_dur<R: Read>(r: &mut ScenarioReader<R>) -> Result<SimDuration, ScenarioIoError> {
-    Ok(SimDuration::from_millis(r.varint()?))
-}
-
-fn put_opt_time(enc: &mut Enc, t: Option<SimTime>) {
-    match t {
-        None => enc.put_bool(false),
-        Some(t) => {
-            enc.put_bool(true);
-            put_time(enc, t);
-        }
+/// A map keyed by message id: its length, then `(id, value)` in id
+/// order.
+fn put_map<V: Persist>(enc: &mut Enc, map: &DenseMap<MessageId, V>) {
+    map.len().put(enc);
+    for (id, value) in map.iter() {
+        id.put(enc);
+        value.put(enc);
     }
 }
 
-fn get_opt_time<R: Read>(r: &mut ScenarioReader<R>) -> Result<Option<SimTime>, ScenarioIoError> {
-    Ok(if r.bool()? { Some(get_time(r)?) } else { None })
-}
-
-fn put_rng(enc: &mut Enc, state: (u64, [u64; 4])) {
-    enc.put_varint(state.0);
-    for w in state.1 {
-        enc.put_varint(w);
+fn get_map<R: Read, V: Persist>(
+    r: &mut ScenarioReader<R>,
+    limits: &Limits,
+) -> Result<DenseMap<MessageId, V>, ScenarioIoError> {
+    let mut map = DenseMap::new();
+    for _ in 0..u64::get(r)? {
+        let id = MessageId::get(r)?;
+        limits.message(id)?;
+        map.insert(id, V::get(r)?);
     }
-}
-
-fn get_rng<R: Read>(r: &mut ScenarioReader<R>) -> Result<SimRng, ScenarioIoError> {
-    let seed = r.varint()?;
-    let mut words = [0u64; 4];
-    for w in &mut words {
-        *w = r.varint()?;
-    }
-    Ok(SimRng::from_state(seed, words))
-}
-
-fn put_welford(enc: &mut Enc, w: &Welford) {
-    let (count, mean, m2, min, max) = w.raw_parts();
-    enc.put_varint(count);
-    enc.put_f64(mean);
-    enc.put_f64(m2);
-    enc.put_f64(min);
-    enc.put_f64(max);
-}
-
-fn get_welford<R: Read>(r: &mut ScenarioReader<R>) -> Result<Welford, ScenarioIoError> {
-    let count = r.varint()?;
-    let mean = r.f64()?;
-    let m2 = r.f64()?;
-    let min = r.f64()?;
-    let max = r.f64()?;
-    Ok(Welford::from_raw_parts(count, mean, m2, min, max))
-}
-
-fn put_message(enc: &mut Enc, m: &AppMessage) {
-    enc.put_varint(m.id.raw());
-    enc.put_varint(m.origin.raw() as u64);
-    put_time(enc, m.created);
-    enc.put_varint(m.payload_bytes as u64);
-    enc.put_u8(m.profile);
-    enc.put_u8(match m.priority {
-        Priority::Low => 0,
-        Priority::Normal => 1,
-        Priority::High => 2,
-    });
-}
-
-fn get_message<R: Read>(r: &mut ScenarioReader<R>) -> Result<AppMessage, ScenarioIoError> {
-    let id = MessageId::new(r.varint()?);
-    let origin = NodeId::new(u32::try_from(r.varint()?).map_err(bad_index)?);
-    let created = get_time(r)?;
-    let payload_bytes = u16::try_from(r.varint()?)
-        .map_err(|_| ScenarioIoError::Corrupt("payload size out of range"))?;
-    let profile = r.u8()?;
-    let priority = match r.u8()? {
-        0 => Priority::Low,
-        1 => Priority::Normal,
-        2 => Priority::High,
-        _ => return Err(ScenarioIoError::Corrupt("unknown priority tag")),
-    };
-    Ok(AppMessage {
-        id,
-        origin,
-        created,
-        payload_bytes,
-        profile,
-        priority,
-    })
-}
-
-fn put_flight(enc: &mut Enc, f: FlightRef<'_>) {
-    enc.put_varint(f.seq);
-    enc.put_varint(f.sender.raw() as u64);
-    match f.target {
-        None => enc.put_bool(false),
-        Some(t) => {
-            enc.put_bool(true);
-            enc.put_varint(t.raw() as u64);
-        }
-    }
-    put_time(enc, f.start);
-    put_time(enc, f.end);
-    enc.put_f64(f.pos.x);
-    enc.put_f64(f.pos.y);
-    enc.put_varint(f.frame.sender.raw() as u64);
-    enc.put_varint(f.frame.messages.len() as u64);
-    for m in &f.frame.messages {
-        put_message(enc, m);
-    }
-    enc.put_f64(f.frame.rca_etx);
-    enc.put_varint(f.frame.queue_len as u64);
-}
-
-fn get_flight<R: Read>(r: &mut ScenarioReader<R>) -> Result<Flight, ScenarioIoError> {
-    let seq = r.varint()?;
-    let sender = NodeId::new(u32::try_from(r.varint()?).map_err(bad_index)?);
-    let target = if r.bool()? {
-        Some(NodeId::new(u32::try_from(r.varint()?).map_err(bad_index)?))
-    } else {
-        None
-    };
-    let start = get_time(r)?;
-    let end = get_time(r)?;
-    let pos = Point {
-        x: r.f64()?,
-        y: r.f64()?,
-    };
-    let frame_sender = NodeId::new(u32::try_from(r.varint()?).map_err(bad_index)?);
-    let n = r.varint()?;
-    let mut messages = Vec::with_capacity((n as usize).min(1 << 16));
-    for _ in 0..n {
-        messages.push(get_message(r)?);
-    }
-    let rca_etx = r.f64()?;
-    let queue_len = r.varint()? as usize;
-    Ok(Flight {
-        seq,
-        sender,
-        frame: UplinkFrame {
-            sender: frame_sender,
-            messages,
-            rca_etx,
-            queue_len,
-        },
-        target,
-        start,
-        end,
-        pos,
-    })
+    Ok(map)
 }
 
 /// Writes one device record: the cold [`Device`] row plus its gathered
 /// hot-column view, in the exact field order the AoS layout used — the
-/// wire format is unchanged by the SoA split.
+/// wire format is unchanged by the SoA split. Hand-written, unlike the
+/// records above: it interleaves two structs, reaches the foreign state
+/// types through their `raw_parts`, and [`get_device`] needs the
+/// scenario to rebuild what is not stored. Keep the two in step, line
+/// for line.
 fn put_device(enc: &mut Enc, dev: &Device, hot: DeviceHot) {
-    enc.put_bool(hot.active);
-    put_time(enc, dev.activated_at);
-    put_opt_time(enc, dev.retired_at);
-
-    enc.put_varint(dev.queue.capacity() as u64);
-    enc.put_varint(dev.queue.dropped());
-    enc.put_varint(dev.queue.len() as u64);
-    for m in dev.queue.iter() {
-        put_message(enc, m);
-    }
-
-    let (duty_cycle, next_allowed, total_airtime, tx_count) = dev.duty.raw_parts();
-    enc.put_f64(duty_cycle);
-    put_time(enc, next_allowed);
-    put_dur(enc, total_airtime);
-    enc.put_varint(tx_count);
-
-    enc.put_varint(dev.retransmit.max_attempts() as u64);
-    enc.put_varint(dev.retransmit.attempts() as u64);
-
+    (hot.active, dev.activated_at, dev.retired_at).put(enc);
+    (dev.queue.capacity(), dev.queue.dropped(), dev.queue.len()).put(enc);
+    dev.queue.iter().for_each(|m| m.put(enc));
+    dev.duty.raw_parts().put(enc);
+    (dev.retransmit.max_attempts(), dev.retransmit.attempts()).put(enc);
     let (estimator, ca, ledger) = dev.routing.raw_parts();
     let (tracker, ewma, rca_bits) = estimator.raw_parts();
-    let (last_success, in_contact, successes, failures) = tracker.raw_parts();
-    match last_success {
-        None => enc.put_bool(false),
-        Some((t, capacity)) => {
-            enc.put_bool(true);
-            put_time(enc, t);
-            enc.put_f64(capacity);
-        }
-    }
-    enc.put_bool(in_contact);
-    enc.put_varint(successes);
-    enc.put_varint(failures);
-    enc.put_f64(ewma.alpha());
-    match ewma.value() {
-        None => enc.put_bool(false),
-        Some(v) => {
-            enc.put_bool(true);
-            enc.put_f64(v);
-        }
-    }
-    enc.put_f64(rca_bits);
-    let (ca_bits, gaps, capacities, last_contact) = ca.raw_parts();
-    enc.put_f64(ca_bits);
-    put_welford(enc, &gaps);
-    put_welford(enc, &capacities);
-    put_opt_time(enc, last_contact);
-    let donors = ledger.donors_sorted();
-    enc.put_varint(donors.len() as u64);
-    for d in donors {
-        enc.put_varint(d.raw() as u64);
-    }
-
-    enc.put_bool(hot.transmitting);
-    enc.put_bool(dev.tx_scheduled);
-    match dev.pending_handover {
-        None => enc.put_bool(false),
-        Some((target, count)) => {
-            enc.put_bool(true);
-            enc.put_varint(target.raw() as u64);
-            enc.put_varint(count as u64);
-        }
-    }
-    put_opt_time(enc, hot.last_tx_end);
-    match hot.tx_window {
-        None => enc.put_bool(false),
-        Some((a, b)) => {
-            enc.put_bool(true);
-            put_time(enc, a);
-            put_time(enc, b);
-        }
-    }
-    enc.put_f64(hot.gamma);
-    put_dur(enc, dev.tx_time);
-    put_dur(enc, dev.rx_window_time);
-    enc.put_varint(dev.frames_sent);
-    enc.put_f64(dev.grid_pos.x);
-    enc.put_f64(dev.grid_pos.y);
-    match &dev.traffic {
-        None => enc.put_bool(false),
-        Some(t) => {
-            enc.put_bool(true);
-            enc.put_varint(t.profile as u64);
-            put_rng(enc, t.rng.state());
-            enc.put_varint(t.burst_left as u64);
-        }
-    }
+    tracker.raw_parts().put(enc);
+    (ewma.alpha(), ewma.value(), rca_bits).put(enc);
+    ca.raw_parts().put(enc);
+    ledger.donors_sorted().put(enc);
+    (hot.transmitting, dev.tx_scheduled, dev.pending_handover).put(enc);
+    (hot.last_tx_end, hot.tx_window, hot.gamma).put(enc);
+    (
+        dev.tx_time,
+        dev.rx_window_time,
+        dev.frames_sent,
+        dev.grid_pos,
+    )
+        .put(enc);
+    dev.traffic.put(enc);
 }
 
 /// Reads one device record, splitting it back into the cold [`Device`]
@@ -1229,108 +1017,69 @@ fn put_device(enc: &mut Enc, dev: &Device, hot: DeviceHot) {
 fn get_device<R: Read>(
     r: &mut ScenarioReader<R>,
     cfg: &SimConfig,
+    limits: &Limits,
 ) -> Result<(Device, DeviceHot), ScenarioIoError> {
-    let active = r.bool()?;
-    let activated_at = get_time(r)?;
-    let retired_at = get_opt_time(r)?;
+    let (active, activated_at, retired_at) = Persist::get(r)?;
+    let (capacity, dropped, messages): (usize, u64, Vec<AppMessage>) = Persist::get(r)?;
+    let (duty_cycle, next_allowed, total_airtime, tx_count) = Persist::get(r)?;
+    let (max_attempts, attempts) = Persist::get(r)?;
+    let (last_success, in_contact, successes, failures) = Persist::get(r)?;
+    let (alpha, ewma_value, rca_bits) = Persist::get(r)?;
+    let (ca_bits, gaps, capacities, last_contact) = Persist::get(r)?;
+    let donors: Vec<NodeId> = Persist::get(r)?;
+    let (transmitting, tx_scheduled, pending_handover) = Persist::get(r)?;
+    let (last_tx_end, tx_window, gamma) = Persist::get(r)?;
+    let (tx_time, rx_window_time, frames_sent, grid_pos) = Persist::get(r)?;
+    let traffic: Option<DeviceTraffic> = Persist::get(r)?;
 
-    let capacity = r.varint()? as usize;
-    let dropped = r.varint()?;
-    let n = r.varint()?;
-    let mut messages = Vec::with_capacity((n as usize).min(1 << 16));
-    for _ in 0..n {
-        messages.push(get_message(r)?);
+    // Four fields are the scenario's constants, stored per device: the
+    // constructors below assert their ranges, which the validated
+    // scenario satisfies. (NaN equals nothing.)
+    let constants = (capacity, duty_cycle, max_attempts, alpha)
+        == (
+            cfg.queue_capacity,
+            cfg.duty_cycle,
+            cfg.max_attempts,
+            cfg.alpha,
+        );
+    ensure(constants, "device constants are not the scenario's")?;
+    let queue =
+        messages.len() <= capacity && messages.is_sorted_by(|a, b| a.priority >= b.priority);
+    ensure(queue, "device queue over capacity or out of order")?;
+    limits.messages(&messages)?;
+    if let Some((target, _)) = pending_handover {
+        limits.device(target)?;
     }
-    let queue = DataQueue::from_parts(capacity, dropped, messages);
+    let profiles = cfg.traffic.profiles.len();
+    let profile = traffic
+        .as_ref()
+        .is_none_or(|t| (t.profile as usize) < profiles);
+    ensure(profile, "traffic profile past the mix")?;
 
-    let duty_cycle = r.f64()?;
-    let next_allowed = get_time(r)?;
-    let total_airtime = get_dur(r)?;
-    let tx_count = r.varint()?;
-    let duty = DutyCycleTracker::from_raw_parts(duty_cycle, next_allowed, total_airtime, tx_count);
-
-    let max_attempts = u32::try_from(r.varint()?).map_err(bad_index)?;
-    let attempts = u32::try_from(r.varint()?).map_err(bad_index)?;
-    let retransmit = RetransmitPolicy::from_parts(max_attempts, attempts);
-
-    let last_success = if r.bool()? {
-        Some((get_time(r)?, r.f64()?))
-    } else {
-        None
-    };
-    let in_contact = r.bool()?;
-    let successes = r.varint()?;
-    let failures = r.varint()?;
     let tracker = ContactTracker::from_raw_parts(last_success, in_contact, successes, failures);
-    let alpha = r.f64()?;
-    let ewma_value = if r.bool()? { Some(r.f64()?) } else { None };
     let ewma = Ewma::from_raw_parts(alpha, ewma_value);
-    let rca_bits = r.f64()?;
     let estimator = RcaEtxEstimator::from_raw_parts(tracker, ewma, rca_bits);
-    let ca_bits = r.f64()?;
-    let gaps = get_welford(r)?;
-    let capacities = get_welford(r)?;
-    let last_contact = get_opt_time(r)?;
     let ca = CaEtxEstimator::from_raw_parts(ca_bits, gaps, capacities, last_contact);
-    let n_donors = r.varint()?;
-    let mut donors = Vec::with_capacity((n_donors as usize).min(1 << 16));
-    for _ in 0..n_donors {
-        donors.push(NodeId::new(u32::try_from(r.varint()?).map_err(bad_index)?));
-    }
     let ledger = DonorLedger::from_donors(donors);
     let routing_config = cfg.routing_config();
     let policy = routing_config.scheme.policy();
-    let routing = RoutingState::from_raw_parts(routing_config, policy, estimator, ca, ledger);
-
-    let transmitting = r.bool()?;
-    let tx_scheduled = r.bool()?;
-    let pending_handover = if r.bool()? {
-        let target = NodeId::new(u32::try_from(r.varint()?).map_err(bad_index)?);
-        let count = r.varint()? as usize;
-        Some((target, count))
-    } else {
-        None
-    };
-    let last_tx_end = get_opt_time(r)?;
-    let tx_window = if r.bool()? {
-        Some((get_time(r)?, get_time(r)?))
-    } else {
-        None
-    };
-    let gamma = r.f64()?;
-    let tx_time = get_dur(r)?;
-    let rx_window_time = get_dur(r)?;
-    let frames_sent = r.varint()?;
-    let grid_pos = Point {
-        x: r.f64()?,
-        y: r.f64()?,
-    };
-    let traffic = if r.bool()? {
-        let profile = u32::try_from(r.varint()?).map_err(bad_index)?;
-        let rng = get_rng(r)?;
-        let burst_left = u32::try_from(r.varint()?).map_err(bad_index)?;
-        Some(DeviceTraffic {
-            profile,
-            rng,
-            burst_left,
-        })
-    } else {
-        None
-    };
-
     let class = match cfg.device_class {
         DeviceClassChoice::ModifiedClassC => mlora_mac::DeviceClass::ModifiedClassC,
         DeviceClassChoice::QueueBasedClassA => mlora_mac::DeviceClass::QueueBasedClassA,
     };
-
     Ok((
         Device {
             activated_at,
             retired_at,
-            queue,
-            duty,
-            retransmit,
-            routing,
+            queue: DataQueue::from_parts(capacity, dropped, messages),
+            duty: DutyCycleTracker::from_raw_parts(
+                duty_cycle,
+                next_allowed,
+                total_airtime,
+                tx_count,
+            ),
+            retransmit: RetransmitPolicy::from_parts(max_attempts, attempts),
+            routing: RoutingState::from_raw_parts(routing_config, policy, estimator, ca, ledger),
             class,
             tx_scheduled,
             pending_handover,
@@ -1350,135 +1099,19 @@ fn get_device<R: Read>(
     ))
 }
 
-fn put_report(enc: &mut Enc, r: &SimReport) {
-    enc.put_str(&r.scheme);
-    enc.put_varint(r.generated);
-    enc.put_varint(r.delivered);
-    enc.put_varint(r.duplicates);
-    enc.put_varint(r.stranded);
-    enc.put_varint(r.queue_drops);
-    put_welford(enc, &r.delay);
-    put_welford(enc, &r.hops);
-    put_dur(enc, r.throughput_series.bucket());
-    enc.put_bool(r.throughput_series.is_bounded());
-    enc.put_varint(r.throughput_series.counts().len() as u64);
-    for &c in r.throughput_series.counts() {
-        enc.put_varint(c);
-    }
-    enc.put_varint(r.frames_sent);
-    enc.put_varint(r.messages_sent);
-    enc.put_varint(r.handover_frames);
-    enc.put_varint(r.handover_messages);
-    enc.put_varint(r.collisions);
-    enc.put_varint(r.devices_seen);
-    enc.put_f64(r.total_energy_mj);
-    enc.put_f64(r.total_active_s);
-    enc.put_varint(r.gateway_outages);
-    enc.put_varint(r.buses_withdrawn);
-    enc.put_varint(r.noise_bursts);
-    enc.put_f64(r.outage_time_s);
-    enc.put_varint(r.generated_during_outage);
-    enc.put_varint(r.delivered_of_outage_generated);
-    enc.put_f64(r.total_airtime_s);
-    enc.put_varint(r.profiles.len() as u64);
-    for p in &r.profiles {
-        enc.put_str(&p.name);
-        enc.put_varint(p.generated);
-        enc.put_varint(p.delivered);
-        enc.put_varint(p.messages_sent);
-        enc.put_varint(p.payload_bytes_sent);
-        enc.put_f64(p.airtime_s);
-        put_welford(enc, &p.delay);
-    }
-}
-
-fn get_report<R: Read>(r: &mut ScenarioReader<R>) -> Result<SimReport, ScenarioIoError> {
-    let scheme = r.string()?;
-    let generated = r.varint()?;
-    let delivered = r.varint()?;
-    let duplicates = r.varint()?;
-    let stranded = r.varint()?;
-    let queue_drops = r.varint()?;
-    let delay = get_welford(r)?;
-    let hops = get_welford(r)?;
-    let bucket = get_dur(r)?;
-    let bounded = r.bool()?;
-    let n = r.varint()?;
-    let mut counts = Vec::with_capacity((n as usize).min(1 << 16));
-    for _ in 0..n {
-        counts.push(r.varint()?);
-    }
-    let throughput_series = TimeSeries::from_raw_parts(bucket, counts, bounded);
-    let frames_sent = r.varint()?;
-    let messages_sent = r.varint()?;
-    let handover_frames = r.varint()?;
-    let handover_messages = r.varint()?;
-    let collisions = r.varint()?;
-    let devices_seen = r.varint()?;
-    let total_energy_mj = r.f64()?;
-    let total_active_s = r.f64()?;
-    let gateway_outages = r.varint()?;
-    let buses_withdrawn = r.varint()?;
-    let noise_bursts = r.varint()?;
-    let outage_time_s = r.f64()?;
-    let generated_during_outage = r.varint()?;
-    let delivered_of_outage_generated = r.varint()?;
-    let total_airtime_s = r.f64()?;
-    let n = r.varint()?;
-    let mut profiles = Vec::with_capacity((n as usize).min(1 << 16));
-    for _ in 0..n {
-        let name = r.string()?;
-        let generated = r.varint()?;
-        let delivered = r.varint()?;
-        let messages_sent = r.varint()?;
-        let payload_bytes_sent = r.varint()?;
-        let airtime_s = r.f64()?;
-        let delay = get_welford(r)?;
-        profiles.push(ProfileReport {
-            name,
-            generated,
-            delivered,
-            messages_sent,
-            payload_bytes_sent,
-            airtime_s,
-            delay,
-        });
-    }
-    Ok(SimReport {
-        scheme,
-        generated,
-        delivered,
-        duplicates,
-        stranded,
-        queue_drops,
-        delay,
-        hops,
-        throughput_series,
-        frames_sent,
-        messages_sent,
-        handover_frames,
-        handover_messages,
-        collisions,
-        devices_seen,
-        total_energy_mj,
-        total_active_s,
-        gateway_outages,
-        buses_withdrawn,
-        noise_bursts,
-        outage_time_s,
-        generated_during_outage,
-        delivered_of_outage_generated,
-        total_airtime_s,
-        profiles,
-    })
-}
-
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 mod tests {
     use super::*;
     use crate::Environment;
     use mlora_core::Scheme;
     use mlora_mobility::BusNetwork;
+    use mlora_simcore::SimDuration;
     use std::sync::Arc;
 
     fn cfg() -> SimConfig {
@@ -1715,7 +1348,7 @@ mod tests {
 
     #[test]
     fn inflated_counts_are_corrupt_not_an_abort() {
-        use crate::io::tests::with_inflated_section;
+        use crate::framing::splice;
         let mut engine = Engine::new(cfg(), 7);
         engine.run_until(SimTime::from_secs(900));
         let snap = engine.snapshot().expect("snapshot");
@@ -1727,32 +1360,35 @@ mod tests {
             SEC_FLIGHT_SLOTS,
             SEC_FLIGHT_FREE,
         ] {
-            let hostile = with_inflated_section(snap.as_bytes(), SNAPSHOT_MAGIC, id);
+            let hostile = splice(snap.as_bytes(), SNAPSHOT_MAGIC, id, |s| s.count = 1 << 60);
             let loaded = Snapshot::from_bytes(hostile).expect("header is intact");
             assert!(is_corrupt(Engine::resume(&loaded)), "section {id}");
         }
         // The same promise inside a checksummed record: the message
         // count of a flight the writer framed like any other.
+        let flight = Flight {
+            seq: 3,
+            sender: NodeId::new(1),
+            target: None,
+            start: SimTime::from_secs(1),
+            end: SimTime::from_secs(2),
+            pos: Point::new(0.0, 0.0),
+            frame: UplinkFrame::new(NodeId::new(1), Vec::new(), 0.0, 0),
+        };
         let mut w = ScenarioWriter::with_magic(Vec::new(), SNAPSHOT_MAGIC).unwrap();
-        w.begin_section(SEC_FLIGHT_SLOTS, 1).unwrap();
-        let enc = w.enc();
-        enc.put_varint(3); // seq
-        enc.put_varint(1); // sender
-        enc.put_bool(false); // no target
-        put_time(enc, SimTime::from_secs(1));
-        put_time(enc, SimTime::from_secs(2));
-        enc.put_f64(0.0);
-        enc.put_f64(0.0);
-        enc.put_varint(1); // frame sender
-        enc.put_varint(1 << 60); // messages
-        w.end_record().unwrap();
-        w.end_section().unwrap();
-        let bytes = w.finish().unwrap();
+        write_records(&mut w, SEC_FLIGHT_SLOTS, &[flight]).unwrap();
+        let honest = w.finish().unwrap();
+        // The record ends: no messages (one byte), the metric (eight),
+        // the queue length (one).
+        let bytes = splice(&honest, SNAPSHOT_MAGIC, SEC_FLIGHT_SLOTS, |s| {
+            let count = s.payload.len() - 10;
+            s.payload
+                .splice(count..=count, crate::framing::varint(1 << 60));
+        });
         let mut r = ScenarioReader::with_magic(bytes.as_slice(), SNAPSHOT_MAGIC).unwrap();
         r.next_section().unwrap();
-        r.begin_record().unwrap();
         assert!(matches!(
-            get_flight(&mut r),
+            read_record::<_, Flight>(&mut r),
             Err(ScenarioIoError::Corrupt(_))
         ));
     }

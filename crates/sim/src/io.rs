@@ -15,6 +15,16 @@
 //! Explicit [`ForwardingPolicy`](mlora_core::ForwardingPolicy) plug-ins
 //! are live code and cannot be serialized; saving a config with one
 //! returns [`ScenarioFileError::UnsupportedPolicy`].
+//!
+//! Reading never panics on file content: clippy holds this module, like
+//! `crate::persist` under it, to no indexing, `unwrap`, `expect` or
+//! `panic!` outside its tests.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -28,12 +38,16 @@ use mlora_phy::{
     Bandwidth, CapacityModel, CodingRate, LogDistanceModel, PhyParams, SpreadingFactor,
 };
 use mlora_scenario_io::{
-    read_network_config, section, write_network_config, write_world, ScenarioIoError,
+    read_network_config, section, write_network_config, write_world, Enc, ScenarioIoError,
     ScenarioReader, ScenarioWriter, WorldAssembler,
 };
 use mlora_simcore::{SimDuration, SimTime};
 
 use crate::disruption::{BusWithdrawal, GatewayOutage, NoiseBurst};
+use crate::persist::{
+    ensure, persist_enum, persist_struct, read_record, read_records, write_record, write_records,
+    Persist,
+};
 use crate::traffic::{ArrivalProcess, PayloadModel, TrafficProfile};
 use crate::{
     ConfigError, DeviceClassChoice, DisruptionPlan, Environment, GatewayPlacement, Scenario,
@@ -111,10 +125,10 @@ impl SimConfig {
         self.validate()?;
         let mut w = ScenarioWriter::new(out)?;
         write_network_config(&mut w, &self.network)?;
-        write_sim_params(&mut w, self)?;
-        write_gateways(&mut w, self)?;
+        write_record(&mut w, section::SIM_PARAMS, |enc| self.put_sim_params(enc))?;
+        write_record(&mut w, section::GATEWAYS, |enc| self.put_gateways(enc))?;
         if !self.traffic.profiles.is_empty() {
-            write_traffic(&mut w, &self.traffic)?;
+            write_records(&mut w, section::TRAFFIC, &self.traffic.profiles)?;
         }
         if !self.disruptions.is_empty() {
             write_disruptions(&mut w, &self.disruptions)?;
@@ -158,9 +172,9 @@ impl SimConfig {
         while let Some((id, count)) = r.next_section()? {
             match id {
                 section::NETWORK_CONFIG => network = Some(read_network_config(&mut r)?),
-                section::SIM_PARAMS => params = Some(read_sim_params(&mut r)?),
-                section::GATEWAYS => gateways = Some(read_gateways(&mut r)?),
-                section::TRAFFIC => traffic = read_traffic(&mut r, count)?,
+                section::SIM_PARAMS => params = Some(read_record::<_, SimParams>(&mut r)?),
+                section::GATEWAYS => gateways = Some(read_record::<_, Gateways>(&mut r)?),
+                section::TRAFFIC => traffic.profiles = read_records(&mut r, count)?,
                 section::DISRUPTIONS => disruptions = read_disruptions(&mut r, count)?,
                 section::WORLD => assembler.read_world_header(&mut r)?,
                 section::ROUTES => assembler.read_routes(&mut r, count)?,
@@ -179,9 +193,9 @@ impl SimConfig {
         let cfg = SimConfig {
             network,
             world,
-            num_gateways: gateways.count,
+            num_gateways: gateways.num_gateways,
             placement: gateways.placement,
-            gateway_range_m: gateways.range_m,
+            gateway_range_m: gateways.gateway_range_m,
             environment: params.environment,
             scheme: params.scheme,
             policy: None,
@@ -242,409 +256,190 @@ impl ScenarioBuilder {
 }
 
 // ---------------------------------------------------------------------
-// SIM_PARAMS
+// Record layouts, each written once (see `crate::persist`)
 // ---------------------------------------------------------------------
 
-/// Decoded [`section::SIM_PARAMS`] record.
-struct SimParams {
-    environment: Environment,
-    scheme: Scheme,
-    alpha: f64,
-    device_class: DeviceClassChoice,
-    gen_interval: SimDuration,
-    queue_capacity: usize,
-    duty_cycle: f64,
-    max_attempts: u32,
-    phy: PhyParams,
-    path_loss: LogDistanceModel,
-    capacity: CapacityModel,
-    horizon: SimDuration,
-    series_bucket: SimDuration,
-}
+persist_enum!(Environment, "bad environment tag" {
+    Environment::Urban => 0,
+    Environment::Rural => 1,
+});
+persist_enum!(Scheme, "bad scheme tag" {
+    Scheme::NoRouting => 0,
+    Scheme::RcaEtx => 1,
+    Scheme::Robc => 2,
+    Scheme::CaEtx => 3,
+});
+persist_enum!(DeviceClassChoice, "bad device class tag" {
+    DeviceClassChoice::ModifiedClassC => 0,
+    DeviceClassChoice::QueueBasedClassA => 1,
+});
+persist_enum!(SpreadingFactor, "bad spreading factor" {
+    SpreadingFactor::Sf7 => 7,
+    SpreadingFactor::Sf8 => 8,
+    SpreadingFactor::Sf9 => 9,
+    SpreadingFactor::Sf10 => 10,
+    SpreadingFactor::Sf11 => 11,
+    SpreadingFactor::Sf12 => 12,
+});
+persist_enum!(Bandwidth, "bad bandwidth tag" {
+    Bandwidth::Khz125 => 0,
+    Bandwidth::Khz250 => 1,
+    Bandwidth::Khz500 => 2,
+});
+persist_enum!(CodingRate, "bad coding rate tag" {
+    CodingRate::Cr4of5 => 0,
+    CodingRate::Cr4of6 => 1,
+    CodingRate::Cr4of7 => 2,
+    CodingRate::Cr4of8 => 3,
+});
+persist_enum!(GatewayPlacement, "bad placement tag" {
+    GatewayPlacement::Grid => 0,
+    GatewayPlacement::Random => 1,
+});
+persist_enum!(Priority, "bad priority tag" {
+    Priority::Low => 0,
+    Priority::Normal => 1,
+    Priority::High => 2,
+});
 
-fn write_sim_params<W: Write>(w: &mut ScenarioWriter<W>, cfg: &SimConfig) -> std::io::Result<()> {
-    w.begin_section(section::SIM_PARAMS, 1)?;
-    let enc = w.enc();
-    enc.put_u8(match cfg.environment {
-        Environment::Urban => 0,
-        Environment::Rural => 1,
-    });
-    enc.put_u8(match cfg.scheme {
-        Scheme::NoRouting => 0,
-        Scheme::RcaEtx => 1,
-        Scheme::Robc => 2,
-        Scheme::CaEtx => 3,
-    });
-    enc.put_f64(cfg.alpha);
-    enc.put_u8(match cfg.device_class {
-        DeviceClassChoice::ModifiedClassC => 0,
-        DeviceClassChoice::QueueBasedClassA => 1,
-    });
-    enc.put_varint(cfg.gen_interval.as_millis());
-    enc.put_varint(cfg.queue_capacity as u64);
-    enc.put_f64(cfg.duty_cycle);
-    enc.put_varint(u64::from(cfg.max_attempts));
-    enc.put_u8(cfg.phy.sf.value() as u8);
-    enc.put_u8(match cfg.phy.bandwidth {
-        Bandwidth::Khz125 => 0,
-        Bandwidth::Khz250 => 1,
-        Bandwidth::Khz500 => 2,
-    });
-    enc.put_u8(match cfg.phy.coding_rate {
-        CodingRate::Cr4of5 => 0,
-        CodingRate::Cr4of6 => 1,
-        CodingRate::Cr4of7 => 2,
-        CodingRate::Cr4of8 => 3,
-    });
-    enc.put_varint(u64::from(cfg.phy.preamble_symbols));
-    enc.put_bool(cfg.phy.explicit_header);
-    enc.put_bool(cfg.phy.crc);
-    enc.put_f64(cfg.phy.tx_power_dbm);
-    enc.put_f64(cfg.path_loss.pl0_db);
-    enc.put_f64(cfg.path_loss.d0_m);
-    enc.put_f64(cfg.path_loss.exponent);
-    enc.put_f64(cfg.path_loss.shadowing_sigma_db);
-    enc.put_f64(cfg.capacity.gamma_min_dbm());
-    enc.put_f64(cfg.capacity.gamma_max_dbm());
-    enc.put_f64(cfg.capacity.max_capacity_bps());
-    enc.put_varint(cfg.horizon.as_millis());
-    enc.put_varint(cfg.series_bucket.as_millis());
-    w.end_record()?;
-    w.end_section()
-}
+persist_struct!(PhyParams {
+    sf: SpreadingFactor,
+    bandwidth: Bandwidth,
+    coding_rate: CodingRate,
+    preamble_symbols: u32,
+    explicit_header: bool,
+    crc: bool,
+    tx_power_dbm: f64,
+});
+persist_struct!(LogDistanceModel {
+    pl0_db: f64,
+    d0_m: f64,
+    exponent: f64,
+    shadowing_sigma_db: f64,
+});
 
-fn read_sim_params<R: Read>(r: &mut ScenarioReader<R>) -> Result<SimParams, ScenarioIoError> {
-    r.begin_record()?;
-    let environment = match r.u8()? {
-        0 => Environment::Urban,
-        1 => Environment::Rural,
-        _ => return Err(ScenarioIoError::Corrupt("bad environment tag")),
-    };
-    let scheme = match r.u8()? {
-        0 => Scheme::NoRouting,
-        1 => Scheme::RcaEtx,
-        2 => Scheme::Robc,
-        3 => Scheme::CaEtx,
-        _ => return Err(ScenarioIoError::Corrupt("bad scheme tag")),
-    };
-    let alpha = r.f64()?;
-    let device_class = match r.u8()? {
-        0 => DeviceClassChoice::ModifiedClassC,
-        1 => DeviceClassChoice::QueueBasedClassA,
-        _ => return Err(ScenarioIoError::Corrupt("bad device class tag")),
-    };
-    let gen_interval = SimDuration::from_millis(r.varint()?);
-    let queue_capacity = r.varint()? as usize;
-    let duty_cycle = r.f64()?;
-    let max_attempts = u32::try_from(r.varint()?)
-        .map_err(|_| ScenarioIoError::Corrupt("max attempts out of range"))?;
-    let sf = match r.u8()? {
-        7 => SpreadingFactor::Sf7,
-        8 => SpreadingFactor::Sf8,
-        9 => SpreadingFactor::Sf9,
-        10 => SpreadingFactor::Sf10,
-        11 => SpreadingFactor::Sf11,
-        12 => SpreadingFactor::Sf12,
-        _ => return Err(ScenarioIoError::Corrupt("bad spreading factor")),
-    };
-    let bandwidth = match r.u8()? {
-        0 => Bandwidth::Khz125,
-        1 => Bandwidth::Khz250,
-        2 => Bandwidth::Khz500,
-        _ => return Err(ScenarioIoError::Corrupt("bad bandwidth tag")),
-    };
-    let coding_rate = match r.u8()? {
-        0 => CodingRate::Cr4of5,
-        1 => CodingRate::Cr4of6,
-        2 => CodingRate::Cr4of7,
-        3 => CodingRate::Cr4of8,
-        _ => return Err(ScenarioIoError::Corrupt("bad coding rate tag")),
-    };
-    let preamble_symbols = u32::try_from(r.varint()?)
-        .map_err(|_| ScenarioIoError::Corrupt("preamble length out of range"))?;
-    let explicit_header = r.bool()?;
-    let crc = r.bool()?;
-    let tx_power_dbm = r.f64()?;
-    let path_loss = LogDistanceModel {
-        pl0_db: r.f64()?,
-        d0_m: r.f64()?,
-        exponent: r.f64()?,
-        shadowing_sigma_db: r.f64()?,
-    };
-    let gamma_min = r.f64()?;
-    let gamma_max = r.f64()?;
-    let c_max = r.f64()?;
-    // CapacityModel::new panics on bad ranges; reject them as corruption
-    // instead.
-    if !(gamma_min.is_finite() && gamma_max.is_finite() && c_max.is_finite())
-        || gamma_min >= gamma_max
-        || c_max <= 0.0
-    {
-        return Err(ScenarioIoError::Corrupt("bad capacity model"));
+impl Persist for CapacityModel {
+    fn put(&self, enc: &mut Enc) {
+        self.gamma_min_dbm().put(enc);
+        self.gamma_max_dbm().put(enc);
+        self.max_capacity_bps().put(enc);
     }
-    let capacity = CapacityModel::new(gamma_min, gamma_max, c_max);
-    let horizon = SimDuration::from_millis(r.varint()?);
-    let series_bucket = SimDuration::from_millis(r.varint()?);
-    Ok(SimParams {
-        environment,
-        scheme,
-        alpha,
-        device_class,
-        gen_interval,
-        queue_capacity,
-        duty_cycle,
-        max_attempts,
-        phy: PhyParams {
-            sf,
-            bandwidth,
-            coding_rate,
-            preamble_symbols,
-            explicit_header,
-            crc,
-            tx_power_dbm,
-        },
-        path_loss,
-        capacity,
-        horizon,
-        series_bucket,
-    })
+
+    fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
+        let (gamma_min, gamma_max, c_max): (f64, f64, f64) = Persist::get(r)?;
+        // CapacityModel::new panics on bad ranges; reject them as
+        // corruption instead.
+        let finite = gamma_min.is_finite() && gamma_max.is_finite() && c_max.is_finite();
+        ensure(
+            finite && gamma_min < gamma_max && c_max > 0.0,
+            "bad capacity model",
+        )?;
+        Ok(CapacityModel::new(gamma_min, gamma_max, c_max))
+    }
 }
 
-// ---------------------------------------------------------------------
-// GATEWAYS
-// ---------------------------------------------------------------------
-
-/// Decoded [`section::GATEWAYS`] record.
-struct Gateways {
-    count: usize,
-    placement: GatewayPlacement,
-    range_m: f64,
+persist_struct! {
+    /// The [`section::SIM_PARAMS`] record: the scalar fields of a
+    /// [`SimConfig`], under their names there.
+    struct SimParams, written from SimConfig as put_sim_params {
+        environment: Environment,
+        scheme: Scheme,
+        alpha: f64,
+        device_class: DeviceClassChoice,
+        gen_interval: SimDuration,
+        queue_capacity: usize,
+        duty_cycle: f64,
+        max_attempts: u32,
+        phy: PhyParams,
+        path_loss: LogDistanceModel,
+        capacity: CapacityModel,
+        horizon: SimDuration,
+        series_bucket: SimDuration,
+    }
 }
 
-fn write_gateways<W: Write>(w: &mut ScenarioWriter<W>, cfg: &SimConfig) -> std::io::Result<()> {
-    w.begin_section(section::GATEWAYS, 1)?;
-    let enc = w.enc();
-    enc.put_varint(cfg.num_gateways as u64);
-    enc.put_u8(match cfg.placement {
-        GatewayPlacement::Grid => 0,
-        GatewayPlacement::Random => 1,
-    });
-    enc.put_f64(cfg.gateway_range_m);
-    w.end_record()?;
-    w.end_section()
+persist_struct! {
+    /// The [`section::GATEWAYS`] record, likewise.
+    struct Gateways, written from SimConfig as put_gateways {
+        num_gateways: usize,
+        placement: GatewayPlacement,
+        gateway_range_m: f64,
+    }
 }
 
-fn read_gateways<R: Read>(r: &mut ScenarioReader<R>) -> Result<Gateways, ScenarioIoError> {
-    r.begin_record()?;
-    let count = r.varint()? as usize;
-    let placement = match r.u8()? {
-        0 => GatewayPlacement::Grid,
-        1 => GatewayPlacement::Random,
-        _ => return Err(ScenarioIoError::Corrupt("bad placement tag")),
-    };
-    let range_m = r.f64()?;
-    Ok(Gateways {
-        count,
-        placement,
-        range_m,
-    })
-}
-
-// ---------------------------------------------------------------------
-// TRAFFIC
-// ---------------------------------------------------------------------
-
-fn write_traffic<W: Write>(w: &mut ScenarioWriter<W>, model: &TrafficModel) -> std::io::Result<()> {
-    w.begin_section(section::TRAFFIC, model.profiles.len() as u64)?;
-    for profile in &model.profiles {
-        let enc = w.enc();
-        enc.put_str(&profile.name);
-        match &profile.arrivals {
-            ArrivalProcess::Periodic { interval } => {
-                enc.put_u8(0);
-                enc.put_varint(interval.as_millis());
-            }
-            ArrivalProcess::Jittered { interval, jitter } => {
-                enc.put_u8(1);
-                enc.put_varint(interval.as_millis());
-                enc.put_f64(*jitter);
-            }
-            ArrivalProcess::Poisson { mean_interval } => {
-                enc.put_u8(2);
-                enc.put_varint(mean_interval.as_millis());
-            }
-            ArrivalProcess::Diurnal {
-                base_interval,
-                profile: curve,
-            } => {
-                enc.put_u8(3);
-                enc.put_varint(base_interval.as_millis());
-                for &level in curve.hourly() {
-                    enc.put_f64(level);
-                }
-            }
-            ArrivalProcess::Bursty {
-                interval,
-                mean_burst,
-                mean_idle,
-            } => {
-                enc.put_u8(4);
-                enc.put_varint(interval.as_millis());
-                enc.put_f64(*mean_burst);
-                enc.put_varint(mean_idle.as_millis());
-            }
+/// The 24 hourly levels, uncounted.
+impl Persist for DiurnalProfile {
+    fn put(&self, enc: &mut Enc) {
+        for level in self.hourly() {
+            level.put(enc);
         }
-        match &profile.payload {
-            PayloadModel::Fixed { bytes } => {
-                enc.put_u8(0);
-                enc.put_varint(*bytes as u64);
-            }
-            PayloadModel::Uniform {
-                min_bytes,
-                max_bytes,
-            } => {
-                enc.put_u8(1);
-                enc.put_varint(*min_bytes as u64);
-                enc.put_varint(*max_bytes as u64);
-            }
-        }
-        enc.put_u8(match profile.priority {
-            Priority::Low => 0,
-            Priority::Normal => 1,
-            Priority::High => 2,
-        });
-        enc.put_f64(profile.weight);
-        w.end_record()?;
     }
-    w.end_section()
+
+    fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
+        let hourly = (0..24).map(|_| r.f64()).collect::<Result<Vec<_>, _>>()?;
+        // `from_hourly` asserts what is checked here. (NaN is in no range.)
+        let in_range = hourly.iter().all(|level| (0.0..=1.0).contains(level));
+        ensure(in_range, "diurnal level outside [0, 1]")?;
+        Ok(DiurnalProfile::from_hourly(hourly))
+    }
 }
 
-fn read_traffic<R: Read>(
-    r: &mut ScenarioReader<R>,
-    count: u64,
-) -> Result<TrafficModel, ScenarioIoError> {
-    let mut profiles = Vec::with_capacity((count as usize).min(1 << 16));
-    for _ in 0..count {
-        r.begin_record()?;
-        let name = r.string()?;
-        let arrivals = match r.u8()? {
-            0 => ArrivalProcess::Periodic {
-                interval: SimDuration::from_millis(r.varint()?),
-            },
-            1 => ArrivalProcess::Jittered {
-                interval: SimDuration::from_millis(r.varint()?),
-                jitter: r.f64()?,
-            },
-            2 => ArrivalProcess::Poisson {
-                mean_interval: SimDuration::from_millis(r.varint()?),
-            },
-            3 => {
-                let base_interval = SimDuration::from_millis(r.varint()?);
-                let mut hourly = Vec::with_capacity(24);
-                for _ in 0..24 {
-                    let level = r.f64()?;
-                    if !level.is_finite() || !(0.0..=1.0).contains(&level) {
-                        return Err(ScenarioIoError::Corrupt("diurnal level outside [0, 1]"));
-                    }
-                    hourly.push(level);
-                }
-                ArrivalProcess::Diurnal {
-                    base_interval,
-                    profile: DiurnalProfile::from_hourly(hourly),
-                }
-            }
-            4 => ArrivalProcess::Bursty {
-                interval: SimDuration::from_millis(r.varint()?),
-                mean_burst: r.f64()?,
-                mean_idle: SimDuration::from_millis(r.varint()?),
-            },
-            _ => return Err(ScenarioIoError::Corrupt("bad arrival process tag")),
-        };
-        let payload = match r.u8()? {
-            0 => PayloadModel::Fixed {
-                bytes: r.varint()? as usize,
-            },
-            1 => PayloadModel::Uniform {
-                min_bytes: r.varint()? as usize,
-                max_bytes: r.varint()? as usize,
-            },
-            _ => return Err(ScenarioIoError::Corrupt("bad payload model tag")),
-        };
-        let priority = match r.u8()? {
-            0 => Priority::Low,
-            1 => Priority::Normal,
-            2 => Priority::High,
-            _ => return Err(ScenarioIoError::Corrupt("bad priority tag")),
-        };
-        let weight = r.f64()?;
-        profiles.push(TrafficProfile {
-            name,
-            arrivals,
-            payload,
-            priority,
-            weight,
-        });
-    }
-    Ok(TrafficModel { profiles })
-}
+persist_enum!(ArrivalProcess, "bad arrival process tag" {
+    ArrivalProcess::Periodic { interval } => 0,
+    ArrivalProcess::Jittered { interval, jitter } => 1,
+    ArrivalProcess::Poisson { mean_interval } => 2,
+    ArrivalProcess::Diurnal { base_interval, profile } => 3,
+    ArrivalProcess::Bursty { interval, mean_burst, mean_idle } => 4,
+});
+persist_enum!(PayloadModel, "bad payload model tag" {
+    PayloadModel::Fixed { bytes } => 0,
+    PayloadModel::Uniform { min_bytes, max_bytes } => 1,
+});
+persist_struct!(TrafficProfile {
+    name: String,
+    arrivals: ArrivalProcess,
+    payload: PayloadModel,
+    priority: Priority,
+    weight: f64,
+});
+persist_struct!(GatewayOutage {
+    gateway: usize,
+    start: SimTime,
+    duration: Option<SimDuration>,
+});
+persist_struct!(BusWithdrawal {
+    at: SimTime,
+    fraction: f64,
+});
+persist_struct!(NoiseBurst {
+    center: Point,
+    radius_m: f64,
+    start: SimTime,
+    duration: Option<SimDuration>,
+    extra_loss_db: f64,
+});
 
-// ---------------------------------------------------------------------
-// DISRUPTIONS
-// ---------------------------------------------------------------------
-
+/// The disruption plan is one section of tagged records: outages (0),
+/// withdrawals (1), noise bursts (2).
 fn write_disruptions<W: Write>(
     w: &mut ScenarioWriter<W>,
     plan: &DisruptionPlan,
 ) -> std::io::Result<()> {
+    fn tagged<W: Write>(
+        w: &mut ScenarioWriter<W>,
+        tag: u8,
+        record: &impl Persist,
+    ) -> std::io::Result<()> {
+        tag.put(w.enc());
+        record.put(w.enc());
+        w.end_record()
+    }
     let records = plan.outages.len() + plan.withdrawals.len() + plan.noise_bursts.len();
     w.begin_section(section::DISRUPTIONS, records as u64)?;
-    for outage in &plan.outages {
-        let enc = w.enc();
-        enc.put_u8(0);
-        enc.put_varint(outage.gateway as u64);
-        enc.put_varint(outage.start.as_millis());
-        put_opt_duration(enc, outage.duration);
-        w.end_record()?;
-    }
-    for withdrawal in &plan.withdrawals {
-        let enc = w.enc();
-        enc.put_u8(1);
-        enc.put_varint(withdrawal.at.as_millis());
-        enc.put_f64(withdrawal.fraction);
-        w.end_record()?;
-    }
-    for burst in &plan.noise_bursts {
-        let enc = w.enc();
-        enc.put_u8(2);
-        enc.put_f64(burst.center.x);
-        enc.put_f64(burst.center.y);
-        enc.put_f64(burst.radius_m);
-        enc.put_varint(burst.start.as_millis());
-        put_opt_duration(enc, burst.duration);
-        enc.put_f64(burst.extra_loss_db);
-        w.end_record()?;
-    }
+    (plan.outages.iter()).try_for_each(|outage| tagged(w, 0, outage))?;
+    (plan.withdrawals.iter()).try_for_each(|withdrawal| tagged(w, 1, withdrawal))?;
+    (plan.noise_bursts.iter()).try_for_each(|burst| tagged(w, 2, burst))?;
     w.end_section()
-}
-
-fn put_opt_duration(enc: &mut mlora_scenario_io::Enc, duration: Option<SimDuration>) {
-    match duration {
-        Some(d) => {
-            enc.put_bool(true);
-            enc.put_varint(d.as_millis());
-        }
-        None => enc.put_bool(false),
-    }
-}
-
-fn read_opt_duration<R: Read>(
-    r: &mut ScenarioReader<R>,
-) -> Result<Option<SimDuration>, ScenarioIoError> {
-    if r.bool()? {
-        Ok(Some(SimDuration::from_millis(r.varint()?)))
-    } else {
-        Ok(None)
-    }
 }
 
 fn read_disruptions<R: Read>(
@@ -655,22 +450,9 @@ fn read_disruptions<R: Read>(
     for _ in 0..count {
         r.begin_record()?;
         match r.u8()? {
-            0 => plan.outages.push(GatewayOutage {
-                gateway: r.varint()? as usize,
-                start: SimTime::from_millis(r.varint()?),
-                duration: read_opt_duration(r)?,
-            }),
-            1 => plan.withdrawals.push(BusWithdrawal {
-                at: SimTime::from_millis(r.varint()?),
-                fraction: r.f64()?,
-            }),
-            2 => plan.noise_bursts.push(NoiseBurst {
-                center: Point::new(r.f64()?, r.f64()?),
-                radius_m: r.f64()?,
-                start: SimTime::from_millis(r.varint()?),
-                duration: read_opt_duration(r)?,
-                extra_loss_db: r.f64()?,
-            }),
+            0 => plan.outages.push(Persist::get(r)?),
+            1 => plan.withdrawals.push(Persist::get(r)?),
+            2 => plan.noise_bursts.push(Persist::get(r)?),
             _ => return Err(ScenarioIoError::Corrupt("bad disruption tag")),
         }
     }
@@ -678,9 +460,15 @@ fn read_disruptions<R: Read>(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+mod tests {
     use super::*;
-    use mlora_scenario_io::{Enc, MAGIC};
+    use mlora_scenario_io::MAGIC;
 
     fn rich_config() -> SimConfig {
         Scenario::urban()
@@ -789,32 +577,15 @@ pub(crate) mod tests {
         ));
     }
 
-    /// `bytes` with the record count in section `id`'s header raised to
-    /// 2^60. Section headers are framing metadata outside the
-    /// checksummed blocks, so every checksum of the result still holds.
-    pub(crate) fn with_inflated_section(bytes: &[u8], magic: [u8; 4], id: u8) -> Vec<u8> {
-        let mut cursor = std::io::Cursor::new(bytes);
-        let mut r = ScenarioReader::with_magic(&mut cursor, magic).unwrap();
-        let mut old = Enc::default();
-        loop {
-            let (section, records) = r.next_section().unwrap().expect("section present");
-            if section == id {
-                old.put_varint(records);
-                break;
-            }
-            r.skip_section().unwrap();
-        }
-        // The reader has consumed the header up to the end of its count.
-        let end = cursor.position() as usize;
-        let huge = [0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10];
-        [&bytes[..end - old.len()], &huge, &bytes[end..]].concat()
-    }
-
     #[test]
     fn inflated_traffic_count_is_corrupt_not_an_abort() {
         let mut bytes = Vec::new();
         rich_config().to_writer(&mut bytes).unwrap();
-        let hostile = with_inflated_section(&bytes, MAGIC, section::TRAFFIC);
+        // Section headers are framing metadata outside the checksummed
+        // blocks: every checksum of the result still holds.
+        let hostile = crate::framing::splice(&bytes, MAGIC, section::TRAFFIC, |s| {
+            s.count = 1 << 60;
+        });
         assert!(matches!(
             SimConfig::from_reader(&hostile[..]),
             Err(ScenarioFileError::Io(ScenarioIoError::Corrupt(
@@ -833,8 +604,8 @@ pub(crate) mod tests {
         // The section writers, without `to_writer`'s own validation.
         let mut w = ScenarioWriter::new(Vec::new()).unwrap();
         write_network_config(&mut w, &cfg.network).unwrap();
-        write_sim_params(&mut w, &cfg).unwrap();
-        write_gateways(&mut w, &cfg).unwrap();
+        write_record(&mut w, section::SIM_PARAMS, |enc| cfg.put_sim_params(enc)).unwrap();
+        write_record(&mut w, section::GATEWAYS, |enc| cfg.put_gateways(enc)).unwrap();
         let bytes = w.finish().unwrap();
         assert!(matches!(
             SimConfig::from_reader(&bytes[..]),

@@ -82,10 +82,17 @@ mod engine;
 pub mod io;
 mod metrics;
 pub mod observer;
+mod persist;
 pub mod report;
 mod runner;
 mod scenario;
 pub mod traffic;
+
+/// Test support shared with `tests/hostile_input.rs`: re-sealing an
+/// edited container so its checksums hold.
+#[cfg(test)]
+#[path = "../tests/support/framing.rs"]
+mod framing;
 
 pub use config::{ConfigError, DeviceClassChoice, Environment, GatewayPlacement, SimConfig};
 pub use deployment::place_gateways;

@@ -1,0 +1,356 @@
+//! One statement of each record layout: the [`Persist`] trait under the
+//! `.mlsc` simulation sections ([`crate::io`]) and the `.mlss` engine
+//! snapshot (`engine/snapshot.rs`).
+//!
+//! A type's `put` and `get` are written together — by hand for the
+//! primitives, the containers and the substrate types below, from a
+//! single field list ([`persist_struct!`]) or a single tag table
+//! ([`persist_enum!`]) everywhere a record is just its fields — so the
+//! two directions cannot drift apart, and `get` is the one place a
+//! type's bytes are decoded and therefore the one place its invariants
+//! are checked. The wire forms are the ones both formats have always
+//! used (`FORMAT_VERSION` 1): a `u8` is a raw byte, every wider integer
+//! a LEB128 varint, `f64` its little-endian bits, an `Option` a flag
+//! byte before the value, a `Vec` a count before the elements, a struct
+//! or tuple its fields in order with no framing of their own.
+//!
+//! Decoding never panics and never trusts a count: out-of-range values
+//! are [`ScenarioIoError::Corrupt`], and a `Vec` reserves a bounded
+//! number of elements ahead of the data ([`reserve_for`]). Clippy holds
+//! the module to it: no indexing, `unwrap`, `expect` or `panic!`.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+
+use std::io::{Read, Write};
+
+use mlora_geo::Point;
+use mlora_scenario_io::{Enc, ScenarioIoError, ScenarioReader, ScenarioWriter};
+use mlora_simcore::stats::{TimeSeries, Welford};
+use mlora_simcore::{MessageId, NodeId, SimDuration, SimRng, SimTime, SlabKey};
+
+/// A value with a wire form (see the module docs).
+pub(crate) trait Persist: Sized {
+    /// Appends the value to the record being written.
+    fn put(&self, enc: &mut Enc);
+
+    /// Decodes a value from the current record.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioIoError::Corrupt`] when the bytes are not a value of
+    /// this type.
+    fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError>;
+}
+
+/// The capacity to reserve for `count` promised elements: at most
+/// 65 536 ahead of the data. A count is a claim, and a re-sealed file
+/// can claim anything.
+pub(crate) fn reserve_for(count: u64) -> usize {
+    count.min(1 << 16) as usize
+}
+
+/// `Corrupt(what)` unless `ok`: how a decoder states an invariant.
+pub(crate) fn ensure(ok: bool, what: &'static str) -> Result<(), ScenarioIoError> {
+    ok.then_some(()).ok_or(ScenarioIoError::Corrupt(what))
+}
+
+/// Writes section `id` as one record per element.
+pub(crate) fn write_records<W: Write, T: Persist>(
+    w: &mut ScenarioWriter<W>,
+    id: u8,
+    records: &[T],
+) -> std::io::Result<()> {
+    w.begin_section(id, records.len() as u64)?;
+    for record in records {
+        record.put(w.enc());
+        w.end_record()?;
+    }
+    w.end_section()
+}
+
+/// Writes section `id` as the single record `put` encodes.
+pub(crate) fn write_record<W: Write>(
+    w: &mut ScenarioWriter<W>,
+    id: u8,
+    put: impl FnOnce(&mut Enc),
+) -> std::io::Result<()> {
+    w.begin_section(id, 1)?;
+    put(w.enc());
+    w.end_record()?;
+    w.end_section()
+}
+
+/// Decodes the `count` records of the section just opened.
+pub(crate) fn read_records<R: Read, T: Persist>(
+    r: &mut ScenarioReader<R>,
+    count: u64,
+) -> Result<Vec<T>, ScenarioIoError> {
+    let mut records = Vec::with_capacity(reserve_for(count));
+    for _ in 0..count {
+        r.begin_record()?;
+        records.push(T::get(r)?);
+    }
+    Ok(records)
+}
+
+/// Decodes the next record of the current section as a `T`.
+pub(crate) fn read_record<R: Read, T: Persist>(
+    r: &mut ScenarioReader<R>,
+) -> Result<T, ScenarioIoError> {
+    r.begin_record()?;
+    T::get(r)
+}
+
+/// Derives [`Persist`] from one field list, in wire order.
+///
+/// * `persist_struct!(Type { field: Ty, … })` — for a struct whose
+///   fields are visible here;
+/// * `persist_struct!(Type, written from View as method { … })` — also
+///   gives `View`, which has fields of the same names (borrowed or
+///   owned), an inherent `method(&self, &mut Enc)` writing the same
+///   record: the encoder's source need not be the decoder's target;
+/// * `persist_struct!(struct Type { … })` (with or without `written
+///   from`) — declares the struct as well, so the list exists once.
+///
+/// Like [`persist_enum!`], expands to code naming `Persist`, `Enc`,
+/// `Read`, `ScenarioReader` and `ScenarioIoError` as its caller imports
+/// them.
+macro_rules! persist_struct {
+    ($(#[$meta:meta])* struct $name:ident $(, written from $view:ty as $method:ident)? {
+        $($field:ident : $fty:ty),* $(,)?
+    }) => {
+        $(#[$meta])*
+        struct $name { $($field: $fty),* }
+        persist_struct!($name $(, written from $view as $method)? { $($field: $fty),* });
+    };
+    ($ty:ty, written from $view:ty as $method:ident { $($field:ident : $fty:ty),* $(,)? }) => {
+        persist_struct!($ty { $($field: $fty),* });
+        impl $view {
+            fn $method(&self, enc: &mut Enc) {
+                $(self.$field.put(enc);)*
+            }
+        }
+    };
+    ($ty:ty { $($field:ident : $fty:ty),* $(,)? }) => {
+        impl Persist for $ty {
+            fn put(&self, enc: &mut Enc) {
+                $(self.$field.put(enc);)*
+            }
+
+            fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
+                Ok(Self { $($field: <$fty>::get(r)?),* })
+            }
+        }
+    };
+}
+pub(crate) use persist_struct;
+
+/// Derives [`Persist`] for an enum from one tag table — `Variant => tag`
+/// for a unit variant, `Variant { field, … } => tag` for one whose named
+/// fields follow the tag byte in that order; an unlisted tag is
+/// `Corrupt($unknown)`.
+macro_rules! persist_enum {
+    ($ty:ty, $unknown:literal {
+        $($enum:ident :: $variant:ident $({ $($field:ident),* })? => $tag:literal),* $(,)?
+    }) => {
+        impl Persist for $ty {
+            fn put(&self, enc: &mut Enc) {
+                match self {
+                    $($enum::$variant $({ $($field),* })? => {
+                        enc.put_u8($tag);
+                        $($($field.put(enc);)*)?
+                    })*
+                }
+            }
+
+            fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
+                match r.u8()? {
+                    $($tag => Ok($enum::$variant $({ $($field: Persist::get(r)?),* })?),)*
+                    _ => Err(ScenarioIoError::Corrupt($unknown)),
+                }
+            }
+        }
+    };
+}
+pub(crate) use persist_enum;
+
+/// The reader's and the encoder's own primitives: a `u8` is a raw byte,
+/// a `u64` a varint.
+macro_rules! persist_primitive {
+    ($($ty:ty = $put:ident / $get:ident;)*) => {$(
+        impl Persist for $ty {
+            fn put(&self, enc: &mut Enc) {
+                enc.$put(*self);
+            }
+
+            fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
+                r.$get()
+            }
+        }
+    )*};
+}
+persist_primitive! {
+    u8 = put_u8 / u8;
+    u64 = put_varint / varint;
+    bool = put_bool / bool;
+    f64 = put_f64 / f64;
+}
+
+/// The narrower integers travel as varints too, range-checked back.
+macro_rules! persist_narrow {
+    ($($ty:ty),*) => {$(
+        impl Persist for $ty {
+            fn put(&self, enc: &mut Enc) {
+                enc.put_varint(*self as u64);
+            }
+
+            fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
+                <$ty>::try_from(r.varint()?)
+                    .map_err(|_| ScenarioIoError::Corrupt("stored integer out of range"))
+            }
+        }
+    )*};
+}
+persist_narrow!(u16, u32, usize);
+
+impl Persist for String {
+    fn put(&self, enc: &mut Enc) {
+        enc.put_str(self);
+    }
+
+    fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
+        r.string()
+    }
+}
+
+impl<T: Persist> Persist for Option<T> {
+    fn put(&self, enc: &mut Enc) {
+        enc.put_bool(self.is_some());
+        if let Some(value) = self {
+            value.put(enc);
+        }
+    }
+
+    fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
+        Ok(if r.bool()? { Some(T::get(r)?) } else { None })
+    }
+}
+
+/// A slice is written as the `Vec` it is read back as.
+pub(crate) fn put_slice<T: Persist>(items: &[T], enc: &mut Enc) {
+    enc.put_varint(items.len() as u64);
+    for item in items {
+        item.put(enc);
+    }
+}
+
+impl<T: Persist> Persist for Vec<T> {
+    fn put(&self, enc: &mut Enc) {
+        put_slice(self, enc);
+    }
+
+    fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
+        let count = r.varint()?;
+        let mut items = Vec::with_capacity(reserve_for(count));
+        for _ in 0..count {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+/// Tuples are their members in order — what `raw_parts` accessors
+/// return, and the unit is nothing at all (a map of `()` is its keys).
+macro_rules! persist_tuple {
+    ($(($($name:ident),*))*) => {$(
+        impl<$($name: Persist),*> Persist for ($($name,)*) {
+            #[allow(non_snake_case, unused_variables)]
+            fn put(&self, enc: &mut Enc) {
+                let ($($name,)*) = self;
+                $($name.put(enc);)*
+            }
+
+            #[allow(unused_variables)]
+            fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
+                Ok(($($name::get(r)?,)*))
+            }
+        }
+    )*};
+}
+persist_tuple!(()(A, B)(A, B, C)(A, B, C, D)(A, B, C, D, E));
+
+/// Newtypes over one integer: `Type: wire integer = accessor / constructor`.
+macro_rules! persist_newtype {
+    ($($ty:ty : $inner:ty = $raw:ident / $new:path;)*) => {$(
+        impl Persist for $ty {
+            fn put(&self, enc: &mut Enc) {
+                self.$raw().put(enc);
+            }
+
+            fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
+                <$inner>::get(r).map($new)
+            }
+        }
+    )*};
+}
+persist_newtype! {
+    SimTime: u64 = as_millis / SimTime::from_millis;
+    SimDuration: u64 = as_millis / SimDuration::from_millis;
+    NodeId: u32 = raw / NodeId::new;
+    MessageId: u64 = raw / MessageId::new;
+}
+
+persist_struct!(Point { x: f64, y: f64 });
+
+impl Persist for SlabKey {
+    fn put(&self, enc: &mut Enc) {
+        (self.index(), self.generation()).put(enc);
+    }
+
+    fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
+        let (index, generation) = Persist::get(r)?;
+        Ok(SlabKey::from_parts(index, generation))
+    }
+}
+
+/// An RNG stream's exact state: its seed and the four generator words.
+impl Persist for SimRng {
+    fn put(&self, enc: &mut Enc) {
+        let (seed, [a, b, c, d]) = self.state();
+        (seed, a, b, c, d).put(enc);
+    }
+
+    fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
+        let (seed, a, b, c, d) = Persist::get(r)?;
+        Ok(SimRng::from_state(seed, [a, b, c, d]))
+    }
+}
+
+impl Persist for Welford {
+    fn put(&self, enc: &mut Enc) {
+        self.raw_parts().put(enc);
+    }
+
+    fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
+        let (count, mean, m2, min, max) = Persist::get(r)?;
+        Ok(Welford::from_raw_parts(count, mean, m2, min, max))
+    }
+}
+
+impl Persist for TimeSeries {
+    fn put(&self, enc: &mut Enc) {
+        (self.bucket(), self.is_bounded()).put(enc);
+        put_slice(self.counts(), enc);
+    }
+
+    fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
+        let (bucket, bounded, counts): (SimDuration, bool, Vec<u64>) = Persist::get(r)?;
+        let buckets = !bucket.is_zero() && !counts.is_empty();
+        ensure(buckets, "time series without buckets")?;
+        Ok(TimeSeries::from_raw_parts(bucket, counts, bounded))
+    }
+}

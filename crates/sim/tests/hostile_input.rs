@@ -360,6 +360,13 @@ impl Walk<'_> {
         (at, n)
     }
 
+    /// Where the varint after `at` sits.
+    fn varint_after(&self, at: &Range<usize>) -> Range<usize> {
+        let mut pos = at.end;
+        get_varint(self.bytes, &mut pos);
+        at.end..pos
+    }
+
     /// A `Welford`: count, mean, m2, min, max.
     fn welford(&mut self) {
         self.varint();
@@ -581,6 +588,15 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
         "device: more messages than capacity",
         &dev(&fullest.capacity, &varint(fullest.queued - 1)),
     );
+    let first_id = Walk {
+        bytes: &of(SEC_DEVICES).payload,
+        pos: 0,
+    }
+    .varint_after(&fullest.queue_len);
+    sweep.refused(
+        "device: a queued message the run never issued",
+        &dev(&first_id, &varint(HUGE)),
+    );
     sweep.refused(
         "device: 2^60 queued messages",
         &dev(&first.queue_len, &varint(HUGE)),
@@ -673,6 +689,13 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
             s.payload.extend_from_slice(&varint(index));
         });
         sweep.refused(&format!("free list: index {name}"), &free);
+    }
+    if of(SEC_FLIGHT_FREE).count > 0 {
+        let twice = splice(bytes, SNAPSHOT_MAGIC, SEC_FLIGHT_FREE, |s| {
+            s.count *= 2;
+            s.payload.extend_from_within(..);
+        });
+        sweep.refused("free list: names its slots twice", &twice);
     }
     if any_occupied {
         // Some slot is occupied; naming every slot names it too.
