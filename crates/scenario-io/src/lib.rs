@@ -42,7 +42,14 @@
 //! encoded by this crate ([`write_world`], [`WorldAssembler`]); the
 //! simulation-level sections (parameters, gateways, traffic,
 //! disruptions) are layered on top by `mlora-sim`, which owns those
-//! types.
+//! types. There — and in the `.mlss` snapshot below — every record's
+//! layout is stated once, as an impl of that crate's private `Persist`
+//! trait over [`Enc`] and [`ScenarioReader`] (`crates/sim/src/persist.rs`:
+//! one `put`/`get` pair per type, derived from a single field list or
+//! tag table where a record is just its fields, with the type's
+//! invariants checked in `get`). The world sections encoded here sit
+//! upstream of that trait and keep their hand-written codecs
+//! (`world.rs`).
 //!
 //! # Sibling formats: the `.mlss` engine snapshot
 //!

@@ -676,20 +676,20 @@ impl Engine {
         let slots: Vec<(u32, Option<Flight>)> = read_records(&mut r, n)?;
         for flight in slots.iter().filter_map(|(_, flight)| flight.as_ref()) {
             limits.device(flight.sender)?;
-            flight
-                .target
-                .map_or(Ok(()), |target| limits.device(target))?;
+            if let Some(target) = flight.target {
+                limits.device(target)?;
+            }
             limits.messages(&flight.frame.messages)?;
         }
         let n = expect_section(&mut r, SEC_FLIGHT_FREE, "snapshot flight free list")?;
         let free: Vec<u32> = read_records(&mut r, n)?;
-        let mut listed = vec![false; slots.len()];
+        let mut vacant: Vec<bool> = slots.iter().map(|(_, flight)| flight.is_none()).collect();
         for &i in &free {
-            let vacant = matches!(slots.get(i as usize), Some((_, None)));
-            let first = listed
+            // A listed slot is struck off: naming it twice fails too.
+            let listed = vacant
                 .get_mut(i as usize)
-                .is_some_and(|seen| !replace(seen, true));
-            ensure(vacant && first, "free list names no vacant slot")?;
+                .is_some_and(|v| replace(v, false));
+            ensure(listed, "free list names no vacant slot")?;
         }
 
         // RNG streams and runtime scalars.
@@ -711,6 +711,7 @@ impl Engine {
         let depths: Vec<u32> = read_record(&mut r)?;
         let every_gateway = depths.len() == engine.delivery.gateways().len();
         ensure(every_gateway, "gateway count mismatch")?;
+        let down = depths.iter().filter(|&&depth| depth > 0).count();
         engine.delivery.restore_outages(depths);
 
         // The mid-run collector, wholesale (fields in wire order).
@@ -724,6 +725,10 @@ impl Engine {
             outage_since: Persist::get(&mut r)?,
             outage_generated: get_map(&mut r, &limits)?,
         };
+        // The collector counts a gateway when it goes down and when it
+        // comes back, so the two sections agree on how many are down.
+        let agreed = engine.delivery.collector.outage_depth as usize == down;
+        ensure(agreed, "outage depth is not the gateways down")?;
 
         ensure(r.next_section()?.is_none(), "unexpected trailing section")?;
 

@@ -434,11 +434,12 @@ fn write_disruptions<W: Write>(
         record.put(w.enc());
         w.end_record()
     }
-    let records = plan.outages.len() + plan.withdrawals.len() + plan.noise_bursts.len();
+    let (outages, withdrawals, bursts) = (&plan.outages, &plan.withdrawals, &plan.noise_bursts);
+    let records = outages.len() + withdrawals.len() + bursts.len();
     w.begin_section(section::DISRUPTIONS, records as u64)?;
-    (plan.outages.iter()).try_for_each(|outage| tagged(w, 0, outage))?;
-    (plan.withdrawals.iter()).try_for_each(|withdrawal| tagged(w, 1, withdrawal))?;
-    (plan.noise_bursts.iter()).try_for_each(|burst| tagged(w, 2, burst))?;
+    outages.iter().try_for_each(|o| tagged(w, 0, o))?;
+    withdrawals.iter().try_for_each(|b| tagged(w, 1, b))?;
+    bursts.iter().try_for_each(|n| tagged(w, 2, n))?;
     w.end_section()
 }
 

@@ -736,6 +736,12 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
         pos: 0,
     };
     let gateways = w.varint();
+    let first_depth = w.varint();
+    let flipped = u64::from(of(SEC_DELIVERY).payload[first_depth.start] == 0);
+    sweep.refused(
+        "delivery: one gateway's outage the collector never counted",
+        &plant(SEC_DELIVERY, first_depth, &varint(flipped)),
+    );
     sweep.refused(
         "delivery: 2^60 gateways",
         &plant(SEC_DELIVERY, gateways.clone(), &varint(HUGE)),
