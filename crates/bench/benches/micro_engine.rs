@@ -5,14 +5,13 @@
 //! * incremental `GridIndex` maintenance versus the from-scratch rebuild
 //!   the engine used to perform every query window,
 //! * `EventQueue` schedule/pop churn at simulation queue depths,
-//! * one shard-worker plan at 2000-bus scale,
 //! * one channel reception, of a frame heard alone and among five
 //!   others.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mlora_bench::{engine_throughput_config, HARNESS_SEED};
 use mlora_geo::{GridIndex, Point};
-use mlora_sim::probe::{FlightScanProbe, WorkerProbe};
+use mlora_sim::probe::FlightScanProbe;
 use mlora_sim::Engine;
 use mlora_simcore::{EventQueue, SimRng, SimTime};
 
@@ -78,20 +77,9 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // Shard-worker plan computation over a generated 2000-bus network
-    // with 96 frames in flight: one near-overlap cut per transmission,
-    // the bucket-sweep candidate scan and the per-receiver interferer
-    // walks, through the function the worker thread runs.
-    {
-        let mut probe = WorkerProbe::new(HARNESS_SEED, 2_000, 96);
-        c.bench_function("micro_engine/worker_plan_2000", |b| {
-            b.iter(|| black_box(probe.plan()))
-        });
-    }
-
-    // One `Channel::receive` with nothing planned, shadowing on: the
-    // subject alone in range (most receptions at any fleet size), and
-    // with five interferers in range (the metro tier's crowded tail).
+    // One `Channel::receive`, shadowing on: the subject alone in range
+    // (most receptions at any fleet size), and with five interferers in
+    // range (the metro tier's crowded tail).
     // Their ns times EngineStats' `receptions` is the reception layer's
     // share of a run (EXPERIMENTS.md, "Reception decides before it
     // computes").

@@ -8,21 +8,12 @@
 //! events/sec, the channel's reception counters (receptions resolved,
 //! frames heard, exact RSSI evaluations — the share of heard frames
 //! whose logarithms were actually taken is read off these) and the
-//! host's available parallelism (so a recorded artifact says on its
-//! face whether sharded tiers had real cores). The
-//! 2000- and 20 000-bus tiers are additionally measured with the
-//! spatially partitioned engine at 2 and 4 shards (the `_2shards` and
-//! `_4shards` rows), so the CI regression gate covers the parallel path
-//! like the serial one. The repo-level `BENCH_engine.json` is recorded
-//! with this binary; passing `full` adds the 100 000-bus metro tier,
-//! which is measured out-of-gate (it runs for minutes).
+//! host's available parallelism. The repo-level `BENCH_engine.json` is
+//! recorded with this binary; passing `full` adds the 100 000-bus metro
+//! tier, which is measured out-of-gate (it runs for minutes).
 //!
 //! Usage:
-//! `cargo run --release -p mlora-bench --bin engine_events [runs] [full] [--shards <n>]`
-//!
-//! `--shards <n>` overrides the shard count of every tier (the default
-//! scenario list then drops the built-in sharded rows), for probing
-//! scaling at other widths.
+//! `cargo run --release -p mlora-bench --bin engine_events [runs] [full]`
 
 use std::time::Instant;
 
@@ -31,55 +22,19 @@ use mlora_sim::Engine;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let shards_at = args.iter().position(|a| a == "--shards");
-    let shards_override: Option<usize> = shards_at
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok());
-    let positional: Vec<&String> = args
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| shards_at.is_none_or(|at| i != at && i != at + 1))
-        .map(|(_, a)| a)
-        .collect();
-    let runs: usize = positional.first().and_then(|s| s.parse().ok()).unwrap_or(3);
-    let full = positional.iter().any(|a| **a == "full");
+    let runs: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(3);
+    let full = args.iter().any(|a| a == "full");
 
     let mut scenarios = vec![
-        ("200_buses".to_string(), engine_throughput_config(200)),
-        ("2000_buses".to_string(), engine_throughput_config(2000)),
-        (
-            "20000_buses_metro".to_string(),
-            metro_throughput_config(20_000),
-        ),
+        ("200_buses", engine_throughput_config(200)),
+        ("2000_buses", engine_throughput_config(2000)),
+        ("20000_buses_metro", metro_throughput_config(20_000)),
     ];
     if full {
-        scenarios.push((
-            "100000_buses_metro".to_string(),
-            metro_throughput_config(100_000),
-        ));
-    }
-    match shards_override {
-        // Probe mode: run every tier at the requested width instead.
-        Some(n) => {
-            for (name, cfg) in &mut scenarios {
-                cfg.shards = n;
-                name.push_str(&format!("_{n}shards"));
-            }
-        }
-        // Default list: serial tiers plus the four gated sharded rows.
-        None => {
-            for shards in [2, 4] {
-                for tier in 1..=2 {
-                    let (name, mut cfg) = scenarios[tier].clone();
-                    cfg.shards = shards;
-                    scenarios.push((format!("{name}_{shards}shards"), cfg));
-                }
-            }
-        }
+        scenarios.push(("100000_buses_metro", metro_throughput_config(100_000)));
     }
 
-    // Host parallelism goes into every row: sharded-tier ratios are only
-    // interpretable against the hardware threads actually available.
+    // Recorded on every row, so an artifact says what host it is from.
     let host_threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(0);

@@ -132,17 +132,6 @@ pub struct SimConfig {
     /// noise bursts). Empty by default; an empty plan is bit-identical
     /// to a run without the subsystem.
     pub disruptions: DisruptionPlan,
-    /// Engine shards for one run: `1` (the default) runs the serial
-    /// engine; `n > 1` partitions the world into tile bands and
-    /// precomputes transmission-end resolution on `n` worker threads
-    /// (see [`crate::Partition`]). A host-execution knob, not scenario
-    /// content: any shard count produces bit-identical results, so
-    /// scenario files neither carry nor require it (loaded configs
-    /// default to `1`). Measured on a two-thread host (EXPERIMENTS.md,
-    /// "Parallel engine"): 2 shards is the only width that has beaten
-    /// the serial engine in every session, and only at 20 000-bus metro
-    /// scale; a 2000-bus run is four to nine times slower sharded.
-    pub shards: usize,
 }
 
 /// Error returned when a [`SimConfig`] is internally inconsistent.
@@ -242,9 +231,6 @@ impl std::error::Error for ConfigError {}
 /// must stay printable inside the fixed-width report tables.
 const MAX_POLICY_LABEL: usize = 48;
 
-/// Most engine shards one run may request (see [`SimConfig::shards`]).
-pub(crate) const MAX_SHARDS: usize = 64;
-
 /// Validates that `value` is finite and within `(lo, hi]`.
 pub(crate) fn check_unit_interval(
     field: &'static str,
@@ -293,7 +279,6 @@ impl SimConfig {
             horizon: SimDuration::from_hours(24),
             series_bucket: SimDuration::from_mins(10),
             disruptions: DisruptionPlan::default(),
-            shards: 1,
         }
     }
 
@@ -447,19 +432,6 @@ impl SimConfig {
             });
         }
         self.disruptions.validate(self.num_gateways)?;
-        if self.shards == 0 {
-            return Err(ConfigError::Zero { field: "shards" });
-        }
-        if self.shards > MAX_SHARDS {
-            // One OS thread per shard; past the band count of any sane
-            // partition more shards only oversubscribe the host.
-            return Err(ConfigError::OutOfRange {
-                field: "shards",
-                value: self.shards as f64,
-                lo: 1.0,
-                hi: MAX_SHARDS as f64,
-            });
-        }
         Ok(())
     }
 

@@ -6,10 +6,9 @@
 //! so an identically seeded run reproduces the golden fixtures bit for
 //! bit), the generational flight slab with its monotone creation
 //! sequence, and the per-receiver scratch of audible frames. Reception
-//! at any receiver — gateway or neighbouring device, in a serial or a
-//! sharded run — goes through one method, [`Channel::receive`], so the
-//! capture rule, the noise model and the RNG draw order have nowhere to
-//! drift apart.
+//! at any receiver — gateway or neighbouring device — goes through one
+//! method, [`Channel::receive`], so the capture rule, the noise model
+//! and the RNG draw order have nowhere to drift apart.
 //!
 //! A reception decides before it computes. What the bit-identity rule
 //! fixes is which RNG words are drawn, in which order, and what the
@@ -44,7 +43,6 @@ use mlora_mac::UplinkFrame;
 use mlora_phy::{LogDistanceModel, Rssi, RssiModel, CAPTURE_MARGIN_DB};
 use mlora_simcore::{NodeId, NormalDraw, SimDuration, SimRng, SimTime, Slab, SlabKey};
 
-use super::comm::PlannedInterferer;
 use crate::disruption::NoiseBurst;
 
 /// Below this slot count the deferred sweep never runs: the slab is
@@ -277,24 +275,6 @@ impl Channel {
         self.rng.gen_range_u64(0, max_exclusive)
     }
 
-    /// How long an ended flight stays interference-relevant. Shard
-    /// workers prune their flight tables by this same value, so they
-    /// never drop an interferer the commit thread still scans for.
-    pub(super) fn flight_retention(&self) -> SimDuration {
-        self.flight_retention
-    }
-
-    /// Sequence number of the most recently launched flight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing has launched yet.
-    pub(super) fn last_launched_seq(&self) -> u64 {
-        self.next_flight_seq
-            .checked_sub(1)
-            .expect("no flight launched yet")
-    }
-
     /// Puts a frame on the air; returns its slab key for the
     /// transmission-end event.
     ///
@@ -406,13 +386,6 @@ impl Channel {
         self.flights.get(key).map(|_| self.cols.gather(key.index()))
     }
 
-    /// Hot rows of every live flight, in slot order.
-    pub(super) fn iter_hot(&self) -> impl Iterator<Item = FlightHot> + '_ {
-        self.flights
-            .iter()
-            .map(|(key, _)| self.cols.gather(key.index()))
-    }
-
     /// Every slab slot in index order as `(generation, row)`, vacant
     /// slots included: the capture counterpart of [`Channel::restore`].
     /// Rows are gathered back into the historical array-of-structs view
@@ -484,20 +457,11 @@ impl Channel {
     /// capture-model collision resolution over the audible set
     /// ([`Channel::resolve`]).
     ///
-    /// The audible set arrives in two parts: `planned`, the interferers
-    /// a shard worker already range-checked, ascending by sequence with
-    /// their distance from the receiver, then `overlaps`, the frames
-    /// nothing was precomputed for — `(seq, position)`, sequence numbers
-    /// above every planned one, range-checked here. A serial run passes
-    /// an empty `planned` and its whole overlap scan; a sharded run the
-    /// plan's slice and the frames launched after the plan was
-    /// requested. The concatenation is the ascending-sequence draw order
-    /// either way, so where a distance was computed shows neither in the
-    /// result nor in the RNG stream
-    /// (`planned_distances_never_change_a_reception`).
+    /// `overlaps` holds the frames overlapping the subject in time as
+    /// `(seq, position)`, ascending by sequence — the draw order; the
+    /// ones within `range` of the receiver `at` are the audible set.
     pub(super) fn receive(
         &mut self,
-        planned: &[PlannedInterferer],
         overlaps: &[(u64, Point)],
         at: Point,
         range: f64,
@@ -506,16 +470,10 @@ impl Channel {
         let noise_db = self.noise_penalty_at(at);
         self.scratch_heard.clear();
         let mut subject = None;
-        // Two plain loops against `self`'s fields, on purpose: chained
-        // iterators or a closure copy the model into locals, which cost
-        // the rejection loop below its register for `range` — +2.6 % on
-        // `metro_20k` (EXPERIMENTS.md, "One reception path").
-        for &(seq, distance_m) in planned {
-            if seq == flight_seq {
-                subject = Some(self.scratch_heard.len());
-            }
-            self.add_audible(distance_m);
-        }
+        // A plain loop against `self`'s fields, on purpose: a chained
+        // iterator or a closure copies the model into locals, which
+        // costs the rejection test below its register for `range` —
+        // +2.6 % on `metro_20k` (EXPERIMENTS.md, "One reception path").
         for &(seq, pos) in overlaps {
             let distance_m = at.distance(pos);
             if distance_m > range {
@@ -736,11 +694,10 @@ mod tests {
         }
     }
 
-    /// Where an audible frame's distance was computed — ahead of time by
-    /// a shard worker, or on the spot from its position — shows neither
-    /// in the outcome nor in the RNG stream.
+    /// Overlapping frames out of the receiver's range show neither in
+    /// the outcome nor in the RNG stream nor in the frames-heard count.
     #[test]
-    fn planned_distances_never_change_a_reception() {
+    fn out_of_range_frames_leave_no_trace() {
         // Eight overlapping frames in creation order, two of them out of
         // the receiver's range.
         let frames = [
@@ -753,11 +710,10 @@ mod tests {
             (17, Point::new(450.0, 0.0)),
             (20, Point::new(-200.0, -300.0)),
         ];
-        let in_range = |&(_, pos): &(u64, Point)| ORIGIN.distance(pos) <= RANGE_M;
         let audible: Vec<(u64, f64)> = frames
             .iter()
-            .filter(|f| in_range(f))
             .map(|&(seq, pos)| (seq, ORIGIN.distance(pos)))
+            .filter(|&(_, distance_m)| distance_m <= RANGE_M)
             .collect();
         assert_eq!(audible.len(), 6);
         let model = LogDistanceModel::paper_default();
@@ -781,42 +737,30 @@ mod tests {
                 assert_eq!(expected, (None, false));
             }
 
-            // Every split point: the first `k` in-range frames handed
-            // over as planned distances, everything after them as
-            // positions (`k = 0` is the serial run).
-            for k in 0..=audible.len() {
-                let cut = frames
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, f)| in_range(f))
-                    .nth(k)
-                    .map_or(frames.len(), |(i, _)| i);
-                let mut channel = channel(model, SENSITIVITY_DBM, 2020);
-                if noisy {
-                    channel.noise_start(0);
-                }
-                assert_eq!(channel.noise_penalty_at(ORIGIN), noise_db);
-                let split =
-                    channel.receive(&audible[..k], &frames[cut..], ORIGIN, RANGE_M, subject);
-                assert_eq!(
-                    outcome(&channel, split),
-                    expected,
-                    "subject {subject}, noisy {noisy}, split at {k}"
-                );
-                assert_eq!(channel.rng.state(), rng.state(), "RNG, split at {k}");
-                let (receptions, frames_heard, evaluated) = channel.reception_counts();
-                assert_eq!((receptions, frames_heard), (1, audible.len() as u64));
-                assert!(evaluated <= frames_heard);
+            let mut channel = channel(model, SENSITIVITY_DBM, 2020);
+            if noisy {
+                channel.noise_start(0);
             }
+            assert_eq!(channel.noise_penalty_at(ORIGIN), noise_db);
+            let got = channel.receive(&frames, ORIGIN, RANGE_M, subject);
+            assert_eq!(
+                outcome(&channel, got),
+                expected,
+                "subject {subject}, noisy {noisy}"
+            );
+            assert_eq!(channel.rng.state(), rng.state());
+            let (receptions, frames_heard, evaluated) = channel.reception_counts();
+            assert_eq!((receptions, frames_heard), (1, audible.len() as u64));
+            assert!(evaluated <= frames_heard);
         }
     }
 
     /// The identity the reception path rests on, at volume: a million
-    /// random receptions — 1–12 frames, some out of range, any planned /
-    /// unplanned split, noise on and off, shadowing on and off, every
-    /// spreading factor's sensitivity — decide exactly what the fused
-    /// reference decides, report the same strength bit for bit and leave
-    /// the RNG stream where the reference leaves it.
+    /// random receptions — 1–12 frames, some out of range, noise on and
+    /// off, shadowing on and off, every spreading factor's sensitivity —
+    /// decide exactly what the fused reference decides, report the same
+    /// strength bit for bit and leave the RNG stream where the reference
+    /// leaves it.
     #[test]
     fn receive_matches_the_fused_reference() {
         const RECEPTIONS_PER_CHANNEL: usize = 84_000;
@@ -882,18 +826,11 @@ mod tests {
                         &mut rng,
                         &mut fused,
                     );
-                    // A random prefix of the audible frames arrives as
-                    // planned distances, the rest as positions.
-                    let k = pick.gen_range_u64(0, audible.len() as u64 + 1) as usize;
-                    let cut = match audible.get(k) {
-                        Some(&(seq, _)) => frames.iter().position(|f| f.0 == seq).unwrap(),
-                        None => frames.len(),
-                    };
-                    let got = channel.receive(&audible[..k], &frames[cut..], at, range, subject);
+                    let got = channel.receive(&frames, at, range, subject);
                     assert_eq!(
                         outcome(&channel, got),
                         expected,
-                        "{sf:?}, sigma {}, frames {frames:?}, subject {subject}, split {k}",
+                        "{sf:?}, sigma {}, frames {frames:?}, subject {subject}",
                         path_loss.shadowing_sigma_db
                     );
                     assert_eq!(channel.rng.state(), rng.state());
@@ -938,6 +875,14 @@ mod tests {
             }
         }
         f64::from_bits(reached)
+    }
+
+    /// A sender exactly `distance_m` from the receiver at the origin:
+    /// `sqrt(x * x)` is `|x|` in binary floating point.
+    fn at_distance(distance_m: f64) -> Point {
+        let pos = Point::new(distance_m, 0.0);
+        assert_eq!(ORIGIN.distance(pos), distance_m);
+        pos
     }
 
     /// Receptions only the exact fallback can get right: the subject
@@ -990,7 +935,7 @@ mod tests {
                 );
                 for sensitivity_dbm in offsets(exact) {
                     let mut channel = noisy_channel(sensitivity_dbm);
-                    let got = channel.receive(&[(0, subject_m)], &[], ORIGIN, 1e4, 0);
+                    let got = channel.receive(&[(0, at_distance(subject_m))], ORIGIN, 1e4, 0);
                     let decodes = exact >= sensitivity_dbm;
                     assert_eq!(
                         outcome(&channel, got),
@@ -1028,15 +973,16 @@ mod tests {
                         // The distance found and its neighbour just short
                         // of the target.
                         for other_m in [other_m, other_m.next_down()] {
-                            let planned = if subject_first {
+                            let audible = if subject_first {
                                 [(0, subject_m), (1, other_m)]
                             } else {
                                 [(1, other_m), (0, subject_m)]
                             };
+                            let frames = audible.map(|(seq, m)| (seq, at_distance(m)));
                             let expected = reference(
                                 &path_loss,
                                 -200.0,
-                                &planned,
+                                &audible,
                                 noise_db,
                                 0,
                                 &mut stream(),
@@ -1048,7 +994,7 @@ mod tests {
                                 (captured.then(|| subject_dbm.to_bits()), !captured)
                             );
                             let mut channel = noisy_channel(-200.0);
-                            let got = channel.receive(&planned, &[], ORIGIN, 1e7, 0);
+                            let got = channel.receive(&frames, ORIGIN, 1e7, 0);
                             assert_eq!(
                                 outcome(&channel, got),
                                 expected,

@@ -12,7 +12,6 @@ use mlora_mac::AppMessage;
 use mlora_simcore::SimTime;
 
 use super::channel::{Channel, FlightRef};
-use super::comm::PlannedInterferer;
 use crate::metrics::Collector;
 use crate::observer::{GatewayOutageChanged, MessageDelivered, SimObserver};
 
@@ -92,9 +91,13 @@ impl Delivery {
         observer: &mut dyn SimObserver,
     ) {
         let g = gateway as usize;
-        debug_assert!(self.gateway_down_depth[g] > 0, "recovery without outage");
-        self.gateway_down_depth[g] -= 1;
-        if self.gateway_down_depth[g] == 0 {
+        // A plan never schedules a recovery without its outage; a forged
+        // snapshot can file one twice, and the second is a no-op.
+        let Some(depth) = self.gateway_down_depth[g].checked_sub(1) else {
+            return;
+        };
+        self.gateway_down_depth[g] = depth;
+        if depth == 0 {
             self.gateway_grid.insert(gateway, self.gateways[g]);
             self.collector.on_gateway_up(now);
             observer.on_gateway_outage(&GatewayOutageChanged {
@@ -105,9 +108,8 @@ impl Delivery {
         }
     }
 
-    /// The serial engine's gateway discovery: fills `out` with the
-    /// gateways within range of `pos`, ascending by index — the receiver
-    /// sequence a shard worker's plan lists.
+    /// Gateway discovery: fills `out` with the in-service gateways
+    /// within range of `pos`, ascending by index.
     pub(super) fn gateways_in_range(&mut self, pos: Point, out: &mut Vec<u32>) {
         let range = self.gateway_range_m;
         // Gateways are static: the grid narrows the scan to the cells
@@ -124,31 +126,23 @@ impl Delivery {
         out.retain(|&gi| self.gateways[gi as usize].distance(pos) <= range);
     }
 
-    /// Resolves reception at every in-service gateway among `receivers`
-    /// — the in-range gateways in ascending index order, each with the
-    /// interferer slice precomputed for it (empty in a serial run); see
-    /// [`Channel::receive`] for `overlaps`. Returns the best RSSI among
-    /// gateways that decoded this flight, if any. Lost-to-interference
-    /// receptions are counted on the collector.
-    ///
-    /// The outage filter runs here because shard workers do not track
-    /// outages; the serial grid never lists a downed gateway, so for it
-    /// the filter passes everything.
-    pub(super) fn resolve_gateways<'p>(
+    /// Resolves reception at every gateway of `receivers` — the output
+    /// of [`Delivery::gateways_in_range`]; see [`Channel::receive`] for
+    /// `overlaps`. Returns the best RSSI among gateways that decoded
+    /// this flight, if any. Lost-to-interference receptions are counted
+    /// on the collector.
+    pub(super) fn resolve_gateways(
         &mut self,
         channel: &mut Channel,
-        receivers: impl Iterator<Item = (u32, &'p [PlannedInterferer])>,
+        receivers: &[u32],
         overlaps: &[(u64, Point)],
         flight: FlightRef<'_>,
     ) -> Option<f64> {
         let range = self.gateway_range_m;
         let mut best: Option<f64> = None;
-        for (gi, planned) in receivers {
-            if self.gateway_down_depth[gi as usize] != 0 {
-                continue;
-            }
+        for &gi in receivers {
             let gw = self.gateways[gi as usize];
-            let reception = channel.receive(planned, overlaps, gw, range, flight.seq);
+            let reception = channel.receive(overlaps, gw, range, flight.seq);
             match reception.rssi {
                 // The best decoder's strength sets the sender's observed
                 // capacity, so a gateway always reads the value.

@@ -7,17 +7,13 @@
 //! scenario configured — the paper's built-in schemes and user-defined
 //! policies ride exactly the same code path.
 //!
-//! There is one reception path from the receiver set to the sender's
-//! settlement. `Engine::on_tx_end` decides where the receivers come
-//! from — a live grid query in a serial run, a shard-precomputed
-//! [`FlightPlan`](super::comm::FlightPlan) in a sharded one — and hands
-//! them to [`Engine::resolve_neighbours`] as one sequence in canonical
-//! order; the state-dependent admission filters
+//! `Engine::on_tx_end` finds the receivers with a grid query and hands
+//! them to [`Engine::resolve_neighbours`] in canonical order; from
+//! there the state-dependent admission filters
 //! ([`Engine::neighbour_admitted`]), the reception itself
 //! ([`Channel::receive`](super::channel::Channel::receive)), the policy
 //! dispatch ([`Engine::apply_reception`]) and the sender's settlement
-//! ([`Engine::settle_sender`]) are written once, so a serial and a
-//! sharded run have nothing to drift apart in.
+//! ([`Engine::settle_sender`]) follow.
 //!
 //! A reception says whether the frame decoded; how strongly is a
 //! deferred value ([`Strength`](super::channel::Strength)) that
@@ -32,7 +28,6 @@ use mlora_geo::Point;
 use mlora_simcore::NodeId;
 
 use super::channel::{FlightRef, Reception};
-use super::comm::PlannedInterferer;
 use super::Engine;
 use crate::observer::{HandoverAccepted, SimObserver};
 
@@ -40,17 +35,16 @@ impl Engine {
     /// Resolves overhearing at every active neighbour. `receivers` is
     /// the geometric prefilter's output — sender-excluded,
     /// exact-range-filtered `(id, position)` pairs in ascending id order
-    /// (see [`World::batched_candidates`](super::world::World)), each
-    /// with the interferer slice precomputed for it (empty in a serial
-    /// run; see [`Channel::receive`](super::channel::Channel::receive)
-    /// for `overlaps`) — so this loop is pure admission + collision
+    /// (see [`World::batched_candidates`](super::world::World); see
+    /// [`Channel::receive`](super::channel::Channel::receive) for
+    /// `overlaps`) — so this loop is pure admission + collision
     /// resolution. Returns whether the handover target decoded the
     /// frame; devices that need a new transmission opportunity are
     /// appended to `to_schedule`.
-    pub(super) fn resolve_neighbours<'p>(
+    pub(super) fn resolve_neighbours(
         &mut self,
         flight: FlightRef<'_>,
-        receivers: impl Iterator<Item = (NodeId, Point, &'p [PlannedInterferer])>,
+        receivers: &[(NodeId, Point)],
         overlaps: &[(u64, Point)],
         to_schedule: &mut Vec<NodeId>,
         observer: &mut dyn SimObserver,
@@ -58,15 +52,13 @@ impl Engine {
         let d2d = self.cfg.environment.d2d_range_m();
         let mut accepted = false;
 
-        for (x, pos_x, planned) in receivers {
+        for &(x, pos_x) in receivers {
             if !self.neighbour_admitted(x, flight) {
                 continue;
             }
             // Collision resolution at x, under any regional noise at
             // its position.
-            let reception = self
-                .channel
-                .receive(planned, overlaps, pos_x, d2d, flight.seq);
+            let reception = self.channel.receive(overlaps, pos_x, d2d, flight.seq);
             self.apply_reception(flight, x, reception, to_schedule, observer, &mut accepted);
         }
         accepted
@@ -78,15 +70,13 @@ impl Engine {
     /// leave no trace on the RNG stream.
     ///
     /// Reads only the world's hot columns — a handful of contiguous
-    /// loads per candidate, no device-map lookup (an id past the last
-    /// opened row never departed — a shard worker can list a trip
-    /// departing at the horizon itself — and is inactive like a retired
-    /// one). The device class is scenario-uniform, so it comes from the
-    /// configuration rather than a per-device field.
+    /// loads per candidate, no device-map lookup. The device class is
+    /// scenario-uniform, so it comes from the configuration rather than
+    /// a per-device field.
     fn neighbour_admitted(&self, x: NodeId, flight: FlightRef<'_>) -> bool {
         let i = x.index();
         let hot = &self.world.hot;
-        if hot.active.get(i) != Some(&true) {
+        if !hot.active[i] {
             return false;
         }
         // Half-duplex: a device transmitting during any part of the

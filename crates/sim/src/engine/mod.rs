@@ -6,16 +6,10 @@
 //! are computed analytically from the mobility substrate, so there is
 //! no per-tick stepping anywhere.
 //!
-//! The loop itself is single-threaded and processes events in canonical
-//! `(time, seq)` order. With `shards > 1` the *spatial* work of
-//! transmission-end resolution — the candidate/gateway/interferer
-//! queries that dominate at metro scale — is precomputed by per-tile
-//! shard workers ([`partition`], [`comm`]) while frames are on the air.
-//! Either way a transmission end runs one resolve step
-//! (`Engine::on_tx_end`): a serial run is the case where nothing was
-//! precomputed and the receiver sets are found on the spot, and every
-//! RNG draw, filter and mutation happens in the same order, so a
-//! sharded run is bit-identical to a single-shard run.
+//! The loop is single-threaded and processes events in canonical
+//! `(time, seq)` order; the engine spawns no thread. Parallelism lives
+//! one level up: a sweep's runs are independent, and
+//! [`Runner`](crate::Runner) spreads them over the host's cores.
 //!
 //! # Layout
 //!
@@ -64,10 +58,8 @@
 //! neighbour-resolution path.
 
 mod channel;
-pub mod comm;
 mod delivery;
 mod forwarding;
-pub mod partition;
 #[doc(hidden)]
 pub mod probe;
 mod snapshot;
@@ -75,7 +67,6 @@ mod world;
 
 pub use self::snapshot::{Snapshot, SnapshotError, SNAPSHOT_MAGIC};
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::AtomicUsize;
 use std::sync::{Arc, OnceLock};
 
@@ -88,11 +79,7 @@ use mlora_phy::AirtimeTable;
 use mlora_simcore::{EventQueue, NodeId, SimDuration, SimRng, SimTime, SlabKey};
 
 use self::channel::{Channel, FlightRef};
-use self::comm::{
-    EdgeMessage, FlightPlan, LocalCommunicator, PlannedInterferer, ShardParams, ShardWorker,
-};
 use self::delivery::Delivery;
-use self::partition::Partition;
 use self::world::{Device, DeviceTraffic, World};
 use crate::disruption::DisruptionEvent;
 use crate::metrics::Collector;
@@ -158,138 +145,6 @@ pub struct EngineStats {
     pub rssi_evaluated: u64,
 }
 
-/// Commit-thread state of a sharded run: the transport to the shard
-/// workers, barrier pacing, out-of-order plan buffering and the
-/// recent-launch ring that supplies interferers launched after a
-/// flight's plan was requested (see the [`comm`] module docs).
-#[derive(Debug)]
-struct ShardRuntime {
-    comm: LocalCommunicator,
-    part: Arc<Partition>,
-    /// Next membership barrier to broadcast.
-    next_barrier: SimTime,
-    /// Plans received ahead of their transmission-end event, by flight
-    /// sequence number.
-    pending: HashMap<u64, FlightPlan>,
-    /// Recent launches `(seq, pos, start, end)` in ascending sequence
-    /// order; entries older than one worst-case airtime can no longer
-    /// overlap any pending flight and are pruned on push.
-    ring: VecDeque<(u64, Point, SimTime, SimTime)>,
-    /// Worst-case frame airtime under the configured PHY.
-    max_airtime: SimDuration,
-    /// Scratch: the subject flight's dynamic interferers.
-    dyn_scratch: Vec<(u64, Point)>,
-}
-
-impl ShardRuntime {
-    /// Broadcasts every membership barrier due at or before `t` —
-    /// called before each event, so workers always plan against the
-    /// latest barrier at or before the flight's launch. The commit
-    /// thread never blocks here; synchronization happens worker-side.
-    fn pump_barriers(&mut self, t: SimTime) {
-        while t >= self.next_barrier {
-            let until = self.next_barrier;
-            for s in 0..self.comm.num_shards() {
-                self.comm.send(s, EdgeMessage::Barrier { until });
-            }
-            self.next_barrier = until + self.part.barrier_every();
-        }
-    }
-
-    /// Announces a launch to every shard whose region the frame's
-    /// interference disc can touch; the tile owner also computes the
-    /// flight's plan (requested now so the frame's airtime hides the
-    /// round-trip).
-    fn on_launch(&mut self, seq: u64, sender: NodeId, pos: Point, start: SimTime, end: SimTime) {
-        while self
-            .ring
-            .front()
-            .is_some_and(|&(_, _, s, _)| s + self.max_airtime < start)
-        {
-            self.ring.pop_front();
-        }
-        self.ring.push_back((seq, pos, start, end));
-        self.announce(seq, sender, pos, start, end, true);
-    }
-
-    /// The shared announcement path: sends `FlightLaunched` to every
-    /// shard in reach of the flight's interference disc. The tile owner
-    /// computes a plan only when `wants_plan` — true for live launches;
-    /// a snapshot resume re-announcing retained flights requests plans
-    /// only for those whose transmission-end event is still pending.
-    fn announce(
-        &mut self,
-        seq: u64,
-        sender: NodeId,
-        pos: Point,
-        start: SimTime,
-        end: SimTime,
-        wants_plan: bool,
-    ) {
-        let owner = self.part.shard_of(pos);
-        let reach = self.part.flight_halo_m();
-        for s in 0..self.comm.num_shards() {
-            if self.part.shard_in_range(s, pos, reach) {
-                self.comm.send(
-                    s,
-                    EdgeMessage::FlightLaunched {
-                        seq,
-                        sender,
-                        pos,
-                        start,
-                        end,
-                        wants_plan: wants_plan && s == owner,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Non-blocking: folds every plan the workers have already finished
-    /// into the pending buffer. Called between events so the buffering
-    /// happens off the transmission-end critical path and
-    /// [`ShardRuntime::take_plan`] almost always hits the buffer.
-    fn drain_plans(&mut self) {
-        while let Some(plan) = self.comm.try_recv_plan() {
-            self.pending.insert(plan.seq, plan);
-        }
-    }
-
-    /// Blocks until the plan for flight `seq` is in hand; plans for
-    /// other flights arriving first are buffered.
-    fn take_plan(&mut self, seq: u64) -> FlightPlan {
-        if let Some(plan) = self.pending.remove(&seq) {
-            return plan;
-        }
-        loop {
-            let plan = self.comm.recv_plan();
-            if plan.seq == seq {
-                return plan;
-            }
-            self.pending.insert(plan.seq, plan);
-        }
-    }
-
-    /// Collects into `dyn_scratch` the frames launched *after* flight
-    /// `seq`'s plan was requested that overlap it in time and whose
-    /// sender is close enough to interfere at any of its receivers —
-    /// ascending by sequence, continuing exactly where the plan's
-    /// interferer slices stop.
-    fn dynamic_overlaps(&mut self, seq: u64, pos: Point, start: SimTime, end: SimTime) {
-        self.dyn_scratch.clear();
-        let from = self.ring.partition_point(|&(s, _, _, _)| s <= seq);
-        let reach = self.part.flight_halo_m();
-        for &(s, p, st, en) in self.ring.iter().skip(from) {
-            if st < end && en > start && p.distance(pos) <= reach {
-                self.dyn_scratch.push((s, p));
-            }
-        }
-    }
-}
-
-/// A serial run's interferer slice, at every receiver.
-const NOTHING_PLANNED: &[PlannedInterferer] = &[];
-
 /// The simulation engine. Construct with [`Engine::new`], execute with
 /// [`Engine::run`].
 #[derive(Debug)]
@@ -339,8 +194,8 @@ pub struct Engine {
     /// Set once the engine has run: the engine keeps end-of-run state
     /// for inspection and must not be executed again.
     executed: bool,
-    /// Set once initial events are seeded (and shard workers launched):
-    /// stepping entry points start lazily, exactly once.
+    /// Set once initial events are seeded: stepping entry points start
+    /// lazily, exactly once.
     started: bool,
     /// Events processed since the run began, across every stepping call.
     events_processed: u64,
@@ -359,9 +214,6 @@ pub struct Engine {
     /// freshly regenerated mobility substrate before anything else, so
     /// trip truncations survive the checkpoint.
     withdrawn: Vec<(NodeId, SimTime)>,
-    /// Commit-side state of a sharded run; `None` while idle and for
-    /// single-shard runs, which take the serial path untouched.
-    shard_rt: Option<ShardRuntime>,
 }
 
 impl Engine {
@@ -445,7 +297,6 @@ impl Engine {
             cfg_section: OnceLock::new(),
             last_snapshot_len: AtomicUsize::new(0),
             withdrawn: Vec::new(),
-            shard_rt: None,
             cfg,
         }
     }
@@ -532,8 +383,7 @@ impl Engine {
 
     /// Advances the simulation through every event due at or before `t`
     /// (clamped to the horizon) and returns the number of events
-    /// processed. The first call seeds the initial events (and launches
-    /// shard workers for a parallel configuration); stepping to
+    /// processed. The first call seeds the initial events; stepping to
     /// `t1 < t2 < …` processes exactly the event sequence one
     /// uninterrupted [`Engine::run`] would, so a [`Engine::snapshot`]
     /// taken between steps resumes bit-identically.
@@ -573,19 +423,13 @@ impl Engine {
 
     /// Seeds the initial events (the compiled disruption timeline; trip
     /// lifecycle events only reserve their sequence numbers, see the
-    /// module docs) and launches the shard workers of a parallel run.
-    /// Idempotent: stepping entry points call it lazily; a snapshot
-    /// resume marks the engine started and never seeds.
+    /// module docs). Idempotent: stepping entry points call it lazily; a
+    /// snapshot resume marks the engine started and never seeds.
     fn start(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
-        // Spin up the shard workers for a parallel run; a single-shard
-        // configuration takes the serial path with zero new machinery.
-        if self.cfg.shards > 1 {
-            self.shard_rt = Some(self.build_shard_runtime());
-        }
         // Trip `i` owns sequence numbers `2i` and `2i + 1`; everything
         // scheduled from here on sorts after the whole timetable at
         // equal times.
@@ -652,18 +496,6 @@ impl Engine {
                 self.events.pop().expect("peeked above").1
             };
             on_event(t, seq, ev);
-            // Sharded runs broadcast membership barriers before the
-            // event that crosses them, so shard-side state is always
-            // synchronized to the latest barrier at or before any plan
-            // request.
-            if let Some(rt) = self.shard_rt.as_mut() {
-                rt.pump_barriers(t);
-                // Fold any plans the workers have already finished into
-                // the pending buffer while the commit thread is between
-                // events, instead of on the transmission-end critical
-                // path.
-                rt.drain_plans();
-            }
             self.now = t;
             events_processed += 1;
             match ev {
@@ -704,11 +536,6 @@ impl Engine {
         assert!(!self.executed, "engine already ran; build a new one");
         self.start();
         self.executed = true;
-
-        // The run is over: release the shard workers.
-        if let Some(mut rt) = self.shard_rt.take() {
-            rt.comm.shutdown();
-        }
 
         // Retire any device still in service at the horizon.
         let still_active: Vec<NodeId> = self.world.active.clone();
@@ -1027,21 +854,11 @@ impl Engine {
         let key = self
             .channel
             .launch(n, frame, target, self.now, self.now + airtime, pos);
-        // A sharded run announces the launch immediately: the owning
-        // shard computes the flight's plan while the frame is on the
-        // air, so the commit thread rarely waits at transmission end.
-        if let Some(rt) = self.shard_rt.as_mut() {
-            let seq = self.channel.last_launched_seq();
-            rt.on_launch(seq, n, pos, self.now, self.now + airtime);
-        }
         self.events.schedule(self.now + airtime, Event::TxEnd(key));
     }
 
     /// A transmission ends: receptions resolve at the gateways and the
-    /// neighbours, then the sender settles. Only where the receiver sets
-    /// come from is decided here — found on the spot in a serial run,
-    /// taken from the flight's [`FlightPlan`] in a sharded one; the
-    /// resolve step they feed is the same code either way.
+    /// neighbours, then the sender settles.
     fn on_tx_end(&mut self, key: SlabKey, observer: &mut dyn SimObserver) {
         // Expired-flight reclamation is deferred to the launch path
         // (`Channel::maybe_sweep`); a stale flight cannot pass the
@@ -1075,71 +892,32 @@ impl Engine {
 
         let mut to_schedule = std::mem::take(&mut self.scratch_schedule);
         to_schedule.clear();
-        let (gateway_rssi, accepted_by_target) = match self.shard_rt.take() {
-            // Serial: nothing is precomputed. The frames overlapping
-            // this one in time (including itself), in creation order —
-            // one pass over the contiguous flight columns — and the two
-            // spatial queries, done here and now.
-            None => {
-                let mut overlaps = std::mem::take(&mut self.channel.scratch_overlaps);
-                self.channel
-                    .overlaps_into(flight.start, flight.end, &mut overlaps);
-                let mut gateways = std::mem::take(&mut self.scratch_gateways);
-                self.delivery.gateways_in_range(flight.pos, &mut gateways);
-                let gateway_rssi = self.delivery.resolve_gateways(
-                    &mut self.channel,
-                    gateways.iter().map(|&gi| (gi, NOTHING_PLANNED)),
-                    &overlaps,
-                    flight,
-                );
+        // The frames overlapping this one in time (including itself), in
+        // creation order — one pass over the contiguous flight columns —
+        // and the two spatial queries.
+        let mut overlaps = std::mem::take(&mut self.channel.scratch_overlaps);
+        self.channel
+            .overlaps_into(flight.start, flight.end, &mut overlaps);
+        let mut gateways = std::mem::take(&mut self.scratch_gateways);
+        self.delivery.gateways_in_range(flight.pos, &mut gateways);
+        let gateway_rssi =
+            self.delivery
+                .resolve_gateways(&mut self.channel, &gateways, &overlaps, flight);
 
-                let d2d = self.cfg.environment.d2d_range_m();
-                let mut candidates = std::mem::take(&mut self.scratch_candidates);
-                self.world
-                    .batched_candidates(self.now, sender, flight.pos, d2d, &mut candidates);
-                let mut near = std::mem::take(&mut self.channel.scratch_near_overlaps);
-                Channel::near_overlaps_into(&overlaps, flight.pos, d2d, &mut near);
-                let accepted_by_target = self.resolve_neighbours(
-                    flight,
-                    candidates.iter().map(|&(n, pos)| (n, pos, NOTHING_PLANNED)),
-                    &near,
-                    &mut to_schedule,
-                    observer,
-                );
+        let d2d = self.cfg.environment.d2d_range_m();
+        let mut candidates = std::mem::take(&mut self.scratch_candidates);
+        self.world
+            .batched_candidates(self.now, sender, flight.pos, d2d, &mut candidates);
+        let mut near = std::mem::take(&mut self.channel.scratch_near_overlaps);
+        Channel::near_overlaps_into(&overlaps, flight.pos, d2d, &mut near);
+        let accepted_by_target =
+            self.resolve_neighbours(flight, &candidates, &near, &mut to_schedule, observer);
 
-                self.scratch_gateways = gateways;
-                self.scratch_candidates = candidates;
-                self.channel.scratch_near_overlaps = near;
-                self.channel.scratch_overlaps = overlaps;
-                (gateway_rssi, accepted_by_target)
-            }
-            // Sharded: the flight's shard worker did all of that while
-            // the frame was on the air; only the frames launched since
-            // are left to range-check.
-            Some(mut rt) => {
-                let plan = rt.take_plan(flight.seq);
-                rt.dynamic_overlaps(flight.seq, flight.pos, flight.start, flight.end);
-                let gateway_rssi = self.delivery.resolve_gateways(
-                    &mut self.channel,
-                    plan.gateways
-                        .iter()
-                        .map(|g| (g.gateway, plan.slice(g.start, g.len))),
-                    &rt.dyn_scratch,
-                    flight,
-                );
-                let accepted_by_target = self.resolve_neighbours(
-                    flight,
-                    plan.candidates
-                        .iter()
-                        .map(|c| (c.node, c.pos, plan.slice(c.start, c.len))),
-                    &rt.dyn_scratch,
-                    &mut to_schedule,
-                    observer,
-                );
-                self.shard_rt = Some(rt);
-                (gateway_rssi, accepted_by_target)
-            }
-        };
+        self.scratch_gateways = gateways;
+        self.scratch_candidates = candidates;
+        self.channel.scratch_near_overlaps = near;
+        self.channel.scratch_overlaps = overlaps;
+
         self.settle_sender(flight, gateway_rssi, accepted_by_target, observer);
         for &n in &to_schedule {
             self.maybe_schedule_tx(n);
@@ -1147,59 +925,6 @@ impl Engine {
 
         self.scratch_schedule = to_schedule;
         self.channel.flights = flights;
-    }
-
-    /// Builds the partition, the per-shard workers and the local
-    /// transport for a parallel run.
-    fn build_shard_runtime(&self) -> ShardRuntime {
-        let shards = self.cfg.shards;
-        let d2d = self.cfg.environment.d2d_range_m();
-        let gw_range = self.cfg.gateway_range_m;
-        let max_airtime = self.airtime.max();
-        let part = Arc::new(Partition::new(
-            self.world.net.area(),
-            shards,
-            d2d,
-            gw_range,
-            self.cfg.network.max_speed_mps,
-            max_airtime,
-        ));
-        let params = ShardParams {
-            d2d_range_m: d2d,
-            gateway_range_m: gw_range,
-            flight_retention: self.channel.flight_retention(),
-        };
-        let workers = (0..shards)
-            .map(|id| {
-                // The static superset of gateways any tile-local flight
-                // can reach (the serial grid query's `range + 1 m`
-                // margin kept for float safety).
-                let gateways = self
-                    .delivery
-                    .gateways()
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &p)| part.shard_in_range(id, p, gw_range + 1.0))
-                    .map(|(i, &p)| (i as u32, p))
-                    .collect();
-                ShardWorker::new(
-                    id,
-                    Arc::clone(&part),
-                    Arc::clone(&self.world.net),
-                    gateways,
-                    params.clone(),
-                )
-            })
-            .collect();
-        ShardRuntime {
-            comm: LocalCommunicator::launch(workers),
-            part,
-            next_barrier: SimTime::ZERO,
-            pending: HashMap::new(),
-            ring: VecDeque::new(),
-            max_airtime,
-            dyn_scratch: Vec::new(),
-        }
     }
 }
 

@@ -14,7 +14,7 @@
 //! master seed and overlays the captured dynamic state, so stepping the
 //! resumed engine processes exactly the event sequence the original
 //! uninterrupted run would — bit for bit, for any scheme, with traffic
-//! and disruptions active, across shard counts.
+//! and disruptions active.
 //!
 //! The container reuses the scenario format's block framing (checksummed
 //! 64 KiB blocks, varint/f64 primitives) under its own `MLSS` magic;
@@ -53,7 +53,6 @@
     clippy::panic
 )]
 
-use std::collections::HashSet;
 use std::io::{Read, Write};
 use std::mem::replace;
 use std::path::Path;
@@ -72,7 +71,6 @@ use mlora_simcore::{DenseMap, EventQueue, MessageId, NodeId, SimRng, SimTime};
 use super::channel::{Flight, FlightRef};
 use super::world::{Device, DeviceHot, DeviceTraffic};
 use super::{Engine, Event};
-use crate::config::MAX_SHARDS;
 use crate::metrics::Collector;
 use crate::persist::{
     ensure, persist_struct, put_slice, read_record, read_records, reserve_for, write_record,
@@ -203,21 +201,13 @@ impl Snapshot {
         self.header.seed
     }
 
-    /// The shard count the captured run executes with (resume rebuilds
-    /// the same spatial partitioning).
-    pub fn shards(&self) -> usize {
-        self.header.shards
-    }
-
     /// The raw serialized container, exactly what
     /// [`Snapshot::to_writer`] emits.
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes
     }
 
-    /// The scenario configuration embedded in the snapshot (with the
-    /// captured shard count restored — the scenario wire format itself
-    /// does not carry one).
+    /// The scenario configuration embedded in the snapshot.
     ///
     /// # Errors
     ///
@@ -230,7 +220,7 @@ impl Snapshot {
         }
         let mut r = ScenarioReader::with_magic(self.bytes.as_slice(), SNAPSHOT_MAGIC)?;
         read_header(&mut r)?;
-        let cfg = read_config(&mut r, self.header.shards)?;
+        let cfg = read_config(&mut r)?;
         Ok(self.config.get_or_init(|| cfg).clone())
     }
 
@@ -299,6 +289,12 @@ impl Snapshot {
     }
 }
 
+/// The widest shard count a header may carry: builds that could split
+/// a run over worker threads recorded how many. The count never changed
+/// a result, so it is written as 1, held to this range on read and
+/// otherwise ignored.
+const MAX_SHARDS: usize = 64;
+
 persist_struct! {
     /// The header section's record: run identity and loop counters.
     #[derive(Debug, Clone)]
@@ -366,7 +362,7 @@ impl Engine {
 
         let header = Header {
             seed: self.seed,
-            shards: self.cfg.shards,
+            shards: 1,
             now: self.now,
             next_msg: self.next_msg,
             events_processed: self.events_processed,
@@ -500,7 +496,7 @@ impl Engine {
                 cfg.clone()
             }
             None => {
-                let cfg = read_config(&mut r, header.shards)?;
+                let cfg = read_config(&mut r)?;
                 snapshot.config.get_or_init(|| cfg).clone()
             }
         };
@@ -545,8 +541,7 @@ impl Engine {
         };
 
         let mut engine = Engine::new(cfg, header.seed);
-        // An engine never steps past its horizon; a sharded resume
-        // replays its barrier sequence up to `now`.
+        // An engine never steps past its horizon.
         ensure(header.now <= engine.horizon, "captured past the horizon")?;
         // Engine::new compiled the *merged* plan, which interleaves
         // overlay events among the originals by time — breaking the
@@ -659,8 +654,7 @@ impl Engine {
         }
 
         // Replay withdrawals against the network (the first takes this
-        // engine's private copy) — before the shard runtime below hands
-        // the workers their reference to it.
+        // engine's private copy).
         let n = expect_section(&mut r, SEC_WITHDRAWN, "snapshot withdrawals")?;
         for _ in 0..n {
             let (node, t): (NodeId, SimTime) = read_record(&mut r)?;
@@ -711,6 +705,25 @@ impl Engine {
         let depths: Vec<u32> = read_record(&mut r)?;
         let every_gateway = depths.len() == engine.delivery.gateways().len();
         ensure(every_gateway, "gateway count mismatch")?;
+        // Every disruption due by `now` has fired and no later one, so
+        // the timeline says how deep each gateway's outages stand. Read
+        // by instant, not by which `Disruption(i)` are still queued: a
+        // fork's snapshot embeds the merged plan, which compiles to
+        // another order than the fork ran on, so its queued indices name
+        // other entries — the instants are the same either way.
+        let mut standing = vec![0i64; depths.len()];
+        for &(_, ev) in engine.timeline.iter().filter(|&&(t, _)| t <= header.now) {
+            let (gateway, step) = match ev {
+                DisruptionEvent::GatewayDown { gateway } => (gateway, 1),
+                DisruptionEvent::GatewayUp { gateway } => (gateway, -1),
+                _ => continue,
+            };
+            if let Some(depth) = standing.get_mut(gateway as usize) {
+                *depth += step;
+            }
+        }
+        let on_the_timeline = depths.iter().map(|&d| i64::from(d)).eq(standing);
+        ensure(on_the_timeline, "outage depth disagrees with the timeline")?;
         let down = depths.iter().filter(|&&depth| depth > 0).count();
         engine.delivery.restore_outages(depths);
 
@@ -731,35 +744,6 @@ impl Engine {
         ensure(agreed, "outage depth is not the gateways down")?;
 
         ensure(r.next_section()?.is_none(), "unexpected trailing section")?;
-
-        // A sharded run rebuilds its commit-side runtime from scratch:
-        // fresh workers, the original barrier sequence re-broadcast up
-        // to `now`, and every retained flight re-announced (ascending by
-        // sequence, as launches were). Only flights whose
-        // transmission-end event is still pending request a plan.
-        if engine.cfg.shards > 1 {
-            let mut rt = engine.build_shard_runtime();
-            rt.pump_barriers(engine.now);
-            let mut pending: HashSet<u64> = HashSet::new();
-            for &(_, ev) in engine.events.raw_parts().0 {
-                if let Event::TxEnd(key) = ev {
-                    if let Some(hot) = engine.channel.flight_hot(key) {
-                        pending.insert(hot.seq);
-                    }
-                }
-            }
-            let mut retained: Vec<(u64, NodeId, Point, SimTime, SimTime)> = engine
-                .channel
-                .iter_hot()
-                .map(|h| (h.seq, h.sender, h.pos, h.start, h.end))
-                .collect();
-            retained.sort_unstable_by_key(|&(seq, ..)| seq);
-            for (seq, sender, pos, start, end) in retained {
-                rt.ring.push_back((seq, pos, start, end));
-                rt.announce(seq, sender, pos, start, end, pending.contains(&seq));
-            }
-            engine.shard_rt = Some(rt);
-        }
 
         Ok(engine)
     }
@@ -829,25 +813,17 @@ fn read_header<R: Read>(r: &mut ScenarioReader<R>) -> Result<Header, ScenarioIoE
     let records = expect_section(r, SEC_HEADER, "snapshot header")?;
     ensure(records == 1, "snapshot header record count")?;
     let header: Header = read_record(r)?;
-    // Resume spawns one worker thread per shard, so the count is held
-    // to what a configuration may ask for before anything acts on it.
     let shards = (1..=MAX_SHARDS).contains(&header.shards);
     ensure(shards, "snapshot shard count out of range")?;
     Ok(header)
 }
 
-/// Decodes the embedded scenario, restoring the captured shard count
-/// (the scenario wire format does not carry one).
-fn read_config<R: Read>(
-    r: &mut ScenarioReader<R>,
-    shards: usize,
-) -> Result<SimConfig, SnapshotError> {
+/// Decodes the embedded scenario.
+fn read_config<R: Read>(r: &mut ScenarioReader<R>) -> Result<SimConfig, SnapshotError> {
     let records = expect_section(r, SEC_CONFIG, "snapshot config")?;
     ensure(records == 1, "snapshot config record count")?;
     r.begin_record()?;
-    let mut cfg = SimConfig::from_reader(r.byte_slice()?)?;
-    cfg.shards = shards;
-    Ok(cfg)
+    Ok(SimConfig::from_reader(r.byte_slice()?)?)
 }
 
 /// Shifts an overlay event's plan-internal indices past the original
@@ -1153,7 +1129,6 @@ mod tests {
         let reloaded = Snapshot::from_bytes(snap.as_bytes().to_vec()).expect("reload");
         assert_eq!(reloaded.time(), snap.time());
         assert_eq!(reloaded.seed(), snap.seed());
-        assert_eq!(reloaded.shards(), snap.shards());
         let a = Engine::resume(&snap).expect("resume original").finish();
         let b = Engine::resume(&reloaded).expect("resume reloaded").finish();
         assert_eq!(a, b);
@@ -1288,8 +1263,8 @@ mod tests {
         });
         let mut engine = Engine::new(cfg, 15);
         engine.run_until(SimTime::from_millis(1_388_679));
-        let in_the_air = engine.channel.iter_hot().filter(|f| f.end > engine.now);
-        assert_eq!(in_the_air.count(), 2);
+        let flights = engine.channel.raw_flight_slots().filter_map(|(_, f)| f);
+        assert_eq!(flights.filter(|f| f.end > engine.now).count(), 2);
         assert_eq!(engine.delivery.outage_depths()[0], 1, "gateway 0 is down");
         assert!(engine.cfg_section.get().is_none());
         let first = engine.snapshot().expect("snapshot");
@@ -1313,15 +1288,25 @@ mod tests {
 
     #[test]
     fn shard_count_beyond_the_limit_is_refused_at_load() {
-        // Written by the engine itself, so every checksum holds; only
-        // the header's shard count is out of range. (The first snapshot
-        // encodes the scenario blob, which would refuse the count.)
+        use crate::framing::{get_varint, splice, varint};
         let mut engine = Engine::new(cfg(), 7);
         engine.run_until(SimTime::from_secs(300));
-        engine.snapshot().expect("snapshot");
-        engine.cfg.shards = MAX_SHARDS + 1;
-        let bytes = engine.snapshot().expect("snapshot").as_bytes().to_vec();
-        assert!(is_corrupt(Snapshot::from_bytes(bytes)));
+        let snap = engine.snapshot().expect("snapshot");
+        // The header re-sealed with another shard count (its second
+        // field, after the seed), so every checksum holds.
+        let with_shards = |shards: usize| {
+            splice(snap.as_bytes(), SNAPSHOT_MAGIC, SEC_HEADER, |s| {
+                let mut at = 0;
+                get_varint(&s.payload, &mut at);
+                assert_eq!(s.payload[at], 1, "written as one shard");
+                s.payload.splice(at..=at, varint(shards as u64));
+            })
+        };
+        assert!(Snapshot::from_bytes(with_shards(MAX_SHARDS)).is_ok());
+        assert!(is_corrupt(Snapshot::from_bytes(with_shards(
+            MAX_SHARDS + 1
+        ))));
+        assert!(is_corrupt(Snapshot::from_bytes(with_shards(0))));
     }
 
     #[test]

@@ -175,8 +175,8 @@ pub(super) struct Retirement {
 #[derive(Debug)]
 pub(super) struct World {
     /// The mobility substrate, shared with the configuration it came
-    /// from, the shard workers and every engine resumed or forked from
-    /// the same snapshot; copied on the first scripted withdrawal only
+    /// from and every engine resumed or forked from the same snapshot;
+    /// copied on the first scripted withdrawal only
     /// ([`World::withdraw_trip`]).
     pub(super) net: Arc<mlora_mobility::BusNetwork>,
     pub(super) devices: DenseMap<NodeId, Device>,

@@ -212,9 +212,6 @@ impl SimConfig {
             horizon: params.horizon,
             series_bucket: params.series_bucket,
             disruptions,
-            // A host-execution knob, not scenario content: files carry
-            // no shard count, and loaded configs default to serial.
-            shards: 1,
         };
         cfg.validate()?;
         Ok(cfg)

@@ -97,7 +97,6 @@ mod framing;
 pub use config::{ConfigError, DeviceClassChoice, Environment, GatewayPlacement, SimConfig};
 pub use deployment::place_gateways;
 pub use disruption::{BusWithdrawal, DisruptionEvent, DisruptionPlan, GatewayOutage, NoiseBurst};
-pub use engine::partition::Partition;
 #[doc(hidden)]
 pub use engine::probe;
 pub use engine::{Engine, EngineStats, Snapshot, SnapshotError, SNAPSHOT_MAGIC};

@@ -88,9 +88,6 @@ pub struct CellKey {
     /// policy's label is carried by every replicate's
     /// [`SimReport::scheme`](crate::SimReport).
     pub policy: usize,
-    /// Number of engine shards this cell runs with (the base
-    /// configuration's own count when the axis was never set).
-    pub shards: usize,
 }
 
 /// One cell of a plan: its coordinates and the fully resolved config.
@@ -110,8 +107,8 @@ pub struct PlanCell {
 /// Axes default to the base configuration's own value; setting an axis
 /// replaces it. Cells enumerate in row-major order with environments
 /// outermost, then gateway counts, schemes, alphas, placements, device
-/// classes, disruption timelines, traffic models, forwarding policies
-/// and shard counts.
+/// classes, disruption timelines, traffic models and forwarding
+/// policies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentPlan {
     base: SimConfig,
@@ -127,7 +124,6 @@ pub struct ExperimentPlan {
     /// `Some` plug the spec in (the default single entry mirrors the
     /// base configuration).
     policies: Vec<Option<PolicySpec>>,
-    shard_counts: Vec<usize>,
     /// Master seed for derived replication (set by [`ExperimentPlan::seed`];
     /// remembered even while a fixed-seed policy is active).
     base_seed: u64,
@@ -148,7 +144,6 @@ impl ExperimentPlan {
             disruptions: vec![base.disruptions.clone()],
             traffics: vec![base.traffic.clone()],
             policies: vec![base.policy.clone()],
-            shard_counts: vec![base.shards],
             base_seed: 0,
             seeds: SeedPolicy::Derived { replications: 1 },
             base,
@@ -225,17 +220,6 @@ impl ExperimentPlan {
         self
     }
 
-    /// Sweeps the engine shard count — e.g. `[1, 2, 4]` to check that a
-    /// scenario is bit-identical across spatial partitionings, or to mix
-    /// sharded and unsharded cells in one grid. Cells carry the value in
-    /// [`CellKey::shards`]; the [`Runner`] budgets threads per cell's own
-    /// count, so single-shard cells still run concurrently next to a
-    /// heavily sharded one.
-    pub fn shard_counts(mut self, axis: impl IntoIterator<Item = usize>) -> Self {
-        self.shard_counts = axis.into_iter().collect();
-        self
-    }
-
     /// Replicates every cell over `n` seeds derived from the master seed
     /// (see [`ExperimentPlan::seed`]; default 0).
     ///
@@ -294,7 +278,7 @@ impl ExperimentPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::Overflow`] when the product of the ten
+    /// Returns [`ConfigError::Overflow`] when the product of the nine
     /// axis lengths does not fit a machine word — a plan that could
     /// never be materialized, caught before any allocation is sized
     /// from the wrapped product.
@@ -308,7 +292,6 @@ impl ExperimentPlan {
             self.disruptions.len(),
             self.traffics.len(),
             self.policies.len(),
-            self.shard_counts.len(),
         ]
         .iter()
         .try_fold(self.environments.len(), |acc, &len| acc.checked_mul(len))
@@ -329,36 +312,32 @@ impl ExperimentPlan {
                                 for (disruption, plan) in self.disruptions.iter().enumerate() {
                                     for (traffic, model) in self.traffics.iter().enumerate() {
                                         for (policy, spec) in self.policies.iter().enumerate() {
-                                            for &shards in &self.shard_counts {
-                                                let key = CellKey {
-                                                    environment,
-                                                    gateways,
-                                                    scheme,
-                                                    alpha,
-                                                    placement,
-                                                    device_class,
-                                                    disruption,
-                                                    traffic,
-                                                    policy,
-                                                    shards,
-                                                };
-                                                let mut config = self.base.clone();
-                                                config.environment = environment;
-                                                config.num_gateways = gateways;
-                                                config.scheme = scheme;
-                                                config.alpha = alpha;
-                                                config.placement = placement;
-                                                config.device_class = device_class;
-                                                config.disruptions = plan.clone();
-                                                config.traffic = model.clone();
-                                                config.policy = spec.clone();
-                                                config.shards = shards;
-                                                out.push(PlanCell {
-                                                    index: out.len(),
-                                                    key,
-                                                    config,
-                                                });
-                                            }
+                                            let key = CellKey {
+                                                environment,
+                                                gateways,
+                                                scheme,
+                                                alpha,
+                                                placement,
+                                                device_class,
+                                                disruption,
+                                                traffic,
+                                                policy,
+                                            };
+                                            let mut config = self.base.clone();
+                                            config.environment = environment;
+                                            config.num_gateways = gateways;
+                                            config.scheme = scheme;
+                                            config.alpha = alpha;
+                                            config.placement = placement;
+                                            config.device_class = device_class;
+                                            config.disruptions = plan.clone();
+                                            config.traffic = model.clone();
+                                            config.policy = spec.clone();
+                                            out.push(PlanCell {
+                                                index: out.len(),
+                                                key,
+                                                config,
+                                            });
                                         }
                                     }
                                 }
@@ -383,7 +362,6 @@ impl ExperimentPlan {
             ("disruptions", self.disruptions.len()),
             ("traffics", self.traffics.len()),
             ("policies", self.policies.len()),
-            ("shard_counts", self.shard_counts.len()),
             ("seeds", self.replications()),
         ] {
             if len == 0 {
@@ -660,17 +638,7 @@ impl Runner {
         let cursor = AtomicUsize::new(0);
         let failure: Mutex<Option<RunnerError>> = Mutex::new(None);
 
-        // One thread budget for both parallelism levels: a run whose cell
-        // requests intra-run sharding (`SimConfig::shards`) spends that
-        // many threads, so each run acquires its own cell's cost from a
-        // counting semaphore sized to the budget. Budgeting per cell —
-        // not by floor-dividing the budget by the plan-wide maximum —
-        // keeps the single-shard cells of a mixed plan running
-        // concurrently beside a heavily sharded one instead of
-        // serializing the whole sweep. Results are unaffected either way
-        // — runs are placed by plan position and every shard count is
-        // bit-identical.
-        let permits = Semaphore::new(self.workers);
+        // A run costs one thread, so the worker count is the budget.
         let worker_count = self.workers.min(jobs).max(1);
         std::thread::scope(|scope| {
             for _ in 0..worker_count {
@@ -683,12 +651,9 @@ impl Runner {
                     let (cell_idx, rep) = (job / reps, job % reps);
                     let seed = plan.seed_for(cell_idx, rep);
                     let config = cells[cell_idx].config.clone();
-                    let cost = run_cost(config.shards, self.workers);
-                    permits.acquire(cost);
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         crate::Engine::new(config, seed).run()
                     }));
-                    permits.release(cost);
                     match outcome {
                         Ok(report) => *slots[job].lock().expect("slot lock") = Some(report),
                         Err(payload) => {
@@ -742,9 +707,6 @@ impl Runner {
     /// uninterrupted run's report bit for bit, so a control branch is
     /// just `DisruptionPlan::default()`.
     ///
-    /// Each branch costs the snapshot's shard count in threads, exactly
-    /// like a sharded cell in [`Runner::run`].
-    ///
     /// # Errors
     ///
     /// [`SnapshotError`] when the snapshot is corrupt or an overlay is
@@ -764,8 +726,6 @@ impl Runner {
             (0..jobs).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
         let panicked: Mutex<Option<SnapshotError>> = Mutex::new(None);
-        let permits = Semaphore::new(self.workers);
-        let cost = run_cost(snapshot.shards(), self.workers);
         let worker_count = self.workers.min(jobs).max(1);
         std::thread::scope(|scope| {
             for _ in 0..worker_count {
@@ -776,12 +736,10 @@ impl Runner {
                         return;
                     }
                     let overlay = overlays[job].clone();
-                    permits.acquire(cost);
                     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         crate::Engine::resume_with_overlay(snapshot, overlay)
                             .map(crate::Engine::finish)
                     }));
-                    permits.release(cost);
                     match outcome {
                         Ok(result) => *slots[job].lock().expect("slot lock") = Some(result),
                         Err(payload) => {
@@ -808,55 +766,6 @@ impl Runner {
             out.push(slot.into_inner().expect("slot lock").expect("branch ran")?);
         }
         Ok(out)
-    }
-}
-
-/// Thread cost of one run: the cell's shard count, clamped into the
-/// budget so an oversized request degrades to exclusive use of the whole
-/// budget instead of deadlocking.
-fn run_cost(shards: usize, workers: usize) -> usize {
-    shards.clamp(1, workers.max(1))
-}
-
-/// A minimal counting semaphore (std has none): `acquire(n)` blocks until
-/// `n` permits are free and takes them atomically, `release(n)` returns
-/// them. Acquisitions are all-or-nothing under one lock, so holders never
-/// deadlock each other.
-struct Semaphore {
-    permits: Mutex<usize>,
-    freed: std::sync::Condvar,
-}
-
-impl Semaphore {
-    fn new(permits: usize) -> Self {
-        Semaphore {
-            permits: Mutex::new(permits),
-            freed: std::sync::Condvar::new(),
-        }
-    }
-
-    fn acquire(&self, n: usize) {
-        let mut free = self.permits.lock().expect("semaphore lock");
-        while *free < n {
-            free = self.freed.wait(free).expect("semaphore lock");
-        }
-        *free -= n;
-    }
-
-    /// Takes `n` permits if immediately available; never blocks.
-    #[cfg(test)]
-    fn try_acquire(&self, n: usize) -> bool {
-        let mut free = self.permits.lock().expect("semaphore lock");
-        if *free < n {
-            return false;
-        }
-        *free -= n;
-        true
-    }
-
-    fn release(&self, n: usize) {
-        *self.permits.lock().expect("semaphore lock") += n;
-        self.freed.notify_all();
     }
 }
 
@@ -1139,86 +1048,6 @@ mod tests {
             empty.validate(),
             Err(RunnerError::EmptyPlan { axis: "policies" })
         ));
-    }
-
-    #[test]
-    fn mixed_shard_budget_is_per_cell() {
-        // The regression case: workers = 4, cells requesting shards
-        // [3, 1, 1, 1]. The old plan-wide budget floor-divided by the
-        // largest request — (4 / 3).max(1) == 1 — so the three
-        // single-shard cells ran one at a time. Per-cell costs let all
-        // three hold the budget concurrently.
-        let sem = Semaphore::new(4);
-        assert!(sem.try_acquire(run_cost(1, 4)));
-        assert!(sem.try_acquire(run_cost(1, 4)));
-        assert!(sem.try_acquire(run_cost(1, 4)));
-        // The 3-shard run waits for budget instead of shrinking it.
-        assert!(!sem.try_acquire(run_cost(3, 4)));
-        sem.release(3);
-        assert!(sem.try_acquire(run_cost(3, 4)));
-        // 3 + 1 = 4: one single-shard run still fits beside it, a second
-        // does not.
-        assert!(sem.try_acquire(run_cost(1, 4)));
-        assert!(!sem.try_acquire(run_cost(1, 4)));
-        sem.release(4);
-        // A request larger than the whole budget clamps to exclusive use
-        // rather than deadlocking…
-        assert_eq!(run_cost(64, 4), 4);
-        assert!(sem.try_acquire(run_cost(64, 4)));
-        sem.release(4);
-        // …and a blocking acquire of such a clamped request completes.
-        let sem = Semaphore::new(2);
-        sem.acquire(run_cost(8, 2));
-        sem.release(2);
-        assert_eq!(run_cost(0, 4), 1);
-        assert_eq!(run_cost(1, 0), 1);
-    }
-
-    #[test]
-    fn shard_axis_multiplies_cells_and_reaches_configs() {
-        let plan = ExperimentPlan::new(tiny())
-            .schemes([Scheme::NoRouting, Scheme::Robc])
-            .shard_counts([2, 1, 1, 1]);
-        let cells = plan.cells();
-        assert_eq!(cells.len(), 8);
-        for cell in &cells {
-            assert_eq!(cell.config.shards, cell.key.shards);
-        }
-        assert_eq!(cells[0].key.shards, 2);
-        assert_eq!(cells[1].key.shards, 1);
-        assert_eq!(plan.validate().map_err(|e| e.to_string()), Ok(()));
-        // An empty axis is rejected like any other.
-        let empty = ExperimentPlan::new(tiny()).shard_counts([]);
-        assert!(matches!(
-            empty.validate(),
-            Err(RunnerError::EmptyPlan {
-                axis: "shard_counts"
-            })
-        ));
-        // An invalid count is caught before any run starts.
-        let bad = ExperimentPlan::new(tiny()).shard_counts([10_000]);
-        assert!(matches!(
-            bad.validate(),
-            Err(RunnerError::InvalidCell { .. })
-        ));
-    }
-
-    #[test]
-    fn mixed_shard_plan_matches_single_threaded_exactly() {
-        // A mixed plan — one 2-shard cell beside three single-shard
-        // cells — through a 4-worker runner must still be bit-identical
-        // to serial execution, and the sharded cell bit-identical to its
-        // unsharded twins.
-        let plan = ExperimentPlan::new(tiny())
-            .shard_counts([2, 1, 1, 1])
-            .fixed_seeds([11]);
-        let serial = Runner::single_threaded().run(&plan).unwrap();
-        let parallel = Runner::new().workers(4).run(&plan).unwrap();
-        assert_eq!(serial, parallel);
-        assert_eq!(serial.len(), 4);
-        for cell in &serial[1..] {
-            assert_eq!(cell.report.single(), serial[0].report.single());
-        }
     }
 
     #[test]

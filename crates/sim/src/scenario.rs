@@ -69,10 +69,9 @@ impl Scenario {
     }
 
     /// A builder seeded with the scenario captured in `snapshot` — the
-    /// configuration the snapshotted run executes, shard count included.
-    /// Useful to spin fresh from-scratch variants of a checkpointed
-    /// experiment (different seed, tweaked fields) next to its resumed
-    /// branches.
+    /// configuration the snapshotted run executes. Useful to spin fresh
+    /// from-scratch variants of a checkpointed experiment (different
+    /// seed, tweaked fields) next to its resumed branches.
     ///
     /// # Errors
     ///
@@ -268,18 +267,6 @@ impl ScenarioBuilder {
     /// Sets the per-device application queue capacity, messages.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.config.queue_capacity = capacity;
-        self
-    }
-
-    /// Sets the engine shard count (see [`SimConfig::shards`]): `1`
-    /// runs serially, `n > 1` spreads transmission-end resolution over
-    /// `n` worker threads per run. Results are bit-identical for every
-    /// shard count; [`Runner`](crate::Runner) divides its thread budget
-    /// by this so plan-level × intra-run parallelism cannot
-    /// oversubscribe the host. Worth setting only at metro scale, and
-    /// then to 2 (see [`SimConfig::shards`] for what was measured).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
         self
     }
 

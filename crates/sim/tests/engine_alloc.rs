@@ -1,18 +1,17 @@
-//! Allocation accounting for the engine's flight hot paths: the
+//! Allocation accounting for the engine's flight hot path: the
 //! contiguous `FlightColumns` time-overlap scan (launch → scan → near
-//! cut → reception, with the deferred slab sweep recycling slots) and
-//! the shard worker's plan computation — the function the worker thread
-//! runs, refilling one plan — must not touch the heap in steady state.
+//! cut → reception, with the deferred slab sweep recycling slots) must
+//! not touch the heap in steady state.
 //!
 //! Uses a counting wrapper around the system allocator; the counter is
-//! a process-wide total, so each assertion brackets exactly the code
+//! a process-wide total, so the assertion brackets exactly the code
 //! under test and nothing else runs concurrently (integration tests in
 //! this binary run on one thread: there is only one test).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use mlora_sim::probe::{FlightScanProbe, WorkerProbe};
+use mlora_sim::probe::FlightScanProbe;
 
 struct CountingAlloc;
 
@@ -42,10 +41,10 @@ fn allocations() -> u64 {
 }
 
 #[test]
-fn flight_scan_and_worker_prefilter_do_not_allocate() {
-    // Serial channel: 8 launches per round with advancing time, so the
-    // slab reaches its steady-state power-of-two size during warm-up and
-    // the deferred sweep recycles slots from then on.
+fn flight_scan_does_not_allocate() {
+    // 8 launches per round with advancing time, so the slab reaches its
+    // steady-state power-of-two size during warm-up and the deferred
+    // sweep recycles slots from then on.
     let mut scan = FlightScanProbe::new(2020, 8);
     let warm = scan.churn(64);
 
@@ -61,29 +60,4 @@ fn flight_scan_and_worker_prefilter_do_not_allocate() {
     // The churn is deterministic per round window, not idempotent:
     // consume both digests so neither pass can be optimised away.
     std::hint::black_box((warm, digest));
-
-    // Shard worker: a whole plan — overlap collection, the
-    // gateway/device near cuts, the bucket-sweep candidate scan and the
-    // per-receiver interferer walks — over a generated 200-bus network
-    // with 48 frames in flight.
-    let mut worker = WorkerProbe::new(2020, 200, 48);
-    let warm = worker.plan();
-
-    let before = allocations();
-    let mut last = warm.clone();
-    for _ in 0..32 {
-        last = worker.plan();
-    }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "worker plan path allocated {} times in steady state",
-        after - before
-    );
-    assert_eq!(warm, last, "plans must be deterministic");
-    assert!(
-        last.gateways > 0 && last.candidates > 0 && last.interferers > 0,
-        "probe scenario must have in-range receivers and interferers: {last:?}"
-    );
 }

@@ -37,8 +37,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mlora_core::Scheme;
 use mlora_scenario_io::{section, ScenarioIoError, MAGIC};
 use mlora_sim::{
-    Engine, GatewayPlacement, Scenario, ScenarioFileError, SimConfig, Snapshot, SnapshotError,
-    TrafficProfile, SNAPSHOT_MAGIC,
+    DisruptionEvent, Engine, GatewayPlacement, Scenario, ScenarioFileError, SimConfig, Snapshot,
+    SnapshotError, TrafficProfile, SNAPSHOT_MAGIC,
 };
 use mlora_simcore::SimDuration;
 
@@ -235,6 +235,14 @@ impl Sweep {
     fn refused(&mut self, name: &str, bytes: &[u8]) {
         let outcome = self.case(name, bytes);
         self.must_refuse(name, outcome);
+    }
+
+    /// A case that must load and run to its horizon.
+    fn runs(&mut self, name: &str, bytes: &[u8]) {
+        if let Some(Outcome::Refused) = self.case(name, bytes) {
+            self.failures
+                .push(format!("{}: {name}: refused", self.fixture));
+        }
     }
 
     fn must_refuse(&mut self, name: &str, outcome: Option<Outcome>) {
@@ -524,7 +532,25 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
         "header: zero shards",
         &plant(SEC_HEADER, shards.clone(), &varint(0)),
     );
-    sweep.refused("header: 65 shards", &plant(SEC_HEADER, shards, &varint(65)));
+    sweep.refused(
+        "header: 65 shards",
+        &plant(SEC_HEADER, shards.clone(), &varint(65)),
+    );
+    // Old headers still read: builds that could split one run over
+    // worker threads recorded how many (`calendar_written.mlss` says 2),
+    // and the count never changed a result.
+    let reports = [1, 2, 64].map(|n| {
+        let resealed = plant(SEC_HEADER, shards.clone(), &varint(n));
+        sweep.runs(&format!("header: {n} shards"), &resealed);
+        let snap = Snapshot::from_bytes(resealed).expect("loads");
+        Engine::resume(&snap).expect("resumes").finish()
+    });
+    if reports[0] != reports[1] || reports[0] != reports[2] {
+        sweep.failures.push(format!(
+            "{}: the header's shard count changed the report",
+            sweep.fixture
+        ));
+    }
     sweep.case(
         "header: captured at 2^62 ms",
         &plant(SEC_HEADER, now, &varint(1 << 62)),
@@ -544,7 +570,7 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
     let tag = w.byte();
     let first_tag = events.payload[tag.start];
     w.varints(if first_tag == 4 { 2 } else { 1 });
-    let record = tag.start..w.pos;
+    let first_event = tag.start..w.pos;
     for (name, tag, operands) in [
         ("trip start", 0u8, &[NOWHERE][..]),
         ("trip end", 1, &[NOWHERE]),
@@ -560,7 +586,7 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
         }
         sweep.case(
             &format!("event: {name} of {}", operands[0]),
-            &plant(SEC_EVENTS, record.clone(), &with),
+            &plant(SEC_EVENTS, first_event.clone(), &with),
         );
     }
     sweep.refused("event: unknown tag", &plant(SEC_EVENTS, tag, &[9]));
@@ -740,8 +766,37 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
     let flipped = u64::from(of(SEC_DELIVERY).payload[first_depth.start] == 0);
     sweep.refused(
         "delivery: one gateway's outage the collector never counted",
-        &plant(SEC_DELIVERY, first_depth, &varint(flipped)),
+        &plant(SEC_DELIVERY, first_depth.clone(), &varint(flipped)),
     );
+    // An outage in progress, told as a consistent lie: the collector's
+    // count of gateways down still holds, the timeline took another one
+    // down. And told twice: the first queued event rewritten into the
+    // recovery that is queued already, which then finds no outage open.
+    let snap = Snapshot::from_bytes(bytes.to_vec()).expect("pristine");
+    let cfg = snap.config().expect("pristine");
+    let depths = &of(SEC_DELIVERY).payload[first_depth.start..];
+    if let Some(down) = depths.iter().position(|&depth| depth > 0) {
+        let up = depths.iter().position(|&depth| depth == 0).expect("one up");
+        let moved = splice(bytes, SNAPSHOT_MAGIC, SEC_DELIVERY, |s| {
+            s.payload[first_depth.start..].swap(down, up);
+        });
+        sweep.refused("delivery: an outage moved to another gateway", &moved);
+        let recovery = cfg
+            .disruptions
+            .compile(cfg.horizon)
+            .iter()
+            .position(|&(t, ev)| {
+                let gateway = down as u32;
+                t > snap.time() && ev == DisruptionEvent::GatewayUp { gateway }
+            })
+            .expect("the fixtures' outages end before the horizon");
+        let mut twice = vec![5];
+        framing::put_varint(&mut twice, recovery as u64);
+        sweep.runs(
+            "event: a recovery filed twice",
+            &plant(SEC_EVENTS, first_event, &twice),
+        );
+    }
     sweep.refused(
         "delivery: 2^60 gateways",
         &plant(SEC_DELIVERY, gateways.clone(), &varint(HUGE)),
@@ -992,7 +1047,6 @@ fn hostile_files_end_in_typed_errors() {
     snapshot_plants(&mut sweep, eager);
     sweep.report(&mut failures);
 
-    // Two shards: every resume that gets that far spawns the workers.
     let mut sweep = Sweep::new("calendar_written.mlss", calendar, load_snapshot);
     sweep.truncations(calendar, 11);
     sweep.bit_flips(calendar, 11);

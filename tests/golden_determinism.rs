@@ -263,25 +263,6 @@ fn engine_reproduces_golden_fixtures() {
     }
 }
 
-/// The spatially partitioned parallel engine must reproduce the serial
-/// fixtures bit for bit at every shard count: sharding moves the
-/// draw-free spatial queries onto worker threads but replays every RNG
-/// draw, filter and mutation in the serial order.
-#[test]
-fn sharded_engine_reproduces_golden_fixtures() {
-    for shards in [2, 4] {
-        for ((scheme, env), want) in scenarios().into_iter().zip(FIXTURES) {
-            let mut cfg = SimConfig::smoke_test(scheme, env);
-            cfg.shards = shards;
-            let got = fingerprint(&cfg.run(GOLDEN_SEED).expect("sharded smoke config is valid"));
-            assert_eq!(
-                got, want,
-                "sharded ({shards}) fingerprint drift for {scheme:?}/{env:?} at seed {GOLDEN_SEED}"
-            );
-        }
-    }
-}
-
 /// An explicitly attached empty [`DisruptionPlan`] must reproduce the
 /// recorded pre-subsystem fingerprints byte-for-byte: the disruption
 /// machinery costs nothing — no events, no RNG draws — until a plan
@@ -434,23 +415,6 @@ fn disrupted_runs_deterministic_across_worker_counts() {
         *direct.throughput_series.counts()
     );
     assert_eq!(serial[0].report.runs()[0].1, direct);
-}
-
-/// Sharded runs of the disrupted fixture — outages, withdrawals and
-/// regional noise exercise every worker-invisible state the commit
-/// thread must filter for — stay bit-identical to the serial engine.
-#[test]
-fn sharded_disrupted_run_matches_golden_fixture() {
-    for shards in [2, 4] {
-        let mut cfg = disrupted_config();
-        cfg.shards = shards;
-        let report = cfg.run(GOLDEN_SEED).expect("valid disrupted config");
-        assert_eq!(
-            disrupted_fingerprint(&report),
-            DISRUPTED_FIXTURE,
-            "sharded ({shards}) fingerprint drift for the disrupted fixture"
-        );
-    }
 }
 
 /// Regeneration helper: prints the `DISRUPTED_FIXTURE` row for pasting.
@@ -609,36 +573,16 @@ fn mixed_traffic_runs_deterministic_across_worker_counts() {
     assert_eq!(serial[0].report.runs()[0].1, direct);
 }
 
-/// Sharded runs of the mixed-traffic fixture stay bit-identical to the
-/// serial engine, and a sharded cell inside a multi-worker `Runner`
-/// plan divides the thread budget without perturbing results.
+/// A multi-worker `Runner` over the mixed-traffic fixture's plan
+/// returns the single-threaded runner's runs, seed by seed.
 #[test]
-fn sharded_mixed_traffic_matches_fixture_and_runner_stays_deterministic() {
-    for shards in [2, 4] {
-        let mut cfg = traffic_config();
-        cfg.shards = shards;
-        let report = cfg.run(GOLDEN_SEED).expect("valid traffic config");
-        assert_eq!(
-            traffic_fingerprint(&report),
-            TRAFFIC_FIXTURE,
-            "sharded ({shards}) fingerprint drift for the mixed-traffic fixture"
-        );
-    }
-    // Plan-level × intra-run parallelism: same results as a serial
-    // runner over serial cells.
-    let mut sharded_cfg = traffic_config();
-    sharded_cfg.shards = 2;
-    let plan = ExperimentPlan::new(sharded_cfg)
+fn mixed_traffic_plan_runs_the_same_on_four_workers() {
+    let plan = ExperimentPlan::new(traffic_config())
         .schemes([Scheme::Robc, Scheme::NoRouting])
         .fixed_seeds([GOLDEN_SEED, GOLDEN_SEED + 1]);
-    let serial_plan = ExperimentPlan::new(traffic_config())
-        .schemes([Scheme::Robc, Scheme::NoRouting])
-        .fixed_seeds([GOLDEN_SEED, GOLDEN_SEED + 1]);
-    let sharded = Runner::new().workers(4).run(&plan).expect("valid plan");
-    let serial = Runner::single_threaded()
-        .run(&serial_plan)
-        .expect("valid plan");
-    for (a, b) in sharded.iter().zip(&serial) {
+    let parallel = Runner::new().workers(4).run(&plan).expect("valid plan");
+    let serial = Runner::single_threaded().run(&plan).expect("valid plan");
+    for (a, b) in parallel.iter().zip(&serial) {
         assert_eq!(a.report.runs(), b.report.runs());
     }
 }

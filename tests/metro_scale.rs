@@ -211,26 +211,6 @@ fn metro_fingerprints_match_and_survive_worker_counts() {
     assert_eq!(single, pooled);
 }
 
-/// The spatially partitioned engine must reproduce the metro
-/// fingerprints bit for bit at shards 2 and 4 — the fixture the
-/// parallel speedup is measured against.
-#[cfg(not(debug_assertions))]
-#[test]
-fn metro_fingerprints_survive_sharding() {
-    for shards in [2, 4] {
-        for (scheme, expected) in SCHEMES.into_iter().zip(FIXTURES) {
-            let mut cfg = metro_scenario(scheme);
-            cfg.shards = shards;
-            let report = cfg.run(GOLDEN_SEED).expect("sharded metro run");
-            assert_eq!(
-                fingerprint(&report),
-                expected,
-                "{scheme:?} fingerprint drifted at {shards} shards"
-            );
-        }
-    }
-}
-
 /// Prints the fixture table; run with `--ignored --nocapture` to
 /// regenerate `FIXTURES` after an intentional behaviour change.
 #[cfg(not(debug_assertions))]

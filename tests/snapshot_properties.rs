@@ -1,5 +1,5 @@
 //! Property-based tests over the engine snapshot subsystem: for
-//! arbitrary scenarios (scheme × traffic × disruptions × shard count)
+//! arbitrary scenarios (scheme × traffic × disruptions)
 //! and an arbitrary snapshot instant, capturing mid-run state and
 //! resuming it reproduces the uninterrupted run bit for bit; what-if
 //! forks are deterministic, their control branch is exact, and a branch
@@ -62,12 +62,9 @@ fn disruptions() -> DisruptionPlan {
 }
 
 /// The configuration a property case runs: smoke scale with the drawn
-/// scheme and shard count, optionally with traffic and disruptions.
-fn config(scheme_idx: u32, shards: usize, with_traffic: bool, with_disruptions: bool) -> SimConfig {
-    let mut builder = Scenario::urban()
-        .smoke()
-        .scheme(scheme(scheme_idx))
-        .shards(shards);
+/// scheme, optionally with traffic and disruptions.
+fn config(scheme_idx: u32, with_traffic: bool, with_disruptions: bool) -> SimConfig {
+    let mut builder = Scenario::urban().smoke().scheme(scheme(scheme_idx));
     if with_traffic {
         builder = builder.traffic(traffic());
     }
@@ -80,20 +77,18 @@ fn config(scheme_idx: u32, shards: usize, with_traffic: bool, with_disruptions: 
 proptest! {
     /// The tentpole property: snapshot at an arbitrary event boundary,
     /// restore, run to the horizon — bit-identical to the uninterrupted
-    /// run, for every scheme, with traffic and disruptions active,
-    /// across shard counts. Taking the snapshot must also leave the
-    /// running engine unperturbed.
+    /// run, for every scheme, with traffic and disruptions active.
+    /// Taking the snapshot must also leave the running engine
+    /// unperturbed.
     #[test]
     fn resume_is_bit_identical_to_the_uninterrupted_run(
         scheme_idx in 0u32..4,
-        shards_idx in 0usize..3,
         seed in 0u64..1_000,
         snap_frac in 0.05f64..0.95,
         with_traffic in proptest::bool::ANY,
         with_disruptions in proptest::bool::ANY,
     ) {
-        let shards = 1 << shards_idx; // 1, 2, 4
-        let cfg = config(scheme_idx, shards, with_traffic, with_disruptions);
+        let cfg = config(scheme_idx, with_traffic, with_disruptions);
         let baseline = Engine::new(cfg.clone(), seed).run();
 
         let snap_t = SimTime::from_secs((HORIZON_S as f64 * snap_frac) as u64);
@@ -123,7 +118,7 @@ proptest! {
         overlay_frac in 0.65f64..0.9,
         workers in 1usize..5,
     ) {
-        let cfg = config(scheme_idx, 1, true, true);
+        let cfg = config(scheme_idx, true, true);
         let baseline = Engine::new(cfg.clone(), seed).run();
 
         let snap_t = SimTime::from_secs((HORIZON_S as f64 * snap_frac) as u64);
@@ -164,7 +159,7 @@ proptest! {
         snap_frac in 0.1f64..0.4,
         probe_frac in 0.0f64..1.0,
     ) {
-        let cfg = config(scheme_idx, 1, true, false);
+        let cfg = config(scheme_idx, true, false);
         let snap_t = SimTime::from_secs((HORIZON_S as f64 * snap_frac) as u64);
         let overlay_start_s = HORIZON_S * 3 / 4;
         let mut engine = Engine::new(cfg, seed);
@@ -271,7 +266,6 @@ fn eager_seeding_era_snapshot_resumes_bit_identically() {
 fn calendar_queue_era_snapshot_resumes_bit_identically() {
     let written = include_bytes!("fixtures/calendar_written.mlss");
     let snap = Snapshot::from_bytes(written.to_vec()).expect("fixture loads");
-    assert_eq!(snap.shards(), 2);
     let cfg = snap.config().expect("fixture embeds its scenario");
     let baseline = Engine::new(cfg, snap.seed()).run();
     assert_eq!(baseline.devices_seen, 121);
