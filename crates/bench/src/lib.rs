@@ -1,10 +1,11 @@
 //! Shared configuration for the benchmark harness.
 //!
-//! Criterion benches run the [`bench_config`] scale (full area, 6-hour
-//! horizon) so `cargo bench` finishes in minutes; the `repro` binary runs
-//! [`paper_config`] (24 h, full fleet) to regenerate the figures at paper
-//! scale. Both use the same code paths — only fleet size and horizon
-//! differ.
+//! The `repro` binary is the figure harness: it runs [`paper_config`]
+//! (24 h, full fleet) to regenerate the figures at paper scale, and
+//! [`bench_config`] (full area, 6-hour horizon) under `--quick` so a full
+//! pass finishes in seconds. Both use the same code paths — only fleet
+//! size and horizon differ. `cargo bench` is the three `micro_*` kernel
+//! suites.
 //!
 //! Sweeps are expressed as [`ExperimentPlan`]s and executed through the
 //! parallel [`Runner`](mlora_sim::Runner); [`figure_sweep_plan`] is the
@@ -16,9 +17,6 @@ use mlora_simcore::SimDuration;
 
 /// The seed every harness run uses, so printed numbers are reproducible.
 pub const HARNESS_SEED: u64 = 2020;
-
-/// Gateway counts for bench-scale sweeps (subset of the paper's 40–100).
-pub const BENCH_GATEWAY_COUNTS: [usize; 3] = [40, 70, 100];
 
 /// The bench-scale configuration for a scheme/environment pair.
 pub fn bench_config(scheme: Scheme, environment: Environment) -> SimConfig {
@@ -82,17 +80,6 @@ pub fn metro_throughput_config(buses: usize) -> SimConfig {
         .metro(&metro, HARNESS_SEED)
         .build()
         .expect("metro bench preset is valid")
-}
-
-/// A quick configuration for Criterion micro-runs that must iterate many
-/// times (sub-second per run).
-pub fn quick_config(scheme: Scheme, environment: Environment) -> SimConfig {
-    Scenario::custom(environment)
-        .scheme(scheme)
-        .smoke()
-        .duration(SimDuration::from_mins(30))
-        .build()
-        .expect("quick preset is valid")
 }
 
 /// The shared gateway-density sweep behind Figs. 8, 9, 12 and 13 over

@@ -10,7 +10,6 @@
 
 use mlora_simcore::stats::Welford;
 use mlora_simcore::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::metric::{packet_service_time, RCA_ETX_CEILING};
 
@@ -42,7 +41,7 @@ use crate::metric::{packet_service_time, RCA_ETX_CEILING};
 /// // Mean gap 600 s → expected residual wait 300 s (+ ~1 s tx time).
 /// assert!((est.ca_etx() - 301.02).abs() < 0.1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CaEtxEstimator {
     packet_bits: f64,
     gaps: Welford,

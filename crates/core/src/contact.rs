@@ -1,7 +1,6 @@
 //! Gateway-contact bookkeeping and the real-time PST of Eq. 3.
 
 use mlora_simcore::SimTime;
-use serde::{Deserialize, Serialize};
 
 use crate::metric::{packet_service_time, RCA_ETX_CEILING};
 use crate::Ewma;
@@ -37,7 +36,7 @@ use crate::Ewma;
 /// let gap = ct.rpst(SimTime::from_secs(400), 0.0, 2_000.0);
 /// assert_eq!(gap, 1.0 + 300.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ContactTracker {
     /// End time and capacity (bit/s) of the most recent successful slot.
     last_success: Option<(SimTime, f64)>,
@@ -145,7 +144,7 @@ impl ContactTracker {
 /// (§IV.B: "computed at the beginning of every time slot reserved for
 /// its device-to-sink communication") and read
 /// [`RcaEtxEstimator::rca_etx`] whenever a forwarding decision is made.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RcaEtxEstimator {
     tracker: ContactTracker,
     ewma: Ewma,

@@ -1,7 +1,5 @@
 //! Exponentially weighted moving average (paper Eq. 4).
 
-use serde::{Deserialize, Serialize};
-
 /// The EWMA of Eq. 4:
 ///
 /// ```text
@@ -27,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// e.push(20.0);
 /// assert_eq!(e.value(), Some(15.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Ewma {
     alpha: f64,
     value: Option<f64>,

@@ -2,12 +2,11 @@
 
 use mlora_phy::{CapacityModel, Rssi};
 use mlora_simcore::{NodeId, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::{CaEtxEstimator, DonorLedger, ForwardingPolicy, PolicyContext, RcaEtxEstimator, Rgq};
 
 /// The three data-forwarding schemes the paper evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// Plain LoRaWAN with the application-layer queue but no
     /// device-to-device forwarding — the paper's baseline.
@@ -54,7 +53,7 @@ impl std::fmt::Display for Scheme {
 
 /// The routing metadata a device piggybacks on every uplink and that
 /// neighbours overhear (§IV.A, §V.B).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Beacon {
     /// The broadcasting device.
     pub sender: NodeId,
@@ -65,7 +64,7 @@ pub struct Beacon {
 }
 
 /// What a device does with its queue after overhearing a beacon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ForwardDecision {
     /// Hold the data until the next own opportunity.
     Keep,
@@ -79,7 +78,7 @@ pub enum ForwardDecision {
 }
 
 /// Static configuration shared by every device's [`RoutingState`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutingConfig {
     /// Active scheme.
     pub scheme: Scheme,

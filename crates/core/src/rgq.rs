@@ -1,7 +1,5 @@
 //! Real-time gateway quality (RGQ, §V.B.1).
 
-use serde::{Deserialize, Serialize};
-
 /// Real-time gateway quality:
 ///
 /// ```text
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(rgq.phi(0.01), 10.0);    // clamped to φ_max
 /// assert_eq!(rgq.phi(1e9), 1e-5);     // clamped to φ_min
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rgq {
     phi_min: f64,
     phi_max: f64,

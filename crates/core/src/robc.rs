@@ -3,7 +3,6 @@
 use std::collections::HashSet;
 
 use mlora_simcore::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// The ROBC scheduling weight of Eq. 10:
 ///
@@ -61,7 +60,7 @@ pub fn robc_transfer_amount(queue_x: usize, phi_x: f64, queue_y: usize, phi_y: f
 /// ledger.clear_on_sink_opportunity();
 /// assert!(!ledger.is_barred(NodeId::new(7)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DonorLedger {
     donors: HashSet<NodeId>,
 }

@@ -1,7 +1,5 @@
 //! Axis-aligned bounding boxes.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Point;
 
 /// An axis-aligned rectangle, used for the simulation area.
@@ -16,7 +14,7 @@ use crate::Point;
 /// assert!(area.contains(Point::new(10_000.0, 20_000.0)));
 /// assert!((area.area() / 1e6 - 600.0).abs() < 1.0); // ~600 km²
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BBox {
     min: Point,
     max: Point,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A position in metres on the local tangent plane.
 ///
 /// # Example
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let b = Point::new(3.0, 4.0);
 /// assert_eq!(a.distance(b), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Easting in metres.
     pub x: f64,

@@ -1,7 +1,5 @@
 //! Polylines with arc-length parameterisation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Point;
 
 /// A piecewise-linear path (a bus route) supporting O(log n) queries of
@@ -20,7 +18,7 @@ use crate::Point;
 /// assert_eq!(route.length(), 150.0);
 /// assert_eq!(route.point_at(125.0), Point::new(100.0, 25.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polyline {
     points: Vec<Point>,
     /// Cumulative arc length at each vertex; `cum[0] == 0`.

@@ -1,11 +1,10 @@
 //! LoRaWAN device classes, including the paper's two new classes (§VI).
 
 use mlora_simcore::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The receive windows a Class-A device opens after an uplink: RX1 one
 /// second after the uplink ends, RX2 two seconds after (§III.B, Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassAWindows {
     /// Delay from uplink end to RX1 opening.
     pub rx1_delay: SimDuration,
@@ -39,7 +38,7 @@ impl Default for ClassAWindows {
 ///   the uplink channel for `Δt · γ` where `γ` is the Eq. 11 normalised
 ///   backlog (see [`queue_based_window_fraction`]); heavier queues buy
 ///   longer windows.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DeviceClass {
     /// Standard Class A: RX1/RX2 downlink windows only.
     ClassA,

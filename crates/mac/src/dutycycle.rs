@@ -2,7 +2,6 @@
 
 use mlora_phy::duty_cycle_wait;
 use mlora_simcore::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Tracks when a device may next transmit under a duty-cycle cap.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!dc.can_transmit(SimTime::from_secs(120)));
 /// assert!(dc.can_transmit(t0 + SimDuration::from_millis(40_000)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DutyCycleTracker {
     duty_cycle: f64,
     next_allowed: SimTime,

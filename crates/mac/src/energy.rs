@@ -1,10 +1,9 @@
 //! Radio energy accounting.
 
 use mlora_simcore::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Radio operating states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RadioState {
     /// Transmitting.
     Tx,
@@ -20,7 +19,7 @@ pub enum RadioState {
 ///
 /// Defaults approximate an SX1276 at +14 dBm on a 3.3 V supply:
 /// TX ≈ 120 mA, RX ≈ 12 mA, idle ≈ 2 mA, sleep ≈ 1 µA.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Transmit power draw, mW.
     pub tx_mw: f64,
@@ -74,7 +73,7 @@ impl Default for EnergyModel {
 /// let mj = acct.energy_mj(&EnergyModel::sx1276());
 /// assert!(mj > 396.0 && mj < 397.0); // dominated by the 1 s of TX
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyAccount {
     tx: SimDuration,
     rx: SimDuration,

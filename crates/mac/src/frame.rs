@@ -1,7 +1,6 @@
 //! Application messages and uplink frames.
 
 use mlora_simcore::{MessageId, NodeId, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Size of one default application reading, bytes (§VII.A.4: 20-byte
 /// message). Traffic profiles may generate readings of other sizes; this
@@ -34,9 +33,7 @@ pub const MAX_BUNDLE_BYTES: usize = MAX_FRAME_BYTES - FRAME_HEADER_BYTES - METAD
 /// Higher-priority messages are queued ahead of lower-priority ones
 /// (FIFO within a class), so they ride the next available uplink slot
 /// first. The paper's homogeneous workload is all [`Priority::Normal`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Priority {
     /// Background traffic: queued behind everything else.
     Low,
@@ -66,7 +63,7 @@ impl Priority {
 /// Identity, provenance and traffic-model tags — the simulation never
 /// materialises the payload bytes, but it carries the payload *size*
 /// end-to-end so frame airtime reflects what was actually sent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AppMessage {
     /// Globally unique message identity.
     pub id: MessageId,
@@ -124,7 +121,7 @@ impl AppMessage {
 /// An uplink data frame: up to [`MAX_BUNDLE`] bundled messages plus the
 /// sender's routing metadata (§VII.A.5: devices "append their RCA-ETX
 /// value and data queue size to the data packets").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UplinkFrame {
     /// Transmitting device.
     pub sender: NodeId,

@@ -2,8 +2,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{AppMessage, Priority};
 
 /// The application buffer of a device (§VII.A.4).
@@ -32,7 +30,7 @@ use crate::{AppMessage, Priority};
 /// assert_eq!(q.dropped(), 1);
 /// assert_eq!(q.peek_front(2)[0].id, MessageId::new(1)); // msg-0 was dropped
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataQueue {
     buf: VecDeque<AppMessage>,
     capacity: usize,

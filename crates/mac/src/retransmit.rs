@@ -1,7 +1,5 @@
 //! Retransmission policy.
 
-use serde::{Deserialize, Serialize};
-
 /// The paper's retransmission rule (§VII.A.5): a device retries an
 /// unacknowledged frame once its duty-cycle timer expires, up to eight
 /// attempts, and the counter resets whenever a new packet is generated.
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// rt.reset();                    // new packet generated
 /// assert!(rt.record_failure());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetransmitPolicy {
     max_attempts: u32,
     attempts: u32,

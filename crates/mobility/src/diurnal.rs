@@ -1,7 +1,6 @@
 //! Time-of-day activity profiles (Fig. 7a).
 
 use mlora_simcore::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A 24-hour activity curve: the fraction of the peak fleet that is on the
 /// road at each time of day.
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// let rush = p.level(SimTime::from_secs(8 * 3600));
 /// assert!(rush > 3.0 * night);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiurnalProfile {
     /// Activity level at each hour 0..24, in `[0, 1]`.
     hourly: Vec<f64>,

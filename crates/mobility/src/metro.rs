@@ -36,7 +36,6 @@
 
 use mlora_geo::{Point, Polyline};
 use mlora_simcore::{NodeId, SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::{BusNetwork, DiurnalProfile, Route, RouteId, Trip};
 
@@ -47,7 +46,7 @@ use crate::{BusNetwork, DiurnalProfile, Route, RouteId, Trip};
 /// 24-hour service day under the London diurnal profile. Scale the
 /// fleet with [`MetroConfig::peak_active_buses`]; everything else
 /// follows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetroConfig {
     /// Side of the square service area, metres.
     pub area_side_m: f64,
@@ -121,7 +120,7 @@ impl MetroConfig {
 }
 
 /// The kind of arterial a metro line is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LineKind {
     /// A centre-to-edge radial arterial.
     Radial,
@@ -130,7 +129,7 @@ pub enum LineKind {
 }
 
 /// Operator-level metadata for one metro line.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetroLine {
     /// The route this line serves.
     pub route: RouteId,
@@ -146,7 +145,7 @@ pub struct MetroLine {
 
 /// A generated metro world: the runnable [`BusNetwork`] plus per-line
 /// operator metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetroWorld {
     network: BusNetwork,
     lines: Vec<MetroLine>,

@@ -2,7 +2,6 @@
 
 use mlora_geo::{BBox, Point, Polyline};
 use mlora_simcore::{NodeId, SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::{DiurnalProfile, Route, RouteId, Trip};
 
@@ -15,7 +14,7 @@ use crate::{DiurnalProfile, Route, RouteId, Trip};
 /// full TfL replay runs thousands of buses, which simulates fine but slows
 /// parameter sweeps, so experiments default to a few hundred (documented
 /// in EXPERIMENTS.md).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BusNetworkConfig {
     /// Side of the square simulation area, metres (default 24 495 m ≈ 600 km²).
     pub area_side_m: f64,
@@ -92,7 +91,7 @@ impl BusNetworkConfig {
 ///
 /// Trips are sorted by departure time and indexed by [`NodeId`]; each trip
 /// is one LoRa device for its service window.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BusNetwork {
     routes: Vec<Route>,
     trips: Vec<Trip>,

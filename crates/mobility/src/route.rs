@@ -2,13 +2,10 @@
 
 use mlora_geo::{Point, Polyline};
 use mlora_simcore::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a bus route within a [`crate::BusNetwork`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RouteId(u32);
 
 impl RouteId {
@@ -39,7 +36,7 @@ impl fmt::Display for RouteId {
 /// Vehicles ping-pong along the path (out-and-back), exactly like a
 /// bidirectional bus line. Positions are resolved analytically from the
 /// distance travelled, so there is no per-tick state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Route {
     id: RouteId,
     path: Polyline,

@@ -1,7 +1,6 @@
 //! Individual vehicle trips.
 
 use mlora_simcore::{NodeId, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::{Route, RouteId};
 
@@ -10,7 +9,7 @@ use crate::{Route, RouteId};
 ///
 /// A trip *is* a LoRa device for the duration of its service window — the
 /// paper's Fig. 7(b) "bus active duration" is exactly this window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Trip {
     node: NodeId,
     route: RouteId,

@@ -1,7 +1,5 @@
 //! RSSI-to-capacity mapping (paper Eq. 5).
 
-use serde::{Deserialize, Serialize};
-
 /// The piecewise-linear RSSI→capacity mapping of Eq. 5:
 ///
 /// ```text
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m.capacity_bps(-200.0), 0.0);             // below γ_min
 /// assert_eq!(m.capacity_bps(0.0), m.max_capacity_bps()); // above γ_max
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapacityModel {
     gamma_min_dbm: f64,
     gamma_max_dbm: f64,

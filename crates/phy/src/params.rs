@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// LoRa spreading factor (SF7–SF12).
 ///
 /// Higher spreading factors trade data rate for range and sensitivity.
 /// The paper fixes SF7 for all devices (§VII.A.5): adaptive data rate is
 /// ineffective under mobility.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpreadingFactor {
     /// SF7 — fastest, shortest range.
     Sf7,
@@ -68,7 +66,7 @@ impl fmt::Display for SpreadingFactor {
 }
 
 /// LoRa channel bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Bandwidth {
     /// 125 kHz — the EU868 default.
     Khz125,
@@ -96,7 +94,7 @@ impl fmt::Display for Bandwidth {
 }
 
 /// LoRa forward error correction coding rate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CodingRate {
     /// 4/5 — the LoRaWAN default.
     Cr4of5,
@@ -127,7 +125,7 @@ impl fmt::Display for CodingRate {
 }
 
 /// Full physical-layer configuration of a transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhyParams {
     /// Spreading factor.
     pub sf: SpreadingFactor,

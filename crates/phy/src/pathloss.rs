@@ -12,7 +12,6 @@
 use std::cell::Cell;
 
 use mlora_simcore::{NormalDraw, SimRng};
-use serde::{Deserialize, Serialize};
 
 /// The log-distance path-loss model with optional log-normal shadowing:
 ///
@@ -34,7 +33,7 @@ use serde::{Deserialize, Serialize};
 /// let rssi_2km = model.mean_rssi_dbm(14.0, 2_000.0);
 /// assert!(rssi_1km > rssi_2km); // further is weaker
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogDistanceModel {
     /// Path loss at the reference distance, in dB.
     pub pl0_db: f64,

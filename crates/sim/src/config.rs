@@ -6,14 +6,13 @@ use mlora_core::{PolicySpec, RoutingConfig, RoutingState, Scheme};
 use mlora_mobility::{BusNetwork, BusNetworkConfig};
 use mlora_phy::{CapacityModel, LogDistanceModel, PhyParams};
 use mlora_simcore::SimDuration;
-use serde::{Deserialize, Serialize};
 
 use crate::disruption::DisruptionPlan;
 use crate::metrics::SimReport;
 use crate::traffic::TrafficModel;
 
 /// Radio environment, setting the device-to-device range (§VII.A.6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Environment {
     /// Urban: buildings block signals; device↔device range 500 m.
     Urban,
@@ -47,7 +46,7 @@ impl std::fmt::Display for Environment {
 
 /// How gateways are placed over the area (§VII.A.6 uses a uniform grid;
 /// §VII.C discusses random placement).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GatewayPlacement {
     /// Uniform grid (the paper's main setting).
     Grid,
@@ -56,7 +55,7 @@ pub enum GatewayPlacement {
 }
 
 /// Which device class the fleet runs (§VI).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceClassChoice {
     /// Modified Class-C: always listening on the uplink channel.
     ModifiedClassC,
@@ -64,11 +63,20 @@ pub enum DeviceClassChoice {
     QueueBasedClassA,
 }
 
+impl From<DeviceClassChoice> for mlora_mac::DeviceClass {
+    fn from(choice: DeviceClassChoice) -> Self {
+        match choice {
+            DeviceClassChoice::ModifiedClassC => Self::ModifiedClassC,
+            DeviceClassChoice::QueueBasedClassA => Self::QueueBasedClassA,
+        }
+    }
+}
+
 /// Full configuration of one simulation run.
 ///
 /// [`SimConfig::paper_default`] reproduces §VII.A; named constructors
-/// derive the scaled-down variants used by tests and Criterion benches.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// derive the scaled-down variants used by tests and `repro --quick`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Mobility substrate configuration.
     pub network: BusNetworkConfig,
@@ -296,9 +304,9 @@ impl SimConfig {
         cfg
     }
 
-    /// The mid-scale configuration used by the Criterion benches: the full
-    /// 600 km² area and fleet profile shape, but a 6-hour horizon spanning
-    /// the morning ramp so runs finish in seconds.
+    /// The mid-scale configuration behind `repro --quick` and the engine
+    /// microbenches: the full 600 km² area and fleet profile shape, but a
+    /// 6-hour horizon spanning the morning ramp so runs finish in seconds.
     pub fn bench_scale(scheme: Scheme, environment: Environment) -> Self {
         let mut cfg = SimConfig::paper_default(scheme, environment);
         cfg.network.max_active_buses = 800;

@@ -47,12 +47,11 @@
 
 use mlora_geo::Point;
 use mlora_simcore::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::ConfigError;
 
 /// One gateway leaving service and (optionally) recovering.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GatewayOutage {
     /// Index of the affected gateway (must be below the scenario's
     /// gateway count).
@@ -64,7 +63,7 @@ pub struct GatewayOutage {
 }
 
 /// An instantaneous withdrawal of part of the active fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BusWithdrawal {
     /// When the withdrawal happens.
     pub at: SimTime,
@@ -75,7 +74,7 @@ pub struct BusWithdrawal {
 }
 
 /// A regional channel impairment: receivers inside the disc lose RSSI.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NoiseBurst {
     /// Centre of the affected disc.
     pub center: Point,
@@ -95,7 +94,7 @@ pub struct NoiseBurst {
 /// The default plan is empty and costs nothing: the engine schedules no
 /// extra events and consumes no extra randomness, so an undisrupted run
 /// is bit-identical to one configured before this subsystem existed.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DisruptionPlan {
     /// Gateway outage/recovery windows.
     pub outages: Vec<GatewayOutage>,

@@ -473,7 +473,7 @@ impl Channel {
         // A plain loop against `self`'s fields, on purpose: a chained
         // iterator or a closure copies the model into locals, which
         // costs the rejection test below its register for `range` —
-        // +2.6 % on `metro_20k` (EXPERIMENTS.md, "One reception path").
+        // +2.6 % on `metro_20k` (docs/lab-notebook.md, "One reception path").
         for &(seq, pos) in overlaps {
             let distance_m = at.distance(pos);
             if distance_m > range {

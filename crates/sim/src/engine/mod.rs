@@ -86,7 +86,7 @@ use crate::metrics::Collector;
 use crate::observer::{
     BusWithdrawn, FrameTransmitted, MessageGenerated, NullObserver, SimObserver,
 };
-use crate::{place_gateways, DeviceClassChoice, SimConfig, SimReport};
+use crate::{place_gateways, SimConfig, SimReport};
 
 /// Discrete events driving the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -632,10 +632,7 @@ impl Engine {
     }
 
     fn device_class(&self) -> DeviceClass {
-        match self.cfg.device_class {
-            DeviceClassChoice::ModifiedClassC => DeviceClass::ModifiedClassC,
-            DeviceClassChoice::QueueBasedClassA => DeviceClass::QueueBasedClassA,
-        }
+        self.cfg.device_class.into()
     }
 
     fn on_trip_start(&mut self, n: NodeId) {
@@ -931,7 +928,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Environment;
+    use crate::{DeviceClassChoice, Environment};
     use mlora_core::Scheme;
 
     fn smoke(scheme: Scheme) -> SimReport {

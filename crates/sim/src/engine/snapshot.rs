@@ -77,8 +77,7 @@ use crate::persist::{
     write_records, Persist,
 };
 use crate::{
-    DeviceClassChoice, DisruptionEvent, DisruptionPlan, ProfileReport, ScenarioFileError,
-    SimConfig, SimReport,
+    DisruptionEvent, DisruptionPlan, ProfileReport, ScenarioFileError, SimConfig, SimReport,
 };
 
 /// The four magic bytes every engine snapshot starts with — the `.mlss`
@@ -466,9 +465,12 @@ impl Engine {
     /// — the what-if fork primitive. The resumed branch replays the
     /// captured state exactly, then diverges only once the overlay's
     /// first event fires: overlay outages, withdrawals and noise bursts
-    /// are appended to the scenario's own plan (original disruption
-    /// indices stay stable) and their compiled events are scheduled on
-    /// top of the restored queue.
+    /// are appended to the scenario's own plan, the restored
+    /// `Disruption(i)` events are renumbered into the merged plan's
+    /// compiled order, and the overlay's events are scheduled on top of
+    /// the restored queue. The branch's timeline is its configuration's
+    /// compiled plan, as every engine's is, so a checkpoint of the branch
+    /// resumes to the branch.
     ///
     /// Every value the restored engine will index with — device ids in
     /// events, handovers, flights and withdrawals, timeline and table
@@ -500,24 +502,20 @@ impl Engine {
                 snapshot.config.get_or_init(|| cfg).clone()
             }
         };
-        let original = cfg.disruptions.clone();
+        // The order the captured run's `Disruption(i)` are numbered in.
+        let originals = cfg.disruptions.compile(cfg.horizon);
 
-        // Compile the overlay against the captured horizon, offsetting
-        // its plan-internal indices past the original plan's tables
-        // (gateway indices are global and need none).
-        let overlay_events = if overlay.is_empty() {
-            Vec::new()
+        // An overlay's events lie after the captured instant, and its
+        // tables are appended to the scenario's own, so the channel's
+        // noise table and the withdrawal table grow without renumbering
+        // (gateway indices are global).
+        let overlay_len = if overlay.is_empty() {
+            0
         } else {
             overlay
                 .validate(cfg.num_gateways)
                 .map_err(|e| SnapshotError::Overlay(e.to_string()))?;
-            let withdraw_off = original.withdrawals.len() as u32;
-            let noise_off = original.noise_bursts.len() as u32;
-            let compiled: Vec<(SimTime, DisruptionEvent)> = overlay
-                .compile(cfg.horizon)
-                .into_iter()
-                .map(|(t, ev)| (t, offset_event(ev, withdraw_off, noise_off)))
-                .collect();
+            let compiled = overlay.compile(cfg.horizon);
             if let Some(&(t, _)) = compiled.iter().find(|&&(t, _)| t <= header.now) {
                 return Err(SnapshotError::Overlay(format!(
                     "overlay event at {} s is not after the snapshot instant ({} s)",
@@ -525,36 +523,35 @@ impl Engine {
                     header.now.as_millis() as f64 / 1e3,
                 )));
             }
-            // Merge the overlay into the scenario's own plan by
-            // appending, so the channel's noise table and the
-            // withdrawal table grow without renumbering.
-            cfg.disruptions
-                .outages
-                .extend(overlay.outages.iter().cloned());
-            cfg.disruptions
-                .withdrawals
-                .extend(overlay.withdrawals.iter().cloned());
-            cfg.disruptions
-                .noise_bursts
-                .extend(overlay.noise_bursts.iter().cloned());
-            compiled
+            cfg.disruptions.outages.extend(overlay.outages);
+            cfg.disruptions.withdrawals.extend(overlay.withdrawals);
+            cfg.disruptions.noise_bursts.extend(overlay.noise_bursts);
+            compiled.len()
         };
 
         let mut engine = Engine::new(cfg, header.seed);
         // An engine never steps past its horizon.
         ensure(header.now <= engine.horizon, "captured past the horizon")?;
         // Engine::new compiled the *merged* plan, which interleaves
-        // overlay events among the originals by time — breaking the
-        // index stability the restored `Disruption(i)` queue events
-        // rely on. Rebuild: original timeline verbatim, overlay events
-        // appended past it.
-        let overlay_base = {
-            let mut timeline = original.compile(engine.cfg.horizon);
-            let base = timeline.len();
-            timeline.extend(overlay_events.iter().cloned());
-            engine.timeline = timeline;
-            base
-        };
+        // overlay events among the originals by time, and the restored
+        // `Disruption(i)` name entries of the original plan's compiled
+        // order. `compile` is a stable sort and overlay table indices
+        // lie past the originals', so the originals keep their relative
+        // order in the merge (first among equals): one walk says where
+        // each original stands (`renumber`) and which entries are the
+        // overlay's (`overlay_at`, in the overlay's own compiled order).
+        let mut renumber = Vec::new();
+        let mut overlay_at = Vec::new();
+        let mut unplaced = originals.iter().peekable();
+        for (i, entry) in (0u32..).zip(&engine.timeline) {
+            if unplaced.next_if_eq(&entry).is_some() {
+                renumber.push(i);
+            } else {
+                overlay_at.push((entry.0, i));
+            }
+        }
+        let merged = unplaced.next().is_none() && overlay_at.len() == overlay_len;
+        ensure(merged, "disruption plan does not merge with its overlay")?;
         engine.started = true;
         engine.now = header.now;
         engine.next_msg = header.next_msg;
@@ -583,7 +580,7 @@ impl Engine {
         let mut records = Vec::with_capacity(reserve_for(n));
         let mut dropped = false;
         for _ in 0..n {
-            let (time, seq, ev): (SimTime, u64, Event) = read_record(&mut r)?;
+            let (time, seq, mut ev): (SimTime, u64, Event) = read_record(&mut r)?;
             let reissued = match ev {
                 Event::TripStart(node) => Some((node.index(), false)),
                 Event::TripEnd(node) if node.index() >= engine.next_trip => {
@@ -596,7 +593,10 @@ impl Engine {
                 // A key the slab does not hold resolves to no flight.
                 Event::TxEnd(_) => None,
                 Event::Disruption(i) => {
-                    ensure((i as usize) < overlay_base, "disruption past the timeline")?;
+                    let at = renumber
+                        .get(i as usize)
+                        .ok_or(ScenarioIoError::Corrupt("disruption past the timeline"))?;
+                    ev = Event::Disruption(*at);
                     None
                 }
             };
@@ -623,10 +623,8 @@ impl Engine {
         // Overlay disruptions are scheduled *after* the queue restore so
         // they take fresh (higher) sequence numbers: at equal times they
         // fire after everything the original run had already scheduled.
-        for (j, &(t, _)) in overlay_events.iter().enumerate() {
-            engine
-                .events
-                .schedule(t, Event::Disruption((overlay_base + j) as u32));
+        for (t, at) in overlay_at {
+            engine.events.schedule(t, Event::Disruption(at));
         }
 
         // Devices, one per departed trip in id order: active ones
@@ -708,9 +706,9 @@ impl Engine {
         // Every disruption due by `now` has fired and no later one, so
         // the timeline says how deep each gateway's outages stand. Read
         // by instant, not by which `Disruption(i)` are still queued: a
-        // fork's snapshot embeds the merged plan, which compiles to
-        // another order than the fork ran on, so its queued indices name
-        // other entries — the instants are the same either way.
+        // branch checkpointed by a build that appended overlay events
+        // past the original timeline queued indices that name other
+        // entries of this one — the instants are the same either way.
         let mut standing = vec![0i64; depths.len()];
         for &(_, ev) in engine.timeline.iter().filter(|&&(t, _)| t <= header.now) {
             let (gateway, step) = match ev {
@@ -824,23 +822,6 @@ fn read_config<R: Read>(r: &mut ScenarioReader<R>) -> Result<SimConfig, Snapshot
     ensure(records == 1, "snapshot config record count")?;
     r.begin_record()?;
     Ok(SimConfig::from_reader(r.byte_slice()?)?)
-}
-
-/// Shifts an overlay event's plan-internal indices past the original
-/// plan's tables; gateway indices are global and pass through.
-fn offset_event(ev: DisruptionEvent, withdraw_off: u32, noise_off: u32) -> DisruptionEvent {
-    match ev {
-        DisruptionEvent::Withdraw { withdrawal } => DisruptionEvent::Withdraw {
-            withdrawal: withdrawal + withdraw_off,
-        },
-        DisruptionEvent::NoiseStart { burst } => DisruptionEvent::NoiseStart {
-            burst: burst + noise_off,
-        },
-        DisruptionEvent::NoiseEnd { burst } => DisruptionEvent::NoiseEnd {
-            burst: burst + noise_off,
-        },
-        gateway => gateway,
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1044,10 +1025,6 @@ fn get_device<R: Read>(
     let ledger = DonorLedger::from_donors(donors);
     let routing_config = cfg.routing_config();
     let policy = routing_config.scheme.policy();
-    let class = match cfg.device_class {
-        DeviceClassChoice::ModifiedClassC => mlora_mac::DeviceClass::ModifiedClassC,
-        DeviceClassChoice::QueueBasedClassA => mlora_mac::DeviceClass::QueueBasedClassA,
-    };
     Ok((
         Device {
             activated_at,
@@ -1061,7 +1038,7 @@ fn get_device<R: Read>(
             ),
             retransmit: RetransmitPolicy::from_parts(max_attempts, attempts),
             routing: RoutingState::from_raw_parts(routing_config, policy, estimator, ca, ledger),
-            class,
+            class: cfg.device_class.into(),
             tx_scheduled,
             pending_handover,
             tx_time,

@@ -74,6 +74,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod config;
 mod deployment;
@@ -89,8 +90,10 @@ mod scenario;
 pub mod traffic;
 
 /// Test support shared with `tests/hostile_input.rs`: re-sealing an
-/// edited container so its checksums hold.
+/// edited container so its checksums hold. The allow keeps
+/// `unreachable_pub` to this crate's own modules.
 #[cfg(test)]
+#[allow(unreachable_pub)]
 #[path = "../tests/support/framing.rs"]
 mod framing;
 

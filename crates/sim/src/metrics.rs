@@ -2,7 +2,6 @@
 
 use mlora_simcore::stats::{TimeSeries, Welford};
 use mlora_simcore::{DenseMap, MessageId, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::traffic::TrafficModel;
 
@@ -13,7 +12,7 @@ use crate::traffic::TrafficModel;
 /// the paper's homogeneous default carries none. All ratio/mean
 /// accessors guard their zero-denominator cases explicitly (mirroring
 /// [`SimReport::mean_delay_s`]) so empty profiles print cleanly.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileReport {
     /// The profile's name, copied from the model.
     pub name: String,
@@ -104,7 +103,7 @@ impl ProfileReport {
 /// * Figs. 10–11 — [`SimReport::throughput_series`]
 /// * Fig. 12 — [`SimReport::mean_hops`]
 /// * Fig. 13 — [`SimReport::mean_frames_per_node`]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Label of the forwarding scheme or custom policy the run executed
     /// (see [`SimConfig::scheme_label`](crate::SimConfig::scheme_label))

@@ -5,14 +5,13 @@
 use std::fmt::Write as _;
 
 use mlora_core::Scheme;
-use serde::{Deserialize, Serialize};
 
 use crate::runner::CellResult;
 use crate::{Environment, SimReport};
 
 /// One cell of the Fig. 8/9/12/13 sweeps: a (gateways, environment,
 /// scheme) combination and its simulation report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Number of gateways deployed.
     pub gateways: usize,

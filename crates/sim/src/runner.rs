@@ -632,70 +632,30 @@ impl Runner {
         let cells = plan.cells();
         validate_cells(&cells)?;
         let reps = plan.replications();
-        let jobs = cells.len() * reps;
-
-        let slots: Vec<Mutex<Option<SimReport>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        let failure: Mutex<Option<RunnerError>> = Mutex::new(None);
 
         // A run costs one thread, so the worker count is the budget.
-        let worker_count = self.workers.min(jobs).max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..worker_count {
-                scope.spawn(|| loop {
-                    let job = cursor.fetch_add(1, Ordering::Relaxed);
-                    let failed = failure.lock().map(|g| g.is_some()).unwrap_or(true);
-                    if job >= jobs || failed {
-                        return;
-                    }
-                    let (cell_idx, rep) = (job / reps, job % reps);
-                    let seed = plan.seed_for(cell_idx, rep);
-                    let config = cells[cell_idx].config.clone();
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        crate::Engine::new(config, seed).run()
-                    }));
-                    match outcome {
-                        Ok(report) => *slots[job].lock().expect("slot lock") = Some(report),
-                        Err(payload) => {
-                            let message = panic_message(payload.as_ref());
-                            let mut failure = failure.lock().expect("failure lock");
-                            failure.get_or_insert(RunnerError::RunPanicked {
-                                cell: cell_idx,
-                                seed,
-                                message,
-                            });
-                            return;
-                        }
-                    }
-                });
-            }
-        });
+        let reports = pool(self.workers, cells.len() * reps, |job| {
+            let cell = job / reps;
+            let seed = plan.seed_for(cell, job % reps);
+            crate::Engine::new(cells[cell].config.clone(), seed).run()
+        })
+        .map_err(|(job, message)| RunnerError::RunPanicked {
+            cell: job / reps,
+            seed: plan.seed_for(job / reps, job % reps),
+            message,
+        })?;
 
-        if let Some(err) = failure.into_inner().expect("failure lock") {
-            return Err(err);
-        }
-
-        let mut reports: Vec<Option<SimReport>> = slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("slot lock"))
-            .collect();
-        let mut out = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let runs = (0..reps)
-                .map(|rep| {
-                    let report = reports[cell.index * reps + rep]
-                        .take()
-                        .expect("every job completed");
-                    (plan.seed_for(cell.index, rep), report)
-                })
-                .collect();
-            out.push(CellResult {
+        // Jobs ran cell-major: each cell takes the next `reps` reports.
+        let mut reports = reports.into_iter();
+        let out = cells.into_iter().map(|cell| {
+            let seeds = (0..reps).map(|rep| plan.seed_for(cell.index, rep));
+            CellResult {
                 index: cell.index,
                 key: cell.key,
-                report: ReplicatedReport::new(runs),
-            });
-        }
-        Ok(out)
+                report: ReplicatedReport::new(seeds.zip(reports.by_ref()).collect()),
+            }
+        });
+        Ok(out.collect())
     }
 
     /// Forks `snapshot` into one what-if branch per overlay and drives
@@ -717,56 +677,57 @@ impl Runner {
         snapshot: &Snapshot,
         overlays: &[DisruptionPlan],
     ) -> Result<Vec<SimReport>, SnapshotError> {
-        let jobs = overlays.len();
-        if jobs == 0 {
-            return Ok(Vec::new());
-        }
+        let branches = pool(self.workers, overlays.len(), |branch| {
+            crate::Engine::resume_with_overlay(snapshot, overlays[branch].clone())
+                .map(crate::Engine::finish)
+        })
+        .map_err(|(branch, message)| SnapshotError::BranchPanicked { branch, message })?;
+        // Surface per-branch resume errors in overlay order.
+        branches.into_iter().collect()
+    }
+}
 
-        let slots: Vec<Mutex<Option<Result<SimReport, SnapshotError>>>> =
-            (0..jobs).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-        let panicked: Mutex<Option<SnapshotError>> = Mutex::new(None);
-        let worker_count = self.workers.min(jobs).max(1);
-        std::thread::scope(|scope| {
-            for _ in 0..worker_count {
-                scope.spawn(|| loop {
-                    let job = cursor.fetch_add(1, Ordering::Relaxed);
-                    let failed = panicked.lock().map(|g| g.is_some()).unwrap_or(true);
-                    if job >= jobs || failed {
+/// Runs `job(0)`, …, `job(jobs - 1)` on `min(workers, jobs)` scoped
+/// threads that pull indices from one cursor. The results come back in
+/// job order, or — when a job panics — the index and message of the
+/// first one that did; workers pull no further jobs once one has.
+fn pool<T: Send>(
+    workers: usize,
+    jobs: usize,
+    job: impl Fn(usize) -> T + Sync,
+) -> Result<Vec<T>, (usize, String)> {
+    let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
+    let failure: Mutex<Option<(usize, String)>> = Mutex::new(None);
+    std::thread::scope(|scope| {
+        for _ in 0..workers.min(jobs) {
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let failed = failure.lock().map(|g| g.is_some()).unwrap_or(true);
+                if i >= jobs || failed {
+                    return;
+                }
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job(i))) {
+                    Ok(result) => *slots[i].lock().expect("slot lock") = Some(result),
+                    Err(payload) => {
+                        let message = panic_message(payload.as_ref());
+                        let mut failure = failure.lock().expect("failure lock");
+                        failure.get_or_insert((i, message));
                         return;
                     }
-                    let overlay = overlays[job].clone();
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        crate::Engine::resume_with_overlay(snapshot, overlay)
-                            .map(crate::Engine::finish)
-                    }));
-                    match outcome {
-                        Ok(result) => *slots[job].lock().expect("slot lock") = Some(result),
-                        Err(payload) => {
-                            let message = panic_message(payload.as_ref());
-                            let mut panicked = panicked.lock().expect("failure lock");
-                            panicked.get_or_insert(SnapshotError::BranchPanicked {
-                                branch: job,
-                                message,
-                            });
-                            return;
-                        }
-                    }
-                });
-            }
-        });
-
-        if let Some(err) = panicked.into_inner().expect("failure lock") {
-            return Err(err);
+                }
+            });
         }
+    });
 
-        // Surface per-branch resume errors in overlay order.
-        let mut out = Vec::with_capacity(jobs);
-        for slot in slots {
-            out.push(slot.into_inner().expect("slot lock").expect("branch ran")?);
-        }
-        Ok(out)
+    if let Some(err) = failure.into_inner().expect("failure lock") {
+        return Err(err);
     }
+    let results = slots.into_iter().map(|slot| {
+        let result = slot.into_inner().expect("slot lock");
+        result.expect("every job completed")
+    });
+    Ok(results.collect())
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -1091,5 +1052,23 @@ mod tests {
         let cells = Runner::new().run(&plan).unwrap();
         let direct = tiny().run(11).unwrap();
         assert_eq!(*cells[0].report.single(), direct);
+    }
+
+    #[test]
+    fn pool_returns_results_in_job_order_and_stops_at_the_first_panic() {
+        // One worker, two, and more workers than jobs.
+        for workers in [1, 2, 8] {
+            assert_eq!(pool(workers, 5, |i| i * i), Ok(vec![0, 1, 4, 9, 16]));
+        }
+        assert_eq!(pool(3, 0, |i| i), Ok(Vec::new()));
+
+        // The lone worker dies with job 1: jobs 2–4 are never pulled.
+        let ran = AtomicUsize::new(0);
+        let outcome = pool(1, 5, |i| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            assert!(i != 1, "job {i} fell over");
+        });
+        assert_eq!(outcome, Err((1, "job 1 fell over".to_string())));
+        assert_eq!(ran.into_inner(), 2);
     }
 }

@@ -34,7 +34,6 @@
 use mlora_mac::{Priority, MAX_BUNDLE_BYTES};
 use mlora_mobility::DiurnalProfile;
 use mlora_simcore::{SimDuration, SimRng, SimTime};
-use serde::{Deserialize, Serialize};
 
 use crate::ConfigError;
 
@@ -43,7 +42,7 @@ use crate::ConfigError;
 /// All processes are sampled from a per-device RNG stream derived from
 /// the run seed, so the arrival sequence of one device never depends on
 /// any other device or on event-processing order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalProcess {
     /// A fixed interval between messages — the paper's generator.
     Periodic {
@@ -224,7 +223,7 @@ fn check_interval(field: &'static str, interval: SimDuration) -> Result<(), Conf
 }
 
 /// How large each generated reading is, bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PayloadModel {
     /// Every reading is exactly `bytes` long — the paper's 20-byte
     /// default.
@@ -295,7 +294,7 @@ impl PayloadModel {
 
 /// One application class: its arrival process, payload sizes, priority
 /// and share of the fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrafficProfile {
     /// Human-readable name, carried into per-profile report rows.
     pub name: String,
@@ -441,7 +440,7 @@ impl TrafficProfile {
 /// bit-identical to a build without the subsystem.
 ///
 /// [`SimConfig`]: crate::SimConfig
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrafficModel {
     /// The profile mix. Empty means the paper's homogeneous workload.
     pub profiles: Vec<TrafficProfile>,

@@ -6,8 +6,6 @@
 //! time-bucketed counts (the 10-minute throughput series of Figs. 10–11),
 //! and [`quantile`] over sorted samples.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{SimDuration, SimTime};
 
 /// Welford's online algorithm for running mean and variance.
@@ -26,7 +24,7 @@ use crate::{SimDuration, SimTime};
 /// assert_eq!(w.mean(), 5.0);
 /// assert_eq!(w.population_variance(), 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Welford {
     count: u64,
     mean: f64,
@@ -158,7 +156,7 @@ impl Welford {
 /// Samples below `lo` land in the first bin; samples at or above `hi` land
 /// in the last bin. Used for distributions such as trip durations
 /// (Fig. 7b).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -234,7 +232,7 @@ impl Histogram {
 /// event lands past the current span — the right discipline for
 /// open-ended or metro-scale runs where the horizon times the wanted
 /// resolution would be unbounded.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     bucket: SimDuration,
     counts: Vec<u64>,

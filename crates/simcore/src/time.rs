@@ -8,8 +8,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulation time, in milliseconds since simulation start.
 ///
 /// `SimTime` is totally ordered and starts at [`SimTime::ZERO`]. Subtracting
@@ -25,18 +23,14 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(t1 - t0, SimDuration::from_millis(500));
 /// assert_eq!(t1.as_secs_f64(), 10.5);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulation time, in milliseconds.
 ///
 /// Durations are non-negative; saturating arithmetic is used where an
 /// operation could underflow.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

@@ -2,8 +2,9 @@
 //! arbitrary scenarios (scheme × traffic × disruptions)
 //! and an arbitrary snapshot instant, capturing mid-run state and
 //! resuming it reproduces the uninterrupted run bit for bit; what-if
-//! forks are deterministic, their control branch is exact, and a branch
-//! diverges only once its overlay's first event fires.
+//! forks are deterministic, their control branch is exact, a branch
+//! diverges only once its overlay's first event fires, and a checkpoint
+//! of a branch resumes to that branch.
 //!
 //! The closing golden fixture replays the 20 000-bus metro world
 //! through a mid-run snapshot at scale; like the metro fingerprints it
@@ -126,14 +127,7 @@ proptest! {
         engine.run_until(snap_t);
         let snap = engine.snapshot().expect("snapshot mid-run");
 
-        let overlay = DisruptionPlan {
-            outages: vec![GatewayOutage {
-                gateway: 1,
-                start: SimTime::from_secs((HORIZON_S as f64 * overlay_frac) as u64),
-                duration: Some(SimDuration::from_secs(600)),
-            }],
-            ..DisruptionPlan::default()
-        };
+        let overlay = gateway_1_down((HORIZON_S as f64 * overlay_frac) as u64, 600);
         let branches = Runner::new()
             .workers(workers)
             .fork(&snap, &[DisruptionPlan::default(), overlay.clone(), overlay.clone()])
@@ -188,6 +182,98 @@ proptest! {
         // run cleanly to completion.
         control.finish();
         branch.finish();
+    }
+}
+
+/// An overlay taking gateway 1 down at `start_s` for `duration_s`.
+fn gateway_1_down(start_s: u64, duration_s: u64) -> DisruptionPlan {
+    DisruptionPlan {
+        outages: vec![GatewayOutage {
+            gateway: 1,
+            start: SimTime::from_secs(start_s),
+            duration: Some(SimDuration::from_secs(duration_s)),
+        }],
+        ..DisruptionPlan::default()
+    }
+}
+
+/// Forks `cfg`'s run at `fork_s` under `overlay`, checkpoints the
+/// branch at `checkpoint_s` and resumes the checkpoint. Returns the
+/// report the branch runs out to and the resumed copy's, then the
+/// checkpoint's bytes and those of the resumed copy captured again on
+/// the spot: each pair must be equal.
+fn checkpoint_a_branch(
+    cfg: SimConfig,
+    seed: u64,
+    fork_s: u64,
+    overlay: DisruptionPlan,
+    checkpoint_s: u64,
+) -> ([mlora::sim::SimReport; 2], [Vec<u8>; 2]) {
+    let mut trunk = Engine::new(cfg, seed);
+    trunk.run_until(SimTime::from_secs(fork_s));
+    let fork_point = trunk.snapshot().expect("snapshot the trunk");
+    let mut branch = Engine::resume_with_overlay(&fork_point, overlay).expect("fork");
+    branch.run_until(SimTime::from_secs(checkpoint_s));
+    let checkpoint = branch.snapshot().expect("snapshot the branch");
+    let resumed = Engine::resume(&checkpoint).expect("resume the branch");
+    let again = resumed.snapshot().expect("snapshot the resumed branch");
+    (
+        [branch.finish(), resumed.finish()],
+        [checkpoint.as_bytes().to_vec(), again.as_bytes().to_vec()],
+    )
+}
+
+/// The case the defect was found on: the base plan takes gateway 0
+/// down over 3 000–4 000 s, a fork at 1 000 s adds gateway 1 down over
+/// 2 000–3 500 s — between the snapshot and the base plan's events, so
+/// the merged plan's compiled order interleaves the two — and the
+/// branch is checkpointed at 2 500 s with three of the four queued. The
+/// two windows overlap: some gateway is down from 2 000 s to 4 000 s.
+#[test]
+fn a_branch_checkpoint_resumes_to_the_branch() {
+    let cfg = Scenario::urban()
+        .smoke()
+        .scheme(Scheme::RcaEtx)
+        .disruptions(DisruptionPlan {
+            outages: vec![GatewayOutage {
+                gateway: 0,
+                start: SimTime::from_secs(3_000),
+                duration: Some(SimDuration::from_secs(1_000)),
+            }],
+            ..DisruptionPlan::default()
+        })
+        .build()
+        .expect("scenario is valid");
+    let ([branch, resumed], [checkpoint, again]) =
+        checkpoint_a_branch(cfg, 7, 1_000, gateway_1_down(2_000, 1_500), 2_500);
+    assert_eq!(branch.outage_time_s, 2_000.0);
+    assert_eq!(resumed, branch);
+    assert!(again == checkpoint, "re-captured bytes differ");
+}
+
+proptest! {
+    /// The same over arbitrary scenarios: the overlay's outage starts
+    /// and ends among the base plan's events (600 s to 1 800 s), after
+    /// a fork taken before the first of them, and the branch is
+    /// checkpointed anywhere past the overlay's first event.
+    #[test]
+    fn any_branch_checkpoint_resumes_to_the_branch(
+        scheme_idx in 0u32..4,
+        seed in 0u64..1_000,
+        fork_s in 60u64..600,
+        overlay_s in 601u64..1_800,
+        overlay_len_s in 100u64..1_200,
+        checkpoint_after_s in 1u64..1_500,
+    ) {
+        let ([branch, resumed], [checkpoint, again]) = checkpoint_a_branch(
+            config(scheme_idx, true, true),
+            seed,
+            fork_s,
+            gateway_1_down(overlay_s, overlay_len_s),
+            overlay_s + checkpoint_after_s,
+        );
+        prop_assert_eq!(resumed, branch);
+        prop_assert!(again == checkpoint, "re-captured bytes differ");
     }
 }
 
