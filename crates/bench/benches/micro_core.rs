@@ -34,7 +34,7 @@ fn bench(c: &mut Criterion) {
     });
 
     c.bench_function("micro_core/decide_robc", |b| {
-        let mut state = RoutingState::new(RoutingConfig::paper_default(Scheme::Robc));
+        let mut state = RoutingState::new(RoutingConfig::paper_default(), Scheme::Robc.policy());
         state.on_sink_slot(SimTime::from_secs(180), Some(2000.0), 36.6);
         let beacon = Beacon {
             sender: NodeId::new(9),

@@ -43,8 +43,9 @@ fn bench(c: &mut Criterion) {
         let cfg = engine_throughput_config(buses);
         group.bench_function(format!("engine_run_{buses}_buses"), |b| {
             b.iter(|| {
-                let (_, stats) = Engine::new(cfg.clone(), HARNESS_SEED).run_instrumented();
-                stats.events_processed
+                let mut engine = Engine::new(cfg.clone(), HARNESS_SEED);
+                let events = engine.run_until(SimTime::MAX);
+                (events, engine.finish())
             })
         });
     }

@@ -18,7 +18,16 @@
 use std::time::Instant;
 
 use mlora_bench::{engine_throughput_config, metro_throughput_config, HARNESS_SEED};
-use mlora_sim::Engine;
+use mlora_sim::{Engine, EngineStats};
+use mlora_simcore::SimTime;
+
+/// Runs `engine` to the end and returns the whole run's statistics.
+fn run(mut engine: Engine) -> EngineStats {
+    engine.run_until(SimTime::MAX);
+    let stats = engine.stats();
+    engine.finish();
+    stats
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -45,13 +54,13 @@ fn main() {
         // run, which is the standard wall-clock benching convention.
         let mut best_s = f64::INFINITY;
         let mut setup_s = f64::INFINITY;
-        let (_, mut stats) = Engine::new(cfg.clone(), HARNESS_SEED).run_instrumented();
+        let mut stats = run(Engine::new(cfg.clone(), HARNESS_SEED));
         for _ in 0..runs {
             let start = Instant::now();
             let engine = Engine::new(cfg.clone(), HARNESS_SEED);
             setup_s = setup_s.min(start.elapsed().as_secs_f64());
             let start = Instant::now();
-            (_, stats) = engine.run_instrumented();
+            stats = run(engine);
             best_s = best_s.min(start.elapsed().as_secs_f64());
         }
         let events = stats.events_processed;

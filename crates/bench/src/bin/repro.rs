@@ -213,9 +213,9 @@ fn main() {
             .schemes(Scheme::ALL)
             .fixed_seeds([opts.seed]);
         let cells = run_plan(&runner(&opts), &plan);
-        let rows: Vec<(Scheme, mlora_sim::SimReport)> = cells
+        let rows: Vec<mlora_sim::SimReport> = cells
             .into_iter()
-            .map(|c| (c.key.scheme, c.report.single().clone()))
+            .map(|c| c.report.single().clone())
             .collect();
         println!("\n== Fig. {number}: throughput over time, {env} ({gws} gateways) ==");
         print!("{}", report::time_series_table(&rows, env));
@@ -280,7 +280,7 @@ fn main() {
             for (layout, r) in cell.report.runs() {
                 println!(
                     "{:>10} {:>10} {:>8} {:>12.1} {:>12}",
-                    cell.key.scheme.label(),
+                    r.scheme,
                     format!("{:?}", cell.key.placement),
                     layout,
                     r.mean_delay_s(),

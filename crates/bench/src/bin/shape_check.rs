@@ -21,7 +21,7 @@ fn main() {
         println!(
             "{env:6} gws={gws:3} {s:8} delay={d:8.1}s thr={thr:6} hops={h:4.2} frames/node={f:6.1} msgs/node={m:7.1} gen={g} coll={c}",
             env = cell.key.environment, gws = cell.key.gateways,
-            s = cell.key.scheme.label(), d = r.mean_delay_s(), thr = r.delivered,
+            s = r.scheme, d = r.mean_delay_s(), thr = r.delivered,
             h = r.mean_hops(), f = r.mean_frames_per_node(), m = r.mean_messages_sent_per_node(), g = r.generated,
             c = r.collisions
         );

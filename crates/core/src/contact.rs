@@ -72,11 +72,6 @@ impl ContactTracker {
         self.in_contact
     }
 
-    /// End time of the last successful slot, if any.
-    pub fn last_success_time(&self) -> Option<SimTime> {
-        self.last_success.map(|(t, _)| t)
-    }
-
     /// Successful slots seen.
     pub fn successes(&self) -> u64 {
         self.successes
@@ -200,11 +195,6 @@ impl RcaEtxEstimator {
             None => rpst,
             Some(prev) => (1.0 - self.ewma.alpha()) * prev + self.ewma.alpha() * rpst,
         }
-    }
-
-    /// The instantaneous (un-smoothed) RPST at `now`.
-    pub fn rpst_now(&self, now: SimTime, wait_s: f64) -> f64 {
-        self.tracker.rpst(now, wait_s, self.packet_bits)
     }
 
     /// The underlying contact tracker.

@@ -80,8 +80,6 @@ pub enum ForwardDecision {
 /// Static configuration shared by every device's [`RoutingState`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutingConfig {
-    /// Active scheme.
-    pub scheme: Scheme,
     /// EWMA smoothing factor α of Eq. 4 (paper evaluation: 0.5).
     pub alpha: f64,
     /// Frame size used to convert capacities into packet service times,
@@ -96,12 +94,10 @@ pub struct RoutingConfig {
 }
 
 impl RoutingConfig {
-    /// The paper's evaluation setting for a given scheme: α = 0.5,
-    /// 255-byte frames, default RGQ bounds and capacity map, 12-message
-    /// bundles.
-    pub fn paper_default(scheme: Scheme) -> Self {
+    /// The paper's evaluation setting: α = 0.5, 255-byte frames, default
+    /// RGQ bounds and capacity map, 12-message bundles.
+    pub fn paper_default() -> Self {
         RoutingConfig {
-            scheme,
             alpha: 0.5,
             packet_bits: 255.0 * 8.0,
             rgq: Rgq::paper_default(),
@@ -115,11 +111,11 @@ impl RoutingConfig {
 /// bounds, the ROBC donor ledger, and the pluggable
 /// [`ForwardingPolicy`] the decisions dispatch through.
 ///
-/// [`RoutingState::new`] instantiates the built-in policy for the
-/// configured [`Scheme`]; [`RoutingState::with_policy`] plugs in any
-/// user-defined one. The shared machinery (estimators, ledger) is owned
-/// here and updated on every hook *before* the policy sees it, so every
-/// policy — built-in or custom — observes the same world.
+/// [`RoutingState::new`] plugs in any policy — a paper scheme's
+/// ([`Scheme::policy`]) or a user-defined one. The shared machinery
+/// (estimators, ledger) is owned here and updated on every hook *before*
+/// the policy sees it, so every policy — built-in or custom — observes
+/// the same world.
 ///
 /// The embedding simulator calls:
 ///
@@ -150,16 +146,9 @@ impl Clone for RoutingState {
 }
 
 impl RoutingState {
-    /// Creates the routing state for one device running the built-in
-    /// policy of `config.scheme`.
-    pub fn new(config: RoutingConfig) -> Self {
-        let policy = config.scheme.policy();
-        RoutingState::with_policy(config, policy)
-    }
-
-    /// Creates the routing state for one device running an explicit
-    /// policy under `config`.
-    pub fn with_policy(config: RoutingConfig, policy: Box<dyn ForwardingPolicy>) -> Self {
+    /// Creates the routing state for one device running `policy` under
+    /// `config`.
+    pub fn new(config: RoutingConfig, policy: Box<dyn ForwardingPolicy>) -> Self {
         RoutingState {
             estimator: RcaEtxEstimator::new(config.alpha, config.packet_bits),
             ca_estimator: CaEtxEstimator::new(config.packet_bits),
@@ -167,14 +156,6 @@ impl RoutingState {
             policy,
             config,
         }
-    }
-
-    /// Creates the routing state for one device running `policy` under
-    /// the policy's own
-    /// [`default_config`](ForwardingPolicy::default_config).
-    pub fn for_policy(policy: Box<dyn ForwardingPolicy>) -> Self {
-        let config = policy.default_config();
-        RoutingState::with_policy(config, policy)
     }
 
     /// The configuration.
@@ -286,11 +267,6 @@ impl RoutingState {
         self.estimator.rca_etx_at(now, wait_s)
     }
 
-    /// The bounded gateway quality φ previewed at `now`.
-    pub fn phi_at(&self, now: SimTime, wait_s: f64) -> f64 {
-        self.config.rgq.phi(self.rca_etx_at(now, wait_s))
-    }
-
     /// The device's bounded gateway quality φ.
     pub fn phi(&self) -> f64 {
         self.config.rgq.phi(self.rca_etx())
@@ -356,7 +332,7 @@ mod tests {
     use super::*;
 
     fn state(scheme: Scheme) -> RoutingState {
-        RoutingState::new(RoutingConfig::paper_default(scheme))
+        RoutingState::new(RoutingConfig::paper_default(), scheme.policy())
     }
 
     /// Gives `s` a contact history: `good` devices reach the gateway every

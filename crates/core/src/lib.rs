@@ -27,6 +27,7 @@
 //!   exposing the staleness problem RCA-ETX fixes.
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod ca_etx;
 mod contact;

@@ -7,8 +7,9 @@
 //! device beacons, whether an overheard beacon triggers a handover, and
 //! how much of the queue moves. The four paper schemes are built-in
 //! policies ([`NoRoutingPolicy`], [`CaEtxPolicy`], [`RcaEtxPolicy`],
-//! [`RobcPolicy`]); [`Scheme`] stays as a thin constructor over them via
-//! [`Scheme::policy`]. User-defined policies (epidemic or
+//! [`RobcPolicy`]); [`Scheme`] names them — [`Scheme::policy`] builds
+//! one, and `PolicySpec::from(scheme)` is the handle configurations and
+//! sweep axes carry. User-defined policies (epidemic or
 //! spray-and-wait-style DTN baselines, queue-aware hybrids, learned
 //! heuristics) implement the same trait and ride the identical engine
 //! path.
@@ -24,7 +25,7 @@
 //!
 //! ```
 //! use mlora_core::{
-//!     Beacon, ForwardingPolicy, PolicyContext, RoutingState, Rssi, Scheme,
+//!     Beacon, ForwardingPolicy, PolicyContext, RoutingConfig, RoutingState, Rssi,
 //! };
 //!
 //! /// Forward a fixed quota to any strictly better-connected neighbour.
@@ -50,9 +51,8 @@
 //! // (for `ctx.link_rca_etx(rssi)`, say) pays for its logarithms by
 //! // reading `rssi.dbm()`, and one that ignores it, like this one, pays
 //! // nothing.
-//! let state = RoutingState::for_policy(Box::new(Quota(3)));
+//! let state = RoutingState::new(RoutingConfig::paper_default(), Box::new(Quota(3)));
 //! assert_eq!(state.policy().label(), "quota");
-//! assert_eq!(state.config().scheme, Scheme::NoRouting); // default config
 //! ```
 
 use mlora_phy::Rssi;
@@ -242,8 +242,7 @@ pub trait ForwardingPolicy: std::fmt::Debug + Send + Sync {
         if ctx.queue_len() == 0 || !self.forwards(ctx, beacon, rssi) {
             return ForwardDecision::Keep;
         }
-        // Clamp to both invariants the enum path always enforced: never
-        // offer more than the backlog holds, never more than one
+        // Never offer more than the backlog holds, never more than one
         // handover frame carries.
         let count = self
             .transfer_amount(ctx, beacon)
@@ -268,13 +267,6 @@ pub trait ForwardingPolicy: std::fmt::Debug + Send + Sync {
     /// Hook: the device accepted a handover from `donor`. The ledger has
     /// already recorded the donor.
     fn on_received_data(&mut self, _donor: NodeId) {}
-
-    /// The routing configuration a standalone device of this policy runs
-    /// ([`RoutingState::for_policy`](crate::RoutingState::for_policy)
-    /// uses it). Defaults to the paper's evaluation setting.
-    fn default_config(&self) -> RoutingConfig {
-        RoutingConfig::paper_default(Scheme::NoRouting)
-    }
 }
 
 /// Plain LoRaWAN: never forwards — the paper's baseline as a policy.
@@ -296,10 +288,6 @@ impl ForwardingPolicy for NoRoutingPolicy {
 
     fn transfer_amount(&self, _ctx: &PolicyContext<'_>, _beacon: &Beacon) -> usize {
         0
-    }
-
-    fn default_config(&self) -> RoutingConfig {
-        RoutingConfig::paper_default(Scheme::NoRouting)
     }
 }
 
@@ -326,10 +314,6 @@ impl ForwardingPolicy for CaEtxPolicy {
         // Long-term statistics only: no real-time preview.
         greedy_forward_rule(ctx.ca_etx(), beacon.rca_etx, ctx.link_rca_etx(rssi))
     }
-
-    fn default_config(&self) -> RoutingConfig {
-        RoutingConfig::paper_default(Scheme::CaEtx)
-    }
 }
 
 /// Greedy handover by the Eq. 1 RCA-ETX comparison (§IV).
@@ -347,10 +331,6 @@ impl ForwardingPolicy for RcaEtxPolicy {
 
     fn forwards(&mut self, ctx: &PolicyContext<'_>, beacon: &Beacon, rssi: Rssi<'_>) -> bool {
         greedy_forward_rule(ctx.rca_etx_now(), beacon.rca_etx, ctx.link_rca_etx(rssi))
-    }
-
-    fn default_config(&self) -> RoutingConfig {
-        RoutingConfig::paper_default(Scheme::RcaEtx)
     }
 }
 
@@ -390,15 +370,10 @@ impl ForwardingPolicy for RobcPolicy {
             ctx.phi_of(beacon.rca_etx),
         )
     }
-
-    fn default_config(&self) -> RoutingConfig {
-        RoutingConfig::paper_default(Scheme::Robc)
-    }
 }
 
 impl Scheme {
-    /// The built-in policy implementing this scheme — [`Scheme`] as a
-    /// thin constructor over the open [`ForwardingPolicy`] family.
+    /// The built-in policy implementing this scheme.
     pub fn policy(self) -> Box<dyn ForwardingPolicy> {
         match self {
             Scheme::NoRouting => Box::new(NoRoutingPolicy),
@@ -418,15 +393,23 @@ impl Scheme {
 /// way. Two specs compare **equal when their labels match** — the label
 /// is the policy's identity throughout reports and experiment cells, so
 /// distinct policies must carry distinct labels.
+///
+/// A spec built from a [`Scheme`] (`PolicySpec::from(Scheme::Robc)`, or
+/// a bare `Scheme` wherever `impl Into<PolicySpec>` is taken) remembers
+/// it: [`PolicySpec::scheme`] is what a scenario file stores.
 #[derive(Debug)]
 pub struct PolicySpec {
     prototype: Box<dyn ForwardingPolicy>,
+    scheme: Option<Scheme>,
 }
 
 impl PolicySpec {
     /// Wraps a boxed policy prototype.
     pub fn new(prototype: Box<dyn ForwardingPolicy>) -> Self {
-        PolicySpec { prototype }
+        PolicySpec {
+            prototype,
+            scheme: None,
+        }
     }
 
     /// Wraps a policy value (`PolicySpec::of(RobcPolicy)`).
@@ -444,15 +427,19 @@ impl PolicySpec {
         self.prototype.clone_box()
     }
 
-    /// The policy's default routing configuration.
-    pub fn default_config(&self) -> RoutingConfig {
-        self.prototype.default_config()
+    /// The paper scheme this spec was built from, if it was — `None`
+    /// for any policy wrapped directly, a built-in one included.
+    pub fn scheme(&self) -> Option<Scheme> {
+        self.scheme
     }
 }
 
 impl Clone for PolicySpec {
     fn clone(&self) -> Self {
-        PolicySpec::new(self.prototype.clone_box())
+        PolicySpec {
+            prototype: self.prototype.clone_box(),
+            scheme: self.scheme,
+        }
     }
 }
 
@@ -465,7 +452,10 @@ impl PartialEq for PolicySpec {
 
 impl From<Scheme> for PolicySpec {
     fn from(scheme: Scheme) -> Self {
-        PolicySpec::new(scheme.policy())
+        PolicySpec {
+            prototype: scheme.policy(),
+            scheme: Some(scheme),
+        }
     }
 }
 
@@ -480,33 +470,11 @@ mod tests {
     use super::*;
     use crate::RoutingState;
 
-    fn warmed(scheme: Scheme, good: bool) -> RoutingState {
-        let mut s = RoutingState::new(RoutingConfig::paper_default(scheme));
-        for i in 0..8u64 {
-            let t = SimTime::from_secs(i * 180);
-            let cap = if good || i == 0 { Some(4_000.0) } else { None };
-            s.on_sink_slot(t, cap, 0.0);
-        }
-        s
-    }
-
     #[test]
     fn builtin_labels_match_schemes() {
         for scheme in Scheme::WITH_CA_ETX {
             assert_eq!(scheme.policy().label(), scheme.label());
             assert_eq!(PolicySpec::from(scheme).label(), scheme.label());
-        }
-    }
-
-    #[test]
-    fn builtin_default_configs_match_paper_defaults() {
-        for scheme in Scheme::WITH_CA_ETX {
-            assert_eq!(
-                scheme.policy().default_config(),
-                RoutingConfig::paper_default(scheme)
-            );
-            let state = RoutingState::for_policy(scheme.policy());
-            assert_eq!(state.config().scheme, scheme);
         }
     }
 
@@ -518,37 +486,9 @@ mod tests {
         assert_eq!(a.clone(), a);
         assert_ne!(a, PolicySpec::of(RcaEtxPolicy));
         assert_eq!(a.to_string(), "ROBC");
-        assert_eq!(a.default_config().scheme, Scheme::Robc);
-    }
-
-    #[test]
-    fn trait_path_matches_enum_semantics() {
-        // A poorly connected RCA-ETX device forwards to a well-connected
-        // beacon through both construction paths, with identical counts.
-        let beacon = Beacon {
-            sender: NodeId::new(2),
-            rca_etx: 1.0,
-            queue_len: 3,
-        };
-        let mut by_enum = warmed(Scheme::RcaEtx, false);
-        let mut by_trait = RoutingState::with_policy(
-            RoutingConfig::paper_default(Scheme::RcaEtx),
-            Box::new(RcaEtxPolicy),
-        );
-        for i in 0..8u64 {
-            let t = SimTime::from_secs(i * 180);
-            let cap = if i == 0 { Some(4_000.0) } else { None };
-            by_trait.on_sink_slot(t, cap, 0.0);
-        }
-        let now = SimTime::from_secs(1260);
-        assert_eq!(
-            by_enum.decide(now, 0.0, 5, &beacon, -85.0),
-            by_trait.decide(now, 0.0, 5, &beacon, -85.0)
-        );
-        assert_eq!(
-            by_enum.beacon_metric().to_bits(),
-            by_trait.beacon_metric().to_bits()
-        );
+        // Equal by label, though only one came from the scheme.
+        assert_eq!((a.scheme(), b.scheme()), (None, Some(Scheme::Robc)));
+        assert_eq!(b.clone().scheme(), Some(Scheme::Robc));
     }
 
     #[test]
@@ -575,7 +515,7 @@ mod tests {
                 2
             }
         }
-        let mut state = RoutingState::for_policy(Box::new(TwoToAnyone));
+        let mut state = RoutingState::new(RoutingConfig::paper_default(), Box::new(TwoToAnyone));
         let beacon = Beacon {
             sender: NodeId::new(9),
             rca_etx: 1.0,
@@ -625,7 +565,8 @@ mod tests {
                 self.receptions += 1;
             }
         }
-        let mut state = RoutingState::for_policy(Box::<Counting>::default());
+        let mut state =
+            RoutingState::new(RoutingConfig::paper_default(), Box::<Counting>::default());
         state.on_sink_slot(SimTime::ZERO, None, 0.0);
         state.on_received_data(NodeId::new(1));
         state.on_received_data(NodeId::new(2));

@@ -13,6 +13,7 @@
 //!   scratch, the backbone of neighbour discovery.
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod bbox;
 mod grid;

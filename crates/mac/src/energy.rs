@@ -41,16 +41,6 @@ impl EnergyModel {
             sleep_mw: 0.0033,
         }
     }
-
-    /// Power draw in the given state, mW.
-    pub fn power_mw(&self, state: RadioState) -> f64 {
-        match state {
-            RadioState::Tx => self.tx_mw,
-            RadioState::Rx => self.rx_mw,
-            RadioState::Idle => self.idle_mw,
-            RadioState::Sleep => self.sleep_mw,
-        }
-    }
 }
 
 impl Default for EnergyModel {

@@ -20,6 +20,7 @@
 //!   accounting for the class comparison (§VII.C).
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod class;
 mod dutycycle;

@@ -34,6 +34,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod diurnal;
 mod metro;

@@ -16,6 +16,7 @@
 //!   capture margin.
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod airtime;
 mod capacity;

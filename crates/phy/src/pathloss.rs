@@ -81,26 +81,21 @@ impl LogDistanceModel {
 
     /// One shadowing term: a fresh `N(0, σ²)` draw, or exactly `0.0` when
     /// shadowing is disabled (so a disabled channel consumes no RNG).
-    ///
-    /// Splitting the draw out of [`LogDistanceModel::sample_rssi_dbm`]
-    /// lets a caller precompute the deterministic mean elsewhere (e.g. on
-    /// a worker thread) and recombine via
-    /// [`LogDistanceModel::compose_rssi_dbm`] bit-identically.
-    pub fn shadow_db(&self, rng: &mut SimRng) -> f64 {
+    fn shadow_db(&self, rng: &mut SimRng) -> f64 {
         self.shadow_db_of(self.shadow_draw(rng))
     }
 
     /// The RNG words of one shadowing term, not yet evaluated: the two
-    /// uniforms [`LogDistanceModel::shadow_db`] would consume, or `None`
-    /// (and an untouched stream) when shadowing is disabled.
+    /// uniforms [`LogDistanceModel::sample_rssi_dbm`] would consume, or
+    /// `None` (and an untouched stream) when shadowing is disabled.
     #[inline]
     pub fn shadow_draw(&self, rng: &mut SimRng) -> Option<NormalDraw> {
         (self.shadowing_sigma_db > 0.0).then(|| rng.standard_normal_draw())
     }
 
     /// The shadowing term a [`LogDistanceModel::shadow_draw`] evaluates
-    /// to: `shadow_db_of(shadow_draw(rng))` is
-    /// [`LogDistanceModel::shadow_db`], bit for bit.
+    /// to: the one [`LogDistanceModel::sample_rssi_dbm`] adds when it
+    /// draws those words, bit for bit.
     pub fn shadow_db_of(&self, draw: Option<NormalDraw>) -> f64 {
         draw.map_or(0.0, |d| d.scaled(0.0, self.shadowing_sigma_db))
     }
@@ -113,7 +108,7 @@ impl LogDistanceModel {
     /// `compose_rssi_dbm(mean_rssi_dbm(p, d), shadow_db(rng), x)` is
     /// bit-identical to `sample_rssi_dbm_attenuated(p, d, x, rng)`.
     #[inline]
-    pub fn compose_rssi_dbm(mean_rssi_dbm: f64, shadow_db: f64, extra_loss_db: f64) -> f64 {
+    fn compose_rssi_dbm(mean_rssi_dbm: f64, shadow_db: f64, extra_loss_db: f64) -> f64 {
         (mean_rssi_dbm + shadow_db) - extra_loss_db
     }
 

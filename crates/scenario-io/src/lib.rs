@@ -98,6 +98,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod container;
 mod wire;

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use mlora_core::{PolicySpec, RoutingConfig, RoutingState, Scheme};
+use mlora_core::{PolicySpec, RoutingConfig, RoutingState};
 use mlora_mobility::{BusNetwork, BusNetworkConfig};
 use mlora_phy::{CapacityModel, LogDistanceModel, PhyParams};
 use mlora_simcore::SimDuration;
@@ -96,17 +96,13 @@ pub struct SimConfig {
     pub gateway_range_m: f64,
     /// Radio environment (device-to-device range).
     pub environment: Environment,
-    /// Forwarding scheme under test. Names one of the four built-in
-    /// policies; ignored for dispatch (but kept as the axis value) when
-    /// [`SimConfig::policy`] plugs in an explicit policy.
-    pub scheme: Scheme,
-    /// An explicit forwarding policy overriding [`SimConfig::scheme`].
-    /// `None` (the default everywhere) runs the built-in policy of
-    /// `scheme`; `Some` instantiates this prototype per device instead —
-    /// the hook user-defined
+    /// The forwarding policy under test: one of the paper's schemes
+    /// (`Scheme::Robc.into()`) or a user-defined
     /// [`ForwardingPolicy`](mlora_core::ForwardingPolicy)
-    /// implementations enter the engine through.
-    pub policy: Option<PolicySpec>,
+    /// ([`PolicySpec::of`]). Every device instantiates its own copy of
+    /// this prototype, and its label is the run's
+    /// [`SimReport::scheme`](crate::SimReport).
+    pub policy: PolicySpec,
     /// EWMA smoothing factor α (paper evaluation: 0.5).
     pub alpha: f64,
     /// Device class for the fleet.
@@ -261,10 +257,11 @@ pub(crate) fn check_unit_interval(
 }
 
 impl SimConfig {
-    /// The paper's §VII.A setting for a scheme/environment pair: 600 km²,
+    /// The paper's §VII.A setting for a policy/environment pair: 600 km²,
     /// 24 h, grid gateways at 1 km range, 3-minute 20-byte messages, SF7,
-    /// 1 % duty cycle, α = 0.5, Modified Class-C.
-    pub fn paper_default(scheme: Scheme, environment: Environment) -> Self {
+    /// 1 % duty cycle, α = 0.5, Modified Class-C. A bare
+    /// [`Scheme`](mlora_core::Scheme) is a policy.
+    pub fn paper_default(policy: impl Into<PolicySpec>, environment: Environment) -> Self {
         SimConfig {
             network: BusNetworkConfig::default(),
             world: None,
@@ -272,8 +269,7 @@ impl SimConfig {
             placement: GatewayPlacement::Grid,
             gateway_range_m: 1_000.0,
             environment,
-            scheme,
-            policy: None,
+            policy: policy.into(),
             alpha: 0.5,
             device_class: DeviceClassChoice::ModifiedClassC,
             gen_interval: SimDuration::from_mins(3),
@@ -292,8 +288,8 @@ impl SimConfig {
 
     /// A small, fast configuration for unit/integration tests and micro
     /// benches: 100 km², 2 simulated hours, a few dozen buses.
-    pub fn smoke_test(scheme: Scheme, environment: Environment) -> Self {
-        let mut cfg = SimConfig::paper_default(scheme, environment);
+    pub fn smoke_test(policy: impl Into<PolicySpec>, environment: Environment) -> Self {
+        let mut cfg = SimConfig::paper_default(policy, environment);
         cfg.network.area_side_m = 10_000.0;
         cfg.network.num_routes = 12;
         cfg.network.max_active_buses = 40;
@@ -307,8 +303,8 @@ impl SimConfig {
     /// The mid-scale configuration behind `repro --quick` and the engine
     /// microbenches: the full 600 km² area and fleet profile shape, but a
     /// 6-hour horizon spanning the morning ramp so runs finish in seconds.
-    pub fn bench_scale(scheme: Scheme, environment: Environment) -> Self {
-        let mut cfg = SimConfig::paper_default(scheme, environment);
+    pub fn bench_scale(policy: impl Into<PolicySpec>, environment: Environment) -> Self {
+        let mut cfg = SimConfig::paper_default(policy, environment);
         cfg.network.max_active_buses = 800;
         cfg.network.num_routes = 80;
         cfg.network.horizon = SimDuration::from_hours(6);
@@ -327,7 +323,6 @@ impl SimConfig {
     /// The routing configuration devices run.
     pub fn routing_config(&self) -> RoutingConfig {
         RoutingConfig {
-            scheme: self.scheme,
             alpha: self.alpha,
             packet_bits: self.packet_bits(),
             rgq: mlora_core::Rgq::paper_default(),
@@ -336,25 +331,10 @@ impl SimConfig {
         }
     }
 
-    /// Instantiates one device's routing brain: the configured scheme's
-    /// built-in policy, or a fresh instance of the explicit
-    /// [`SimConfig::policy`] prototype when one is plugged in.
+    /// Instantiates one device's routing brain: a fresh instance of the
+    /// [`SimConfig::policy`] prototype over the shared machinery.
     pub fn routing_state(&self) -> RoutingState {
-        match &self.policy {
-            None => RoutingState::new(self.routing_config()),
-            Some(spec) => RoutingState::with_policy(self.routing_config(), spec.build()),
-        }
-    }
-
-    /// The label identifying the active forwarding policy — the explicit
-    /// policy's label when one is set, the scheme's figure label
-    /// otherwise. Flows into [`SimReport::scheme`](crate::SimReport) and
-    /// every table keyed by scheme.
-    pub fn scheme_label(&self) -> &str {
-        match &self.policy {
-            None => self.scheme.label(),
-            Some(spec) => spec.label(),
-        }
+        RoutingState::new(self.routing_config(), self.policy.build())
     }
 
     /// Validates the configuration.
@@ -402,17 +382,15 @@ impl SimConfig {
         }
         check_unit_interval("alpha", self.alpha, 0.0, 1.0)?;
         self.validate_channel_model()?;
-        if let Some(spec) = &self.policy {
-            // Labels are the policy's identity in reports and sweep
-            // cells; an empty one would collapse table rows.
-            if spec.label().is_empty() {
-                return Err(ConfigError::Invalid("policy label must not be empty"));
-            }
-            if spec.label().chars().count() > MAX_POLICY_LABEL {
-                return Err(ConfigError::Invalid(
-                    "policy label exceeds the report-table width limit",
-                ));
-            }
+        // Labels are the policy's identity in reports and sweep cells;
+        // an empty one would collapse table rows.
+        if self.policy.label().is_empty() {
+            return Err(ConfigError::Invalid("policy label must not be empty"));
+        }
+        if self.policy.label().chars().count() > MAX_POLICY_LABEL {
+            return Err(ConfigError::Invalid(
+                "policy label exceeds the report-table width limit",
+            ));
         }
         if self.gen_interval.is_zero() {
             return Err(ConfigError::Zero {
@@ -504,6 +482,7 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mlora_core::Scheme;
 
     #[test]
     fn environment_ranges() {
@@ -681,19 +660,16 @@ mod tests {
         }
 
         let mut c = SimConfig::smoke_test(Scheme::NoRouting, Environment::Urban);
-        c.policy = Some(PolicySpec::of(Labelled(String::new())));
+        c.policy = PolicySpec::of(Labelled(String::new()));
         assert_eq!(
             c.validate().unwrap_err().field(),
             "policy label must not be empty"
         );
-        c.policy = Some(PolicySpec::of(Labelled("x".repeat(49))));
+        c.policy = PolicySpec::of(Labelled("x".repeat(49)));
         assert!(c.validate().is_err());
-        c.policy = Some(PolicySpec::of(Labelled("flood-fill".into())));
+        c.policy = PolicySpec::of(Labelled("flood-fill".into()));
         assert_eq!(c.validate(), Ok(()));
-        assert_eq!(c.scheme_label(), "flood-fill");
-        // Without a policy the scheme's figure label applies.
-        c.policy = None;
-        assert_eq!(c.scheme_label(), "LoRaWAN");
+        assert_eq!(c.policy.label(), "flood-fill");
     }
 
     #[test]

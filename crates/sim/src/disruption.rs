@@ -20,7 +20,8 @@
 //! * [`NoiseBurst`] — a regional channel impairment: every receiver
 //!   inside a disc loses `extra_loss_db` of RSSI on every frame while
 //!   the burst is active (a raised noise floor, subtracted after the
-//!   shadowing draw by [`mlora_phy::LogDistanceModel::compose_rssi_dbm`]).
+//!   shadowing draw, as in
+//!   [`mlora_phy::LogDistanceModel::sample_rssi_dbm_attenuated`]).
 //!
 //! An **empty plan is free**: no events are scheduled, no RNG stream is
 //! consumed, and runs are bit-identical to a build without the

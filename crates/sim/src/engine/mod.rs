@@ -107,9 +107,9 @@ enum Event {
     Disruption(u32),
 }
 
-/// Execution statistics of one engine run: returned by
-/// [`Engine::run_instrumented`] for throughput benchmarking and readable
-/// mid-run through [`Engine::stats`].
+/// Execution statistics of one engine run so far, read through
+/// [`Engine::stats`] — after [`Engine::run_until`] has reached the
+/// horizon, the whole run's.
 ///
 /// `queue_depth_high_water` and `device_rows` measure how much state the
 /// engine holds, in units a test can compare without a clock: both
@@ -191,9 +191,6 @@ pub struct Engine {
     /// a device's traffic is a pure function of the seed and its
     /// identity. Never drawn from when the model is empty.
     traffic_root: SimRng,
-    /// Set once the engine has run: the engine keeps end-of-run state
-    /// for inspection and must not be executed again.
-    executed: bool,
     /// Set once initial events are seeded: stepping entry points start
     /// lazily, exactly once.
     started: bool,
@@ -242,7 +239,7 @@ impl Engine {
         };
         let gateways = place_gateways(net.area(), cfg.num_gateways, cfg.placement, &mut deploy_rng);
         let collector = Collector::new(
-            cfg.scheme_label().to_string(),
+            cfg.policy.label().to_string(),
             cfg.series_bucket,
             cfg.horizon,
             &cfg.traffic,
@@ -290,7 +287,6 @@ impl Engine {
             timeline,
             disruption_rng: root.fork(13),
             traffic_root: root.fork(14),
-            executed: false,
             started: false,
             events_processed: 0,
             queue_depth_high_water: 0,
@@ -311,27 +307,9 @@ impl Engine {
         &self.world.net
     }
 
-    /// The one internal run driver: every public `run*` entry point is a
-    /// thin projection of this. Consumes the engine (state is spent
-    /// after a run) and returns everything any wrapper needs.
-    fn drive(mut self, observer: &mut dyn SimObserver) -> (SimReport, EngineStats, Engine) {
-        let (report, stats) = self.execute(observer);
-        (report, stats, self)
-    }
-
     /// Runs the simulation to the horizon and returns the report.
     pub fn run(self) -> SimReport {
-        self.drive(&mut NullObserver).0
-    }
-
-    /// Runs the simulation and additionally returns execution statistics
-    /// (processed-event counts) for throughput benchmarking.
-    ///
-    /// The report is identical to [`Engine::run`] for the same
-    /// configuration and seed.
-    pub fn run_instrumented(self) -> (SimReport, EngineStats) {
-        let (report, stats, _) = self.drive(&mut NullObserver);
-        (report, stats)
+        self.run_with_observer(&mut NullObserver)
     }
 
     /// Runs the simulation, streaming events to `observer`.
@@ -339,23 +317,12 @@ impl Engine {
     /// Observers are passive: the event stream and the returned report
     /// are identical to [`Engine::run`] for the same configuration and
     /// seed.
-    pub fn run_with_observer(self, observer: &mut dyn SimObserver) -> SimReport {
-        self.drive(observer).0
+    pub fn run_with_observer(mut self, observer: &mut dyn SimObserver) -> SimReport {
+        self.advance_until(self.horizon, observer);
+        self.finalize(observer)
     }
 
-    /// Runs the simulation and returns the spent engine alongside the
-    /// report, for post-run invariant inspection (see
-    /// [`Engine::gateway_grid_matches_rebuild`]). The report is
-    /// identical to [`Engine::run`] for the same configuration and seed.
-    ///
-    /// The returned engine holds end-of-run state and is inspection-only:
-    /// feeding it back into any `run*` method panics.
-    pub fn run_returning_engine(self) -> (SimReport, Engine) {
-        let (report, _, engine) = self.drive(&mut NullObserver);
-        (report, engine)
-    }
-
-    /// Which gateways are in service after (or before) a run: `true`
+    /// Which gateways are in service right now: `true`
     /// means up. All gateways start up; scripted outages toggle them.
     pub fn gateways_up(&self) -> Vec<bool> {
         self.delivery.gateways_up()
@@ -387,10 +354,6 @@ impl Engine {
     /// `t1 < t2 < …` processes exactly the event sequence one
     /// uninterrupted [`Engine::run`] would, so a [`Engine::snapshot`]
     /// taken between steps resumes bit-identically.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an engine whose run already completed.
     pub fn run_until(&mut self, t: SimTime) -> u64 {
         self.advance_until(t, &mut NullObserver)
     }
@@ -400,13 +363,8 @@ impl Engine {
     /// the report. `run_until(t)` followed by `finish()` yields a report
     /// bit-identical to [`Engine::run`] on the same configuration and
     /// seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an engine whose run already completed.
-    pub fn finish(mut self) -> SimReport {
-        self.advance_until(self.horizon, &mut NullObserver);
-        self.finalize(&mut NullObserver).0
+    pub fn finish(self) -> SimReport {
+        self.run()
     }
 
     /// Verifies that the incrementally maintained gateway grid matches a
@@ -414,11 +372,6 @@ impl Engine {
     /// the invariant the outage/recovery mutation paths preserve.
     pub fn gateway_grid_matches_rebuild(&self) -> bool {
         self.delivery.grid_matches_rebuild(self.world.net.area())
-    }
-
-    fn execute(&mut self, observer: &mut dyn SimObserver) -> (SimReport, EngineStats) {
-        self.advance_until(self.horizon, observer);
-        self.finalize(observer)
     }
 
     /// Seeds the initial events (the compiled disruption timeline; trip
@@ -463,10 +416,6 @@ impl Engine {
         observer: &mut dyn SimObserver,
         mut on_event: impl FnMut(SimTime, u64, Event),
     ) -> u64 {
-        // The run consumers all take `self` by value, so this can only
-        // trip if a future caller tries to re-run the engine returned by
-        // `run_returning_engine` — whose state is spent.
-        assert!(!self.executed, "engine already ran; build a new one");
         self.start();
         let limit = limit.min(self.horizon);
         let mut events_processed: u64 = 0;
@@ -531,12 +480,8 @@ impl Engine {
 
     /// Ends the run: retires the surviving fleet at the horizon, closes
     /// open outage windows, counts stranded messages and finishes the
-    /// collector into the report. The engine is spent afterwards.
-    fn finalize(&mut self, observer: &mut dyn SimObserver) -> (SimReport, EngineStats) {
-        assert!(!self.executed, "engine already ran; build a new one");
-        self.start();
-        self.executed = true;
-
+    /// collector into the report.
+    fn finalize(mut self, observer: &mut dyn SimObserver) -> SimReport {
         // Retire any device still in service at the horizon.
         let still_active: Vec<NodeId> = self.world.active.clone();
         self.now = self.horizon;
@@ -558,18 +503,9 @@ impl Engine {
         }
         self.delivery.collector.on_stranded(stranded.len() as u64);
 
-        let collector = std::mem::replace(
-            &mut self.delivery.collector,
-            Collector::new(
-                self.cfg.scheme_label().to_string(),
-                self.cfg.series_bucket,
-                self.cfg.horizon,
-                &self.cfg.traffic,
-            ),
-        );
-        let report = collector.finish();
+        let report = self.delivery.collector.finish();
         observer.on_run_end(&report);
-        (report, self.stats())
+        report
     }
 
     /// Applies one compiled disruption event.
@@ -1056,11 +992,19 @@ mod tests {
         assert!(stats.queue_depth_high_water <= 3 * stats.device_rows);
     }
 
+    /// A whole run's statistics: step to the horizon, read, finish.
+    fn run_with_stats(cfg: SimConfig, seed: u64) -> (SimReport, EngineStats) {
+        let mut engine = Engine::new(cfg, seed);
+        engine.run_until(SimTime::MAX);
+        let stats = engine.stats();
+        (engine.finish(), stats)
+    }
+
     #[test]
     fn instrumented_run_matches_plain_run() {
         let cfg = SimConfig::smoke_test(Scheme::Robc, Environment::Urban);
         let plain = Engine::new(cfg.clone(), 7).run();
-        let (report, stats) = Engine::new(cfg, 7).run_instrumented();
+        let (report, stats) = run_with_stats(cfg, 7);
         assert_eq!(plain, report);
         assert!(
             stats.events_processed > report.generated + report.frames_sent,
@@ -1077,8 +1021,8 @@ mod tests {
     fn reception_counters_follow_the_readers() {
         for scheme in Scheme::WITH_CA_ETX {
             let cfg = SimConfig::smoke_test(scheme, Environment::Urban);
-            let (_, stats) = Engine::new(cfg.clone(), 7).run_instrumented();
-            let (_, again) = Engine::new(cfg, 7).run_instrumented();
+            let (_, stats) = run_with_stats(cfg.clone(), 7);
+            let (_, again) = run_with_stats(cfg, 7);
             assert_eq!(stats, again, "{scheme}");
             assert!(stats.receptions > 100, "{scheme}: {stats:?}");
             assert!(

@@ -311,7 +311,7 @@ impl Engine {
     /// Captures the engine's complete mid-run state as a [`Snapshot`].
     ///
     /// The engine must be *mid-run*: started (at least one
-    /// [`Engine::run_until`] call) and not yet finished. The engine is
+    /// [`Engine::run_until`] call). The engine is
     /// not perturbed — stepping on after a snapshot produces exactly
     /// the run that would have happened without one.
     ///
@@ -324,11 +324,6 @@ impl Engine {
         if !self.started {
             return Err(SnapshotError::NotRunning(
                 "not started; step it with run_until first",
-            ));
-        }
-        if self.executed {
-            return Err(SnapshotError::NotRunning(
-                "run already finished; nothing left to capture",
             ));
         }
         let (queue_records, event_seq) = self.events.raw_parts();
@@ -1024,7 +1019,7 @@ fn get_device<R: Read>(
     let ca = CaEtxEstimator::from_raw_parts(ca_bits, gaps, capacities, last_contact);
     let ledger = DonorLedger::from_donors(donors);
     let routing_config = cfg.routing_config();
-    let policy = routing_config.scheme.policy();
+    let policy = cfg.policy.build();
     Ok((
         Device {
             activated_at,

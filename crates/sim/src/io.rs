@@ -12,8 +12,10 @@
 //!   inverse; a loaded configuration runs bit-identically to the
 //!   in-memory original.
 //!
-//! Explicit [`ForwardingPolicy`](mlora_core::ForwardingPolicy) plug-ins
-//! are live code and cannot be serialized; saving a config with one
+//! The forwarding policy is stored as the tag of the
+//! [`Scheme`] its [`PolicySpec`] was built from. A
+//! [`ForwardingPolicy`](mlora_core::ForwardingPolicy) wrapped directly
+//! is live code and cannot be serialized; saving a config with one
 //! returns [`ScenarioFileError::UnsupportedPolicy`].
 //!
 //! Reading never panics on file content: clippy holds this module, like
@@ -30,7 +32,7 @@ use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-use mlora_core::Scheme;
+use mlora_core::{PolicySpec, Scheme};
 use mlora_geo::Point;
 use mlora_mac::Priority;
 use mlora_mobility::DiurnalProfile;
@@ -115,11 +117,11 @@ impl SimConfig {
     ///
     /// # Errors
     ///
-    /// [`ScenarioFileError::UnsupportedPolicy`] when an explicit policy
-    /// is plugged in, [`ScenarioFileError::Config`] when the
+    /// [`ScenarioFileError::UnsupportedPolicy`] when the policy was not
+    /// built from a [`Scheme`], [`ScenarioFileError::Config`] when the
     /// configuration is invalid, IO errors otherwise.
     pub fn to_writer<W: Write>(&self, out: W) -> Result<(), ScenarioFileError> {
-        if self.policy.is_some() {
+        if self.policy.scheme().is_none() {
             return Err(ScenarioFileError::UnsupportedPolicy);
         }
         self.validate()?;
@@ -197,8 +199,7 @@ impl SimConfig {
             placement: gateways.placement,
             gateway_range_m: gateways.gateway_range_m,
             environment: params.environment,
-            scheme: params.scheme,
-            policy: None,
+            policy: params.policy,
             alpha: params.alpha,
             device_class: params.device_class,
             gen_interval: params.gen_interval,
@@ -266,6 +267,21 @@ persist_enum!(Scheme, "bad scheme tag" {
     Scheme::Robc => 2,
     Scheme::CaEtx => 3,
 });
+
+/// A forwarding policy travels as the tag of the [`Scheme`] it was built
+/// from; [`SimConfig::to_writer`], the only writer, has refused any
+/// other — the writing side's own invariant, not file content.
+impl Persist for PolicySpec {
+    #[allow(clippy::expect_used)]
+    fn put(&self, enc: &mut Enc) {
+        let scheme = self.scheme().expect("to_writer checked the scheme");
+        scheme.put(enc);
+    }
+
+    fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
+        Scheme::get(r).map(PolicySpec::from)
+    }
+}
 persist_enum!(DeviceClassChoice, "bad device class tag" {
     DeviceClassChoice::ModifiedClassC => 0,
     DeviceClassChoice::QueueBasedClassA => 1,
@@ -340,7 +356,7 @@ persist_struct! {
     /// [`SimConfig`], under their names there.
     struct SimParams, written from SimConfig as put_sim_params {
         environment: Environment,
-        scheme: Scheme,
+        policy: PolicySpec,
         alpha: f64,
         device_class: DeviceClassChoice,
         gen_interval: SimDuration,
@@ -552,7 +568,7 @@ mod tests {
     fn policies_are_rejected() {
         let cfg = Scenario::urban()
             .smoke()
-            .policy(Box::new(mlora_core::RobcPolicy))
+            .scheme(PolicySpec::of(mlora_core::RobcPolicy))
             .build()
             .unwrap();
         let mut bytes = Vec::new();

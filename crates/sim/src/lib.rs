@@ -5,7 +5,8 @@
 //! 600 km² area; gateways sit on a uniform grid; devices generate a
 //! 20-byte reading every 3 minutes, bundle up to 12 readings per frame,
 //! respect the 1 % duty cycle, retransmit up to 8 times, and — depending
-//! on the configured [`Scheme`](mlora_core::Scheme) — opportunistically
+//! on the configured forwarding policy, one of the paper's
+//! [`Scheme`](mlora_core::Scheme)s or a user's own — opportunistically
 //! hand data to better-connected neighbours using RCA-ETX or ROBC.
 //!
 //! The public surface has three layers:
@@ -16,15 +17,18 @@
 //!   with built-in counters, time-series and CSV/JSON trace sinks, so one
 //!   run feeds any number of analyses.
 //! * [`ExperimentPlan`] + [`Runner`] — declarative sweeps over
-//!   environment/gateways/scheme/α/placement/class/disruptions/policies,
+//!   environment/gateways/scheme/α/placement/class/disruptions/traffic,
 //!   replicated over seeds and executed across worker threads into
 //!   [`ReplicatedReport`]s with mean/CI accessors.
 //!
-//! The forwarding layer itself is open: any [`ForwardingPolicy`]
-//! implementation plugs in through [`ScenarioBuilder::policy`] (or a
-//! [`policies`](ExperimentPlan::policies) sweep axis) and rides the
-//! exact engine path the paper's built-in schemes use; each run's
-//! [`SimReport::scheme`] carries the policy's label into every table.
+//! The forwarding layer itself is open: a [`PolicySpec`] is how a
+//! configuration names its policy, a bare `Scheme` converts into one,
+//! and any [`ForwardingPolicy`] implementation wrapped by
+//! [`PolicySpec::of`] goes wherever a scheme does —
+//! [`ScenarioBuilder::scheme`], a [`schemes`](ExperimentPlan::schemes)
+//! sweep axis — riding the exact engine path the paper's schemes use;
+//! each run's [`SimReport::scheme`] carries the policy's label into
+//! every table.
 //!
 //! Orthogonally, a [`DisruptionPlan`] scripts mid-run world events —
 //! gateway outages, fleet withdrawals, regional noise bursts — as a
@@ -68,7 +72,8 @@
 //!     .replicate(2);
 //! for cell in Runner::new().run(&plan)? {
 //!     let (lo, hi) = cell.report.ci95(|r| r.delivery_ratio());
-//!     println!("{:?}: delivery in [{lo:.2}, {hi:.2}]", cell.key.scheme);
+//!     let label = &cell.report.single().scheme;
+//!     println!("{label}: delivery in [{lo:.2}, {hi:.2}]");
 //! }
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

@@ -105,10 +105,10 @@ impl ProfileReport {
 /// * Fig. 13 — [`SimReport::mean_frames_per_node`]
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
-    /// Label of the forwarding scheme or custom policy the run executed
-    /// (see [`SimConfig::scheme_label`](crate::SimConfig::scheme_label))
-    /// — what [`report::scheme_table`](crate::report::scheme_table) and
-    /// observers key rows by.
+    /// Label of the forwarding policy the run executed — the
+    /// [`SimConfig::policy`](crate::SimConfig::policy)'s, a paper
+    /// scheme's figure label or a custom policy's own — which is what
+    /// the tables of [`crate::report`] and observers key rows by.
     pub scheme: String,
     /// Application messages generated.
     pub generated: u64,

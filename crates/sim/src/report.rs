@@ -9,21 +9,25 @@ use mlora_core::Scheme;
 use crate::runner::CellResult;
 use crate::{Environment, SimReport};
 
-/// One cell of the Fig. 8/9/12/13 sweeps: a (gateways, environment,
-/// scheme) combination and its simulation report.
+/// One cell of the Fig. 8/9/12/13 sweeps: a (gateways, environment)
+/// combination and its simulation report, whose
+/// [`scheme`](SimReport::scheme) label names the row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Number of gateways deployed.
     pub gateways: usize,
     /// Radio environment.
     pub environment: Environment,
-    /// Forwarding scheme.
-    pub scheme: Scheme,
     /// The run's metrics.
     pub report: SimReport,
 }
 
 impl SweepPoint {
+    /// Row order of the figure tables: environment, gateways, label.
+    fn row_key(&self) -> (&'static str, usize, &str) {
+        (self.environment.label(), self.gateways, &self.report.scheme)
+    }
+
     /// Extracts sweep points (one per cell, first replicate) from runner
     /// results — the bridge from the plan API to the per-figure
     /// formatters in this module.
@@ -33,7 +37,6 @@ impl SweepPoint {
             .map(|cell| SweepPoint {
                 gateways: cell.key.gateways,
                 environment: cell.key.environment,
-                scheme: cell.key.scheme,
                 report: cell.report.single().clone(),
             })
             .collect()
@@ -69,15 +72,15 @@ pub fn replicated_table(
         "{:>6} {:>6} {:>12} {:>5} {:>21}",
         "env", "gws", "scheme", "n", "value"
     );
-    let mut sorted = cells.to_vec();
-    sorted.sort_by_key(|c| {
+    let mut sorted: Vec<&CellResult> = cells.iter().collect();
+    sorted.sort_by_key(|&c| {
         (
             c.key.environment.label(),
             c.key.gateways,
-            c.key.scheme.label(),
+            &c.report.single().scheme,
         )
     });
-    for cell in &sorted {
+    for cell in sorted {
         let mean = cell.report.mean(&metric);
         let (lo, hi) = cell.report.ci95(&metric);
         let _ = writeln!(
@@ -85,7 +88,7 @@ pub fn replicated_table(
             "{:>6} {:>6} {:>12} {:>5} {:>12.1} ±{:>7.1}",
             cell.key.environment.label(),
             cell.key.gateways,
-            cell.key.scheme.label(),
+            cell.report.single().scheme,
             cell.report.n(),
             mean,
             (hi - lo) / 2.0,
@@ -106,16 +109,16 @@ pub fn resilience_table(cells: &[CellResult]) -> String {
         "{:>6} {:>6} {:>6} {:>12} {:>9} {:>9} {:>9} {:>10} {:>10}",
         "env", "plan", "gws", "scheme", "deliv%", "outage%", "clear%", "outage(s)", "withdrawn"
     );
-    let mut sorted = cells.to_vec();
-    sorted.sort_by_key(|c| {
+    let mut sorted: Vec<&CellResult> = cells.iter().collect();
+    sorted.sort_by_key(|&c| {
         (
             c.key.disruption,
             c.key.environment.label(),
             c.key.gateways,
-            c.key.scheme.label(),
+            &c.report.single().scheme,
         )
     });
-    for cell in &sorted {
+    for cell in sorted {
         let r = cell.report.single();
         let _ = writeln!(
             s,
@@ -123,7 +126,7 @@ pub fn resilience_table(cells: &[CellResult]) -> String {
             cell.key.environment.label(),
             cell.key.disruption,
             cell.key.gateways,
-            cell.key.scheme.label(),
+            r.scheme,
             100.0 * r.delivery_ratio(),
             100.0 * r.outage_delivery_ratio(),
             100.0 * r.clear_delivery_ratio(),
@@ -166,7 +169,7 @@ pub fn traffic_profile_table(report: &SimReport) -> String {
 /// replicate), keyed by the label each run's [`SimReport::scheme`]
 /// carries — so built-in schemes and user-defined
 /// [`ForwardingPolicy`](mlora_core::ForwardingPolicy) entries of a
-/// [`policies`](crate::ExperimentPlan::policies) sweep line up in one
+/// [`schemes`](crate::ExperimentPlan::schemes) sweep line up in one
 /// table with delivery, delay, hop and overhead columns.
 pub fn scheme_table(cells: &[CellResult]) -> String {
     let mut s = String::new();
@@ -221,15 +224,15 @@ pub fn fig13_overhead_table(points: &[SweepPoint]) -> String {
         "{:>6} {:>6} {:>12} {:>16}",
         "env", "gws", "scheme", "msgs/node"
     );
-    let mut sorted = points.to_vec();
-    sorted.sort_by_key(|p| (p.environment.label(), p.gateways, p.scheme.label()));
-    for p in &sorted {
+    let mut sorted: Vec<&SweepPoint> = points.iter().collect();
+    sorted.sort_by_key(|&p| p.row_key());
+    for p in sorted {
         let baseline = points
             .iter()
             .find(|q| {
                 q.environment == p.environment
                     && q.gateways == p.gateways
-                    && q.scheme == Scheme::NoRouting
+                    && q.report.scheme == Scheme::NoRouting.label()
             })
             .map(|q| q.report.mean_messages_sent_per_node());
         let ratio = match baseline {
@@ -241,7 +244,7 @@ pub fn fig13_overhead_table(points: &[SweepPoint]) -> String {
             "{:>6} {:>6} {:>12} {:>13.2}{}",
             p.environment.label(),
             p.gateways,
-            p.scheme.label(),
+            p.report.scheme,
             p.report.mean_messages_sent_per_node(),
             ratio
         );
@@ -250,30 +253,30 @@ pub fn fig13_overhead_table(points: &[SweepPoint]) -> String {
 }
 
 /// Formats the Figs. 10–11 series: unique deliveries per bucket, one
-/// column per scheme.
-pub fn time_series_table(rows: &[(Scheme, SimReport)], environment: Environment) -> String {
+/// column per report, headed by its scheme label.
+pub fn time_series_table(rows: &[SimReport], environment: Environment) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
         "# msgs received per bucket over time ({environment}, one column per scheme)"
     );
     let mut header = format!("{:>9}", "t_start_s");
-    for (scheme, _) in rows {
-        header.push_str(&format!(" {:>9}", scheme.label()));
+    for r in rows {
+        header.push_str(&format!(" {:>9}", r.scheme));
     }
     let _ = writeln!(s, "{header}");
     let n = rows
         .iter()
-        .map(|(_, r)| r.throughput_series.counts().len())
+        .map(|r| r.throughput_series.counts().len())
         .max()
         .unwrap_or(0);
     for i in 0..n {
         let t = rows
             .first()
-            .map(|(_, r)| r.throughput_series.bucket().as_millis() as usize * i / 1000)
+            .map(|r| r.throughput_series.bucket().as_millis() as usize * i / 1000)
             .unwrap_or(0);
         let mut line = format!("{t:>9}");
-        for (_, r) in rows {
+        for r in rows {
             let c = r.throughput_series.counts().get(i).copied().unwrap_or(0);
             line.push_str(&format!(" {c:>9}"));
         }
@@ -291,15 +294,15 @@ fn metric_table(points: &[SweepPoint], title: &str, cell: impl Fn(&SimReport) ->
         "{:>6} {:>6} {:>12} {:>18}",
         "env", "gws", "scheme", "value"
     );
-    let mut sorted = points.to_vec();
-    sorted.sort_by_key(|p| (p.environment.label(), p.gateways, p.scheme.label()));
-    for p in &sorted {
+    let mut sorted: Vec<&SweepPoint> = points.iter().collect();
+    sorted.sort_by_key(|&p| p.row_key());
+    for p in sorted {
         let _ = writeln!(
             s,
             "{:>6} {:>6} {:>12} {:>18}",
             p.environment.label(),
             p.gateways,
-            p.scheme.label(),
+            p.report.scheme,
             cell(&p.report)
         );
     }
@@ -360,7 +363,7 @@ mod tests {
         // Combinations are unique and follow plan order.
         let mut keys: Vec<_> = pts
             .iter()
-            .map(|p| (p.gateways, p.environment, p.scheme))
+            .map(|p| (p.gateways, p.environment, p.report.scheme.clone()))
             .collect();
         keys.dedup();
         assert_eq!(keys.len(), 12);
@@ -382,28 +385,56 @@ mod tests {
         let mut direct = base();
         direct.environment = Environment::Rural;
         direct.num_gateways = 4;
-        direct.scheme = Scheme::Robc;
+        direct.policy = Scheme::Robc.into();
         assert_eq!(pts[0].report, direct.run(9).unwrap());
     }
 
     #[test]
     fn scheme_table_keys_rows_by_run_label() {
-        use mlora_core::PolicySpec;
-
         let plan = ExperimentPlan::new(base())
             .gateway_counts([4])
-            .policies([
-                PolicySpec::from(Scheme::NoRouting),
-                PolicySpec::from(Scheme::Robc),
-            ])
+            .schemes([Scheme::NoRouting, Scheme::Robc])
             .fixed_seeds([3]);
         let cells = Runner::new().run(&plan).expect("valid sweep");
         let table = scheme_table(&cells);
         assert!(table.contains("LoRaWAN"), "{table}");
         assert!(table.contains("ROBC"), "{table}");
-        // The label comes from the report itself, not the scheme axis.
         assert_eq!(cells[0].report.single().scheme, "LoRaWAN");
         assert_eq!(cells[1].report.single().scheme, "ROBC");
+    }
+
+    #[test]
+    fn tables_name_rows_by_the_label_the_run_carries() {
+        use mlora_core::{Beacon, ForwardingPolicy, PolicyContext, PolicySpec, Rssi};
+
+        /// Never forwards, under whatever name the sweep gives it.
+        #[derive(Debug, Clone)]
+        struct Named(&'static str);
+        impl ForwardingPolicy for Named {
+            fn label(&self) -> &str {
+                self.0
+            }
+            fn clone_box(&self) -> Box<dyn ForwardingPolicy> {
+                Box::new(self.clone())
+            }
+            fn forwards(&mut self, _: &PolicyContext<'_>, _: &Beacon, _: Rssi<'_>) -> bool {
+                false
+            }
+        }
+
+        let plan = ExperimentPlan::new(base())
+            .gateway_counts([4])
+            .schemes(["zeta", "alpha"].map(|name| PolicySpec::of(Named(name))))
+            .fixed_seeds([3]);
+        let cells = Runner::new().run(&plan).expect("valid sweep");
+        let table = replicated_table(&cells, "deliveries", |r| r.delivered as f64);
+        let rows: Vec<&str> = table.lines().skip(2).collect();
+        assert!(
+            rows.len() == 2 && rows[0].contains("alpha") && rows[1].contains("zeta"),
+            "{table}"
+        );
+        let table = fig9_throughput_table(&SweepPoint::from_cells(&cells));
+        assert!(table.contains("alpha") && table.contains("zeta"), "{table}");
     }
 
     #[test]
@@ -472,11 +503,11 @@ mod tests {
             .gateway_counts([4])
             .schemes(Scheme::ALL)
             .fixed_seeds([3]);
-        let rows: Vec<(Scheme, SimReport)> = Runner::new()
+        let rows: Vec<SimReport> = Runner::new()
             .run(&plan)
             .expect("valid series")
             .into_iter()
-            .map(|cell| (cell.key.scheme, cell.report.into_runs().remove(0).1))
+            .map(|cell| cell.report.into_runs().remove(0).1)
             .collect();
         let table = time_series_table(&rows, Environment::Urban);
         // 30 min / 10 min buckets = 3 data lines + 2 header lines.

@@ -37,7 +37,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use mlora_core::{PolicySpec, Scheme};
+use mlora_core::PolicySpec;
 use mlora_simcore::stats::Welford;
 
 use crate::{
@@ -69,8 +69,11 @@ pub struct CellKey {
     pub environment: Environment,
     /// Number of gateways deployed.
     pub gateways: usize,
-    /// Forwarding scheme.
-    pub scheme: Scheme,
+    /// Index into the plan's forwarding axis (0 when the axis was never
+    /// set — the base configuration's own policy). The policy's label is
+    /// carried by every replicate's
+    /// [`SimReport::scheme`](crate::SimReport).
+    pub policy: usize,
     /// EWMA smoothing factor α.
     pub alpha: f64,
     /// Gateway placement strategy.
@@ -83,11 +86,6 @@ pub struct CellKey {
     /// Index into the plan's traffic axis (0 when the axis was never
     /// set — the base configuration's own model).
     pub traffic: usize,
-    /// Index into the plan's forwarding-policy axis (0 when the axis was
-    /// never set — the base configuration's own scheme or policy). The
-    /// policy's label is carried by every replicate's
-    /// [`SimReport::scheme`](crate::SimReport).
-    pub policy: usize,
 }
 
 /// One cell of a plan: its coordinates and the fully resolved config.
@@ -107,23 +105,18 @@ pub struct PlanCell {
 /// Axes default to the base configuration's own value; setting an axis
 /// replaces it. Cells enumerate in row-major order with environments
 /// outermost, then gateway counts, schemes, alphas, placements, device
-/// classes, disruption timelines, traffic models and forwarding
-/// policies.
+/// classes, disruption timelines and traffic models.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentPlan {
     base: SimConfig,
     environments: Vec<Environment>,
     gateway_counts: Vec<usize>,
-    schemes: Vec<Scheme>,
+    schemes: Vec<PolicySpec>,
     alphas: Vec<f64>,
     placements: Vec<GatewayPlacement>,
     device_classes: Vec<DeviceClassChoice>,
     disruptions: Vec<DisruptionPlan>,
     traffics: Vec<TrafficModel>,
-    /// `None` entries run the cell's scheme through its built-in policy;
-    /// `Some` plug the spec in (the default single entry mirrors the
-    /// base configuration).
-    policies: Vec<Option<PolicySpec>>,
     /// Master seed for derived replication (set by [`ExperimentPlan::seed`];
     /// remembered even while a fixed-seed policy is active).
     base_seed: u64,
@@ -137,13 +130,12 @@ impl ExperimentPlan {
         ExperimentPlan {
             environments: vec![base.environment],
             gateway_counts: vec![base.num_gateways],
-            schemes: vec![base.scheme],
+            schemes: vec![base.policy.clone()],
             alphas: vec![base.alpha],
             placements: vec![base.placement],
             device_classes: vec![base.device_class],
             disruptions: vec![base.disruptions.clone()],
             traffics: vec![base.traffic.clone()],
-            policies: vec![base.policy.clone()],
             base_seed: 0,
             seeds: SeedPolicy::Derived { replications: 1 },
             base,
@@ -162,9 +154,16 @@ impl ExperimentPlan {
         self
     }
 
-    /// Sweeps the forwarding scheme.
-    pub fn schemes(mut self, axis: impl IntoIterator<Item = Scheme>) -> Self {
-        self.schemes = axis.into_iter().collect();
+    /// Sweeps the forwarding policy — the paper's schemes (bare
+    /// [`Scheme`](mlora_core::Scheme)s) or user-defined
+    /// [`ForwardingPolicy`](mlora_core::ForwardingPolicy)
+    /// implementations ([`PolicySpec::of`]), side by side in one grid
+    /// when both are given as specs. Cells carry the axis position in
+    /// [`CellKey::policy`]; each run's
+    /// [`SimReport::scheme`](crate::SimReport) carries the policy's
+    /// label, which is how the tables of [`crate::report`] name rows.
+    pub fn schemes(mut self, axis: impl IntoIterator<Item = impl Into<PolicySpec>>) -> Self {
+        self.schemes = axis.into_iter().map(Into::into).collect();
         self
     }
 
@@ -199,24 +198,6 @@ impl ExperimentPlan {
     /// position in [`CellKey::traffic`].
     pub fn traffics(mut self, axis: impl IntoIterator<Item = TrafficModel>) -> Self {
         self.traffics = axis.into_iter().collect();
-        self
-    }
-
-    /// Sweeps the forwarding policy — built-in schemes
-    /// (`PolicySpec::from(Scheme::Robc)`) and user-defined
-    /// [`ForwardingPolicy`](mlora_core::ForwardingPolicy)
-    /// implementations side by side in one grid. Cells carry the axis
-    /// position in [`CellKey::policy`]; each run's
-    /// [`SimReport::scheme`](crate::SimReport) carries the policy's
-    /// label, which is how
-    /// [`report::scheme_table`](crate::report::scheme_table) names rows.
-    ///
-    /// Orthogonal to [`ExperimentPlan::schemes`]: a plan sweeping both
-    /// runs every policy entry under every scheme coordinate (the policy
-    /// overrides dispatch, the scheme remains a coordinate), so sweep
-    /// only one of the two axes unless that cross is intended.
-    pub fn policies(mut self, axis: impl IntoIterator<Item = PolicySpec>) -> Self {
-        self.policies = axis.into_iter().map(Some).collect();
         self
     }
 
@@ -278,7 +259,7 @@ impl ExperimentPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::Overflow`] when the product of the nine
+    /// Returns [`ConfigError::Overflow`] when the product of the eight
     /// axis lengths does not fit a machine word — a plan that could
     /// never be materialized, caught before any allocation is sized
     /// from the wrapped product.
@@ -291,7 +272,6 @@ impl ExperimentPlan {
             self.device_classes.len(),
             self.disruptions.len(),
             self.traffics.len(),
-            self.policies.len(),
         ]
         .iter()
         .try_fold(self.environments.len(), |acc, &len| acc.checked_mul(len))
@@ -305,40 +285,36 @@ impl ExperimentPlan {
         let mut out = Vec::with_capacity(self.num_cells().unwrap_or(0));
         for &environment in &self.environments {
             for &gateways in &self.gateway_counts {
-                for &scheme in &self.schemes {
+                for (policy, spec) in self.schemes.iter().enumerate() {
                     for &alpha in &self.alphas {
                         for &placement in &self.placements {
                             for &device_class in &self.device_classes {
                                 for (disruption, plan) in self.disruptions.iter().enumerate() {
                                     for (traffic, model) in self.traffics.iter().enumerate() {
-                                        for (policy, spec) in self.policies.iter().enumerate() {
-                                            let key = CellKey {
-                                                environment,
-                                                gateways,
-                                                scheme,
-                                                alpha,
-                                                placement,
-                                                device_class,
-                                                disruption,
-                                                traffic,
-                                                policy,
-                                            };
-                                            let mut config = self.base.clone();
-                                            config.environment = environment;
-                                            config.num_gateways = gateways;
-                                            config.scheme = scheme;
-                                            config.alpha = alpha;
-                                            config.placement = placement;
-                                            config.device_class = device_class;
-                                            config.disruptions = plan.clone();
-                                            config.traffic = model.clone();
-                                            config.policy = spec.clone();
-                                            out.push(PlanCell {
-                                                index: out.len(),
-                                                key,
-                                                config,
-                                            });
-                                        }
+                                        let key = CellKey {
+                                            environment,
+                                            gateways,
+                                            policy,
+                                            alpha,
+                                            placement,
+                                            device_class,
+                                            disruption,
+                                            traffic,
+                                        };
+                                        let mut config = self.base.clone();
+                                        config.environment = environment;
+                                        config.num_gateways = gateways;
+                                        config.policy = spec.clone();
+                                        config.alpha = alpha;
+                                        config.placement = placement;
+                                        config.device_class = device_class;
+                                        config.disruptions = plan.clone();
+                                        config.traffic = model.clone();
+                                        out.push(PlanCell {
+                                            index: out.len(),
+                                            key,
+                                            config,
+                                        });
                                     }
                                 }
                             }
@@ -361,7 +337,6 @@ impl ExperimentPlan {
             ("device_classes", self.device_classes.len()),
             ("disruptions", self.disruptions.len()),
             ("traffics", self.traffics.len()),
-            ("policies", self.policies.len()),
             ("seeds", self.replications()),
         ] {
             if len == 0 {
@@ -561,16 +536,6 @@ impl ReplicatedReport {
     pub fn delivery_ratio_mean(&self) -> f64 {
         self.mean(|r| r.delivery_ratio())
     }
-
-    /// Mean of the per-run mean end-to-end delay (the Fig. 8 measure).
-    pub fn delay_mean_s(&self) -> f64 {
-        self.mean(|r| r.mean_delay_s())
-    }
-
-    /// Mean of the per-run mean hop count (the Fig. 12 measure).
-    pub fn hops_mean(&self) -> f64 {
-        self.mean(|r| r.mean_hops())
-    }
 }
 
 /// One executed cell: coordinates plus replicated results.
@@ -745,6 +710,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::Scenario;
+    use mlora_core::Scheme;
     use mlora_simcore::SimDuration;
 
     fn tiny() -> SimConfig {
@@ -766,19 +732,36 @@ mod tests {
         assert_eq!(plan.num_cells().unwrap(), 8);
         assert_eq!(cells[0].key.environment, Environment::Urban);
         assert_eq!(cells[0].key.gateways, 4);
-        assert_eq!(cells[0].key.scheme, Scheme::NoRouting);
-        assert_eq!(cells[1].key.scheme, Scheme::Robc);
+        assert_eq!(cells[0].key.policy, 0);
+        assert_eq!(cells[1].key.policy, 1);
         assert_eq!(cells[4].key.environment, Environment::Rural);
         for (i, cell) in cells.iter().enumerate() {
             assert_eq!(cell.index, i);
             assert_eq!(cell.config.num_gateways, cell.key.gateways);
-            assert_eq!(cell.config.scheme, cell.key.scheme);
+            let scheme = [Scheme::NoRouting, Scheme::Robc][cell.key.policy];
+            assert_eq!(cell.config.policy.scheme(), Some(scheme));
         }
+
+        // The forwarding axis sits where `schemes` always sat — outside
+        // α — so a schemes × alphas plan keeps its cell indices, and
+        // with them the seeds derived from those indices.
+        let plan = ExperimentPlan::new(tiny())
+            .schemes(Scheme::ALL)
+            .alphas([0.25, 0.5])
+            .seed(2020);
+        let cells = plan.cells();
+        let policies: Vec<usize> = cells.iter().map(|c| c.key.policy).collect();
+        assert_eq!(policies, [0, 0, 1, 1, 2, 2]);
+        assert_eq!((cells[2].key.alpha, cells[3].key.alpha), (0.25, 0.5));
+        assert_eq!(cells[3].config.policy.label(), "RCA-ETX");
+        assert_eq!(plan.seed_for(0, 0), 0x81fb_f9df_c33b_f8c2);
+        assert_eq!(plan.seed_for(3, 0), 0x43a4_758c_339f_5b84);
+        assert_eq!(plan.seed_for(5, 1), 0x2f3e_f183_3bae_bfd8);
     }
 
     #[test]
     fn empty_axis_is_rejected() {
-        let plan = ExperimentPlan::new(tiny()).schemes([]);
+        let plan = ExperimentPlan::new(tiny()).schemes([Scheme::Robc; 0]);
         assert!(matches!(
             plan.validate(),
             Err(RunnerError::EmptyPlan { axis: "schemes" })
@@ -964,30 +947,24 @@ mod tests {
 
     #[test]
     fn policy_axis_multiplies_cells_and_reaches_configs() {
+        use mlora_core::{NoRoutingPolicy, RobcPolicy};
+
         let plan = ExperimentPlan::new(tiny())
             .gateway_counts([4, 9])
-            .policies([
-                PolicySpec::from(Scheme::NoRouting),
-                PolicySpec::from(Scheme::Robc),
-            ]);
+            .schemes([PolicySpec::of(NoRoutingPolicy), PolicySpec::of(RobcPolicy)]);
         let cells = plan.cells();
         assert_eq!(cells.len(), 4);
         assert_eq!(cells[0].key.policy, 0);
         assert_eq!(cells[1].key.policy, 1);
-        assert_eq!(
-            cells[0].config.policy.as_ref().map(|p| p.label()),
-            Some("LoRaWAN")
-        );
-        assert_eq!(
-            cells[1].config.policy.as_ref().map(|p| p.label()),
-            Some("ROBC")
-        );
+        assert_eq!(cells[0].config.policy.label(), "LoRaWAN");
+        assert_eq!(cells[1].config.policy.label(), "ROBC");
         assert_eq!(plan.validate().map_err(|e| e.to_string()), Ok(()));
-        // A built-in spec runs bit-identically to the plain scheme cell.
+        // A wrapped built-in policy runs bit-identically to the cell
+        // that names its scheme.
         let by_policy = Runner::single_threaded()
             .run(
                 &ExperimentPlan::new(tiny())
-                    .policies([PolicySpec::from(Scheme::Robc)])
+                    .schemes([PolicySpec::of(RobcPolicy)])
                     .fixed_seeds([11]),
             )
             .unwrap();
@@ -1003,12 +980,6 @@ mod tests {
             by_scheme[0].report.single(),
             "policy-spec cell diverged from the scheme cell"
         );
-        // An empty axis is rejected like any other.
-        let empty = ExperimentPlan::new(tiny()).policies([]);
-        assert!(matches!(
-            empty.validate(),
-            Err(RunnerError::EmptyPlan { axis: "policies" })
-        ));
     }
 
     #[test]

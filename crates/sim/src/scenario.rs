@@ -29,15 +29,14 @@
 
 use std::sync::Arc;
 
-use mlora_core::Scheme;
+use mlora_core::{PolicySpec, Scheme};
 use mlora_geo::Point;
 use mlora_mobility::{BusNetwork, MetroConfig, MetroWorld};
 use mlora_simcore::{SimDuration, SimTime};
 
 use crate::{
     BusWithdrawal, ConfigError, DeviceClassChoice, DisruptionPlan, Environment, GatewayOutage,
-    GatewayPlacement, NoiseBurst, SimConfig, SimObserver, SimReport, Snapshot, SnapshotError,
-    TrafficModel, TrafficProfile,
+    GatewayPlacement, NoiseBurst, SimConfig, SimObserver, SimReport, TrafficModel, TrafficProfile,
 };
 
 /// Entry points for building simulation scenarios.
@@ -67,19 +66,6 @@ impl Scenario {
             config: SimConfig::paper_default(Scheme::NoRouting, environment),
         }
     }
-
-    /// A builder seeded with the scenario captured in `snapshot` — the
-    /// configuration the snapshotted run executes. Useful to spin fresh
-    /// from-scratch variants of a checkpointed experiment (different
-    /// seed, tweaked fields) next to its resumed branches.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] when the snapshot container or its embedded
-    /// configuration does not decode.
-    pub fn from_snapshot(snapshot: &Snapshot) -> Result<ScenarioBuilder, SnapshotError> {
-        Ok(ScenarioBuilder::from(snapshot.config()?))
-    }
 }
 
 /// Fluent builder over [`SimConfig`].
@@ -99,9 +85,8 @@ impl ScenarioBuilder {
     /// Scale presets overwrite area, fleet, horizon and gateway-count
     /// fields (environment and scheme are kept), so apply them *before*
     /// per-field setters.
-    pub fn smoke(mut self) -> Self {
-        self.config = SimConfig::smoke_test(self.config.scheme, self.config.environment);
-        self
+    pub fn smoke(self) -> Self {
+        SimConfig::smoke_test(self.config.policy, self.config.environment).into()
     }
 
     /// Applies the mid-scale bench preset (full 600 km² area, 6 h
@@ -110,9 +95,8 @@ impl ScenarioBuilder {
     /// Scale presets overwrite area, fleet, horizon and gateway-count
     /// fields (environment and scheme are kept), so apply them *before*
     /// per-field setters.
-    pub fn bench(mut self) -> Self {
-        self.config = SimConfig::bench_scale(self.config.scheme, self.config.environment);
-        self
+    pub fn bench(self) -> Self {
+        SimConfig::bench_scale(self.config.policy, self.config.environment).into()
     }
 
     /// Sets the radio environment (device-to-device range follows).
@@ -139,41 +123,33 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the forwarding scheme under test.
+    /// Sets the forwarding policy under test: one of the paper's schemes
+    /// (a bare [`Scheme`]) or a user-defined
+    /// [`ForwardingPolicy`](mlora_core::ForwardingPolicy) wrapped by
+    /// [`PolicySpec::of`].
     ///
-    /// Clears any explicit [`ScenarioBuilder::policy`]: the last of the
-    /// two setters wins, whichever order they were chained in.
-    pub fn scheme(mut self, scheme: Scheme) -> Self {
-        self.config.scheme = scheme;
-        self.config.policy = None;
-        self
-    }
-
-    /// Plugs in a user-defined forwarding policy, overriding the scheme.
-    ///
-    /// The boxed value acts as a prototype: every device instantiates
-    /// its own copy through
+    /// The spec acts as a prototype: every device instantiates its own
+    /// copy through
     /// [`ForwardingPolicy::clone_box`](mlora_core::ForwardingPolicy::clone_box),
     /// and the policy's label flows into
     /// [`SimReport::scheme`](crate::SimReport) and every table keyed by
-    /// scheme. Built-in schemes need no boxing — use
-    /// [`ScenarioBuilder::scheme`].
+    /// scheme.
     ///
     /// # Example
     ///
     /// ```
-    /// use mlora_core::RobcPolicy;
+    /// use mlora_core::{PolicySpec, RobcPolicy};
     /// use mlora_sim::Scenario;
     ///
     /// let cfg = Scenario::urban()
     ///     .smoke()
-    ///     .policy(Box::new(RobcPolicy))
+    ///     .scheme(PolicySpec::of(RobcPolicy))
     ///     .build()?;
-    /// assert_eq!(cfg.scheme_label(), "ROBC");
+    /// assert_eq!(cfg.policy.label(), "ROBC");
     /// # Ok::<(), mlora_sim::ConfigError>(())
     /// ```
-    pub fn policy(mut self, policy: Box<dyn mlora_core::ForwardingPolicy>) -> Self {
-        self.config.policy = Some(crate::PolicySpec::new(policy));
+    pub fn scheme(mut self, policy: impl Into<PolicySpec>) -> Self {
+        self.config.policy = policy.into();
         self
     }
 
@@ -696,41 +672,22 @@ mod tests {
     }
 
     #[test]
-    fn policy_setter_overrides_and_scheme_clears() {
-        use mlora_core::{RobcPolicy, Scheme};
+    fn scale_presets_keep_a_plugged_in_policy() {
+        use mlora_core::RobcPolicy;
 
-        // policy() overrides the scheme for dispatch and labelling.
+        // Not built from `Scheme::Robc`, so only the spec itself can
+        // carry it through the preset.
         let cfg = Scenario::urban()
+            .scheme(PolicySpec::of(RobcPolicy))
             .smoke()
-            .scheme(Scheme::NoRouting)
-            .policy(Box::new(RobcPolicy))
             .build()
             .unwrap();
-        assert_eq!(cfg.scheme_label(), "ROBC");
-        assert!(cfg.policy.is_some());
-
-        // Last setter wins: a later scheme() clears the explicit policy.
-        let cfg = Scenario::urban()
-            .smoke()
-            .policy(Box::new(RobcPolicy))
-            .scheme(Scheme::RcaEtx)
-            .build()
-            .unwrap();
-        assert!(cfg.policy.is_none());
-        assert_eq!(cfg.scheme_label(), "RCA-ETX");
-
-        // A built-in policy runs bit-identically to its scheme.
-        let by_policy = Scenario::urban()
-            .smoke()
-            .policy(Box::new(RobcPolicy))
-            .run(77)
-            .unwrap();
-        let by_scheme = Scenario::urban()
-            .smoke()
-            .scheme(Scheme::Robc)
-            .run(77)
-            .unwrap();
-        assert_eq!(by_policy, by_scheme);
+        assert_eq!(cfg.policy.label(), "ROBC");
+        let report = cfg.run(77).unwrap();
+        assert_eq!(report.scheme, "ROBC");
+        assert!(report.handover_messages > 0, "ran as the baseline");
+        let cfg = Scenario::rural().scheme(PolicySpec::of(RobcPolicy)).bench();
+        assert_eq!(cfg.config().policy.label(), "ROBC");
     }
 
     #[test]

@@ -33,6 +33,7 @@
 //! ```
 
 #![deny(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod event;
 mod id;

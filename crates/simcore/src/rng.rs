@@ -14,10 +14,13 @@
 //! and no libm, and evaluates only the samples whose interval straddles
 //! the threshold. The stream advances identically either way.
 
-use std::sync::OnceLock;
+//!
+//! The generator is this module's own: xoshiro256++ seeded through
+//! SplitMix64. Every golden fingerprint and every `.mlss` checkpoint
+//! (which stores the four state words) is defined by the exact words
+//! and arithmetic below.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
 
 /// Deterministic random number generator for simulations.
 ///
@@ -40,16 +43,27 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct SimRng {
     seed: u64,
-    inner: SmallRng,
+    /// The xoshiro256++ state.
+    words: [u64; 4],
 }
+
+/// The SplitMix64 increment.
+const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// SplitMix64 step; used to decorrelate seeds derived from small integers.
 fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = x.wrapping_add(SPLITMIX_GAMMA);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The generator state for `seed`: four successive outputs of a
+/// SplitMix64 sequence started at `splitmix64(seed)`.
+fn seed_words(seed: u64) -> [u64; 4] {
+    let start = splitmix64(seed);
+    std::array::from_fn(|k| splitmix64(start.wrapping_add(SPLITMIX_GAMMA.wrapping_mul(k as u64))))
 }
 
 impl SimRng {
@@ -57,7 +71,7 @@ impl SimRng {
     pub fn new(seed: u64) -> Self {
         SimRng {
             seed,
-            inner: SmallRng::seed_from_u64(splitmix64(seed)),
+            words: seed_words(seed),
         }
     }
 
@@ -71,15 +85,12 @@ impl SimRng {
     /// this makes the stream checkpointable: a rebuilt generator
     /// continues the draw sequence exactly where this one stands.
     pub fn state(&self) -> (u64, [u64; 4]) {
-        (self.seed, self.inner.state())
+        (self.seed, self.words)
     }
 
     /// Rebuilds a generator from a state captured by [`SimRng::state`].
     pub fn from_state(seed: u64, words: [u64; 4]) -> Self {
-        SimRng {
-            seed,
-            inner: SmallRng::from_state(words),
-        }
+        SimRng { seed, words }
     }
 
     /// Derives an independent child generator for `stream`.
@@ -88,15 +99,40 @@ impl SimRng {
     /// on how many values have been drawn — so subsystems stay decoupled.
     pub fn fork(&self, stream: u64) -> SimRng {
         let child_seed = splitmix64(self.seed ^ splitmix64(stream.wrapping_add(0xA5A5_5A5A)));
-        SimRng {
-            seed: child_seed,
-            inner: SmallRng::seed_from_u64(splitmix64(child_seed)),
-        }
+        SimRng::new(child_seed)
     }
 
-    /// A uniformly random `u64`.
+    /// A uniformly random `u64`: one xoshiro256++ step.
+    #[inline]
     pub fn gen_u64(&mut self) -> u64 {
-        self.inner.gen()
+        let s = &mut self.words;
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+        let t = s[1] << 17;
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = s[3].rotate_left(45);
+        result
+    }
+
+    /// A uniform float in `[0, 1)` with 53 bits of precision.
+    #[inline]
+    fn unit_f64(&mut self) -> f64 {
+        (self.gen_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    /// A uniform integer in `[0, span)` without modulo bias (Lemire's
+    /// method).
+    fn below(&mut self, span: u64) -> u64 {
+        debug_assert!(span > 0);
+        loop {
+            let m = (self.gen_u64() as u128) * (span as u128);
+            if (m as u64) >= span.wrapping_neg() % span {
+                return (m >> 64) as u64;
+            }
+        }
     }
 
     /// A uniform float in `[lo, hi)`.
@@ -109,7 +145,13 @@ impl SimRng {
             lo.is_finite() && hi.is_finite() && lo < hi,
             "bad range [{lo}, {hi})"
         );
-        self.inner.gen_range(lo..hi)
+        let x = lo + self.unit_f64() * (hi - lo);
+        // Rounding at the top of a wide range must stay inside [lo, hi).
+        if x >= hi {
+            hi.next_down()
+        } else {
+            x
+        }
     }
 
     /// A uniform integer in `[lo, hi)`.
@@ -119,13 +161,17 @@ impl SimRng {
     /// Panics if `lo >= hi`.
     pub fn gen_range_u64(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "bad range [{lo}, {hi})");
-        self.inner.gen_range(lo..hi)
+        lo + self.below(hi - lo)
     }
 
     /// `true` with probability `p` (clamped to `[0, 1]`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is NaN.
     pub fn gen_bool(&mut self, p: f64) -> bool {
-        let p = p.clamp(0.0, 1.0);
-        self.inner.gen_bool(p)
+        assert!(!p.is_nan(), "probability is NaN");
+        self.unit_f64() < p.clamp(0.0, 1.0)
     }
 
     /// Draws the two uniforms of one standard-normal sample without
@@ -134,8 +180,8 @@ impl SimRng {
     #[inline]
     pub fn standard_normal_draw(&mut self) -> NormalDraw {
         // u1 in (0,1] avoids ln(0).
-        let u1: f64 = 1.0 - self.inner.gen::<f64>();
-        let u2: f64 = self.inner.gen();
+        let u1 = 1.0 - self.unit_f64();
+        let u2 = self.unit_f64();
         NormalDraw { u1, u2 }
     }
 
@@ -154,12 +200,6 @@ impl SimRng {
         self.standard_normal_draw().scaled(mean, std_dev)
     }
 
-    /// A sample from a log-normal distribution with the given parameters of
-    /// the underlying normal.
-    pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
-    }
-
     /// A sample from an exponential distribution with the given rate.
     ///
     /// # Panics
@@ -167,7 +207,7 @@ impl SimRng {
     /// Panics if `rate` is not strictly positive.
     pub fn exponential(&mut self, rate: f64) -> f64 {
         assert!(rate > 0.0, "non-positive rate: {rate}");
-        let u: f64 = 1.0 - self.inner.gen::<f64>();
+        let u = 1.0 - self.unit_f64();
         -u.ln() / rate
     }
 
@@ -176,14 +216,14 @@ impl SimRng {
         if len == 0 {
             None
         } else {
-            Some(self.inner.gen_range(0..len))
+            Some(self.below(len as u64) as usize)
         }
     }
 
     /// Shuffles a slice in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
-            let j = self.inner.gen_range(0..=i);
+            let j = self.below(i as u64 + 1) as usize;
             slice.swap(i, j);
         }
     }

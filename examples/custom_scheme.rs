@@ -2,16 +2,14 @@
 //!
 //! Implements a spray-and-wait-style DTN baseline on the open
 //! [`ForwardingPolicy`] trait — no engine changes, no new enum variant —
-//! and sweeps it against LoRaWAN and ROBC through the `policies`
+//! and sweeps it against LoRaWAN and ROBC through the `schemes`
 //! experiment axis.
 //!
 //! ```sh
 //! cargo run --release --example custom_scheme
 //! ```
 
-use mlora::core::{
-    Beacon, ForwardingPolicy, PolicyContext, PolicySpec, RoutingConfig, Rssi, RCA_ETX_CEILING,
-};
+use mlora::core::{Beacon, ForwardingPolicy, PolicyContext, PolicySpec, Rssi, RCA_ETX_CEILING};
 use mlora::sim::prelude::*;
 use mlora::sim::report;
 
@@ -87,10 +85,6 @@ impl ForwardingPolicy for SprayAndWait {
             self.sprays_left = self.budget;
         }
     }
-
-    fn default_config(&self) -> RoutingConfig {
-        RoutingConfig::paper_default(Scheme::NoRouting)
-    }
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -99,9 +93,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = Scenario::urban().smoke().build()?;
     let plan = ExperimentPlan::new(base)
         .gateway_counts([6, 9])
-        .policies([
-            PolicySpec::from(Scheme::NoRouting),
-            PolicySpec::from(Scheme::Robc),
+        .schemes([
+            Scheme::NoRouting.into(),
+            Scheme::Robc.into(),
             PolicySpec::of(SprayAndWait::new(4)),
         ])
         .fixed_seeds([42]);

@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "{:8} {:10} {:8.1}% {:6.1}% {:6.1}% {:9.1} {:9}",
             cell.key.gateways,
-            cell.key.scheme.label(),
+            r.scheme,
             100.0 * r.delivery_ratio(),
             by("tracking"),
             by("alerts"),

@@ -87,7 +87,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let outage_ratio = |scheme: Scheme| {
         cells
             .iter()
-            .find(|c| c.key.scheme == scheme && c.key.disruption == 2)
+            .find(|c| c.report.single().scheme == scheme.label() && c.key.disruption == 2)
             .map(|c| c.report.single().outage_delivery_ratio())
             .unwrap_or(0.0)
     };

@@ -66,8 +66,8 @@
 //!     .replicate(2);
 //! for cell in Runner::new().run(&plan)? {
 //!     let (lo, hi) = cell.report.ci95(|r| r.delivery_ratio());
-//!     println!("{:?}/{} gws: delivery in [{lo:.2}, {hi:.2}]",
-//!              cell.key.scheme, cell.key.gateways);
+//!     println!("{}/{} gws: delivery in [{lo:.2}, {hi:.2}]",
+//!              cell.report.single().scheme, cell.key.gateways);
 //! }
 //! # Ok(())
 //! # }

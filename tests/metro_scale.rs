@@ -201,8 +201,8 @@ fn metro_fingerprints_match_and_survive_worker_counts() {
         assert_eq!(
             fingerprint(cell.report.single()),
             expected,
-            "{:?} fingerprint drifted",
-            cell.key.scheme
+            "{} fingerprint drifted",
+            cell.report.single().scheme
         );
     }
     // The same plan across a thread pool must be bit-identical to the
@@ -217,8 +217,8 @@ fn metro_fingerprints_match_and_survive_worker_counts() {
 #[test]
 #[ignore = "regeneration helper, not a check"]
 fn print_metro_fingerprints() {
-    for cell in run_cells(1) {
-        println!("// {:?}", cell.key.scheme);
+    for (cell, scheme) in run_cells(1).iter().zip(SCHEMES) {
+        println!("// {scheme:?}");
         println!("{:?},", fingerprint(cell.report.single()));
     }
 }

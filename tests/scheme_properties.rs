@@ -164,7 +164,7 @@ proptest! {
         q_y in 0usize..500,
         rssi in -150.0f64..-40.0,
     ) {
-        let mut state = RoutingState::new(RoutingConfig::paper_default(Scheme::Robc));
+        let mut state = RoutingState::new(RoutingConfig::paper_default(), Scheme::Robc.policy());
         let beacon = Beacon { sender: NodeId::new(1), rca_etx: rca_y, queue_len: q_y };
         let d = state.decide(SimTime::from_secs(1000), 0.0, 0, &beacon, rssi);
         prop_assert_eq!(d, ForwardDecision::Keep);
@@ -180,7 +180,7 @@ proptest! {
         scheme_robc in proptest::bool::ANY,
     ) {
         let scheme = if scheme_robc { Scheme::Robc } else { Scheme::RcaEtx };
-        let mut state = RoutingState::new(RoutingConfig::paper_default(scheme));
+        let mut state = RoutingState::new(RoutingConfig::paper_default(), scheme.policy());
         // A weak contact history makes the device eager to forward.
         state.on_sink_slot(SimTime::from_secs(180), Some(100.0), 0.0);
         state.on_sink_slot(SimTime::from_secs(360), None, 0.0);
