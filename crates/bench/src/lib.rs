@@ -4,8 +4,9 @@
 //! (24 h, full fleet) to regenerate the figures at paper scale, and
 //! [`bench_config`] (full area, 6-hour horizon) under `--quick` so a full
 //! pass finishes in seconds. Both use the same code paths — only fleet
-//! size and horizon differ. `cargo bench` is the three `micro_*` kernel
-//! suites.
+//! size and horizon differ. The `engine_events` binary times the engine
+//! on [`engine_throughput_config`] and [`metro_throughput_config`]; the
+//! repo benchmark (`benchmark/`) times the per-layer kernels.
 //!
 //! Sweeps are expressed as [`ExperimentPlan`]s and executed through the
 //! parallel [`Runner`](mlora_sim::Runner); [`figure_sweep_plan`] is the
@@ -35,11 +36,11 @@ pub fn paper_config(scheme: Scheme, environment: Environment) -> SimConfig {
         .expect("paper preset is valid")
 }
 
-/// The engine-throughput scenario behind `micro_engine` and the
-/// `engine_events` binary: a `buses`-vehicle fleet on the full 600 km²
-/// area with a *flat* activity profile (the whole fleet stays in service,
-/// so event density is constant) over a 1-hour horizon, running ROBC in
-/// the urban environment.
+/// The engine-throughput scenario behind the `engine_events` binary's
+/// `200_buses` and `2000_buses` tiers: a `buses`-vehicle fleet on the
+/// full 600 km² area with a *flat* activity profile (the whole fleet
+/// stays in service, so event density is constant) over a 1-hour
+/// horizon, running ROBC in the urban environment.
 pub fn engine_throughput_config(buses: usize) -> SimConfig {
     let mut cfg = bench_config(Scheme::Robc, Environment::Urban);
     cfg.network.max_active_buses = buses;
@@ -92,4 +93,26 @@ pub fn figure_sweep_plan(base: SimConfig, gateway_counts: &[usize]) -> Experimen
         .environments([Environment::Urban, Environment::Rural])
         .gateway_counts(gateway_counts.iter().copied())
         .schemes(Scheme::ALL)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mlora_sim::Engine;
+    use mlora_simcore::SimTime;
+
+    /// `BENCH_engine.json`'s rows stay comparable only while the tiers
+    /// run the workload they were recorded on: its `200_buses` counts.
+    #[test]
+    fn recorded_tiers_run_the_recorded_workload() {
+        let mut engine = Engine::new(engine_throughput_config(200), HARNESS_SEED);
+        engine.run_until(SimTime::MAX);
+        let stats = engine.stats();
+        assert_eq!(stats.events_processed, 16_585);
+        assert_eq!(stats.receptions, 3_177);
+        assert_eq!(stats.frames_heard, 3_185);
+        assert_eq!(stats.rssi_evaluated, 633);
+        // `build()` validates the metro tier's world.
+        metro_throughput_config(20_000);
+    }
 }

@@ -97,17 +97,6 @@ impl CaEtxEstimator {
         (tx + wait).min(RCA_ETX_CEILING)
     }
 
-    /// Standard deviation of the inter-contact gaps (the σ the paper
-    /// notes goes stale), seconds.
-    pub fn gap_std_dev(&self) -> f64 {
-        self.gaps.std_dev()
-    }
-
-    /// Mean inter-contact gap, seconds.
-    pub fn mean_gap(&self) -> f64 {
-        self.gaps.mean()
-    }
-
     /// Number of successful contacts observed.
     pub fn contacts(&self) -> u64 {
         self.capacities.count()
@@ -171,7 +160,6 @@ mod tests {
         for i in 0..5u64 {
             e.observe(SimTime::from_secs(i * 400), Some(2_040.0));
         }
-        assert_eq!(e.mean_gap(), 400.0);
         assert!((e.ca_etx() - (1.0 + 200.0)).abs() < 1e-9);
     }
 
@@ -217,7 +205,8 @@ mod tests {
         for t in [0u64, 100, 500, 600, 1_400] {
             e.observe(SimTime::from_secs(t), Some(2_040.0));
         }
-        assert!(e.gap_std_dev() > 0.0);
+        let (_, gaps, _, _) = e.raw_parts();
+        assert!(gaps.std_dev() > 0.0);
         assert_eq!(e.contacts(), 5);
     }
 }

@@ -88,18 +88,6 @@ impl BBox {
             p.y.clamp(self.min.y, self.max.y),
         )
     }
-
-    /// Shrinks the box by `margin` metres on every side.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the margin would invert the box.
-    pub fn shrink(&self, margin: f64) -> BBox {
-        BBox::new(
-            Point::new(self.min.x + margin, self.min.y + margin),
-            Point::new(self.max.x - margin, self.max.y - margin),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -122,13 +110,6 @@ mod tests {
         assert!(b.contains(Point::new(10.0, 10.0)));
         assert!(!b.contains(Point::new(10.1, 5.0)));
         assert_eq!(b.clamp(Point::new(-5.0, 20.0)), Point::new(0.0, 10.0));
-    }
-
-    #[test]
-    fn shrink() {
-        let b = BBox::square(Point::ORIGIN, 10.0).shrink(1.0);
-        assert_eq!(b.min(), Point::new(1.0, 1.0));
-        assert_eq!(b.max(), Point::new(9.0, 9.0));
     }
 
     #[test]

@@ -343,15 +343,6 @@ impl<T: Copy + Ord> GridIndex<T> {
             }
         }
     }
-
-    /// The nearest item to `p` within `radius`, if any.
-    pub fn nearest_within(&self, p: Point, radius: f64) -> Option<(T, Point)> {
-        self.within(p, radius).min_by(|a, b| {
-            a.1.distance_sq(p)
-                .partial_cmp(&b.1.distance_sq(p))
-                .expect("distances are finite")
-        })
-    }
 }
 
 #[cfg(test)]
@@ -383,18 +374,6 @@ mod tests {
         let items = [(1u32, Point::new(-250.0, -250.0))];
         let grid = GridIndex::build(items.iter().copied(), 100.0);
         assert_eq!(grid.within(Point::new(-240.0, -240.0), 20.0).count(), 1);
-    }
-
-    #[test]
-    fn nearest_within_picks_closest() {
-        let items = [
-            (1u32, Point::new(10.0, 0.0)),
-            (2, Point::new(5.0, 0.0)),
-            (3, Point::new(50.0, 0.0)),
-        ];
-        let grid = GridIndex::build(items.iter().copied(), 100.0);
-        assert_eq!(grid.nearest_within(Point::ORIGIN, 20.0).unwrap().0, 2);
-        assert_eq!(grid.nearest_within(Point::ORIGIN, 1.0), None);
     }
 
     #[test]

@@ -141,14 +141,6 @@ impl Polyline {
         let t = (d - seg_start) / seg_len;
         self.points[i - 1].lerp(self.points[i], t)
     }
-
-    /// The fraction `[0, 1]` of the route covered after `distance` metres.
-    pub fn fraction_at(&self, distance: f64) -> f64 {
-        if self.length() <= 0.0 {
-            return 1.0;
-        }
-        (distance / self.length()).clamp(0.0, 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -235,13 +227,5 @@ mod tests {
         let mut bad = 999u32;
         assert_eq!(p.point_at_hinted(5.0, &mut bad), p.point_at(5.0));
         assert!(bad <= 4);
-    }
-
-    #[test]
-    fn fraction_at() {
-        let p = l_shape();
-        assert_eq!(p.fraction_at(75.0), 0.5);
-        assert_eq!(p.fraction_at(-5.0), 0.0);
-        assert_eq!(p.fraction_at(500.0), 1.0);
     }
 }

@@ -2,28 +2,6 @@
 
 use mlora_simcore::{SimDuration, SimTime};
 
-/// The receive windows a Class-A device opens after an uplink: RX1 one
-/// second after the uplink ends, RX2 two seconds after (§III.B, Fig. 2).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClassAWindows {
-    /// Delay from uplink end to RX1 opening.
-    pub rx1_delay: SimDuration,
-    /// Delay from uplink end to RX2 opening.
-    pub rx2_delay: SimDuration,
-    /// Length of each receive window.
-    pub window: SimDuration,
-}
-
-impl Default for ClassAWindows {
-    fn default() -> Self {
-        ClassAWindows {
-            rx1_delay: SimDuration::from_secs(1),
-            rx2_delay: SimDuration::from_secs(2),
-            window: SimDuration::from_millis(160),
-        }
-    }
-}
-
 /// A LoRaWAN device class, governing when the radio listens.
 ///
 /// Standard classes listen on the *downlink* channel, so they can hear
@@ -86,26 +64,6 @@ impl DeviceClass {
             }
         }
     }
-
-    /// Average fraction of non-transmit time the radio spends in receive,
-    /// for energy accounting.
-    pub fn receive_duty(&self, gamma: f64) -> f64 {
-        match self {
-            DeviceClass::ClassA => 0.002, // two ~160 ms windows per uplink
-            DeviceClass::ClassB { .. } => 0.01,
-            DeviceClass::ClassC | DeviceClass::ModifiedClassC => 1.0,
-            DeviceClass::QueueBasedClassA => gamma.clamp(0.0, 1.0),
-        }
-    }
-
-    /// True for the classes able to take part in opportunistic
-    /// device-to-device forwarding.
-    pub fn supports_d2d(&self) -> bool {
-        matches!(
-            self,
-            DeviceClass::ModifiedClassC | DeviceClass::QueueBasedClassA
-        )
-    }
 }
 
 /// The Eq. 11 receive-window fraction of Queue-based Class-A:
@@ -150,7 +108,6 @@ mod tests {
             DeviceClass::ClassC,
         ] {
             assert!(!class.overhears(t, Some(SimTime::ZERO), DT, 1.0));
-            assert!(!class.supports_d2d());
         }
     }
 
@@ -159,7 +116,6 @@ mod tests {
         let c = DeviceClass::ModifiedClassC;
         assert!(c.overhears(SimTime::ZERO, None, DT, 0.0));
         assert!(c.overhears(SimTime::from_secs(9999), Some(SimTime::ZERO), DT, 0.0));
-        assert!(c.supports_d2d());
     }
 
     #[test]
@@ -186,16 +142,6 @@ mod tests {
         assert_eq!(queue_based_window_fraction(0.1, 1.0, 10, 10), 1.0);
         // Empty queue: no window.
         assert_eq!(queue_based_window_fraction(1.0, 1.0, 0, 10), 0.0);
-    }
-
-    #[test]
-    fn receive_duty_ordering() {
-        let gamma = 0.3;
-        let a = DeviceClass::ClassA.receive_duty(gamma);
-        let qa = DeviceClass::QueueBasedClassA.receive_duty(gamma);
-        let mc = DeviceClass::ModifiedClassC.receive_duty(gamma);
-        assert!(a < qa && qa < mc);
-        assert_eq!(qa, gamma);
     }
 
     #[test]

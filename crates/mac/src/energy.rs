@@ -87,21 +87,6 @@ impl EnergyAccount {
         }
     }
 
-    /// Time spent in `state`.
-    pub fn time_in(&self, state: RadioState) -> SimDuration {
-        match state {
-            RadioState::Tx => self.tx,
-            RadioState::Rx => self.rx,
-            RadioState::Idle => self.idle,
-            RadioState::Sleep => self.sleep,
-        }
-    }
-
-    /// Total accounted time.
-    pub fn total_time(&self) -> SimDuration {
-        self.tx + self.rx + self.idle + self.sleep
-    }
-
     /// Total energy in millijoules under `model`.
     pub fn energy_mj(&self, model: &EnergyModel) -> f64 {
         self.tx.as_secs_f64() * model.tx_mw
@@ -129,9 +114,10 @@ mod tests {
         a.add(RadioState::Tx, SimDuration::from_secs(2));
         a.add(RadioState::Rx, SimDuration::from_secs(3));
         a.add(RadioState::Tx, SimDuration::from_secs(1));
-        assert_eq!(a.time_in(RadioState::Tx), SimDuration::from_secs(3));
-        assert_eq!(a.time_in(RadioState::Rx), SimDuration::from_secs(3));
-        assert_eq!(a.total_time(), SimDuration::from_secs(6));
+        let mut expected = EnergyAccount::new();
+        expected.add(RadioState::Tx, SimDuration::from_secs(3));
+        expected.add(RadioState::Rx, SimDuration::from_secs(3));
+        assert_eq!(a, expected);
     }
 
     #[test]
@@ -169,6 +155,8 @@ mod tests {
         let mut b = EnergyAccount::new();
         b.add(RadioState::Idle, SimDuration::from_secs(7));
         a.merge(&b);
-        assert_eq!(a.time_in(RadioState::Idle), SimDuration::from_secs(12));
+        let mut expected = EnergyAccount::new();
+        expected.add(RadioState::Idle, SimDuration::from_secs(12));
+        assert_eq!(a, expected);
     }
 }

@@ -29,7 +29,7 @@ mod frame;
 mod queue;
 mod retransmit;
 
-pub use class::{queue_based_window_fraction, ClassAWindows, DeviceClass};
+pub use class::{queue_based_window_fraction, DeviceClass};
 pub use dutycycle::DutyCycleTracker;
 pub use energy::{EnergyAccount, EnergyModel, RadioState};
 pub use frame::{

@@ -156,12 +156,6 @@ impl DataQueue {
         out
     }
 
-    /// Removes and returns the frontmost `n` messages.
-    pub fn pop_front(&mut self, n: usize) -> Vec<AppMessage> {
-        let n = n.min(self.buf.len());
-        self.buf.drain(..n).collect()
-    }
-
     /// Removes the specific `messages` (by identity) wherever they sit in
     /// the queue; returns how many were found and removed.
     ///
@@ -249,12 +243,11 @@ mod tests {
         for i in 0..5 {
             q.push(msg(i));
         }
-        let popped = q.pop_front(3);
+        let front = q.peek_front(3);
         assert_eq!(
-            popped.iter().map(|m| m.id.raw()).collect::<Vec<_>>(),
+            front.iter().map(|m| m.id.raw()).collect::<Vec<_>>(),
             [0, 1, 2]
         );
-        assert_eq!(q.len(), 2);
     }
 
     #[test]
@@ -355,14 +348,6 @@ mod tests {
         assert_eq!(removed, 2);
         let ids: Vec<u64> = q.iter().map(|m| m.id.raw()).collect();
         assert_eq!(ids, [0, 2, 3, 5]);
-    }
-
-    #[test]
-    fn pop_more_than_available() {
-        let mut q = DataQueue::new(4);
-        q.push(msg(1));
-        assert_eq!(q.pop_front(10).len(), 1);
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl DiurnalProfile {
     pub fn hourly(&self) -> &[f64] {
         &self.hourly
     }
-
-    /// The mean level across the day.
-    pub fn mean_level(&self) -> f64 {
-        self.hourly.iter().sum::<f64>() / 24.0
-    }
 }
 
 impl Default for DiurnalProfile {
@@ -134,7 +129,6 @@ mod tests {
         for h in 0..48 {
             assert_eq!(p.level(SimTime::from_secs(h * 1800)), 0.5);
         }
-        assert_eq!(p.mean_level(), 0.5);
     }
 
     #[test]

@@ -106,36 +106,6 @@ impl AirtimeTable {
     }
 }
 
-/// [`AirtimeTable`]s for every [`SpreadingFactor`] at fixed
-/// bandwidth/coding parameters, for schemes that adapt SF per link.
-///
-/// [`SpreadingFactor`]: crate::SpreadingFactor
-#[derive(Debug, Clone)]
-pub struct SfAirtimeTables {
-    tables: [AirtimeTable; crate::SpreadingFactor::ALL.len()],
-}
-
-impl SfAirtimeTables {
-    /// Tabulates airtime for every SF, holding `base`'s bandwidth,
-    /// coding rate, preamble and header settings fixed.
-    pub fn new(base: &PhyParams) -> Self {
-        SfAirtimeTables {
-            tables: crate::SpreadingFactor::ALL
-                .map(|sf| AirtimeTable::new(&PhyParams { sf, ..*base })),
-        }
-    }
-
-    /// The table for one spreading factor.
-    #[inline]
-    pub fn for_sf(&self, sf: crate::SpreadingFactor) -> &AirtimeTable {
-        let at = crate::SpreadingFactor::ALL
-            .iter()
-            .position(|&s| s == sf)
-            .expect("every SF is tabulated");
-        &self.tables[at]
-    }
-}
-
 /// The mandatory silence after a transmission under a duty-cycle cap.
 ///
 /// A `duty_cycle` of 0.01 (EU868 general channels) after an airtime `toa`
@@ -257,16 +227,6 @@ mod tests {
     #[should_panic(expected = "at most 255")]
     fn table_rejects_oversized_payload() {
         AirtimeTable::new(&PhyParams::paper_default()).lookup(256);
-    }
-
-    #[test]
-    fn sf_tables_match_per_sf_formula() {
-        let base = PhyParams::paper_default();
-        let tables = SfAirtimeTables::new(&base);
-        for sf in SpreadingFactor::ALL {
-            let params = PhyParams { sf, ..base };
-            assert_eq!(tables.for_sf(sf).lookup(50), time_on_air(50, &params));
-        }
     }
 
     #[test]

@@ -24,9 +24,7 @@ mod channel;
 mod params;
 mod pathloss;
 
-pub use airtime::{
-    duty_cycle_wait, time_on_air, AirtimeTable, SfAirtimeTables, LORA_MAX_PAYLOAD_BYTES,
-};
+pub use airtime::{duty_cycle_wait, time_on_air, AirtimeTable, LORA_MAX_PAYLOAD_BYTES};
 pub use capacity::CapacityModel;
 pub use channel::{resolve_collision, CAPTURE_MARGIN_DB};
 pub use params::{Bandwidth, CodingRate, PhyParams, SpreadingFactor};

@@ -1,9 +1,10 @@
 //! Hidden instrumentation hooks for the engine's hot paths.
 //!
 //! The counting-allocator test (`crates/sim/tests/engine_alloc.rs`) and
-//! the `micro_engine` benches need to drive the flight-column scan in
-//! isolation, without standing up a full engine run. This module
-//! packages that path behind a self-contained driver —
+//! the `engine_events` binary's reception rows need to drive the
+//! flight-column scan and a reception in isolation, without standing
+//! up a full engine run. This module packages that path behind a
+//! self-contained driver —
 //! [`FlightScanProbe`] over the [`Channel`], calling the functions the
 //! engine calls — plus [`sweep_flights`], with which the lazy-vs-eager
 //! pruning proptest reclaims expired flights far more often than the

@@ -137,7 +137,7 @@ pub mod prelude {
     //! custom policies, raw substrate types).
     pub use crate::observer::events::{
         BusWithdrawn, FrameTransmitted, GatewayOutageChanged, HandoverAccepted, MessageDelivered,
-        MessageGenerated, NoiseBurstChanged, ObservedEvent,
+        MessageGenerated, NoiseBurstChanged,
     };
     pub use crate::observer::{
         EventCounter, NullObserver, ReportWriter, SeriesObserver, SimObserver, TraceFormat,

@@ -84,16 +84,6 @@ impl ProfileReport {
             self.payload_bytes_sent as f64 / self.messages_sent as f64
         }
     }
-
-    /// Mean attributed airtime per transmitted message, seconds, or
-    /// `0.0` when the profile never got a message onto the air.
-    pub fn mean_airtime_per_message_s(&self) -> f64 {
-        if self.messages_sent == 0 {
-            0.0
-        } else {
-            self.airtime_s / self.messages_sent as f64
-        }
-    }
 }
 
 /// Everything a run measures — the inputs to every figure in §VII.B.
@@ -691,7 +681,6 @@ mod tests {
         assert_eq!(p.mean_delay_s(), 0.0);
         assert_eq!(p.delay_std_error_s(), 0.0);
         assert_eq!(p.mean_payload_bytes(), 0.0);
-        assert_eq!(p.mean_airtime_per_message_s(), 0.0);
 
         // Generated-but-never-delivered: ratios defined, delay still 0.
         let mut p = ProfileReport::new("lossy".into());

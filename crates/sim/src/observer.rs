@@ -9,8 +9,8 @@
 //! of being re-run once per figure.
 //!
 //! The event types themselves live in [`events`] (re-exported here and
-//! from the crate root), one struct per hook, all carrying their firing
-//! instant behind the [`events::ObservedEvent`] accessor.
+//! from the crate root), one struct per hook, each carrying its firing
+//! instant in a public `time` field.
 //!
 //! Observers are strictly passive: the engine's event stream and final
 //! [`SimReport`] are byte-identical with or without one attached.
@@ -36,7 +36,7 @@ use crate::SimReport;
 
 pub use events::{
     BusWithdrawn, FrameTransmitted, GatewayOutageChanged, HandoverAccepted, MessageDelivered,
-    MessageGenerated, NoiseBurstChanged, ObservedEvent,
+    MessageGenerated, NoiseBurstChanged,
 };
 
 pub mod events {
@@ -44,43 +44,10 @@ pub mod events {
     //!
     //! One struct per hook, all following the same conventions: plain
     //! `Copy` data (ids, times, counts — no references into engine
-    //! state), public fields, and a leading `time` field exposing the
-    //! simulation instant the event fired at, uniformly accessible
-    //! through [`ObservedEvent::time`] so generic sinks can timestamp
-    //! any event without matching on its type.
+    //! state), public fields, and a leading `time` field holding the
+    //! simulation instant the event fired at.
 
     use mlora_simcore::{MessageId, NodeId, SimDuration, SimTime};
-
-    /// The shared accessor convention: every observer event carries the
-    /// simulation instant it fired at.
-    ///
-    /// Implemented by all seven event types, so generic code — bucketing
-    /// time-series sinks, ordered trace mergers — can read the timestamp
-    /// without knowing the concrete event.
-    pub trait ObservedEvent {
-        /// Simulation time the event fired at.
-        fn time(&self) -> SimTime;
-    }
-
-    macro_rules! observed_at {
-        ($($ty:ty),+) => {$(
-            impl ObservedEvent for $ty {
-                fn time(&self) -> SimTime {
-                    self.time
-                }
-            }
-        )+};
-    }
-
-    observed_at!(
-        MessageGenerated,
-        FrameTransmitted,
-        HandoverAccepted,
-        MessageDelivered,
-        GatewayOutageChanged,
-        BusWithdrawn,
-        NoiseBurstChanged
-    );
 
     /// A device generated one application message.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -563,11 +530,6 @@ impl<W: Write> TraceSink<W> {
         TraceSink::new(out, TraceFormat::Csv)
     }
 
-    /// A JSON Lines trace sink over `out`.
-    pub fn json_lines(out: W) -> Self {
-        TraceSink::new(out, TraceFormat::JsonLines)
-    }
-
     /// A trace sink over `out` in the given format.
     pub fn new(out: W, format: TraceFormat) -> Self {
         TraceSink {
@@ -898,7 +860,7 @@ mod tests {
 
     #[test]
     fn json_trace_rows() {
-        let mut sink = TraceSink::json_lines(Vec::new());
+        let mut sink = TraceSink::new(Vec::new(), TraceFormat::JsonLines);
         sink.on_forward(&HandoverAccepted {
             time: SimTime::from_secs(1),
             donor: NodeId::new(3),

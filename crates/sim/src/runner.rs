@@ -531,11 +531,6 @@ impl ReplicatedReport {
     pub fn delivered_mean(&self) -> f64 {
         self.mean(|r| r.delivered as f64)
     }
-
-    /// Mean delivery ratio.
-    pub fn delivery_ratio_mean(&self) -> f64 {
-        self.mean(|r| r.delivery_ratio())
-    }
 }
 
 /// One executed cell: coordinates plus replicated results.
@@ -1001,7 +996,7 @@ mod tests {
         let plan = ExperimentPlan::new(tiny()).seed(3).replicate(3);
         let cells = Runner::new().run(&plan).unwrap();
         let cell = &cells[0];
-        let mean = cell.report.delivery_ratio_mean();
+        let mean = cell.report.mean(|r| r.delivery_ratio());
         let (lo, hi) = cell.report.ci95(|r| r.delivery_ratio());
         assert!(lo <= mean && mean <= hi);
         assert!(cell.report.std_dev(|r| r.delivery_ratio()) >= 0.0);

@@ -211,15 +211,6 @@ impl SimRng {
         -u.ln() / rate
     }
 
-    /// Picks a uniformly random index in `[0, len)`, or `None` if `len == 0`.
-    pub fn choose_index(&mut self, len: usize) -> Option<usize> {
-        if len == 0 {
-            None
-        } else {
-            Some(self.below(len as u64) as usize)
-        }
-    }
-
     /// Shuffles a slice in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
@@ -443,13 +434,6 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_index_empty() {
-        let mut rng = SimRng::new(11);
-        assert_eq!(rng.choose_index(0), None);
-        assert!(rng.choose_index(5).unwrap() < 5);
     }
 
     #[test]

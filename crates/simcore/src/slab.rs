@@ -431,11 +431,6 @@ impl<K: DenseKey, V> DenseMap<K, V> {
     pub fn values(&self) -> impl Iterator<Item = &V> + '_ {
         self.slots.iter().filter_map(|slot| slot.as_ref())
     }
-
-    /// Iterates values mutably, in key-index order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
-        self.slots.iter_mut().filter_map(|slot| slot.as_mut())
-    }
 }
 
 impl<K: DenseKey, V> Default for DenseMap<K, V> {
@@ -558,10 +553,6 @@ mod tests {
         assert_eq!(got, vec![(0, "a"), (2, "b"), (4, "d")]);
         let vals: Vec<&str> = m.values().copied().collect();
         assert_eq!(vals, vec!["a", "b", "d"]);
-        for v in m.values_mut() {
-            *v = "x";
-        }
-        assert_eq!(m.values().copied().collect::<Vec<_>>(), vec!["x"; 3]);
     }
 
     #[test]

@@ -208,17 +208,6 @@ impl Histogram {
             .enumerate()
             .map(move |(i, &c)| (self.lo + width * (i as f64 + 0.5), c))
     }
-
-    /// Fraction of samples in each bin; empty histogram yields zeros.
-    pub fn normalized(&self) -> Vec<f64> {
-        if self.count == 0 {
-            return vec![0.0; self.bins.len()];
-        }
-        self.bins
-            .iter()
-            .map(|&c| c as f64 / self.count as f64)
-            .collect()
-    }
 }
 
 /// Counts events into fixed-width time buckets.
@@ -472,8 +461,6 @@ mod tests {
         h.push(100.0); // clamps to last
         assert_eq!(h.bins(), &[2, 0, 1, 0, 2]);
         assert_eq!(h.count(), 5);
-        let norm = h.normalized();
-        assert!((norm.iter().sum::<f64>() - 1.0).abs() < 1e-12);
     }
 
     #[test]
