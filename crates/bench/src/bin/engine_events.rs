@@ -7,7 +7,9 @@
 //! wall-clock time, events/sec, the channel's reception counters
 //! (receptions resolved, frames heard, exact RSSI evaluations — the share
 //! of heard frames whose logarithms were actually taken is read off
-//! these) and the host's available parallelism. Two kernel rows follow:
+//! these), the neighbour queries' counters (cell-list entries screened,
+//! exact positions located, candidates in range) and the host's
+//! available parallelism. Two kernel rows follow:
 //! one `Channel::receive` of a frame heard alone and among five others,
 //! in ns per reception. The repo-level `BENCH_engine.json` is recorded
 //! with this binary; passing `full` adds the 100 000-bus metro tier,
@@ -107,8 +109,14 @@ fn main() {
             "{{\"scenario\": \"{name}\", \"events\": {events}, \
              \"setup_wall_s\": {setup_s:.4}, \"best_wall_s\": {best_s:.4}, \
              \"events_per_sec\": {eps:.0}, \"receptions\": {}, \"frames_heard\": {}, \
-             \"rssi_evaluated\": {}, \"host_threads\": {host_threads}}}",
-            stats.receptions, stats.frames_heard, stats.rssi_evaluated
+             \"rssi_evaluated\": {}, \"grid_entries\": {}, \"positions_located\": {}, \
+             \"candidates\": {}, \"host_threads\": {host_threads}}}",
+            stats.receptions,
+            stats.frames_heard,
+            stats.rssi_evaluated,
+            stats.grid_entries,
+            stats.positions_located,
+            stats.candidates
         ));
     }
     for (name, audible) in kernels {

@@ -102,7 +102,8 @@ mod tests {
     use mlora_simcore::SimTime;
 
     /// `BENCH_engine.json`'s rows stay comparable only while the tiers
-    /// run the workload they were recorded on: its `200_buses` counts.
+    /// run the workload they were recorded on: its `200_buses` counts,
+    /// and what the neighbour queries did to find the receivers.
     #[test]
     fn recorded_tiers_run_the_recorded_workload() {
         let mut engine = Engine::new(engine_throughput_config(200), HARNESS_SEED);
@@ -112,6 +113,12 @@ mod tests {
         assert_eq!(stats.receptions, 3_177);
         assert_eq!(stats.frames_heard, 3_185);
         assert_eq!(stats.rssi_evaluated, 633);
+        // The neighbour queries' work: `candidates` is the model's,
+        // the other two are the cell list's (docs/lab-notebook.md,
+        // "PR 26").
+        assert_eq!(stats.grid_entries, 16_721);
+        assert_eq!(stats.positions_located, 3_123);
+        assert_eq!(stats.candidates, 2_519);
         // `build()` validates the metro tier's world.
         metro_throughput_config(20_000);
     }

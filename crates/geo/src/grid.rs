@@ -290,7 +290,7 @@ impl<T: Copy + Ord> GridIndex<T> {
     /// steady-state capacity, repeated queries perform no heap
     /// allocation. The explicit cell loop (instead of the iterator
     /// chain behind [`GridIndex::within`]) is what the engine's
-    /// per-event neighbour query runs.
+    /// per-transmission gateway query runs.
     pub fn within_into(&self, center: Point, radius: f64, out: &mut Vec<(T, Point)>) {
         out.clear();
         let r = radius.max(0.0);
@@ -306,39 +306,6 @@ impl<T: Copy + Ord> GridIndex<T> {
                     if p.distance_sq(center) <= r_sq {
                         out.push((item, p));
                     }
-                }
-            }
-        }
-    }
-
-    /// Visits every non-empty cell bucket intersecting the axis-aligned
-    /// `radius` box around `center`, in canonical cell-key order,
-    /// passing each bucket's id-sorted `(item, position)` slice.
-    ///
-    /// This is the batch counterpart of [`GridIndex::within_into`]: the
-    /// caller runs its own distance filter (and any further per-item
-    /// checks) over one contiguous slice per cell, so column lookups
-    /// and position math stay in cache instead of alternating with
-    /// cell-table probes. Filtering each slice with
-    /// `distance_sq(center) <= radius²` yields exactly the
-    /// [`GridIndex::within_into`] output, in the same order.
-    pub fn for_each_bucket_within(
-        &self,
-        center: Point,
-        radius: f64,
-        mut f: impl FnMut(&[(T, Point)]),
-    ) {
-        let r = radius.max(0.0);
-        let lo = Self::key_for(Point::new(center.x - r, center.y - r), self.cell);
-        let hi = Self::key_for(Point::new(center.x + r, center.y + r), self.cell);
-        for cx in lo.0..=hi.0 {
-            for cy in lo.1..=hi.1 {
-                let Some(slot) = self.slots.get(pack(cx, cy)) else {
-                    continue;
-                };
-                let bucket = &self.buckets[slot as usize];
-                if !bucket.is_empty() {
-                    f(bucket);
                 }
             }
         }
@@ -417,43 +384,6 @@ mod tests {
         assert_eq!(a, b);
         // Cell (0,0) holds {1, 3} (id-sorted), cell (1,0) holds {2}.
         assert_eq!(a.iter().map(|&(i, _)| i).collect::<Vec<_>>(), vec![1, 3, 2]);
-    }
-
-    #[test]
-    fn bucket_visit_filtered_matches_within_into() {
-        use mlora_simcore::SimRng;
-        let mut rng = SimRng::new(17);
-        let items: Vec<(u32, Point)> = (0..300)
-            .map(|i| {
-                (
-                    i,
-                    Point::new(
-                        rng.gen_range_f64(0.0, 3000.0),
-                        rng.gen_range_f64(0.0, 3000.0),
-                    ),
-                )
-            })
-            .collect();
-        let grid = GridIndex::build(items.iter().copied(), 400.0);
-        for _ in 0..20 {
-            let c = Point::new(
-                rng.gen_range_f64(0.0, 3000.0),
-                rng.gen_range_f64(0.0, 3000.0),
-            );
-            let r = rng.gen_range_f64(50.0, 900.0);
-            let mut want = Vec::new();
-            grid.within_into(c, r, &mut want);
-            let mut got = Vec::new();
-            grid.for_each_bucket_within(c, r, |bucket| {
-                got.extend(
-                    bucket
-                        .iter()
-                        .filter(|(_, p)| p.distance_sq(c) <= r * r)
-                        .copied(),
-                );
-            });
-            assert_eq!(got, want);
-        }
     }
 
     #[test]

@@ -38,7 +38,10 @@ pub struct DataQueue {
 }
 
 impl DataQueue {
-    /// Creates a queue holding at most `capacity` messages.
+    /// Creates a queue holding at most `capacity` messages. Storage
+    /// grows with the messages held, not with `capacity`: a fleet's
+    /// queues are mostly near-empty, and reserving the bound up front
+    /// (6 KiB per bus at the default 256) was most of an engine's heap.
     ///
     /// # Panics
     ///
@@ -46,7 +49,7 @@ impl DataQueue {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "queue capacity must be positive");
         DataQueue {
-            buf: VecDeque::with_capacity(capacity.min(1024)),
+            buf: VecDeque::new(),
             capacity,
             dropped: 0,
         }

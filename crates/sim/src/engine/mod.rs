@@ -17,8 +17,8 @@
 //! state, scratch buffers and (where applicable) RNG fork behind a
 //! narrow interface:
 //!
-//! * [`world`] — the dense device world: the fleet, the incrementally
-//!   maintained neighbour grid, device lifecycle and energy accounting.
+//! * [`world`] — the dense device world: the fleet, the neighbour cell
+//!   list, device lifecycle and energy accounting.
 //! * [`channel`] — the shared radio: frames in flight, the one
 //!   shadowing RNG stream, regional noise and capture-model collision
 //!   resolution ([`channel::Channel::receive`] serves gateway and
@@ -50,11 +50,11 @@
 //!
 //! Per-event state is dense and index-addressed: devices live in a
 //! `DenseMap` keyed by their already-dense [`NodeId`], frames in
-//! flight live in a generational `Slab`, the neighbour grid is
-//! maintained incrementally (insert on trip start, remove on retirement,
-//! periodic drift relocation — never a from-scratch rebuild), and every
-//! query writes into scratch buffers owned by its subsystem. In steady
-//! state the event loop performs no per-event heap allocation on the
+//! flight live in a generational `Slab`, the neighbour cell list is
+//! rebuilt once per drift sweep and patched in O(1) in between (append
+//! on trip start, tombstone on retirement), and every query writes into
+//! scratch buffers owned by its subsystem. In steady state the event
+//! loop performs no per-event heap allocation on the
 //! neighbour-resolution path.
 
 mod channel;
@@ -115,15 +115,21 @@ enum Event {
 /// engine holds, in units a test can compare without a clock: both
 /// follow the buses that have departed, not the length of the timetable.
 ///
-/// The last three fields count the channel's work. `receptions` and
-/// `frames_heard` are properties of the model — how often a receiver
-/// resolved a frame and how many audible frames (one shadowing draw
-/// each) that took; `rssi_evaluated` is how many of those strengths
+/// `receptions`, `frames_heard` and `rssi_evaluated` count the channel's
+/// work. The first two are properties of the model — how often a
+/// receiver resolved a frame and how many audible frames (one shadowing
+/// draw each) that took; `rssi_evaluated` is how many of those strengths
 /// were computed exactly, logarithms and all, because a comparison was
 /// too close for the channel's table bounds or because a gateway or a
-/// policy read the value. Like the high-water mark they are host
-/// telemetry, not run state: none is checkpointed, and a resumed engine
-/// counts from zero.
+/// policy read the value.
+///
+/// The last three count the neighbour queries' work, one query per
+/// transmission end. `candidates` is a property of the model (devices
+/// truly in range); `grid_entries` and `positions_located` measure how
+/// much the cell list made the query screen and locate to find them.
+///
+/// Like the high-water mark these are host telemetry, not run state:
+/// none is checkpointed, and a resumed engine counts from zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
     /// Discrete events processed by the main loop.
@@ -143,6 +149,14 @@ pub struct EngineStats {
     pub frames_heard: u64,
     /// Exact RSSI evaluations (at most one per frame heard).
     pub rssi_evaluated: u64,
+    /// Cell-list entries the neighbour queries screened, tombstones
+    /// included.
+    pub grid_entries: u64,
+    /// Exact device positions the neighbour queries computed: the
+    /// entries that passed the drift-padded screen, less the senders.
+    pub positions_located: u64,
+    /// Devices the neighbour queries found within range.
+    pub candidates: u64,
 }
 
 /// The simulation engine. Construct with [`Engine::new`], execute with
@@ -168,7 +182,7 @@ pub struct Engine {
     now: SimTime,
     horizon: SimTime,
     next_msg: u64,
-    /// The dense device world (fleet, neighbour grid, lifecycle).
+    /// The dense device world (fleet, neighbour cell list, lifecycle).
     world: World,
     /// The shared radio (flights, shadowing RNG, noise, collisions).
     channel: Channel,
@@ -331,6 +345,7 @@ impl Engine {
     /// Execution statistics so far (see [`EngineStats`]).
     pub fn stats(&self) -> EngineStats {
         let (receptions, frames_heard, rssi_evaluated) = self.channel.reception_counts();
+        let (grid_entries, positions_located, candidates) = self.world.candidate_counts();
         EngineStats {
             events_processed: self.events_processed,
             queue_depth_high_water: self.queue_depth_high_water,
@@ -338,6 +353,9 @@ impl Engine {
             receptions,
             frames_heard,
             rssi_evaluated,
+            grid_entries,
+            positions_located,
+            candidates,
         }
     }
 

@@ -345,13 +345,17 @@ impl Engine {
             }
         };
 
-        // One allocation: consecutive checkpoints of a run differ in
-        // size by the few devices and flights that came or went.
-        // (`Relaxed`: a size hint, it publishes nothing.)
+        // One allocation. A run's checkpoints grow with its collector
+        // (`urban_lorawan`: 0.5, 1.1 and 1.7 MiB at ¼, ½ and ¾ of the
+        // span), so twice the last one's length leaves room to grow
+        // without the writer regrowing the buffer into a second one;
+        // only the pages written are touched, and `shrink_to_fit` below
+        // hands the rest back in place. (`Relaxed`: a size hint, it
+        // publishes nothing.)
         let expected = cfg_section
             .len()
             .max(self.last_snapshot_len.load(Ordering::Relaxed));
-        let out = Vec::with_capacity(expected + expected / 8);
+        let out = Vec::with_capacity(2 * expected);
         let mut w = ScenarioWriter::with_magic(out, SNAPSHOT_MAGIC)?;
 
         let header = Header {
@@ -435,7 +439,8 @@ impl Engine {
             put_map(enc, &c.outage_generated);
         })?;
 
-        let bytes = w.finish()?;
+        let mut bytes = w.finish()?;
+        bytes.shrink_to_fit();
         self.last_snapshot_len.store(bytes.len(), Ordering::Relaxed);
         Ok(Snapshot {
             bytes,
@@ -624,8 +629,8 @@ impl Engine {
 
         // Devices, one per departed trip in id order: active ones
         // re-enter the world through activate() (which rebuilds the
-        // sorted active set and the neighbour grid), retired ones only
-        // re-enter the device map.
+        // sorted active set; `restore_runtime` below builds the cell
+        // list once), retired ones only re-enter the device map.
         let n = expect_section(&mut r, SEC_DEVICES, "snapshot devices")?;
         let departed = n == limits.devices as u64;
         ensure(departed, "device records are not the departed trips")?;
@@ -691,7 +696,13 @@ impl Engine {
             .restore(channel_rng, slots, free, next_flight_seq, active_noise);
         engine.disruption_rng = Persist::get(&mut r)?;
         engine.traffic_root = Persist::get(&mut r)?;
-        engine.world.restore_runtime(Persist::get(&mut r)?);
+        // A sweep schedules the next one a period ahead, so a later due
+        // instant names a sweep after `now`, and the restored queries
+        // would pad by less than the drift since the real one.
+        let sweep_due: SimTime = Persist::get(&mut r)?;
+        let due_in_time = sweep_due <= header.now + engine.world.sweep_period();
+        ensure(due_in_time, "drift sweep due past one period")?;
+        engine.world.restore_runtime(sweep_due);
 
         // Gateway outage depths (silently re-applied to the grid).
         expect_section(&mut r, SEC_DELIVERY, "snapshot delivery")?;
@@ -1091,6 +1102,70 @@ mod tests {
         // ...and the resumed copy reproduces the identical report.
         let resumed = Engine::resume(&snap).expect("resume");
         assert_eq!(resumed.finish(), baseline);
+    }
+
+    /// A checkpoint between drift sweeps, with an activation (an entry
+    /// in the cell list's overflow run) and a retirement (a tombstone)
+    /// since the last sweep: the resumed engine builds its cell list
+    /// once from the active set, re-snapshots byte for byte, and runs
+    /// to the uninterrupted report.
+    #[test]
+    fn checkpoint_between_drift_sweeps_resumes_bit_identically() {
+        // One-leg trips under a flat profile: buses come and go every
+        // few seconds.
+        let mut cfg = cfg();
+        cfg.network.max_active_buses = 120;
+        cfg.network.max_legs = 1;
+        cfg.network.profile = mlora_mobility::DiurnalProfile::flat(1.0);
+        let baseline = Engine::new(cfg.clone(), 7).run();
+        let mut engine = Engine::new(cfg, 7);
+        let mut t = SimTime::ZERO;
+        loop {
+            t += SimDuration::from_secs(1);
+            assert!(
+                t < engine.horizon,
+                "no activation and retirement between two sweeps"
+            );
+            engine.run_until(t);
+            let last = engine.world.last_sweep();
+            let world = &engine.world;
+            let activated = world.active.iter().any(|&n| {
+                let dev = world.devices.get(n).unwrap();
+                dev.activated_at > last
+            });
+            let retired = world
+                .devices
+                .values()
+                .any(|dev| dev.retired_at.is_some_and(|at| at > last));
+            if activated && retired {
+                break;
+            }
+        }
+        let snap = engine.snapshot().expect("snapshot between sweeps");
+        let resumed = Engine::resume(&snap).expect("resume");
+        let again = resumed.snapshot().unwrap();
+        assert!(again.as_bytes() == snap.as_bytes(), "re-snapshot differs");
+        assert_eq!(resumed.finish(), baseline);
+        assert_eq!(engine.finish(), baseline);
+    }
+
+    #[test]
+    fn drift_sweep_due_past_one_period_is_refused() {
+        let mut engine = Engine::new(cfg(), 7);
+        engine.run_until(SimTime::from_secs(900));
+        let honest = engine.snapshot().expect("snapshot");
+        let period = engine.world.sweep_period();
+        let due = engine.world.grid_refresh_due();
+        assert!(due <= engine.now + period);
+        engine
+            .world
+            .restore_runtime(engine.now + period + SimDuration::from_millis(1));
+        let forged = engine.snapshot().expect("snapshot");
+        assert!(matches!(
+            Engine::resume(&forged),
+            Err(SnapshotError::Format(ScenarioIoError::Corrupt(_)))
+        ));
+        assert!(Engine::resume(&honest).is_ok());
     }
 
     #[test]

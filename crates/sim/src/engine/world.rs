@@ -1,13 +1,28 @@
-//! The dense device world: fleet state, the incrementally maintained
-//! neighbour grid, and device lifecycle (activation, retirement, energy
-//! reconstruction, scripted withdrawals).
+//! The dense device world: fleet state, the neighbour cell list, and
+//! device lifecycle (activation, retirement, energy reconstruction,
+//! scripted withdrawals).
 //!
 //! [`World`] owns everything position- and device-shaped — the mobility
 //! substrate, the `DenseMap` of live [`Device`]s, the sorted active set,
-//! the spatial grid with its drift-sweep schedule and the per-device
-//! polyline cursors — behind a narrow interface the event loop drives.
-//! All scratch buffers for grid queries and withdrawal selection live
-//! here too, so world queries are allocation-free in steady state.
+//! the neighbour cell list with its drift-sweep schedule and the
+//! per-device polyline cursors — behind a narrow interface the event
+//! loop drives. All scratch buffers for neighbour queries and withdrawal
+//! selection live here too, so world queries are allocation-free in
+//! steady state.
+//!
+//! # Neighbours: a dense cell list, re-filed once per drift sweep
+//!
+//! Every active device is filed in a [`CellList`] over the network's
+//! area under its `grid_pos`: where it stood at the last drift sweep,
+//! or at its activation if that came later. The periodic sweep
+//! ([`GRID_MARGIN_M`] paces it) re-locates the whole active set and
+//! rebuilds the list in one counting sort; between sweeps an activation
+//! appends to the list's overflow run and a retirement tombstones its
+//! entry, and a snapshot restore files every device and builds once. A
+//! neighbour query visits one contiguous slice per cell row plus the
+//! overflow run, screens the filed positions against the radius padded
+//! by the drift possible since the last sweep, and locates exactly only
+//! the survivors (see [`World::batched_candidates`]).
 //!
 //! # Column layout
 //!
@@ -40,16 +55,19 @@
 use std::sync::Arc;
 
 use mlora_core::RoutingState;
-use mlora_geo::{GridIndex, Point};
+use mlora_geo::{CellList, Point};
 use mlora_mac::{
     DataQueue, DeviceClass, DutyCycleTracker, EnergyAccount, EnergyModel, RadioState,
     RetransmitPolicy,
 };
 use mlora_simcore::{DenseMap, NodeId, SimDuration, SimRng, SimTime};
 
-/// Query-radius slack absorbing stored-position drift in the neighbour
-/// grid; exact distances are re-checked on the candidates, so the grid
-/// only has to stay a superset of the truly-in-range set.
+/// The most a filed position may drift from its device between drift
+/// sweeps: the sweep runs early enough that no device outruns it at the
+/// fleet's top speed. A neighbour query pads its radius by the drift
+/// actually possible since the last sweep, capped at this margin;
+/// exact distances are re-checked on the survivors, so the padded
+/// screen only has to keep a superset of the truly-in-range set.
 pub(super) const GRID_MARGIN_M: f64 = 120.0;
 
 /// Per-device traffic-model state: which profile this device runs and
@@ -87,7 +105,8 @@ pub(super) struct Device {
     pub(super) rx_window_time: SimDuration,
     /// Uplink frames sent (for Class-A RX-window energy).
     pub(super) frames_sent: u64,
-    /// The position this device is filed under in the neighbour grid.
+    /// The position this device is filed under in the neighbour cell
+    /// list: where it stood at the last drift sweep, or at activation.
     pub(super) grid_pos: Point,
     /// Traffic-model state; `None` under the paper's default workload.
     pub(super) traffic: Option<DeviceTraffic>,
@@ -184,13 +203,21 @@ pub(super) struct World {
     pub(super) hot: HotColumns,
     /// Device ids currently in service, kept sorted for determinism.
     pub(super) active: Vec<NodeId>,
-    /// Incrementally maintained spatial index over active devices.
-    grid: GridIndex<NodeId>,
-    /// When the next periodic drift-relocation sweep is due.
+    /// Every active device at its `grid_pos` (see the module docs).
+    cells: CellList,
+    /// When the next periodic drift sweep is due.
     grid_refresh_due: SimTime,
     /// Sweep period: chosen so no stored position can drift more than
     /// [`GRID_MARGIN_M`] between sweeps at the fleet's top speed.
     grid_refresh_every: SimDuration,
+    /// The fleet's top service speed, which bounds drift since a sweep.
+    max_speed_mps: f64,
+    /// Host telemetry for [`EngineStats`](super::EngineStats), never
+    /// checkpointed: cell-list entries screened, exact positions
+    /// located and candidates found by neighbour queries.
+    grid_entries: u64,
+    positions_located: u64,
+    candidates: u64,
     /// Per-device polyline segment cursors for O(1) position queries,
     /// one per opened row.
     pos_hints: Vec<u32>,
@@ -200,7 +227,7 @@ pub(super) struct World {
 
 impl World {
     /// Builds the world over a generated bus network. `cell_m` sizes the
-    /// neighbour-grid cells and `max_speed_mps` paces the drift sweep.
+    /// neighbour cells and `max_speed_mps` paces the drift sweep.
     pub(super) fn new(
         net: Arc<mlora_mobility::BusNetwork>,
         cell_m: f64,
@@ -214,9 +241,13 @@ impl World {
             devices: DenseMap::with_capacity(num_trips),
             hot: HotColumns::with_capacity(num_trips),
             active: Vec::new(),
-            grid: GridIndex::new(cell_m),
+            cells: CellList::new(net.area(), cell_m),
             grid_refresh_due: SimTime::ZERO,
             grid_refresh_every,
+            max_speed_mps,
+            grid_entries: 0,
+            positions_located: 0,
+            candidates: 0,
             pos_hints: Vec::with_capacity(num_trips),
             scratch_withdraw: Vec::new(),
             net,
@@ -241,39 +272,89 @@ impl World {
             .position_hinted(n, now, &mut self.pos_hints[n.index()])
     }
 
-    /// Relocates every active device's grid entry to its current
-    /// position when the periodic drift sweep is due. Relocation is a
-    /// no-op for devices that stayed within their cell.
+    /// When the last drift sweep ran: every filed position dates from
+    /// then or later.
+    pub(super) fn last_sweep(&self) -> SimTime {
+        self.grid_refresh_due - self.grid_refresh_every
+    }
+
+    /// How far ahead a drift sweep schedules the next one.
+    pub(super) fn sweep_period(&self) -> SimDuration {
+        self.grid_refresh_every
+    }
+
+    /// The most any device can have moved from its filed position by
+    /// `now`: the drift possible since the last sweep at the fleet's top
+    /// speed, plus a metre of rounding slack.
+    fn drift_bound(&self, now: SimTime) -> f64 {
+        now.saturating_since(self.last_sweep()).as_secs_f64() * self.max_speed_mps + 1.0
+    }
+
+    /// Re-locates every active device and rebuilds the cell list from
+    /// the active set when the periodic drift sweep is due.
     fn refresh_grid_if_due(&mut self, now: SimTime) {
         if now < self.grid_refresh_due {
             return;
         }
+        #[cfg(debug_assertions)]
+        self.assert_filed_as_active();
+        let drift = self.drift_bound(now);
         self.grid_refresh_due = now + self.grid_refresh_every;
-        for i in 0..self.active.len() {
-            let n = self.active[i];
-            let pos = self.position_now(n, now);
-            let dev = self.devices.get_mut(n).expect("active device exists");
-            let moved = self.grid.relocate(n, dev.grid_pos, pos);
-            debug_assert!(moved, "active device missing from grid");
+        let World {
+            net,
+            devices,
+            active,
+            pos_hints,
+            cells,
+            ..
+        } = self;
+        cells.rebuild(active.iter().map(|&n| {
+            let pos = net.position_hinted(n, now, &mut pos_hints[n.index()]);
+            let dev = devices.get_mut(n).expect("active device exists");
+            debug_assert!(
+                pos.distance(dev.grid_pos) <= drift,
+                "{n} drifted {} m from its filed position, past the {drift} m bound",
+                pos.distance(dev.grid_pos)
+            );
             dev.grid_pos = pos;
-        }
+            (n.raw(), pos)
+        }));
+    }
+
+    /// Runtime invariant (ROADMAP 2(3)): the cell list files exactly the
+    /// active set, each device at its `grid_pos`.
+    #[cfg(debug_assertions)]
+    fn assert_filed_as_active(&self) {
+        let mut filed: Vec<(u32, Point)> = self.cells.iter().collect();
+        filed.sort_unstable_by_key(|&(id, _)| id);
+        let expected = self.active.iter().map(|&n| {
+            (
+                n.raw(),
+                self.devices.get(n).expect("active device exists").grid_pos,
+            )
+        });
+        assert!(
+            filed.iter().copied().eq(expected),
+            "cell list membership differs from the active set"
+        );
     }
 
     /// Writes `(id, exact position)` of every active device other than
     /// `sender` truly within `radius` of `center` into `out`, sorted
     /// ascending by id.
     ///
-    /// This is the batched form of the old per-device candidate walk:
-    /// the grid's cell buckets inside the padded query box are visited
-    /// as contiguous slices ([`GridIndex::for_each_bucket_within`]),
-    /// each device's exact position is computed once through its
-    /// polyline cursor, and the exact-distance filter runs during the
-    /// sweep — so the caller receives the final candidate set and never
-    /// touches the grid again. The result is the same set, in the same
-    /// ascending-id order, as filtering a raw `within_into` query would
-    /// produce: position values are cursor-order-independent, so
-    /// computing them in bucket order instead of id order changes
-    /// nothing downstream.
+    /// The drift sweep runs first if it is due. The query then visits the
+    /// cell list's slices around `center` — one per cell row, plus the
+    /// overflow run — and screens each entry's filed position against
+    /// `radius` padded by the drift possible since the last sweep
+    /// (capped at [`GRID_MARGIN_M`]). Every entry was filed at that
+    /// sweep or later and no route is faster than `max_speed_mps`, so
+    /// the screen drops only devices truly out of range. Each survivor's
+    /// exact position is computed once through its polyline cursor and
+    /// tested with `distance <= radius`, so the caller receives the final
+    /// candidate set and never touches the cell list. Position values are
+    /// cursor-order-independent, so locating in cell order instead of id
+    /// order changes nothing downstream.
     pub(super) fn batched_candidates(
         &mut self,
         now: SimTime,
@@ -284,21 +365,22 @@ impl World {
     ) {
         self.refresh_grid_if_due(now);
         out.clear();
+        let coarse = radius + self.drift_bound(now).min(GRID_MARGIN_M);
         // Through the shared handle once, not once per candidate.
         let net: &mlora_mobility::BusNetwork = &self.net;
         let hints = &mut self.pos_hints;
-        let coarse = radius + GRID_MARGIN_M;
         let coarse_sq = coarse * coarse;
-        self.grid.for_each_bucket_within(center, coarse, |bucket| {
-            for &(n, stale) in bucket {
-                // Coarse filter on the grid's stale position first: a
-                // device can have drifted at most `GRID_MARGIN_M` since
-                // the last refresh, so anything outside the padded
-                // circle is truly out of range — and the exact polyline
-                // walk below runs only for the survivors.
-                if n == sender || stale.distance_sq(center) > coarse_sq {
+        let sender = sender.raw();
+        let (mut screened, mut located) = (0, 0);
+        self.cells.for_each_slice_within(center, coarse, |run| {
+            screened += run.len();
+            for &(id, filed) in run {
+                // Tombstones sit at infinity and fail the screen.
+                if id == sender || filed.distance_sq(center) > coarse_sq {
                     continue;
                 }
+                located += 1;
+                let n = NodeId::new(id);
                 let pos = net.position_hinted(n, now, &mut hints[n.index()]);
                 if pos.distance(center) <= radius {
                     out.push((n, pos));
@@ -306,12 +388,21 @@ impl World {
             }
         });
         out.sort_unstable_by_key(|&(n, _)| n);
+        self.grid_entries += screened as u64;
+        self.positions_located += located;
+        self.candidates += out.len() as u64;
+    }
+
+    /// `(grid_entries, positions_located, candidates)`: the neighbour
+    /// queries' work so far (see [`EngineStats`](super::EngineStats)).
+    pub(super) fn candidate_counts(&self) -> (u64, u64, u64) {
+        (self.grid_entries, self.positions_located, self.candidates)
     }
 
     /// Activates a device whose row is open ([`World::open_row`]): files
-    /// it in the device map, the sorted active set and the neighbour
-    /// grid at `pos`, and resets its hot columns to the fresh-activation
-    /// state.
+    /// it in the device map, the sorted active set and the cell list's
+    /// overflow run at `pos`, and resets its hot columns to the
+    /// fresh-activation state.
     pub(super) fn activate(&mut self, n: NodeId, device: Device, pos: Point) {
         self.hot.set(
             n.index(),
@@ -327,11 +418,11 @@ impl World {
         if let Err(i) = self.active.binary_search(&n) {
             self.active.insert(i, n);
         }
-        self.grid.insert(n, pos);
+        self.cells.insert(n.raw(), pos);
     }
 
-    /// Retires a device at `now`: removes it from the active set and the
-    /// grid and reconstructs its whole-service energy spend. Returns
+    /// Retires a device at `now`: removes it from the active set,
+    /// tombstones its cell-list entry and reconstructs its whole-service energy spend. Returns
     /// `None` when the device never existed or already retired.
     pub(super) fn retire(&mut self, n: NodeId, now: SimTime) -> Option<Retirement> {
         let dev = self.devices.get_mut(n)?;
@@ -343,10 +434,9 @@ impl World {
         if let Ok(i) = self.active.binary_search(&n) {
             self.active.remove(i);
         }
-        let removed = self.grid.remove(n, dev.grid_pos);
-        debug_assert!(removed, "retired device missing from grid");
+        let removed = self.cells.remove(n.raw());
+        debug_assert!(removed, "retired device missing from the cell list");
         // Energy: time-in-state reconstruction for the whole service window.
-        let dev = self.devices.get_mut(n).expect("checked above");
         let active_dur = now.saturating_since(dev.activated_at);
         let tx = dev.tx_time.min(active_dur);
         let non_tx = active_dur.saturating_sub(tx);
@@ -395,20 +485,30 @@ impl World {
         Arc::make_mut(&mut self.net).withdraw(n, now);
     }
 
-    /// When the next periodic grid drift sweep is due — checkpoint
+    /// When the next periodic drift sweep is due — checkpoint
     /// counterpart of [`World::restore_runtime`].
     pub(super) fn grid_refresh_due(&self) -> SimTime {
         self.grid_refresh_due
     }
 
-    /// Restores snapshot-captured runtime state: re-files every device
-    /// (restored into `devices` by the caller via [`World::activate`],
-    /// which rebuilt the grid and active set) and pins the drift-sweep
-    /// schedule where the checkpoint left it. Position-hint cursors are
-    /// deliberately *not* checkpointed: they are pure lookup
-    /// accelerators that never change a position value, so fresh zeros
-    /// resume bit-identically.
+    /// Restores snapshot-captured runtime state once the caller has
+    /// filed every device ([`World::activate`] rebuilt the active set):
+    /// builds the cell list once from the active set at each device's
+    /// captured `grid_pos`, and pins the drift-sweep schedule where the
+    /// checkpoint left it. The overflow run and the tombstones of the
+    /// captured engine are not rebuilt: they are layout, and the live
+    /// entries — the only thing a query reads — are the same. Position-hint
+    /// cursors are deliberately *not* checkpointed either: they are pure
+    /// lookup accelerators that never change a position value, so fresh
+    /// zeros resume bit-identically.
     pub(super) fn restore_runtime(&mut self, grid_refresh_due: SimTime) {
         self.grid_refresh_due = grid_refresh_due;
+        let devices = &self.devices;
+        self.cells.rebuild(self.active.iter().map(|&n| {
+            let dev = devices.get(n).expect("active device exists");
+            (n.raw(), dev.grid_pos)
+        }));
+        #[cfg(debug_assertions)]
+        self.assert_filed_as_active();
     }
 }

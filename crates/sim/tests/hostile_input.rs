@@ -733,7 +733,7 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
     }
 
     // Streams: channel rng, next flight seq, active noise, two more
-    // streams, grid refresh instant.
+    // streams, drift sweep instant.
     let mut w = Walk {
         bytes: &of(SEC_STREAMS).payload,
         pos: 0,
@@ -754,6 +754,13 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
     sweep.refused(
         "streams: 2^60 active noise bursts",
         &plant(SEC_STREAMS, noise_count, &varint(HUGE)),
+    );
+    w.rng();
+    w.rng();
+    let sweep_due = w.varint();
+    sweep.refused(
+        "streams: drift sweep due past one period",
+        &plant(SEC_STREAMS, sweep_due, &varint(HUGE)),
     );
 
     // Delivery: per-gateway outage depths.
