@@ -5,6 +5,11 @@ use crate::{BBox, Point};
 /// Slot-index value of an id with no live entry.
 const ABSENT: u32 = u32::MAX;
 
+/// The most cells either side of the area is cut into. The offset array
+/// is dense and a rebuild clears and sums all of it, so the cell count
+/// must not follow the area: a wider area gets wider cells instead.
+const MAX_CELLS_PER_SIDE: usize = 512;
+
 /// Where a tombstoned entry is parked: infinitely far from every finite
 /// point, so a `distance_sq(center) <= r²` filter over a finite centre
 /// drops it without a separate liveness check.
@@ -27,9 +32,10 @@ const TOMB: Point = Point::new(f64::INFINITY, f64::INFINITY);
 /// * [`CellList::for_each_slice_within`] visits one contiguous slice per
 ///   cell row of the query box, plus the overflow run.
 ///
-/// Cells cover the `area` given at construction. Positions outside it
-/// are filed in the nearest edge cell, and query boxes clamp the same
-/// way, so a query stays exact for any position and any radius. Ids are
+/// Cells cover the `area` given at construction, at most 512 a side
+/// whatever the area claims. Positions outside it are filed in the
+/// nearest edge cell, and query boxes clamp the same way, so a query
+/// stays exact for any position and any radius. Ids are
 /// `u32`s and index the slot table directly, so keep them dense. Once
 /// the entry array, the slot table and the rebuild scratch have reached
 /// their steady-state sizes, no operation allocates.
@@ -71,30 +77,32 @@ pub struct CellList {
 }
 
 impl CellList {
-    /// Creates an empty list of `cell_size`-metre square cells covering
-    /// `area` (at least one cell).
+    /// Creates an empty list of square cells covering `area`: at least
+    /// one, at most 512 a side, `cell_size` metres wide unless the area
+    /// needs wider cells to stay within that. Queries are exact for any
+    /// cell size, so widening only trades query work for a bounded
+    /// offset array.
     ///
     /// # Panics
     ///
-    /// Panics if `cell_size` is not strictly positive and finite, or if
-    /// the area takes `u32::MAX` cells or more.
+    /// Panics if `cell_size` is not strictly positive and finite.
     pub fn new(area: BBox, cell_size: f64) -> Self {
         assert!(
             cell_size.is_finite() && cell_size > 0.0,
             "bad cell size {cell_size}"
         );
-        let span = |extent: f64| ((extent / cell_size).ceil() as usize).max(1);
+        // An infinitely wide area (a finite box can overflow its width)
+        // makes an infinite cell: one cell holds everything.
+        let widest = area.width().max(area.height());
+        let cell = cell_size.max(widest / MAX_CELLS_PER_SIDE as f64);
+        let span = |extent: f64| ((extent / cell).ceil() as usize).clamp(1, MAX_CELLS_PER_SIDE);
         let (cols, rows) = (span(area.width()), span(area.height()));
-        let cells = cols
-            .checked_mul(rows)
-            .filter(|&n| n < ABSENT as usize)
-            .expect("too many cells for the area");
         CellList {
             origin: area.min(),
-            cell: cell_size,
+            cell,
             cols,
             rows,
-            start: vec![0; cells + 1],
+            start: vec![0; cols * rows + 1],
             entries: Vec::new(),
             slot: Vec::new(),
             staged: Vec::new(),
@@ -367,6 +375,33 @@ mod tests {
                 .map(|&(id, _)| id)
                 .collect();
             assert_eq!(within(&cells, c, r), want);
+        }
+    }
+
+    #[test]
+    fn a_huge_area_widens_its_cells_and_stays_exact() {
+        let items = [
+            (1, Point::new(0.0, 0.0)),
+            (2, Point::new(150.0, 0.0)),
+            (3, Point::new(-1e300, 1e300)),
+        ];
+        for area in [
+            BBox::square(Point::ORIGIN, 1e7),
+            BBox::square(Point::ORIGIN, 1e300),
+            // Finite corners, infinite width.
+            BBox::new(Point::new(-1e308, -1e308), Point::new(1e308, 1e308)),
+        ] {
+            let mut cells = CellList::new(area, 200.0);
+            assert!(cells.cols <= MAX_CELLS_PER_SIDE && cells.rows <= MAX_CELLS_PER_SIDE);
+            assert_eq!(cells.start.len(), cells.cols * cells.rows + 1);
+            cells.rebuild(items);
+            assert_eq!(within(&cells, Point::ORIGIN, 100.0), vec![1]);
+            assert_eq!(within(&cells, Point::new(100.0, 0.0), 100.0), vec![1, 2]);
+            assert_eq!(
+                within(&cells, Point::new(-1e300, 1e300), 1.0),
+                vec![3],
+                "{area:?}"
+            );
         }
     }
 

@@ -39,9 +39,7 @@ pub struct DataQueue {
 
 impl DataQueue {
     /// Creates a queue holding at most `capacity` messages. Storage
-    /// grows with the messages held, not with `capacity`: a fleet's
-    /// queues are mostly near-empty, and reserving the bound up front
-    /// (6 KiB per bus at the default 256) was most of an engine's heap.
+    /// grows with the messages held, not with `capacity`.
     ///
     /// # Panics
     ///

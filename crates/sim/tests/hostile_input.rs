@@ -2,8 +2,9 @@
 //! snapshots ([`Snapshot::from_bytes`] + [`Engine::resume`]) and `.mlsc`
 //! scenario files ([`SimConfig::from_reader`]).
 //!
-//! Seeded from the three checked-in snapshots and one scenario file
-//! written from a rich configuration, in three families:
+//! Seeded from the three checked-in snapshots, one scenario file
+//! written from a rich configuration and a small prebuilt metro world
+//! (as a scenario file and as a snapshot), in three families:
 //!
 //! * **truncation** — at every offset of the smallest fixture, on a
 //!   stride of the others;
@@ -37,10 +38,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mlora_core::Scheme;
 use mlora_scenario_io::{section, ScenarioIoError, MAGIC};
 use mlora_sim::{
-    DisruptionEvent, Engine, GatewayPlacement, Scenario, ScenarioFileError, SimConfig, Snapshot,
-    SnapshotError, TrafficProfile, SNAPSHOT_MAGIC,
+    DisruptionEvent, Engine, GatewayPlacement, MetroConfig, Scenario, ScenarioFileError, SimConfig,
+    Snapshot, SnapshotError, TrafficProfile, SNAPSHOT_MAGIC,
 };
-use mlora_simcore::SimDuration;
+use mlora_simcore::{SimDuration, SimTime};
 
 #[path = "support/framing.rs"]
 mod framing;
@@ -89,6 +90,7 @@ const LENGTH_MULTIPLE: u64 = 8;
 
 // Snapshot section ids (`engine/snapshot.rs`), in file order.
 const SEC_HEADER: u8 = 1;
+const SEC_CONFIG: u8 = 2;
 const SEC_EVENTS: u8 = 3;
 const SEC_DEVICES: u8 = 4;
 const SEC_WITHDRAWN: u8 = 5;
@@ -502,7 +504,7 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
 
     // Section headers promising 2^60 records, and one too few.
     for s in &all {
-        if s.id == 2 {
+        if s.id == SEC_CONFIG {
             continue; // the scenario blob: exactly one record, checked
         }
         let inflated = splice(bytes, SNAPSHOT_MAGIC, s.id, |s| s.count = HUGE);
@@ -894,6 +896,13 @@ fn scenario_plants(sweep: &mut Sweep, bytes: &[u8]) {
         );
     }
 
+    // NETWORK_CONFIG opens with the area side, which sizes the engine's
+    // neighbour cells as a prebuilt world's header does (`world_plants`).
+    sweep.case(
+        "network: a 10 000 km square",
+        &plant(section::NETWORK_CONFIG, 0..8, &f64_bytes(1e7)),
+    );
+
     // SIM_PARAMS: environment, scheme, alpha, device class, generation
     // interval, queue capacity, duty cycle, max attempts, SF, bandwidth,
     // coding rate, preamble, two flags, tx power, path loss ×4,
@@ -1027,6 +1036,81 @@ fn scenario_plants(sweep: &mut Sweep, bytes: &[u8]) {
     );
 }
 
+/// A small prebuilt metro world, as a scenario file and as a snapshot
+/// taken half-way through its run.
+fn prebuilt_world() -> (Vec<u8>, Vec<u8>) {
+    let metro = MetroConfig {
+        area_side_m: 6_000.0,
+        num_radials: 4,
+        num_rings: 2,
+        waypoints_per_line: 4,
+        peak_active_buses: 30,
+        horizon: SimDuration::from_hours(1),
+        ..MetroConfig::default()
+    };
+    let cfg = Scenario::urban()
+        .smoke()
+        .metro(&metro, 5)
+        .build()
+        .expect("valid scenario");
+    let mut scenario = Vec::new();
+    cfg.to_writer(&mut scenario).expect("serialize");
+    let mut engine = Engine::new(cfg, 5);
+    engine.run_until(SimTime::from_secs(1_800));
+    let snapshot = engine.snapshot().expect("snapshot").as_bytes().to_vec();
+    (scenario, snapshot)
+}
+
+/// (c) World headers claiming a vast area over the same routes, in
+/// `scenario`, then framed by `wrap` into the file under test. The
+/// engine's neighbour cells are sized from that area, so each must be
+/// refused or run within the allocation budget, never abort.
+fn world_plants(sweep: &mut Sweep, scenario: &[u8], wrap: impl Fn(Vec<u8>) -> Vec<u8>) {
+    let world = sections(scenario)
+        .into_iter()
+        .find(|s| s.id == section::WORLD)
+        .expect("a prebuilt world");
+    // WORLD: min x, min y, max x, max y, horizon.
+    let mut w = Walk {
+        bytes: &world.payload,
+        pos: 0,
+    };
+    let (min_x, min_y) = (w.f64(), w.f64());
+    let (max_x, max_y) = (w.f64(), w.f64());
+    for (name, min, max) in [
+        ("a 10 000 km square", 0.0, 1e7),
+        ("a 1e300 m square", 0.0, 1e300),
+        ("corners at ±1e308, an infinite width", -1e308, 1e308),
+    ] {
+        let mut payload = world.payload.clone();
+        for (at, v) in [(&min_x, min), (&min_y, min), (&max_x, max), (&max_y, max)] {
+            payload.splice(at.clone(), f64_bytes(v));
+        }
+        let edited = splice(scenario, MAGIC, section::WORLD, |s| s.payload = payload);
+        sweep.case(&format!("world: {name}"), &wrap(edited));
+    }
+}
+
+/// A snapshot's embedded scenario file: the blob of its one config
+/// record.
+fn snapshot_scenario(bytes: &[u8]) -> Vec<u8> {
+    let config = sections(bytes)
+        .into_iter()
+        .find(|s| s.id == SEC_CONFIG)
+        .expect("config section");
+    let mut pos = 0;
+    let len = get_varint(&config.payload, &mut pos) as usize;
+    config.payload[pos..pos + len].to_vec()
+}
+
+/// `bytes` with its embedded scenario file replaced by `scenario`.
+fn with_scenario(bytes: &[u8], scenario: &[u8]) -> Vec<u8> {
+    splice(bytes, SNAPSHOT_MAGIC, SEC_CONFIG, |s| {
+        s.payload = varint(scenario.len() as u64);
+        s.payload.extend_from_slice(scenario);
+    })
+}
+
 #[test]
 fn hostile_files_end_in_typed_errors() {
     let eager: &[u8] = include_bytes!("../../../tests/fixtures/eager_seeding.mlss");
@@ -1064,6 +1148,18 @@ fn hostile_files_end_in_typed_errors() {
     sweep.truncations(&scenario, 1);
     sweep.bit_flips(&scenario, 1);
     scenario_plants(&mut sweep, &scenario);
+    sweep.report(&mut failures);
+
+    let (metro, metro_snapshot) = prebuilt_world();
+    let mut sweep = Sweep::new("metro.mlsc", &metro, load_scenario);
+    world_plants(&mut sweep, &metro, |edited| edited);
+    sweep.report(&mut failures);
+
+    let mut sweep = Sweep::new("metro.mlss", &metro_snapshot, load_snapshot);
+    let embedded = snapshot_scenario(&metro_snapshot);
+    world_plants(&mut sweep, &embedded, |edited| {
+        with_scenario(&metro_snapshot, &edited)
+    });
     sweep.report(&mut failures);
 
     std::panic::set_hook(hook);
