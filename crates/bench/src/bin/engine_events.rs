@@ -8,8 +8,9 @@
 //! (receptions resolved, frames heard, exact RSSI evaluations — the share
 //! of heard frames whose logarithms were actually taken is read off
 //! these), the neighbour queries' counters (cell-list entries screened,
-//! exact positions located, candidates in range) and the host's
-//! available parallelism. Two kernel rows follow:
+//! exact positions located, candidates in range), the interferer scans'
+//! counters (flight-ring rows visited, time-overlapping frames found)
+//! and the host's available parallelism. Two kernel rows follow:
 //! one `Channel::receive` of a frame heard alone and among five others,
 //! in ns per reception. The repo-level `BENCH_engine.json` is recorded
 //! with this binary; passing `full` adds the 100 000-bus metro tier,
@@ -110,13 +111,16 @@ fn main() {
              \"setup_wall_s\": {setup_s:.4}, \"best_wall_s\": {best_s:.4}, \
              \"events_per_sec\": {eps:.0}, \"receptions\": {}, \"frames_heard\": {}, \
              \"rssi_evaluated\": {}, \"grid_entries\": {}, \"positions_located\": {}, \
-             \"candidates\": {}, \"host_threads\": {host_threads}}}",
+             \"candidates\": {}, \"flights_scanned\": {}, \"overlaps\": {}, \
+             \"host_threads\": {host_threads}}}",
             stats.receptions,
             stats.frames_heard,
             stats.rssi_evaluated,
             stats.grid_entries,
             stats.positions_located,
-            stats.candidates
+            stats.candidates,
+            stats.flights_scanned,
+            stats.overlaps
         ));
     }
     for (name, audible) in kernels {

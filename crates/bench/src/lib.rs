@@ -119,6 +119,11 @@ mod tests {
         assert_eq!(stats.grid_entries, 16_721);
         assert_eq!(stats.positions_located, 3_123);
         assert_eq!(stats.candidates, 2_519);
+        // The interferer scans' work: `overlaps` is the model's,
+        // `flights_scanned` the flight ring's (docs/lab-notebook.md,
+        // "PR 27").
+        assert_eq!(stats.flights_scanned, 24_317);
+        assert_eq!(stats.overlaps, 11_592);
         // `build()` validates the metro tier's world.
         metro_throughput_config(20_000);
     }

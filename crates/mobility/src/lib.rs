@@ -45,7 +45,7 @@ mod trip;
 
 pub use diurnal::DiurnalProfile;
 pub use metro::{LineKind, MetroConfig, MetroLine, MetroWorld};
-pub use network::{BusNetwork, BusNetworkConfig, NetworkError};
+pub use network::{BusNetwork, BusNetworkConfig, NetworkConfigError, NetworkError};
 pub use route::{Route, RouteId};
 pub use stats::{active_bus_series, trip_duration_histogram};
 pub use trip::Trip;

@@ -5,6 +5,11 @@ use mlora_simcore::{NodeId, SimDuration, SimRng, SimTime};
 
 use crate::{DiurnalProfile, Route, RouteId, Trip};
 
+/// The widest area [`BusNetworkConfig::validate`] accepts, metres: ten
+/// times the Earth's circumference is past any ground network, and every
+/// squared distance the generator takes over it stays far inside `f64`.
+const MAX_AREA_SIDE_M: f64 = 4.0e8;
+
 /// Parameters of the synthetic London-scale bus network.
 ///
 /// Defaults reproduce the paper's setting at a tractable scale: a 600 km²
@@ -67,25 +72,61 @@ impl BusNetworkConfig {
         BBox::square(Point::ORIGIN, self.area_side_m)
     }
 
-    fn validate(&self) {
-        assert!(self.area_side_m > 0.0, "area side must be positive");
-        assert!(self.num_routes > 0, "need at least one route");
-        assert!(
-            self.min_speed_mps > 0.0 && self.min_speed_mps <= self.max_speed_mps,
-            "bad speed range"
-        );
-        assert!(
-            self.min_legs >= 1 && self.min_legs <= self.max_legs,
-            "bad leg range"
-        );
-        assert!(self.max_active_buses > 0, "need at least one bus");
-        assert!(
-            self.min_route_length_m < self.area_side_m * 2.0,
-            "min route length larger than area"
-        );
-        assert!((0.0..=1.0).contains(&self.center_bias), "bad center bias");
+    /// Checks that [`BusNetwork::generate`] can build this network.
+    ///
+    /// # Errors
+    ///
+    /// [`NetworkConfigError`] naming the first rule broken: the area
+    /// side must lie in (0, 4 × 10⁸ m], and there must be a route, a
+    /// bus, a positive finite speed range and a leg range starting at
+    /// one; the shortest route must fit the area and the centre bias lie
+    /// in `[0, 1]`.
+    pub fn validate(&self) -> Result<(), NetworkConfigError> {
+        let rules = [
+            (
+                self.area_side_m > 0.0 && self.area_side_m <= MAX_AREA_SIDE_M,
+                "network area side must be positive and at most 4e8 m",
+            ),
+            (self.num_routes > 0, "network needs at least one route"),
+            (
+                self.min_speed_mps > 0.0
+                    && self.min_speed_mps <= self.max_speed_mps
+                    && self.max_speed_mps.is_finite(),
+                "network speed range must be positive, finite and not inverted",
+            ),
+            (
+                self.min_legs >= 1 && self.min_legs <= self.max_legs,
+                "network leg range must start at one and not be inverted",
+            ),
+            (self.max_active_buses > 0, "network needs at least one bus"),
+            (
+                self.min_route_length_m < self.area_side_m * 2.0,
+                "network minimum route length does not fit the area",
+            ),
+            (
+                (0.0..=1.0).contains(&self.center_bias),
+                "network centre bias must lie in [0, 1]",
+            ),
+        ];
+        match rules.into_iter().find(|&(holds, _)| !holds) {
+            Some((_, rule)) => Err(NetworkConfigError(rule)),
+            None => Ok(()),
+        }
     }
 }
+
+/// Error returned by [`BusNetworkConfig::validate`]: the rule a
+/// configuration breaks, in words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NetworkConfigError(pub &'static str);
+
+impl std::fmt::Display for NetworkConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.0)
+    }
+}
+
+impl std::error::Error for NetworkConfigError {}
 
 /// A fully generated bus network: routes plus the day's trips.
 ///
@@ -203,10 +244,12 @@ impl BusNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is inconsistent (non-positive area,
-    /// empty route set, inverted speed or leg ranges).
+    /// Panics if [`BusNetworkConfig::validate`] refuses the
+    /// configuration.
     pub fn generate(config: &BusNetworkConfig, seed: u64) -> Self {
-        config.validate();
+        if let Err(e) = config.validate() {
+            panic!("invalid network configuration: {e}");
+        }
         let mut route_rng = SimRng::new(seed).fork(1);
         let mut sched_rng = SimRng::new(seed).fork(2);
 
@@ -562,6 +605,35 @@ mod tests {
             BusNetwork::from_parts(missing_route, trips, net.area(), net.horizon()),
             Err(NetworkError::UnknownRoute { .. })
         ));
+    }
+
+    #[test]
+    fn validate_refuses_what_the_generator_cannot_build() {
+        let widest = BusNetworkConfig {
+            area_side_m: MAX_AREA_SIDE_M,
+            ..small_config()
+        };
+        assert_eq!(widest.validate(), Ok(()));
+        assert!(!BusNetwork::generate(&widest, 1).routes().is_empty());
+        let broken: [fn(&mut BusNetworkConfig); 12] = [
+            |c| c.area_side_m = 0.0,
+            |c| c.area_side_m = f64::NAN,
+            |c| c.area_side_m = MAX_AREA_SIDE_M.next_up(),
+            |c| c.num_routes = 0,
+            |c| c.min_speed_mps = 0.0,
+            |c| c.max_speed_mps = c.min_speed_mps / 2.0,
+            |c| c.max_speed_mps = f64::INFINITY,
+            |c| c.min_legs = 0,
+            |c| c.max_legs = c.min_legs - 1,
+            |c| c.max_active_buses = 0,
+            |c| c.min_route_length_m = 2.0 * c.area_side_m,
+            |c| c.center_bias = 1.5,
+        ];
+        for (i, break_rule) in broken.iter().enumerate() {
+            let mut cfg = small_config();
+            break_rule(&mut cfg);
+            assert!(cfg.validate().is_err(), "rule {i}: {cfg:?}");
+        }
     }
 
     #[test]

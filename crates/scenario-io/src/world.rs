@@ -45,7 +45,8 @@ pub fn write_network_config<W: std::io::Write>(
 /// # Errors
 ///
 /// Structural errors, plus [`ScenarioIoError::Corrupt`] for values the
-/// generator would reject (bad ranges, non-finite floats).
+/// generator would reject: non-finite floats, and every rule of
+/// [`BusNetworkConfig::validate`].
 pub fn read_network_config<R: std::io::Read>(
     r: &mut ScenarioReader<R>,
 ) -> Result<BusNetworkConfig, ScenarioIoError> {
@@ -72,7 +73,7 @@ pub fn read_network_config<R: std::io::Read>(
         }
         hourly.push(level);
     }
-    Ok(BusNetworkConfig {
+    let cfg = BusNetworkConfig {
         area_side_m,
         num_routes,
         waypoints_per_route,
@@ -85,7 +86,9 @@ pub fn read_network_config<R: std::io::Read>(
         horizon,
         profile: DiurnalProfile::from_hourly(hourly),
         center_bias,
-    })
+    };
+    cfg.validate().map_err(|e| ScenarioIoError::Corrupt(e.0))?;
+    Ok(cfg)
 }
 
 /// Writes a prebuilt world as three sections — [`section::WORLD`]

@@ -351,6 +351,9 @@ impl SimConfig {
                 field: "num_gateways",
             });
         }
+        self.network
+            .validate()
+            .map_err(|e| ConfigError::Invalid(e.0))?;
         if let Some(world) = &self.world {
             // The engine sizes its neighbour-grid drift bound from
             // `network.max_speed_mps`; a prebuilt world with faster

@@ -4,11 +4,12 @@
 //! [`Channel`] owns the one RNG stream every shadowing draw comes from
 //! (fork 12 of the master seed — the stream the historical engine used,
 //! so an identically seeded run reproduces the golden fixtures bit for
-//! bit), the generational flight slab with its monotone creation
-//! sequence, and the per-receiver scratch of audible frames. Reception
-//! at any receiver — gateway or neighbouring device — goes through one
-//! method, [`Channel::receive`], so the capture rule, the noise model
-//! and the RNG draw order have nowhere to drift apart.
+//! bit), the generational flight slab and its launch-ordered ring with
+//! their monotone creation sequence, and the per-receiver scratch of
+//! audible frames. Reception at any receiver — gateway or neighbouring
+//! device — goes through one method, [`Channel::receive`], so the
+//! capture rule, the noise model and the RNG draw order have nowhere to
+//! drift apart.
 //!
 //! A reception decides before it computes. What the bit-identity rule
 //! fixes is which RNG words are drawn, in which order, and what the
@@ -22,21 +23,28 @@
 //! and when someone reads it (a gateway always does; of the built-in
 //! policies only the greedy ones do).
 //!
-//! Flight state is split hot/cold: the fields the interferer scan reads
-//! per overlapping flight (`seq`, `start`, `end`, `pos`, `sender`) live
-//! in contiguous [`FlightColumns`] keyed by slab slot, while the frame
-//! payload and handover target stay in the slab ([`FlightCold`]). The
-//! time-overlap scan therefore runs over dense column slices instead of
-//! chasing slab entries; snapshots gather/scatter full rows so the
-//! `.mlss` wire format is unchanged.
+//! Flights live twice. The slab holds each whole [`Flight`] under the
+//! key its transmission-end event carries. The **flight ring** holds
+//! what the interferer scan reads of each — `(start, end, seq, pos)` —
+//! in creation order, which is launch-time order. A transmission end
+//! walks the ring from its newest row and stops at the first row that
+//! started at least one maximum airtime before the subject: that row
+//! ended too early to overlap, and so did every older one. The rows it
+//! keeps come out newest first, so reversing them gives ascending
+//! sequence numbers — the RNG draw order — with no sort. A launch trims
+//! the ring's front while the oldest row has been over for longer than
+//! the retention. The ring is derived state: a checkpoint writes the
+//! slab, and a restore rebuilds the ring from the slab's live flights.
 //!
-//! Pruning of expired flights is lazy and batched: a stale flight
+//! Pruning of the slab is lazy and batched: a stale flight
 //! (`end + retention < now`) can never pass the time-overlap filter for
 //! any frame still in the air (`subject.start >= now - retention`), so
 //! instead of a per-event `retain` the slab is swept only when an insert
 //! is about to grow it past a power-of-two slot count — a trigger that
 //! is a pure function of checkpointed state, so a resumed run sweeps at
 //! the same events as the uninterrupted one.
+
+use std::collections::VecDeque;
 
 use mlora_geo::Point;
 use mlora_mac::UplinkFrame;
@@ -50,10 +58,7 @@ use crate::disruption::NoiseBurst;
 /// tiny scenarios on the pure insert path.
 const SWEEP_MIN_SLOTS: usize = 64;
 
-/// A frame in the air, gathered as one row. This is the snapshot wire
-/// shape — field for field the historical array-of-structs layout — and
-/// the unit [`Channel::restore`] scatters back into the split
-/// columns/slab storage.
+/// A frame in the air: the slab's row, and the snapshot wire shape.
 #[derive(Debug, Clone)]
 pub(super) struct Flight {
     /// Creation sequence number: slab slots are recycled, so canonical
@@ -70,95 +75,23 @@ pub(super) struct Flight {
     pub(super) pos: Point,
 }
 
-/// The slab-resident cold part of a flight: everything the interferer
-/// scan never touches.
-#[derive(Debug, Clone)]
-pub(super) struct FlightCold {
-    pub(super) frame: UplinkFrame,
-    /// `Some(y)` for a handover aimed at device `y`.
-    pub(super) target: Option<NodeId>,
+/// One row of the flight ring: what the interferer scan reads of a
+/// flight (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RingRow {
+    start: SimTime,
+    end: SimTime,
+    seq: u64,
+    pos: Point,
 }
 
-/// The hot fields of one flight, gathered from [`FlightColumns`].
-#[derive(Debug, Clone, Copy)]
-pub(super) struct FlightHot {
-    pub(super) seq: u64,
-    pub(super) sender: NodeId,
-    pub(super) start: SimTime,
-    pub(super) end: SimTime,
-    pub(super) pos: Point,
-}
-
-/// A borrowed full view of one flight: the hot row copied out of the
-/// columns plus the cold slab entry. What the transmission-end
-/// resolution paths pass around instead of the old `&Flight`.
-#[derive(Debug, Clone, Copy)]
-pub(super) struct FlightRef<'a> {
-    pub(super) seq: u64,
-    pub(super) sender: NodeId,
-    pub(super) frame: &'a UplinkFrame,
-    pub(super) target: Option<NodeId>,
-    pub(super) start: SimTime,
-    pub(super) end: SimTime,
-    pub(super) pos: Point,
-}
-
-/// Struct-of-arrays storage for the per-flight hot fields, indexed by
-/// slab slot. `live[i]` distinguishes occupied slots; a vacated slot's
-/// other columns keep their last value and are never read.
-#[derive(Debug, Default)]
-pub(super) struct FlightColumns {
-    live: Vec<bool>,
-    seq: Vec<u64>,
-    sender: Vec<NodeId>,
-    start: Vec<SimTime>,
-    end: Vec<SimTime>,
-    pos: Vec<Point>,
-}
-
-impl FlightColumns {
-    fn clear(&mut self) {
-        self.live.clear();
-        self.seq.clear();
-        self.sender.clear();
-        self.start.clear();
-        self.end.clear();
-        self.pos.clear();
-    }
-
-    /// Grows every column so slot `i` exists (freshly grown slots are
-    /// not live).
-    fn ensure_slot(&mut self, i: usize) {
-        if i >= self.live.len() {
-            let n = i + 1;
-            self.live.resize(n, false);
-            self.seq.resize(n, 0);
-            self.sender.resize(n, NodeId::default());
-            self.start.resize(n, SimTime::ZERO);
-            self.end.resize(n, SimTime::ZERO);
-            self.pos.resize(n, Point::new(0.0, 0.0));
-        }
-    }
-
-    /// Scatters one hot row into slot `i` and marks it live.
-    fn set(&mut self, i: usize, hot: FlightHot) {
-        self.live[i] = true;
-        self.seq[i] = hot.seq;
-        self.sender[i] = hot.sender;
-        self.start[i] = hot.start;
-        self.end[i] = hot.end;
-        self.pos[i] = hot.pos;
-    }
-
-    /// Gathers the hot row of slot `i` (which must be live).
-    fn gather(&self, i: usize) -> FlightHot {
-        debug_assert!(self.live[i], "gather from vacant flight slot");
-        FlightHot {
-            seq: self.seq[i],
-            sender: self.sender[i],
-            start: self.start[i],
-            end: self.end[i],
-            pos: self.pos[i],
+impl RingRow {
+    fn of(flight: &Flight) -> RingRow {
+        RingRow {
+            start: flight.start,
+            end: flight.end,
+            seq: flight.seq,
+            pos: flight.pos,
         }
     }
 }
@@ -199,17 +132,22 @@ pub(super) struct Channel {
     /// The shadowing stream: every RSSI draw of the run, in receiver ×
     /// frame order.
     rng: SimRng,
-    /// Cold halves of the frames currently (or recently) in the air.
-    pub(super) flights: Slab<FlightCold>,
-    /// Hot halves, parallel to the slab's slots.
-    cols: FlightColumns,
+    /// The frames currently (or recently) in the air, under the keys
+    /// their transmission-end events carry.
+    pub(super) flights: Slab<Flight>,
+    /// The same flights' scan rows, in creation order (see the module
+    /// docs).
+    ring: VecDeque<RingRow>,
     /// Monotone frame creation counter (see [`Flight::seq`]).
     next_flight_seq: u64,
-    /// How long an ended flight stays in the slab: at least the
-    /// worst-case frame airtime under the configured PHY, so any frame
-    /// still in the air finds every time-overlapping interferer in the
-    /// collision scan.
+    /// How long an ended flight stays in the slab and the ring: at
+    /// least the worst-case frame airtime under the configured PHY, so
+    /// any frame still in the air finds every time-overlapping
+    /// interferer in the collision scan.
     flight_retention: SimDuration,
+    /// The longest airtime the configured PHY gives any frame: the
+    /// ring walk's stop rule.
+    max_airtime: SimDuration,
     /// Scratch: time-overlapping flights as `(seq, position)`.
     pub(super) scratch_overlaps: Vec<(u64, Point)>,
     /// Scratch: the subset of `scratch_overlaps` close enough to the
@@ -231,12 +169,17 @@ pub(super) struct Channel {
     /// a resumed engine counts from zero.
     receptions: u64,
     frames_heard: u64,
+    /// Ring rows the interferer scans visited, and the time-overlapping
+    /// frames they kept. Host telemetry, like `receptions`.
+    flights_scanned: u64,
+    overlaps: u64,
 }
 
 impl Channel {
     pub(super) fn new(
         rng: SimRng,
         flight_retention: SimDuration,
+        max_airtime: SimDuration,
         noise_bursts: Vec<NoiseBurst>,
         path_loss: LogDistanceModel,
         sensitivity_dbm: f64,
@@ -245,9 +188,10 @@ impl Channel {
         Channel {
             rng,
             flights: Slab::new(),
-            cols: FlightColumns::default(),
+            ring: VecDeque::new(),
             next_flight_seq: 0,
             flight_retention,
+            max_airtime,
             scratch_overlaps: Vec::new(),
             scratch_near_overlaps: Vec::new(),
             scratch_heard: Vec::new(),
@@ -257,6 +201,8 @@ impl Channel {
             sensitivity_dbm,
             receptions: 0,
             frames_heard: 0,
+            flights_scanned: 0,
+            overlaps: 0,
         }
     }
 
@@ -268,6 +214,13 @@ impl Channel {
         (self.receptions, self.frames_heard, self.model.evaluations())
     }
 
+    /// `(flights_scanned, overlaps)`: ring rows the interferer scans
+    /// visited and time-overlapping frames they kept (see
+    /// [`EngineStats`](super::EngineStats)).
+    pub(super) fn scan_counts(&self) -> (u64, u64) {
+        (self.flights_scanned, self.overlaps)
+    }
+
     /// The legacy per-device generation-phase draw. The paper-default
     /// workload draws its phase from the channel stream — the historical
     /// behaviour, kept so seeded runs stay bit-identical.
@@ -276,11 +229,13 @@ impl Channel {
     }
 
     /// Puts a frame on the air; returns its slab key for the
-    /// transmission-end event.
+    /// transmission-end event. Launches come in creation order at
+    /// non-decreasing `start`, which is what keeps the ring in
+    /// launch-time order.
     ///
     /// When the insert is about to grow the slab past a power-of-two
     /// slot count, the deferred sweep runs first (see the module docs) —
-    /// the only place expired flights are reclaimed on the default path.
+    /// the only place expired flights leave the slab on the default path.
     pub(super) fn launch(
         &mut self,
         sender: NodeId,
@@ -291,22 +246,26 @@ impl Channel {
         pos: Point,
     ) -> SlabKey {
         self.maybe_sweep(start);
-        let seq = self.next_flight_seq;
+        let retention = self.flight_retention;
+        while self
+            .ring
+            .front()
+            .is_some_and(|row| row.end + retention < start)
+        {
+            self.ring.pop_front();
+        }
+        let flight = Flight {
+            seq: self.next_flight_seq,
+            sender,
+            frame,
+            target,
+            start,
+            end,
+            pos,
+        };
         self.next_flight_seq += 1;
-        let key = self.flights.insert(FlightCold { frame, target });
-        let i = key.index();
-        self.cols.ensure_slot(i);
-        self.cols.set(
-            i,
-            FlightHot {
-                seq,
-                sender,
-                start,
-                end,
-                pos,
-            },
-        );
-        key
+        self.ring.push_back(RingRow::of(&flight));
+        self.flights.insert(flight)
     }
 
     /// Runs the deferred sweep when the next insert would grow the slab
@@ -329,32 +288,60 @@ impl Channel {
     /// air, so deferring or batching sweeps never changes an interferer
     /// set.
     pub(super) fn sweep(&mut self, now: SimTime) {
+        #[cfg(debug_assertions)]
+        self.assert_ring_covers(now);
         let retention = self.flight_retention;
-        let cols = &mut self.cols;
-        self.flights.retain(|key, _| {
-            let i = key.index();
-            if cols.end[i] + retention >= now {
-                true
-            } else {
-                cols.live[i] = false;
-                false
+        self.flights
+            .retain(|_, flight| flight.end + retention >= now);
+    }
+
+    /// Runtime invariant (ROADMAP 2(3)): the ring is ascending in `seq`
+    /// and non-decreasing in `start`, and every live flight that can
+    /// still overlap a frame in the air at `now` has its own row in it.
+    #[cfg(debug_assertions)]
+    fn assert_ring_covers(&self, now: SimTime) {
+        let ring = &self.ring;
+        let ordered = ring
+            .iter()
+            .zip(ring.iter().skip(1))
+            .all(|(a, b)| a.seq < b.seq && a.start <= b.start);
+        assert!(ordered, "flight ring out of launch order");
+        for (_, flight) in self.flights.iter() {
+            if flight.end + self.flight_retention >= now {
+                let at = ring.binary_search_by_key(&flight.seq, |row| row.seq);
+                assert!(
+                    at.is_ok_and(|i| ring[i] == RingRow::of(flight)),
+                    "live flight {} missing from the flight ring",
+                    flight.seq
+                );
             }
-        });
+        }
     }
 
     /// Collects the frames overlapping `(start, end)` in time (including
     /// the subject itself) into `out`, in creation order: storage order
-    /// must not leak into RNG draw order. One pass over the contiguous
-    /// hot columns.
-    pub(super) fn overlaps_into(&self, start: SimTime, end: SimTime, out: &mut Vec<(u64, Point)>) {
+    /// must not leak into RNG draw order. Walks the ring from its newest
+    /// row down to the stop rule (see the module docs).
+    pub(super) fn overlaps_into(
+        &mut self,
+        start: SimTime,
+        end: SimTime,
+        out: &mut Vec<(u64, Point)>,
+    ) {
         out.clear();
-        let cols = &self.cols;
-        for i in 0..cols.live.len() {
-            if cols.live[i] && cols.start[i] < end && cols.end[i] > start {
-                out.push((cols.seq[i], cols.pos[i]));
+        let mut scanned = 0;
+        for row in self.ring.iter().rev() {
+            scanned += 1;
+            if row.start + self.max_airtime <= start {
+                break;
+            }
+            if row.start < end && row.end > start {
+                out.push((row.seq, row.pos));
             }
         }
-        out.sort_unstable_by_key(|&(seq, _)| seq);
+        out.reverse();
+        self.flights_scanned += scanned;
+        self.overlaps += out.len() as u64;
     }
 
     /// The near-overlap cut. Every device receiver sits within `range`
@@ -379,49 +366,6 @@ impl Channel {
                 .copied()
                 .filter(|&(_, p)| p.distance_sq(center) <= reach_sq),
         );
-    }
-
-    /// The hot row behind `key`, if the key is still valid.
-    pub(super) fn flight_hot(&self, key: SlabKey) -> Option<FlightHot> {
-        self.flights.get(key).map(|_| self.cols.gather(key.index()))
-    }
-
-    /// Every slab slot in index order as `(generation, row)`, vacant
-    /// slots included: the capture counterpart of [`Channel::restore`].
-    /// Rows are gathered back into the historical array-of-structs view
-    /// so the snapshot wire format is unchanged by the split layout.
-    pub(super) fn raw_flight_slots(
-        &self,
-    ) -> impl Iterator<Item = (u32, Option<FlightRef<'_>>)> + '_ {
-        self.flights
-            .raw_slots()
-            .enumerate()
-            .map(|(i, (generation, cold))| {
-                let row = cold.map(|cold| {
-                    let hot = self.cols.gather(i);
-                    FlightRef {
-                        seq: hot.seq,
-                        sender: hot.sender,
-                        frame: &cold.frame,
-                        target: cold.target,
-                        start: hot.start,
-                        end: hot.end,
-                        pos: hot.pos,
-                    }
-                });
-                (generation, row)
-            })
-    }
-
-    /// The flight slab's free list (checkpoint counterpart of
-    /// [`Channel::restore`]).
-    pub(super) fn flight_free_list(&self) -> &[u32] {
-        self.flights.free_list()
-    }
-
-    /// Total flight slab slots, vacant included.
-    pub(super) fn flight_slot_count(&self) -> usize {
-        self.flights.slot_count()
     }
 
     /// A noise burst became active.
@@ -576,17 +520,26 @@ impl Channel {
 
     /// The channel's checkpoint state: the shadowing-stream RNG words,
     /// the monotone flight counter and the active-noise stack (in
-    /// activation order). The flight slab is read via
-    /// [`Channel::raw_flight_slots`] / [`Channel::flight_free_list`].
+    /// activation order). The flight slab is read from
+    /// [`Channel::flights`] directly.
     pub(super) fn checkpoint_parts(&self) -> (&SimRng, u64, &[u32]) {
         (&self.rng, self.next_flight_seq, &self.active_noise)
     }
 
     /// Restores the state captured by [`Channel::checkpoint_parts`] plus
-    /// the flight slab: rows from the snapshot are scattered back into
-    /// the cold slab + hot columns. The static tables (noise bursts,
-    /// path loss, retention) are reconstructed from the scenario config
-    /// and stay untouched.
+    /// the flight slab, and rebuilds the ring from the live flights in
+    /// `seq` order. The static tables (noise bursts, path loss,
+    /// retention) are reconstructed from the scenario config and stay
+    /// untouched.
+    ///
+    /// # Errors
+    ///
+    /// Names the broken premise when the flights could not have come
+    /// from a run captured at `now`: one ends before it starts, outlasts
+    /// the longest airtime or starts after `now`, two share a `seq`, a
+    /// `seq` is not below the counter, or `start` decreases along
+    /// ascending `seq`. A ring built from such flights would stop its
+    /// walk too early or never trim its front.
     pub(super) fn restore(
         &mut self,
         rng: SimRng,
@@ -594,36 +547,47 @@ impl Channel {
         free: Vec<u32>,
         next_flight_seq: u64,
         active_noise: Vec<u32>,
-    ) {
-        self.cols.clear();
-        let cold_slots: Vec<(u32, Option<FlightCold>)> = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, (generation, row))| {
-                self.cols.ensure_slot(i);
-                let cold = row.map(|f| {
-                    self.cols.set(
-                        i,
-                        FlightHot {
-                            seq: f.seq,
-                            sender: f.sender,
-                            start: f.start,
-                            end: f.end,
-                            pos: f.pos,
-                        },
-                    );
-                    FlightCold {
-                        frame: f.frame,
-                        target: f.target,
-                    }
-                });
-                (generation, cold)
-            })
-            .collect();
+        now: SimTime,
+    ) -> Result<(), &'static str> {
+        self.ring.clear();
+        let live = slots.iter().filter_map(|(_, flight)| flight.as_ref());
+        self.ring.extend(live.map(RingRow::of));
+        self.ring
+            .make_contiguous()
+            .sort_unstable_by_key(|row| row.seq);
+        for row in &self.ring {
+            if row.end < row.start {
+                return Err("flight ends before it starts");
+            }
+            if row.end - row.start > self.max_airtime {
+                return Err("flight outlasts the longest airtime");
+            }
+            if row.start > now {
+                return Err("flight starts after the snapshot instant");
+            }
+        }
+        for (a, b) in self.ring.iter().zip(self.ring.iter().skip(1)) {
+            if a.seq == b.seq {
+                return Err("two flights share a sequence number");
+            }
+            if a.start > b.start {
+                return Err("flight start decreases along the sequence");
+            }
+        }
+        if self
+            .ring
+            .back()
+            .is_some_and(|row| row.seq >= next_flight_seq)
+        {
+            return Err("flight sequence number was never issued");
+        }
         self.rng = rng;
-        self.flights = Slab::from_raw_parts(cold_slots, free);
+        self.flights = Slab::from_raw_parts(slots, free);
         self.next_flight_seq = next_flight_seq;
         self.active_noise = active_noise;
+        #[cfg(debug_assertions)]
+        self.assert_ring_covers(now);
+        Ok(())
     }
 }
 
@@ -631,6 +595,7 @@ impl Channel {
 mod tests {
     use super::*;
     use mlora_phy::{resolve_collision, SpreadingFactor};
+    use proptest::prelude::*;
 
     const TX_DBM: f64 = 14.0;
     const SENSITIVITY_DBM: f64 = -123.0;
@@ -650,6 +615,7 @@ mod tests {
         };
         let mut channel = Channel::new(
             SimRng::new(seed).fork(12),
+            SimDuration::from_secs(2),
             SimDuration::from_secs(2),
             vec![burst(40.0, NOISE_DB), burst(5_000.0, 30.0)],
             path_loss,
@@ -1017,6 +983,176 @@ mod tests {
         assert!(
             on_the_margin >= 10,
             "only {on_the_margin} differences of exactly the margin"
+        );
+    }
+
+    /// A channel for the ring tests: no frame outlasts `max_airtime`,
+    /// and ended flights are kept for `retention`.
+    fn ring_channel(seed: u64, retention: SimDuration, max_airtime: SimDuration) -> Channel {
+        Channel::new(
+            SimRng::new(seed).fork(12),
+            retention,
+            max_airtime,
+            Vec::new(),
+            LogDistanceModel::paper_default(),
+            SENSITIVITY_DBM,
+            TX_DBM,
+        )
+    }
+
+    /// Puts a frame from `sender` at `pos` on the air for `airtime`.
+    fn launch_at(
+        channel: &mut Channel,
+        sender: u32,
+        now: SimTime,
+        airtime: SimDuration,
+        pos: Point,
+    ) -> SlabKey {
+        let sender = NodeId::new(sender);
+        let frame = UplinkFrame {
+            sender,
+            messages: Vec::new(),
+            rca_etx: 1.0,
+            queue_len: 0,
+        };
+        channel.launch(sender, frame, None, now, now + airtime, pos)
+    }
+
+    /// A channel restored from `channel`'s checkpoint parts, its slab's
+    /// live flights passed through `edit` first.
+    fn restored(
+        channel: &Channel,
+        now: SimTime,
+        edit: impl FnMut(&mut Flight),
+    ) -> Result<Channel, &'static str> {
+        let (rng, next_flight_seq, active_noise) = channel.checkpoint_parts();
+        let mut slots: Vec<(u32, Option<Flight>)> = channel
+            .flights
+            .raw_slots()
+            .map(|(generation, flight)| (generation, flight.cloned()))
+            .collect();
+        slots
+            .iter_mut()
+            .filter_map(|(_, f)| f.as_mut())
+            .for_each(edit);
+        let mut copy = ring_channel(7, channel.flight_retention, channel.max_airtime);
+        copy.restore(
+            rng.clone(),
+            slots,
+            channel.flights.free_list().to_vec(),
+            next_flight_seq,
+            active_noise.to_vec(),
+            now,
+        )?;
+        Ok(copy)
+    }
+
+    /// What the ring replaced: every live slab flight overlapping
+    /// `(start, end)` in time, sorted by `seq`.
+    fn brute_force_overlaps(channel: &Channel, start: SimTime, end: SimTime) -> Vec<(u64, Point)> {
+        let mut out: Vec<(u64, Point)> = channel
+            .flights
+            .iter()
+            .filter(|(_, f)| f.start < end && f.end > start)
+            .map(|(_, f)| (f.seq, f.pos))
+            .collect();
+        out.sort_unstable_by_key(|&(seq, _)| seq);
+        out
+    }
+
+    proptest! {
+        /// The flight ring against brute force, over arbitrary launch
+        /// sequences: airtimes from 1 ms to the maximum, up to three
+        /// launches at one instant, forced sweeps, and a checkpoint →
+        /// restore round trip midway. At every transmission end the ring
+        /// walk returns exactly the live slab flights that overlap the
+        /// subject, in `seq` order.
+        #[test]
+        fn ring_scan_matches_brute_force(
+            seed in 0u64..1 << 48,
+            max_airtime_ms in 1u64..6_000,
+            extra_retention_ms in 0u64..3_000,
+            steps in 1usize..300,
+            restore_at in 0usize..300,
+        ) {
+            let max_airtime = SimDuration::from_millis(max_airtime_ms);
+            let retention = max_airtime + SimDuration::from_millis(extra_retention_ms);
+            let mut channel = ring_channel(seed, retention, max_airtime);
+            let mut pick = SimRng::new(seed);
+            let mut now = SimTime::ZERO;
+            // Transmission ends to come, as `(end, key)`.
+            let mut pending: Vec<(SimTime, SlabKey)> = Vec::new();
+            let mut overlaps = Vec::new();
+            for step in 0..steps {
+                for _ in 0..pick.gen_range_u64(0, 4) {
+                    let airtime = SimDuration::from_millis(pick.gen_range_u64(1, max_airtime_ms + 1));
+                    let sender = pick.gen_range_u64(0, 50) as u32;
+                    let pos = Point::new(pick.gen_range_f64(0.0, 5e3), pick.gen_range_f64(0.0, 5e3));
+                    let key = launch_at(&mut channel, sender, now, airtime, pos);
+                    pending.push((now + airtime, key));
+                }
+                if pick.gen_bool(0.1) {
+                    channel.sweep(now);
+                }
+                if step == restore_at {
+                    channel = restored(&channel, now, |_| {}).expect("a run's own flights restore");
+                }
+                now += SimDuration::from_millis(pick.gen_range_u64(0, 2 * max_airtime_ms + 1));
+                pending.sort_unstable_by_key(|&(end, _)| std::cmp::Reverse(end));
+                while let Some(&(end, key)) = pending.last().filter(|&&(end, _)| end <= now) {
+                    pending.pop();
+                    let subject = &channel.flights[key];
+                    let (seq, start) = (subject.seq, subject.start);
+                    let expected = brute_force_overlaps(&channel, start, end);
+                    channel.overlaps_into(start, end, &mut overlaps);
+                    prop_assert_eq!(&overlaps, &expected);
+                    prop_assert!(overlaps.iter().any(|&(s, _)| s == seq));
+                }
+            }
+            let (scanned, kept) = channel.scan_counts();
+            prop_assert!(kept <= scanned);
+        }
+    }
+
+    /// Restore refuses flights a run could not have left behind, each
+    /// premise of the ring on its own.
+    #[test]
+    fn restore_refuses_flights_that_break_the_ring_premise() {
+        let airtime = SimDuration::from_millis(400);
+        let mut channel = ring_channel(3, SimDuration::from_secs(2), airtime);
+        let t = |ms| SimTime::from_millis(ms);
+        for (sender, at) in [(0, 1_000), (1, 1_000), (2, 1_200)] {
+            launch_at(&mut channel, sender, t(at), airtime, ORIGIN);
+        }
+        let now = t(1_300);
+        assert!(restored(&channel, now, |_| {}).is_ok());
+        let refused = |edit: fn(&mut Flight)| restored(&channel, now, edit).err();
+        assert_eq!(
+            refused(|f| f.end = f.start - SimDuration::from_millis(1)),
+            Some("flight ends before it starts")
+        );
+        assert_eq!(
+            refused(|f| f.end = f.start + SimDuration::from_millis(401)),
+            Some("flight outlasts the longest airtime")
+        );
+        assert_eq!(
+            refused(|f| {
+                f.start = SimTime::from_millis(1_301);
+                f.end = f.start;
+            }),
+            Some("flight starts after the snapshot instant")
+        );
+        assert_eq!(
+            refused(|f| f.seq = 0),
+            Some("two flights share a sequence number")
+        );
+        assert_eq!(
+            refused(|f| f.seq = 2 - f.seq),
+            Some("flight start decreases along the sequence")
+        );
+        assert_eq!(
+            refused(|f| f.seq += 1),
+            Some("flight sequence number was never issued")
         );
     }
 }

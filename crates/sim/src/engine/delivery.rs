@@ -11,7 +11,7 @@ use mlora_geo::{BBox, GridIndex, Point};
 use mlora_mac::AppMessage;
 use mlora_simcore::SimTime;
 
-use super::channel::{Channel, FlightRef};
+use super::channel::{Channel, Flight};
 use crate::metrics::Collector;
 use crate::observer::{GatewayOutageChanged, MessageDelivered, SimObserver};
 
@@ -136,7 +136,7 @@ impl Delivery {
         channel: &mut Channel,
         receivers: &[u32],
         overlaps: &[(u64, Point)],
-        flight: FlightRef<'_>,
+        flight: &Flight,
     ) -> Option<f64> {
         let range = self.gateway_range_m;
         let mut best: Option<f64> = None;

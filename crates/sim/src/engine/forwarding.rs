@@ -27,7 +27,7 @@ use mlora_core::{Beacon, ForwardDecision};
 use mlora_geo::Point;
 use mlora_simcore::NodeId;
 
-use super::channel::{FlightRef, Reception};
+use super::channel::{Flight, Reception};
 use super::Engine;
 use crate::observer::{HandoverAccepted, SimObserver};
 
@@ -43,7 +43,7 @@ impl Engine {
     /// appended to `to_schedule`.
     pub(super) fn resolve_neighbours(
         &mut self,
-        flight: FlightRef<'_>,
+        flight: &Flight,
         receivers: &[(NodeId, Point)],
         overlaps: &[(u64, Point)],
         to_schedule: &mut Vec<NodeId>,
@@ -73,7 +73,7 @@ impl Engine {
     /// loads per candidate, no device-map lookup. The device class is
     /// scenario-uniform, so it comes from the configuration rather than
     /// a per-device field.
-    fn neighbour_admitted(&self, x: NodeId, flight: FlightRef<'_>) -> bool {
+    fn neighbour_admitted(&self, x: NodeId, flight: &Flight) -> bool {
         let i = x.index();
         let hot = &self.world.hot;
         if !hot.active[i] {
@@ -100,7 +100,7 @@ impl Engine {
     /// interference.
     fn apply_reception(
         &mut self,
-        flight: FlightRef<'_>,
+        flight: &Flight,
         x: NodeId,
         reception: Reception,
         to_schedule: &mut Vec<NodeId>,
@@ -176,7 +176,7 @@ impl Engine {
     /// scheduling.
     pub(super) fn settle_sender(
         &mut self,
-        flight: FlightRef<'_>,
+        flight: &Flight,
         gateway_rssi: Option<f64>,
         accepted_by_target: bool,
         observer: &mut dyn SimObserver,

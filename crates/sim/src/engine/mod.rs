@@ -50,7 +50,8 @@
 //!
 //! Per-event state is dense and index-addressed: devices live in a
 //! `DenseMap` keyed by their already-dense [`NodeId`], frames in
-//! flight live in a generational `Slab`, the neighbour cell list is
+//! flight live in a generational `Slab` with a launch-ordered ring of
+//! their scan rows beside it, the neighbour cell list is
 //! rebuilt once per drift sweep and patched in O(1) in between (append
 //! on trip start, tombstone on retirement), and every query writes into
 //! scratch buffers owned by its subsystem. In steady state the event
@@ -78,7 +79,7 @@ use mlora_mac::{
 use mlora_phy::AirtimeTable;
 use mlora_simcore::{EventQueue, NodeId, SimDuration, SimRng, SimTime, SlabKey};
 
-use self::channel::{Channel, FlightRef};
+use self::channel::Channel;
 use self::delivery::Delivery;
 use self::world::{Device, DeviceTraffic, World};
 use crate::disruption::DisruptionEvent;
@@ -123,10 +124,17 @@ enum Event {
 /// too close for the channel's table bounds or because a gateway or a
 /// policy read the value.
 ///
-/// The last three count the neighbour queries' work, one query per
-/// transmission end. `candidates` is a property of the model (devices
-/// truly in range); `grid_entries` and `positions_located` measure how
-/// much the cell list made the query screen and locate to find them.
+/// `grid_entries`, `positions_located` and `candidates` count the
+/// neighbour queries' work, one query per transmission end.
+/// `candidates` is a property of the model (devices truly in range);
+/// `grid_entries` and `positions_located` measure how much the cell
+/// list made the query screen and locate to find them.
+///
+/// `flights_scanned` and `overlaps` count the interferer scans' work,
+/// also one per transmission end. `overlaps` is a property of the model
+/// (frames in the air at once, each subject included);
+/// `flights_scanned` measures how many flight-ring rows the scans read
+/// to find them.
 ///
 /// Like the high-water mark these are host telemetry, not run state:
 /// none is checkpointed, and a resumed engine counts from zero.
@@ -157,6 +165,12 @@ pub struct EngineStats {
     pub positions_located: u64,
     /// Devices the neighbour queries found within range.
     pub candidates: u64,
+    /// Flight-ring rows the interferer scans visited, the row that
+    /// stopped each walk included.
+    pub flights_scanned: u64,
+    /// Time-overlapping frames the interferer scans found, each
+    /// subject included.
+    pub overlaps: u64,
 }
 
 /// The simulation engine. Construct with [`Engine::new`], execute with
@@ -267,7 +281,8 @@ impl Engine {
         // factors; slow SFs (≳4 s airtime for a full bundle) need the
         // whole worst-case airtime or concurrent frames would be pruned
         // before their interference resolves.
-        let flight_retention = airtime.max().max(SimDuration::from_secs(2));
+        let max_airtime = airtime.max();
+        let flight_retention = max_airtime.max(SimDuration::from_secs(2));
         // Forking is a pure function of the master seed: deriving the
         // channel (12), disruption (13) and traffic (14) streams in this
         // fixed order leaves each subsystem's draws independent of the
@@ -276,6 +291,7 @@ impl Engine {
         let channel = Channel::new(
             root.fork(12),
             flight_retention,
+            max_airtime,
             cfg.disruptions.noise_bursts.clone(),
             cfg.path_loss,
             cfg.phy.sensitivity_dbm(),
@@ -346,6 +362,7 @@ impl Engine {
     pub fn stats(&self) -> EngineStats {
         let (receptions, frames_heard, rssi_evaluated) = self.channel.reception_counts();
         let (grid_entries, positions_located, candidates) = self.world.candidate_counts();
+        let (flights_scanned, overlaps) = self.channel.scan_counts();
         EngineStats {
             events_processed: self.events_processed,
             queue_depth_high_water: self.queue_depth_high_water,
@@ -356,6 +373,8 @@ impl Engine {
             grid_entries,
             positions_located,
             candidates,
+            flights_scanned,
+            overlaps,
         }
     }
 
@@ -815,25 +834,13 @@ impl Engine {
         // (`Channel::maybe_sweep`); a stale flight cannot pass the
         // time-overlap filter, so nothing here depends on it.
 
-        // Copy the subject's hot row out of the columns, then take the
-        // cold table out of the channel so its frame can be borrowed
-        // across the resolution calls without cloning.
-        let Some(hot) = self.channel.flight_hot(key) else {
-            return;
-        };
+        // Take the slab out of the channel so the subject flight can be
+        // borrowed across the resolution calls without cloning; nothing
+        // below launches a frame.
         let flights = std::mem::take(&mut self.channel.flights);
-        let Some(cold) = flights.get(key) else {
+        let Some(flight) = flights.get(key) else {
             self.channel.flights = flights;
             return;
-        };
-        let flight = FlightRef {
-            seq: hot.seq,
-            sender: hot.sender,
-            frame: &cold.frame,
-            target: cold.target,
-            start: hot.start,
-            end: hot.end,
-            pos: hot.pos,
         };
         let sender = flight.sender;
 
@@ -844,8 +851,8 @@ impl Engine {
         let mut to_schedule = std::mem::take(&mut self.scratch_schedule);
         to_schedule.clear();
         // The frames overlapping this one in time (including itself), in
-        // creation order — one pass over the contiguous flight columns —
-        // and the two spatial queries.
+        // creation order — a walk down the newest rows of the flight
+        // ring — and the two spatial queries.
         let mut overlaps = std::mem::take(&mut self.channel.scratch_overlaps);
         self.channel
             .overlaps_into(flight.start, flight.end, &mut overlaps);

@@ -2,8 +2,8 @@
 //!
 //! The counting-allocator test (`crates/sim/tests/engine_alloc.rs`) and
 //! the `engine_events` binary's reception rows need to drive the
-//! flight-column scan and a reception in isolation, without standing
-//! up a full engine run. This module packages that path behind a
+//! flight-ring scan and a reception in isolation, without standing up
+//! a full engine run. This module packages that path behind a
 //! self-contained driver —
 //! [`FlightScanProbe`] over the [`Channel`], calling the functions the
 //! engine calls — plus [`sweep_flights`], with which the lazy-vs-eager
@@ -31,7 +31,8 @@ use crate::observer::NullObserver;
 /// Reclaims every expired flight of a stepped engine now, between two
 /// `run_until` slices. The engine itself sweeps only at slab growth
 /// boundaries; the pruning proptest sweeps after every slice and
-/// requires a bit-identical report.
+/// requires a bit-identical report. In debug builds every sweep also
+/// checks the flight ring against the slab.
 pub fn sweep_flights(engine: &mut Engine) {
     engine.channel.sweep(engine.now);
 }
@@ -67,13 +68,12 @@ pub fn timetable_order(engine: &mut Engine, until: SimTime) -> Vec<(SimTime, u64
     order
 }
 
-/// Drives the channel's hot loop as a run does — launch, contiguous
-/// time-overlap scan over [`FlightColumns`], the engine's near-overlap
-/// cut and a reception — with steadily advancing time so the deferred
-/// slab sweep triggers and slots recycle. After a warm-up round the
-/// whole cycle is allocation-free, which `engine_alloc.rs` pins.
-///
-/// [`FlightColumns`]: super::channel::FlightColumns
+/// Drives the channel's hot loop as a run does — launch (which trims
+/// the flight ring's front), the time-overlap walk down the ring's
+/// newest rows, the engine's near-overlap cut and a reception — with
+/// steadily advancing time so the deferred slab sweep triggers and
+/// slots recycle. After a warm-up round the whole cycle is
+/// allocation-free, which `engine_alloc.rs` pins.
 #[derive(Debug)]
 pub struct FlightScanProbe {
     channel: Channel,
@@ -113,6 +113,7 @@ impl FlightScanProbe {
             channel: Channel::new(
                 SimRng::new(seed).fork(12),
                 SimDuration::from_secs(2),
+                SimDuration::from_millis(370),
                 Vec::new(),
                 LogDistanceModel::paper_default(),
                 -123.0,
@@ -164,7 +165,7 @@ impl FlightScanProbe {
             // The last frame launched, looked up as a transmission end
             // looks its subject up.
             let subject_seq = subject
-                .and_then(|key| self.channel.flight_hot(key))
+                .and_then(|key| self.channel.flights.get(key))
                 .expect("a wave launches at least one flight")
                 .seq;
             self.channel.overlaps_into(start, end, &mut self.overlaps);

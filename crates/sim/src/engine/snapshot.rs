@@ -68,7 +68,7 @@ use mlora_scenario_io::{Enc, ScenarioIoError, ScenarioReader, ScenarioWriter};
 use mlora_simcore::stats::{TimeSeries, Welford};
 use mlora_simcore::{DenseMap, EventQueue, MessageId, NodeId, SimRng, SimTime};
 
-use super::channel::{Flight, FlightRef};
+use super::channel::Flight;
 use super::world::{Device, DeviceHot, DeviceTraffic};
 use super::{Engine, Event};
 use crate::metrics::Collector;
@@ -399,9 +399,9 @@ impl Engine {
 
         // The flight slab, slot by slot (vacant included) plus the free
         // list, so restored slab keys resolve identically.
-        let slot_count = self.channel.flight_slot_count() as u64;
-        w.begin_section(SEC_FLIGHT_SLOTS, slot_count)?;
-        for (generation, flight) in self.channel.raw_flight_slots() {
+        let flights = &self.channel.flights;
+        w.begin_section(SEC_FLIGHT_SLOTS, flights.slot_count() as u64)?;
+        for (generation, flight) in flights.raw_slots() {
             // `(u32, Option<Flight>)`, from the borrowed view.
             (generation, flight.is_some()).put(w.enc());
             if let Some(flight) = flight {
@@ -410,7 +410,7 @@ impl Engine {
             w.end_record()?;
         }
         w.end_section()?;
-        write_records(&mut w, SEC_FLIGHT_FREE, self.channel.flight_free_list())?;
+        write_records(&mut w, SEC_FLIGHT_FREE, flights.free_list())?;
 
         // Every RNG stream's exact words plus the channel and world
         // runtime scalars.
@@ -691,9 +691,19 @@ impl Engine {
         let bursts = engine.cfg.disruptions.noise_bursts.len();
         let listed = active_noise.iter().all(|&burst| (burst as usize) < bursts);
         ensure(listed, "active noise burst past the table")?;
+        // The flight ring is rebuilt from the slab, on the premises
+        // `Channel::restore` names.
         engine
             .channel
-            .restore(channel_rng, slots, free, next_flight_seq, active_noise);
+            .restore(
+                channel_rng,
+                slots,
+                free,
+                next_flight_seq,
+                active_noise,
+                header.now,
+            )
+            .map_err(ScenarioIoError::Corrupt)?;
         engine.disruption_rng = Persist::get(&mut r)?;
         engine.traffic_root = Persist::get(&mut r)?;
         // A sweep schedules the next one a period ahead, so a later due
@@ -873,9 +883,7 @@ persist_struct!(UplinkFrame {
     rca_etx: f64,
     queue_len: usize,
 });
-// A flight is captured through the borrowed row view the channel
-// gathers and restored as the owned row it scatters.
-persist_struct!(Flight, written from FlightRef<'_> as put {
+persist_struct!(Flight {
     seq: u64,
     sender: NodeId,
     target: Option<NodeId>,
@@ -1310,7 +1318,7 @@ mod tests {
         });
         let mut engine = Engine::new(cfg, 15);
         engine.run_until(SimTime::from_millis(1_388_679));
-        let flights = engine.channel.raw_flight_slots().filter_map(|(_, f)| f);
+        let flights = engine.channel.flights.iter().map(|(_, f)| f);
         assert_eq!(flights.filter(|f| f.end > engine.now).count(), 2);
         assert_eq!(engine.delivery.outage_depths()[0], 1, "gateway 0 is down");
         assert!(engine.cfg_section.get().is_none());

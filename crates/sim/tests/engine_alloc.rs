@@ -1,5 +1,5 @@
 //! Allocation accounting for the engine's flight hot path: the
-//! contiguous `FlightColumns` time-overlap scan (launch → scan → near
+//! flight-ring time-overlap scan (launch and ring trim → scan → near
 //! cut → reception, with the deferred slab sweep recycling slots) must
 //! not touch the heap in steady state.
 //!
@@ -54,7 +54,7 @@ fn flight_scan_does_not_allocate() {
     assert_eq!(
         after - before,
         0,
-        "flight-column scan path allocated {} times in steady state",
+        "flight-ring scan path allocated {} times in steady state",
         after - before
     );
     // The churn is deterministic per round window, not idempotent:

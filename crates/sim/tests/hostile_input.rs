@@ -404,6 +404,17 @@ struct DeviceFields {
     traffic: Range<usize>,
 }
 
+/// Where the fields of one occupied flight slot sit.
+struct FlightFields {
+    generation: Range<usize>,
+    seq: Range<usize>,
+    sender: Range<usize>,
+    target: Range<usize>,
+    start: Range<usize>,
+    end: Range<usize>,
+    messages: Range<usize>,
+}
+
 /// Walks the devices section in the frozen AoS-era field order.
 fn device_fields(section: &Section) -> Vec<DeviceFields> {
     let mut w = Walk {
@@ -529,7 +540,15 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
     w.varint();
     let shards = w.varint();
     let now = w.varint();
+    let now_ms = get_varint(&of(SEC_HEADER).payload, &mut now.start.clone());
     let next_msg = w.varint();
+    // The streams section: the channel RNG, then the flight counter.
+    let mut streams = Walk {
+        bytes: &of(SEC_STREAMS).payload,
+        pos: 0,
+    };
+    streams.rng();
+    let next_flight_seq = streams.value();
     sweep.refused(
         "header: zero shards",
         &plant(SEC_HEADER, shards.clone(), &varint(0)),
@@ -674,41 +693,111 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
         bytes: &slots.payload,
         pos: 0,
     };
-    let mut occupied = None;
+    let mut flights = Vec::new();
     for _ in 0..slots.count {
         let generation = w.varint();
         if !w.flag().1 {
             continue;
         }
-        w.varint(); // seq
+        let seq = w.varint();
         let sender = w.varint();
         let target = w.option(|w| w.varints(1));
-        w.varints(2);
+        let start = w.varint();
+        let end = w.varint();
         w.f64s(2);
         w.varint(); // frame sender
-        let (message_count, _) = w.messages();
+        let (messages, _) = w.messages();
         w.f64s(1);
         w.varint();
-        occupied.get_or_insert((generation, sender, target, message_count));
+        flights.push(FlightFields {
+            generation,
+            seq,
+            sender,
+            target,
+            start,
+            end,
+            messages,
+        });
     }
     let slot_count = slots.count;
-    let any_occupied = occupied.is_some();
-    if let Some((generation, sender, target, message_count)) = occupied {
-        let slot = |at: Range<usize>, with: &[u8]| plant(SEC_FLIGHT_SLOTS, at, with);
+    let value = |at: &Range<usize>| get_varint(&slots.payload, &mut at.start.clone());
+    // Several fields of the slots section rewritten at once.
+    let slot_edits = |mut edits: Vec<(&Range<usize>, Vec<u8>)>| {
+        edits.sort_unstable_by_key(|(at, _)| std::cmp::Reverse(at.start));
+        splice(bytes, SNAPSHOT_MAGIC, SEC_FLIGHT_SLOTS, |s| {
+            for (at, with) in edits {
+                s.payload.splice(at.clone(), with);
+            }
+        })
+    };
+    let slot = |at: &Range<usize>, with: &[u8]| slot_edits(vec![(at, with.to_vec())]);
+    if let Some(first) = flights.first() {
         sweep.refused(
             "flight: generation past u32",
-            &slot(generation, &varint(1 << 40)),
+            &slot(&first.generation, &varint(1 << 40)),
         );
         sweep.case(
             "flight: sender that never was",
-            &slot(sender, &varint(NOWHERE)),
+            &slot(&first.sender, &varint(NOWHERE)),
         );
         sweep.case(
             "flight: target that never was",
-            &slot(target, &some(&[NOWHERE])),
+            &slot(&first.target, &some(&[NOWHERE])),
         );
-        sweep.refused("flight: 2^60 messages", &slot(message_count, &varint(HUGE)));
+        sweep.refused(
+            "flight: 2^60 messages",
+            &slot(&first.messages, &varint(HUGE)),
+        );
+        // The flight ring's premises (`Channel::restore`), one at a
+        // time. A flight pinned in the air would pin the ring's front.
+        let start = value(&first.start);
+        sweep.refused(
+            "flight: ends before it starts",
+            &slot(&first.end, &varint(start - 1)),
+        );
+        sweep.refused(
+            "flight: outlasts the longest airtime",
+            &slot(&first.end, &varint(start + (1 << 40))),
+        );
+        // The newest flight, moved past the capture instant or given
+        // the counter's next number.
+        let newest = flights
+            .iter()
+            .max_by_key(|f| value(&f.seq))
+            .expect("one flight");
+        let after = varint(now_ms + 1);
+        sweep.refused(
+            "flight: starts after the snapshot instant",
+            &slot_edits(vec![(&newest.start, after.clone()), (&newest.end, after)]),
+        );
+        sweep.refused(
+            "flight: sequence number never issued",
+            &slot(&newest.seq, &varint(next_flight_seq)),
+        );
     }
+    if let [a, b, ..] = &flights[..] {
+        sweep.refused(
+            "flight: two share a sequence number",
+            &slot(&b.seq, &varint(value(&a.seq))),
+        );
+    }
+    // Two flights launched at different instants trade numbers.
+    let apart = flights.iter().enumerate().find_map(|(i, a)| {
+        let later = flights[i + 1..]
+            .iter()
+            .find(|b| value(&b.start) != value(&a.start))?;
+        Some((a, later))
+    });
+    if let Some((a, b)) = apart {
+        sweep.refused(
+            "flight: start decreases along the sequence",
+            &slot_edits(vec![
+                (&a.seq, varint(value(&b.seq))),
+                (&b.seq, varint(value(&a.seq))),
+            ]),
+        );
+    }
+    let any_occupied = !flights.is_empty();
 
     // Free list: one index appended.
     for (name, index) in [("past the slab", NOWHERE), ("past u32", 1 << 40)] {
@@ -896,12 +985,56 @@ fn scenario_plants(sweep: &mut Sweep, bytes: &[u8]) {
         );
     }
 
-    // NETWORK_CONFIG opens with the area side, which sizes the engine's
-    // neighbour cells as a prebuilt world's header does (`world_plants`).
-    sweep.case(
-        "network: a 10 000 km square",
-        &plant(section::NETWORK_CONFIG, 0..8, &f64_bytes(1e7)),
+    // NETWORK_CONFIG: area side, routes, waypoints per route, shortest
+    // route, slowest and fastest speed, buses, fewest and most legs,
+    // horizon, centre bias, 24 hourly levels. The area also sizes the
+    // engine's neighbour cells, as a prebuilt world's header does
+    // (`world_plants`); a vast one that the generator can still build
+    // runs. Then each rule of `BusNetworkConfig::validate`, broken once.
+    let mut w = Walk {
+        bytes: &of(section::NETWORK_CONFIG).payload,
+        pos: 0,
+    };
+    let area = w.f64();
+    let routes = w.varint();
+    w.varint();
+    let shortest = w.f64();
+    let slowest = w.f64();
+    let fastest = w.f64();
+    let buses = w.varint();
+    let fewest_legs = w.varint();
+    let most_legs = w.varint();
+    w.varint();
+    let bias = w.f64();
+    let net = |at: &Range<usize>, with: &[u8]| plant(section::NETWORK_CONFIG, at.clone(), with);
+    sweep.runs("network: a 10 000 km square", &net(&area, &f64_bytes(1e7)));
+    let side = f64::from_le_bytes(
+        of(section::NETWORK_CONFIG).payload[area.clone()]
+            .try_into()
+            .expect("eight bytes"),
     );
+    for (name, at, with) in [
+        ("area 0", &area, f64_bytes(0.0).to_vec()),
+        ("a 1e300 m square", &area, f64_bytes(1e300).to_vec()),
+        ("no routes", &routes, varint(0)),
+        (
+            "shortest route twice the area side",
+            &shortest,
+            f64_bytes(2.0 * side).to_vec(),
+        ),
+        ("slowest speed 0", &slowest, f64_bytes(0.0).to_vec()),
+        (
+            "fastest speed below the slowest",
+            &fastest,
+            f64_bytes(0.5).to_vec(),
+        ),
+        ("no buses", &buses, varint(0)),
+        ("fewest legs 0", &fewest_legs, varint(0)),
+        ("most legs below the fewest", &most_legs, varint(0)),
+        ("centre bias 2", &bias, f64_bytes(2.0).to_vec()),
+    ] {
+        sweep.refused(&format!("network: {name}"), &net(at, &with));
+    }
 
     // SIM_PARAMS: environment, scheme, alpha, device class, generation
     // interval, queue capacity, duty cycle, max attempts, SF, bandwidth,
