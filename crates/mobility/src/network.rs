@@ -10,6 +10,15 @@ use crate::{DiurnalProfile, Route, RouteId, Trip};
 /// squared distance the generator takes over it stays far inside `f64`.
 const MAX_AREA_SIDE_M: f64 = 4.0e8;
 
+/// The most route points [`BusNetworkConfig::validate`] accepts, over
+/// all routes and terminals included: the default network has 960.
+const MAX_ROUTE_POINTS: usize = 1 << 20;
+
+/// The largest `max_active_buses × max_legs` it accepts, which bounds
+/// both the fleet the generator schedules and how many legs one trip
+/// runs: the default network asks for 8 000.
+const MAX_BUS_LEGS: usize = 1 << 22;
+
 /// Parameters of the synthetic London-scale bus network.
 ///
 /// Defaults reproduce the paper's setting at a tractable scale: a 600 km²
@@ -79,15 +88,22 @@ impl BusNetworkConfig {
     /// [`NetworkConfigError`] naming the first rule broken: the area
     /// side must lie in (0, 4 × 10⁸ m], and there must be a route, a
     /// bus, a positive finite speed range and a leg range starting at
-    /// one; the shortest route must fit the area and the centre bias lie
-    /// in `[0, 1]`.
+    /// one; the shortest route must be finite and fit the area, and the
+    /// centre bias lie in `[0, 1]`. Nor may the network ask for more
+    /// than 2²⁰ route points or 2²² bus-legs (`max_active_buses ×
+    /// max_legs`).
     pub fn validate(&self) -> Result<(), NetworkConfigError> {
+        let points_per_route = self.waypoints_per_route.saturating_add(2);
         let rules = [
             (
                 self.area_side_m > 0.0 && self.area_side_m <= MAX_AREA_SIDE_M,
                 "network area side must be positive and at most 4e8 m",
             ),
             (self.num_routes > 0, "network needs at least one route"),
+            (
+                self.num_routes.saturating_mul(points_per_route) <= MAX_ROUTE_POINTS,
+                "network asks for more than 2^20 route points",
+            ),
             (
                 self.min_speed_mps > 0.0
                     && self.min_speed_mps <= self.max_speed_mps
@@ -100,8 +116,13 @@ impl BusNetworkConfig {
             ),
             (self.max_active_buses > 0, "network needs at least one bus"),
             (
-                self.min_route_length_m < self.area_side_m * 2.0,
-                "network minimum route length does not fit the area",
+                self.max_active_buses.saturating_mul(self.max_legs as usize) <= MAX_BUS_LEGS,
+                "network asks for more than 2^22 bus-legs",
+            ),
+            (
+                self.min_route_length_m.is_finite()
+                    && self.min_route_length_m < self.area_side_m * 2.0,
+                "network minimum route length must be finite and fit the area",
             ),
             (
                 (0.0..=1.0).contains(&self.center_bias),
@@ -615,18 +636,23 @@ mod tests {
         };
         assert_eq!(widest.validate(), Ok(()));
         assert!(!BusNetwork::generate(&widest, 1).routes().is_empty());
-        let broken: [fn(&mut BusNetworkConfig); 12] = [
+        let broken: [fn(&mut BusNetworkConfig); 17] = [
             |c| c.area_side_m = 0.0,
             |c| c.area_side_m = f64::NAN,
             |c| c.area_side_m = MAX_AREA_SIDE_M.next_up(),
             |c| c.num_routes = 0,
+            |c| c.num_routes = MAX_ROUTE_POINTS / 2,
+            |c| c.waypoints_per_route = usize::MAX,
             |c| c.min_speed_mps = 0.0,
             |c| c.max_speed_mps = c.min_speed_mps / 2.0,
             |c| c.max_speed_mps = f64::INFINITY,
             |c| c.min_legs = 0,
             |c| c.max_legs = c.min_legs - 1,
+            |c| c.max_legs = u32::MAX,
             |c| c.max_active_buses = 0,
+            |c| c.max_active_buses = MAX_BUS_LEGS,
             |c| c.min_route_length_m = 2.0 * c.area_side_m,
+            |c| c.min_route_length_m = f64::NEG_INFINITY,
             |c| c.center_bias = 1.5,
         ];
         for (i, break_rule) in broken.iter().enumerate() {

@@ -1,5 +1,16 @@
 //! The block-framed container: header, sections, checksummed blocks,
 //! and the streaming writer/reader pair.
+//!
+//! Reading never panics on file content: clippy holds this module, like
+//! the record decoders of `mlora-sim` it feeds, to no indexing,
+//! `unwrap`, `expect` or `panic!` outside its tests. (The writer's
+//! `assert!`s guard the caller's section bookkeeping, not file bytes.)
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 
 use std::io::{Read, Write};
 
@@ -40,8 +51,6 @@ pub enum ScenarioIoError {
     /// The scenario uses a feature the format cannot carry; the message
     /// names it.
     Unsupported(&'static str),
-    /// Decoded world parts violate a network invariant.
-    World(mlora_mobility::NetworkError),
 }
 
 impl std::fmt::Display for ScenarioIoError {
@@ -64,7 +73,6 @@ impl std::fmt::Display for ScenarioIoError {
             ScenarioIoError::Unsupported(what) => {
                 write!(f, "scenario cannot be serialized: {what}")
             }
-            ScenarioIoError::World(e) => write!(f, "scenario world is inconsistent: {e}"),
         }
     }
 }
@@ -73,7 +81,6 @@ impl std::error::Error for ScenarioIoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ScenarioIoError::Io(e) => Some(e),
-            ScenarioIoError::World(e) => Some(e),
             _ => None,
         }
     }
@@ -86,12 +93,6 @@ impl From<std::io::Error> for ScenarioIoError {
         } else {
             ScenarioIoError::Io(e)
         }
-    }
-}
-
-impl From<mlora_mobility::NetworkError> for ScenarioIoError {
-    fn from(e: mlora_mobility::NetworkError) -> Self {
-        ScenarioIoError::World(e)
     }
 }
 
@@ -429,11 +430,10 @@ impl<R: Read> ScenarioReader<R> {
         let bytes = self
             .block
             .get(self.pos..end)
+            .and_then(|bytes| bytes.try_into().ok())
             .ok_or(ScenarioIoError::Corrupt("record crosses block boundary"))?;
         self.pos = end;
-        Ok(f64::from_bits(u64::from_le_bytes(
-            bytes.try_into().unwrap(),
-        )))
+        Ok(f64::from_bits(u64::from_le_bytes(bytes)))
     }
 
     /// Reads a boolean of the current record.
@@ -525,7 +525,8 @@ impl<R: Read> ScenarioReader<R> {
             let start = self.block.len();
             let step = (len - start).min(BLOCK_TARGET);
             self.block.resize(start + step, 0);
-            self.input.read_exact(&mut self.block[start..])?;
+            let (_, fresh) = self.block.split_at_mut(start);
+            self.input.read_exact(fresh)?;
         }
         if crc32(&self.block) != u32::from_le_bytes(crc) {
             return Err(ScenarioIoError::ChecksumMismatch);
@@ -537,7 +538,8 @@ impl<R: Read> ScenarioReader<R> {
     fn read_byte(&mut self) -> Result<u8, ScenarioIoError> {
         let mut byte = [0u8; 1];
         self.input.read_exact(&mut byte)?;
-        Ok(byte[0])
+        let [byte] = byte;
+        Ok(byte)
     }
 
     /// Reads a varint directly from the underlying stream (framing
@@ -560,6 +562,12 @@ impl<R: Read> ScenarioReader<R> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 mod tests {
     use super::*;
 

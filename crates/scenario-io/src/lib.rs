@@ -38,18 +38,20 @@
 //! checksumming it again. Readers verify every block they load either
 //! way.
 //!
-//! Section ids 1–4 (network config, world header, routes, fleet) are
-//! encoded by this crate ([`write_world`], [`WorldAssembler`]); the
-//! simulation-level sections (parameters, gateways, traffic,
-//! disruptions) are layered on top by `mlora-sim`, which owns those
-//! types. There — and in the `.mlss` snapshot below — every record's
-//! layout is stated once, as an impl of that crate's private `Persist`
-//! trait over [`Enc`] and [`ScenarioReader`] (`crates/sim/src/persist.rs`:
-//! one `put`/`get` pair per type, derived from a single field list or
-//! tag table where a record is just its fields, with the type's
-//! invariants checked in `get`). The world sections encoded here sit
-//! upstream of that trait and keep their hand-written codecs
-//! (`world.rs`).
+//! This crate is the container alone: it names the sections
+//! ([`section`]) but encodes no record. Every record of every section —
+//! network config, world header, routes and fleet as much as parameters,
+//! gateways, traffic and disruptions — and of the `.mlss` snapshot below
+//! is laid out once, in `mlora-sim`, as an impl of that crate's private
+//! `Persist` trait over [`Enc`] and [`ScenarioReader`]
+//! (`crates/sim/src/persist.rs`: one `put`/`get` pair per type, derived
+//! from a single field list or tag table where a record is just its
+//! fields, with the type's invariants checked in `get`). The layouts
+//! live there rather than here because `Persist` is implemented for
+//! types of `mlora-phy`, `mlora-mac` and `mlora-core` as well: were the
+//! trait defined here, Rust's orphan rule (the trait or the type must be
+//! local) would forbid those impls in `mlora-sim`, and this crate does
+//! not depend on those crates.
 //!
 //! # Sibling formats: the `.mlss` engine snapshot
 //!
@@ -76,24 +78,30 @@
 //!
 //! # Example
 //!
-//! ```
-//! use mlora_mobility::{BusNetwork, BusNetworkConfig};
-//! use mlora_scenario_io::{read_world_sections, write_world, ScenarioReader, ScenarioWriter};
+//! A section of records, written and streamed back. The section id and
+//! the record layout are the caller's; skipping a section needs neither.
 //!
-//! let cfg = BusNetworkConfig {
-//!     num_routes: 4,
-//!     max_active_buses: 20,
-//!     ..BusNetworkConfig::default()
-//! };
-//! let net = BusNetwork::generate(&cfg, 42);
+//! ```
+//! use mlora_scenario_io::{ScenarioReader, ScenarioWriter};
 //!
 //! let mut bytes = Vec::new();
 //! let mut w = ScenarioWriter::new(&mut bytes)?;
-//! write_world(&mut w, &net)?;
+//! w.begin_section(42, 2)?;
+//! for (name, speed) in [("radial", 9.5), ("ring", 7.25)] {
+//!     w.enc().put_str(name);
+//!     w.enc().put_f64(speed);
+//!     w.end_record()?;
+//! }
+//! w.end_section()?;
 //! w.finish()?;
 //!
-//! let loaded = read_world_sections(&mut ScenarioReader::new(&bytes[..])?)?.unwrap();
-//! assert_eq!(net, loaded);
+//! let mut r = ScenarioReader::new(&bytes[..])?;
+//! assert_eq!(r.next_section()?, Some((42, 2)));
+//! r.begin_record()?;
+//! assert_eq!((r.string()?, r.f64()?), ("radial".to_string(), 9.5));
+//! r.begin_record()?;
+//! assert_eq!((r.string()?, r.f64()?), ("ring".to_string(), 7.25));
+//! assert_eq!(r.next_section()?, None);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -102,25 +110,21 @@
 
 mod container;
 mod wire;
-mod world;
 
 pub use container::{
     ScenarioIoError, ScenarioReader, ScenarioWriter, FORMAT_VERSION, MAGIC, MAX_BLOCK_BYTES,
 };
 pub use wire::Enc;
-pub use world::{
-    read_network_config, read_world_sections, write_network_config, write_world, WorldAssembler,
-};
 
 /// Section identifiers of the `.mlsc` container.
 ///
-/// Id 0 terminates the file; ids 1–4 are encoded by this crate; ids 5–8
-/// are reserved for the simulation layer; higher ids are free for
-/// future sections (readers skip unknown ids).
+/// Id 0 terminates the file; ids 1–8 are the scenario's, every record
+/// of them encoded by `mlora-sim`; higher ids are free for future
+/// sections (readers skip unknown ids).
 pub mod section {
     /// End-of-file marker.
     pub const END: u8 = 0;
-    /// Mobility generator configuration ([`crate::write_network_config`]).
+    /// Mobility generator configuration.
     pub const NETWORK_CONFIG: u8 = 1;
     /// Prebuilt world header: area and horizon.
     pub const WORLD: u8 = 2;
@@ -128,12 +132,12 @@ pub mod section {
     pub const ROUTES: u8 = 3;
     /// Fleet (trip schedule) records.
     pub const FLEET: u8 = 4;
-    /// Simulation parameters (encoded by `mlora-sim`).
+    /// Simulation parameters.
     pub const SIM_PARAMS: u8 = 5;
-    /// Gateway deployment (encoded by `mlora-sim`).
+    /// Gateway deployment.
     pub const GATEWAYS: u8 = 6;
-    /// Traffic model (encoded by `mlora-sim`).
+    /// Traffic model.
     pub const TRAFFIC: u8 = 7;
-    /// Disruption plan (encoded by `mlora-sim`).
+    /// Disruption plan.
     pub const DISRUPTIONS: u8 = 8;
 }

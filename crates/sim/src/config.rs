@@ -235,6 +235,10 @@ impl std::error::Error for ConfigError {}
 /// must stay printable inside the fixed-width report tables.
 const MAX_POLICY_LABEL: usize = 48;
 
+/// The most gateways [`SimConfig::validate`] accepts: ten thousand times
+/// the paper's densest deployment (100).
+const MAX_GATEWAYS: usize = 1_000_000;
+
 /// Validates that `value` is finite and within `(lo, hi]`.
 pub(crate) fn check_unit_interval(
     field: &'static str,
@@ -349,6 +353,14 @@ impl SimConfig {
         if self.num_gateways == 0 {
             return Err(ConfigError::Zero {
                 field: "num_gateways",
+            });
+        }
+        if self.num_gateways > MAX_GATEWAYS {
+            return Err(ConfigError::OutOfRange {
+                field: "num_gateways",
+                value: self.num_gateways as f64,
+                lo: 0.0,
+                hi: MAX_GATEWAYS as f64,
             });
         }
         self.network
@@ -521,6 +533,8 @@ mod tests {
                 field: "num_gateways"
             })
         );
+        c.num_gateways = MAX_GATEWAYS + 1;
+        assert_eq!(c.validate().unwrap_err().field(), "num_gateways");
 
         let mut c = base.clone();
         c.alpha = 0.0;

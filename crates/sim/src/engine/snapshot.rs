@@ -73,7 +73,7 @@ use super::world::{Device, DeviceHot, DeviceTraffic};
 use super::{Engine, Event};
 use crate::metrics::Collector;
 use crate::persist::{
-    ensure, persist_struct, put_slice, read_record, read_records, reserve_for, write_record,
+    ensure, persist_struct, put_slice, read_record, read_records, reserved, write_record,
     write_records, Persist,
 };
 use crate::{
@@ -577,7 +577,7 @@ impl Engine {
         // wrote, are one). Lifecycle records of undeparted trips (see
         // the module docs) are checked against the timetable and dropped.
         let n = expect_section(&mut r, SEC_EVENTS, "snapshot events")?;
-        let mut records = Vec::with_capacity(reserve_for(n));
+        let mut records = reserved(n);
         let mut dropped = false;
         for _ in 0..n {
             let (time, seq, mut ev): (SimTime, u64, Event) = read_record(&mut r)?;

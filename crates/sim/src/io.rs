@@ -1,8 +1,9 @@
 //! Scenario files: saving and loading full simulation setups.
 //!
-//! Layers the simulation-level sections (parameters, gateways, traffic,
-//! disruptions) on top of the `mlora-scenario-io` container and its
-//! world sections, giving [`SimConfig`] a complete on-disk form:
+//! Lays out every section of the `.mlsc` format — the mobility config,
+//! a prebuilt world (header, routes, fleet), parameters, gateways,
+//! traffic and disruptions — on top of the `mlora-scenario-io`
+//! container, giving [`SimConfig`] a complete on-disk form:
 //!
 //! * [`SimConfig::to_file`] / [`SimConfig::to_writer`] — stream a
 //!   configuration (and its prebuilt world, when one is attached) into
@@ -33,22 +34,21 @@ use std::path::Path;
 use std::sync::Arc;
 
 use mlora_core::{PolicySpec, Scheme};
-use mlora_geo::Point;
+use mlora_geo::{BBox, Point, Polyline};
 use mlora_mac::Priority;
-use mlora_mobility::DiurnalProfile;
+use mlora_mobility::{
+    BusNetwork, BusNetworkConfig, DiurnalProfile, NetworkError, Route, RouteId, Trip,
+};
 use mlora_phy::{
     Bandwidth, CapacityModel, CodingRate, LogDistanceModel, PhyParams, SpreadingFactor,
 };
-use mlora_scenario_io::{
-    read_network_config, section, write_network_config, write_world, Enc, ScenarioIoError,
-    ScenarioReader, ScenarioWriter, WorldAssembler,
-};
-use mlora_simcore::{SimDuration, SimTime};
+use mlora_scenario_io::{section, Enc, ScenarioIoError, ScenarioReader, ScenarioWriter};
+use mlora_simcore::{NodeId, SimDuration, SimTime};
 
 use crate::disruption::{BusWithdrawal, GatewayOutage, NoiseBurst};
 use crate::persist::{
-    ensure, persist_enum, persist_struct, read_record, read_records, write_record, write_records,
-    Persist,
+    ensure, persist_enum, persist_struct, put_slice, read_each, read_record, read_records,
+    write_each, write_record, write_records, Persist,
 };
 use crate::traffic::{ArrivalProcess, PayloadModel, TrafficProfile};
 use crate::{
@@ -126,7 +126,7 @@ impl SimConfig {
         }
         self.validate()?;
         let mut w = ScenarioWriter::new(out)?;
-        write_network_config(&mut w, &self.network)?;
+        write_record(&mut w, section::NETWORK_CONFIG, |enc| self.network.put(enc))?;
         write_record(&mut w, section::SIM_PARAMS, |enc| self.put_sim_params(enc))?;
         write_record(&mut w, section::GATEWAYS, |enc| self.put_gateways(enc))?;
         if !self.traffic.profiles.is_empty() {
@@ -170,28 +170,29 @@ impl SimConfig {
         let mut gateways = None;
         let mut traffic = TrafficModel::default();
         let mut disruptions = DisruptionPlan::default();
-        let mut assembler = WorldAssembler::new();
+        let (mut header, mut routes, mut trips) = (None, None, None);
         while let Some((id, count)) = r.next_section()? {
             match id {
-                section::NETWORK_CONFIG => network = Some(read_network_config(&mut r)?),
+                section::NETWORK_CONFIG => network = Some(read_record(&mut r)?),
                 section::SIM_PARAMS => params = Some(read_record::<_, SimParams>(&mut r)?),
                 section::GATEWAYS => gateways = Some(read_record::<_, Gateways>(&mut r)?),
                 section::TRAFFIC => traffic.profiles = read_records(&mut r, count)?,
                 section::DISRUPTIONS => disruptions = read_disruptions(&mut r, count)?,
-                section::WORLD => assembler.read_world_header(&mut r)?,
-                section::ROUTES => assembler.read_routes(&mut r, count)?,
-                section::FLEET => assembler.read_fleet(&mut r, count)?,
+                section::WORLD => header = Some(read_record(&mut r)?),
+                section::ROUTES => routes = Some(read_each(&mut r, count, get_route)?),
+                section::FLEET => {
+                    let routes = routes
+                        .as_deref()
+                        .ok_or(ScenarioIoError::Corrupt("fleet before routes"))?;
+                    trips = Some(read_each(&mut r, count, |r, i| get_trip(r, i, routes))?);
+                }
                 _ => r.skip_section()?,
             }
         }
         let network = network.ok_or(ScenarioIoError::MissingSection("network config"))?;
         let params = params.ok_or(ScenarioIoError::MissingSection("simulation parameters"))?;
         let gateways = gateways.ok_or(ScenarioIoError::MissingSection("gateways"))?;
-        let world = if assembler.started() {
-            Some(Arc::new(assembler.finish()?))
-        } else {
-            None
-        };
+        let world = world_from(header, routes, trips)?.map(Arc::new);
         let cfg = SimConfig {
             network,
             world,
@@ -397,6 +398,105 @@ impl Persist for DiurnalProfile {
     }
 }
 
+// The `section::NETWORK_CONFIG` record, in wire order: the centre bias
+// comes before the profile. `SimConfig::validate` holds it to what the
+// generator can build.
+persist_struct!(BusNetworkConfig {
+    area_side_m: f64,
+    num_routes: usize,
+    waypoints_per_route: usize,
+    min_route_length_m: f64,
+    min_speed_mps: f64,
+    max_speed_mps: f64,
+    max_active_buses: usize,
+    min_legs: u32,
+    max_legs: u32,
+    horizon: SimDuration,
+    center_bias: f64,
+    profile: DiurnalProfile,
+});
+
+/// A prebuilt world is three sections: [`section::WORLD`], one record
+/// `(min corner, max corner, horizon)`; [`section::ROUTES`], a `(speed,
+/// points)` record per route; and [`section::FLEET`], a `(route,
+/// departure, legs, duration)` record per trip. Routes and trips are
+/// numbered by their place in the section.
+fn write_world<W: Write>(w: &mut ScenarioWriter<W>, world: &BusNetwork) -> std::io::Result<()> {
+    let (area, horizon) = (world.area(), world.horizon());
+    write_record(w, section::WORLD, |enc| {
+        (area.min(), area.max(), horizon).put(enc)
+    })?;
+    write_each(w, section::ROUTES, world.routes(), |route, enc| {
+        route.speed_mps().put(enc);
+        put_slice(route.path().points(), enc);
+    })?;
+    write_each(w, section::FLEET, world.trips(), |trip, enc| {
+        let route = trip.route().index();
+        (route, trip.depart(), trip.legs(), trip.duration()).put(enc);
+    })
+}
+
+/// One [`section::ROUTES`] record: route `i`.
+fn get_route<R: Read>(r: &mut ScenarioReader<R>, i: usize) -> Result<Route, ScenarioIoError> {
+    let (speed, points): (f64, Vec<Point>) = Persist::get(r)?;
+    let path = Polyline::new(points).map_err(|_| ScenarioIoError::Corrupt("bad route path"))?;
+    // `Route::new` asserts a positive finite speed and a positive length,
+    // `Trip::new` a finite one-way time; a positive finite one-way time
+    // has all three.
+    let secs = path.length() / speed;
+    ensure(secs > 0.0 && secs.is_finite(), "bad route speed or length")?;
+    Ok(Route::new(RouteId::new(i as u32), path, speed))
+}
+
+/// One [`section::FLEET`] record: the trip of node `i`, on one of
+/// `routes`. A duration shorter than the schedule is a withdrawal at
+/// `departure + duration`, so withdrawn trips roundtrip exactly.
+fn get_trip<R: Read>(
+    r: &mut ScenarioReader<R>,
+    i: usize,
+    routes: &[Route],
+) -> Result<Trip, ScenarioIoError> {
+    let (route, depart, legs, duration): (usize, SimTime, u32, SimDuration) = Persist::get(r)?;
+    let route = routes
+        .get(route)
+        .ok_or(ScenarioIoError::Corrupt("trip names a missing route"))?;
+    ensure(legs > 0, "trip without legs")?;
+    let mut trip = Trip::new(NodeId::new(i as u32), route, depart, legs);
+    ensure(duration <= trip.duration(), "trip outlasts its schedule")?;
+    if duration < trip.duration() {
+        trip.withdraw(depart + duration);
+    }
+    Ok(trip)
+}
+
+/// The world a file's WORLD, ROUTES and FLEET sections describe, if it
+/// has any of them. [`get_trip`] resolves every route a trip names, so
+/// what [`BusNetwork::from_parts`] can still refuse is an empty route
+/// set, trips out of departure order, or ids a section of more than
+/// 2³² records wrapped.
+fn world_from(
+    header: Option<(Point, Point, SimDuration)>,
+    routes: Option<Vec<Route>>,
+    trips: Option<Vec<Trip>>,
+) -> Result<Option<BusNetwork>, ScenarioIoError> {
+    if header.is_none() && routes.is_none() && trips.is_none() {
+        return Ok(None);
+    }
+    let (min, max, horizon) = header.ok_or(ScenarioIoError::MissingSection("world header"))?;
+    // What `BBox::new` asserts.
+    let finite = min.is_finite() && max.is_finite();
+    ensure(finite && min.x <= max.x && min.y <= max.y, "bad world box")?;
+    let (routes, trips) = (routes.unwrap_or_default(), trips.unwrap_or_default());
+    let world = BusNetwork::from_parts(routes, trips, BBox::new(min, max), horizon);
+    world.map(Some).map_err(|e| {
+        ScenarioIoError::Corrupt(match e {
+            NetworkError::NoRoutes => "world without routes",
+            NetworkError::UnsortedTrips { .. } => "trips out of departure order",
+            _ => "world ids out of place",
+        })
+    })
+}
+
 persist_enum!(ArrivalProcess, "bad arrival process tag" {
     ArrivalProcess::Periodic { interval } => 0,
     ArrivalProcess::Jittered { interval, jitter } => 1,
@@ -551,6 +651,23 @@ mod tests {
         assert_eq!(loaded.run(5).unwrap(), cfg.run(5).unwrap());
     }
 
+    /// `tests/fixtures/metro_world.mlsc`: the smoke preset on a small
+    /// prebuilt metro world (6 km square, four radials, two rings, 30
+    /// buses, one hour), world seed 5. Written by the last build that
+    /// encoded the world records outside this module.
+    const METRO_WORLD: &[u8] = include_bytes!("../../../tests/fixtures/metro_world.mlsc");
+
+    #[test]
+    fn metro_world_fixture_rewrites_byte_for_byte() {
+        let cfg = SimConfig::from_reader(METRO_WORLD).unwrap();
+        let world = cfg.world.as_deref().expect("a prebuilt world");
+        assert_eq!(world.routes().len(), 6);
+        let mut again = Vec::new();
+        cfg.to_writer(&mut again).unwrap();
+        assert!(again == METRO_WORLD, "scenario bytes changed");
+        assert!(cfg.run(5).unwrap().generated > 0);
+    }
+
     #[test]
     fn rewrite_is_byte_identical() {
         let cfg = rich_config();
@@ -583,7 +700,7 @@ mod tests {
         // A file with only a network config lacks params and gateways.
         let cfg = rich_config();
         let mut w = ScenarioWriter::new(Vec::new()).unwrap();
-        write_network_config(&mut w, &cfg.network).unwrap();
+        write_record(&mut w, section::NETWORK_CONFIG, |enc| cfg.network.put(enc)).unwrap();
         let bytes = w.finish().unwrap();
         assert!(matches!(
             SimConfig::from_reader(&bytes[..]),
@@ -617,7 +734,7 @@ mod tests {
         cfg.path_loss.pl0_db = f64::NAN;
         // The section writers, without `to_writer`'s own validation.
         let mut w = ScenarioWriter::new(Vec::new()).unwrap();
-        write_network_config(&mut w, &cfg.network).unwrap();
+        write_record(&mut w, section::NETWORK_CONFIG, |enc| cfg.network.put(enc)).unwrap();
         write_record(&mut w, section::SIM_PARAMS, |enc| cfg.put_sim_params(enc)).unwrap();
         write_record(&mut w, section::GATEWAYS, |enc| cfg.put_gateways(enc)).unwrap();
         let bytes = w.finish().unwrap();

@@ -93,6 +93,8 @@ pub mod report;
 mod runner;
 mod scenario;
 pub mod traffic;
+#[cfg(test)]
+mod world;
 
 /// Test support shared with `tests/hostile_input.rs`: re-sealing an
 /// edited container so its checksums hold. The allow keeps

@@ -3,11 +3,12 @@
 //! scenario files ([`SimConfig::from_reader`]).
 //!
 //! Seeded from the three checked-in snapshots, one scenario file
-//! written from a rich configuration and a small prebuilt metro world
-//! (as a scenario file and as a snapshot), in three families:
+//! written from a rich configuration and the checked-in small prebuilt
+//! metro world (as a scenario file and as a snapshot), in three
+//! families:
 //!
-//! * **truncation** — at every offset of the smallest fixture, on a
-//!   stride of the others;
+//! * **truncation** — at every offset of the smallest snapshot and of
+//!   both scenario files, on a stride of the other snapshots;
 //! * **bit flips, not re-sealed** — the container's checksums and
 //!   framing must catch these;
 //! * **re-sealed edits** — one section rewritten and framed again with
@@ -20,8 +21,8 @@
 //! its horizon; none may panic, and none may allocate more than an
 //! honest load of the same fixture plus a bound that does not depend on
 //! what the file *claims* ([`RESERVE_SLACK`] — the decoders reserve at
-//! most 65 536 elements ahead of the data — and a small multiple of the
-//! file's length).
+//! most 16 MiB ahead of the data — and a small multiple of the file's
+//! length).
 //!
 //! The walkers below know the frozen version-1 record layouts field by
 //! field; that is deliberate — they are the second, independent
@@ -38,8 +39,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use mlora_core::Scheme;
 use mlora_scenario_io::{section, ScenarioIoError, MAGIC};
 use mlora_sim::{
-    DisruptionEvent, Engine, GatewayPlacement, MetroConfig, Scenario, ScenarioFileError, SimConfig,
-    Snapshot, SnapshotError, TrafficProfile, SNAPSHOT_MAGIC,
+    DisruptionEvent, Engine, GatewayPlacement, Scenario, ScenarioFileError, SimConfig, Snapshot,
+    SnapshotError, TrafficProfile, SNAPSHOT_MAGIC,
 };
 use mlora_simcore::{SimDuration, SimTime};
 
@@ -82,9 +83,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// What a load may allocate beyond an honest load of its fixture, on
-/// top of [`LENGTH_MULTIPLE`] × the file's length: the decoders reserve
-/// `min(count, 65 536)` elements before reading them, whatever the file
-/// promises.
+/// top of [`LENGTH_MULTIPLE`] × the file's length: before reading the
+/// elements a count promises, the decoders reserve room for at most
+/// 16 MiB of them, whatever the file promises.
 const RESERVE_SLACK: u64 = 16 << 20;
 const LENGTH_MULTIPLE: u64 = 8;
 
@@ -997,7 +998,7 @@ fn scenario_plants(sweep: &mut Sweep, bytes: &[u8]) {
     };
     let area = w.f64();
     let routes = w.varint();
-    w.varint();
+    let waypoints = w.varint();
     let shortest = w.f64();
     let slowest = w.f64();
     let fastest = w.f64();
@@ -1017,10 +1018,17 @@ fn scenario_plants(sweep: &mut Sweep, bytes: &[u8]) {
         ("area 0", &area, f64_bytes(0.0).to_vec()),
         ("a 1e300 m square", &area, f64_bytes(1e300).to_vec()),
         ("no routes", &routes, varint(0)),
+        ("2^40 routes", &routes, varint(1 << 40)),
+        ("2^40 waypoints per route", &waypoints, varint(1 << 40)),
         (
             "shortest route twice the area side",
             &shortest,
             f64_bytes(2.0 * side).to_vec(),
+        ),
+        (
+            "shortest route -inf",
+            &shortest,
+            f64_bytes(f64::NEG_INFINITY).to_vec(),
         ),
         ("slowest speed 0", &slowest, f64_bytes(0.0).to_vec()),
         (
@@ -1029,8 +1037,10 @@ fn scenario_plants(sweep: &mut Sweep, bytes: &[u8]) {
             f64_bytes(0.5).to_vec(),
         ),
         ("no buses", &buses, varint(0)),
+        ("2^40 buses", &buses, varint(1 << 40)),
         ("fewest legs 0", &fewest_legs, varint(0)),
         ("most legs below the fewest", &most_legs, varint(0)),
+        ("most legs u32::MAX", &most_legs, varint(u32::MAX.into())),
         ("centre bias 2", &bias, f64_bytes(2.0).to_vec()),
     ] {
         sweep.refused(&format!("network: {name}"), &net(at, &with));
@@ -1103,7 +1113,11 @@ fn scenario_plants(sweep: &mut Sweep, bytes: &[u8]) {
     let range = w.f64();
     sweep.refused(
         "gateways: none",
-        &plant(section::GATEWAYS, count, &varint(0)),
+        &plant(section::GATEWAYS, count.clone(), &varint(0)),
+    );
+    sweep.refused(
+        "gateways: a billion",
+        &plant(section::GATEWAYS, count, &varint(1_000_000_000)),
     );
     sweep.refused(
         "gateways: unknown placement tag",
@@ -1169,29 +1183,139 @@ fn scenario_plants(sweep: &mut Sweep, bytes: &[u8]) {
     );
 }
 
-/// A small prebuilt metro world, as a scenario file and as a snapshot
-/// taken half-way through its run.
-fn prebuilt_world() -> (Vec<u8>, Vec<u8>) {
-    let metro = MetroConfig {
-        area_side_m: 6_000.0,
-        num_radials: 4,
-        num_rings: 2,
-        waypoints_per_line: 4,
-        peak_active_buses: 30,
-        horizon: SimDuration::from_hours(1),
-        ..MetroConfig::default()
-    };
-    let cfg = Scenario::urban()
-        .smoke()
-        .metro(&metro, 5)
-        .build()
-        .expect("valid scenario");
-    let mut scenario = Vec::new();
-    cfg.to_writer(&mut scenario).expect("serialize");
+/// `tests/fixtures/metro_world.mlsc`: the smoke preset on a small
+/// prebuilt metro world (6 km square, four radials, two rings, 30 buses,
+/// one hour), world seed 5.
+const METRO_WORLD: &[u8] = include_bytes!("../../../tests/fixtures/metro_world.mlsc");
+
+/// The metro world's scenario as a snapshot taken half-way through its
+/// run.
+fn metro_snapshot() -> Vec<u8> {
+    let cfg = SimConfig::from_reader(METRO_WORLD).expect("the fixture loads");
     let mut engine = Engine::new(cfg, 5);
     engine.run_until(SimTime::from_secs(1_800));
-    let snapshot = engine.snapshot().expect("snapshot").as_bytes().to_vec();
-    (scenario, snapshot)
+    engine.snapshot().expect("snapshot").as_bytes().to_vec()
+}
+
+/// (c) The re-sealed edits of a prebuilt world's own records: its
+/// header, the first route and the first trip, and the order and
+/// presence of its sections.
+fn world_record_plants(sweep: &mut Sweep, bytes: &[u8]) {
+    let all = sections(bytes);
+    let of = |id: u8| all.iter().find(|s| s.id == id).expect("section present");
+    let plant = |id: u8, at: Range<usize>, with: &[u8]| replaced(bytes, MAGIC, id, at, with);
+    assert_eq!(framing::seal(MAGIC, &all), bytes, "{}", sweep.fixture);
+
+    for id in [section::WORLD, section::ROUTES, section::FLEET] {
+        let inflated = splice(bytes, MAGIC, id, |s| s.count = HUGE);
+        sweep.refused(&format!("section {id} promises 2^60 records"), &inflated);
+    }
+
+    // WORLD: min x, min y, max x, max y, horizon.
+    let mut w = Walk {
+        bytes: &of(section::WORLD).payload,
+        pos: 0,
+    };
+    let min_x = w.f64();
+    w.f64();
+    let max_x = w.f64();
+    let header = |at: Range<usize>, with: f64| plant(section::WORLD, at, &f64_bytes(with));
+    sweep.refused("world: a NaN corner", &header(min_x, f64::NAN));
+    sweep.refused("world: max x below min x", &header(max_x, -1.0));
+
+    // ROUTES, first record: speed, point count, points.
+    let routes = &of(section::ROUTES).payload;
+    let mut w = Walk {
+        bytes: routes,
+        pos: 0,
+    };
+    let speed = w.f64();
+    let count = w.varint();
+    let points = get_varint(routes, &mut count.start.clone()) as usize;
+    let first_point = w.pos..w.pos + 16;
+    w.f64s(2 * points);
+    let path = count.start..w.pos;
+    let route = |at: Range<usize>, with: &[u8]| plant(section::ROUTES, at, with);
+    // The smallest positive speed: a trip along the route would take
+    // infinitely long, which `Trip::new` asserts against.
+    for (name, value) in [("0", 0.0), ("NaN", f64::NAN), ("5e-324", f64::from_bits(1))] {
+        sweep.refused(
+            &format!("route: speed {name}"),
+            &route(speed.clone(), &f64_bytes(value)),
+        );
+    }
+    let first_x = first_point.start..first_point.start + 8;
+    sweep.refused("route: a NaN point", &route(first_x, &f64_bytes(f64::NAN)));
+    let repeated = |n: usize| {
+        let mut with = varint(n as u64);
+        for _ in 0..n {
+            with.extend_from_slice(&routes[first_point.clone()]);
+        }
+        with
+    };
+    sweep.refused("route: one point", &route(path.clone(), &repeated(1)));
+    // `Route::new` asserts a positive length.
+    sweep.refused(
+        "route: every point the same, a path of length 0",
+        &route(path.clone(), &repeated(points)),
+    );
+    let mut vast = varint(2);
+    for x in [-1e308, 1e308] {
+        vast.extend_from_slice(&f64_bytes(x));
+        vast.extend_from_slice(&f64_bytes(0.0));
+    }
+    sweep.refused(
+        "route: two finite points 2e308 apart, a path of infinite length",
+        &route(path, &vast),
+    );
+    sweep.refused("route: 2^60 points", &route(count, &varint(HUGE)));
+
+    // FLEET, first record: route, departure, legs, duration.
+    let fleet = &of(section::FLEET).payload;
+    let mut w = Walk {
+        bytes: fleet,
+        pos: 0,
+    };
+    let trip_route = w.varint();
+    let depart = w.varint();
+    let legs = w.varint();
+    let duration = w.varint();
+    let schedule = get_varint(fleet, &mut duration.start.clone());
+    let trip = |at: Range<usize>, with: &[u8]| plant(section::FLEET, at, with);
+    sweep.refused(
+        "trip: a route that is not there",
+        &trip(trip_route, &varint(NOWHERE)),
+    );
+    sweep.refused(
+        "trip: departs after the next one",
+        &trip(depart, &varint(NOWHERE)),
+    );
+    sweep.refused("trip: 0 legs", &trip(legs.clone(), &varint(0)));
+    sweep.refused("trip: legs past u32", &trip(legs, &varint(1 << 40)));
+    sweep.refused(
+        "trip: longer than its schedule",
+        &trip(duration.clone(), &varint(schedule + 1)),
+    );
+    // A shorter one is a withdrawal.
+    sweep.runs(
+        "trip: withdrawn a second early",
+        &trip(duration, &varint(schedule - 1_000)),
+    );
+
+    // The fleet names routes, so it must come after them.
+    let mut reordered = all.clone();
+    let at = |id: u8| reordered.iter().position(|s| s.id == id).expect("present");
+    let (routes_at, fleet_at) = (at(section::ROUTES), at(section::FLEET));
+    reordered.swap(routes_at, fleet_at);
+    sweep.refused(
+        "sections: fleet before routes",
+        &framing::seal(MAGIC, &reordered),
+    );
+    let no_routes = splice(bytes, MAGIC, section::ROUTES, |s| {
+        s.count = 0;
+        s.payload.clear();
+    });
+    sweep.refused("sections: routes emptied", &no_routes);
 }
 
 /// (c) World headers claiming a vast area over the same routes, in
@@ -1283,10 +1407,15 @@ fn hostile_files_end_in_typed_errors() {
     scenario_plants(&mut sweep, &scenario);
     sweep.report(&mut failures);
 
-    let (metro, metro_snapshot) = prebuilt_world();
-    let mut sweep = Sweep::new("metro.mlsc", &metro, load_scenario);
-    world_plants(&mut sweep, &metro, |edited| edited);
+    let metro = METRO_WORLD;
+    let mut sweep = Sweep::new("metro.mlsc", metro, load_scenario);
+    sweep.truncations(metro, 1);
+    sweep.bit_flips(metro, 1);
+    world_plants(&mut sweep, metro, |edited| edited);
+    world_record_plants(&mut sweep, metro);
     sweep.report(&mut failures);
+
+    let metro_snapshot = metro_snapshot();
 
     let mut sweep = Sweep::new("metro.mlss", &metro_snapshot, load_snapshot);
     let embedded = snapshot_scenario(&metro_snapshot);
