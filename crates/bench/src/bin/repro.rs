@@ -20,8 +20,7 @@ use std::collections::HashSet;
 use mlora_core::Scheme;
 use mlora_mobility::{active_bus_series, trip_duration_histogram, BusNetwork};
 use mlora_sim::{
-    report, DeviceClassChoice, Environment, ExperimentPlan, GatewayPlacement, Runner, SimConfig,
-    SweepPoint,
+    report, DeviceClass, Environment, ExperimentPlan, GatewayPlacement, Runner, SimConfig,
 };
 use mlora_simcore::SimDuration;
 
@@ -179,22 +178,21 @@ fn main() {
                 );
             }
         } else {
-            let points = SweepPoint::from_cells(&cells);
             if wants(&opts, "fig8") {
                 println!("\n== Fig. 8: average end-to-end delay ==");
-                print!("{}", report::fig8_delay_table(&points));
+                print!("{}", report::fig8_delay_table(&cells));
             }
             if wants(&opts, "fig9") {
                 println!("\n== Fig. 9: total network throughput ==");
-                print!("{}", report::fig9_throughput_table(&points));
+                print!("{}", report::fig9_throughput_table(&cells));
             }
             if wants(&opts, "fig12") {
                 println!("\n== Fig. 12: average number of hops ==");
-                print!("{}", report::fig12_hops_table(&points));
+                print!("{}", report::fig12_hops_table(&cells));
             }
             if wants(&opts, "fig13") {
                 println!("\n== Fig. 13: average messages sent per node ==");
-                print!("{}", report::fig13_overhead_table(&points));
+                print!("{}", report::fig13_overhead_table(&cells));
             }
         }
     }
@@ -295,10 +293,7 @@ fn main() {
         base.num_gateways = opts.gateways[opts.gateways.len() / 2];
         eprintln!("[class] Modified Class-C vs Queue-based Class-A ...");
         let plan = ExperimentPlan::new(base.clone())
-            .device_classes([
-                DeviceClassChoice::ModifiedClassC,
-                DeviceClassChoice::QueueBasedClassA,
-            ])
+            .device_classes([DeviceClass::ModifiedClassC, DeviceClass::QueueBasedClassA])
             .fixed_seeds([opts.seed]);
         let cells = run_plan(&runner(&opts), &plan);
         println!(

@@ -289,8 +289,8 @@ impl<T: Copy + Ord> GridIndex<T> {
     /// This is the allocation-free query path: once `out` has reached its
     /// steady-state capacity, repeated queries perform no heap
     /// allocation. The explicit cell loop (instead of the iterator
-    /// chain behind [`GridIndex::within`]) is what the engine's
-    /// per-transmission gateway query runs.
+    /// chain behind [`GridIndex::within`]) is the query the repository
+    /// benchmark's `geo` kernels time.
     pub fn within_into(&self, center: Point, radius: f64, out: &mut Vec<(T, Point)>) {
         out.clear();
         let r = radius.max(0.0);

@@ -10,10 +10,12 @@
 //!   (O(1) amortised through a segment cursor for monotone queries).
 //! * [`GridIndex`] — an incrementally maintained uniform spatial grid
 //!   answering "who is within radius r of p?" queries into caller
-//!   scratch, for sparse or unbounded sets (the gateways).
+//!   scratch, for sparse or unbounded sets. The simulator no longer
+//!   uses it; the repository benchmark's `geo` kernels still time it.
 //! * [`CellList`] — a dense cell list over a bounded area, rebuilt
 //!   wholesale and patched in O(1) in between, whose queries visit
-//!   contiguous cell rows: the backbone of neighbour discovery.
+//!   contiguous cell rows: the backbone of neighbour and gateway
+//!   discovery.
 
 #![deny(missing_docs)]
 #![warn(unreachable_pub)]

@@ -2,10 +2,11 @@
 
 use mlora_simcore::{SimDuration, SimTime};
 
-/// A LoRaWAN device class, governing when the radio listens.
+/// Which of the paper's two device classes a fleet runs, governing when
+/// the radio listens.
 ///
-/// Standard classes listen on the *downlink* channel, so they can hear
-/// gateways but never overhear peers. The paper's two new classes retune
+/// Standard LoRaWAN classes listen on the *downlink* channel, so they can
+/// hear gateways but never overhear peers. The paper's two classes retune
 /// reception to the shared uplink channel to enable device-to-device
 /// forwarding (Fig. 5):
 ///
@@ -16,17 +17,8 @@ use mlora_simcore::{SimDuration, SimTime};
 ///   the uplink channel for `Δt · γ` where `γ` is the Eq. 11 normalised
 ///   backlog (see [`queue_based_window_fraction`]); heavier queues buy
 ///   longer windows.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeviceClass {
-    /// Standard Class A: RX1/RX2 downlink windows only.
-    ClassA,
-    /// Standard Class B: Class A plus periodic downlink ping slots.
-    ClassB {
-        /// Interval between ping slots.
-        ping_period: SimDuration,
-    },
-    /// Standard Class C: continuously listening on the downlink channel.
-    ClassC,
     /// The paper's Modified Class-C: continuously listening on the
     /// **uplink** channel, switching away only to receive gateway
     /// acknowledgements.
@@ -41,7 +33,7 @@ impl DeviceClass {
     ///
     /// `last_tx_end` is the end of the device's most recent uplink,
     /// `comm_interval` is the device-to-sink interval `Δt`, and `gamma`
-    /// the Eq. 11 window fraction (ignored by other classes). Transmission
+    /// the Eq. 11 window fraction (ignored by Modified Class-C). Transmission
     /// time itself is excluded by the caller (half-duplex radio).
     pub fn overhears(
         &self,
@@ -51,9 +43,6 @@ impl DeviceClass {
         gamma: f64,
     ) -> bool {
         match self {
-            // Standard classes listen on the downlink channel: no
-            // device-to-device overhearing.
-            DeviceClass::ClassA | DeviceClass::ClassB { .. } | DeviceClass::ClassC => false,
             DeviceClass::ModifiedClassC => true,
             DeviceClass::QueueBasedClassA => {
                 let Some(end) = last_tx_end else {
@@ -96,20 +85,6 @@ mod tests {
     use super::*;
 
     const DT: SimDuration = SimDuration::from_mins(3);
-
-    #[test]
-    fn standard_classes_never_overhear() {
-        let t = SimTime::from_secs(100);
-        for class in [
-            DeviceClass::ClassA,
-            DeviceClass::ClassB {
-                ping_period: SimDuration::from_secs(32),
-            },
-            DeviceClass::ClassC,
-        ] {
-            assert!(!class.overhears(t, Some(SimTime::ZERO), DT, 1.0));
-        }
-    }
 
     #[test]
     fn modified_class_c_always_overhears() {

@@ -13,8 +13,8 @@
 //! * [`DutyCycleTracker`] — EU868 1 % duty-cycle enforcement.
 //! * [`RetransmitPolicy`] — up to eight attempts, reset when a new packet
 //!   is generated.
-//! * [`DeviceClass`] — Class A/B/C plus the paper's **Modified Class-C**
-//!   (always listening on the uplink channel) and **Queue-based Class-A**
+//! * [`DeviceClass`] — the paper's **Modified Class-C** (always
+//!   listening on the uplink channel) and **Queue-based Class-A**
 //!   (receive window scaled by normalised backlog, Eq. 11).
 //! * [`EnergyModel`] / [`EnergyAccount`] — time-in-state energy
 //!   accounting for the class comparison (§VII.C).

@@ -3,6 +3,7 @@
 use std::sync::Arc;
 
 use mlora_core::{PolicySpec, RoutingConfig, RoutingState};
+use mlora_mac::DeviceClass;
 use mlora_mobility::{BusNetwork, BusNetworkConfig};
 use mlora_phy::{CapacityModel, LogDistanceModel, PhyParams};
 use mlora_simcore::SimDuration;
@@ -54,24 +55,6 @@ pub enum GatewayPlacement {
     Random,
 }
 
-/// Which device class the fleet runs (§VI).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DeviceClassChoice {
-    /// Modified Class-C: always listening on the uplink channel.
-    ModifiedClassC,
-    /// Queue-based Class-A: Eq. 11 adaptive receive windows.
-    QueueBasedClassA,
-}
-
-impl From<DeviceClassChoice> for mlora_mac::DeviceClass {
-    fn from(choice: DeviceClassChoice) -> Self {
-        match choice {
-            DeviceClassChoice::ModifiedClassC => Self::ModifiedClassC,
-            DeviceClassChoice::QueueBasedClassA => Self::QueueBasedClassA,
-        }
-    }
-}
-
 /// Full configuration of one simulation run.
 ///
 /// [`SimConfig::paper_default`] reproduces §VII.A; named constructors
@@ -105,8 +88,8 @@ pub struct SimConfig {
     pub policy: PolicySpec,
     /// EWMA smoothing factor α (paper evaluation: 0.5).
     pub alpha: f64,
-    /// Device class for the fleet.
-    pub device_class: DeviceClassChoice,
+    /// Device class for the fleet (§VI).
+    pub device_class: DeviceClass,
     /// Application message generation interval (paper: 3 min). Drives
     /// the paper-exact periodic generator whenever [`SimConfig::traffic`]
     /// is empty; heterogeneous models carry their own intervals.
@@ -275,7 +258,7 @@ impl SimConfig {
             environment,
             policy: policy.into(),
             alpha: 0.5,
-            device_class: DeviceClassChoice::ModifiedClassC,
+            device_class: DeviceClass::ModifiedClassC,
             gen_interval: SimDuration::from_mins(3),
             traffic: TrafficModel::default(),
             queue_capacity: 256,

@@ -12,7 +12,8 @@
 //!
 //! * [`GatewayOutage`] — a gateway leaves service for a window (or for
 //!   the rest of the run) and later recovers; while down it decodes
-//!   nothing and the engine's gateway grid is updated incrementally.
+//!   nothing. Only its outage depth changes: the gateway stays filed
+//!   where it stands, and the range query skips it while down.
 //! * [`BusWithdrawal`] — at an instant, a fraction of the currently
 //!   active fleet is withdrawn (trip cancellation / early retirement);
 //!   selection draws from a dedicated RNG stream so the channel

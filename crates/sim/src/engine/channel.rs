@@ -287,7 +287,7 @@ impl Channel {
     /// fails the time-overlap filter against every frame still in the
     /// air, so deferring or batching sweeps never changes an interferer
     /// set.
-    pub(super) fn sweep(&mut self, now: SimTime) {
+    fn sweep(&mut self, now: SimTime) {
         #[cfg(debug_assertions)]
         self.assert_ring_covers(now);
         let retention = self.flight_retention;
@@ -594,6 +594,11 @@ impl Channel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Engine;
+    use crate::{
+        ArrivalProcess, BusWithdrawal, DisruptionPlan, GatewayOutage, PayloadModel, Scenario,
+        TrafficModel, TrafficProfile,
+    };
     use mlora_phy::{resolve_collision, SpreadingFactor};
     use proptest::prelude::*;
 
@@ -602,6 +607,9 @@ mod tests {
     const RANGE_M: f64 = 500.0;
     const ORIGIN: Point = Point::new(0.0, 0.0);
     const NOISE_DB: f64 = 7.5;
+    /// Gateways deployed by the smoke preset's 3×3 grid. An `outage_gw`
+    /// draw of exactly this many means "no outage".
+    const SMOKE_GATEWAYS: usize = 9;
 
     /// A channel whose burst 0 covers the receiver at the origin when
     /// active; burst 1, always active, never reaches it.
@@ -1111,6 +1119,95 @@ mod tests {
             }
             let (scanned, kept) = channel.scan_counts();
             prop_assert!(kept <= scanned);
+        }
+
+        /// Lazy-vs-eager flight pruning bit-equality: the deferred
+        /// growth-boundary sweep the channel runs on its own, and an
+        /// eager sweep after every slice of a run stepped in slices of at
+        /// most one simulated second, report identically field for field
+        /// — counters, float accumulators, per-profile rows and time
+        /// series — over arbitrary traffic mixes and disruption plans.
+        /// The lazy sweep is safe because a stale flight
+        /// (`end + retention < now`) can never pass the time-overlap
+        /// filter of any frame still in the air; a divergence here means
+        /// a stale flight leaked into an interferer set, or slab slot
+        /// reuse bled into an RNG draw order.
+        #[test]
+        fn lazy_and_eager_pruning_report_identically(
+            seed in 0u64..1_000_000,
+            interval_s in 30u64..600,
+            jitter in 0.0f64..0.45,
+            payload in 12usize..64,
+            duration_min in 15u64..30,
+            outage_gw in 0usize..SMOKE_GATEWAYS + 1,
+            outage_start in 0u64..1_200,
+            outage_dur in 0u64..1_000,
+            withdraw_at in 0u64..1_200,
+            withdraw_frac in 0.0f64..0.6,
+            burst_start in 0u64..1_200,
+            burst_dur in 0u64..900,
+        ) {
+            let interval = SimDuration::from_secs(interval_s);
+            // Sub-threshold draws decode to "feature absent", so the mix
+            // covers plain periodic traffic and disruption-free runs too.
+            let arrivals = if jitter < 0.05 {
+                ArrivalProcess::Periodic { interval }
+            } else {
+                ArrivalProcess::Jittered { interval, jitter }
+            };
+            let traffic = TrafficModel::mix([TrafficProfile::new(
+                "prune-prop",
+                arrivals,
+                PayloadModel::Fixed { bytes: payload },
+            )]);
+            let plan = DisruptionPlan {
+                outages: (outage_gw < SMOKE_GATEWAYS)
+                    .then(|| GatewayOutage {
+                        gateway: outage_gw,
+                        start: SimTime::from_secs(outage_start),
+                        duration: (outage_dur > 0).then(|| SimDuration::from_secs(outage_dur)),
+                    })
+                    .into_iter()
+                    .collect(),
+                withdrawals: (withdraw_frac >= 0.05)
+                    .then(|| BusWithdrawal {
+                        at: SimTime::from_secs(withdraw_at),
+                        fraction: withdraw_frac,
+                    })
+                    .into_iter()
+                    .collect(),
+                noise_bursts: (burst_dur > 0)
+                    .then(|| NoiseBurst {
+                        center: Point::new(5_000.0, 5_000.0),
+                        radius_m: 4_000.0,
+                        start: SimTime::from_secs(burst_start),
+                        duration: Some(SimDuration::from_secs(burst_dur)),
+                        extra_loss_db: 10.0,
+                    })
+                    .into_iter()
+                    .collect(),
+            };
+            let config = Scenario::urban()
+                .smoke()
+                .duration(SimDuration::from_mins(duration_min))
+                .traffic(traffic)
+                .disruptions(plan)
+                .build()
+                .expect("generated scenario is valid");
+
+            let lazy = Engine::new(config.clone(), seed).run();
+            let mut engine = Engine::new(config, seed);
+            let slice = SimDuration::from_millis(100 + seed % 901);
+            let horizon = SimTime::ZERO + SimDuration::from_mins(duration_min);
+            let mut t = SimTime::ZERO;
+            while t < horizon {
+                t += slice;
+                engine.run_until(t);
+                engine.channel.sweep(engine.now);
+            }
+            let eager = engine.finish();
+
+            prop_assert_eq!(lazy, eager, "lazy and eager pruning diverged");
         }
     }
 

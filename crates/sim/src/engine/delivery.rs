@@ -1,13 +1,14 @@
 //! The sink side: gateway deployment, outage state, server-side
 //! delivery and the run's metric collector.
 //!
-//! [`Delivery`] owns the static gateway grid (incrementally mutated by
-//! scripted outages/recoveries), the per-gateway outage depths and the
-//! [`Collector`] every metric funnels into. Gateway-side reception
-//! resolves through the shared [`Channel`] so the RNG draw order matches
-//! the historical full-scan engine bit for bit.
+//! [`Delivery`] owns the gateways, filed once in a cell list that never
+//! changes, the per-gateway outage depths (the only record of which
+//! gateways are up) and the [`Collector`] every metric funnels into.
+//! Gateway-side reception resolves through the shared [`Channel`] in
+//! ascending gateway order, so the RNG draw order matches the
+//! historical full-scan engine bit for bit.
 
-use mlora_geo::{BBox, GridIndex, Point};
+use mlora_geo::{BBox, CellList, Point};
 use mlora_mac::AppMessage;
 use mlora_simcore::SimTime;
 
@@ -22,32 +23,36 @@ pub(super) struct Delivery {
     pub(super) collector: Collector,
     /// Gateway positions (index-stable for the whole run).
     gateways: Vec<Point>,
-    /// Static spatial index over gateway positions (by gateway index);
-    /// downed gateways are removed and re-inserted on recovery.
-    gateway_grid: GridIndex<u32>,
+    /// Every gateway at its position, by gateway index, filed once at
+    /// construction; outages leave it alone.
+    cells: CellList,
     /// Per-gateway outage depth: 0 = in service. A depth (not a flag)
     /// so overlapping outage windows on one gateway compose.
     gateway_down_depth: Vec<u32>,
     /// Device-to-gateway range, metres.
     gateway_range_m: f64,
-    /// Scratch: raw gateway-grid query output.
-    scratch_within_gw: Vec<(u32, Point)>,
+    /// Scratch: in-range gateway indices, ascending.
+    scratch_gateways: Vec<u32>,
 }
 
 impl Delivery {
-    pub(super) fn new(gateways: Vec<Point>, gateway_range_m: f64, collector: Collector) -> Self {
-        let gateway_grid = GridIndex::build(
-            gateways.iter().enumerate().map(|(i, &p)| (i as u32, p)),
-            gateway_range_m.max(200.0),
-        );
+    /// The sink side of a network over `area`, every gateway in service.
+    pub(super) fn new(
+        gateways: Vec<Point>,
+        area: BBox,
+        gateway_range_m: f64,
+        collector: Collector,
+    ) -> Self {
+        let mut cells = CellList::new(area, gateway_range_m.max(200.0));
+        cells.rebuild((0u32..).zip(gateways.iter().copied()));
         let num_gateways = gateways.len();
         Delivery {
             collector,
             gateways,
-            gateway_grid,
+            cells,
             gateway_down_depth: vec![0; num_gateways],
             gateway_range_m,
-            scratch_within_gw: Vec::new(),
+            scratch_gateways: Vec::new(),
         }
     }
 
@@ -72,8 +77,6 @@ impl Delivery {
         let g = gateway as usize;
         self.gateway_down_depth[g] += 1;
         if self.gateway_down_depth[g] == 1 {
-            let removed = self.gateway_grid.remove(gateway, self.gateways[g]);
-            debug_assert!(removed, "downed gateway missing from grid");
             self.collector.on_gateway_down(now);
             observer.on_gateway_outage(&GatewayOutageChanged {
                 time: now,
@@ -98,7 +101,6 @@ impl Delivery {
         };
         self.gateway_down_depth[g] = depth;
         if depth == 0 {
-            self.gateway_grid.insert(gateway, self.gateways[g]);
             self.collector.on_gateway_up(now);
             observer.on_gateway_outage(&GatewayOutageChanged {
                 time: now,
@@ -110,37 +112,41 @@ impl Delivery {
 
     /// Gateway discovery: fills `out` with the in-service gateways
     /// within range of `pos`, ascending by index.
-    pub(super) fn gateways_in_range(&mut self, pos: Point, out: &mut Vec<u32>) {
+    pub(super) fn gateways_in_range(&self, pos: Point, out: &mut Vec<u32>) {
         let range = self.gateway_range_m;
-        // Gateways are static: the grid narrows the scan to the cells
-        // around the sender. Grid order is (cell key, id) — id-sorted
-        // only *within* each cell — so the explicit sort below restores
-        // the historical full-scan iteration order (and the exact range
-        // check re-applies); RNG draw order matches a full scan bit for
-        // bit. Do not remove the sort.
-        self.gateway_grid
-            .within_into(pos, range + 1.0, &mut self.scratch_within_gw);
         out.clear();
-        out.extend(self.scratch_within_gw.iter().map(|&(i, _)| i));
+        // The metre of slack keeps rounding at a cell edge from hiding a
+        // gateway the exact test below keeps.
+        self.cells.for_each_slice_within(pos, range + 1.0, |run| {
+            out.extend(
+                run.iter()
+                    .filter(|&&(g, gw)| {
+                        self.gateway_down_depth[g as usize] == 0 && gw.distance(pos) <= range
+                    })
+                    .map(|&(g, _)| g),
+            );
+        });
+        // Ascending index is the historical full scan's order, and with
+        // it the order of the RNG draws. Do not remove the sort.
         out.sort_unstable();
-        out.retain(|&gi| self.gateways[gi as usize].distance(pos) <= range);
     }
 
-    /// Resolves reception at every gateway of `receivers` — the output
-    /// of [`Delivery::gateways_in_range`]; see [`Channel::receive`] for
-    /// `overlaps`. Returns the best RSSI among gateways that decoded
-    /// this flight, if any. Lost-to-interference receptions are counted
-    /// on the collector.
+    /// Resolves reception of `flight` at every in-service gateway in
+    /// range of its sender; see [`Channel::receive`] for `overlaps`.
+    /// Returns the best RSSI among gateways that decoded this flight, if
+    /// any. Lost-to-interference receptions are counted on the
+    /// collector.
     pub(super) fn resolve_gateways(
         &mut self,
         channel: &mut Channel,
-        receivers: &[u32],
         overlaps: &[(u64, Point)],
         flight: &Flight,
     ) -> Option<f64> {
+        let mut receivers = std::mem::take(&mut self.scratch_gateways);
+        self.gateways_in_range(flight.pos, &mut receivers);
         let range = self.gateway_range_m;
         let mut best: Option<f64> = None;
-        for &gi in receivers {
+        for &gi in &receivers {
             let gw = self.gateways[gi as usize];
             let reception = channel.receive(overlaps, gw, range, flight.seq);
             match reception.rssi {
@@ -154,6 +160,7 @@ impl Delivery {
                 None => {}
             }
         }
+        self.scratch_gateways = receivers;
         best
     }
 
@@ -185,46 +192,101 @@ impl Delivery {
         &self.gateway_down_depth
     }
 
-    /// Restores checkpointed outage depths, pulling downed gateways out
-    /// of the grid *silently* — no collector bookkeeping, no observer
-    /// events: the checkpoint's collector already carries the outage
-    /// history, and the outage-start events fired before the snapshot.
+    /// Restores checkpointed outage depths *silently* — no collector
+    /// bookkeeping, no observer events: the checkpoint's collector
+    /// already carries the outage history, and the outage-start events
+    /// fired before the snapshot.
     ///
     /// # Panics
     ///
     /// Panics if `depths` does not cover every gateway.
     pub(super) fn restore_outages(&mut self, depths: Vec<u32>) {
         assert_eq!(depths.len(), self.gateways.len(), "outage depth count");
-        for (g, &depth) in depths.iter().enumerate() {
-            if depth > 0 {
-                let removed = self.gateway_grid.remove(g as u32, self.gateways[g]);
-                debug_assert!(removed, "downed gateway missing from grid");
-            }
-        }
         self.gateway_down_depth = depths;
     }
+}
 
-    /// Verifies that the incrementally maintained gateway grid matches a
-    /// from-scratch rebuild over the gateways currently in service —
-    /// the invariant the outage/recovery mutation paths preserve.
-    pub(super) fn grid_matches_rebuild(&self, area: BBox) -> bool {
-        let cell = self.gateway_range_m.max(200.0);
-        let rebuilt = GridIndex::build(
-            self.gateways
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| self.gateway_down_depth[i] == 0)
-                .map(|(i, &p)| (i as u32, p)),
-            cell,
-        );
-        // A query covering the whole area yields membership in canonical
-        // (cell key, id) order for both grids.
-        let radius = area.width().max(area.height()) + cell;
-        let mut live: Vec<(u32, Point)> = Vec::new();
-        let mut fresh: Vec<(u32, Point)> = Vec::new();
-        self.gateway_grid
-            .within_into(area.center(), radius, &mut live);
-        rebuilt.within_into(area.center(), radius, &mut fresh);
-        live == fresh && self.gateway_grid.len() == rebuilt.len()
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::observer::NullObserver;
+    use crate::TrafficModel;
+    use mlora_simcore::{SimDuration, SimRng};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The gateway query against brute force: over arbitrary layouts
+        /// (points inside the area, on cell edges and outside it),
+        /// arbitrary outage depths — restored from a checkpoint, then
+        /// raised and lowered by outages and recoveries — and query
+        /// points anywhere, `gateways_in_range` returns exactly the
+        /// in-service gateways in range, ascending.
+        #[test]
+        fn gateway_query_matches_brute_force(
+            seed in 0u64..1 << 48,
+            side in 500.0f64..30_000.0,
+            range_m in 50.0f64..3_000.0,
+            count in 0usize..60,
+            down_share in 0.0f64..1.0,
+        ) {
+            let mut pick = SimRng::new(seed);
+            let cell = range_m.max(200.0);
+            let edges = (side / cell) as u64 + 2;
+            // Inside the area, on a cell edge, or up to two ranges outside.
+            let coord = |pick: &mut SimRng| match pick.gen_range_u64(0, 3) {
+                0 => pick.gen_range_f64(0.0, side),
+                1 => cell * pick.gen_range_u64(0, edges) as f64,
+                _ => {
+                    let beyond = pick.gen_range_f64(0.0, 2.0 * range_m);
+                    if pick.gen_bool(0.5) { -beyond } else { side + beyond }
+                }
+            };
+            let gateways: Vec<Point> = (0..count)
+                .map(|_| Point::new(coord(&mut pick), coord(&mut pick)))
+                .collect();
+            let mut depths: Vec<u32> = (0..count)
+                .map(|_| if pick.gen_bool(down_share) { pick.gen_range_u64(1, 3) as u32 } else { 0 })
+                .collect();
+            let collector = Collector::new(
+                "test".to_string(),
+                SimDuration::from_mins(10),
+                SimDuration::from_hours(1),
+                &TrafficModel::default(),
+            );
+            let area = BBox::square(Point::ORIGIN, side);
+            let mut delivery = Delivery::new(gateways.clone(), area, range_m, collector);
+            delivery.restore_outages(depths.clone());
+            // Outages on top, and recoveries from about half of them, as
+            // a plan would schedule them.
+            let downed: Vec<u32> = (0..count.min(10))
+                .map(|_| pick.gen_range_u64(0, count as u64) as u32)
+                .collect();
+            for &g in &downed {
+                delivery.gateway_down(g, SimTime::ZERO, &mut NullObserver);
+                depths[g as usize] += 1;
+            }
+            for &g in downed.iter().filter(|_| pick.gen_bool(0.5)) {
+                delivery.gateway_up(g, SimTime::ZERO, &mut NullObserver);
+                depths[g as usize] -= 1;
+            }
+            let mut got = Vec::new();
+            for _ in 0..40 {
+                // Anywhere, or exactly one range east of a gateway.
+                let p = if count > 0 && pick.gen_bool(0.2) {
+                    let gw = gateways[pick.gen_range_u64(0, count as u64) as usize];
+                    Point::new(gw.x + range_m, gw.y)
+                } else {
+                    Point::new(coord(&mut pick), coord(&mut pick))
+                };
+                delivery.gateways_in_range(p, &mut got);
+                let want: Vec<u32> = (0u32..)
+                    .zip(&gateways)
+                    .filter(|&(g, gw)| depths[g as usize] == 0 && gw.distance(p) <= range_m)
+                    .map(|(g, _)| g)
+                    .collect();
+                prop_assert_eq!(&got, &want, "query at {:?}", p);
+            }
+            prop_assert_eq!(delivery.outage_depths(), &depths[..]);
+        }
     }
 }

@@ -86,7 +86,7 @@ impl Engine {
                 return false;
             }
         }
-        self.device_class().overhears(
+        self.cfg.device_class.overhears(
             self.now,
             hot.last_tx_end[i],
             self.cfg.gen_interval,

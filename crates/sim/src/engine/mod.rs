@@ -27,8 +27,9 @@
 //!   device's pluggable
 //!   [`ForwardingPolicy`](mlora_core::ForwardingPolicy), handover
 //!   acceptance and sender settlement.
-//! * [`delivery`] — the sink side: gateway deployment and outage state,
-//!   server-side delivery and the metric collector.
+//! * [`delivery`] — the sink side: the gateways (filed once in a cell
+//!   list) and their outage depths, server-side delivery and the metric
+//!   collector.
 //!
 //! This file owns the event queue and the loop driving those
 //! subsystems.
@@ -202,8 +203,6 @@ pub struct Engine {
     channel: Channel,
     /// The sink side (gateways, outages, collector).
     delivery: Delivery,
-    /// Scratch: in-range gateway indices, ascending.
-    scratch_gateways: Vec<u32>,
     /// Scratch: sorted neighbour candidates `(id, exact position)`.
     scratch_candidates: Vec<(NodeId, Point)>,
     /// Scratch: devices needing a transmission opportunity scheduled.
@@ -297,7 +296,7 @@ impl Engine {
             cfg.phy.sensitivity_dbm(),
             cfg.phy.tx_power_dbm,
         );
-        let delivery = Delivery::new(gateways, cfg.gateway_range_m, collector);
+        let delivery = Delivery::new(gateways, world.net.area(), cfg.gateway_range_m, collector);
         let timeline = cfg.disruptions.compile(cfg.horizon);
         Engine {
             seed,
@@ -311,7 +310,6 @@ impl Engine {
             world,
             channel,
             delivery,
-            scratch_gateways: Vec::new(),
             scratch_candidates: Vec::new(),
             scratch_schedule: Vec::new(),
             timeline,
@@ -404,13 +402,6 @@ impl Engine {
         self.run()
     }
 
-    /// Verifies that the incrementally maintained gateway grid matches a
-    /// from-scratch rebuild over the gateways currently in service —
-    /// the invariant the outage/recovery mutation paths preserve.
-    pub fn gateway_grid_matches_rebuild(&self) -> bool {
-        self.delivery.grid_matches_rebuild(self.world.net.area())
-    }
-
     /// Seeds the initial events (the compiled disruption timeline; trip
     /// lifecycle events only reserve their sequence numbers, see the
     /// module docs). Idempotent: stepping entry points call it lazily; a
@@ -446,7 +437,7 @@ impl Engine {
 
     /// [`Engine::advance_until`], reporting each event's `(time, seq)`
     /// key to `on_event` before it is handled (the hook the event-order
-    /// proptests observe through [`probe::timetable_order`]).
+    /// proptest in this module's tests observes).
     fn advance_tracing(
         &mut self,
         limit: SimTime,
@@ -604,10 +595,6 @@ impl Engine {
         self.world.return_withdraw_pool(pool);
     }
 
-    fn device_class(&self) -> DeviceClass {
-        self.cfg.device_class.into()
-    }
-
     fn on_trip_start(&mut self, n: NodeId) {
         // The bus's `TripEnd` joins the queue now, under the second of
         // the trip's two reserved sequence numbers.
@@ -647,7 +634,6 @@ impl Engine {
             duty: DutyCycleTracker::new(self.cfg.duty_cycle),
             retransmit: RetransmitPolicy::new(self.cfg.max_attempts),
             routing: self.cfg.routing_state(),
-            class: self.device_class(),
             tx_scheduled: false,
             pending_handover: None,
             tx_time: SimDuration::ZERO,
@@ -666,7 +652,7 @@ impl Engine {
     /// Retires a device (trip end, horizon, or withdrawal) and books its
     /// reconstructed energy on the collector.
     fn retire(&mut self, n: NodeId) {
-        if let Some(retirement) = self.world.retire(n, self.now) {
+        if let Some(retirement) = self.world.retire(n, self.now, self.cfg.device_class) {
             self.delivery
                 .collector
                 .on_device_retired(retirement.energy_mj, retirement.active);
@@ -749,6 +735,7 @@ impl Engine {
     fn on_tx_start(&mut self, n: NodeId, observer: &mut dyn SimObserver) {
         let gen_interval = self.cfg.gen_interval;
         let queue_capacity = self.cfg.queue_capacity;
+        let class = self.cfg.device_class;
         let i = n.index();
         let Some(dev) = self.world.devices.get_mut(n) else {
             return;
@@ -803,7 +790,7 @@ impl Engine {
         dev.tx_time += airtime;
         dev.frames_sent += 1;
         // Queue-based Class-A opens its Eq. 11 window after this uplink.
-        if matches!(dev.class, DeviceClass::QueueBasedClassA) {
+        if class == DeviceClass::QueueBasedClassA {
             let gamma = dev.routing.gamma(dev.queue.len(), queue_capacity);
             self.world.hot.gamma[i] = gamma;
             dev.rx_window_time += gen_interval.mul_f64(gamma);
@@ -856,11 +843,9 @@ impl Engine {
         let mut overlaps = std::mem::take(&mut self.channel.scratch_overlaps);
         self.channel
             .overlaps_into(flight.start, flight.end, &mut overlaps);
-        let mut gateways = std::mem::take(&mut self.scratch_gateways);
-        self.delivery.gateways_in_range(flight.pos, &mut gateways);
-        let gateway_rssi =
-            self.delivery
-                .resolve_gateways(&mut self.channel, &gateways, &overlaps, flight);
+        let gateway_rssi = self
+            .delivery
+            .resolve_gateways(&mut self.channel, &overlaps, flight);
 
         let d2d = self.cfg.environment.d2d_range_m();
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
@@ -871,7 +856,6 @@ impl Engine {
         let accepted_by_target =
             self.resolve_neighbours(flight, &candidates, &near, &mut to_schedule, observer);
 
-        self.scratch_gateways = gateways;
         self.scratch_candidates = candidates;
         self.channel.scratch_near_overlaps = near;
         self.channel.scratch_overlaps = overlaps;
@@ -889,8 +873,11 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DeviceClassChoice, Environment};
+    use crate::{BusWithdrawal, DisruptionPlan, Environment, GatewayOutage, Scenario};
     use mlora_core::Scheme;
+    use mlora_geo::{BBox, Polyline};
+    use mlora_mobility::{BusNetwork, Route, RouteId, Trip};
+    use proptest::prelude::*;
 
     fn smoke(scheme: Scheme) -> SimReport {
         SimConfig::smoke_test(scheme, Environment::Urban)
@@ -1070,9 +1057,9 @@ mod tests {
     #[test]
     fn queue_based_class_a_delivers_with_less_energy() {
         let mut cfg_c = SimConfig::smoke_test(Scheme::Robc, Environment::Urban);
-        cfg_c.device_class = DeviceClassChoice::ModifiedClassC;
+        cfg_c.device_class = DeviceClass::ModifiedClassC;
         let mut cfg_a = cfg_c.clone();
-        cfg_a.device_class = DeviceClassChoice::QueueBasedClassA;
+        cfg_a.device_class = DeviceClass::QueueBasedClassA;
         let rc = cfg_c.run(7).unwrap();
         let ra = cfg_a.run(7).unwrap();
         assert!(ra.delivered > 0);
@@ -1082,5 +1069,141 @@ mod tests {
             ra.mean_energy_per_node_mj(),
             rc.mean_energy_per_node_mj()
         );
+    }
+
+    proptest! {
+        /// The cursor-merged event source equals the eager seeding, event
+        /// for event and key for key, stepped through an arbitrary cut and
+        /// through a checkpoint resumed there (which derives the cursor
+        /// from the captured instant alone).
+        #[test]
+        fn cursor_merged_timetable_matches_eager_seeding(
+            raw in proptest::collection::vec(0u64..u64::MAX, 1..14),
+            plan in 0u64..u64::MAX,
+            cut_quarter in 0u64..(4 * SLOTS),
+        ) {
+            let cfg = timetable_scenario(&raw, plan);
+            let want = eager_seeding(&cfg);
+            let horizon = SimTime::ZERO + cfg.horizon;
+            // On a departure slot one draw in four, between slots otherwise.
+            let cut_ms = cut_quarter * SLOT_MS / 4;
+            let mut engine = Engine::new(cfg, 7);
+            let head = timetable_events(&mut engine, SimTime::from_millis(cut_ms));
+            let snap = engine.snapshot().expect("stepped engine snapshots");
+            let mut resumed = Engine::resume(&snap).expect("snapshot resumes");
+            for branch in [&mut engine, &mut resumed] {
+                let mut got = head.clone();
+                got.extend(timetable_events(branch, horizon));
+                prop_assert_eq!(&got, &want, "cut at {} ms", cut_ms);
+            }
+        }
+    }
+
+    /// Steps `engine` to `until` and returns, in handling order, every
+    /// trip-lifecycle and disruption event with the `(time, seq)` key it
+    /// was taken under — the part of the event order that must equal
+    /// what seeding the whole timetable into the queue up front would
+    /// produce, whatever else the run schedules in between.
+    fn timetable_events(engine: &mut Engine, until: SimTime) -> Vec<(SimTime, u64, Event)> {
+        let mut order = Vec::new();
+        engine.advance_tracing(until, &mut NullObserver, |t, seq, ev| {
+            if matches!(
+                ev,
+                Event::TripStart(_) | Event::TripEnd(_) | Event::Disruption(_)
+            ) {
+                order.push((t, seq, ev));
+            }
+        });
+        order
+    }
+
+    /// Departures, disruptions and the cut all fall on multiples of this,
+    /// so same-millisecond ties are the rule rather than the exception.
+    const SLOT_MS: u64 = 250_000;
+    /// Departure slots drawn from; the horizon sits on slot `SLOTS - 2`,
+    /// so the last two hold departures at and after it.
+    const SLOTS: u64 = 8;
+
+    /// A one-line world whose timetable is decoded from `raw`, one trip
+    /// per word: departure slot, one or two 300-second legs, and for one
+    /// word in four a zero-length service window. `plan` places a gateway
+    /// outage whose both ends fall on departure slots and a withdrawal of
+    /// half the fleet, which retires buses ahead of their `TripEnd`. The
+    /// horizon cuts the timetable short of its last departures.
+    fn timetable_scenario(raw: &[u64], plan: u64) -> SimConfig {
+        let path = Polyline::new(vec![
+            Point::new(500.0, 2_000.0),
+            Point::new(3_500.0, 2_000.0),
+        ])
+        .expect("two distinct points");
+        let route = Route::new(RouteId::new(0), path, 10.0);
+        let mut draws: Vec<(u64, u64)> = raw.iter().map(|&w| (w % SLOTS, w >> 3)).collect();
+        draws.sort_unstable_by_key(|&(slot, _)| slot);
+        let trips = draws
+            .iter()
+            .enumerate()
+            .map(|(i, &(slot, bits))| {
+                let depart = SimTime::from_millis(slot * SLOT_MS);
+                let legs = 1 + (bits & 1) as u32;
+                let mut trip = Trip::new(NodeId::new(i as u32), &route, depart, legs);
+                if (bits >> 1) & 3 == 0 {
+                    trip.withdraw(depart);
+                }
+                trip
+            })
+            .collect();
+        let world = BusNetwork::from_parts(
+            vec![route],
+            trips,
+            BBox::square(Point::ORIGIN, 4_000.0),
+            SimDuration::from_millis(SLOTS * SLOT_MS),
+        )
+        .expect("trips are sorted and numbered");
+        let slot = |bits: u64| SimTime::from_millis(bits % SLOTS * SLOT_MS);
+        Scenario::urban()
+            .scheme(Scheme::Robc)
+            .smoke()
+            .world(world)
+            .duration(SimDuration::from_millis((SLOTS - 2) * SLOT_MS))
+            .disruptions(DisruptionPlan {
+                outages: vec![GatewayOutage {
+                    gateway: 0,
+                    start: slot(plan),
+                    duration: Some(SimDuration::from_millis(SLOT_MS)),
+                }],
+                withdrawals: vec![BusWithdrawal {
+                    at: slot(plan >> 3) + SimDuration::from_secs(100),
+                    fraction: 0.5,
+                }],
+                ..DisruptionPlan::default()
+            })
+            .build()
+            .expect("timetable scenario is valid")
+    }
+
+    /// What the engine's start-up used to schedule before the first
+    /// event: both lifecycle events of every trip departing before the
+    /// horizon, in timetable order, then the compiled disruption
+    /// timeline — popped in `(time, seq)` order.
+    fn eager_seeding(cfg: &SimConfig) -> Vec<(SimTime, u64, Event)> {
+        let horizon = SimTime::ZERO + cfg.horizon;
+        let world = cfg.world.as_ref().expect("scenario carries its world");
+        let mut seeded = Vec::new();
+        for trip in world.trips().iter().filter(|t| t.depart() < horizon) {
+            seeded.push((trip.depart(), Event::TripStart(trip.node())));
+            seeded.push((trip.end().min(horizon), Event::TripEnd(trip.node())));
+        }
+        for (i, &(t, _)) in cfg.disruptions.compile(cfg.horizon).iter().enumerate() {
+            if t <= horizon {
+                seeded.push((t, Event::Disruption(i as u32)));
+            }
+        }
+        let mut order: Vec<_> = seeded
+            .into_iter()
+            .enumerate()
+            .map(|(seq, (t, ev))| (t, seq as u64, ev))
+            .collect();
+        order.sort_unstable_by_key(|&(t, seq, _)| (t, seq));
+        order
     }
 }

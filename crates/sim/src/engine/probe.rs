@@ -1,19 +1,14 @@
-//! Hidden instrumentation hooks for the engine's hot paths.
+//! A hidden instrumentation hook for the engine's hot path.
 //!
 //! The counting-allocator test (`crates/sim/tests/engine_alloc.rs`) and
 //! the `engine_events` binary's reception rows need to drive the
 //! flight-ring scan and a reception in isolation, without standing up
-//! a full engine run. This module packages that path behind a
-//! self-contained driver —
-//! [`FlightScanProbe`] over the [`Channel`], calling the functions the
-//! engine calls — plus [`sweep_flights`], with which the lazy-vs-eager
-//! pruning proptest reclaims expired flights far more often than the
-//! engine does, and [`timetable_order`], which shows the event-order
-//! proptest the `(time, seq)` key of every timetable event the loop
-//! handles.
+//! a full engine run. [`FlightScanProbe`] packages that path behind a
+//! self-contained driver over the [`Channel`], calling the functions the
+//! engine calls.
 //!
-//! Everything here is `#[doc(hidden)]`: the shapes below track engine
-//! internals and carry no stability promise.
+//! It is `#[doc(hidden)]`: its shape tracks engine internals and carries
+//! no stability promise.
 
 // The module is doc(hidden) and its docs legitimately reference private
 // engine internals; don't let rustdoc's public-link lint reject them.
@@ -25,48 +20,6 @@ use mlora_phy::LogDistanceModel;
 use mlora_simcore::{NodeId, SimDuration, SimRng, SimTime};
 
 use super::channel::Channel;
-use super::{Engine, Event};
-use crate::observer::NullObserver;
-
-/// Reclaims every expired flight of a stepped engine now, between two
-/// `run_until` slices. The engine itself sweeps only at slab growth
-/// boundaries; the pruning proptest sweeps after every slice and
-/// requires a bit-identical report. In debug builds every sweep also
-/// checks the flight ring against the slab.
-pub fn sweep_flights(engine: &mut Engine) {
-    engine.channel.sweep(engine.now);
-}
-
-/// An event whose `(time, seq)` key the timetable and the disruption
-/// plan fix before the run starts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimetableEvent {
-    /// Trip `i` departs.
-    TripStart(u32),
-    /// Trip `i` reaches its scheduled end (or the horizon).
-    TripEnd(u32),
-    /// Entry `i` of the compiled disruption timeline fires.
-    Disruption(u32),
-}
-
-/// Steps `engine` to `until` like [`Engine::run_until`] and returns, in
-/// handling order, every trip-lifecycle and disruption event with the
-/// `(time, seq)` key it was taken under — the part of the event order
-/// that must equal what seeding the whole timetable into the queue up
-/// front would produce, whatever else the run schedules in between.
-pub fn timetable_order(engine: &mut Engine, until: SimTime) -> Vec<(SimTime, u64, TimetableEvent)> {
-    let mut order = Vec::new();
-    engine.advance_tracing(until, &mut NullObserver, |t, seq, ev| {
-        let ev = match ev {
-            Event::TripStart(n) => TimetableEvent::TripStart(n.raw()),
-            Event::TripEnd(n) => TimetableEvent::TripEnd(n.raw()),
-            Event::Disruption(i) => TimetableEvent::Disruption(i),
-            Event::Generate(_) | Event::TxStart(_) | Event::TxEnd(_) => return,
-        };
-        order.push((t, seq, ev));
-    });
-    order
-}
 
 /// Drives the channel's hot loop as a run does — launch (which trims
 /// the flight ring's front), the time-overlap walk down the ring's

@@ -1052,7 +1052,6 @@ fn get_device<R: Read>(
             ),
             retransmit: RetransmitPolicy::from_parts(max_attempts, attempts),
             routing: RoutingState::from_raw_parts(routing_config, policy, estimator, ca, ledger),
-            class: cfg.device_class.into(),
             tx_scheduled,
             pending_handover,
             tx_time,

@@ -96,14 +96,13 @@ pub(super) struct Device {
     pub(super) duty: DutyCycleTracker,
     pub(super) retransmit: RetransmitPolicy,
     pub(super) routing: RoutingState,
-    pub(super) class: DeviceClass,
     pub(super) tx_scheduled: bool,
     pub(super) pending_handover: Option<(NodeId, usize)>,
     /// Cumulative transmit airtime.
     pub(super) tx_time: SimDuration,
     /// Cumulative Queue-based Class-A listening time.
     pub(super) rx_window_time: SimDuration,
-    /// Uplink frames sent (for Class-A RX-window energy).
+    /// Uplink frames sent.
     pub(super) frames_sent: u64,
     /// The position this device is filed under in the neighbour cell
     /// list: where it stood at the last drift sweep, or at activation.
@@ -422,9 +421,15 @@ impl World {
     }
 
     /// Retires a device at `now`: removes it from the active set,
-    /// tombstones its cell-list entry and reconstructs its whole-service energy spend. Returns
-    /// `None` when the device never existed or already retired.
-    pub(super) fn retire(&mut self, n: NodeId, now: SimTime) -> Option<Retirement> {
+    /// tombstones its cell-list entry and reconstructs its whole-service
+    /// energy spend under the fleet's `class`. Returns `None` when the
+    /// device never existed or already retired.
+    pub(super) fn retire(
+        &mut self,
+        n: NodeId,
+        now: SimTime,
+        class: DeviceClass,
+    ) -> Option<Retirement> {
         let dev = self.devices.get_mut(n)?;
         if dev.retired_at.is_some() {
             return None;
@@ -440,11 +445,9 @@ impl World {
         let active_dur = now.saturating_since(dev.activated_at);
         let tx = dev.tx_time.min(active_dur);
         let non_tx = active_dur.saturating_sub(tx);
-        let rx = match dev.class {
-            DeviceClass::ModifiedClassC | DeviceClass::ClassC => non_tx,
+        let rx = match class {
+            DeviceClass::ModifiedClassC => non_tx,
             DeviceClass::QueueBasedClassA => dev.rx_window_time.min(non_tx),
-            DeviceClass::ClassA => SimDuration::from_millis(320).min(non_tx) * dev.frames_sent,
-            DeviceClass::ClassB { .. } => non_tx.mul_f64(0.01),
         };
         let sleep = non_tx.saturating_sub(rx);
         let mut acct = EnergyAccount::new();

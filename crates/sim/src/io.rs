@@ -52,7 +52,7 @@ use crate::persist::{
 };
 use crate::traffic::{ArrivalProcess, PayloadModel, TrafficProfile};
 use crate::{
-    ConfigError, DeviceClassChoice, DisruptionPlan, Environment, GatewayPlacement, Scenario,
+    ConfigError, DeviceClass, DisruptionPlan, Environment, GatewayPlacement, Scenario,
     ScenarioBuilder, SimConfig, TrafficModel,
 };
 
@@ -283,9 +283,9 @@ impl Persist for PolicySpec {
         Scheme::get(r).map(PolicySpec::from)
     }
 }
-persist_enum!(DeviceClassChoice, "bad device class tag" {
-    DeviceClassChoice::ModifiedClassC => 0,
-    DeviceClassChoice::QueueBasedClassA => 1,
+persist_enum!(DeviceClass, "bad device class tag" {
+    DeviceClass::ModifiedClassC => 0,
+    DeviceClass::QueueBasedClassA => 1,
 });
 persist_enum!(SpreadingFactor, "bad spreading factor" {
     SpreadingFactor::Sf7 => 7,
@@ -359,7 +359,7 @@ persist_struct! {
         environment: Environment,
         policy: PolicySpec,
         alpha: f64,
-        device_class: DeviceClassChoice,
+        device_class: DeviceClass,
         gen_interval: SimDuration,
         queue_capacity: usize,
         duty_cycle: f64,

@@ -104,7 +104,7 @@ mod world;
 #[path = "../tests/support/framing.rs"]
 mod framing;
 
-pub use config::{ConfigError, DeviceClassChoice, Environment, GatewayPlacement, SimConfig};
+pub use config::{ConfigError, Environment, GatewayPlacement, SimConfig};
 pub use deployment::place_gateways;
 pub use disruption::{BusWithdrawal, DisruptionEvent, DisruptionPlan, GatewayOutage, NoiseBurst};
 #[doc(hidden)]
@@ -113,14 +113,13 @@ pub use engine::{Engine, EngineStats, Snapshot, SnapshotError, SNAPSHOT_MAGIC};
 pub use io::ScenarioFileError;
 pub use metrics::{ProfileReport, SimReport};
 pub use mlora_core::{ForwardingPolicy, PolicyContext, PolicySpec};
-pub use mlora_mac::Priority;
+pub use mlora_mac::{DeviceClass, Priority};
 pub use mlora_mobility::{BusNetwork, MetroConfig, MetroWorld};
 pub use observer::{
     BusWithdrawn, EventCounter, FrameTransmitted, GatewayOutageChanged, HandoverAccepted,
     MessageDelivered, MessageGenerated, NoiseBurstChanged, NullObserver, ReportWriter,
     SeriesObserver, SimObserver, TraceFormat, TraceSink,
 };
-pub use report::SweepPoint;
 pub use runner::PAPER_GATEWAY_COUNTS;
 pub use runner::{
     CellKey, CellResult, ExperimentPlan, PlanCell, ReplicatedReport, Runner, RunnerError,
@@ -146,7 +145,7 @@ pub mod prelude {
         TraceSink,
     };
     pub use crate::{
-        BusWithdrawal, ConfigError, DeviceClassChoice, DisruptionPlan, Engine, Environment,
+        BusWithdrawal, ConfigError, DeviceClass, DisruptionPlan, Engine, Environment,
         ExperimentPlan, GatewayOutage, GatewayPlacement, MetroConfig, NoiseBurst, ReplicatedReport,
         Runner, Scenario, ScenarioBuilder, SimConfig, SimReport, Snapshot, TrafficModel,
         TrafficProfile,

@@ -479,7 +479,7 @@ impl<W: Write> SimObserver for ReportWriter<W> {
             "{{\"row\":\"final\",\"scheme\":\"{}\",\"generated\":{},\"delivered\":{},\
              \"delivery_ratio\":{:.6},\"mean_delay_s\":{:.3},\"frames_sent\":{},\
              \"handover_messages\":{},\"collisions\":{},\"total_energy_mj\":{:.3}}}",
-            report.scheme,
+            json_escaped(&report.scheme),
             report.generated,
             report.delivered,
             report.delivery_ratio(),
@@ -494,6 +494,21 @@ impl<W: Write> SimObserver for ReportWriter<W> {
             Err(e) => self.error = Some(e),
         }
     }
+}
+
+/// `s` escaped for a JSON string literal (RFC 8259 §7): `"` and `\`
+/// get a backslash, control characters become `\u00XX`.
+fn json_escaped(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// On-disk trace format for [`TraceSink`].
@@ -804,6 +819,25 @@ mod tests {
         );
         assert!(
             lines[2].starts_with("{\"row\":\"final\",\"scheme\":\"TEST\""),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn report_writer_escapes_the_policy_label() {
+        let mut w = ReportWriter::new(Vec::new(), SimDuration::from_mins(10));
+        let report = crate::metrics::Collector::new(
+            "a\"b\\c\n\u{1}".to_string(),
+            SimDuration::from_mins(10),
+            SimDuration::from_hours(1),
+            &crate::TrafficModel::default(),
+        )
+        .finish();
+        w.on_run_end(&report);
+        let out = String::from_utf8(w.finish().unwrap()).unwrap();
+        assert_eq!(out.lines().count(), 1, "{out}");
+        assert!(
+            out.starts_with(r#"{"row":"final","scheme":"a\"b\\c\u000a\u0001","generated":0,"#),
             "{out}"
         );
     }

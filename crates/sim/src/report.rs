@@ -1,6 +1,5 @@
 //! Plain-text formatters turning experiment results into the rows and
-//! series the paper's figures plot, plus the small figure-shaped bridge
-//! types they consume ([`SweepPoint`]).
+//! series the paper's figures plot.
 
 use std::fmt::Write as _;
 
@@ -9,51 +8,18 @@ use mlora_core::Scheme;
 use crate::runner::CellResult;
 use crate::{Environment, SimReport};
 
-/// One cell of the Fig. 8/9/12/13 sweeps: a (gateways, environment)
-/// combination and its simulation report, whose
-/// [`scheme`](SimReport::scheme) label names the row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepPoint {
-    /// Number of gateways deployed.
-    pub gateways: usize,
-    /// Radio environment.
-    pub environment: Environment,
-    /// The run's metrics.
-    pub report: SimReport,
-}
-
-impl SweepPoint {
-    /// Row order of the figure tables: environment, gateways, label.
-    fn row_key(&self) -> (&'static str, usize, &str) {
-        (self.environment.label(), self.gateways, &self.report.scheme)
-    }
-
-    /// Extracts sweep points (one per cell, first replicate) from runner
-    /// results — the bridge from the plan API to the per-figure
-    /// formatters in this module.
-    pub fn from_cells(cells: &[CellResult]) -> Vec<SweepPoint> {
-        cells
-            .iter()
-            .map(|cell| SweepPoint {
-                gateways: cell.key.gateways,
-                environment: cell.key.environment,
-                report: cell.report.single().clone(),
-            })
-            .collect()
-    }
-}
-
 /// Formats the Fig. 8 table: mean end-to-end delay ± standard error per
-/// (environment, gateways, scheme).
-pub fn fig8_delay_table(points: &[SweepPoint]) -> String {
-    metric_table(points, "mean end-to-end delay (s) ± stderr", |r| {
+/// (environment, gateways, scheme), first replicate per cell.
+pub fn fig8_delay_table(cells: &[CellResult]) -> String {
+    metric_table(cells, "mean end-to-end delay (s) ± stderr", |r| {
         format!("{:9.1} ±{:5.1}", r.mean_delay_s(), r.delay_std_error_s())
     })
 }
 
-/// Formats the Fig. 9 table: total unique messages delivered.
-pub fn fig9_throughput_table(points: &[SweepPoint]) -> String {
-    metric_table(points, "total throughput (unique msgs received)", |r| {
+/// Formats the Fig. 9 table: total unique messages delivered, first
+/// replicate per cell.
+pub fn fig9_throughput_table(cells: &[CellResult]) -> String {
+    metric_table(cells, "total throughput (unique msgs received)", |r| {
         format!("{:9}", r.delivered)
     })
 }
@@ -72,15 +38,7 @@ pub fn replicated_table(
         "{:>6} {:>6} {:>12} {:>5} {:>21}",
         "env", "gws", "scheme", "n", "value"
     );
-    let mut sorted: Vec<&CellResult> = cells.iter().collect();
-    sorted.sort_by_key(|&c| {
-        (
-            c.key.environment.label(),
-            c.key.gateways,
-            &c.report.single().scheme,
-        )
-    });
-    for cell in sorted {
+    for cell in by_row(cells) {
         let mean = cell.report.mean(&metric);
         let (lo, hi) = cell.report.ci95(&metric);
         let _ = writeln!(
@@ -207,16 +165,18 @@ pub fn scheme_table(cells: &[CellResult]) -> String {
     s
 }
 
-/// Formats the Fig. 12 table: mean hop count of delivered messages.
-pub fn fig12_hops_table(points: &[SweepPoint]) -> String {
-    metric_table(points, "mean hops per delivered message", |r| {
+/// Formats the Fig. 12 table: mean hop count of delivered messages,
+/// first replicate per cell.
+pub fn fig12_hops_table(cells: &[CellResult]) -> String {
+    metric_table(cells, "mean hops per delivered message", |r| {
         format!("{:9.2}", r.mean_hops())
     })
 }
 
 /// Formats the Fig. 13 table: mean frames transmitted per device, plus
-/// the overhead ratio against the LoRaWAN baseline in the same cell.
-pub fn fig13_overhead_table(points: &[SweepPoint]) -> String {
+/// the overhead ratio against the LoRaWAN baseline in the same cell,
+/// first replicate per cell.
+pub fn fig13_overhead_table(cells: &[CellResult]) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "# mean messages sent per node (overhead vs LoRaWAN)");
     let _ = writeln!(
@@ -224,28 +184,27 @@ pub fn fig13_overhead_table(points: &[SweepPoint]) -> String {
         "{:>6} {:>6} {:>12} {:>16}",
         "env", "gws", "scheme", "msgs/node"
     );
-    let mut sorted: Vec<&SweepPoint> = points.iter().collect();
-    sorted.sort_by_key(|&p| p.row_key());
-    for p in sorted {
-        let baseline = points
+    for c in by_row(cells) {
+        let r = c.report.single();
+        let baseline = cells
             .iter()
             .find(|q| {
-                q.environment == p.environment
-                    && q.gateways == p.gateways
-                    && q.report.scheme == Scheme::NoRouting.label()
+                q.key.environment == c.key.environment
+                    && q.key.gateways == c.key.gateways
+                    && q.report.single().scheme == Scheme::NoRouting.label()
             })
-            .map(|q| q.report.mean_messages_sent_per_node());
+            .map(|q| q.report.single().mean_messages_sent_per_node());
         let ratio = match baseline {
-            Some(b) if b > 0.0 => format!(" ({:.2}x)", p.report.mean_messages_sent_per_node() / b),
+            Some(b) if b > 0.0 => format!(" ({:.2}x)", r.mean_messages_sent_per_node() / b),
             _ => String::new(),
         };
         let _ = writeln!(
             s,
             "{:>6} {:>6} {:>12} {:>13.2}{}",
-            p.environment.label(),
-            p.gateways,
-            p.report.scheme,
-            p.report.mean_messages_sent_per_node(),
+            c.key.environment.label(),
+            c.key.gateways,
+            r.scheme,
+            r.mean_messages_sent_per_node(),
             ratio
         );
     }
@@ -285,8 +244,23 @@ pub fn time_series_table(rows: &[SimReport], environment: Environment) -> String
     s
 }
 
-/// Generic sweep-table formatter used by the per-figure functions.
-fn metric_table(points: &[SweepPoint], title: &str, cell: impl Fn(&SimReport) -> String) -> String {
+/// The cells in the figure tables' row order: environment, gateways,
+/// then the first replicate's label.
+fn by_row(cells: &[CellResult]) -> Vec<&CellResult> {
+    let mut sorted: Vec<&CellResult> = cells.iter().collect();
+    sorted.sort_by_key(|&c| {
+        (
+            c.key.environment.label(),
+            c.key.gateways,
+            &c.report.single().scheme,
+        )
+    });
+    sorted
+}
+
+/// Generic sweep-table formatter used by the per-figure functions: one
+/// row per cell, first replicate.
+fn metric_table(cells: &[CellResult], title: &str, cell: impl Fn(&SimReport) -> String) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "# {title}");
     let _ = writeln!(
@@ -294,16 +268,15 @@ fn metric_table(points: &[SweepPoint], title: &str, cell: impl Fn(&SimReport) ->
         "{:>6} {:>6} {:>12} {:>18}",
         "env", "gws", "scheme", "value"
     );
-    let mut sorted: Vec<&SweepPoint> = points.iter().collect();
-    sorted.sort_by_key(|&p| p.row_key());
-    for p in sorted {
+    for c in by_row(cells) {
+        let r = c.report.single();
         let _ = writeln!(
             s,
             "{:>6} {:>6} {:>12} {:>18}",
-            p.environment.label(),
-            p.gateways,
-            p.report.scheme,
-            cell(&p.report)
+            c.key.environment.label(),
+            c.key.gateways,
+            r.scheme,
+            cell(r)
         );
     }
     s
@@ -322,13 +295,13 @@ mod tests {
             .expect("valid config")
     }
 
-    fn points() -> Vec<SweepPoint> {
+    fn points() -> Vec<CellResult> {
         let plan = ExperimentPlan::new(base())
             .environments([Environment::Urban])
             .gateway_counts([4])
             .schemes(Scheme::ALL)
             .fixed_seeds([3]);
-        SweepPoint::from_cells(&Runner::new().run(&plan).expect("valid sweep"))
+        Runner::new().run(&plan).expect("valid sweep")
     }
 
     #[test]
@@ -357,18 +330,20 @@ mod tests {
             .schemes(Scheme::ALL)
             .fixed_seeds([5]);
         let cells = Runner::new().run(&plan).expect("valid plan");
-        let pts = SweepPoint::from_cells(&cells);
-        assert_eq!(pts.len(), 2 * 2 * 3);
-        assert!(pts.iter().all(|p| p.report.generated > 0));
+        assert_eq!(cells.len(), 2 * 2 * 3);
+        assert!(cells.iter().all(|c| c.report.single().generated > 0));
         // Combinations are unique and follow plan order.
-        let mut keys: Vec<_> = pts
+        let mut keys: Vec<_> = cells
             .iter()
-            .map(|p| (p.gateways, p.environment, p.report.scheme.clone()))
+            .map(|c| {
+                let scheme = c.report.single().scheme.clone();
+                (c.key.gateways, c.key.environment, scheme)
+            })
             .collect();
         keys.dedup();
         assert_eq!(keys.len(), 12);
-        for (pt, cell) in pts.iter().zip(&cells) {
-            assert_eq!(pt.report, *cell.report.single());
+        for (i, cell) in cells.iter().enumerate() {
+            assert_eq!(cell.index, i);
         }
     }
 
@@ -381,12 +356,12 @@ mod tests {
             .gateway_counts([4])
             .schemes([Scheme::Robc])
             .fixed_seeds([9]);
-        let pts = SweepPoint::from_cells(&Runner::new().run(&plan).expect("valid plan"));
+        let cells = Runner::new().run(&plan).expect("valid plan");
         let mut direct = base();
         direct.environment = Environment::Rural;
         direct.num_gateways = 4;
         direct.policy = Scheme::Robc.into();
-        assert_eq!(pts[0].report, direct.run(9).unwrap());
+        assert_eq!(*cells[0].report.single(), direct.run(9).unwrap());
     }
 
     #[test]
@@ -433,7 +408,7 @@ mod tests {
             rows.len() == 2 && rows[0].contains("alpha") && rows[1].contains("zeta"),
             "{table}"
         );
-        let table = fig9_throughput_table(&SweepPoint::from_cells(&cells));
+        let table = fig9_throughput_table(&cells);
         assert!(table.contains("alpha") && table.contains("zeta"), "{table}");
     }
 

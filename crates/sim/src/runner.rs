@@ -41,8 +41,8 @@ use mlora_core::PolicySpec;
 use mlora_simcore::stats::Welford;
 
 use crate::{
-    ConfigError, DeviceClassChoice, DisruptionPlan, Environment, GatewayPlacement, SimConfig,
-    SimReport, Snapshot, SnapshotError, TrafficModel,
+    ConfigError, DeviceClass, DisruptionPlan, Environment, GatewayPlacement, SimConfig, SimReport,
+    Snapshot, SnapshotError, TrafficModel,
 };
 
 /// The paper's gateway counts: 40–100 in steps of 10.
@@ -79,7 +79,7 @@ pub struct CellKey {
     /// Gateway placement strategy.
     pub placement: GatewayPlacement,
     /// Device class for the fleet.
-    pub device_class: DeviceClassChoice,
+    pub device_class: DeviceClass,
     /// Index into the plan's disruption axis (0 when the axis was never
     /// set — the base configuration's own plan).
     pub disruption: usize,
@@ -114,7 +114,7 @@ pub struct ExperimentPlan {
     schemes: Vec<PolicySpec>,
     alphas: Vec<f64>,
     placements: Vec<GatewayPlacement>,
-    device_classes: Vec<DeviceClassChoice>,
+    device_classes: Vec<DeviceClass>,
     disruptions: Vec<DisruptionPlan>,
     traffics: Vec<TrafficModel>,
     /// Master seed for derived replication (set by [`ExperimentPlan::seed`];
@@ -180,7 +180,7 @@ impl ExperimentPlan {
     }
 
     /// Sweeps the device class (the §VI comparison).
-    pub fn device_classes(mut self, axis: impl IntoIterator<Item = DeviceClassChoice>) -> Self {
+    pub fn device_classes(mut self, axis: impl IntoIterator<Item = DeviceClass>) -> Self {
         self.device_classes = axis.into_iter().collect();
         self
     }

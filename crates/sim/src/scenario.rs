@@ -35,7 +35,7 @@ use mlora_mobility::{BusNetwork, MetroConfig, MetroWorld};
 use mlora_simcore::{SimDuration, SimTime};
 
 use crate::{
-    BusWithdrawal, ConfigError, DeviceClassChoice, DisruptionPlan, Environment, GatewayOutage,
+    BusWithdrawal, ConfigError, DeviceClass, DisruptionPlan, Environment, GatewayOutage,
     GatewayPlacement, NoiseBurst, SimConfig, SimObserver, SimReport, TrafficModel, TrafficProfile,
 };
 
@@ -160,7 +160,7 @@ impl ScenarioBuilder {
     }
 
     /// Sets the device class for the whole fleet.
-    pub fn device_class(mut self, class: DeviceClassChoice) -> Self {
+    pub fn device_class(mut self, class: DeviceClass) -> Self {
         self.config.device_class = class;
         self
     }

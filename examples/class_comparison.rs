@@ -24,10 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     let plan = ExperimentPlan::new(base)
-        .device_classes([
-            DeviceClassChoice::ModifiedClassC,
-            DeviceClassChoice::QueueBasedClassA,
-        ])
+        .device_classes([DeviceClass::ModifiedClassC, DeviceClass::QueueBasedClassA])
         .fixed_seeds([3]);
     let cells = Runner::new().run(&plan)?;
 
@@ -38,8 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for cell in &cells {
         let report = cell.report.single();
         let label = match cell.key.device_class {
-            DeviceClassChoice::ModifiedClassC => "Modified Class-C",
-            DeviceClassChoice::QueueBasedClassA => "Queue-based Cl-A",
+            DeviceClass::ModifiedClassC => "Modified Class-C",
+            DeviceClass::QueueBasedClassA => "Queue-based Cl-A",
         };
         energies.push(report.mean_energy_per_node_mj());
         println!(

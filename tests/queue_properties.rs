@@ -6,20 +6,17 @@
 //! that was never interrupted.
 //!
 //! The engine keeps the timetable out of the queue (a cursor over the
-//! sorted trips, merged with the queue by `(time, seq)`); the second
-//! half of this file pins that the merged source hands the loop exactly
-//! the lifecycle and disruption events, under exactly the keys, that
-//! seeding every trip into the queue up front did — and that what the
-//! engine holds follows the buses on the road, not the service day.
+//! sorted trips, merged with the queue by `(time, seq)`). That the
+//! merged source hands the loop exactly the events, under exactly the
+//! keys, that seeding every trip up front did is a unit test beside the
+//! loop (`engine::tests::cursor_merged_timetable_matches_eager_seeding`);
+//! the last test here pins that what the engine holds follows the buses
+//! on the road, not the service day.
 
 use mlora::core::Scheme;
-use mlora::geo::{BBox, Point, Polyline};
-use mlora::mobility::{BusNetwork, DiurnalProfile, Route, RouteId, Trip};
-use mlora::sim::probe::{timetable_order, TimetableEvent};
-use mlora::sim::{
-    BusWithdrawal, DisruptionPlan, Engine, GatewayOutage, MetroConfig, Scenario, SimConfig,
-};
-use mlora::simcore::{EventQueue, NodeId, SimDuration, SimTime};
+use mlora::mobility::DiurnalProfile;
+use mlora::sim::{Engine, MetroConfig, Scenario, SimConfig};
+use mlora::simcore::{EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// One step of a queue workload.
@@ -110,122 +107,6 @@ proptest! {
         }
         prop_assert!(rebuilt.pop().is_none());
     }
-
-    /// The cursor-merged event source equals the eager seeding, event
-    /// for event and key for key, stepped through an arbitrary cut and
-    /// through a checkpoint resumed there (which derives the cursor from
-    /// the captured instant alone).
-    #[test]
-    fn cursor_merged_timetable_matches_eager_seeding(
-        raw in proptest::collection::vec(0u64..u64::MAX, 1..14),
-        plan in 0u64..u64::MAX,
-        cut_quarter in 0u64..(4 * SLOTS),
-    ) {
-        let cfg = timetable_scenario(&raw, plan);
-        let want = eager_seeding(&cfg);
-        let horizon = SimTime::ZERO + cfg.horizon;
-        // On a departure slot one draw in four, between slots otherwise.
-        let cut_ms = cut_quarter * SLOT_MS / 4;
-        let mut engine = Engine::new(cfg, 7);
-        let head = timetable_order(&mut engine, SimTime::from_millis(cut_ms));
-        let snap = engine.snapshot().expect("stepped engine snapshots");
-        let mut resumed = Engine::resume(&snap).expect("snapshot resumes");
-        for branch in [&mut engine, &mut resumed] {
-            let mut got = head.clone();
-            got.extend(timetable_order(branch, horizon));
-            prop_assert_eq!(&got, &want, "cut at {} ms", cut_ms);
-        }
-    }
-}
-
-/// Departures, disruptions and the cut all fall on multiples of this, so
-/// same-millisecond ties are the rule rather than the exception.
-const SLOT_MS: u64 = 250_000;
-/// Departure slots drawn from; the horizon sits on slot `SLOTS - 2`, so
-/// the last two hold departures at and after it.
-const SLOTS: u64 = 8;
-
-/// A one-line world whose timetable is decoded from `raw`, one trip per
-/// word: departure slot, one or two 300-second legs, and for one word in
-/// four a zero-length service window. `plan` places a gateway outage
-/// whose both ends fall on departure slots and a withdrawal of half the
-/// fleet, which retires buses ahead of their `TripEnd`. The horizon cuts
-/// the timetable short of its last departures.
-fn timetable_scenario(raw: &[u64], plan: u64) -> SimConfig {
-    let path = Polyline::new(vec![
-        Point::new(500.0, 2_000.0),
-        Point::new(3_500.0, 2_000.0),
-    ])
-    .expect("two distinct points");
-    let route = Route::new(RouteId::new(0), path, 10.0);
-    let mut draws: Vec<(u64, u64)> = raw.iter().map(|&w| (w % SLOTS, w >> 3)).collect();
-    draws.sort_unstable_by_key(|&(slot, _)| slot);
-    let trips = draws
-        .iter()
-        .enumerate()
-        .map(|(i, &(slot, bits))| {
-            let depart = SimTime::from_millis(slot * SLOT_MS);
-            let mut trip = Trip::new(NodeId::new(i as u32), &route, depart, 1 + (bits & 1) as u32);
-            if (bits >> 1) & 3 == 0 {
-                trip.withdraw(depart);
-            }
-            trip
-        })
-        .collect();
-    let world = BusNetwork::from_parts(
-        vec![route],
-        trips,
-        BBox::square(Point::ORIGIN, 4_000.0),
-        SimDuration::from_millis(SLOTS * SLOT_MS),
-    )
-    .expect("trips are sorted and numbered");
-    let slot = |bits: u64| SimTime::from_millis(bits % SLOTS * SLOT_MS);
-    Scenario::urban()
-        .scheme(Scheme::Robc)
-        .smoke()
-        .world(world)
-        .duration(SimDuration::from_millis((SLOTS - 2) * SLOT_MS))
-        .disruptions(DisruptionPlan {
-            outages: vec![GatewayOutage {
-                gateway: 0,
-                start: slot(plan),
-                duration: Some(SimDuration::from_millis(SLOT_MS)),
-            }],
-            withdrawals: vec![BusWithdrawal {
-                at: slot(plan >> 3) + SimDuration::from_secs(100),
-                fraction: 0.5,
-            }],
-            ..DisruptionPlan::default()
-        })
-        .build()
-        .expect("timetable scenario is valid")
-}
-
-/// What the engine's start-up used to schedule before the first event:
-/// both lifecycle events of every trip departing before the horizon, in
-/// timetable order, then the compiled disruption timeline — popped in
-/// `(time, seq)` order.
-fn eager_seeding(cfg: &SimConfig) -> Vec<(SimTime, u64, TimetableEvent)> {
-    let horizon = SimTime::ZERO + cfg.horizon;
-    let world = cfg.world.as_ref().expect("scenario carries its world");
-    let mut seeded = Vec::new();
-    for trip in world.trips().iter().filter(|t| t.depart() < horizon) {
-        let n = trip.node().raw();
-        seeded.push((trip.depart(), TimetableEvent::TripStart(n)));
-        seeded.push((trip.end().min(horizon), TimetableEvent::TripEnd(n)));
-    }
-    for (i, &(t, _)) in cfg.disruptions.compile(cfg.horizon).iter().enumerate() {
-        if t <= horizon {
-            seeded.push((t, TimetableEvent::Disruption(i as u32)));
-        }
-    }
-    let mut order: Vec<_> = seeded
-        .into_iter()
-        .enumerate()
-        .map(|(seq, (t, ev))| (t, seq as u64, ev))
-        .collect();
-    order.sort_unstable_by_key(|&(t, seq, _)| (t, seq));
-    order
 }
 
 /// Five minutes into a six-hour service day an engine holds what it
