@@ -223,6 +223,12 @@ impl CellList {
         }
     }
 
+    /// The position `id` is filed at, if it is live.
+    pub fn get(&self, id: u32) -> Option<Point> {
+        let at = *self.slot.get(id as usize)?;
+        (at != ABSENT).then(|| self.entries[at as usize].1)
+    }
+
     /// Every live `(id, position)` entry, in storage order: by cell, then
     /// the overflow run.
     pub fn iter(&self) -> impl Iterator<Item = (u32, Point)> + '_ {

@@ -195,33 +195,26 @@ impl DataQueue {
     }
 
     /// Rebuilds a queue from checkpoint parts: `messages` front-first in
-    /// the exact stored order (already descending by class), plus the
-    /// historical overflow count. The counterpart of
+    /// the exact stored order, plus the historical overflow count. The
+    /// counterpart of
     /// [`DataQueue::iter`]/[`DataQueue::capacity`]/[`DataQueue::dropped`].
     ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero or `messages` exceeds it.
+    /// Returns `None` unless `capacity` is positive, `messages` fit in
+    /// it and run in descending priority, as every queue
+    /// [`DataQueue::push`] builds does.
     pub fn from_parts(
         capacity: usize,
         dropped: u64,
         messages: impl IntoIterator<Item = AppMessage>,
-    ) -> Self {
-        let mut q = DataQueue::new(capacity);
-        q.buf.extend(messages);
-        assert!(
-            q.buf.len() <= capacity,
-            "restored queue exceeds its capacity"
-        );
-        debug_assert!(
-            q.buf
-                .iter()
-                .zip(q.buf.iter().skip(1))
-                .all(|(a, b)| a.priority >= b.priority),
-            "restored queue must be ordered by descending priority"
-        );
-        q.dropped = dropped;
-        q
+    ) -> Option<Self> {
+        let mut buf = VecDeque::new();
+        buf.extend(messages);
+        let ordered = buf.iter().is_sorted_by(|a, b| a.priority >= b.priority);
+        (capacity > 0 && buf.len() <= capacity && ordered).then_some(DataQueue {
+            buf,
+            capacity,
+            dropped,
+        })
     }
 }
 
@@ -349,6 +342,21 @@ mod tests {
         assert_eq!(removed, 2);
         let ids: Vec<u64> = q.iter().map(|m| m.id.raw()).collect();
         assert_eq!(ids, [0, 2, 3, 5]);
+    }
+
+    #[test]
+    fn from_parts_refuses_what_push_never_builds() {
+        let mut q = DataQueue::new(3);
+        q.push(prio(0, Priority::Low));
+        q.push(prio(1, Priority::High));
+        let parts = || q.iter().copied().collect::<Vec<_>>();
+        assert_eq!(DataQueue::from_parts(3, 0, parts()), Some(q.clone()));
+        // Low ahead of High: no sequence of pushes leaves that order.
+        let mut swapped = parts();
+        swapped.reverse();
+        assert_eq!(DataQueue::from_parts(3, 0, swapped), None);
+        assert_eq!(DataQueue::from_parts(1, 0, parts()), None);
+        assert_eq!(DataQueue::from_parts(0, 0, Vec::new()), None);
     }
 
     #[test]

@@ -288,34 +288,10 @@ impl Channel {
     /// air, so deferring or batching sweeps never changes an interferer
     /// set.
     fn sweep(&mut self, now: SimTime) {
-        #[cfg(debug_assertions)]
-        self.assert_ring_covers(now);
+        debug_assert_eq!(self.check(now), Ok(()));
         let retention = self.flight_retention;
         self.flights
             .retain(|_, flight| flight.end + retention >= now);
-    }
-
-    /// Runtime invariant (ROADMAP 2(3)): the ring is ascending in `seq`
-    /// and non-decreasing in `start`, and every live flight that can
-    /// still overlap a frame in the air at `now` has its own row in it.
-    #[cfg(debug_assertions)]
-    fn assert_ring_covers(&self, now: SimTime) {
-        let ring = &self.ring;
-        let ordered = ring
-            .iter()
-            .zip(ring.iter().skip(1))
-            .all(|(a, b)| a.seq < b.seq && a.start <= b.start);
-        assert!(ordered, "flight ring out of launch order");
-        for (_, flight) in self.flights.iter() {
-            if flight.end + self.flight_retention >= now {
-                let at = ring.binary_search_by_key(&flight.seq, |row| row.seq);
-                assert!(
-                    at.is_ok_and(|i| ring[i] == RingRow::of(flight)),
-                    "live flight {} missing from the flight ring",
-                    flight.seq
-                );
-            }
-        }
     }
 
     /// Collects the frames overlapping `(start, end)` in time (including
@@ -534,31 +510,51 @@ impl Channel {
     /// the flight slab, and rebuilds the ring from the live flights in
     /// `seq` order. The static tables (noise bursts, path loss,
     /// retention) are reconstructed from the scenario config and stay
-    /// untouched.
-    ///
-    /// # Errors
-    ///
-    /// Names the broken premise when the flights could not have come
-    /// from a run captured at `now`: one ends before it starts, outlasts
-    /// the longest airtime or starts after `now`, two share a `seq`, a
-    /// `seq` is not below the counter, or `start` decreases along
-    /// ascending `seq`. A ring built from such flights would stop its
-    /// walk too early or never trim its front.
+    /// untouched. Whether the flights could have come from a run is
+    /// [`Channel::check`]'s to say.
     pub(super) fn restore(
         &mut self,
         rng: SimRng,
-        slots: Vec<(u32, Option<Flight>)>,
-        free: Vec<u32>,
+        flights: Slab<Flight>,
         next_flight_seq: u64,
         active_noise: Vec<u32>,
-        now: SimTime,
-    ) -> Result<(), &'static str> {
+    ) {
         self.ring.clear();
-        let live = slots.iter().filter_map(|(_, flight)| flight.as_ref());
-        self.ring.extend(live.map(RingRow::of));
+        self.ring
+            .extend(flights.iter().map(|(_, flight)| RingRow::of(flight)));
         self.ring
             .make_contiguous()
             .sort_unstable_by_key(|row| row.seq);
+        self.rng = rng;
+        self.flights = flights;
+        self.next_flight_seq = next_flight_seq;
+        self.active_noise = active_noise;
+    }
+
+    /// The premises of the channel's state at `now`, which a resume
+    /// relies on and every sweep re-checks in debug builds: the active
+    /// noise bursts are in the table; every ring row ends after it
+    /// starts, within the longest airtime, and started by `now`; the
+    /// ring runs in launch order (strictly ascending `seq`,
+    /// non-decreasing `start`), below the flight counter; and every
+    /// live flight that can still overlap a frame in the air has its
+    /// own row. A ring that breaks them would stop its walk too early
+    /// or never trim its front. Allocation-free, like the sweep.
+    ///
+    /// # Errors
+    ///
+    /// Names the first premise that does not hold.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )]
+    pub(super) fn check(&self, now: SimTime) -> Result<(), &'static str> {
+        let bursts = self.noise_bursts.len();
+        if self.active_noise.iter().any(|&b| b as usize >= bursts) {
+            return Err("active noise burst past the table");
+        }
         for row in &self.ring {
             if row.end < row.start {
                 return Err("flight ends before it starts");
@@ -567,30 +563,27 @@ impl Channel {
                 return Err("flight outlasts the longest airtime");
             }
             if row.start > now {
-                return Err("flight starts after the snapshot instant");
+                return Err("flight starts after now");
             }
         }
         for (a, b) in self.ring.iter().zip(self.ring.iter().skip(1)) {
-            if a.seq == b.seq {
-                return Err("two flights share a sequence number");
-            }
-            if a.start > b.start {
-                return Err("flight start decreases along the sequence");
+            if a.seq >= b.seq || a.start > b.start {
+                return Err("flight ring out of launch order");
             }
         }
-        if self
-            .ring
-            .back()
-            .is_some_and(|row| row.seq >= next_flight_seq)
-        {
+        let issued = self.next_flight_seq;
+        if self.ring.back().is_some_and(|row| row.seq >= issued) {
             return Err("flight sequence number was never issued");
         }
-        self.rng = rng;
-        self.flights = Slab::from_raw_parts(slots, free);
-        self.next_flight_seq = next_flight_seq;
-        self.active_noise = active_noise;
-        #[cfg(debug_assertions)]
-        self.assert_ring_covers(now);
+        for (_, flight) in self.flights.iter() {
+            if now.saturating_since(flight.end) <= self.flight_retention {
+                let at = self.ring.binary_search_by_key(&flight.seq, |row| row.seq);
+                let row = at.ok().and_then(|i| self.ring.get(i));
+                if row != Some(&RingRow::of(flight)) {
+                    return Err("live flight missing from the flight ring");
+                }
+            }
+        }
         Ok(())
     }
 }
@@ -1039,11 +1032,7 @@ mod tests {
 
     /// A channel restored from `channel`'s checkpoint parts, its slab's
     /// live flights passed through `edit` first.
-    fn restored(
-        channel: &Channel,
-        now: SimTime,
-        edit: impl FnMut(&mut Flight),
-    ) -> Result<Channel, &'static str> {
+    fn restored(channel: &Channel, edit: impl FnMut(&mut Flight)) -> Channel {
         let (rng, next_flight_seq, active_noise) = channel.checkpoint_parts();
         let mut slots: Vec<(u32, Option<Flight>)> = channel
             .flights
@@ -1054,16 +1043,11 @@ mod tests {
             .iter_mut()
             .filter_map(|(_, f)| f.as_mut())
             .for_each(edit);
+        let free = channel.flights.free_list().to_vec();
+        let flights = Slab::from_raw_parts(slots, free).expect("the slab's own free list");
         let mut copy = ring_channel(7, channel.flight_retention, channel.max_airtime);
-        copy.restore(
-            rng.clone(),
-            slots,
-            channel.flights.free_list().to_vec(),
-            next_flight_seq,
-            active_noise.to_vec(),
-            now,
-        )?;
-        Ok(copy)
+        copy.restore(rng.clone(), flights, next_flight_seq, active_noise.to_vec());
+        copy
     }
 
     /// What the ring replaced: every live slab flight overlapping
@@ -1114,7 +1098,8 @@ mod tests {
                     channel.sweep(now);
                 }
                 if step == restore_at {
-                    channel = restored(&channel, now, |_| {}).expect("a run's own flights restore");
+                    channel = restored(&channel, |_| {});
+                    prop_assert_eq!(channel.check(now), Ok(()), "a run's own flights");
                 }
                 now += SimDuration::from_millis(pick.gen_range_u64(0, 2 * max_airtime_ms + 1));
                 pending.sort_unstable_by_key(|&(end, _)| std::cmp::Reverse(end));
@@ -1222,8 +1207,8 @@ mod tests {
         }
     }
 
-    /// Restore refuses flights a run could not have left behind, each
-    /// premise of the ring on its own.
+    /// Resume refuses flights a run could not have left behind, each
+    /// premise of [`Channel::check`] on its own.
     #[test]
     fn restore_refuses_flights_that_break_the_ring_premise() {
         let airtime = SimDuration::from_millis(400);
@@ -1233,8 +1218,8 @@ mod tests {
             launch_at(&mut channel, sender, t(at), airtime, ORIGIN);
         }
         let now = t(1_300);
-        assert!(restored(&channel, now, |_| {}).is_ok());
-        let refused = |edit: fn(&mut Flight)| restored(&channel, now, edit).err();
+        assert_eq!(restored(&channel, |_| {}).check(now), Ok(()));
+        let refused = |edit: fn(&mut Flight)| restored(&channel, edit).check(now).err();
         assert_eq!(
             refused(|f| f.end = f.start - SimDuration::from_millis(1)),
             Some("flight ends before it starts")
@@ -1248,19 +1233,26 @@ mod tests {
                 f.start = SimTime::from_millis(1_301);
                 f.end = f.start;
             }),
-            Some("flight starts after the snapshot instant")
+            Some("flight starts after now")
         );
-        assert_eq!(
-            refused(|f| f.seq = 0),
-            Some("two flights share a sequence number")
-        );
-        assert_eq!(
-            refused(|f| f.seq = 2 - f.seq),
-            Some("flight start decreases along the sequence")
-        );
+        // Two flights under one sequence number, and starts that
+        // decrease along the sequence.
+        let edits: [fn(&mut Flight); 2] = [|f| f.seq = 0, |f| f.seq = 2 - f.seq];
+        for edit in edits {
+            assert_eq!(refused(edit), Some("flight ring out of launch order"));
+        }
         assert_eq!(
             refused(|f| f.seq += 1),
             Some("flight sequence number was never issued")
         );
+        let mut short = restored(&channel, |_| {});
+        short.ring.pop_front();
+        assert_eq!(
+            short.check(now),
+            Err("live flight missing from the flight ring")
+        );
+        let mut noisy = restored(&channel, |_| {});
+        noisy.active_noise.push(0);
+        assert_eq!(noisy.check(now), Err("active noise burst past the table"));
     }
 }

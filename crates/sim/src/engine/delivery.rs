@@ -197,13 +197,33 @@ impl Delivery {
     /// bookkeeping, no observer events: the checkpoint's collector
     /// already carries the outage history, and the outage-start events
     /// fired before the snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depths` does not cover every gateway.
     pub(super) fn restore_outages(&mut self, depths: Vec<u32>) {
-        assert_eq!(depths.len(), self.gateways.len(), "outage depth count");
         self.gateway_down_depth = depths;
+    }
+
+    /// The premises of the sink side's state, which a resume relies on:
+    /// one outage depth per gateway, and the collector counting as many
+    /// outages open as there are gateways down (it counts a gateway when
+    /// it goes down and when it comes back).
+    ///
+    /// # Errors
+    ///
+    /// Names the first premise that does not hold.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )]
+    pub(super) fn check(&self) -> Result<(), &'static str> {
+        if self.gateway_down_depth.len() != self.gateways.len() {
+            return Err("gateway count mismatch");
+        }
+        let down = self.gateway_down_depth.iter().filter(|&&d| d > 0).count();
+        if self.collector.outage_depth as usize != down {
+            return Err("outage depth is not the gateways down");
+        }
+        Ok(())
     }
 }
 
@@ -214,6 +234,31 @@ mod tests {
     use crate::TrafficModel;
     use mlora_simcore::{SimDuration, SimRng};
     use proptest::prelude::*;
+
+    fn collector() -> Collector {
+        Collector::new(
+            "test".to_string(),
+            SimDuration::from_mins(10),
+            SimDuration::from_hours(1),
+            &TrafficModel::default(),
+        )
+    }
+
+    /// Each premise of [`Delivery::check`] on its own.
+    #[test]
+    fn check_refuses_depths_the_collector_does_not_count() {
+        let area = BBox::square(Point::ORIGIN, 1_000.0);
+        let mut delivery = Delivery::new(vec![Point::ORIGIN; 3], area, 500.0, collector());
+        delivery.gateway_down(1, SimTime::ZERO, &mut NullObserver);
+        assert_eq!(delivery.check(), Ok(()));
+        delivery.restore_outages(vec![0, 1]);
+        assert_eq!(delivery.check(), Err("gateway count mismatch"));
+        delivery.restore_outages(vec![1, 1, 0]);
+        assert_eq!(
+            delivery.check(),
+            Err("outage depth is not the gateways down")
+        );
+    }
 
     proptest! {
         /// The gateway query against brute force: over arbitrary layouts
@@ -248,14 +293,8 @@ mod tests {
             let mut depths: Vec<u32> = (0..count)
                 .map(|_| if pick.gen_bool(down_share) { pick.gen_range_u64(1, 3) as u32 } else { 0 })
                 .collect();
-            let collector = Collector::new(
-                "test".to_string(),
-                SimDuration::from_mins(10),
-                SimDuration::from_hours(1),
-                &TrafficModel::default(),
-            );
             let area = BBox::square(Point::ORIGIN, side);
-            let mut delivery = Delivery::new(gateways.clone(), area, range_m, collector);
+            let mut delivery = Delivery::new(gateways.clone(), area, range_m, collector());
             delivery.restore_outages(depths.clone());
             // Outages on top, and recoveries from about half of them, as
             // a plan would schedule them.

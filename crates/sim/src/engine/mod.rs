@@ -277,6 +277,7 @@ impl Engine {
             net,
             cfg.environment.d2d_range_m(),
             cfg.network.max_speed_mps,
+            cfg.traffic.profiles.len(),
         );
         let airtime = AirtimeTable::new(&cfg.phy);
         // The 2 s floor keeps the historical window at fast spreading
@@ -489,7 +490,56 @@ impl Engine {
         }
         self.queue_depth_high_water = high_water;
         self.events_processed += events_processed;
+        debug_assert_eq!(self.check(), Ok(()));
         events_processed
+    }
+
+    /// The premises of the engine's state between events: what
+    /// [`Engine::resume`] requires of a restored engine, and what every
+    /// slice re-checks in debug builds. The clock stands at or before
+    /// the horizon; the channel, the world and the sink side hold their
+    /// own premises ([`Channel::check`], [`World::check`],
+    /// [`Delivery::check`]); and each gateway is down as deep as the
+    /// disruption timeline stands at `now` — every disruption due by
+    /// then has fired, and no later one.
+    ///
+    /// # Errors
+    ///
+    /// Names the first premise that does not hold.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )]
+    fn check(&self) -> Result<(), &'static str> {
+        if self.now > self.horizon {
+            return Err("clock past the horizon");
+        }
+        self.channel.check(self.now)?;
+        self.world.check(self.now)?;
+        self.delivery.check()?;
+        // Read by instant, not by which `Disruption(i)` are still
+        // queued: a branch checkpointed by a build that appended overlay
+        // events past the original timeline queued indices that name
+        // other entries of this one — the instants are the same either
+        // way.
+        let depths = self.delivery.outage_depths();
+        let mut standing = vec![0i64; depths.len()];
+        for &(_, ev) in self.timeline.iter().filter(|&&(t, _)| t <= self.now) {
+            let (gateway, step) = match ev {
+                DisruptionEvent::GatewayDown { gateway } => (gateway, 1),
+                DisruptionEvent::GatewayUp { gateway } => (gateway, -1),
+                _ => continue,
+            };
+            if let Some(depth) = standing.get_mut(gateway as usize) {
+                *depth += step;
+            }
+        }
+        if !depths.iter().map(|&d| i64::from(d)).eq(standing) {
+            return Err("outage depth disagrees with the timeline");
+        }
+        Ok(())
     }
 
     /// The `(time, seq)` key of the next trip to depart, if any is left
@@ -886,6 +936,42 @@ mod tests {
         SimConfig::smoke_test(scheme, Environment::Urban)
             .run(1234)
             .expect("valid config")
+    }
+
+    /// The premises only the engine as a whole can judge, each broken
+    /// on its own in a run stopped mid-outage.
+    #[test]
+    fn check_refuses_a_clock_past_the_horizon_and_depths_off_the_timeline() {
+        let outage = GatewayOutage {
+            gateway: 0,
+            start: SimTime::from_secs(600),
+            duration: Some(SimDuration::from_secs(900)),
+        };
+        let cfg = Scenario::urban()
+            .smoke()
+            .disruptions(DisruptionPlan {
+                outages: vec![outage],
+                ..DisruptionPlan::default()
+            })
+            .build()
+            .unwrap();
+        let mut engine = Engine::new(cfg, 7);
+        engine.run_until(SimTime::from_secs(900));
+        assert_eq!(engine.check(), Ok(()));
+        // The outage moved to another gateway: the collector still
+        // counts one down, the timeline says which.
+        let mut depths = engine.delivery.outage_depths().to_vec();
+        assert_eq!(depths[..2], [1, 0]);
+        depths.swap(0, 1);
+        engine.delivery.restore_outages(depths.clone());
+        assert_eq!(
+            engine.check(),
+            Err("outage depth disagrees with the timeline")
+        );
+        depths.swap(0, 1);
+        engine.delivery.restore_outages(depths);
+        engine.now = engine.horizon + SimDuration::from_millis(1);
+        assert_eq!(engine.check(), Err("clock past the horizon"));
     }
 
     #[test]

@@ -41,11 +41,17 @@
 //!
 //! # Reading never panics on file content
 //!
-//! Every record is decoded through `crate::persist`, and every id the
-//! restored engine will index with is checked in
-//! [`Engine::resume_with_overlay`] against what it indexes. Clippy holds
-//! the module to it: no indexing, `unwrap`, `expect` or `panic!` outside
-//! its tests.
+//! Every record is decoded through `crate::persist`. What must hold
+//! before the engine exists — every id the restored engine will index
+//! with, checked against what it indexes, and every value a constructor
+//! would `assert!` on — is checked here as it is read. A restored part
+//! whose layout is broken is refused by its own constructor
+//! (`Slab::from_raw_parts`, `DataQueue::from_parts`,
+//! `EventQueue::from_raw_parts`). The premises that relate the parts
+//! are the engine's own: [`Engine::resume_with_overlay`] runs the
+//! engine's `check` last, the one a debug build runs after every slice.
+//! Clippy holds the module and every `check` to it: no indexing,
+//! `unwrap`, `expect` or `panic!` outside their tests.
 #![deny(
     clippy::indexing_slicing,
     clippy::unwrap_used,
@@ -54,7 +60,6 @@
 )]
 
 use std::io::{Read, Write};
-use std::mem::replace;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
@@ -66,7 +71,7 @@ use mlora_geo::Point;
 use mlora_mac::{AppMessage, DataQueue, DutyCycleTracker, Priority, RetransmitPolicy, UplinkFrame};
 use mlora_scenario_io::{Enc, ScenarioIoError, ScenarioReader, ScenarioWriter};
 use mlora_simcore::stats::{TimeSeries, Welford};
-use mlora_simcore::{DenseMap, EventQueue, MessageId, NodeId, SimRng, SimTime};
+use mlora_simcore::{DenseMap, EventQueue, MessageId, NodeId, SimRng, SimTime, Slab};
 
 use super::channel::Flight;
 use super::world::{Device, DeviceHot, DeviceTraffic};
@@ -76,9 +81,7 @@ use crate::persist::{
     ensure, persist_struct, put_slice, read_record, read_records, reserved, write_record,
     write_records, Persist,
 };
-use crate::{
-    DisruptionEvent, DisruptionPlan, ProfileReport, ScenarioFileError, SimConfig, SimReport,
-};
+use crate::{DisruptionPlan, ProfileReport, ScenarioFileError, SimConfig, SimReport};
 
 /// The four magic bytes every engine snapshot starts with — the `.mlss`
 /// sibling of the scenario format's `MLSC`.
@@ -473,8 +476,9 @@ impl Engine {
     /// resumes to the branch.
     ///
     /// Every value the restored engine will index with — device ids in
-    /// events, handovers, flights and withdrawals, timeline and table
-    /// indices, message ids — is checked here against what it indexes,
+    /// events, handovers, flights and withdrawals, timeline indices,
+    /// message ids — is checked against what it indexes as it is read,
+    /// and the restored engine must then pass the engine's own `check`,
     /// so a file that resumes also runs.
     ///
     /// # Errors
@@ -530,8 +534,6 @@ impl Engine {
         };
 
         let mut engine = Engine::new(cfg, header.seed);
-        // An engine never steps past its horizon.
-        ensure(header.now <= engine.horizon, "captured past the horizon")?;
         // Engine::new compiled the *merged* plan, which interleaves
         // overlay events among the originals by time, and the restored
         // `Disruption(i)` name entries of the original plan's compiled
@@ -662,8 +664,7 @@ impl Engine {
         }
 
         // The flight slab: slots verbatim (vacant included), then the
-        // free list, which may name each vacant slot once and nothing
-        // else.
+        // free list.
         let n = expect_section(&mut r, SEC_FLIGHT_SLOTS, "snapshot flight slots")?;
         let slots: Vec<(u32, Option<Flight>)> = read_records(&mut r, n)?;
         for flight in slots.iter().filter_map(|(_, flight)| flight.as_ref()) {
@@ -675,71 +676,22 @@ impl Engine {
         }
         let n = expect_section(&mut r, SEC_FLIGHT_FREE, "snapshot flight free list")?;
         let free: Vec<u32> = read_records(&mut r, n)?;
-        let mut vacant: Vec<bool> = slots.iter().map(|(_, flight)| flight.is_none()).collect();
-        for &i in &free {
-            // A listed slot is struck off: naming it twice fails too.
-            let listed = vacant
-                .get_mut(i as usize)
-                .is_some_and(|v| replace(v, false));
-            ensure(listed, "free list names no vacant slot")?;
-        }
+        let flights = Slab::from_raw_parts(slots, free)
+            .ok_or(ScenarioIoError::Corrupt("free list names no vacant slot"))?;
 
         // RNG streams and runtime scalars.
         expect_section(&mut r, SEC_STREAMS, "snapshot streams")?;
-        let (channel_rng, next_flight_seq, active_noise): (SimRng, u64, Vec<u32>) =
-            read_record(&mut r)?;
-        let bursts = engine.cfg.disruptions.noise_bursts.len();
-        let listed = active_noise.iter().all(|&burst| (burst as usize) < bursts);
-        ensure(listed, "active noise burst past the table")?;
-        // The flight ring is rebuilt from the slab, on the premises
-        // `Channel::restore` names.
+        let (channel_rng, next_flight_seq, active_noise) = read_record(&mut r)?;
         engine
             .channel
-            .restore(
-                channel_rng,
-                slots,
-                free,
-                next_flight_seq,
-                active_noise,
-                header.now,
-            )
-            .map_err(ScenarioIoError::Corrupt)?;
+            .restore(channel_rng, flights, next_flight_seq, active_noise);
         engine.disruption_rng = Persist::get(&mut r)?;
         engine.traffic_root = Persist::get(&mut r)?;
-        // A sweep schedules the next one a period ahead, so a later due
-        // instant names a sweep after `now`, and the restored queries
-        // would pad by less than the drift since the real one.
-        let sweep_due: SimTime = Persist::get(&mut r)?;
-        let due_in_time = sweep_due <= header.now + engine.world.sweep_period();
-        ensure(due_in_time, "drift sweep due past one period")?;
-        engine.world.restore_runtime(sweep_due);
+        engine.world.restore_runtime(Persist::get(&mut r)?);
 
         // Gateway outage depths, restored silently: no collector or observer events.
         expect_section(&mut r, SEC_DELIVERY, "snapshot delivery")?;
-        let depths: Vec<u32> = read_record(&mut r)?;
-        let every_gateway = depths.len() == engine.delivery.gateways().len();
-        ensure(every_gateway, "gateway count mismatch")?;
-        // Every disruption due by `now` has fired and no later one, so
-        // the timeline says how deep each gateway's outages stand. Read
-        // by instant, not by which `Disruption(i)` are still queued: a
-        // branch checkpointed by a build that appended overlay events
-        // past the original timeline queued indices that name other
-        // entries of this one — the instants are the same either way.
-        let mut standing = vec![0i64; depths.len()];
-        for &(_, ev) in engine.timeline.iter().filter(|&&(t, _)| t <= header.now) {
-            let (gateway, step) = match ev {
-                DisruptionEvent::GatewayDown { gateway } => (gateway, 1),
-                DisruptionEvent::GatewayUp { gateway } => (gateway, -1),
-                _ => continue,
-            };
-            if let Some(depth) = standing.get_mut(gateway as usize) {
-                *depth += step;
-            }
-        }
-        let on_the_timeline = depths.iter().map(|&d| i64::from(d)).eq(standing);
-        ensure(on_the_timeline, "outage depth disagrees with the timeline")?;
-        let down = depths.iter().filter(|&&depth| depth > 0).count();
-        engine.delivery.restore_outages(depths);
+        engine.delivery.restore_outages(read_record(&mut r)?);
 
         // The mid-run collector, wholesale (fields in wire order).
         expect_section(&mut r, SEC_COLLECTOR, "snapshot collector")?;
@@ -752,13 +704,11 @@ impl Engine {
             outage_since: Persist::get(&mut r)?,
             outage_generated: get_map(&mut r, &limits)?,
         };
-        // The collector counts a gateway when it goes down and when it
-        // comes back, so the two sections agree on how many are down.
-        let agreed = engine.delivery.collector.outage_depth as usize == down;
-        ensure(agreed, "outage depth is not the gateways down")?;
 
         ensure(r.next_section()?.is_none(), "unexpected trailing section")?;
-
+        // The premises that relate the restored parts are the engine's
+        // own, checked as every debug slice checks them.
+        engine.check().map_err(ScenarioIoError::Corrupt)?;
         Ok(engine)
     }
 }
@@ -1019,18 +969,13 @@ fn get_device<R: Read>(
             cfg.alpha,
         );
     ensure(constants, "device constants are not the scenario's")?;
-    let queue =
-        messages.len() <= capacity && messages.is_sorted_by(|a, b| a.priority >= b.priority);
-    ensure(queue, "device queue over capacity or out of order")?;
     limits.messages(&messages)?;
     if let Some((target, _)) = pending_handover {
         limits.device(target)?;
     }
-    let profiles = cfg.traffic.profiles.len();
-    let profile = traffic
-        .as_ref()
-        .is_none_or(|t| (t.profile as usize) < profiles);
-    ensure(profile, "traffic profile past the mix")?;
+    let queue = DataQueue::from_parts(capacity, dropped, messages).ok_or(
+        ScenarioIoError::Corrupt("device queue over capacity or out of order"),
+    )?;
 
     let tracker = ContactTracker::from_raw_parts(last_success, in_contact, successes, failures);
     let ewma = Ewma::from_raw_parts(alpha, ewma_value);
@@ -1043,7 +988,7 @@ fn get_device<R: Read>(
         Device {
             activated_at,
             retired_at,
-            queue: DataQueue::from_parts(capacity, dropped, messages),
+            queue,
             duty: DutyCycleTracker::from_raw_parts(
                 duty_cycle,
                 next_allowed,
@@ -1161,8 +1106,8 @@ mod tests {
         let mut engine = Engine::new(cfg(), 7);
         engine.run_until(SimTime::from_secs(900));
         let honest = engine.snapshot().expect("snapshot");
-        let period = engine.world.sweep_period();
         let due = engine.world.grid_refresh_due();
+        let period = due - engine.world.last_sweep();
         assert!(due <= engine.now + period);
         engine
             .world

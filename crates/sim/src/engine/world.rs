@@ -213,6 +213,9 @@ pub(super) struct World {
     grid_refresh_every: SimDuration,
     /// The fleet's top service speed, which bounds drift since a sweep.
     max_speed_mps: f64,
+    /// How many profiles the scenario's traffic mix holds: what a
+    /// device's [`DeviceTraffic::profile`] may name.
+    profiles: usize,
     /// Host telemetry for [`EngineStats`](super::EngineStats), never
     /// checkpointed: cell-list entries screened, exact positions
     /// located and candidates found by neighbour queries.
@@ -229,11 +232,13 @@ pub(super) struct World {
 impl World {
     /// Builds the world over a generated bus network. `d2d_range_m` is
     /// the neighbour queries' radius and sizes their cells (at least
-    /// 200 m); `max_speed_mps` paces the drift sweep.
+    /// 200 m); `max_speed_mps` paces the drift sweep; `profiles` is the
+    /// size of the traffic mix.
     pub(super) fn new(
         net: Arc<mlora_mobility::BusNetwork>,
         d2d_range_m: f64,
         max_speed_mps: f64,
+        profiles: usize,
     ) -> Self {
         let num_trips = net.trips().len();
         // Sweep early enough that drift at the fastest service speed stays
@@ -248,6 +253,7 @@ impl World {
             grid_refresh_due: SimTime::ZERO,
             grid_refresh_every,
             max_speed_mps,
+            profiles,
             grid_entries: 0,
             positions_located: 0,
             candidates: 0,
@@ -286,11 +292,6 @@ impl World {
         self.grid_refresh_due - self.grid_refresh_every
     }
 
-    /// How far ahead a drift sweep schedules the next one.
-    pub(super) fn sweep_period(&self) -> SimDuration {
-        self.grid_refresh_every
-    }
-
     /// The most any device can have moved from its filed position by
     /// `now`: the drift possible since the last sweep at the fleet's top
     /// speed, plus a metre of rounding slack.
@@ -304,8 +305,7 @@ impl World {
         if now < self.grid_refresh_due {
             return;
         }
-        #[cfg(debug_assertions)]
-        self.assert_filed_as_active();
+        debug_assert_eq!(self.check(now), Ok(()));
         let drift = self.drift_bound(now);
         self.grid_refresh_due = now + self.grid_refresh_every;
         let World {
@@ -329,22 +329,42 @@ impl World {
         }));
     }
 
-    /// Runtime invariant (ROADMAP 2(3)): the cell list files exactly the
+    /// The premises of the world's state at `now`, which a resume
+    /// relies on and every drift sweep re-checks in debug builds: the
+    /// next sweep is due within one period, so the queries' drift pad
+    /// covers the drift since the last one; every device's traffic
+    /// profile is in the mix; and the cell list files exactly the
     /// active set, each device at its `grid_pos`.
-    #[cfg(debug_assertions)]
-    fn assert_filed_as_active(&self) {
-        let mut filed: Vec<(u32, Point)> = self.cells.iter().collect();
-        filed.sort_unstable_by_key(|&(id, _)| id);
-        let expected = self.active.iter().map(|&n| {
-            (
-                n.raw(),
-                self.devices.get(n).expect("active device exists").grid_pos,
-            )
-        });
-        assert!(
-            filed.iter().copied().eq(expected),
-            "cell list membership differs from the active set"
-        );
+    ///
+    /// # Errors
+    ///
+    /// Names the first premise that does not hold.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )]
+    pub(super) fn check(&self, now: SimTime) -> Result<(), &'static str> {
+        if self.grid_refresh_due > now + self.grid_refresh_every {
+            return Err("drift sweep due past one period");
+        }
+        let profiles = self.profiles;
+        let mut traffic = self.devices.values().filter_map(|dev| dev.traffic.as_ref());
+        if traffic.any(|t| t.profile as usize >= profiles) {
+            return Err("traffic profile past the mix");
+        }
+        // `active` holds each id once, so equal counts and every active
+        // device filed where it should be leave no other entry.
+        let filed = self.cells.len() == self.active.len()
+            && self.active.iter().all(|&n| {
+                let grid_pos = self.devices.get(n).map(|dev| dev.grid_pos);
+                grid_pos.is_some() && self.cells.get(n.raw()) == grid_pos
+            });
+        if !filed {
+            return Err("cell list membership differs from the active set");
+        }
+        Ok(())
     }
 
     /// Writes `(id, exact position)` of every active device other than
@@ -522,7 +542,56 @@ impl World {
             let dev = devices.get(n).expect("active device exists");
             (n.raw(), dev.grid_pos)
         }));
-        #[cfg(debug_assertions)]
-        self.assert_filed_as_active();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::Engine;
+    use crate::{Scenario, TrafficModel, TrafficProfile};
+
+    /// Each premise of [`World::check`] on its own, broken in the world
+    /// of a run under a two-profile mix.
+    #[test]
+    fn check_refuses_each_broken_premise() {
+        let cfg = Scenario::urban()
+            .smoke()
+            .traffic(TrafficModel::mix([
+                TrafficProfile::telemetry(),
+                TrafficProfile::alerts(),
+            ]))
+            .build()
+            .unwrap();
+        let mut engine = Engine::new(cfg, 7);
+        engine.run_until(SimTime::from_secs(3_600));
+        let (now, world) = (engine.now, &mut engine.world);
+        assert_eq!(world.check(now), Ok(()));
+
+        let due = world.grid_refresh_due;
+        world.grid_refresh_due = now + world.grid_refresh_every + SimDuration::from_millis(1);
+        assert_eq!(world.check(now), Err("drift sweep due past one period"));
+        world.grid_refresh_due = due;
+
+        // A retired row counts as much as an active one.
+        let (retired, _) = world
+            .devices
+            .iter()
+            .find(|(_, d)| d.retired_at.is_some())
+            .unwrap();
+        let set_profile = |world: &mut World, profile| {
+            let row = world.devices.get_mut(NodeId::new(retired as u32)).unwrap();
+            row.traffic.as_mut().unwrap().profile = profile;
+        };
+        set_profile(world, 2);
+        assert_eq!(world.check(now), Err("traffic profile past the mix"));
+        set_profile(world, 0);
+
+        let filed = world.active[0].raw();
+        assert!(world.cells.remove(filed));
+        assert_eq!(
+            world.check(now),
+            Err("cell list membership differs from the active set")
+        );
     }
 }

@@ -246,13 +246,10 @@ impl<T> Slab<T> {
     }
 
     /// Rebuilds a slab from state captured by [`Slab::raw_slots`] and
-    /// [`Slab::free_list`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a free-list index is out of range or points at an
-    /// occupied slot.
-    pub fn from_raw_parts(slots: Vec<(u32, Option<T>)>, free: Vec<u32>) -> Self {
+    /// [`Slab::free_list`], or `None` when `free` names a slot that is
+    /// occupied or missing, or names one slot twice: such a list would
+    /// hand a live slot, or one slot to two values, to later inserts.
+    pub fn from_raw_parts(slots: Vec<(u32, Option<T>)>, free: Vec<u32>) -> Option<Self> {
         let mut len = 0;
         let entries: Vec<Entry<T>> = slots
             .into_iter()
@@ -264,13 +261,17 @@ impl<T> Slab<T> {
                 None => Entry::Vacant { generation },
             })
             .collect();
-        for &index in &free {
-            assert!(
-                matches!(entries.get(index as usize), Some(Entry::Vacant { .. })),
-                "free-list entry {index} does not name a vacant slot"
-            );
-        }
-        Slab { entries, free, len }
+        // A listed slot is struck off: naming it again finds it taken.
+        let mut unlisted: Vec<bool> = entries
+            .iter()
+            .map(|entry| matches!(entry, Entry::Vacant { .. }))
+            .collect();
+        let distinct_vacant = free.iter().all(|&index| {
+            unlisted
+                .get_mut(index as usize)
+                .is_some_and(|v| std::mem::replace(v, false))
+        });
+        distinct_vacant.then_some(Slab { entries, free, len })
     }
 
     /// Keeps only the values for which `keep` returns true, visiting
@@ -499,6 +500,25 @@ mod tests {
         let before = slab.entries.len();
         slab.insert(100);
         assert_eq!(slab.entries.len(), before);
+    }
+
+    #[test]
+    fn from_raw_parts_refuses_a_free_list_that_names_no_distinct_vacant_slot() {
+        let mut slab = Slab::new();
+        let keys: Vec<_> = (0..3).map(|i| slab.insert(i)).collect();
+        slab.remove(keys[1]).unwrap();
+        let slots = || -> Vec<(u32, Option<i32>)> {
+            slab.raw_slots().map(|(g, v)| (g, v.copied())).collect()
+        };
+        // Slot 1 twice: the second recycling insert would find it taken.
+        assert!(Slab::from_raw_parts(slots(), vec![1, 1]).is_none());
+        // An occupied slot, and one past the end.
+        assert!(Slab::from_raw_parts(slots(), vec![0]).is_none());
+        assert!(Slab::from_raw_parts(slots(), vec![3]).is_none());
+        // The captured list rebuilds a slab that hands out the same key.
+        let mut rebuilt = Slab::from_raw_parts(slots(), slab.free_list().to_vec()).unwrap();
+        assert_eq!(rebuilt.len(), 2);
+        assert_eq!(rebuilt.insert(7), slab.insert(7));
     }
 
     #[test]

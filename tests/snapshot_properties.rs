@@ -76,33 +76,47 @@ fn config(scheme_idx: u32, with_traffic: bool, with_disruptions: bool) -> SimCon
 }
 
 proptest! {
-    /// The tentpole property: snapshot at an arbitrary event boundary,
-    /// restore, run to the horizon — bit-identical to the uninterrupted
-    /// run, for every scheme, with traffic and disruptions active.
-    /// Taking the snapshot must also leave the running engine
-    /// unperturbed.
+    /// The tentpole property: step in one to five slices, ending at
+    /// arbitrary instants, and checkpoint at every slice boundary; each
+    /// checkpoint restores and runs to the horizon bit-identically to
+    /// the uninterrupted run, for every scheme, with traffic and
+    /// disruptions active. Taking the snapshots must also leave the
+    /// running engine unperturbed.
     #[test]
     fn resume_is_bit_identical_to_the_uninterrupted_run(
         scheme_idx in 0u32..4,
         seed in 0u64..1_000,
         snap_frac in 0.05f64..0.95,
+        more_fracs in proptest::collection::vec(0.05f64..0.95, 0..5),
         with_traffic in proptest::bool::ANY,
         with_disruptions in proptest::bool::ANY,
     ) {
         let cfg = config(scheme_idx, with_traffic, with_disruptions);
         let baseline = Engine::new(cfg.clone(), seed).run();
 
-        let snap_t = SimTime::from_secs((HORIZON_S as f64 * snap_frac) as u64);
+        let mut cuts: Vec<SimTime> = std::iter::once(snap_frac)
+            .chain(more_fracs)
+            .map(|frac| SimTime::from_secs((HORIZON_S as f64 * frac) as u64))
+            .collect();
+        cuts.sort_unstable();
         let mut engine = Engine::new(cfg, seed);
-        engine.run_until(snap_t);
-        let snap = engine.snapshot().expect("snapshot mid-run");
+        let snaps: Vec<Snapshot> = cuts
+            .iter()
+            .map(|&cut| {
+                engine.run_until(cut);
+                engine.snapshot().expect("snapshot mid-run")
+            })
+            .collect();
 
         // The snapshotted engine keeps running unperturbed...
         prop_assert_eq!(engine.finish(), baseline.clone());
-        // ...and the resumed copy reproduces the identical report, even
+        // ...and every resumed copy reproduces the identical report, even
         // after a serialization round trip through raw bytes.
-        let reloaded = Snapshot::from_bytes(snap.as_bytes().to_vec()).expect("reload");
-        prop_assert_eq!(Engine::resume(&reloaded).expect("resume").finish(), baseline);
+        for (cut, snap) in cuts.iter().zip(&snaps) {
+            let reloaded = Snapshot::from_bytes(snap.as_bytes().to_vec()).expect("reload");
+            let resumed = Engine::resume(&reloaded).expect("resume").finish();
+            prop_assert_eq!(resumed, baseline.clone(), "checkpoint at {}", cut);
+        }
     }
 }
 
