@@ -3,7 +3,11 @@
 use mlora_phy::{CapacityModel, Rssi};
 use mlora_simcore::{NodeId, SimTime};
 
-use crate::{CaEtxEstimator, DonorLedger, ForwardingPolicy, PolicyContext, RcaEtxEstimator, Rgq};
+use mlora_mac::MAX_BUNDLE;
+
+use crate::{
+    CaEtxEstimator, DonorLedger, ForwardingPolicy, PolicyContext, RcaEtxEstimator, Rgq, PACKET_BITS,
+};
 
 /// The three data-forwarding schemes the paper evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,44 +76,37 @@ pub enum ForwardDecision {
     Forward {
         /// The opportunistic next hop.
         target: NodeId,
-        /// Messages to transfer (bounded by the frame bundle limit).
+        /// Messages to transfer (bounded by the backlog and by
+        /// [`MAX_BUNDLE`]).
         count: usize,
     },
 }
 
-/// Static configuration shared by every device's [`RoutingState`].
+/// What a scenario sets for every device's [`RoutingState`]. The rest
+/// is fixed: frames of [`PACKET_BITS`], the [`Rgq::PAPER`] bounds, and
+/// handovers of at most [`MAX_BUNDLE`] messages.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutingConfig {
     /// EWMA smoothing factor α of Eq. 4 (paper evaluation: 0.5).
     pub alpha: f64,
-    /// Frame size used to convert capacities into packet service times,
-    /// bits.
-    pub packet_bits: f64,
-    /// RGQ stability bounds.
-    pub rgq: Rgq,
     /// The Eq. 5 RSSI→capacity map.
     pub capacity: CapacityModel,
-    /// Most messages movable in one handover frame.
-    pub max_bundle: usize,
 }
 
 impl RoutingConfig {
-    /// The paper's evaluation setting: α = 0.5, 255-byte frames, default
-    /// RGQ bounds and capacity map, 12-message bundles.
+    /// The paper's evaluation setting: α = 0.5 and the default capacity
+    /// map.
     pub fn paper_default() -> Self {
         RoutingConfig {
             alpha: 0.5,
-            packet_bits: 255.0 * 8.0,
-            rgq: Rgq::paper_default(),
             capacity: CapacityModel::paper_default(),
-            max_bundle: mlora_mac::MAX_BUNDLE,
         }
     }
 }
 
-/// One device's complete routing brain: the RCA-ETX estimator, the RGQ
-/// bounds, the ROBC donor ledger, and the pluggable
-/// [`ForwardingPolicy`] the decisions dispatch through.
+/// One device's complete routing brain: the RCA-ETX and CA-ETX
+/// estimators, the ROBC donor ledger, and the pluggable
+/// [`ForwardingPolicy`] whose hooks its decisions call.
 ///
 /// [`RoutingState::new`] plugs in any policy — a paper scheme's
 /// ([`Scheme::policy`]) or a user-defined one. The shared machinery
@@ -123,10 +120,13 @@ impl RoutingConfig {
 ///   attempt (success or failure) — updates the metric and clears the
 ///   anti-loop ledger (a sink-forwarding opportunity occurred);
 /// * [`RoutingState::on_received_data`] when accepting a handover;
-/// * [`RoutingState::decide`] when overhearing a neighbour's beacon.
+/// * [`RoutingState::decide`] when overhearing a neighbour's beacon —
+///   the one place the policy's predicate and amount are composed into
+///   a [`ForwardDecision`].
 #[derive(Debug)]
 pub struct RoutingState {
-    config: RoutingConfig,
+    /// The scenario's capacity map; `alpha` lives in the estimator.
+    capacity: CapacityModel,
     estimator: RcaEtxEstimator,
     ca_estimator: CaEtxEstimator,
     ledger: DonorLedger,
@@ -136,7 +136,7 @@ pub struct RoutingState {
 impl Clone for RoutingState {
     fn clone(&self) -> Self {
         RoutingState {
-            config: self.config,
+            capacity: self.capacity,
             estimator: self.estimator,
             ca_estimator: self.ca_estimator,
             ledger: self.ledger.clone(),
@@ -150,17 +150,12 @@ impl RoutingState {
     /// `config`.
     pub fn new(config: RoutingConfig, policy: Box<dyn ForwardingPolicy>) -> Self {
         RoutingState {
-            estimator: RcaEtxEstimator::new(config.alpha, config.packet_bits),
-            ca_estimator: CaEtxEstimator::new(config.packet_bits),
+            estimator: RcaEtxEstimator::new(config.alpha, PACKET_BITS),
+            ca_estimator: CaEtxEstimator::new(PACKET_BITS),
             ledger: DonorLedger::new(),
             policy,
-            config,
+            capacity: config.capacity,
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &RoutingConfig {
-        &self.config
     }
 
     /// The active forwarding policy.
@@ -188,25 +183,12 @@ impl RoutingState {
         ledger: DonorLedger,
     ) -> Self {
         RoutingState {
-            config,
+            capacity: config.capacity,
             estimator,
             ca_estimator,
             ledger,
             policy,
         }
-    }
-
-    /// The context view policies receive, for the given hook inputs.
-    fn ctx(&self, now: SimTime, wait_s: f64, queue_len: usize) -> PolicyContext<'_> {
-        PolicyContext::new(
-            now,
-            wait_s,
-            queue_len,
-            &self.config,
-            &self.estimator,
-            &self.ca_estimator,
-            &self.ledger,
-        )
     }
 
     /// Records the outcome of a device-to-sink slot: `capacity_bps` is
@@ -229,67 +211,48 @@ impl RoutingState {
         self.policy.on_received_data(donor);
     }
 
-    /// The device's current node-to-sink RCA-ETX, seconds.
-    pub fn rca_etx(&self) -> f64 {
-        self.estimator.rca_etx()
-    }
-
-    /// The device's CA-ETX comparator value (§III.C), seconds.
-    pub fn ca_etx(&self) -> f64 {
-        self.ca_estimator.ca_etx()
-    }
-
     /// The metric this device piggybacks on its uplinks, as chosen by
     /// the policy's [`beacon_metric`](ForwardingPolicy::beacon_metric)
     /// hook: CA-ETX under [`Scheme::CaEtx`], RCA-ETX for the other
-    /// built-ins.
-    ///
-    /// Beacons are composed at the device's own uplink slot — the
-    /// committed metric, no real-time preview — so the hook context
-    /// carries no meaningful `now`. Embedders with the current time at
-    /// hand (the engine) call [`RoutingState::beacon_metric_at`].
-    pub fn beacon_metric(&self) -> f64 {
-        self.beacon_metric_at(SimTime::ZERO, 0)
-    }
-
-    /// The beacon metric with the full hook context: `now` is the
-    /// composition time and `queue_len` the device's backlog, for
-    /// policies whose beaconed metric is time- or queue-dependent.
+    /// built-ins. `now` is the composition time and `queue_len` the
+    /// device's backlog, for policies whose beaconed metric is time- or
+    /// queue-dependent.
     pub fn beacon_metric_at(&self, now: SimTime, queue_len: usize) -> f64 {
-        self.policy.beacon_metric(&self.ctx(now, 0.0, queue_len))
+        self.policy.beacon_metric(&PolicyContext::new(
+            now,
+            0.0,
+            queue_len,
+            &self.capacity,
+            &self.estimator,
+            &self.ca_estimator,
+            &self.ledger,
+        ))
     }
 
-    /// The node-to-sink metric previewed at `now`
-    /// (see [`RcaEtxEstimator::rca_etx_at`]): Eq. 1 and Eq. 10 are
-    /// evaluated against real time, so a disconnection gap that has grown
-    /// since the last slot raises the device's own cost.
-    pub fn rca_etx_at(&self, now: SimTime, wait_s: f64) -> f64 {
-        self.estimator.rca_etx_at(now, wait_s)
-    }
-
-    /// The device's bounded gateway quality φ.
-    pub fn phi(&self) -> f64 {
-        self.config.rgq.phi(self.rca_etx())
+    /// The device's committed bounded gateway quality φ.
+    fn phi(&self) -> f64 {
+        Rgq::PAPER.phi(self.estimator.rca_etx())
     }
 
     /// The Eq. 11 receive-window fraction for Queue-based Class-A.
     pub fn gamma(&self, queue_len: usize, queue_max: usize) -> f64 {
         mlora_mac::queue_based_window_fraction(
             self.phi(),
-            self.config.rgq.phi_max(),
+            Rgq::PAPER.phi_max(),
             queue_len,
             queue_max,
         )
     }
 
-    /// True if the anti-loop ledger currently bars `node` as a target.
-    pub fn is_barred(&self, node: NodeId) -> bool {
-        self.ledger.is_barred(node)
-    }
-
-    /// Decides whether to hand queued data to the beacon's sender, by
-    /// dispatching to the policy's [`decide`](ForwardingPolicy::decide)
-    /// hook.
+    /// Decides whether to hand queued data to the beacon's sender. This
+    /// is the one composition of the policy's hooks:
+    ///
+    /// * an empty queue keeps, and no hook is called;
+    /// * otherwise [`forwards`](ForwardingPolicy::forwards) gates the
+    ///   handover;
+    /// * [`transfer_amount`](ForwardingPolicy::transfer_amount) sizes
+    ///   it, capped at the backlog and at [`MAX_BUNDLE`];
+    /// * a zero amount keeps.
     ///
     /// `now` and `wait_s` (the duty-cycle wait an immediate transmission
     /// would face) feed the real-time metric preview; `queue_len` is the
@@ -307,8 +270,11 @@ impl RoutingState {
         beacon: &Beacon,
         rssi: impl Into<Rssi<'r>>,
     ) -> ForwardDecision {
+        if queue_len == 0 {
+            return ForwardDecision::Keep;
+        }
         let RoutingState {
-            config,
+            capacity,
             estimator,
             ca_estimator,
             ledger,
@@ -318,12 +284,26 @@ impl RoutingState {
             now,
             wait_s,
             queue_len,
-            config,
+            capacity,
             estimator,
             ca_estimator,
             ledger,
         );
-        policy.decide(&ctx, beacon, rssi.into())
+        if !policy.forwards(&ctx, beacon, rssi.into()) {
+            return ForwardDecision::Keep;
+        }
+        let count = policy
+            .transfer_amount(&ctx, beacon)
+            .min(queue_len)
+            .min(MAX_BUNDLE);
+        if count == 0 {
+            ForwardDecision::Keep
+        } else {
+            ForwardDecision::Forward {
+                target: beacon.sender,
+                count,
+            }
+        }
     }
 }
 
@@ -476,6 +456,71 @@ mod tests {
             s.decide(SimTime::from_secs(1260), 0.0, 10, &beacon, -85.0),
             ForwardDecision::Forward { .. }
         ));
+    }
+
+    #[test]
+    fn default_decide_composes_predicate_and_amount() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Arc;
+
+        /// Forwards a fixed amount to anyone, counting its predicate calls.
+        #[derive(Debug, Clone)]
+        struct Fixed {
+            amount: usize,
+            asked: Arc<AtomicU32>,
+        }
+        impl ForwardingPolicy for Fixed {
+            fn label(&self) -> &str {
+                "fixed"
+            }
+            fn clone_box(&self) -> Box<dyn ForwardingPolicy> {
+                Box::new(self.clone())
+            }
+            fn forwards(
+                &mut self,
+                _ctx: &PolicyContext<'_>,
+                _beacon: &Beacon,
+                _rssi: Rssi<'_>,
+            ) -> bool {
+                self.asked.fetch_add(1, Ordering::Relaxed);
+                true
+            }
+            fn transfer_amount(&self, _ctx: &PolicyContext<'_>, _beacon: &Beacon) -> usize {
+                self.amount
+            }
+        }
+        let beacon = Beacon {
+            sender: NodeId::new(9),
+            rca_etx: 1.0,
+            queue_len: 0,
+        };
+        let forward = |count| ForwardDecision::Forward {
+            target: NodeId::new(9),
+            count,
+        };
+        for (amount, queue_len, expected, asked) in [
+            // An empty queue keeps before the predicate is asked.
+            (2, 0, ForwardDecision::Keep, 0),
+            (2, 10, forward(2), 1),
+            // Never more than the backlog, never more than one bundle.
+            (5, 3, forward(3), 1),
+            (40, 30, forward(MAX_BUNDLE), 1),
+            // A zero amount keeps.
+            (0, 10, ForwardDecision::Keep, 1),
+        ] {
+            let policy = Fixed {
+                amount,
+                asked: Arc::default(),
+            };
+            let calls = Arc::clone(&policy.asked);
+            let mut state = RoutingState::new(RoutingConfig::paper_default(), Box::new(policy));
+            assert_eq!(
+                state.decide(SimTime::ZERO, 0.0, queue_len, &beacon, -80.0),
+                expected,
+                "amount {amount}, backlog {queue_len}"
+            );
+            assert_eq!(calls.load(Ordering::Relaxed), asked);
+        }
     }
 
     #[test]

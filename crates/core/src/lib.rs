@@ -10,19 +10,21 @@
 //! * [`RcaEtxEstimator`] — combines the two into the node-to-sink metric
 //!   `RCA-ETX_{x,S}(t) = E[µ′_{x,S}(t)]`.
 //! * [`link_rca_etx`] — the device-to-device metric of Eq. 6 over the
-//!   Eq. 5 RSSI→capacity map.
+//!   Eq. 5 RSSI→capacity map, for frames of [`PACKET_BITS`].
 //! * [`greedy_forward_rule`] — the handover predicate of Eq. 1.
 //! * [`Rgq`] — real-time gateway quality `φ = 1/RCA-ETX` with the
-//!   stability bounds of §V.B.1.
+//!   stability bounds of §V.B.1 ([`Rgq::PAPER`] on every device).
 //! * [`robc_weight`] / [`robc_transfer_amount`] — Eq. 10 and the partial
 //!   transfer `δ = Qx − Qy·φx/φy`.
 //! * [`DonorLedger`] — the §V.B.2 anti-loop rule.
 //! * [`ForwardingPolicy`] — the open, object-safe forwarding-strategy
-//!   layer every decision dispatches through, with the paper schemes as
-//!   built-in policies and [`PolicySpec`] as their configuration-level
-//!   handle.
+//!   layer: the hooks a scheme differs in (its predicate, its transfer
+//!   amount, its beaconed metric), with the paper schemes as built-in
+//!   policies and [`PolicySpec`] as their configuration-level handle.
 //! * [`RoutingState`] + [`Scheme`] — one device's complete routing brain;
-//!   `Scheme` is a thin constructor over the built-in policies.
+//!   [`RoutingState::decide`] is the one place a policy's hooks become a
+//!   [`ForwardDecision`], and `Scheme` is a thin constructor over the
+//!   built-in policies.
 //! * [`CaEtxEstimator`] — the prior-work CA-ETX comparator of §III.C,
 //!   exposing the staleness problem RCA-ETX fixes.
 
@@ -42,7 +44,9 @@ pub use ca_etx::CaEtxEstimator;
 pub use contact::{ContactTracker, RcaEtxEstimator};
 pub use ewma::Ewma;
 pub use forwarding::{Beacon, ForwardDecision, RoutingConfig, RoutingState, Scheme};
-pub use metric::{greedy_forward_rule, link_rca_etx, packet_service_time, RCA_ETX_CEILING};
+pub use metric::{
+    greedy_forward_rule, link_rca_etx, packet_service_time, PACKET_BITS, RCA_ETX_CEILING,
+};
 /// The deferred received-strength value [`ForwardingPolicy`] hooks take.
 pub use mlora_phy::Rssi;
 pub use policy::{

@@ -9,6 +9,14 @@ use mlora_phy::CapacityModel;
 /// (`0 < φ_min ≤ φ ≤ φ_max < ∞`).
 pub const RCA_ETX_CEILING: f64 = 1.0e6;
 
+/// The frame size every device's metrics are normalised to, bits: a full
+/// uplink bundle (header, routing metadata and
+/// [`MAX_BUNDLE`](mlora_mac::MAX_BUNDLE) application messages, 255 bytes).
+pub const PACKET_BITS: f64 = ((mlora_mac::FRAME_HEADER_BYTES
+    + mlora_mac::METADATA_BYTES
+    + mlora_mac::MAX_BUNDLE * mlora_mac::APP_MESSAGE_BYTES)
+    * 8) as f64;
+
 /// Time to push one packet of `packet_bits` through a link of
 /// `capacity_bps` — the `1/c` term of Eq. 2–3 and Eq. 6, in seconds.
 ///
@@ -78,10 +86,9 @@ mod tests {
     #[test]
     fn link_metric_monotone_in_rssi() {
         let cap = CapacityModel::paper_default();
-        let bits = 255.0 * 8.0;
         let mut last = f64::INFINITY;
         for rssi in [-122.0, -110.0, -100.0, -90.0, -80.0] {
-            let m = link_rca_etx(rssi, &cap, bits);
+            let m = link_rca_etx(rssi, &cap, PACKET_BITS);
             assert!(m <= last, "metric rose at {rssi}");
             last = m;
         }

@@ -1,22 +1,26 @@
 //! The pluggable forwarding-policy layer.
 //!
 //! The paper evaluates a *family* of forwarding schemes under one
-//! simulated world. [`ForwardingPolicy`] opens that family up: a policy
-//! is an object-safe strategy plugged into a device's
-//! [`RoutingState`](crate::RoutingState), deciding what metric the
-//! device beacons, whether an overheard beacon triggers a handover, and
-//! how much of the queue moves. The four paper schemes are built-in
-//! policies ([`NoRoutingPolicy`], [`CaEtxPolicy`], [`RcaEtxPolicy`],
-//! [`RobcPolicy`]); [`Scheme`] names them — [`Scheme::policy`] builds
-//! one, and `PolicySpec::from(scheme)` is the handle configurations and
-//! sweep axes carry. User-defined policies (epidemic or
-//! spray-and-wait-style DTN baselines, queue-aware hybrids, learned
-//! heuristics) implement the same trait and ride the identical engine
-//! path.
+//! simulated world, and the schemes differ in two things: a forwarding
+//! predicate (Eq. 1, or ROBC's Eq. 10 weight) and an amount (the whole
+//! backlog, or ROBC's partial transfer δ). [`ForwardingPolicy`] opens
+//! that family up: a policy is an object-safe strategy plugged into a
+//! device's [`RoutingState`](crate::RoutingState), deciding what metric
+//! the device beacons, whether an overheard beacon triggers a handover,
+//! and how much of the queue moves.
+//! [`RoutingState::decide`](crate::RoutingState::decide) alone composes
+//! the predicate and the amount into a decision. The four paper schemes
+//! are built-in policies ([`NoRoutingPolicy`], [`CaEtxPolicy`],
+//! [`RcaEtxPolicy`], [`RobcPolicy`]); [`Scheme`] names them —
+//! [`Scheme::policy`] builds one, and `PolicySpec::from(scheme)` is the
+//! handle configurations and sweep axes carry. User-defined policies
+//! (epidemic or spray-and-wait-style DTN baselines, queue-aware hybrids,
+//! learned heuristics) implement the same trait and ride the identical
+//! engine path.
 //!
-//! The shared routing machinery — the RCA-ETX/CA-ETX estimators, the RGQ
-//! bounds and the anti-loop [`DonorLedger`](crate::DonorLedger) — stays
-//! owned by `RoutingState`; policies read it through the borrowed
+//! The shared routing machinery — the RCA-ETX/CA-ETX estimators and the
+//! anti-loop [`DonorLedger`](crate::DonorLedger) — stays owned by
+//! `RoutingState`; policies read it through the borrowed
 //! [`PolicyContext`] passed into every hook, so stateless policies stay
 //! zero-cost and stateful ones (copy budgets, timers) carry their own
 //! fields.
@@ -55,26 +59,28 @@
 //! assert_eq!(state.policy().label(), "quota");
 //! ```
 
-use mlora_phy::Rssi;
+use mlora_phy::{CapacityModel, Rssi};
 use mlora_simcore::{NodeId, SimTime};
 
 use crate::{
     greedy_forward_rule, link_rca_etx, robc_transfer_amount, robc_weight, Beacon, CaEtxEstimator,
-    DonorLedger, ForwardDecision, RcaEtxEstimator, Rgq, RoutingConfig, Scheme,
+    DonorLedger, RcaEtxEstimator, Rgq, Scheme, PACKET_BITS,
 };
 
 /// A policy's read-only window into its device's routing machinery.
 ///
 /// Borrowed views over the state a [`RoutingState`](crate::RoutingState)
-/// owns — the estimators, the RGQ bounds, the anti-loop ledger and the
-/// static [`RoutingConfig`] — plus the real-time inputs of the current
-/// hook invocation (`now`, the duty-cycle wait, the queue backlog).
+/// owns — the estimators, the anti-loop ledger and the scenario's
+/// capacity map — plus the real-time inputs of the current hook
+/// invocation (`now`, the duty-cycle wait, the queue backlog). φ is
+/// bounded by [`Rgq::PAPER`], and link metrics are for frames of
+/// [`PACKET_BITS`].
 #[derive(Debug, Clone, Copy)]
 pub struct PolicyContext<'a> {
     now: SimTime,
     wait_s: f64,
     queue_len: usize,
-    config: &'a RoutingConfig,
+    capacity: &'a CapacityModel,
     estimator: &'a RcaEtxEstimator,
     ca_estimator: &'a CaEtxEstimator,
     ledger: &'a DonorLedger,
@@ -85,7 +91,7 @@ impl<'a> PolicyContext<'a> {
         now: SimTime,
         wait_s: f64,
         queue_len: usize,
-        config: &'a RoutingConfig,
+        capacity: &'a CapacityModel,
         estimator: &'a RcaEtxEstimator,
         ca_estimator: &'a CaEtxEstimator,
         ledger: &'a DonorLedger,
@@ -94,7 +100,7 @@ impl<'a> PolicyContext<'a> {
             now,
             wait_s,
             queue_len,
-            config,
+            capacity,
             estimator,
             ca_estimator,
             ledger,
@@ -116,21 +122,6 @@ impl<'a> PolicyContext<'a> {
         self.queue_len
     }
 
-    /// The device's static routing configuration.
-    pub fn config(&self) -> &RoutingConfig {
-        self.config
-    }
-
-    /// Most messages movable in one handover frame.
-    pub fn max_bundle(&self) -> usize {
-        self.config.max_bundle
-    }
-
-    /// The RGQ stability bounds.
-    pub fn rgq(&self) -> &Rgq {
-        &self.config.rgq
-    }
-
     /// The committed node-to-sink RCA-ETX (as of the last slot), seconds.
     pub fn rca_etx(&self) -> f64 {
         self.estimator.rca_etx()
@@ -150,29 +141,25 @@ impl<'a> PolicyContext<'a> {
 
     /// The committed bounded gateway quality φ.
     pub fn phi(&self) -> f64 {
-        self.config.rgq.phi(self.rca_etx())
+        Rgq::PAPER.phi(self.rca_etx())
     }
 
     /// The bounded gateway quality φ previewed against real time.
     pub fn phi_now(&self) -> f64 {
-        self.config.rgq.phi(self.rca_etx_now())
+        Rgq::PAPER.phi(self.rca_etx_now())
     }
 
     /// The bounded gateway quality φ of an arbitrary metric — e.g. a
     /// neighbour's beaconed value.
     pub fn phi_of(&self, metric_s: f64) -> f64 {
-        self.config.rgq.phi(metric_s)
+        Rgq::PAPER.phi(metric_s)
     }
 
     /// The Eq. 5–6 device-to-device link metric for a frame received at
     /// `rssi` (a deferred [`Rssi`], evaluated here, or a plain dBm
     /// figure), seconds.
     pub fn link_rca_etx<'r>(&self, rssi: impl Into<Rssi<'r>>) -> f64 {
-        link_rca_etx(
-            rssi.into().dbm(),
-            &self.config.capacity,
-            self.config.packet_bits,
-        )
+        link_rca_etx(rssi.into().dbm(), self.capacity, PACKET_BITS)
     }
 
     /// True if the anti-loop ledger currently bars `node` as a target.
@@ -188,15 +175,15 @@ impl<'a> PolicyContext<'a> {
 /// [`ForwardingPolicy::clone_box`]) and the forwarding predicate
 /// ([`ForwardingPolicy::forwards`]). Everything else has defaults
 /// reproducing the common scheme shape: beacon the committed RCA-ETX,
-/// move the whole backlog (capped at the frame bundle limit) when
-/// forwarding, no extra per-slot state.
+/// move the whole backlog when forwarding, no extra per-slot state.
 ///
-/// The default [`ForwardingPolicy::decide`] composes the hooks exactly
-/// like the paper schemes: an empty queue never forwards, the predicate
-/// gates the handover, [`ForwardingPolicy::transfer_amount`] sizes it,
-/// and a zero-sized transfer degenerates to
-/// [`ForwardDecision::Keep`]. Policies with decision shapes that do not
-/// fit the predicate/amount split override `decide` wholesale.
+/// A policy supplies the hooks; it does not decide.
+/// [`RoutingState::decide`](crate::RoutingState::decide) composes them
+/// for every policy alike: an empty queue keeps without calling a hook,
+/// the predicate gates the handover,
+/// [`ForwardingPolicy::transfer_amount`] sizes it (capped at the backlog
+/// and at [`MAX_BUNDLE`](mlora_mac::MAX_BUNDLE)), and a zero amount
+/// keeps.
 pub trait ForwardingPolicy: std::fmt::Debug + Send + Sync {
     /// The label identifying this policy in figures, reports and sweep
     /// cells.
@@ -223,39 +210,12 @@ pub trait ForwardingPolicy: std::fmt::Debug + Send + Sync {
     fn forwards(&mut self, ctx: &PolicyContext<'_>, beacon: &Beacon, rssi: Rssi<'_>) -> bool;
 
     /// How many queued messages to move once
-    /// [`ForwardingPolicy::forwards`] fired (the engine caps the result
-    /// at the frame bundle limit). Defaults to the whole backlog.
+    /// [`ForwardingPolicy::forwards`] fired.
+    /// [`RoutingState::decide`](crate::RoutingState::decide) caps the
+    /// result at the backlog and at the frame bundle limit. Defaults to
+    /// the whole backlog.
     fn transfer_amount(&self, ctx: &PolicyContext<'_>, _beacon: &Beacon) -> usize {
         ctx.queue_len()
-    }
-
-    /// Decides what to do with the queue after overhearing `beacon`.
-    ///
-    /// The default composes the predicate and amount hooks; override for
-    /// decision shapes that do not fit that split.
-    fn decide(
-        &mut self,
-        ctx: &PolicyContext<'_>,
-        beacon: &Beacon,
-        rssi: Rssi<'_>,
-    ) -> ForwardDecision {
-        if ctx.queue_len() == 0 || !self.forwards(ctx, beacon, rssi) {
-            return ForwardDecision::Keep;
-        }
-        // Never offer more than the backlog holds, never more than one
-        // handover frame carries.
-        let count = self
-            .transfer_amount(ctx, beacon)
-            .min(ctx.queue_len())
-            .min(ctx.max_bundle());
-        if count == 0 {
-            ForwardDecision::Keep
-        } else {
-            ForwardDecision::Forward {
-                target: beacon.sender,
-                count,
-            }
-        }
     }
 
     /// Hook: the device finished a device-to-sink slot (`capacity_bps`
@@ -284,10 +244,6 @@ impl ForwardingPolicy for NoRoutingPolicy {
 
     fn forwards(&mut self, _ctx: &PolicyContext<'_>, _beacon: &Beacon, _rssi: Rssi<'_>) -> bool {
         false
-    }
-
-    fn transfer_amount(&self, _ctx: &PolicyContext<'_>, _beacon: &Beacon) -> usize {
-        0
     }
 }
 
@@ -468,7 +424,7 @@ impl std::fmt::Display for PolicySpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RoutingState;
+    use crate::{RoutingConfig, RoutingState};
 
     #[test]
     fn builtin_labels_match_schemes() {
@@ -489,50 +445,6 @@ mod tests {
         // Equal by label, though only one came from the scheme.
         assert_eq!((a.scheme(), b.scheme()), (None, Some(Scheme::Robc)));
         assert_eq!(b.clone().scheme(), Some(Scheme::Robc));
-    }
-
-    #[test]
-    fn default_decide_composes_predicate_and_amount() {
-        /// Always forward exactly two messages to anyone.
-        #[derive(Debug, Clone)]
-        struct TwoToAnyone;
-        impl ForwardingPolicy for TwoToAnyone {
-            fn label(&self) -> &str {
-                "two"
-            }
-            fn clone_box(&self) -> Box<dyn ForwardingPolicy> {
-                Box::new(self.clone())
-            }
-            fn forwards(
-                &mut self,
-                _ctx: &PolicyContext<'_>,
-                _beacon: &Beacon,
-                _rssi: Rssi<'_>,
-            ) -> bool {
-                true
-            }
-            fn transfer_amount(&self, _ctx: &PolicyContext<'_>, _beacon: &Beacon) -> usize {
-                2
-            }
-        }
-        let mut state = RoutingState::new(RoutingConfig::paper_default(), Box::new(TwoToAnyone));
-        let beacon = Beacon {
-            sender: NodeId::new(9),
-            rca_etx: 1.0,
-            queue_len: 0,
-        };
-        // Empty queue short-circuits before the predicate.
-        assert_eq!(
-            state.decide(SimTime::ZERO, 0.0, 0, &beacon, -80.0),
-            ForwardDecision::Keep
-        );
-        assert_eq!(
-            state.decide(SimTime::ZERO, 0.0, 10, &beacon, -80.0),
-            ForwardDecision::Forward {
-                target: NodeId::new(9),
-                count: 2
-            }
-        );
     }
 
     #[test]
@@ -571,7 +483,7 @@ mod tests {
         state.on_received_data(NodeId::new(1));
         state.on_received_data(NodeId::new(2));
         // The shared ledger recorded both donors alongside the policy.
-        assert!(state.is_barred(NodeId::new(1)));
+        assert!(state.raw_parts().2.is_barred(NodeId::new(1)));
         let dump = format!("{:?}", state.policy());
         assert!(
             dump.contains("sink_slots: 1") && dump.contains("receptions: 2"),

@@ -41,17 +41,18 @@ impl Rgq {
         Rgq { phi_min, phi_max }
     }
 
-    /// Defaults matched to the paper's scales: `φ_min` corresponds to one
-    /// packet per [`crate::RCA_ETX_CEILING`] (a device that has never met
-    /// a gateway) and `φ_max` to the fastest service rate the 1 % duty
-    /// cycle physically allows — one full SF7 bundle every ≈37 s
-    /// (0.368 s time-on-air × 100). Keeping `φ_max` at the physical
-    /// ceiling also keeps Eq. 11's window fraction meaningful: a γ
-    /// computed against an unreachable rate would clamp to 1 for every
-    /// backlogged device.
-    pub fn paper_default() -> Self {
-        Rgq::new(1.0 / crate::RCA_ETX_CEILING, 1.0 / 37.0)
-    }
+    /// The bounds every device runs with, matched to the paper's scales:
+    /// `φ_min` corresponds to one packet per [`crate::RCA_ETX_CEILING`]
+    /// (a device that has never met a gateway) and `φ_max` to the fastest
+    /// service rate the 1 % duty cycle physically allows — one full SF7
+    /// bundle every ≈37 s (0.368 s time-on-air × 100). Keeping `φ_max` at
+    /// the physical ceiling also keeps Eq. 11's window fraction
+    /// meaningful: a γ computed against an unreachable rate would clamp
+    /// to 1 for every backlogged device.
+    pub const PAPER: Rgq = Rgq {
+        phi_min: 1.0 / crate::RCA_ETX_CEILING,
+        phi_max: 1.0 / 37.0,
+    };
 
     /// Lower bound `φ_min`.
     pub fn phi_min(&self) -> f64 {
@@ -80,12 +81,6 @@ impl Rgq {
     }
 }
 
-impl Default for Rgq {
-    fn default() -> Self {
-        Rgq::paper_default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,7 +101,7 @@ mod tests {
 
     #[test]
     fn pathological_inputs_stay_bounded() {
-        let rgq = Rgq::paper_default();
+        let rgq = Rgq::PAPER;
         for x in [0.0, -1.0, f64::INFINITY, f64::NAN] {
             let phi = rgq.phi(x);
             assert!(
@@ -118,13 +113,20 @@ mod tests {
 
     #[test]
     fn monotone_nonincreasing_in_metric() {
-        let rgq = Rgq::paper_default();
+        let rgq = Rgq::PAPER;
         let mut last = f64::INFINITY;
         for rca in [0.1, 1.0, 10.0, 1e3, 1e5, 1e7] {
             let phi = rgq.phi(rca);
             assert!(phi <= last);
             last = phi;
         }
+    }
+
+    #[test]
+    fn paper_bounds_are_what_the_constructor_builds() {
+        let built = Rgq::new(1.0 / crate::RCA_ETX_CEILING, 1.0 / 37.0);
+        assert_eq!(Rgq::PAPER.phi_min().to_bits(), built.phi_min().to_bits());
+        assert_eq!(Rgq::PAPER.phi_max().to_bits(), built.phi_max().to_bits());
     }
 
     #[test]

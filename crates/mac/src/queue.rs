@@ -199,9 +199,8 @@ impl DataQueue {
     /// counterpart of
     /// [`DataQueue::iter`]/[`DataQueue::capacity`]/[`DataQueue::dropped`].
     ///
-    /// Returns `None` unless `capacity` is positive, `messages` fit in
-    /// it and run in descending priority, as every queue
-    /// [`DataQueue::push`] builds does.
+    /// Returns `None` unless the queue
+    /// [`is_well_formed`](DataQueue::is_well_formed).
     pub fn from_parts(
         capacity: usize,
         dropped: u64,
@@ -209,12 +208,22 @@ impl DataQueue {
     ) -> Option<Self> {
         let mut buf = VecDeque::new();
         buf.extend(messages);
-        let ordered = buf.iter().is_sorted_by(|a, b| a.priority >= b.priority);
-        (capacity > 0 && buf.len() <= capacity && ordered).then_some(DataQueue {
+        let queue = DataQueue {
             buf,
             capacity,
             dropped,
-        })
+        };
+        queue.is_well_formed().then_some(queue)
+    }
+
+    /// True if this is a queue [`DataQueue::push`] can build: the
+    /// capacity is positive, the messages fit in it, and they run in
+    /// descending priority.
+    pub fn is_well_formed(&self) -> bool {
+        let buf = &self.buf;
+        self.capacity > 0
+            && buf.len() <= self.capacity
+            && buf.iter().is_sorted_by(|a, b| a.priority >= b.priority)
     }
 }
 

@@ -299,22 +299,11 @@ impl SimConfig {
         cfg
     }
 
-    /// The frame size (bits) used for metric normalisation: a full bundle.
-    pub fn packet_bits(&self) -> f64 {
-        let bytes = mlora_mac::FRAME_HEADER_BYTES
-            + mlora_mac::METADATA_BYTES
-            + mlora_mac::MAX_BUNDLE * mlora_mac::APP_MESSAGE_BYTES;
-        (bytes * 8) as f64
-    }
-
     /// The routing configuration devices run.
     pub fn routing_config(&self) -> RoutingConfig {
         RoutingConfig {
             alpha: self.alpha,
-            packet_bits: self.packet_bits(),
-            rgq: mlora_core::Rgq::paper_default(),
             capacity: self.capacity,
-            max_bundle: mlora_mac::MAX_BUNDLE,
         }
     }
 
@@ -500,8 +489,10 @@ mod tests {
 
     #[test]
     fn packet_bits_full_bundle() {
+        // Devices normalise their metrics to a full 255-byte bundle.
         let cfg = SimConfig::smoke_test(Scheme::NoRouting, Environment::Urban);
-        assert_eq!(cfg.packet_bits(), 255.0 * 8.0);
+        let (rca, ca, _) = cfg.routing_state().raw_parts();
+        assert_eq!((rca.raw_parts().2, ca.raw_parts().0), (2040.0, 2040.0));
     }
 
     #[test]

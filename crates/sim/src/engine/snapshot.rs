@@ -65,7 +65,7 @@ use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 
 use mlora_core::{
-    CaEtxEstimator, ContactTracker, DonorLedger, Ewma, RcaEtxEstimator, RoutingState,
+    CaEtxEstimator, ContactTracker, DonorLedger, Ewma, RcaEtxEstimator, RoutingState, PACKET_BITS,
 };
 use mlora_geo::Point;
 use mlora_mac::{AppMessage, DataQueue, DutyCycleTracker, Priority, RetransmitPolicy, UplinkFrame};
@@ -958,15 +958,18 @@ fn get_device<R: Read>(
     let (tx_time, rx_window_time, frames_sent, grid_pos) = Persist::get(r)?;
     let traffic: Option<DeviceTraffic> = Persist::get(r)?;
 
-    // Four fields are the scenario's constants, stored per device: the
-    // constructors below assert their ranges, which the validated
-    // scenario satisfies. (NaN equals nothing.)
-    let constants = (capacity, duty_cycle, max_attempts, alpha)
+    // Six fields are constants, stored per device: the scenario's four
+    // and the two estimators' frame size. The constructors below assert
+    // their ranges, which the validated scenario and `PACKET_BITS`
+    // satisfy. (NaN equals nothing.)
+    let constants = (capacity, duty_cycle, max_attempts, alpha, rca_bits, ca_bits)
         == (
             cfg.queue_capacity,
             cfg.duty_cycle,
             cfg.max_attempts,
             cfg.alpha,
+            PACKET_BITS,
+            PACKET_BITS,
         );
     ensure(constants, "device constants are not the scenario's")?;
     limits.messages(&messages)?;

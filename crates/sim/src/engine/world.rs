@@ -333,8 +333,10 @@ impl World {
     /// relies on and every drift sweep re-checks in debug builds: the
     /// next sweep is due within one period, so the queries' drift pad
     /// covers the drift since the last one; every device's traffic
-    /// profile is in the mix; and the cell list files exactly the
-    /// active set, each device at its `grid_pos`.
+    /// profile is in the mix; every device's queue
+    /// [`is_well_formed`](mlora_mac::DataQueue::is_well_formed); and the
+    /// cell list files exactly the active set, each device at its
+    /// `grid_pos`.
     ///
     /// # Errors
     ///
@@ -353,6 +355,9 @@ impl World {
         let mut traffic = self.devices.values().filter_map(|dev| dev.traffic.as_ref());
         if traffic.any(|t| t.profile as usize >= profiles) {
             return Err("traffic profile past the mix");
+        }
+        if !self.devices.values().all(|dev| dev.queue.is_well_formed()) {
+            return Err("device queue over capacity or out of order");
         }
         // `active` holds each id once, so equal counts and every active
         // device filed where it should be leave no other entry.
@@ -593,5 +598,17 @@ mod tests {
             world.check(now),
             Err("cell list membership differs from the active set")
         );
+    }
+
+    /// Queues that overflow still meet [`World::check`]'s queue premise.
+    /// A debug build checks it at every drift sweep of the run, so a
+    /// `push` that lets a queue grow past its capacity fails here.
+    #[test]
+    fn overflowing_queues_stay_well_formed() {
+        let cfg = Scenario::urban().smoke().queue_capacity(2).build().unwrap();
+        let mut engine = Engine::new(cfg, 7);
+        engine.run_until(SimTime::from_secs(3_600));
+        assert_eq!(engine.world.check(engine.now), Ok(()));
+        assert!(engine.finish().queue_drops > 0, "no queue overflowed");
     }
 }

@@ -400,6 +400,8 @@ struct DeviceFields {
     duty_cycle: Range<usize>,
     max_attempts: Range<usize>,
     alpha: Range<usize>,
+    rca_bits: Range<usize>,
+    ca_bits: Range<usize>,
     donors: Range<usize>,
     pending_handover: Range<usize>,
     traffic: Range<usize>,
@@ -443,7 +445,8 @@ fn device_fields(section: &Section) -> Vec<DeviceFields> {
             w.varints(2); // successes, failures
             let alpha = w.f64();
             w.option(|w| w.f64s(1)); // ewma value
-            w.f64s(2); // rca, ca
+            let rca_bits = w.f64();
+            let ca_bits = w.f64();
             w.welford();
             w.welford();
             w.option(|w| w.varints(1)); // last_contact
@@ -471,6 +474,8 @@ fn device_fields(section: &Section) -> Vec<DeviceFields> {
                 duty_cycle,
                 max_attempts,
                 alpha,
+                rca_bits,
+                ca_bits,
                 donors: donors_range,
                 pending_handover,
                 traffic,
@@ -657,6 +662,23 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
         sweep.refused(
             &format!("device: EWMA alpha {name}"),
             &dev(&first.alpha, &f64_bytes(value)),
+        );
+    }
+    // The estimators' frame size is a constant, not the scenario's: a
+    // plausible 2 000 would resume silently under another model.
+    for (name, value) in [
+        ("NaN", f64::NAN),
+        ("0", 0.0),
+        ("-1", -1.0),
+        ("2000", 2_000.0),
+    ] {
+        sweep.refused(
+            &format!("device: RCA-ETX frame size {name}"),
+            &dev(&first.rca_bits, &f64_bytes(value)),
+        );
+        sweep.refused(
+            &format!("device: CA-ETX frame size {name}"),
+            &dev(&first.ca_bits, &f64_bytes(value)),
         );
     }
     sweep.refused(

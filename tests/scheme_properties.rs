@@ -88,7 +88,7 @@ proptest! {
     /// RGQ is always within its stability bounds for arbitrary metrics.
     #[test]
     fn rgq_bounded(rca in proptest::num::f64::ANY) {
-        let rgq = Rgq::paper_default();
+        let rgq = Rgq::PAPER;
         let phi = rgq.phi(rca);
         prop_assert!(phi >= rgq.phi_min() && phi <= rgq.phi_max());
     }
