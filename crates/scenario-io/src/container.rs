@@ -14,6 +14,7 @@
 
 use std::io::{Read, Write};
 
+use crate::tape::{TapeCursor, TapeKind};
 use crate::wire::{crc32, get_varint, put_varint, Enc};
 
 /// The four magic bytes every `.mlsc` file starts with.
@@ -278,6 +279,8 @@ pub struct ScenarioReader<R: Read> {
     in_section: bool,
     records_left: u64,
     finished: bool,
+    /// Set while a [`record_tape`](crate::record_tape) runs.
+    tape: Option<TapeCursor>,
 }
 
 impl<R: Read> ScenarioReader<R> {
@@ -318,6 +321,7 @@ impl<R: Read> ScenarioReader<R> {
             in_section: false,
             records_left: 0,
             finished: false,
+            tape: TapeCursor::if_recording(expected_magic),
         })
     }
 
@@ -358,6 +362,9 @@ impl<R: Read> ScenarioReader<R> {
         self.records_left = records;
         self.block.clear();
         self.pos = 0;
+        if let Some(tape) = &mut self.tape {
+            tape.section(id);
+        }
         Ok(Some((id, records)))
     }
 
@@ -394,7 +401,18 @@ impl<R: Read> ScenarioReader<R> {
         if self.pos == self.block.len() && !self.load_block()? {
             return Err(ScenarioIoError::Corrupt("section ended before its records"));
         }
+        if let Some(tape) = &mut self.tape {
+            tape.record();
+        }
         Ok(())
+    }
+
+    /// Files what was decoded since `start` on the tape, if one is
+    /// being recorded.
+    fn note(&self, kind: TapeKind, start: usize) {
+        if let Some(tape) = &self.tape {
+            tape.note(kind, start..self.pos);
+        }
     }
 
     /// Reads one byte of the current record.
@@ -403,11 +421,8 @@ impl<R: Read> ScenarioReader<R> {
     ///
     /// [`ScenarioIoError::Corrupt`] if the record runs past its block.
     pub fn u8(&mut self) -> Result<u8, ScenarioIoError> {
-        let &b = self
-            .block
-            .get(self.pos)
-            .ok_or(ScenarioIoError::Corrupt("record crosses block boundary"))?;
-        self.pos += 1;
+        let b = self.byte()?;
+        self.note(TapeKind::U8, self.pos - 1);
         Ok(b)
     }
 
@@ -417,7 +432,10 @@ impl<R: Read> ScenarioReader<R> {
     ///
     /// [`ScenarioIoError::Corrupt`] on truncation or overlength.
     pub fn varint(&mut self) -> Result<u64, ScenarioIoError> {
-        get_varint(&self.block, &mut self.pos).ok_or(ScenarioIoError::Corrupt("bad varint"))
+        let start = self.pos;
+        let v = self.unnoted_varint()?;
+        self.note(TapeKind::Varint, start);
+        Ok(v)
     }
 
     /// Reads a little-endian IEEE-754 `f64` of the current record.
@@ -432,7 +450,8 @@ impl<R: Read> ScenarioReader<R> {
             .get(self.pos..end)
             .and_then(|bytes| bytes.try_into().ok())
             .ok_or(ScenarioIoError::Corrupt("record crosses block boundary"))?;
-        self.pos = end;
+        let start = std::mem::replace(&mut self.pos, end);
+        self.note(TapeKind::F64, start);
         Ok(f64::from_bits(u64::from_le_bytes(bytes)))
     }
 
@@ -443,7 +462,9 @@ impl<R: Read> ScenarioReader<R> {
     /// [`ScenarioIoError::Corrupt`] on truncation or a byte other than
     /// 0/1.
     pub fn bool(&mut self) -> Result<bool, ScenarioIoError> {
-        match self.u8()? {
+        let b = self.byte()?;
+        self.note(TapeKind::Bool, self.pos - 1);
+        match b {
             0 => Ok(false),
             1 => Ok(true),
             _ => Err(ScenarioIoError::Corrupt("bad boolean byte")),
@@ -456,20 +477,10 @@ impl<R: Read> ScenarioReader<R> {
     ///
     /// [`ScenarioIoError::Corrupt`] on truncation or invalid UTF-8.
     pub fn string(&mut self) -> Result<String, ScenarioIoError> {
-        let len = self.varint()? as usize;
-        let end = self
-            .pos
-            .checked_add(len)
-            .ok_or(ScenarioIoError::Corrupt("string length overflow"))?;
-        let bytes = self
-            .block
-            .get(self.pos..end)
-            .ok_or(ScenarioIoError::Corrupt("record crosses block boundary"))?;
-        let s = std::str::from_utf8(bytes)
-            .map_err(|_| ScenarioIoError::Corrupt("string is not UTF-8"))?
-            .to_string();
-        self.pos = end;
-        Ok(s)
+        let bytes = self.counted_bytes("string length overflow")?;
+        std::str::from_utf8(bytes)
+            .map(str::to_string)
+            .map_err(|_| ScenarioIoError::Corrupt("string is not UTF-8"))
     }
 
     /// Reads a length-prefixed opaque byte blob of the current record —
@@ -489,17 +500,40 @@ impl<R: Read> ScenarioReader<R> {
     ///
     /// [`ScenarioIoError::Corrupt`] on truncation.
     pub fn byte_slice(&mut self) -> Result<&[u8], ScenarioIoError> {
-        let len = self.varint()? as usize;
+        self.counted_bytes("blob length overflow")
+    }
+
+    /// A varint length and the bytes it counts, `overflow` naming a
+    /// length past the address space.
+    fn counted_bytes(&mut self, overflow: &'static str) -> Result<&[u8], ScenarioIoError> {
+        let start = self.pos;
+        let len = self.unnoted_varint()? as usize;
+        self.note(TapeKind::Len, start);
         let end = self
             .pos
             .checked_add(len)
-            .ok_or(ScenarioIoError::Corrupt("blob length overflow"))?;
+            .ok_or(ScenarioIoError::Corrupt(overflow))?;
         let bytes = self
             .block
             .get(self.pos..end)
             .ok_or(ScenarioIoError::Corrupt("record crosses block boundary"))?;
         self.pos = end;
         Ok(bytes)
+    }
+
+    /// One byte of the current record, not filed on the tape.
+    fn byte(&mut self) -> Result<u8, ScenarioIoError> {
+        let &b = self
+            .block
+            .get(self.pos)
+            .ok_or(ScenarioIoError::Corrupt("record crosses block boundary"))?;
+        self.pos += 1;
+        Ok(b)
+    }
+
+    /// A varint of the current record, not filed on the tape.
+    fn unnoted_varint(&mut self) -> Result<u64, ScenarioIoError> {
+        get_varint(&self.block, &mut self.pos).ok_or(ScenarioIoError::Corrupt("bad varint"))
     }
 
     /// Loads the next block of the current section into memory.
@@ -516,6 +550,9 @@ impl<R: Read> ScenarioReader<R> {
         }
         let mut crc = [0u8; 4];
         self.input.read_exact(&mut crc)?;
+        if let Some(tape) = &mut self.tape {
+            tape.block(self.block.len());
+        }
         // Grow the buffer in bounded steps as payload actually arrives
         // rather than pre-allocating the claimed length: a file
         // truncated (or corrupted) in its length prefix must not commit
@@ -905,6 +942,73 @@ mod tests {
             ScenarioReader::new(&bytes[..]),
             Err(ScenarioIoError::UnsupportedVersion(0xFFFF))
         ));
+    }
+
+    /// The tape files each primitive under its section and record at
+    /// its place in the section's concatenated block payloads, a nested
+    /// reader's under its own magic, and nothing outside a recording.
+    #[test]
+    fn tape_locates_every_primitive() {
+        use crate::{record_tape, TapeKind};
+        let bytes = sample_file(10_000); // section 10 spans several blocks
+        let (decoded, tape) = record_tape(|| drive(&bytes));
+        assert!(decoded.is_ok());
+        assert_eq!(tape.len(), 2 * 10_000 + 1);
+        let payload: Vec<u8> = (0..10_000u64)
+            .flat_map(|i| {
+                let mut enc = Enc::default();
+                enc.put_varint(i * 3);
+                enc.put_f64(i as f64 * 0.5);
+                enc.as_slice().to_vec()
+            })
+            .collect();
+        let mut end = 0;
+        for (i, pair) in tape[..20_000].chunks(2).enumerate() {
+            let [varint, float] = pair else { panic!() };
+            assert_eq!((varint.section, varint.record), (10, i as u64));
+            assert_eq!((varint.kind, float.kind), (TapeKind::Varint, TapeKind::F64));
+            assert_eq!((varint.at.start, varint.at.end), (end, float.at.start));
+            let mut pos = varint.at.start;
+            assert_eq!(get_varint(&payload, &mut pos), Some(i as u64 * 3));
+            assert_eq!(float.at.len(), 8);
+            end = float.at.end;
+        }
+        assert_eq!(end, payload.len());
+        let last = &tape[20_000];
+        assert_eq!((last.section, last.record), (11, 0));
+        assert_eq!((last.kind, last.at.clone()), (TapeKind::Len, 0..1));
+        assert!(tape.iter().all(|e| e.magic == MAGIC));
+
+        // A blob holding a container of its own, decoded in place.
+        let mut w = ScenarioWriter::with_magic(Vec::new(), *b"MLSS").unwrap();
+        w.begin_section(2, 1).unwrap();
+        w.enc().put_bool(true);
+        w.enc().put_bytes(&sample_file(1));
+        w.end_record().unwrap();
+        w.end_section().unwrap();
+        let outer = w.finish().unwrap();
+        let ((), tape) = record_tape(|| {
+            let mut r = ScenarioReader::with_magic(&outer[..], *b"MLSS").unwrap();
+            r.next_section().unwrap();
+            r.begin_record().unwrap();
+            assert!(r.bool().unwrap());
+            drive(r.byte_slice().unwrap()).unwrap();
+        });
+        let kinds: Vec<_> = tape.iter().map(|e| (&e.magic, e.section, e.kind)).collect();
+        assert_eq!(
+            kinds,
+            [
+                (b"MLSS", 2, TapeKind::Bool),
+                (b"MLSS", 2, TapeKind::Len),
+                (b"MLSC", 10, TapeKind::Varint),
+                (b"MLSC", 10, TapeKind::F64),
+                (b"MLSC", 11, TapeKind::Len),
+            ]
+        );
+        assert_eq!(tape[1].at, 1..2, "the blob's length, after the flag");
+        // Outside a recording nothing is kept.
+        assert!(drive(&bytes).is_ok());
+        assert!(record_tape(|| ()).1.is_empty());
     }
 
     #[test]

@@ -109,11 +109,14 @@
 #![warn(unreachable_pub)]
 
 mod container;
+mod tape;
 mod wire;
 
 pub use container::{
     ScenarioIoError, ScenarioReader, ScenarioWriter, FORMAT_VERSION, MAGIC, MAX_BLOCK_BYTES,
 };
+#[doc(hidden)]
+pub use tape::{record_tape, TapeEntry, TapeKind};
 pub use wire::Enc;
 
 /// Section identifiers of the `.mlsc` container.

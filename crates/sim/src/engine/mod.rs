@@ -196,7 +196,6 @@ pub struct Engine {
     airtime: AirtimeTable,
     now: SimTime,
     horizon: SimTime,
-    next_msg: u64,
     /// The dense device world (fleet, neighbour cell list, lifecycle).
     world: World,
     /// The shared radio (flights, shadowing RNG, noise, collisions).
@@ -310,7 +309,6 @@ impl Engine {
             airtime,
             now: SimTime::ZERO,
             horizon,
-            next_msg: 0,
             world,
             channel,
             delivery,
@@ -497,11 +495,12 @@ impl Engine {
     /// The premises of the engine's state between events: what
     /// [`Engine::resume`] requires of a restored engine, and what every
     /// slice re-checks in debug builds. The clock stands at or before
-    /// the horizon; the channel, the world and the sink side hold their
-    /// own premises ([`Channel::check`], [`World::check`],
-    /// [`Delivery::check`]); and each gateway is down as deep as the
-    /// disruption timeline stands at `now` — every disruption due by
-    /// then has fired, and no later one.
+    /// the horizon; once started, the event counter stands past the
+    /// sequence numbers the timetable reserves; the channel, the world
+    /// and the sink side hold their own premises ([`Channel::check`],
+    /// [`World::check`], [`Delivery::check`]); and each gateway is down
+    /// as deep as the disruption timeline stands at `now` — every
+    /// disruption due by then has fired, and no later one.
     ///
     /// # Errors
     ///
@@ -515,6 +514,10 @@ impl Engine {
     fn check(&self) -> Result<(), &'static str> {
         if self.now > self.horizon {
             return Err("clock past the horizon");
+        }
+        let (_, event_seq) = self.events.raw_parts();
+        if self.started && event_seq < 2 * self.live_trips as u64 {
+            return Err("event counter inside the timetable's reserved numbers");
         }
         self.channel.check(self.now)?;
         self.world.check(self.now)?;
@@ -740,9 +743,10 @@ impl Engine {
                 (payload, state.profile as u8, spec.priority, gap)
             }
         };
-        let msg = AppMessage::new(mlora_simcore::MessageId::new(self.next_msg), n, self.now)
-            .with_traffic(payload, profile, priority);
-        self.next_msg += 1;
+        // Message ids are issued in order: the next one is the count
+        // generated so far.
+        let id = mlora_simcore::MessageId::new(self.delivery.collector.report.generated);
+        let msg = AppMessage::new(id, n, self.now).with_traffic(payload, profile, priority);
         let drops_before = dev.queue.dropped();
         dev.queue.push(msg);
         let dropped = dev.queue.dropped() - drops_before;
@@ -970,6 +974,16 @@ mod tests {
         );
         depths.swap(0, 1);
         engine.delivery.restore_outages(depths);
+        // An empty queue whose counter would reissue a trip's numbers.
+        let events = std::mem::replace(
+            &mut engine.events,
+            EventQueue::from_raw_parts(Vec::new(), 2 * engine.live_trips as u64 - 1).unwrap(),
+        );
+        assert_eq!(
+            engine.check(),
+            Err("event counter inside the timetable's reserved numbers")
+        );
+        engine.events = events;
         engine.now = engine.horizon + SimDuration::from_millis(1);
         assert_eq!(engine.check(), Err("clock past the horizon"));
     }

@@ -79,7 +79,7 @@ use super::{Engine, Event};
 use crate::metrics::Collector;
 use crate::persist::{
     ensure, persist_struct, put_slice, read_record, read_records, reserved, write_record,
-    write_records, Persist,
+    write_records, Count, Persist,
 };
 use crate::{DisruptionPlan, ProfileReport, ScenarioFileError, SimConfig, SimReport};
 
@@ -299,14 +299,16 @@ const MAX_SHARDS: usize = 64;
 
 persist_struct! {
     /// The header section's record: run identity and loop counters.
+    /// `next_msg`, the next message id, is the collector's count of
+    /// messages generated, stored twice; resume requires the two equal.
     #[derive(Debug, Clone)]
     struct Header {
         seed: u64,
         shards: usize,
         now: SimTime,
         next_msg: u64,
-        events_processed: u64,
-        event_seq: u64,
+        events_processed: Count,
+        event_seq: Count,
     }
 }
 
@@ -365,9 +367,9 @@ impl Engine {
             seed: self.seed,
             shards: 1,
             now: self.now,
-            next_msg: self.next_msg,
-            events_processed: self.events_processed,
-            event_seq,
+            next_msg: self.delivery.collector.report.generated,
+            events_processed: Count(self.events_processed),
+            event_seq: Count(event_seq),
         };
         write_record(&mut w, SEC_HEADER, |enc| header.put(enc))?;
 
@@ -556,8 +558,7 @@ impl Engine {
         ensure(merged, "disruption plan does not merge with its overlay")?;
         engine.started = true;
         engine.now = header.now;
-        engine.next_msg = header.next_msg;
-        engine.events_processed = header.events_processed;
+        engine.events_processed = header.events_processed.0;
 
         // Every event due at or before `now` has been processed, so the
         // timetable cursor stands past exactly the trips departed by then.
@@ -619,8 +620,8 @@ impl Engine {
             records.sort_unstable_by_key(|&(key, _)| key);
         }
         engine.queue_depth_high_water = records.len();
-        engine.events = EventQueue::from_raw_parts(records, header.event_seq).ok_or(
-            ScenarioIoError::Corrupt("event records are not in heap order"),
+        engine.events = EventQueue::from_raw_parts(records, header.event_seq.0).ok_or(
+            ScenarioIoError::Corrupt("event records out of heap order or past the counter"),
         )?;
         // Overlay disruptions are scheduled *after* the queue restore so
         // they take fresh (higher) sequence numbers: at equal times they
@@ -681,7 +682,7 @@ impl Engine {
 
         // RNG streams and runtime scalars.
         expect_section(&mut r, SEC_STREAMS, "snapshot streams")?;
-        let (channel_rng, next_flight_seq, active_noise) = read_record(&mut r)?;
+        let (channel_rng, Count(next_flight_seq), active_noise) = read_record(&mut r)?;
         engine
             .channel
             .restore(channel_rng, flights, next_flight_seq, active_noise);
@@ -693,11 +694,17 @@ impl Engine {
         expect_section(&mut r, SEC_DELIVERY, "snapshot delivery")?;
         engine.delivery.restore_outages(read_record(&mut r)?);
 
-        // The mid-run collector, wholesale (fields in wire order).
+        // The mid-run collector, wholesale (fields in wire order). Its
+        // count of messages generated issues the next id, so it must be
+        // the header's counter, which bounded every id read so far and
+        // bounds the maps' keys.
         expect_section(&mut r, SEC_COLLECTOR, "snapshot collector")?;
         r.begin_record()?;
+        let report: SimReport = Persist::get(&mut r)?;
+        let counted = report.generated == header.next_msg;
+        ensure(counted, "message counter is not the collector's count")?;
         engine.delivery.collector = Collector {
-            report: Persist::get(&mut r)?,
+            report,
             arrived: get_map(&mut r, &limits)?,
             transfers: get_map(&mut r, &limits)?,
             outage_depth: Persist::get(&mut r)?,
@@ -849,37 +856,37 @@ persist_struct!(DeviceTraffic {
 });
 persist_struct!(ProfileReport {
     name: String,
-    generated: u64,
-    delivered: u64,
-    messages_sent: u64,
-    payload_bytes_sent: u64,
+    generated: Count,
+    delivered: Count,
+    messages_sent: Count,
+    payload_bytes_sent: Count,
     airtime_s: f64,
     delay: Welford,
 });
 persist_struct!(SimReport {
     scheme: String,
-    generated: u64,
-    delivered: u64,
-    duplicates: u64,
-    stranded: u64,
-    queue_drops: u64,
+    generated: Count,
+    delivered: Count,
+    duplicates: Count,
+    stranded: Count,
+    queue_drops: Count,
     delay: Welford,
     hops: Welford,
     throughput_series: TimeSeries,
-    frames_sent: u64,
-    messages_sent: u64,
-    handover_frames: u64,
-    handover_messages: u64,
-    collisions: u64,
-    devices_seen: u64,
+    frames_sent: Count,
+    messages_sent: Count,
+    handover_frames: Count,
+    handover_messages: Count,
+    collisions: Count,
+    devices_seen: Count,
     total_energy_mj: f64,
     total_active_s: f64,
-    gateway_outages: u64,
-    buses_withdrawn: u64,
-    noise_bursts: u64,
+    gateway_outages: Count,
+    buses_withdrawn: Count,
+    noise_bursts: Count,
     outage_time_s: f64,
-    generated_during_outage: u64,
-    delivered_of_outage_generated: u64,
+    generated_during_outage: Count,
+    delivered_of_outage_generated: Count,
     total_airtime_s: f64,
     profiles: Vec<ProfileReport>,
 });
@@ -946,16 +953,16 @@ fn get_device<R: Read>(
     limits: &Limits,
 ) -> Result<(Device, DeviceHot), ScenarioIoError> {
     let (active, activated_at, retired_at) = Persist::get(r)?;
-    let (capacity, dropped, messages): (usize, u64, Vec<AppMessage>) = Persist::get(r)?;
-    let (duty_cycle, next_allowed, total_airtime, tx_count) = Persist::get(r)?;
+    let (capacity, Count(dropped), messages): (usize, _, Vec<AppMessage>) = Persist::get(r)?;
+    let (duty_cycle, next_allowed, total_airtime, Count(tx_count)) = Persist::get(r)?;
     let (max_attempts, attempts) = Persist::get(r)?;
-    let (last_success, in_contact, successes, failures) = Persist::get(r)?;
+    let (last_success, in_contact, Count(successes), Count(failures)) = Persist::get(r)?;
     let (alpha, ewma_value, rca_bits) = Persist::get(r)?;
     let (ca_bits, gaps, capacities, last_contact) = Persist::get(r)?;
     let donors: Vec<NodeId> = Persist::get(r)?;
     let (transmitting, tx_scheduled, pending_handover) = Persist::get(r)?;
     let (last_tx_end, tx_window, gamma) = Persist::get(r)?;
-    let (tx_time, rx_window_time, frames_sent, grid_pos) = Persist::get(r)?;
+    let (tx_time, rx_window_time, Count(frames_sent), grid_pos) = Persist::get(r)?;
     let traffic: Option<DeviceTraffic> = Persist::get(r)?;
 
     // Six fields are constants, stored per device: the scenario's four
@@ -1314,14 +1321,117 @@ mod tests {
     #[test]
     fn collector_message_ids_beyond_the_counter_are_refused() {
         // Written by the engine itself, so every checksum holds; only
-        // the header's message counter is wound back, which leaves every
-        // id in the collector section one the run "never issued".
+        // the collector's count of messages generated is wound back. The
+        // header's counter is that count, so the two agree, and every id
+        // in the collector section is one the run "never issued".
         let mut engine = Engine::new(cfg(), 7);
         engine.run_until(SimTime::from_secs(900));
-        assert!(engine.next_msg > 0 && engine.delivery.collector.report.delivered > 0);
-        engine.next_msg = 0;
+        let report = &mut engine.delivery.collector.report;
+        assert!(report.generated > 0 && report.delivered > 0);
+        report.generated = 0;
         let snap = engine.snapshot().expect("snapshot");
         assert!(is_corrupt(Engine::resume(&snap)));
+    }
+
+    /// A snapshot of `engine` whose header carries `next_msg` as its
+    /// message counter (its fourth field, after seed, shards and now),
+    /// re-sealed so every checksum holds.
+    fn with_next_msg(engine: &Engine, next_msg: u64) -> Snapshot {
+        use crate::framing::{get_varint, splice, varint};
+        let snap = engine.snapshot().expect("snapshot");
+        let bytes = splice(snap.as_bytes(), SNAPSHOT_MAGIC, SEC_HEADER, |s| {
+            let mut at = 0;
+            for _ in 0..3 {
+                get_varint(&s.payload, &mut at);
+            }
+            let start = at;
+            let written = get_varint(&s.payload, &mut at);
+            assert_eq!(written, engine.delivery.collector.report.generated);
+            s.payload.splice(start..at, varint(next_msg));
+        });
+        Snapshot::from_bytes(bytes).expect("the header decodes")
+    }
+
+    #[test]
+    fn header_message_counter_must_be_the_collectors_count() {
+        // Raised, the counter issued ids a `DenseMap` grows to: at 2^32
+        // a 4 GiB allocation, at 2^63 a capacity overflow, at
+        // `u64::MAX` an index out of bounds.
+        let mut engine = Engine::new(cfg(), 7);
+        engine.run_until(SimTime::from_secs(900));
+        let generated = engine.delivery.collector.report.generated;
+        for next_msg in [generated - 1, generated + 1, 1 << 32, 1 << 63, u64::MAX] {
+            let snap = with_next_msg(&engine, next_msg);
+            assert!(is_corrupt(Engine::resume(&snap)), "next_msg {next_msg}");
+        }
+        assert!(Engine::resume(&with_next_msg(&engine, generated)).is_ok());
+    }
+
+    #[test]
+    fn event_counter_inside_the_reserved_numbers_is_refused() {
+        // A debug build panicked at the first trip end ("sequence number
+        // 17 was never reserved"); a release build issued numbers twice.
+        let mut engine = Engine::new(cfg(), 7);
+        engine.run_until(SimTime::from_secs(900));
+        let (records, event_seq) = engine.events.raw_parts();
+        let newest = records.iter().map(|&(key, _)| key as u64).max().unwrap();
+        let reserved = 2 * engine.live_trips as u64;
+        for forged in [0, 1, reserved - 1, newest] {
+            let snap = engine.encode_snapshot(records, forged).unwrap();
+            assert!(is_corrupt(Engine::resume(&snap)), "event_seq {forged}");
+        }
+        let snap = engine.encode_snapshot(records, event_seq).unwrap();
+        assert!(Engine::resume(&snap).is_ok());
+    }
+
+    #[test]
+    fn device_filed_far_from_its_position_is_refused() {
+        // Queries screen filed positions with a pad for the drift since
+        // the last sweep: a device filed farther away than that is one
+        // they miss, silently in a release build.
+        let mut engine = Engine::new(cfg(), 7);
+        engine.run_until(SimTime::from_secs(900));
+        let n = engine.world.active[0];
+        let dev = engine.world.devices.get_mut(n).unwrap();
+        dev.grid_pos = Point::new(dev.grid_pos.x + 2_000.0, dev.grid_pos.y);
+        // Filed there consistently: the cell list agrees with the row.
+        let due = engine.world.grid_refresh_due();
+        engine.world.restore_runtime(due);
+        let snap = engine.snapshot().expect("snapshot");
+        assert!(is_corrupt(Engine::resume(&snap)));
+    }
+
+    #[test]
+    fn counts_without_room_to_count_are_refused() {
+        // Each at `u64::MAX` overflowed on its next increment in a debug
+        // build; from 2^62 up a stored count is refused.
+        let mut engine = Engine::new(cfg(), 7);
+        engine.run_until(SimTime::from_secs(900));
+        let limit = crate::persist::COUNT_LIMIT;
+        let refused = |edit: &dyn Fn(&mut Engine, u64)| {
+            let mut forged = Engine::resume(&engine.snapshot().unwrap()).unwrap();
+            edit(&mut forged, limit - 1);
+            let below = Engine::resume(&forged.snapshot().unwrap()).is_ok();
+            edit(&mut forged, limit);
+            below && is_corrupt(Engine::resume(&forged.snapshot().unwrap()))
+        };
+        assert!(refused(&|e, v| e.events_processed = v));
+        assert!(refused(&|e, v| {
+            let n = e.world.active[0];
+            e.world.devices.get_mut(n).unwrap().frames_sent = v;
+        }));
+        assert!(refused(&|e, v| e.delivery.collector.report.collisions = v));
+        assert!(refused(&|e, v| {
+            let delay = &mut e.delivery.collector.report.delay;
+            let (_, mean, m2, min, max) = delay.raw_parts();
+            *delay = Welford::from_raw_parts(v, mean, m2, min, max);
+        }));
+        assert!(refused(&|e, v| {
+            let series = &mut e.delivery.collector.report.throughput_series;
+            let mut counts = series.counts().to_vec();
+            counts[0] = v;
+            *series = TimeSeries::from_raw_parts(series.bucket(), counts, series.is_bounded());
+        }));
     }
 
     #[test]

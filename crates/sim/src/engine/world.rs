@@ -306,7 +306,6 @@ impl World {
             return;
         }
         debug_assert_eq!(self.check(now), Ok(()));
-        let drift = self.drift_bound(now);
         self.grid_refresh_due = now + self.grid_refresh_every;
         let World {
             net,
@@ -319,11 +318,6 @@ impl World {
         cells.rebuild(active.iter().map(|&n| {
             let pos = net.position_hinted(n, now, &mut pos_hints[n.index()]);
             let dev = devices.get_mut(n).expect("active device exists");
-            debug_assert!(
-                pos.distance(dev.grid_pos) <= drift,
-                "{n} drifted {} m from its filed position, past the {drift} m bound",
-                pos.distance(dev.grid_pos)
-            );
             dev.grid_pos = pos;
             (n.raw(), pos)
         }));
@@ -334,9 +328,10 @@ impl World {
     /// next sweep is due within one period, so the queries' drift pad
     /// covers the drift since the last one; every device's traffic
     /// profile is in the mix; every device's queue
-    /// [`is_well_formed`](mlora_mac::DataQueue::is_well_formed); and the
+    /// [`is_well_formed`](mlora_mac::DataQueue::is_well_formed); the
     /// cell list files exactly the active set, each device at its
-    /// `grid_pos`.
+    /// `grid_pos`; and no active device lies farther from its `grid_pos`
+    /// than the drift bound, or the queries' pad would miss it.
     ///
     /// # Errors
     ///
@@ -368,6 +363,15 @@ impl World {
             });
         if !filed {
             return Err("cell list membership differs from the active set");
+        }
+        // `<=` is false for NaN as well.
+        let drift = self.drift_bound(now);
+        let near = self.active.iter().all(|&n| {
+            let filed = self.devices.get(n).map(|dev| dev.grid_pos);
+            filed.is_some_and(|at| self.net.position(n, now).distance(at) <= drift)
+        });
+        if !near {
+            return Err("device drifted past the bound from its filed position");
         }
         Ok(())
     }
@@ -591,6 +595,20 @@ mod tests {
         set_profile(world, 2);
         assert_eq!(world.check(now), Err("traffic profile past the mix"));
         set_profile(world, 0);
+
+        // Filed 2 km from where it is, consistently: the cell list
+        // agrees with the row.
+        let n = world.active[0];
+        let at = world.devices.get(n).unwrap().grid_pos;
+        world.devices.get_mut(n).unwrap().grid_pos = Point::new(at.x + 2_000.0, at.y);
+        world.restore_runtime(world.grid_refresh_due);
+        assert_eq!(
+            world.check(now),
+            Err("device drifted past the bound from its filed position")
+        );
+        world.devices.get_mut(n).unwrap().grid_pos = at;
+        world.restore_runtime(world.grid_refresh_due);
+        assert_eq!(world.check(now), Ok(()));
 
         let filed = world.active[0].raw();
         assert!(world.cells.remove(filed));

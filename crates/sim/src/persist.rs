@@ -59,6 +59,35 @@ pub(crate) fn reserved<T>(count: u64) -> Vec<T> {
     Vec::with_capacity(count.min(most as u64) as usize)
 }
 
+/// Where stored counts stop, exclusive. A count the run goes on adding
+/// to must leave it room to: one at `u64::MAX` overflows on its next
+/// increment. No run comes near 2⁶² of anything.
+pub(crate) const COUNT_LIMIT: u64 = 1 << 62;
+
+/// A count the run goes on adding to — events processed, sequence
+/// numbers issued, frames sent, samples taken — on the wire as a
+/// varint, refused from [`COUNT_LIMIT`] up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Count(pub(crate) u64);
+
+impl Persist for Count {
+    fn put(&self, enc: &mut Enc) {
+        self.0.put(enc);
+    }
+
+    fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
+        let count = u64::get(r)?;
+        ensure(count < COUNT_LIMIT, "stored count leaves no room to count")?;
+        Ok(Count(count))
+    }
+}
+
+impl From<Count> for u64 {
+    fn from(count: Count) -> u64 {
+        count.0
+    }
+}
+
 /// `Corrupt(what)` unless `ok`: how a decoder states an invariant.
 pub(crate) fn ensure(ok: bool, what: &'static str) -> Result<(), ScenarioIoError> {
     ok.then_some(()).ok_or(ScenarioIoError::Corrupt(what))
@@ -132,7 +161,9 @@ pub(crate) fn read_record<R: Read, T: Persist>(
     T::get(r)
 }
 
-/// Derives [`Persist`] from one field list, in wire order.
+/// Derives [`Persist`] from one field list, in wire order. A listed
+/// type is the field's wire form: its own type, or one that decodes
+/// into it ([`Count`] for a `u64` the run adds to).
 ///
 /// * `persist_struct!(Type { field: Ty, … })` — for a struct whose
 ///   fields are visible here;
@@ -169,7 +200,7 @@ macro_rules! persist_struct {
             }
 
             fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
-                Ok(Self { $($field: <$fty>::get(r)?),* })
+                Ok(Self { $($field: <$fty>::get(r)?.into()),* })
             }
         }
     };
@@ -363,7 +394,7 @@ impl Persist for Welford {
     }
 
     fn get<R: Read>(r: &mut ScenarioReader<R>) -> Result<Self, ScenarioIoError> {
-        let (count, mean, m2, min, max) = Persist::get(r)?;
+        let (Count(count), mean, m2, min, max) = Persist::get(r)?;
         Ok(Welford::from_raw_parts(count, mean, m2, min, max))
     }
 }
@@ -378,6 +409,8 @@ impl Persist for TimeSeries {
         let (bucket, bounded, counts): (SimDuration, bool, Vec<u64>) = Persist::get(r)?;
         let buckets = !bucket.is_zero() && !counts.is_empty();
         ensure(buckets, "time series without buckets")?;
+        let room = counts.iter().all(|&count| count < COUNT_LIMIT);
+        ensure(room, "stored count leaves no room to count")?;
         Ok(TimeSeries::from_raw_parts(bucket, counts, bounded))
     }
 }

@@ -4,18 +4,21 @@
 //!
 //! Seeded from the three checked-in snapshots, one scenario file
 //! written from a rich configuration and the checked-in small prebuilt
-//! metro world (as a scenario file and as a snapshot), in three
+//! metro world (as a scenario file and as a snapshot), in four
 //! families:
 //!
 //! * **truncation** — at every offset of the smallest snapshot and of
 //!   both scenario files, on a stride of the other snapshots;
 //! * **bit flips, not re-sealed** — the container's checksums and
 //!   framing must catch these;
-//! * **re-sealed edits** — one section rewritten and framed again with
-//!   valid checksums (`support/framing.rs`), so the value reaches the
-//!   record codecs: inflated counts and lengths, ids that name nothing,
-//!   unknown tags, and every value a constructor downstream would
-//!   `assert!` on.
+//! * **named re-sealed edits** — one section rewritten and framed again
+//!   with valid checksums (`support/framing.rs`), so the value reaches
+//!   the record codecs: counts that no data backs, ids that name
+//!   nothing, relations between fields broken, and each value of a
+//!   scenario file a constructor downstream would `assert!` on;
+//! * **generic re-sealed edits** — every primitive of the first and the
+//!   last record of every section of two snapshots, planted with each
+//!   value of a fixed set for its kind ([`generic_values`]).
 //!
 //! Every case must end in a typed `Err`, or in an `Ok` that then runs to
 //! its horizon; none may panic, and none may allocate more than an
@@ -24,9 +27,13 @@
 //! most 16 MiB ahead of the data — and a small multiple of the file's
 //! length).
 //!
-//! The walkers below know the frozen version-1 record layouts field by
-//! field; that is deliberate — they are the second, independent
-//! statement of the format the codecs are checked against.
+//! The sweep does not state the record layouts: the decoders do. Each
+//! fixture is loaded once under [`record_tape`], which files every
+//! primitive the readers decode — section, record, byte range, kind —
+//! and the tape must cover every payload byte once ([`Fixture::new`]).
+//! Generic plants visit the tape's entries; a named plant names its
+//! field by its place in its record (the header's second varint, a
+//! device's ninth flag).
 //!
 //! One `#[test]`, phases in sequence: the allocation counter is
 //! process-wide.
@@ -35,9 +42,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use mlora_core::Scheme;
-use mlora_scenario_io::{section, ScenarioIoError, MAGIC};
+use mlora_scenario_io::{record_tape, section, ScenarioIoError, TapeEntry, TapeKind, MAGIC};
 use mlora_sim::{
     DisruptionEvent, Engine, GatewayPlacement, Scenario, ScenarioFileError, SimConfig, Snapshot,
     SnapshotError, TrafficProfile, SNAPSHOT_MAGIC,
@@ -99,7 +107,6 @@ const SEC_FLIGHT_SLOTS: u8 = 6;
 const SEC_FLIGHT_FREE: u8 = 7;
 const SEC_STREAMS: u8 = 8;
 const SEC_DELIVERY: u8 = 9;
-const SEC_COLLECTOR: u8 = 10;
 
 /// An id far past any fixture's timetable, table or slab.
 const NOWHERE: u64 = 1 << 30;
@@ -171,10 +178,12 @@ struct Sweep {
     cases: usize,
     ran: usize,
     failures: Vec<String>,
+    started: Instant,
 }
 
 impl Sweep {
     fn new(fixture: &'static str, pristine: &[u8], load: fn(&[u8]) -> Outcome) -> Self {
+        let started = Instant::now();
         let before = ALLOCATED_BYTES.load(Ordering::Relaxed);
         assert!(
             matches!(load(pristine), Outcome::Ran),
@@ -190,6 +199,7 @@ impl Sweep {
             cases: 0,
             ran: 0,
             failures: Vec::new(),
+            started,
         }
     }
 
@@ -281,214 +291,120 @@ impl Sweep {
 
     fn report(self, failures: &mut Vec<String>) {
         println!(
-            "{}: {} cases, {} loaded and ran, {} failed",
+            "{}: {} cases, {} loaded and ran, {} failed, in {:.1} s",
             self.fixture,
             self.cases,
             self.ran,
-            self.failures.len()
+            self.failures.len(),
+            self.started.elapsed().as_secs_f64()
         );
         failures.extend(self.failures);
     }
 }
 
-/// A cursor over one section's payload, for finding fields.
-struct Walk<'a> {
+/// A pristine fixture taken apart along its framing, with the tape of
+/// its honest load: where each primitive the decoders read sits.
+struct Fixture<'a> {
+    name: &'static str,
     bytes: &'a [u8],
-    pos: usize,
+    magic: [u8; 4],
+    sections: Vec<Section>,
+    tape: Vec<TapeEntry>,
 }
 
-impl Walk<'_> {
-    /// Steps over a varint, returning where it sits.
-    fn varint(&mut self) -> Range<usize> {
-        let start = self.pos;
-        get_varint(self.bytes, &mut self.pos);
-        start..self.pos
+impl<'a> Fixture<'a> {
+    /// A snapshot, its tape recorded by a resume.
+    fn snapshot(name: &'static str, bytes: &'a [u8]) -> Self {
+        let snap = Snapshot::from_bytes(bytes.to_vec()).expect("the fixture loads");
+        let (resumed, tape) = record_tape(|| Engine::resume(&snap));
+        resumed.expect("the fixture resumes");
+        Fixture::new(name, bytes, SNAPSHOT_MAGIC, tape)
     }
 
-    fn varints(&mut self, n: usize) {
-        for _ in 0..n {
-            self.varint();
+    /// A scenario file, its tape recorded by its load.
+    fn scenario(name: &'static str, bytes: &'a [u8]) -> Self {
+        let (cfg, tape) = record_tape(|| SimConfig::from_reader(bytes));
+        cfg.expect("the fixture loads");
+        Fixture::new(name, bytes, MAGIC, tape)
+    }
+
+    /// Keeps the entries of the fixture's own container — a snapshot's
+    /// embedded scenario is decoded by a reader of its own — and checks
+    /// that they cover every payload byte of every section exactly once,
+    /// a string's or a blob's bytes counted through its length: then
+    /// planting each entry reaches each field the decoders read.
+    fn new(name: &'static str, bytes: &'a [u8], magic: [u8; 4], tape: Vec<TapeEntry>) -> Self {
+        let fixture = Fixture {
+            name,
+            bytes,
+            magic,
+            sections: sections(bytes),
+            tape: tape.into_iter().filter(|e| e.magic == magic).collect(),
+        };
+        for s in &fixture.sections {
+            let mut covered = vec![0u32; s.payload.len()];
+            for e in fixture.tape.iter().filter(|e| e.section == s.id) {
+                let counted = match e.kind {
+                    TapeKind::Len => fixture.value(e) as usize,
+                    _ => 0,
+                };
+                for times in &mut covered[e.at.start..e.at.end + counted] {
+                    *times += 1;
+                }
+            }
+            let once = covered.iter().position(|&times| times != 1);
+            assert_eq!(once, None, "{name}: section {} off the tape", s.id);
+        }
+        fixture
+    }
+
+    fn section(&self, id: u8) -> &Section {
+        let mut all = self.sections.iter();
+        all.find(|s| s.id == id).expect("section present")
+    }
+
+    /// The entries of one record, in decode order.
+    fn entries(&self, section: u8, record: u64) -> Vec<&TapeEntry> {
+        let of = |e: &&TapeEntry| e.section == section && e.record == record;
+        self.tape.iter().filter(of).collect()
+    }
+
+    /// Field `index` of a record, which must be a `kind`.
+    fn field(&self, section: u8, record: u64, index: usize, kind: TapeKind) -> &TapeEntry {
+        let entry = self.entries(section, record)[index];
+        assert_eq!(
+            entry.kind, kind,
+            "{}: section {section} field {index}",
+            self.name
+        );
+        entry
+    }
+
+    /// What the pristine bytes hold at `e`: a varint or a length, a
+    /// byte, or an `f64`'s bits.
+    fn value(&self, e: &TapeEntry) -> u64 {
+        let payload = &self.section(e.section).payload;
+        match e.kind {
+            TapeKind::Varint | TapeKind::Len => get_varint(payload, &mut e.at.start.clone()),
+            TapeKind::U8 | TapeKind::Bool => payload[e.at.start].into(),
+            TapeKind::F64 => u64::from_le_bytes(payload[e.at.clone()].try_into().unwrap()),
         }
     }
 
-    fn value(&mut self) -> u64 {
-        get_varint(self.bytes, &mut self.pos)
-    }
-
-    fn byte(&mut self) -> Range<usize> {
-        self.pos += 1;
-        self.pos - 1..self.pos
-    }
-
-    fn f64(&mut self) -> Range<usize> {
-        self.pos += 8;
-        self.pos - 8..self.pos
-    }
-
-    fn f64s(&mut self, n: usize) {
-        self.pos += 8 * n;
-    }
-
-    /// Steps over a presence flag, returning where it sits and whether
-    /// a value follows.
-    fn flag(&mut self) -> (Range<usize>, bool) {
-        let at = self.byte();
-        (at.clone(), self.bytes[at.start] == 1)
-    }
-
-    /// Steps over `Option<T>`, `some` walking the `T`.
-    fn option(&mut self, some: impl FnOnce(&mut Self)) -> Range<usize> {
-        let start = self.pos;
-        if self.flag().1 {
-            some(self);
-        }
-        start..self.pos
-    }
-
-    fn string(&mut self) -> Range<usize> {
-        let at = self.varint();
-        let mut pos = at.start;
-        self.pos += get_varint(self.bytes, &mut pos) as usize;
-        at
-    }
-
-    /// One `AppMessage`: id, origin, created, payload size, profile,
-    /// priority.
-    fn message(&mut self) {
-        self.varints(4);
-        self.pos += 2;
-    }
-
-    /// A counted run of messages; returns where the count sits and its
-    /// value.
-    fn messages(&mut self) -> (Range<usize>, u64) {
-        let start = self.pos;
-        let n = self.value();
-        let at = start..self.pos;
-        for _ in 0..n {
-            self.message();
-        }
-        (at, n)
-    }
-
-    /// Where the varint after `at` sits.
-    fn varint_after(&self, at: &Range<usize>) -> Range<usize> {
-        let mut pos = at.end;
-        get_varint(self.bytes, &mut pos);
-        at.end..pos
-    }
-
-    /// A `Welford`: count, mean, m2, min, max.
-    fn welford(&mut self) {
-        self.varint();
-        self.f64s(4);
-    }
-
-    /// An RNG stream: seed and four state words.
-    fn rng(&mut self) {
-        self.varints(5);
-    }
-}
-
-/// Where the fields of one device record sit that a constructor or the
-/// event loop trusts.
-struct DeviceFields {
-    id: Range<usize>,
-    capacity: Range<usize>,
-    queue_len: Range<usize>,
-    queued: u64,
-    duty_cycle: Range<usize>,
-    max_attempts: Range<usize>,
-    alpha: Range<usize>,
-    rca_bits: Range<usize>,
-    ca_bits: Range<usize>,
-    donors: Range<usize>,
-    pending_handover: Range<usize>,
-    traffic: Range<usize>,
-}
-
-/// Where the fields of one occupied flight slot sit.
-struct FlightFields {
-    generation: Range<usize>,
-    seq: Range<usize>,
-    sender: Range<usize>,
-    target: Range<usize>,
-    start: Range<usize>,
-    end: Range<usize>,
-    messages: Range<usize>,
-}
-
-/// Walks the devices section in the frozen AoS-era field order.
-fn device_fields(section: &Section) -> Vec<DeviceFields> {
-    let mut w = Walk {
-        bytes: &section.payload,
-        pos: 0,
-    };
-    (0..section.count)
-        .map(|_| {
-            let id = w.varint();
-            w.byte(); // active
-            w.varint(); // activated_at
-            w.option(|w| w.varints(1)); // retired_at
-            let capacity = w.varint();
-            w.varint(); // dropped
-            let (queue_len, queued) = w.messages();
-            let duty_cycle = w.f64();
-            w.varints(3); // next_allowed, total_airtime, tx_count
-            let max_attempts = w.varint();
-            w.varint(); // attempts
-            w.option(|w| {
-                w.varint();
-                w.f64();
-            }); // last_success
-            w.byte(); // in_contact
-            w.varints(2); // successes, failures
-            let alpha = w.f64();
-            w.option(|w| w.f64s(1)); // ewma value
-            let rca_bits = w.f64();
-            let ca_bits = w.f64();
-            w.welford();
-            w.welford();
-            w.option(|w| w.varints(1)); // last_contact
-            let donors_at = w.pos;
-            let donors = w.value();
-            let donors_range = donors_at..w.pos;
-            w.varints(donors as usize);
-            w.pos += 2; // transmitting, tx_scheduled
-            let pending_handover = w.option(|w| w.varints(2));
-            w.option(|w| w.varints(1)); // last_tx_end
-            w.option(|w| w.varints(2)); // tx_window
-            w.f64s(1); // gamma
-            w.varints(3); // tx_time, rx_window_time, frames_sent
-            w.f64s(2); // grid_pos
-            let traffic = w.option(|w| {
-                w.varint();
-                w.rng();
-                w.varint();
-            });
-            DeviceFields {
-                id,
-                capacity,
-                queue_len,
-                queued,
-                duty_cycle,
-                max_attempts,
-                alpha,
-                rca_bits,
-                ca_bits,
-                donors: donors_range,
-                pending_handover,
-                traffic,
+    /// The fixture with section `id`'s payload bytes at each range
+    /// replaced, re-sealed.
+    fn planted(&self, id: u8, mut edits: Vec<(Range<usize>, Vec<u8>)>) -> Vec<u8> {
+        edits.sort_unstable_by_key(|(at, _)| std::cmp::Reverse(at.start));
+        splice(self.bytes, self.magic, id, |s| {
+            for (at, with) in edits {
+                s.payload.splice(at, with);
             }
         })
-        .collect()
-}
+    }
 
-/// `bytes` with `section`'s payload bytes at `at` replaced by `with`.
-fn replaced(bytes: &[u8], magic: [u8; 4], section: u8, at: Range<usize>, with: &[u8]) -> Vec<u8> {
-    splice(bytes, magic, section, |s| {
-        s.payload.splice(at, with.iter().copied());
-    })
+    fn plant(&self, id: u8, at: Range<usize>, with: &[u8]) -> Vec<u8> {
+        self.planted(id, vec![(at, with.to_vec())])
+    }
 }
 
 fn f64_bytes(v: f64) -> [u8; 8] {
@@ -504,23 +420,67 @@ fn some(parts: &[u64]) -> Vec<u8> {
     out
 }
 
-/// (c) The re-sealed edits of one snapshot fixture.
-fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
-    let all = sections(bytes);
-    let of = |id: u8| all.iter().find(|s| s.id == id).expect("section present");
-    let plant =
-        |id: u8, at: Range<usize>, with: &[u8]| replaced(bytes, SNAPSHOT_MAGIC, id, at, with);
+/// The values a generic plant puts where the pristine bytes hold a
+/// `kind` of value `v`, each with its name.
+fn generic_values(kind: TapeKind, v: u64) -> Vec<(String, Vec<u8>)> {
+    let varints = |more: &[u64]| {
+        let mut values = vec![0, 1, v.wrapping_sub(1), v.wrapping_add(1), 1 << 32, 1 << 63];
+        values.extend([u64::MAX].iter().chain(more));
+        values.sort_unstable();
+        values.dedup();
+        let planted = values.into_iter().map(|x| (x.to_string(), varint(x)));
+        let overlong = ("eleven 0x80 bytes".to_string(), vec![0x80; 11]);
+        planted.chain([overlong]).collect()
+    };
+    match kind {
+        TapeKind::Varint => varints(&[]),
+        TapeKind::Len => varints(&[HUGE]),
+        TapeKind::F64 => [
+            f64::NAN,
+            0.0,
+            -0.0,
+            -1.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            1e308,
+        ]
+        .map(|x| (format!("{x:?}"), f64_bytes(x).to_vec()))
+        .into(),
+        TapeKind::U8 | TapeKind::Bool => [2u8, 255].map(|b| (b.to_string(), vec![b])).into(),
+    }
+}
 
-    // The walkers agree with the writer: re-sealing changes nothing.
-    assert_eq!(
-        framing::seal(SNAPSHOT_MAGIC, &all),
-        bytes,
-        "{}",
-        sweep.fixture
-    );
+/// (d) Every primitive of the first and the last record of every
+/// section planted with each value of its kind's set that differs from
+/// the pristine bytes.
+fn generic_plants(sweep: &mut Sweep, fx: &Fixture) {
+    for s in &fx.sections {
+        for record in (0..s.count).filter(|&r| r == 0 || r + 1 == s.count) {
+            for (field, e) in fx.entries(s.id, record).into_iter().enumerate() {
+                for (name, with) in generic_values(e.kind, fx.value(e)) {
+                    if with[..] == s.payload[e.at.clone()] {
+                        continue;
+                    }
+                    sweep.case(
+                        &format!("section {} record {record} field {field}: {name}", s.id),
+                        &fx.plant(s.id, e.at.clone(), &with),
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// (c) The named re-sealed edits of one snapshot fixture: what the
+/// generic set cannot state — section counts, values that relate one
+/// field to another, and values inserted where the file has none.
+fn snapshot_plants(sweep: &mut Sweep, fx: &Fixture) {
+    use TapeKind::{Bool, Varint, U8};
+    let bytes = fx.bytes;
 
     // Section headers promising 2^60 records, and one too few.
-    for s in &all {
+    for s in &fx.sections {
         if s.id == SEC_CONFIG {
             continue; // the scenario blob: exactly one record, checked
         }
@@ -539,35 +499,17 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
     }
 
     // Header: seed, shards, now, next_msg, events_processed, event_seq.
-    let mut w = Walk {
-        bytes: &of(SEC_HEADER).payload,
-        pos: 0,
-    };
-    w.varint();
-    let shards = w.varint();
-    let now = w.varint();
-    let now_ms = get_varint(&of(SEC_HEADER).payload, &mut now.start.clone());
-    let next_msg = w.varint();
-    // The streams section: the channel RNG, then the flight counter.
-    let mut streams = Walk {
-        bytes: &of(SEC_STREAMS).payload,
-        pos: 0,
-    };
-    streams.rng();
-    let next_flight_seq = streams.value();
-    sweep.refused(
-        "header: zero shards",
-        &plant(SEC_HEADER, shards.clone(), &varint(0)),
-    );
-    sweep.refused(
-        "header: 65 shards",
-        &plant(SEC_HEADER, shards.clone(), &varint(65)),
-    );
     // Old headers still read: builds that could split one run over
     // worker threads recorded how many (`calendar_written.mlss` says 2),
     // and the count never changed a result.
+    let shards = fx.field(SEC_HEADER, 0, 1, Varint).at.clone();
+    let now_ms = fx.value(fx.field(SEC_HEADER, 0, 2, Varint));
+    for n in [0, 65] {
+        let resealed = fx.plant(SEC_HEADER, shards.clone(), &varint(n));
+        sweep.refused(&format!("header: {n} shards"), &resealed);
+    }
     let reports = [1, 2, 64].map(|n| {
-        let resealed = plant(SEC_HEADER, shards.clone(), &varint(n));
+        let resealed = fx.plant(SEC_HEADER, shards.clone(), &varint(n));
         sweep.runs(&format!("header: {n} shards"), &resealed);
         let snap = Snapshot::from_bytes(resealed).expect("loads");
         Engine::resume(&snap).expect("resumes").finish()
@@ -578,26 +520,11 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
             sweep.fixture
         ));
     }
-    sweep.case(
-        "header: captured at 2^62 ms",
-        &plant(SEC_HEADER, now, &varint(1 << 62)),
-    );
-    sweep.refused(
-        "header: message counter wound back to 0",
-        &plant(SEC_HEADER, next_msg, &varint(0)),
-    );
 
-    // Events: time, seq, tag, operands. The first record is rewritten.
-    let events = of(SEC_EVENTS);
-    let mut w = Walk {
-        bytes: &events.payload,
-        pos: 0,
-    };
-    w.varints(2);
-    let tag = w.byte();
-    let first_tag = events.payload[tag.start];
-    w.varints(if first_tag == 4 { 2 } else { 1 });
-    let first_event = tag.start..w.pos;
+    // Events: time, seq, tag, operands. The first record's event is
+    // rewritten into each kind, naming what is not there.
+    let first = fx.entries(SEC_EVENTS, 0);
+    let first_event = first[2].at.start..first[first.len() - 1].at.end;
     for (name, tag, operands) in [
         ("trip start", 0u8, &[NOWHERE][..]),
         ("trip end", 1, &[NOWHERE]),
@@ -613,90 +540,36 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
         }
         sweep.case(
             &format!("event: {name} of {}", operands[0]),
-            &plant(SEC_EVENTS, first_event.clone(), &with),
+            &fx.plant(SEC_EVENTS, first_event.clone(), &with),
         );
     }
-    sweep.refused("event: unknown tag", &plant(SEC_EVENTS, tag, &[9]));
 
-    // Devices.
-    let devices = device_fields(of(SEC_DEVICES));
-    let first = &devices[0];
-    let dev = |at: &Range<usize>, with: &[u8]| plant(SEC_DEVICES, at.clone(), with);
+    // Devices. The first one's ninth flag is its pending handover's
+    // (armed here at a device that never was), its twelfth and last its
+    // traffic state's (given a profile past the mix).
+    let device = fx.entries(SEC_DEVICES, 0);
+    let flags: Vec<_> = device.iter().filter(|e| e.kind == Bool).collect();
+    let handover = flags[8].at.start..flags[9].at.start;
     sweep.refused(
-        "device: id of an undeparted trip",
-        &dev(&first.id, &varint(NOWHERE)),
+        "device: handover armed at a device that never was",
+        &fx.plant(SEC_DEVICES, handover, &some(&[NOWHERE, 3])),
     );
-    sweep.refused("device: id past u32", &dev(&first.id, &varint(1 << 40)));
+    let traffic = flags[11].at.start..device[device.len() - 1].at.end;
     sweep.refused(
-        "device: queue capacity 0",
-        &dev(&first.capacity, &varint(0)),
+        "device: traffic profile past the mix",
+        &fx.plant(SEC_DEVICES, traffic, &some(&[NOWHERE, 1, 2, 3, 4, 5, 0])),
     );
-    let fullest = devices.iter().max_by_key(|d| d.queued).expect("devices");
-    assert!(
-        fullest.queued >= 2,
-        "{}: no device holds two messages",
-        sweep.fixture
-    );
-    sweep.refused(
-        "device: more messages than capacity",
-        &dev(&fullest.capacity, &varint(fullest.queued - 1)),
-    );
-    let first_id = Walk {
-        bytes: &of(SEC_DEVICES).payload,
-        pos: 0,
-    }
-    .varint_after(&fullest.queue_len);
+    // A queued message's id, above the run's counter. A message is four
+    // varints (id, origin, instant, size), then its profile byte.
+    let queued = (0..fx.section(SEC_DEVICES).count).find_map(|record| {
+        let entries = fx.entries(SEC_DEVICES, record);
+        let profile = entries.iter().position(|e| e.kind == U8)?;
+        Some(entries[profile - 4].at.clone())
+    });
+    let queued = queued.expect("a queued message");
     sweep.refused(
         "device: a queued message the run never issued",
-        &dev(&first_id, &varint(HUGE)),
-    );
-    sweep.refused(
-        "device: 2^60 queued messages",
-        &dev(&first.queue_len, &varint(HUGE)),
-    );
-    for (name, value) in [("NaN", f64::NAN), ("0", 0.0), ("1.5", 1.5), ("-1", -1.0)] {
-        sweep.refused(
-            &format!("device: duty cycle {name}"),
-            &dev(&first.duty_cycle, &f64_bytes(value)),
-        );
-        sweep.refused(
-            &format!("device: EWMA alpha {name}"),
-            &dev(&first.alpha, &f64_bytes(value)),
-        );
-    }
-    // The estimators' frame size is a constant, not the scenario's: a
-    // plausible 2 000 would resume silently under another model.
-    for (name, value) in [
-        ("NaN", f64::NAN),
-        ("0", 0.0),
-        ("-1", -1.0),
-        ("2000", 2_000.0),
-    ] {
-        sweep.refused(
-            &format!("device: RCA-ETX frame size {name}"),
-            &dev(&first.rca_bits, &f64_bytes(value)),
-        );
-        sweep.refused(
-            &format!("device: CA-ETX frame size {name}"),
-            &dev(&first.ca_bits, &f64_bytes(value)),
-        );
-    }
-    sweep.refused(
-        "device: max attempts 0",
-        &dev(&first.max_attempts, &varint(0)),
-    );
-    sweep.refused(
-        "device: max attempts past u32",
-        &dev(&first.max_attempts, &varint(1 << 40)),
-    );
-    sweep.refused("device: 2^60 donors", &dev(&first.donors, &varint(HUGE)));
-    sweep.case(
-        "device: handover armed at a device that never was",
-        &dev(&first.pending_handover, &some(&[NOWHERE, 3])),
-    );
-    sweep.case(
-        "device: traffic profile past the mix",
-        &dev(&first.traffic, &some(&[NOWHERE, 1, 2, 3, 4, 5, 0])),
+        &fx.plant(SEC_DEVICES, queued, &varint(HUGE)),
     );
 
     // Withdrawals: node, instant. One record appended.
@@ -708,119 +581,94 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
     });
     sweep.refused("withdrawal: node past the timetable", &withdrawn);
 
-    // Flight slots: generation, then Option<flight>: seq, sender,
-    // Option<target>, start, end, pos, frame sender, messages, metric,
-    // queue length.
-    let slots = of(SEC_FLIGHT_SLOTS);
-    let mut w = Walk {
-        bytes: &slots.payload,
-        pos: 0,
-    };
-    let mut flights = Vec::new();
-    for _ in 0..slots.count {
-        let generation = w.varint();
-        if !w.flag().1 {
-            continue;
-        }
-        let seq = w.varint();
-        let sender = w.varint();
-        let target = w.option(|w| w.varints(1));
-        let start = w.varint();
-        let end = w.varint();
-        w.f64s(2);
-        w.varint(); // frame sender
-        let (messages, _) = w.messages();
-        w.f64s(1);
-        w.varint();
-        flights.push(FlightFields {
-            generation,
-            seq,
-            sender,
-            target,
-            start,
-            end,
-            messages,
-        });
-    }
-    let slot_count = slots.count;
-    let value = |at: &Range<usize>| get_varint(&slots.payload, &mut at.start.clone());
-    // Several fields of the slots section rewritten at once.
-    let slot_edits = |mut edits: Vec<(&Range<usize>, Vec<u8>)>| {
-        edits.sort_unstable_by_key(|(at, _)| std::cmp::Reverse(at.start));
-        splice(bytes, SNAPSHOT_MAGIC, SEC_FLIGHT_SLOTS, |s| {
-            for (at, with) in edits {
-                s.payload.splice(at.clone(), with);
-            }
+    // Flight slots: generation, a flag, then the flight — seq, sender,
+    // target (a flag, and an id if set), start, end, … — found as
+    // `[seq, sender, target, start, end]`.
+    let slots = fx.section(SEC_FLIGHT_SLOTS);
+    let flights: Vec<[Range<usize>; 5]> = (0..slots.count)
+        .filter_map(|record| {
+            let e = fx.entries(SEC_FLIGHT_SLOTS, record);
+            (fx.value(e[1]) == 1).then(|| {
+                let start = 5 + fx.value(e[4]) as usize;
+                let at = |i: usize| e[i].at.clone();
+                [
+                    at(2),
+                    at(3),
+                    e[4].at.start..e[start].at.start,
+                    at(start),
+                    at(start + 1),
+                ]
+            })
         })
-    };
-    let slot = |at: &Range<usize>, with: &[u8]| slot_edits(vec![(at, with.to_vec())]);
-    if let Some(first) = flights.first() {
+        .collect();
+    let value = |at: &Range<usize>| get_varint(&slots.payload, &mut at.start.clone());
+    let slot = |at: &Range<usize>, with: &[u8]| fx.plant(SEC_FLIGHT_SLOTS, at.clone(), with);
+    if let Some([_, sender, target, start, end]) = flights.first() {
         sweep.refused(
-            "flight: generation past u32",
-            &slot(&first.generation, &varint(1 << 40)),
-        );
-        sweep.case(
             "flight: sender that never was",
-            &slot(&first.sender, &varint(NOWHERE)),
-        );
-        sweep.case(
-            "flight: target that never was",
-            &slot(&first.target, &some(&[NOWHERE])),
+            &slot(sender, &varint(NOWHERE)),
         );
         sweep.refused(
-            "flight: 2^60 messages",
-            &slot(&first.messages, &varint(HUGE)),
+            "flight: target that never was",
+            &slot(target, &some(&[NOWHERE])),
         );
         // The flight ring's premises (`Channel::restore`), one at a
         // time. A flight pinned in the air would pin the ring's front.
-        let start = value(&first.start);
+        let start = value(start);
         sweep.refused(
             "flight: ends before it starts",
-            &slot(&first.end, &varint(start - 1)),
+            &slot(end, &varint(start - 1)),
         );
         sweep.refused(
             "flight: outlasts the longest airtime",
-            &slot(&first.end, &varint(start + (1 << 40))),
+            &slot(end, &varint(start + (1 << 40))),
         );
         // The newest flight, moved past the capture instant or given
-        // the counter's next number.
-        let newest = flights
+        // the counter's next number (the streams' sixth varint, after
+        // the channel's RNG).
+        let [seq, _, _, start, end] = flights
             .iter()
-            .max_by_key(|f| value(&f.seq))
+            .max_by_key(|f| value(&f[0]))
             .expect("one flight");
         let after = varint(now_ms + 1);
         sweep.refused(
             "flight: starts after the snapshot instant",
-            &slot_edits(vec![(&newest.start, after.clone()), (&newest.end, after)]),
+            &fx.planted(
+                SEC_FLIGHT_SLOTS,
+                vec![(start.clone(), after.clone()), (end.clone(), after)],
+            ),
         );
+        let next_flight_seq = fx.value(fx.field(SEC_STREAMS, 0, 5, Varint));
         sweep.refused(
             "flight: sequence number never issued",
-            &slot(&newest.seq, &varint(next_flight_seq)),
+            &slot(seq, &varint(next_flight_seq)),
         );
     }
     if let [a, b, ..] = &flights[..] {
         sweep.refused(
             "flight: two share a sequence number",
-            &slot(&b.seq, &varint(value(&a.seq))),
+            &slot(&b[0], &varint(value(&a[0]))),
         );
     }
     // Two flights launched at different instants trade numbers.
     let apart = flights.iter().enumerate().find_map(|(i, a)| {
         let later = flights[i + 1..]
             .iter()
-            .find(|b| value(&b.start) != value(&a.start))?;
+            .find(|b| value(&b[3]) != value(&a[3]))?;
         Some((a, later))
     });
     if let Some((a, b)) = apart {
         sweep.refused(
             "flight: start decreases along the sequence",
-            &slot_edits(vec![
-                (&a.seq, varint(value(&b.seq))),
-                (&b.seq, varint(value(&a.seq))),
-            ]),
+            &fx.planted(
+                SEC_FLIGHT_SLOTS,
+                vec![
+                    (a[0].clone(), varint(value(&b[0]))),
+                    (b[0].clone(), varint(value(&a[0]))),
+                ],
+            ),
         );
     }
-    let any_occupied = !flights.is_empty();
 
     // Free list: one index appended.
     for (name, index) in [("past the slab", NOWHERE), ("past u32", 1 << 40)] {
@@ -830,78 +678,56 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
         });
         sweep.refused(&format!("free list: index {name}"), &free);
     }
-    if of(SEC_FLIGHT_FREE).count > 0 {
+    if fx.section(SEC_FLIGHT_FREE).count > 0 {
         let twice = splice(bytes, SNAPSHOT_MAGIC, SEC_FLIGHT_FREE, |s| {
             s.count *= 2;
             s.payload.extend_from_within(..);
         });
         sweep.refused("free list: names its slots twice", &twice);
     }
-    if any_occupied {
+    if !flights.is_empty() {
         // Some slot is occupied; naming every slot names it too.
         let free = splice(bytes, SNAPSHOT_MAGIC, SEC_FLIGHT_FREE, |s| {
-            s.count = slot_count;
-            s.payload = (0..slot_count).flat_map(varint).collect();
+            s.count = slots.count;
+            s.payload = (0..slots.count).flat_map(varint).collect();
         });
         sweep.refused("free list: names an occupied slot", &free);
     }
 
-    // Streams: channel rng, next flight seq, active noise, two more
-    // streams, drift sweep instant.
-    let mut w = Walk {
-        bytes: &of(SEC_STREAMS).payload,
-        pos: 0,
-    };
-    w.rng();
-    w.varint();
-    let noise_at = w.pos;
-    let n_noise = w.value();
-    let noise_count = noise_at..w.pos;
-    w.varints(n_noise as usize);
-    let noise = noise_at..w.pos;
+    // Streams: after the channel's RNG and the flight counter, the
+    // active noise bursts (a count, then the ids) hold one past the
+    // table.
+    let streams = fx.entries(SEC_STREAMS, 0);
+    let bursts = fx.value(streams[6]) as usize;
+    let noise = streams[6].at.start..streams[7 + bursts].at.start;
     let mut one_burst = varint(1);
     framing::put_varint(&mut one_burst, NOWHERE);
-    sweep.case(
+    sweep.refused(
         "streams: active noise burst past the table",
-        &plant(SEC_STREAMS, noise, &one_burst),
-    );
-    sweep.refused(
-        "streams: 2^60 active noise bursts",
-        &plant(SEC_STREAMS, noise_count, &varint(HUGE)),
-    );
-    w.rng();
-    w.rng();
-    let sweep_due = w.varint();
-    sweep.refused(
-        "streams: drift sweep due past one period",
-        &plant(SEC_STREAMS, sweep_due, &varint(HUGE)),
+        &fx.plant(SEC_STREAMS, noise, &one_burst),
     );
 
-    // Delivery: per-gateway outage depths.
-    let mut w = Walk {
-        bytes: &of(SEC_DELIVERY).payload,
-        pos: 0,
-    };
-    let gateways = w.varint();
-    let first_depth = w.varint();
-    let flipped = u64::from(of(SEC_DELIVERY).payload[first_depth.start] == 0);
-    sweep.refused(
-        "delivery: one gateway's outage the collector never counted",
-        &plant(SEC_DELIVERY, first_depth.clone(), &varint(flipped)),
-    );
-    // An outage in progress, told as a consistent lie: the collector's
+    // Delivery: the gateway count, then each one's outage depth. An
+    // outage in progress, told as a consistent lie: the collector's
     // count of gateways down still holds, the timeline took another one
     // down. And told twice: the first queued event rewritten into the
     // recovery that is queued already, which then finds no outage open.
-    let snap = Snapshot::from_bytes(bytes.to_vec()).expect("pristine");
-    let cfg = snap.config().expect("pristine");
-    let depths = &of(SEC_DELIVERY).payload[first_depth.start..];
-    if let Some(down) = depths.iter().position(|&depth| depth > 0) {
-        let up = depths.iter().position(|&depth| depth == 0).expect("one up");
-        let moved = splice(bytes, SNAPSHOT_MAGIC, SEC_DELIVERY, |s| {
-            s.payload[first_depth.start..].swap(down, up);
-        });
+    let depths: Vec<_> = fx.entries(SEC_DELIVERY, 0)[1..].to_vec();
+    if let Some(down) = depths.iter().position(|&e| fx.value(e) > 0) {
+        let up = depths
+            .iter()
+            .position(|&e| fx.value(e) == 0)
+            .expect("one up");
+        let moved = fx.planted(
+            SEC_DELIVERY,
+            vec![
+                (depths[down].at.clone(), varint(0)),
+                (depths[up].at.clone(), varint(fx.value(depths[down]))),
+            ],
+        );
         sweep.refused("delivery: an outage moved to another gateway", &moved);
+        let snap = Snapshot::from_bytes(bytes.to_vec()).expect("pristine");
+        let cfg = snap.config().expect("pristine");
         let recovery = cfg
             .disruptions
             .compile(cfg.horizon)
@@ -915,53 +741,9 @@ fn snapshot_plants(sweep: &mut Sweep, bytes: &[u8]) {
         framing::put_varint(&mut twice, recovery as u64);
         sweep.runs(
             "event: a recovery filed twice",
-            &plant(SEC_EVENTS, first_event, &twice),
+            &fx.plant(SEC_EVENTS, first_event, &twice),
         );
     }
-    sweep.refused(
-        "delivery: 2^60 gateways",
-        &plant(SEC_DELIVERY, gateways.clone(), &varint(HUGE)),
-    );
-    sweep.refused(
-        "delivery: no gateways",
-        &plant(SEC_DELIVERY, gateways, &varint(0)),
-    );
-
-    // Collector: the report — scheme, five counters, two Welfords, the
-    // series (bucket, bounded, counts) …
-    let collector = of(SEC_COLLECTOR);
-    let mut w = Walk {
-        bytes: &collector.payload,
-        pos: 0,
-    };
-    let scheme = w.string();
-    w.varints(5);
-    w.welford();
-    w.welford();
-    let bucket = w.varint();
-    w.byte();
-    let counts_at = w.pos;
-    let n_counts = w.value();
-    let counts_count = counts_at..w.pos;
-    w.varints(n_counts as usize);
-    let counts = counts_at..w.pos;
-    let col = |at: Range<usize>, with: &[u8]| plant(SEC_COLLECTOR, at, with);
-    sweep.refused(
-        "collector: 2^60-byte scheme label",
-        &col(scheme, &varint(HUGE)),
-    );
-    sweep.refused(
-        "collector: zero-width series bucket",
-        &col(bucket, &varint(0)),
-    );
-    sweep.refused(
-        "collector: series without buckets",
-        &col(counts, &varint(0)),
-    );
-    sweep.refused(
-        "collector: 2^60 series buckets",
-        &col(counts_count, &varint(HUGE)),
-    );
 }
 
 /// The scenario the `.mlsc` leg is written from: every optional section
@@ -994,13 +776,10 @@ fn rich_scenario() -> Vec<u8> {
 }
 
 /// (c) The re-sealed edits of the scenario file.
-fn scenario_plants(sweep: &mut Sweep, bytes: &[u8]) {
-    let all = sections(bytes);
-    let of = |id: u8| all.iter().find(|s| s.id == id).expect("section present");
-    let plant = |id: u8, at: Range<usize>, with: &[u8]| replaced(bytes, MAGIC, id, at, with);
-    assert_eq!(framing::seal(MAGIC, &all), bytes, "{}", sweep.fixture);
-
-    for s in &all {
+fn scenario_plants(sweep: &mut Sweep, fx: &Fixture) {
+    use TapeKind::{Bool, Len, Varint, F64, U8};
+    let bytes = fx.bytes;
+    for s in &fx.sections {
         let inflated = splice(bytes, MAGIC, s.id, |s| s.count = HUGE);
         sweep.refused(
             &format!("section {} promises 2^60 records", s.id),
@@ -1014,194 +793,136 @@ fn scenario_plants(sweep: &mut Sweep, bytes: &[u8]) {
     // engine's neighbour cells, as a prebuilt world's header does
     // (`world_plants`); a vast one that the generator can still build
     // runs. Then each rule of `BusNetworkConfig::validate`, broken once.
-    let mut w = Walk {
-        bytes: &of(section::NETWORK_CONFIG).payload,
-        pos: 0,
-    };
-    let area = w.f64();
-    let routes = w.varint();
-    let waypoints = w.varint();
-    let shortest = w.f64();
-    let slowest = w.f64();
-    let fastest = w.f64();
-    let buses = w.varint();
-    let fewest_legs = w.varint();
-    let most_legs = w.varint();
-    w.varint();
-    let bias = w.f64();
-    let net = |at: &Range<usize>, with: &[u8]| plant(section::NETWORK_CONFIG, at.clone(), with);
-    sweep.runs("network: a 10 000 km square", &net(&area, &f64_bytes(1e7)));
-    let side = f64::from_le_bytes(
-        of(section::NETWORK_CONFIG).payload[area.clone()]
-            .try_into()
-            .expect("eight bytes"),
-    );
+    let net = |index: usize, kind: TapeKind| fx.field(section::NETWORK_CONFIG, 0, index, kind);
+    let area = net(0, F64);
+    let plant = |e: &TapeEntry, with: &[u8]| fx.plant(e.section, e.at.clone(), with);
+    sweep.runs("network: a 10 000 km square", &plant(area, &f64_bytes(1e7)));
+    let side = f64::from_bits(fx.value(area));
     for (name, at, with) in [
-        ("area 0", &area, f64_bytes(0.0).to_vec()),
-        ("a 1e300 m square", &area, f64_bytes(1e300).to_vec()),
-        ("no routes", &routes, varint(0)),
-        ("2^40 routes", &routes, varint(1 << 40)),
-        ("2^40 waypoints per route", &waypoints, varint(1 << 40)),
+        ("area 0", area, f64_bytes(0.0).to_vec()),
+        ("a 1e300 m square", area, f64_bytes(1e300).to_vec()),
+        ("no routes", net(1, Varint), varint(0)),
+        ("2^40 routes", net(1, Varint), varint(1 << 40)),
+        ("2^40 waypoints per route", net(2, Varint), varint(1 << 40)),
         (
             "shortest route twice the area side",
-            &shortest,
+            net(3, F64),
             f64_bytes(2.0 * side).to_vec(),
         ),
         (
             "shortest route -inf",
-            &shortest,
+            net(3, F64),
             f64_bytes(f64::NEG_INFINITY).to_vec(),
         ),
-        ("slowest speed 0", &slowest, f64_bytes(0.0).to_vec()),
+        ("slowest speed 0", net(4, F64), f64_bytes(0.0).to_vec()),
         (
             "fastest speed below the slowest",
-            &fastest,
+            net(5, F64),
             f64_bytes(0.5).to_vec(),
         ),
-        ("no buses", &buses, varint(0)),
-        ("2^40 buses", &buses, varint(1 << 40)),
-        ("fewest legs 0", &fewest_legs, varint(0)),
-        ("most legs below the fewest", &most_legs, varint(0)),
-        ("most legs u32::MAX", &most_legs, varint(u32::MAX.into())),
-        ("centre bias 2", &bias, f64_bytes(2.0).to_vec()),
+        ("no buses", net(6, Varint), varint(0)),
+        ("2^40 buses", net(6, Varint), varint(1 << 40)),
+        ("fewest legs 0", net(7, Varint), varint(0)),
+        ("most legs below the fewest", net(8, Varint), varint(0)),
+        (
+            "most legs u32::MAX",
+            net(8, Varint),
+            varint(u32::MAX.into()),
+        ),
+        ("centre bias 2", net(10, F64), f64_bytes(2.0).to_vec()),
     ] {
-        sweep.refused(&format!("network: {name}"), &net(at, &with));
+        sweep.refused(&format!("network: {name}"), &plant(at, &with));
     }
 
     // SIM_PARAMS: environment, scheme, alpha, device class, generation
     // interval, queue capacity, duty cycle, max attempts, SF, bandwidth,
     // coding rate, preamble, two flags, tx power, path loss ×4,
     // capacity model ×3, horizon, series bucket.
-    let mut w = Walk {
-        bytes: &of(section::SIM_PARAMS).payload,
-        pos: 0,
-    };
-    let environment = w.byte();
-    let scheme = w.byte();
-    let alpha = w.f64();
-    let device_class = w.byte();
-    w.varint();
-    let queue_capacity = w.varint();
-    let duty_cycle = w.f64();
-    let max_attempts = w.varint();
-    let sf = w.byte();
-    let bandwidth = w.byte();
-    let coding_rate = w.byte();
-    let preamble = w.varint();
-    let explicit_header = w.byte();
-    w.byte();
-    w.f64s(5);
-    let gamma_min = w.f64();
-    let par = |at: &Range<usize>, with: &[u8]| plant(section::SIM_PARAMS, at.clone(), with);
-    for (name, at) in [
-        ("environment", &environment),
-        ("scheme", &scheme),
-        ("device class", &device_class),
-        ("bandwidth", &bandwidth),
-        ("coding rate", &coding_rate),
+    let par = |index: usize, kind: TapeKind| fx.field(section::SIM_PARAMS, 0, index, kind);
+    for (name, index) in [
+        ("environment", 0),
+        ("scheme", 1),
+        ("device class", 3),
+        ("bandwidth", 9),
+        ("coding rate", 10),
     ] {
-        sweep.refused(&format!("params: unknown {name} tag"), &par(at, &[9]));
+        sweep.refused(
+            &format!("params: unknown {name} tag"),
+            &plant(par(index, U8), &[9]),
+        );
     }
-    sweep.refused("params: SF13", &par(&sf, &[13]));
-    sweep.refused("params: SF6", &par(&sf, &[6]));
-    sweep.refused("params: a boolean of 2", &par(&explicit_header, &[2]));
-    sweep.refused("params: alpha NaN", &par(&alpha, &f64_bytes(f64::NAN)));
+    sweep.refused("params: SF13", &plant(par(8, U8), &[13]));
+    sweep.refused("params: SF6", &plant(par(8, U8), &[6]));
+    sweep.refused("params: a boolean of 2", &plant(par(12, Bool), &[2]));
+    let nan = f64_bytes(f64::NAN);
+    sweep.refused("params: alpha NaN", &plant(par(2, F64), &nan));
     sweep.refused(
         "params: queue capacity 0",
-        &par(&queue_capacity, &varint(0)),
+        &plant(par(5, Varint), &varint(0)),
     );
-    sweep.refused("params: duty cycle 0", &par(&duty_cycle, &f64_bytes(0.0)));
-    sweep.refused("params: max attempts 0", &par(&max_attempts, &varint(0)));
+    sweep.refused("params: duty cycle 0", &plant(par(6, F64), &f64_bytes(0.0)));
+    sweep.refused("params: max attempts 0", &plant(par(7, Varint), &varint(0)));
     sweep.refused(
         "params: max attempts past u32",
-        &par(&max_attempts, &varint(1 << 40)),
+        &plant(par(7, Varint), &varint(1 << 40)),
     );
     sweep.refused(
         "params: preamble past u32",
-        &par(&preamble, &varint(1 << 40)),
+        &plant(par(11, Varint), &varint(1 << 40)),
     );
     sweep.refused(
         "params: capacity model floor above its ceiling",
-        &par(&gamma_min, &f64_bytes(1e9)),
+        &plant(par(19, F64), &f64_bytes(1e9)),
     );
 
     // GATEWAYS: count, placement, range.
-    let mut w = Walk {
-        bytes: &of(section::GATEWAYS).payload,
-        pos: 0,
-    };
-    let count = w.varint();
-    let placement = w.byte();
-    let range = w.f64();
-    sweep.refused(
-        "gateways: none",
-        &plant(section::GATEWAYS, count.clone(), &varint(0)),
-    );
+    let gw = |index: usize, kind: TapeKind| fx.field(section::GATEWAYS, 0, index, kind);
+    sweep.refused("gateways: none", &plant(gw(0, Varint), &varint(0)));
     sweep.refused(
         "gateways: a billion",
-        &plant(section::GATEWAYS, count, &varint(1_000_000_000)),
+        &plant(gw(0, Varint), &varint(1_000_000_000)),
     );
-    sweep.refused(
-        "gateways: unknown placement tag",
-        &plant(section::GATEWAYS, placement, &[9]),
-    );
-    sweep.refused(
-        "gateways: range NaN",
-        &plant(section::GATEWAYS, range, &f64_bytes(f64::NAN)),
-    );
+    sweep.refused("gateways: unknown placement tag", &plant(gw(1, U8), &[9]));
+    sweep.refused("gateways: range NaN", &plant(gw(2, F64), &nan));
 
     // TRAFFIC, first profile: name, arrival tag + operands, payload tag
     // + operands, priority, weight. `telemetry` is jittered (interval,
     // jitter) with a fixed payload.
-    let mut w = Walk {
-        bytes: &of(section::TRAFFIC).payload,
-        pos: 0,
-    };
-    let name = w.string();
-    let arrivals = w.byte();
-    assert_eq!(
-        of(section::TRAFFIC).payload[arrivals.start],
-        1,
-        "telemetry is jittered"
+    let tra = |index: usize, kind: TapeKind| fx.field(section::TRAFFIC, 0, index, kind);
+    let arrivals = tra(1, U8);
+    assert_eq!(fx.value(arrivals), 1, "telemetry is jittered");
+    sweep.refused(
+        "traffic: 2^60-byte profile name",
+        &plant(tra(0, Len), &varint(HUGE)),
     );
-    w.varint();
-    w.f64();
-    let payload = w.byte();
-    w.varint();
-    let priority = w.byte();
-    let tra = |at: Range<usize>, with: &[u8]| plant(section::TRAFFIC, at, with);
-    sweep.refused("traffic: 2^60-byte profile name", &tra(name, &varint(HUGE)));
     sweep.refused(
         "traffic: unknown arrival process tag",
-        &tra(arrivals.clone(), &[9]),
+        &plant(arrivals, &[9]),
     );
-    sweep.refused("traffic: unknown payload model tag", &tra(payload, &[9]));
-    sweep.refused("traffic: unknown priority tag", &tra(priority, &[3]));
+    sweep.refused(
+        "traffic: unknown payload model tag",
+        &plant(tra(4, U8), &[9]),
+    );
+    sweep.refused("traffic: unknown priority tag", &plant(tra(6, U8), &[3]));
     // A diurnal curve with a level of 2: tag 3, base interval, 24 levels.
     let mut diurnal = vec![3];
     framing::put_varint(&mut diurnal, 60_000);
     for _ in 0..24 {
         diurnal.extend_from_slice(&f64_bytes(2.0));
     }
-    let jittered = arrivals.start..arrivals.start + 1 + 3 + 8; // tag, 60 000 ms, jitter
+    let jittered = arrivals.at.start..tra(3, F64).at.end; // tag, interval, jitter
     sweep.refused(
         "traffic: diurnal level outside [0, 1]",
-        &tra(jittered, &diurnal),
+        &fx.plant(section::TRAFFIC, jittered, &diurnal),
     );
 
     // DISRUPTIONS, first record: an outage (tag 0: gateway, start,
     // Option<duration>).
-    let mut w = Walk {
-        bytes: &of(section::DISRUPTIONS).payload,
-        pos: 0,
-    };
-    let tag = w.byte();
-    let gateway = w.varint();
-    let dis = |at: Range<usize>, with: &[u8]| plant(section::DISRUPTIONS, at, with);
-    sweep.refused("disruptions: unknown tag", &dis(tag, &[9]));
+    let dis = |index: usize, kind: TapeKind| fx.field(section::DISRUPTIONS, 0, index, kind);
+    sweep.refused("disruptions: unknown tag", &plant(dis(0, U8), &[9]));
     sweep.refused(
         "disruptions: outage of a gateway that is not there",
-        &dis(gateway, &varint(NOWHERE)),
+        &plant(dis(1, Varint), &varint(NOWHERE)),
     );
 }
 
@@ -1222,52 +943,41 @@ fn metro_snapshot() -> Vec<u8> {
 /// (c) The re-sealed edits of a prebuilt world's own records: its
 /// header, the first route and the first trip, and the order and
 /// presence of its sections.
-fn world_record_plants(sweep: &mut Sweep, bytes: &[u8]) {
-    let all = sections(bytes);
-    let of = |id: u8| all.iter().find(|s| s.id == id).expect("section present");
-    let plant = |id: u8, at: Range<usize>, with: &[u8]| replaced(bytes, MAGIC, id, at, with);
-    assert_eq!(framing::seal(MAGIC, &all), bytes, "{}", sweep.fixture);
-
+fn world_record_plants(sweep: &mut Sweep, fx: &Fixture) {
+    use TapeKind::{Varint, F64};
+    let bytes = fx.bytes;
+    let plant = |e: &TapeEntry, with: &[u8]| fx.plant(e.section, e.at.clone(), with);
     for id in [section::WORLD, section::ROUTES, section::FLEET] {
         let inflated = splice(bytes, MAGIC, id, |s| s.count = HUGE);
         sweep.refused(&format!("section {id} promises 2^60 records"), &inflated);
     }
 
     // WORLD: min x, min y, max x, max y, horizon.
-    let mut w = Walk {
-        bytes: &of(section::WORLD).payload,
-        pos: 0,
-    };
-    let min_x = w.f64();
-    w.f64();
-    let max_x = w.f64();
-    let header = |at: Range<usize>, with: f64| plant(section::WORLD, at, &f64_bytes(with));
-    sweep.refused("world: a NaN corner", &header(min_x, f64::NAN));
-    sweep.refused("world: max x below min x", &header(max_x, -1.0));
+    let corner = |index: usize| fx.field(section::WORLD, 0, index, F64);
+    let nan = f64_bytes(f64::NAN);
+    sweep.refused("world: a NaN corner", &plant(corner(0), &nan));
+    sweep.refused(
+        "world: max x below min x",
+        &plant(corner(2), &f64_bytes(-1.0)),
+    );
 
     // ROUTES, first record: speed, point count, points.
-    let routes = &of(section::ROUTES).payload;
-    let mut w = Walk {
-        bytes: routes,
-        pos: 0,
-    };
-    let speed = w.f64();
-    let count = w.varint();
-    let points = get_varint(routes, &mut count.start.clone()) as usize;
-    let first_point = w.pos..w.pos + 16;
-    w.f64s(2 * points);
-    let path = count.start..w.pos;
-    let route = |at: Range<usize>, with: &[u8]| plant(section::ROUTES, at, with);
+    let route = fx.entries(section::ROUTES, 0);
+    let speed = fx.field(section::ROUTES, 0, 0, F64);
     // The smallest positive speed: a trip along the route would take
     // infinitely long, which `Trip::new` asserts against.
     for (name, value) in [("0", 0.0), ("NaN", f64::NAN), ("5e-324", f64::from_bits(1))] {
         sweep.refused(
             &format!("route: speed {name}"),
-            &route(speed.clone(), &f64_bytes(value)),
+            &plant(speed, &f64_bytes(value)),
         );
     }
-    let first_x = first_point.start..first_point.start + 8;
-    sweep.refused("route: a NaN point", &route(first_x, &f64_bytes(f64::NAN)));
+    let points = fx.value(fx.field(section::ROUTES, 0, 1, Varint)) as usize;
+    let first_x = fx.field(section::ROUTES, 0, 2, F64);
+    sweep.refused("route: a NaN point", &plant(first_x, &nan));
+    let first_point = first_x.at.start..route[3].at.end;
+    let path = route[1].at.start..route[route.len() - 1].at.end;
+    let routes = &fx.section(section::ROUTES).payload;
     let repeated = |n: usize| {
         let mut with = varint(n as u64);
         for _ in 0..n {
@@ -1275,11 +985,12 @@ fn world_record_plants(sweep: &mut Sweep, bytes: &[u8]) {
         }
         with
     };
-    sweep.refused("route: one point", &route(path.clone(), &repeated(1)));
+    let route = |with: &[u8]| fx.plant(section::ROUTES, path.clone(), with);
+    sweep.refused("route: one point", &route(&repeated(1)));
     // `Route::new` asserts a positive length.
     sweep.refused(
         "route: every point the same, a path of length 0",
-        &route(path.clone(), &repeated(points)),
+        &route(&repeated(points)),
     );
     let mut vast = varint(2);
     for x in [-1e308, 1e308] {
@@ -1288,44 +999,38 @@ fn world_record_plants(sweep: &mut Sweep, bytes: &[u8]) {
     }
     sweep.refused(
         "route: two finite points 2e308 apart, a path of infinite length",
-        &route(path, &vast),
+        &route(&vast),
     );
-    sweep.refused("route: 2^60 points", &route(count, &varint(HUGE)));
+    sweep.refused(
+        "route: 2^60 points",
+        &plant(fx.field(section::ROUTES, 0, 1, Varint), &varint(HUGE)),
+    );
 
     // FLEET, first record: route, departure, legs, duration.
-    let fleet = &of(section::FLEET).payload;
-    let mut w = Walk {
-        bytes: fleet,
-        pos: 0,
-    };
-    let trip_route = w.varint();
-    let depart = w.varint();
-    let legs = w.varint();
-    let duration = w.varint();
-    let schedule = get_varint(fleet, &mut duration.start.clone());
-    let trip = |at: Range<usize>, with: &[u8]| plant(section::FLEET, at, with);
+    let trip = |index: usize| fx.field(section::FLEET, 0, index, Varint);
+    let schedule = fx.value(trip(3));
     sweep.refused(
         "trip: a route that is not there",
-        &trip(trip_route, &varint(NOWHERE)),
+        &plant(trip(0), &varint(NOWHERE)),
     );
     sweep.refused(
         "trip: departs after the next one",
-        &trip(depart, &varint(NOWHERE)),
+        &plant(trip(1), &varint(NOWHERE)),
     );
-    sweep.refused("trip: 0 legs", &trip(legs.clone(), &varint(0)));
-    sweep.refused("trip: legs past u32", &trip(legs, &varint(1 << 40)));
+    sweep.refused("trip: 0 legs", &plant(trip(2), &varint(0)));
+    sweep.refused("trip: legs past u32", &plant(trip(2), &varint(1 << 40)));
     sweep.refused(
         "trip: longer than its schedule",
-        &trip(duration.clone(), &varint(schedule + 1)),
+        &plant(trip(3), &varint(schedule + 1)),
     );
     // A shorter one is a withdrawal.
     sweep.runs(
         "trip: withdrawn a second early",
-        &trip(duration, &varint(schedule - 1_000)),
+        &plant(trip(3), &varint(schedule - 1_000)),
     );
 
     // The fleet names routes, so it must come after them.
-    let mut reordered = all.clone();
+    let mut reordered = fx.sections.clone();
     let at = |id: u8| reordered.iter().position(|s| s.id == id).expect("present");
     let (routes_at, fleet_at) = (at(section::ROUTES), at(section::FLEET));
     reordered.swap(routes_at, fleet_at);
@@ -1340,33 +1045,24 @@ fn world_record_plants(sweep: &mut Sweep, bytes: &[u8]) {
     sweep.refused("sections: routes emptied", &no_routes);
 }
 
-/// (c) World headers claiming a vast area over the same routes, in
-/// `scenario`, then framed by `wrap` into the file under test. The
+/// (c) World headers claiming a vast area over the same routes, in the
+/// scenario `fx`, then framed by `wrap` into the file under test. The
 /// engine's neighbour cells are sized from that area, so each must be
 /// refused or run within the allocation budget, never abort.
-fn world_plants(sweep: &mut Sweep, scenario: &[u8], wrap: impl Fn(Vec<u8>) -> Vec<u8>) {
-    let world = sections(scenario)
-        .into_iter()
-        .find(|s| s.id == section::WORLD)
-        .expect("a prebuilt world");
+fn world_plants(sweep: &mut Sweep, fx: &Fixture, wrap: impl Fn(Vec<u8>) -> Vec<u8>) {
     // WORLD: min x, min y, max x, max y, horizon.
-    let mut w = Walk {
-        bytes: &world.payload,
-        pos: 0,
-    };
-    let (min_x, min_y) = (w.f64(), w.f64());
-    let (max_x, max_y) = (w.f64(), w.f64());
+    let corner = |index: usize| fx.field(section::WORLD, 0, index, TapeKind::F64).at.clone();
     for (name, min, max) in [
         ("a 10 000 km square", 0.0, 1e7),
         ("a 1e300 m square", 0.0, 1e300),
         ("corners at ±1e308, an infinite width", -1e308, 1e308),
     ] {
-        let mut payload = world.payload.clone();
-        for (at, v) in [(&min_x, min), (&min_y, min), (&max_x, max), (&max_y, max)] {
-            payload.splice(at.clone(), f64_bytes(v));
-        }
-        let edited = splice(scenario, MAGIC, section::WORLD, |s| s.payload = payload);
-        sweep.case(&format!("world: {name}"), &wrap(edited));
+        let corners = [(0, min), (1, min), (2, max), (3, max)];
+        let edits = corners.map(|(i, v)| (corner(i), f64_bytes(v).to_vec()));
+        sweep.case(
+            &format!("world: {name}"),
+            &wrap(fx.planted(section::WORLD, edits.into())),
+        );
     }
 }
 
@@ -1396,6 +1092,17 @@ fn hostile_files_end_in_typed_errors() {
     let calendar: &[u8] = include_bytes!("../../../tests/fixtures/calendar_written.mlss");
     let framed: &[u8] = include_bytes!("../../../tests/fixtures/framed_once.mlss");
     let scenario = rich_scenario();
+    let metro_snapshot = metro_snapshot();
+    let embedded = snapshot_scenario(&metro_snapshot);
+
+    // The tapes first, each checked to cover its fixture.
+    let framed = Fixture::snapshot("framed_once.mlss", framed);
+    let eager = Fixture::snapshot("eager_seeding.mlss", eager);
+    let calendar = Fixture::snapshot("calendar_written.mlss", calendar);
+    let scenario = Fixture::scenario("rich.mlsc", &scenario);
+    let metro = Fixture::scenario("metro.mlsc", METRO_WORLD);
+    let metro_snapshot = Fixture::snapshot("metro.mlss", &metro_snapshot);
+    let embedded = Fixture::scenario("metro.mlss's scenario", &embedded);
 
     // Keep the expected panics of a failing build off the terminal; the
     // failure list names them.
@@ -1403,47 +1110,41 @@ fn hostile_files_end_in_typed_errors() {
     std::panic::set_hook(Box::new(|_| {}));
     let mut failures = Vec::new();
 
-    // The smallest snapshot takes every offset; the others a stride
-    // coprime to the block and record sizes.
-    let mut sweep = Sweep::new("framed_once.mlss", framed, load_snapshot);
-    sweep.truncations(framed, 1);
-    sweep.bit_flips(framed, 1);
-    snapshot_plants(&mut sweep, framed);
-    sweep.report(&mut failures);
+    // The smallest snapshot takes every offset and the generic plants;
+    // the others a stride coprime to the block and record sizes.
+    for (fx, stride, generic) in [
+        (&framed, 1, true),
+        (&eager, 7, false),
+        (&calendar, 11, false),
+    ] {
+        let mut sweep = Sweep::new(fx.name, fx.bytes, load_snapshot);
+        sweep.truncations(fx.bytes, stride);
+        sweep.bit_flips(fx.bytes, stride);
+        snapshot_plants(&mut sweep, fx);
+        if generic {
+            generic_plants(&mut sweep, fx);
+        }
+        sweep.report(&mut failures);
+    }
 
-    let mut sweep = Sweep::new("eager_seeding.mlss", eager, load_snapshot);
-    sweep.truncations(eager, 7);
-    sweep.bit_flips(eager, 7);
-    snapshot_plants(&mut sweep, eager);
-    sweep.report(&mut failures);
-
-    let mut sweep = Sweep::new("calendar_written.mlss", calendar, load_snapshot);
-    sweep.truncations(calendar, 11);
-    sweep.bit_flips(calendar, 11);
-    snapshot_plants(&mut sweep, calendar);
-    sweep.report(&mut failures);
-
-    let mut sweep = Sweep::new("rich.mlsc", &scenario, load_scenario);
-    sweep.truncations(&scenario, 1);
-    sweep.bit_flips(&scenario, 1);
+    let mut sweep = Sweep::new(scenario.name, scenario.bytes, load_scenario);
+    sweep.truncations(scenario.bytes, 1);
+    sweep.bit_flips(scenario.bytes, 1);
     scenario_plants(&mut sweep, &scenario);
     sweep.report(&mut failures);
 
-    let metro = METRO_WORLD;
-    let mut sweep = Sweep::new("metro.mlsc", metro, load_scenario);
-    sweep.truncations(metro, 1);
-    sweep.bit_flips(metro, 1);
-    world_plants(&mut sweep, metro, |edited| edited);
-    world_record_plants(&mut sweep, metro);
+    let mut sweep = Sweep::new(metro.name, metro.bytes, load_scenario);
+    sweep.truncations(metro.bytes, 1);
+    sweep.bit_flips(metro.bytes, 1);
+    world_plants(&mut sweep, &metro, |edited| edited);
+    world_record_plants(&mut sweep, &metro);
     sweep.report(&mut failures);
 
-    let metro_snapshot = metro_snapshot();
-
-    let mut sweep = Sweep::new("metro.mlss", &metro_snapshot, load_snapshot);
-    let embedded = snapshot_scenario(&metro_snapshot);
+    let mut sweep = Sweep::new(metro_snapshot.name, metro_snapshot.bytes, load_snapshot);
     world_plants(&mut sweep, &embedded, |edited| {
-        with_scenario(&metro_snapshot, &edited)
+        with_scenario(metro_snapshot.bytes, &edited)
     });
+    generic_plants(&mut sweep, &metro_snapshot);
     sweep.report(&mut failures);
 
     std::panic::set_hook(hook);

@@ -156,16 +156,18 @@ impl<E> EventQueue<E> {
 
     /// Rebuilds a queue from state captured by [`EventQueue::raw_parts`],
     /// or returns `None` when `heap` is not a binary min-heap over the
-    /// packed priority words — the records usually come from a file, and
-    /// a queue built on anything else would pop out of order.
+    /// packed priority words, or holds a sequence number at or past the
+    /// counter `seq` — the records usually come from a file, and a queue
+    /// built on anything else would pop out of order or issue a number
+    /// twice.
     ///
     /// A valid layout (any slice returned by [`EventQueue::raw_parts`],
     /// or any ascending run of keys) is restored verbatim, so subsequent
     /// pops replay in exactly the original order.
     pub fn from_raw_parts(heap: Vec<(u128, E)>, seq: u64) -> Option<Self> {
-        (1..heap.len())
-            .all(|i| heap[(i - 1) / 2].0 <= heap[i].0)
-            .then_some(EventQueue { heap, seq })
+        let heap_order = (1..heap.len()).all(|i| heap[(i - 1) / 2].0 <= heap[i].0);
+        let issued = heap.iter().all(|&(key, _)| (key as u64) < seq);
+        (heap_order && issued).then_some(EventQueue { heap, seq })
     }
 
     fn sift_up(&mut self, mut i: usize) {
@@ -303,6 +305,10 @@ mod tests {
         let mut broken = heap.to_vec();
         broken.reverse();
         assert!(EventQueue::from_raw_parts(broken, seq).is_none());
+        // A counter at or below a queued number would issue it again.
+        let newest = heap.iter().map(|&(key, _)| key as u64).max().unwrap();
+        assert!(EventQueue::from_raw_parts(heap.to_vec(), newest).is_none());
+        assert!(EventQueue::from_raw_parts(heap.to_vec(), newest + 1).is_some());
         // New schedules continue the sequence identically on both sides.
         q.schedule(SimTime::from_secs(3), 99);
         rebuilt.schedule(SimTime::from_secs(3), 99);
