@@ -1333,23 +1333,21 @@ mod tests {
         assert!(is_corrupt(Engine::resume(&snap)));
     }
 
-    /// A snapshot of `engine` whose header carries `next_msg` as its
-    /// message counter (its fourth field, after seed, shards and now),
-    /// re-sealed so every checksum holds.
-    fn with_next_msg(engine: &Engine, next_msg: u64) -> Snapshot {
+    /// `snap` with varint `field` of section `id`'s one record — every
+    /// field before it a varint too — rewritten from `written` to
+    /// `value`, re-sealed so every checksum holds.
+    fn with_varint(snap: &Snapshot, id: u8, field: usize, written: u64, value: u64) -> Snapshot {
         use crate::framing::{get_varint, splice, varint};
-        let snap = engine.snapshot().expect("snapshot");
-        let bytes = splice(snap.as_bytes(), SNAPSHOT_MAGIC, SEC_HEADER, |s| {
+        let bytes = splice(snap.as_bytes(), SNAPSHOT_MAGIC, id, |s| {
             let mut at = 0;
-            for _ in 0..3 {
+            for _ in 0..field {
                 get_varint(&s.payload, &mut at);
             }
             let start = at;
-            let written = get_varint(&s.payload, &mut at);
-            assert_eq!(written, engine.delivery.collector.report.generated);
-            s.payload.splice(start..at, varint(next_msg));
+            assert_eq!(get_varint(&s.payload, &mut at), written, "section {id}");
+            s.payload.splice(start..at, varint(value));
         });
-        Snapshot::from_bytes(bytes).expect("the header decodes")
+        Snapshot::from_bytes(bytes).expect("the snapshot decodes")
     }
 
     #[test]
@@ -1360,11 +1358,14 @@ mod tests {
         let mut engine = Engine::new(cfg(), 7);
         engine.run_until(SimTime::from_secs(900));
         let generated = engine.delivery.collector.report.generated;
+        let snap = engine.snapshot().expect("snapshot");
+        // The header's fourth field, after seed, shards and now.
+        let with_next_msg = |next_msg| with_varint(&snap, SEC_HEADER, 3, generated, next_msg);
         for next_msg in [generated - 1, generated + 1, 1 << 32, 1 << 63, u64::MAX] {
-            let snap = with_next_msg(&engine, next_msg);
+            let snap = with_next_msg(next_msg);
             assert!(is_corrupt(Engine::resume(&snap)), "next_msg {next_msg}");
         }
-        assert!(Engine::resume(&with_next_msg(&engine, generated)).is_ok());
+        assert!(Engine::resume(&with_next_msg(generated)).is_ok());
     }
 
     #[test]
@@ -1397,8 +1398,22 @@ mod tests {
         // Filed there consistently: the cell list agrees with the row.
         let due = engine.world.grid_refresh_due();
         engine.world.restore_runtime(due);
+        let drifted = |result: Result<Engine, SnapshotError>| {
+            let why = "device drifted past the bound from its filed position";
+            matches!(result, Err(SnapshotError::Format(ScenarioIoError::Corrupt(e))) if e == why)
+        };
         let snap = engine.snapshot().expect("snapshot");
-        assert!(is_corrupt(Engine::resume(&snap)));
+        assert!(drifted(Engine::resume(&snap)));
+        // Or every device filed where it was, under another master seed
+        // (the header's first field), which regenerates the bus network
+        // and so moves every bus. Many seeds are refused sooner, by a
+        // timetable that departed another number of trips.
+        let framed: &[u8] = include_bytes!("../../../../tests/fixtures/framed_once.mlss");
+        let snap = Snapshot::from_bytes(framed.to_vec()).expect("the fixture loads");
+        for seed in [1 << 32, 1 << 63, u64::MAX] {
+            let forged = with_varint(&snap, SEC_HEADER, 0, 15, seed);
+            assert!(drifted(Engine::resume(&forged)), "seed {seed}");
+        }
     }
 
     #[test]
@@ -1417,9 +1432,23 @@ mod tests {
         };
         assert!(refused(&|e, v| e.events_processed = v));
         assert!(refused(&|e, v| {
-            let n = e.world.active[0];
-            e.world.devices.get_mut(n).unwrap().frames_sent = v;
+            let records = e.events.raw_parts().0.to_vec();
+            e.events = EventQueue::from_raw_parts(records, v).unwrap();
         }));
+        assert!(refused(&|e, v| first_device(e).frames_sent = v));
+        assert!(refused(&|e, v| {
+            let dev = first_device(e);
+            let (cycle, next_allowed, airtime, _) = dev.duty.raw_parts();
+            dev.duty = DutyCycleTracker::from_raw_parts(cycle, next_allowed, airtime, v);
+        }));
+        assert!(refused(&|e, v| {
+            let dev = first_device(e);
+            let held: Vec<_> = dev.queue.iter().cloned().collect();
+            dev.queue = DataQueue::from_parts(dev.queue.capacity(), v, held).unwrap();
+        }));
+        for count in 0..4 {
+            assert!(refused(&|e, v| set_routing_count(e, count, v)), "{count}");
+        }
         assert!(refused(&|e, v| e.delivery.collector.report.collisions = v));
         assert!(refused(&|e, v| {
             let delay = &mut e.delivery.collector.report.delay;
@@ -1432,6 +1461,45 @@ mod tests {
             counts[0] = v;
             *series = TimeSeries::from_raw_parts(series.bucket(), counts, series.is_bounded());
         }));
+        // The flight counter, the streams' first field after the
+        // channel's RNG (five words).
+        let snap = engine.snapshot().unwrap();
+        let issued = engine.channel.checkpoint_parts().1;
+        let forged = |v| Engine::resume(&with_varint(&snap, SEC_STREAMS, 5, issued, v));
+        assert!(forged(limit - 1).is_ok() && is_corrupt(forged(limit)));
+    }
+
+    /// The first active device's row.
+    fn first_device(e: &mut Engine) -> &mut Device {
+        let n = e.world.active[0];
+        e.world.devices.get_mut(n).unwrap()
+    }
+
+    /// Sets one of the first active device's routing counts — its
+    /// contacts' successes (0) and failures (1), its CA-ETX gap (2) and
+    /// capacity (3) `Welford` counts — to `v`.
+    fn set_routing_count(e: &mut Engine, count: usize, v: u64) {
+        let (routing, policy) = (e.cfg.routing_config(), e.cfg.policy.build());
+        let dev = first_device(e);
+        let (estimator, ca, ledger) = dev.routing.raw_parts();
+        let ledger = DonorLedger::from_donors(ledger.donors_sorted().to_vec());
+        let (tracker, ewma, rca_bits) = estimator.raw_parts();
+        let (last_success, in_contact, mut successes, mut failures) = tracker.raw_parts();
+        let (ca_bits, mut gaps, mut capacities, last_contact) = ca.raw_parts();
+        let counted = |w: Welford| {
+            let (_, mean, m2, min, max) = w.raw_parts();
+            Welford::from_raw_parts(v, mean, m2, min, max)
+        };
+        match count {
+            0 => successes = v,
+            1 => failures = v,
+            2 => gaps = counted(gaps),
+            _ => capacities = counted(capacities),
+        }
+        let tracker = ContactTracker::from_raw_parts(last_success, in_contact, successes, failures);
+        let estimator = RcaEtxEstimator::from_raw_parts(tracker, ewma, rca_bits);
+        let ca = CaEtxEstimator::from_raw_parts(ca_bits, gaps, capacities, last_contact);
+        dev.routing = RoutingState::from_raw_parts(routing, policy, estimator, ca, ledger);
     }
 
     #[test]

@@ -33,7 +33,9 @@
 //! and the tape must cover every payload byte once ([`Fixture::new`]).
 //! Generic plants visit the tape's entries; a named plant names its
 //! field by its place in its record (the header's second varint, a
-//! device's ninth flag).
+//! device's ninth flag) or by the value it must hold (a device's queue
+//! capacity is the scenario's), and where it can, checks what it finds
+//! against the source ([`Fixture::field_holding`]).
 //!
 //! One `#[test]`, phases in sequence: the allocation counter is
 //! process-wide.
@@ -44,7 +46,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use mlora_core::Scheme;
+use mlora_core::{Scheme, PACKET_BITS};
 use mlora_scenario_io::{record_tape, section, ScenarioIoError, TapeEntry, TapeKind, MAGIC};
 use mlora_sim::{
     DisruptionEvent, Engine, GatewayPlacement, Scenario, ScenarioFileError, SimConfig, Snapshot,
@@ -107,6 +109,7 @@ const SEC_FLIGHT_SLOTS: u8 = 6;
 const SEC_FLIGHT_FREE: u8 = 7;
 const SEC_STREAMS: u8 = 8;
 const SEC_DELIVERY: u8 = 9;
+const SEC_COLLECTOR: u8 = 10;
 
 /// An id far past any fixture's timetable, table or slab.
 const NOWHERE: u64 = 1 << 30;
@@ -380,6 +383,32 @@ impl<'a> Fixture<'a> {
         entry
     }
 
+    /// [`Fixture::field`], which must hold `pristine`: should the layout
+    /// move the field, a plant aimed at it fails here rather than pass
+    /// on another field's check.
+    fn field_holding(
+        &self,
+        section: u8,
+        record: u64,
+        index: usize,
+        kind: TapeKind,
+        pristine: u64,
+    ) -> &TapeEntry {
+        let entry = self.field(section, record, index, kind);
+        let at = format!("{}: section {section} field {index}", self.name);
+        assert_eq!(self.value(entry), pristine, "{at}");
+        entry
+    }
+
+    /// The fields of a record that are a `kind` holding `pristine`, in
+    /// decode order: fields found by what they must hold.
+    fn holding(&self, section: u8, record: u64, kind: TapeKind, pristine: u64) -> Vec<&TapeEntry> {
+        let entries = self.entries(section, record).into_iter();
+        entries
+            .filter(|e| e.kind == kind && self.value(e) == pristine)
+            .collect()
+    }
+
     /// What the pristine bytes hold at `e`: a varint or a length, a
     /// byte, or an `f64`'s bits.
     fn value(&self, e: &TapeEntry) -> u64 {
@@ -420,22 +449,33 @@ fn some(parts: &[u64]) -> Vec<u8> {
     out
 }
 
+/// Varints to plant, each with its name.
+fn varints(values: &[u64]) -> Vec<(String, Vec<u8>)> {
+    values.iter().map(|&x| (x.to_string(), varint(x))).collect()
+}
+
+/// `f64`s to plant, each with its name.
+fn f64s(values: &[f64]) -> Vec<(String, Vec<u8>)> {
+    let named = |&x: &f64| (format!("{x:?}"), f64_bytes(x).to_vec());
+    values.iter().map(named).collect()
+}
+
 /// The values a generic plant puts where the pristine bytes hold a
 /// `kind` of value `v`, each with its name.
 fn generic_values(kind: TapeKind, v: u64) -> Vec<(String, Vec<u8>)> {
-    let varints = |more: &[u64]| {
-        let mut values = vec![0, 1, v.wrapping_sub(1), v.wrapping_add(1), 1 << 32, 1 << 63];
-        values.extend([u64::MAX].iter().chain(more));
-        values.sort_unstable();
-        values.dedup();
-        let planted = values.into_iter().map(|x| (x.to_string(), varint(x)));
-        let overlong = ("eleven 0x80 bytes".to_string(), vec![0x80; 11]);
-        planted.chain([overlong]).collect()
-    };
+    let mut counts = vec![0, 1, v.wrapping_sub(1), v.wrapping_add(1), 1 << 32, 1 << 63];
+    counts.push(u64::MAX);
     match kind {
-        TapeKind::Varint => varints(&[]),
-        TapeKind::Len => varints(&[HUGE]),
-        TapeKind::F64 => [
+        TapeKind::Varint | TapeKind::Len => {
+            if kind == TapeKind::Len {
+                counts.push(HUGE);
+            }
+            counts.sort_unstable();
+            counts.dedup();
+            let overlong = ("eleven 0x80 bytes".to_string(), vec![0x80; 11]);
+            varints(&counts).into_iter().chain([overlong]).collect()
+        }
+        TapeKind::F64 => f64s(&[
             f64::NAN,
             0.0,
             -0.0,
@@ -444,9 +484,7 @@ fn generic_values(kind: TapeKind, v: u64) -> Vec<(String, Vec<u8>)> {
             f64::NEG_INFINITY,
             f64::MIN_POSITIVE,
             1e308,
-        ]
-        .map(|x| (format!("{x:?}"), f64_bytes(x).to_vec()))
-        .into(),
+        ]),
         TapeKind::U8 | TapeKind::Bool => [2u8, 255].map(|b| (b.to_string(), vec![b])).into(),
     }
 }
@@ -476,8 +514,10 @@ fn generic_plants(sweep: &mut Sweep, fx: &Fixture) {
 /// generic set cannot state — section counts, values that relate one
 /// field to another, and values inserted where the file has none.
 fn snapshot_plants(sweep: &mut Sweep, fx: &Fixture) {
-    use TapeKind::{Bool, Varint, U8};
+    use TapeKind::{Bool, Len, Varint, F64, U8};
     let bytes = fx.bytes;
+    let snap = Snapshot::from_bytes(bytes.to_vec()).expect("pristine");
+    let cfg = snap.config().expect("pristine");
 
     // Section headers promising 2^60 records, and one too few.
     for s in &fx.sections {
@@ -502,8 +542,10 @@ fn snapshot_plants(sweep: &mut Sweep, fx: &Fixture) {
     // Old headers still read: builds that could split one run over
     // worker threads recorded how many (`calendar_written.mlss` says 2),
     // and the count never changed a result.
+    fx.field_holding(SEC_HEADER, 0, 0, Varint, snap.seed());
     let shards = fx.field(SEC_HEADER, 0, 1, Varint).at.clone();
-    let now_ms = fx.value(fx.field(SEC_HEADER, 0, 2, Varint));
+    let now_ms = snap.time().as_millis();
+    fx.field_holding(SEC_HEADER, 0, 2, Varint, now_ms);
     for n in [0, 65] {
         let resealed = fx.plant(SEC_HEADER, shards.clone(), &varint(n));
         sweep.refused(&format!("header: {n} shards"), &resealed);
@@ -549,6 +591,7 @@ fn snapshot_plants(sweep: &mut Sweep, fx: &Fixture) {
     // traffic state's (given a profile past the mix).
     let device = fx.entries(SEC_DEVICES, 0);
     let flags: Vec<_> = device.iter().filter(|e| e.kind == Bool).collect();
+    assert_eq!(flags.len(), 12, "{}: a device's flags", fx.name);
     let handover = flags[8].at.start..flags[9].at.start;
     sweep.refused(
         "device: handover armed at a device that never was",
@@ -696,9 +739,10 @@ fn snapshot_plants(sweep: &mut Sweep, fx: &Fixture) {
 
     // Streams: after the channel's RNG and the flight counter, the
     // active noise bursts (a count, then the ids) hold one past the
-    // table.
+    // table. Two more RNGs and the drift sweep's due instant follow.
     let streams = fx.entries(SEC_STREAMS, 0);
     let bursts = fx.value(streams[6]) as usize;
+    assert_eq!(streams.len(), 18 + bursts, "{}: the streams", fx.name);
     let noise = streams[6].at.start..streams[7 + bursts].at.start;
     let mut one_burst = varint(1);
     framing::put_varint(&mut one_burst, NOWHERE);
@@ -726,8 +770,6 @@ fn snapshot_plants(sweep: &mut Sweep, fx: &Fixture) {
             ],
         );
         sweep.refused("delivery: an outage moved to another gateway", &moved);
-        let snap = Snapshot::from_bytes(bytes.to_vec()).expect("pristine");
-        let cfg = snap.config().expect("pristine");
         let recovery = cfg
             .disruptions
             .compile(cfg.horizon)
@@ -743,6 +785,79 @@ fn snapshot_plants(sweep: &mut Sweep, fx: &Fixture) {
             "event: a recovery filed twice",
             &fx.plant(SEC_EVENTS, first_event, &twice),
         );
+    }
+
+    // Fields a decoder holds to the scenario, to a constant or to
+    // another field, tags and counts, each planted with values it must
+    // refuse: the generic plants reach two fixtures, with no verdict.
+    // The first device's constants are found by what they must hold.
+    let generated = fx.value(fx.field(SEC_COLLECTOR, 0, 1, Varint));
+    let next_msg = fx.field_holding(SEC_HEADER, 0, 3, Varint, generated);
+    let tag = fx.field(SEC_EVENTS, 0, 2, U8);
+    let id = fx.field_holding(SEC_DEVICES, 0, 0, Varint, 0);
+    let constant = |kind, pristine: u64| fx.holding(SEC_DEVICES, 0, kind, pristine)[0];
+    let capacity = constant(Varint, cfg.queue_capacity as u64);
+    // Then the count dropped and the count held.
+    let held = device.iter().position(|&e| e == capacity);
+    let held = device[held.expect("capacity") + 2];
+    let duty = constant(F64, cfg.duty_cycle.to_bits());
+    let alpha = constant(F64, cfg.alpha.to_bits());
+    let attempts = constant(Varint, cfg.max_attempts.into());
+    let frame_bits = fx.holding(SEC_DEVICES, 0, F64, PACKET_BITS.to_bits());
+    let [rca_bits, ca_bits] = frame_bits[..] else {
+        panic!("{}: a device's two frame sizes", fx.name);
+    };
+    // After the CA-ETX frame size: two `Welford`s (a count, four
+    // `f64`s), the last contact (a flag, and an instant if set), then
+    // the donor count.
+    let ca_at = device.iter().position(|&e| e == ca_bits).expect("CA-ETX");
+    let last_contact = fx.field(SEC_DEVICES, 0, ca_at + 11, Bool);
+    let donors = device[ca_at + 12 + fx.value(last_contact) as usize];
+    let due = streams[17 + bursts];
+    let gateways = cfg.num_gateways as u64;
+    let gateways = fx.field_holding(SEC_DELIVERY, 0, 0, Varint, gateways);
+    let up = 1 - fx.value(depths[0]).min(1);
+    let bucket = cfg.series_bucket.as_millis();
+    let bucket = fx.field_holding(SEC_COLLECTOR, 0, 16, Varint, bucket);
+    let [label, buckets] = [(0, Len), (18, Varint)].map(|(i, k)| fx.field(SEC_COLLECTOR, 0, i, k));
+    let (zero, huge) = (varints(&[0]), varints(&[HUGE]));
+    let odd = f64s(&[f64::NAN, 0.0, 1.5, -1.0]);
+    let frame = f64s(&[f64::NAN, 0.0, -1.0, 2_000.0]);
+    let mut pinned = vec![
+        ("header: message counter", next_msg, zero.clone()),
+        ("event: tag", tag, varints(&[9])),
+        ("device: id", id, varints(&[NOWHERE, 1 << 40])),
+        ("device: queue capacity", capacity, zero.clone()),
+        ("device: queued messages", held, huge.clone()),
+        ("device: duty cycle", duty, odd.clone()),
+        ("device: EWMA alpha", alpha, odd),
+        ("device: RCA-ETX frame size", rca_bits, frame.clone()),
+        ("device: CA-ETX frame size", ca_bits, frame),
+        ("device: max attempts", attempts, varints(&[0, 1 << 40])),
+        ("device: donors", donors, huge.clone()),
+        ("streams: active noise bursts", streams[6], huge.clone()),
+        ("streams: drift sweep due at", due, huge.clone()),
+        ("delivery: gateways", gateways, varints(&[0, HUGE])),
+        ("delivery: first outage depth", depths[0], varints(&[up])),
+        ("collector: scheme label length", label, huge.clone()),
+        ("collector: series bucket", bucket, zero),
+        ("collector: series buckets", buckets, varints(&[0, HUGE])),
+    ];
+    // The first occupied flight slot: its generation and, after the
+    // flight's start, end and position, its frame's sender (the
+    // flight's) and message count.
+    let occupied = (0..slots.count).map(|record| fx.entries(SEC_FLIGHT_SLOTS, record));
+    if let Some(e) = occupied.into_iter().find(|e| fx.value(e[1]) == 1) {
+        let start = 5 + fx.value(e[4]) as usize;
+        assert_eq!(fx.value(e[start + 4]), fx.value(e[3]), "{}", fx.name);
+        pinned.push(("flight: generation", e[0], varints(&[1 << 40])));
+        pinned.push(("flight: message count", e[start + 5], huge));
+    }
+    for (name, e, values) in pinned {
+        for (value, with) in values {
+            let planted = fx.plant(e.section, e.at.clone(), &with);
+            sweep.refused(&format!("{name} {value}"), &planted);
+        }
     }
 }
 
@@ -884,6 +999,33 @@ fn scenario_plants(sweep: &mut Sweep, fx: &Fixture) {
     );
     sweep.refused("gateways: unknown placement tag", &plant(gw(1, U8), &[9]));
     sweep.refused("gateways: range NaN", &plant(gw(2, F64), &nan));
+
+    // What the plants above aim at, as the scenario has it: should the
+    // layout move one of these fields, the sweep fails here.
+    let cfg = SimConfig::from_reader(bytes).expect("pristine");
+    let n = &cfg.network;
+    for (at, pristine) in [
+        (net(0, F64), n.area_side_m.to_bits()),
+        (net(1, Varint), n.num_routes as u64),
+        (net(2, Varint), n.waypoints_per_route as u64),
+        (net(3, F64), n.min_route_length_m.to_bits()),
+        (net(4, F64), n.min_speed_mps.to_bits()),
+        (net(5, F64), n.max_speed_mps.to_bits()),
+        (net(6, Varint), n.max_active_buses as u64),
+        (net(7, Varint), n.min_legs.into()),
+        (net(8, Varint), n.max_legs.into()),
+        (net(10, F64), n.center_bias.to_bits()),
+        (par(2, F64), cfg.alpha.to_bits()),
+        (par(5, Varint), cfg.queue_capacity as u64),
+        (par(6, F64), cfg.duty_cycle.to_bits()),
+        (par(7, Varint), cfg.max_attempts.into()),
+        (par(11, Varint), cfg.phy.preamble_symbols.into()),
+        (par(19, F64), cfg.capacity.gamma_min_dbm().to_bits()),
+        (gw(0, Varint), cfg.num_gateways as u64),
+        (gw(2, F64), cfg.gateway_range_m.to_bits()),
+    ] {
+        assert_eq!(fx.value(at), pristine, "{}: {at:?}", fx.name);
+    }
 
     // TRAFFIC, first profile: name, arrival tag + operands, payload tag
     // + operands, priority, weight. `telemetry` is jittered (interval,
