@@ -11,10 +11,10 @@
 use mlora_simcore::stats::Welford;
 use mlora_simcore::SimTime;
 
-use crate::metric::{packet_service_time, RCA_ETX_CEILING};
+use crate::metric::{packet_service_time, PACKET_BITS, RCA_ETX_CEILING};
 
 /// The CA-ETX estimator: long-term mean (and variance) of inter-contact
-/// gaps plus the transmission term.
+/// gaps plus the transmission term of a [`PACKET_BITS`] frame.
 ///
 /// The node-to-sink cost is estimated as
 ///
@@ -35,7 +35,7 @@ use crate::metric::{packet_service_time, RCA_ETX_CEILING};
 /// use mlora_core::CaEtxEstimator;
 /// use mlora_simcore::SimTime;
 ///
-/// let mut est = CaEtxEstimator::new(2040.0);
+/// let mut est = CaEtxEstimator::new();
 /// est.observe(SimTime::from_secs(0), Some(2_000.0));
 /// est.observe(SimTime::from_secs(600), Some(2_000.0));
 /// // Mean gap 600 s → expected residual wait 300 s (+ ~1 s tx time).
@@ -43,22 +43,15 @@ use crate::metric::{packet_service_time, RCA_ETX_CEILING};
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CaEtxEstimator {
-    packet_bits: f64,
     gaps: Welford,
     capacities: Welford,
     last_contact: Option<SimTime>,
 }
 
 impl CaEtxEstimator {
-    /// Creates an estimator for frames of `packet_bits`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packet_bits` is not strictly positive.
-    pub fn new(packet_bits: f64) -> Self {
-        assert!(packet_bits > 0.0, "packet size must be positive");
+    /// Creates an estimator with no contact history.
+    pub fn new() -> Self {
         CaEtxEstimator {
-            packet_bits,
             gaps: Welford::new(),
             capacities: Welford::new(),
             last_contact: None,
@@ -86,7 +79,7 @@ impl CaEtxEstimator {
         if self.capacities.count() == 0 {
             return RCA_ETX_CEILING;
         }
-        let tx = packet_service_time(self.capacities.mean(), self.packet_bits);
+        let tx = packet_service_time(self.capacities.mean(), PACKET_BITS);
         let wait = if self.gaps.count() == 0 {
             // One contact ever: no gap statistics yet; be optimistic about
             // the wait (the device is presumably still in contact).
@@ -102,33 +95,20 @@ impl CaEtxEstimator {
         self.capacities.count()
     }
 
-    /// The estimator's raw state `(packet_bits, gaps, capacities,
-    /// last_contact)` — the checkpoint counterpart of
-    /// [`CaEtxEstimator::from_raw_parts`].
-    pub fn raw_parts(&self) -> (f64, Welford, Welford, Option<SimTime>) {
-        (
-            self.packet_bits,
-            self.gaps,
-            self.capacities,
-            self.last_contact,
-        )
+    /// The estimator's raw state `(gaps, capacities, last_contact)` —
+    /// the checkpoint counterpart of [`CaEtxEstimator::from_raw_parts`].
+    pub fn raw_parts(&self) -> (Welford, Welford, Option<SimTime>) {
+        (self.gaps, self.capacities, self.last_contact)
     }
 
     /// Rebuilds an estimator from state captured by
     /// [`CaEtxEstimator::raw_parts`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packet_bits` is not strictly positive.
     pub fn from_raw_parts(
-        packet_bits: f64,
         gaps: Welford,
         capacities: Welford,
         last_contact: Option<SimTime>,
     ) -> Self {
-        assert!(packet_bits > 0.0, "packet size must be positive");
         CaEtxEstimator {
-            packet_bits,
             gaps,
             capacities,
             last_contact,
@@ -136,27 +116,31 @@ impl CaEtxEstimator {
     }
 }
 
+impl Default for CaEtxEstimator {
+    fn default() -> Self {
+        CaEtxEstimator::new()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const BITS: f64 = 2_040.0;
-
     #[test]
     fn unobserved_is_ceiling() {
-        assert_eq!(CaEtxEstimator::new(BITS).ca_etx(), RCA_ETX_CEILING);
+        assert_eq!(CaEtxEstimator::new().ca_etx(), RCA_ETX_CEILING);
     }
 
     #[test]
     fn single_contact_only_tx_term() {
-        let mut e = CaEtxEstimator::new(BITS);
+        let mut e = CaEtxEstimator::new();
         e.observe(SimTime::from_secs(10), Some(2_040.0));
         assert!((e.ca_etx() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn mean_gap_drives_wait_term() {
-        let mut e = CaEtxEstimator::new(BITS);
+        let mut e = CaEtxEstimator::new();
         for i in 0..5u64 {
             e.observe(SimTime::from_secs(i * 400), Some(2_040.0));
         }
@@ -165,8 +149,8 @@ mod tests {
 
     #[test]
     fn failures_are_invisible() {
-        let mut with_failures = CaEtxEstimator::new(BITS);
-        let mut without = CaEtxEstimator::new(BITS);
+        let mut with_failures = CaEtxEstimator::new();
+        let mut without = CaEtxEstimator::new();
         for i in 0..5u64 {
             let t = SimTime::from_secs(i * 400);
             with_failures.observe(t, Some(2_040.0));
@@ -182,8 +166,8 @@ mod tests {
         // The §III.C critique in miniature: after the same history, the
         // CA-ETX of a device dark for an hour equals its fresh value,
         // while RCA-ETX's real-time preview diverges.
-        let mut ca = CaEtxEstimator::new(BITS);
-        let mut rca = crate::RcaEtxEstimator::new(0.5, BITS);
+        let mut ca = CaEtxEstimator::new();
+        let mut rca = crate::RcaEtxEstimator::new(0.5);
         for i in 0..5u64 {
             let t = SimTime::from_secs(i * 300);
             ca.observe(t, Some(2_040.0));
@@ -201,11 +185,11 @@ mod tests {
 
     #[test]
     fn variance_tracked() {
-        let mut e = CaEtxEstimator::new(BITS);
+        let mut e = CaEtxEstimator::new();
         for t in [0u64, 100, 500, 600, 1_400] {
             e.observe(SimTime::from_secs(t), Some(2_040.0));
         }
-        let (_, gaps, _, _) = e.raw_parts();
+        let (gaps, _, _) = e.raw_parts();
         assert!(gaps.std_dev() > 0.0);
         assert_eq!(e.contacts(), 5);
     }

@@ -2,7 +2,7 @@
 
 use mlora_simcore::SimTime;
 
-use crate::metric::{packet_service_time, RCA_ETX_CEILING};
+use crate::metric::{packet_service_time, PACKET_BITS, RCA_ETX_CEILING};
 use crate::Ewma;
 
 /// Tracks a device's contacts with the gateway set `S` and computes the
@@ -139,27 +139,23 @@ impl ContactTracker {
 /// (§IV.B: "computed at the beginning of every time slot reserved for
 /// its device-to-sink communication") and read
 /// [`RcaEtxEstimator::rca_etx`] whenever a forwarding decision is made.
+/// Frames are [`PACKET_BITS`] long.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RcaEtxEstimator {
     tracker: ContactTracker,
     ewma: Ewma,
-    packet_bits: f64,
 }
 
 impl RcaEtxEstimator {
-    /// Creates an estimator with EWMA factor `alpha` (paper default 0.5)
-    /// for frames of `packet_bits`.
+    /// Creates an estimator with EWMA factor `alpha` (paper default 0.5).
     ///
     /// # Panics
     ///
-    /// Panics unless `alpha` is in `(0, 1]` or if `packet_bits` is not
-    /// strictly positive.
-    pub fn new(alpha: f64, packet_bits: f64) -> Self {
-        assert!(packet_bits > 0.0, "packet size must be positive");
+    /// Panics unless `alpha` is in `(0, 1]`.
+    pub fn new(alpha: f64) -> Self {
         RcaEtxEstimator {
             tracker: ContactTracker::new(),
             ewma: Ewma::new(alpha),
-            packet_bits,
         }
     }
 
@@ -172,7 +168,7 @@ impl RcaEtxEstimator {
             Some(c) => self.tracker.record_success(t, c),
             None => self.tracker.record_failure(t),
         }
-        let rpst = self.tracker.rpst(t, wait_s, self.packet_bits);
+        let rpst = self.tracker.rpst(t, wait_s, PACKET_BITS);
         self.ewma.push(rpst)
     }
 
@@ -190,7 +186,7 @@ impl RcaEtxEstimator {
     /// may have grown well past the last slot's estimate; previewing keeps
     /// the decision real-time while leaving slot bookkeeping untouched.
     pub fn rca_etx_at(&self, now: SimTime, wait_s: f64) -> f64 {
-        let rpst = self.tracker.rpst(now, wait_s, self.packet_bits);
+        let rpst = self.tracker.rpst(now, wait_s, PACKET_BITS);
         match self.ewma.value() {
             None => rpst,
             Some(prev) => (1.0 - self.ewma.alpha()) * prev + self.ewma.alpha() * rpst,
@@ -207,25 +203,16 @@ impl RcaEtxEstimator {
         self.ewma.alpha()
     }
 
-    /// The estimator's raw state `(tracker, ewma, packet_bits)` — the
-    /// checkpoint counterpart of [`RcaEtxEstimator::from_raw_parts`].
-    pub fn raw_parts(&self) -> (ContactTracker, Ewma, f64) {
-        (self.tracker, self.ewma, self.packet_bits)
+    /// The estimator's raw state `(tracker, ewma)` — the checkpoint
+    /// counterpart of [`RcaEtxEstimator::from_raw_parts`].
+    pub fn raw_parts(&self) -> (ContactTracker, Ewma) {
+        (self.tracker, self.ewma)
     }
 
     /// Rebuilds an estimator from state captured by
     /// [`RcaEtxEstimator::raw_parts`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `packet_bits` is not strictly positive.
-    pub fn from_raw_parts(tracker: ContactTracker, ewma: Ewma, packet_bits: f64) -> Self {
-        assert!(packet_bits > 0.0, "packet size must be positive");
-        RcaEtxEstimator {
-            tracker,
-            ewma,
-            packet_bits,
-        }
+    pub fn from_raw_parts(tracker: ContactTracker, ewma: Ewma) -> Self {
+        RcaEtxEstimator { tracker, ewma }
     }
 }
 
@@ -280,8 +267,9 @@ mod tests {
 
     #[test]
     fn estimator_smooths_with_alpha() {
-        let mut est = RcaEtxEstimator::new(0.5, BITS);
-        est.observe(SimTime::from_secs(0), Some(1_000.0), 0.0); // RPST 2
+        let mut est = RcaEtxEstimator::new(0.5);
+        // A full frame at 1 020 bit/s takes 2 s.
+        est.observe(SimTime::from_secs(0), Some(1_020.0), 0.0); // RPST 2
         assert_eq!(est.rca_etx(), 2.0);
         est.observe(SimTime::from_secs(180), None, 0.0); // RPST 2 + 180
         assert_eq!(est.rca_etx(), 0.5 * 2.0 + 0.5 * 182.0);
@@ -289,14 +277,14 @@ mod tests {
 
     #[test]
     fn estimator_unobserved_reports_ceiling() {
-        let est = RcaEtxEstimator::new(0.5, BITS);
+        let est = RcaEtxEstimator::new(0.5);
         assert_eq!(est.rca_etx(), RCA_ETX_CEILING);
     }
 
     #[test]
     fn good_contact_beats_bad_contact() {
-        let mut good = RcaEtxEstimator::new(0.5, BITS);
-        let mut bad = RcaEtxEstimator::new(0.5, BITS);
+        let mut good = RcaEtxEstimator::new(0.5);
+        let mut bad = RcaEtxEstimator::new(0.5);
         for i in 0..10u64 {
             let t = SimTime::from_secs(i * 180);
             good.observe(t, Some(4_000.0), 0.0);

@@ -5,9 +5,7 @@ use mlora_simcore::{NodeId, SimTime};
 
 use mlora_mac::MAX_BUNDLE;
 
-use crate::{
-    CaEtxEstimator, DonorLedger, ForwardingPolicy, PolicyContext, RcaEtxEstimator, Rgq, PACKET_BITS,
-};
+use crate::{CaEtxEstimator, DonorLedger, ForwardingPolicy, PolicyContext, RcaEtxEstimator, Rgq};
 
 /// The three data-forwarding schemes the paper evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,7 +81,7 @@ pub enum ForwardDecision {
 }
 
 /// What a scenario sets for every device's [`RoutingState`]. The rest
-/// is fixed: frames of [`PACKET_BITS`], the [`Rgq::PAPER`] bounds, and
+/// is fixed: frames of [`PACKET_BITS`](crate::PACKET_BITS), the [`Rgq::PAPER`] bounds, and
 /// handovers of at most [`MAX_BUNDLE`] messages.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoutingConfig {
@@ -150,8 +148,8 @@ impl RoutingState {
     /// `config`.
     pub fn new(config: RoutingConfig, policy: Box<dyn ForwardingPolicy>) -> Self {
         RoutingState {
-            estimator: RcaEtxEstimator::new(config.alpha, PACKET_BITS),
-            ca_estimator: CaEtxEstimator::new(PACKET_BITS),
+            estimator: RcaEtxEstimator::new(config.alpha),
+            ca_estimator: CaEtxEstimator::new(),
             ledger: DonorLedger::new(),
             policy,
             capacity: config.capacity,

@@ -23,9 +23,11 @@ use crate::{AppMessage, Priority};
 /// use mlora_simcore::{MessageId, NodeId, SimTime};
 ///
 /// let mut q = DataQueue::new(2);
-/// for i in 0..3 {
-///     q.push(AppMessage::new(MessageId::new(i), NodeId::new(0), SimTime::ZERO));
+/// for i in 0..2 {
+///     assert_eq!(q.push(AppMessage::new(MessageId::new(i), NodeId::new(0), SimTime::ZERO)), 0);
 /// }
+/// // Full: the third push drops the oldest message.
+/// assert_eq!(q.push(AppMessage::new(MessageId::new(2), NodeId::new(0), SimTime::ZERO)), 1);
 /// assert_eq!(q.len(), 2);
 /// assert_eq!(q.dropped(), 1);
 /// assert_eq!(q.peek_front(2)[0].id, MessageId::new(1)); // msg-0 was dropped
@@ -55,18 +57,20 @@ impl DataQueue {
 
     /// Enqueues a message behind every message of its class or higher;
     /// drops (and counts) the oldest lowest-class message if full.
+    /// Returns how many messages the push dropped: 0 or 1.
     ///
     /// When all messages share one priority this is exactly the old
     /// FIFO: the back-scan terminates immediately and overflow drops the
     /// head of the queue.
-    pub fn push(&mut self, msg: AppMessage) {
+    pub fn push(&mut self, msg: AppMessage) -> u64 {
+        let mut dropped = 0;
         if self.buf.len() == self.capacity {
-            self.drop_one_for(msg.priority);
+            dropped = self.drop_one_for(msg.priority);
             if self.buf.len() == self.capacity {
                 // The newcomer itself is the lowest class in a full
                 // queue of strictly higher classes: it is the drop.
                 self.dropped += 1;
-                return;
+                return 1;
             }
         }
         // The buffer is ordered by descending priority (stable within a
@@ -81,17 +85,19 @@ impl DataQueue {
         } else {
             self.buf.insert(at, msg);
         }
+        dropped
     }
 
     /// Evicts the oldest message of the lowest class present, provided
     /// that class is no higher than `incoming` (so a low-priority
-    /// arrival never evicts queued urgent traffic).
-    fn drop_one_for(&mut self, incoming: Priority) {
+    /// arrival never evicts queued urgent traffic). Returns how many it
+    /// evicted: 0 or 1.
+    fn drop_one_for(&mut self, incoming: Priority) -> u64 {
         let Some(lowest) = self.buf.back().map(|m| m.priority) else {
-            return;
+            return 0;
         };
         if lowest > incoming {
-            return;
+            return 0;
         }
         // Descending order means the lowest class is the contiguous tail
         // region; its oldest member is the first element from the front
@@ -105,6 +111,7 @@ impl DataQueue {
             .expect("lowest priority was read from the buffer");
         self.buf.remove(at);
         self.dropped += 1;
+        1
     }
 
     /// Accepts a whole handover bundle: enqueues every message in order
@@ -126,11 +133,7 @@ impl DataQueue {
     /// assert_eq!(q.len(), 2);
     /// ```
     pub fn push_bundle(&mut self, messages: &[AppMessage]) -> u64 {
-        let drops_before = self.dropped;
-        for msg in messages {
-            self.push(*msg);
-        }
-        self.dropped - drops_before
+        messages.iter().map(|msg| self.push(*msg)).sum()
     }
 
     /// The frontmost `n` messages without removing them (fewer if the
@@ -256,9 +259,8 @@ mod tests {
     #[test]
     fn overflow_drops_oldest() {
         let mut q = DataQueue::new(3);
-        for i in 0..5 {
-            q.push(msg(i));
-        }
+        let dropped: Vec<u64> = (0..5).map(|i| q.push(msg(i))).collect();
+        assert_eq!(dropped, [0, 0, 0, 1, 1]);
         assert_eq!(q.dropped(), 2);
         let ids: Vec<u64> = q.iter().map(|m| m.id.raw()).collect();
         assert_eq!(ids, [2, 3, 4]);
@@ -283,14 +285,14 @@ mod tests {
         q.push(prio(1, Priority::Low));
         q.push(prio(2, Priority::Low));
         // A Normal arrival evicts the *oldest Low*, not the head.
-        q.push(prio(3, Priority::Normal));
+        assert_eq!(q.push(prio(3, Priority::Normal)), 1);
         let ids: Vec<u64> = q.iter().map(|m| m.id.raw()).collect();
         assert_eq!(ids, [0, 3, 2]);
         assert_eq!(q.dropped(), 1);
         // A Low arrival into a full queue of higher classes drops itself.
         q.push(prio(4, Priority::High));
         assert_eq!(q.len(), 3);
-        q.push(prio(5, Priority::Low));
+        assert_eq!(q.push(prio(5, Priority::Low)), 1);
         let ids: Vec<u64> = q.iter().map(|m| m.id.raw()).collect();
         assert_eq!(ids, [0, 4, 3]);
         assert_eq!(q.dropped(), 3);

@@ -491,8 +491,11 @@ mod tests {
     fn packet_bits_full_bundle() {
         // Devices normalise their metrics to a full 255-byte bundle.
         let cfg = SimConfig::smoke_test(Scheme::NoRouting, Environment::Urban);
-        let (rca, ca, _) = cfg.routing_state().raw_parts();
-        assert_eq!((rca.raw_parts().2, ca.raw_parts().0), (2040.0, 2040.0));
+        // A 2 040-bit frame takes one second at 2 040 bit/s.
+        let (mut rca, mut ca, _) = cfg.routing_state().raw_parts();
+        rca.observe(mlora_simcore::SimTime::ZERO, Some(2_040.0), 0.0);
+        ca.observe(mlora_simcore::SimTime::ZERO, Some(2_040.0));
+        assert_eq!((rca.rca_etx(), ca.ca_etx()), (1.0, 1.0));
     }
 
     #[test]

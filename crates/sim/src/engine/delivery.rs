@@ -202,9 +202,11 @@ impl Delivery {
     }
 
     /// The premises of the sink side's state, which a resume relies on:
-    /// one outage depth per gateway, and the collector counting as many
+    /// one outage depth per gateway; the collector counting as many
     /// outages open as there are gateways down (it counts a gateway when
-    /// it goes down and when it comes back).
+    /// it goes down and when it comes back); and its counts of messages
+    /// delivered and generated during an outage being the sizes of the
+    /// sets it keeps of them.
     ///
     /// # Errors
     ///
@@ -220,8 +222,15 @@ impl Delivery {
             return Err("gateway count mismatch");
         }
         let down = self.gateway_down_depth.iter().filter(|&&d| d > 0).count();
-        if self.collector.outage_depth as usize != down {
+        let c = &self.collector;
+        if c.outage_depth as usize != down {
             return Err("outage depth is not the gateways down");
+        }
+        if c.report.delivered != c.arrived.len() as u64 {
+            return Err("delivered count is not the messages arrived");
+        }
+        if c.report.generated_during_outage != c.outage_generated.len() as u64 {
+            return Err("outage count is not the messages generated during outages");
         }
         Ok(())
     }

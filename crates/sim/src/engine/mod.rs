@@ -498,9 +498,17 @@ impl Engine {
     /// the horizon; once started, the event counter stands past the
     /// sequence numbers the timetable reserves; the channel, the world
     /// and the sink side hold their own premises ([`Channel::check`],
-    /// [`World::check`], [`Delivery::check`]); and each gateway is down
-    /// as deep as the disruption timeline stands at `now` — every
-    /// disruption due by then has fired, and no later one.
+    /// [`World::check`], [`Delivery::check`]); a device is in service
+    /// exactly while `now` is before its trip's end (a withdrawal
+    /// truncates the trip) and the horizon, and then its `TripEnd` is
+    /// queued under the trip's reserved key and one `Generate` of it is
+    /// queued; a device's transmission
+    /// flag says whether one `TxStart` of it is queued; the collector
+    /// counts as many devices seen as rows retired, as many frames sent
+    /// as the duty-cycle trackers and as many queue drops as the
+    /// queues; and each gateway is down as deep as the disruption
+    /// timeline stands at `now` — every disruption due by then has
+    /// fired, and no later one.
     ///
     /// # Errors
     ///
@@ -522,6 +530,7 @@ impl Engine {
         self.channel.check(self.now)?;
         self.world.check(self.now)?;
         self.delivery.check()?;
+        self.check_devices()?;
         // Read by instant, not by which `Disruption(i)` are still
         // queued: a branch checkpointed by a build that appended overlay
         // events past the original timeline queued indices that name
@@ -545,6 +554,84 @@ impl Engine {
         Ok(())
     }
 
+    /// [`Engine::check`]'s premises on the device rows: their service
+    /// windows (and, for a device in service, its trip end queued under
+    /// the timetable's key and its next generation queued), their
+    /// transmission flags, and the collector's counts of them. One pass
+    /// over the events and one over the rows.
+    #[deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )]
+    fn check_devices(&self) -> Result<(), &'static str> {
+        const TX_START: u8 = 1;
+        const TRIP_END: u8 = 2;
+        const GENERATE: u8 = 4;
+        let world = &self.world;
+        let trips = world.net.trips().len();
+        let end = |i: usize| self.service_window(i).map(|(_, end)| end);
+        // Per row: a `TxStart` is queued; its `TripEnd` is queued under
+        // the trip's reserved key (a withdrawn bus's stays queued where
+        // the trip used to end); a `Generate` is queued (a retired
+        // device's last one fires and is not renewed).
+        let mut queued = vec![0u8; world.devices.slot_count()];
+        for &(key, ev) in self.events.raw_parts().0 {
+            match ev {
+                Event::TxStart(n) => match queued.get_mut(n.index()) {
+                    Some(q) if *q & TX_START == 0 => *q |= TX_START,
+                    _ => return Err("transmission queued twice or for no device"),
+                },
+                Event::Generate(n) => match queued.get_mut(n.index()) {
+                    Some(q) if *q & GENERATE == 0 => *q |= GENERATE,
+                    _ => return Err("generation queued twice or for no device"),
+                },
+                Event::TripEnd(n) => {
+                    let i = n.index();
+                    let key = (SimTime::from_millis((key >> 64) as u64), key as u64);
+                    let reserved = i < trips && key == self.lifecycle_keys(i)[1];
+                    if let (true, Some(q)) = (reserved, queued.get_mut(i)) {
+                        *q |= TRIP_END;
+                    }
+                }
+                _ => {}
+            }
+        }
+        // A stored count may reach 2^62, so the sums are taken in u128.
+        let (mut retired, mut frames, mut drops) = (0u64, 0u128, 0u128);
+        for (i, dev) in world.devices.iter() {
+            let active = world.hot.active.get(i).copied();
+            if active != end(i).map(|end| self.now < end) {
+                return Err("device in service outside its trip");
+            }
+            let queued = queued.get(i).copied().unwrap_or(0);
+            if active == Some(true) && queued & TRIP_END == 0 {
+                return Err("device in service without its trip end queued");
+            }
+            if active == Some(true) && queued & GENERATE == 0 {
+                return Err("device in service without a generation queued");
+            }
+            if (queued & TX_START != 0) != dev.tx_scheduled {
+                return Err("transmission flag disagrees with the queued events");
+            }
+            retired += u64::from(active == Some(false));
+            frames += u128::from(dev.duty.tx_count());
+            drops += u128::from(dev.queue.dropped());
+        }
+        let report = &self.delivery.collector.report;
+        if report.devices_seen != retired {
+            return Err("devices seen are not the rows retired");
+        }
+        if u128::from(report.frames_sent) != frames {
+            return Err("frames sent are not the devices' transmissions");
+        }
+        if u128::from(report.queue_drops) != drops {
+            return Err("queue drops are not the devices' drops");
+        }
+        Ok(())
+    }
+
     /// The `(time, seq)` key of the next trip to depart, if any is left
     /// before the horizon (see the module docs).
     fn next_departure(&self) -> Option<(SimTime, u64)> {
@@ -554,12 +641,18 @@ impl Engine {
     /// The reserved `(time, seq)` keys of trip `i`'s `TripStart` and
     /// `TripEnd` — what seeding both up front would have assigned.
     fn lifecycle_keys(&self, i: usize) -> [(SimTime, u64); 2] {
-        let trip = &self.world.net.trips()[i];
+        let (depart, end) = self.service_window(i).expect("a trip of the timetable");
         let seq = 2 * i as u64;
-        [
-            (trip.depart(), seq),
-            (trip.end().min(self.horizon), seq + 1),
-        ]
+        [(depart, seq), (end, seq + 1)]
+    }
+
+    /// Trip `i`'s service window in this run, `None` past the
+    /// timetable: its departure, and its end (which a withdrawal
+    /// truncates) cut at the horizon. Device `i` is in service exactly
+    /// inside it.
+    fn service_window(&self, i: usize) -> Option<(SimTime, SimTime)> {
+        let trip = self.world.net.trips().get(i)?;
+        Some((trip.depart(), trip.end().min(self.horizon)))
     }
 
     /// Ends the run: retires the surviving fleet at the horizon, closes
@@ -684,17 +777,13 @@ impl Engine {
             )
         };
         let device = Device {
-            activated_at: self.now,
-            retired_at: None,
             queue: DataQueue::new(self.cfg.queue_capacity),
             duty: DutyCycleTracker::new(self.cfg.duty_cycle),
             retransmit: RetransmitPolicy::new(self.cfg.max_attempts),
             routing: self.cfg.routing_state(),
             tx_scheduled: false,
             pending_handover: None,
-            tx_time: SimDuration::ZERO,
             rx_window_time: SimDuration::ZERO,
-            frames_sent: 0,
             grid_pos: pos,
             traffic,
         };
@@ -747,9 +836,7 @@ impl Engine {
         // generated so far.
         let id = mlora_simcore::MessageId::new(self.delivery.collector.report.generated);
         let msg = AppMessage::new(id, n, self.now).with_traffic(payload, profile, priority);
-        let drops_before = dev.queue.dropped();
-        dev.queue.push(msg);
-        let dropped = dev.queue.dropped() - drops_before;
+        let dropped = dev.queue.push(msg);
         self.delivery.collector.on_generated(&msg);
         observer.on_message_generated(&MessageGenerated {
             time: self.now,
@@ -844,8 +931,6 @@ impl Engine {
         dev.duty.record_tx(self.now, airtime);
         self.world.hot.transmitting[i] = true;
         self.world.hot.tx_window[i] = Some((self.now, self.now + airtime));
-        dev.tx_time += airtime;
-        dev.frames_sent += 1;
         // Queue-based Class-A opens its Eq. 11 window after this uplink.
         if class == DeviceClass::QueueBasedClassA {
             let gamma = dev.routing.gamma(dev.queue.len(), queue_capacity);

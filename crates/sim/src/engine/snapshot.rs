@@ -387,13 +387,23 @@ impl Engine {
         }
         w.end_section()?;
 
-        // Every device ever activated, active or retired, in id order.
-        // Hot-column values are gathered back into a row view so the
-        // per-device wire record is byte-identical to the AoS era.
+        // Every device ever activated, active or retired, in id order:
+        // the departed trips, so each row's service window is read off
+        // its trip. Hot-column values are gathered back into a row view
+        // so the per-device wire record is byte-identical to the AoS era.
         w.begin_section(SEC_DEVICES, self.world.devices.len() as u64)?;
-        for (idx, dev) in self.world.devices.iter() {
+        let trips = self.world.net.trips();
+        for ((idx, dev), trip) in self.world.devices.iter().zip(trips) {
+            let hot = self.world.hot.device_hot(idx);
+            // The row's `service_window`, read off its own trip.
+            let end = trip.end().min(self.horizon);
             idx.put(w.enc());
-            put_device(w.enc(), dev, self.world.hot.device_hot(idx));
+            put_device(
+                w.enc(),
+                dev,
+                hot,
+                (trip.depart(), (!hot.active).then_some(end)),
+            );
             w.end_record()?;
         }
         w.end_section()?;
@@ -637,10 +647,15 @@ impl Engine {
         let n = expect_section(&mut r, SEC_DEVICES, "snapshot devices")?;
         let departed = n == limits.devices as u64;
         ensure(departed, "device records are not the departed trips")?;
+        // Retirements that only a withdrawal, replayed below, can explain.
+        let mut truncated = Vec::new();
         for id in 0..limits.devices {
             let node: NodeId = read_record(&mut r)?;
             ensure(node.index() == id, "device records out of order")?;
-            let (dev, hot) = get_device(&mut r, &engine.cfg, &limits)?;
+            let trip = engine.service_window(id);
+            let trip = trip.ok_or(ScenarioIoError::Corrupt("device without a trip"))?;
+            let (dev, hot, retired) = get_device(&mut r, &engine.cfg, &limits, trip)?;
+            truncated.extend(retired.map(|at| (node, at)));
             engine.world.open_row(node);
             if hot.active {
                 let pos = dev.grid_pos;
@@ -655,13 +670,26 @@ impl Engine {
         }
 
         // Replay withdrawals against the network (the first takes this
-        // engine's private copy).
+        // engine's private copy). A withdrawal retires its bus when it
+        // is applied, so a stored retirement that a withdrawal moves
+        // must be one of those held back above, and each of those must
+        // be its trip's end once all are replayed.
         let n = expect_section(&mut r, SEC_WITHDRAWN, "snapshot withdrawals")?;
         for _ in 0..n {
             let (node, t): (NodeId, SimTime) = read_record(&mut r)?;
             limits.device(node)?;
+            ensure(t <= header.now, "withdrawal after the snapshot instant")?;
+            let before = engine.service_window(node.index());
             engine.world.withdraw_trip(node, t);
+            let held = truncated.binary_search_by_key(&node, |&(n, _)| n).is_ok();
+            let active = engine.world.hot.active.get(node.index()) == Some(&true);
+            let kept = engine.service_window(node.index()) == before || held || active;
+            ensure(kept, "device retirement is not its trip's end")?;
             engine.withdrawn.push((node, t));
+        }
+        for (node, at) in truncated {
+            let end = engine.service_window(node.index()).map(|(_, end)| end);
+            ensure(end == Some(at), "device retirement is not its trip's end")?;
         }
 
         // The flight slab: slots verbatim (vacant included), then the
@@ -915,44 +943,48 @@ fn get_map<R: Read, V: Persist>(
 }
 
 /// Writes one device record: the cold [`Device`] row plus its gathered
-/// hot-column view, in the exact field order the AoS layout used — the
-/// wire format is unchanged by the SoA split. Hand-written, unlike the
-/// records above: it interleaves two structs, reaches the foreign state
-/// types through their `raw_parts`, and [`get_device`] needs the
-/// scenario to rebuild what is not stored. Keep the two in step, line
-/// for line.
-fn put_device(enc: &mut Enc, dev: &Device, hot: DeviceHot) {
-    (hot.active, dev.activated_at, dev.retired_at).put(enc);
+/// hot-column view and its trip's service window `(departure,
+/// retirement)`, in the exact field order the AoS layout used — the
+/// wire format is unchanged by the SoA split. The record keeps copies
+/// the row does not: the scenario's constants, the frame size (twice),
+/// the service window, the airtime and the frame count, each written
+/// from its one owner. Hand-written, unlike the records above: it
+/// interleaves two structs, reaches the foreign state types through
+/// their `raw_parts`, and [`get_device`] needs the scenario to rebuild
+/// what is not stored. Keep the two in step, line for line.
+fn put_device(enc: &mut Enc, dev: &Device, hot: DeviceHot, window: (SimTime, Option<SimTime>)) {
+    (hot.active, window.0, window.1).put(enc);
     (dev.queue.capacity(), dev.queue.dropped(), dev.queue.len()).put(enc);
     dev.queue.iter().for_each(|m| m.put(enc));
     dev.duty.raw_parts().put(enc);
     (dev.retransmit.max_attempts(), dev.retransmit.attempts()).put(enc);
     let (estimator, ca, ledger) = dev.routing.raw_parts();
-    let (tracker, ewma, rca_bits) = estimator.raw_parts();
+    let (tracker, ewma) = estimator.raw_parts();
     tracker.raw_parts().put(enc);
-    (ewma.alpha(), ewma.value(), rca_bits).put(enc);
-    ca.raw_parts().put(enc);
+    (ewma.alpha(), ewma.value(), PACKET_BITS).put(enc);
+    let (gaps, capacities, last_contact) = ca.raw_parts();
+    (PACKET_BITS, gaps, capacities, last_contact).put(enc);
     put_slice(ledger.donors_sorted(), enc);
     (hot.transmitting, dev.tx_scheduled, dev.pending_handover).put(enc);
     (hot.last_tx_end, hot.tx_window, hot.gamma).put(enc);
-    (
-        dev.tx_time,
-        dev.rx_window_time,
-        dev.frames_sent,
-        dev.grid_pos,
-    )
-        .put(enc);
+    let (airtime, frames) = (dev.duty.total_airtime(), dev.duty.tx_count());
+    (airtime, dev.rx_window_time, frames, dev.grid_pos).put(enc);
     dev.traffic.put(enc);
 }
 
 /// Reads one device record, splitting it back into the cold [`Device`]
 /// row and the hot-column values the caller scatters into the world.
+/// `trip` is the device's departure and end (cut at the horizon) in the
+/// timetable before the withdrawals are replayed. A stored retirement
+/// at another instant is returned: only a withdrawal can explain it, so
+/// the caller holds it to the trip once the withdrawals are replayed.
 fn get_device<R: Read>(
     r: &mut ScenarioReader<R>,
     cfg: &SimConfig,
     limits: &Limits,
-) -> Result<(Device, DeviceHot), ScenarioIoError> {
-    let (active, activated_at, retired_at) = Persist::get(r)?;
+    trip: (SimTime, SimTime),
+) -> Result<(Device, DeviceHot, Option<SimTime>), ScenarioIoError> {
+    let (active, activated_at, retired_at): (bool, SimTime, Option<SimTime>) = Persist::get(r)?;
     let (capacity, Count(dropped), messages): (usize, _, Vec<AppMessage>) = Persist::get(r)?;
     let (duty_cycle, next_allowed, total_airtime, Count(tx_count)) = Persist::get(r)?;
     let (max_attempts, attempts) = Persist::get(r)?;
@@ -962,8 +994,25 @@ fn get_device<R: Read>(
     let donors: Vec<NodeId> = Persist::get(r)?;
     let (transmitting, tx_scheduled, pending_handover) = Persist::get(r)?;
     let (last_tx_end, tx_window, gamma) = Persist::get(r)?;
-    let (tx_time, rx_window_time, Count(frames_sent), grid_pos) = Persist::get(r)?;
+    let (airtime, rx_window_time, Count(frames), grid_pos) = Persist::get(r)?;
     let traffic: Option<DeviceTraffic> = Persist::get(r)?;
+
+    // Copies of what the timetable and the duty-cycle tracker hold. A
+    // device is retired exactly when it is not active.
+    let (depart, end) = trip;
+    ensure(
+        activated_at == depart,
+        "device activation is not its trip's departure",
+    )?;
+    ensure(
+        retired_at.is_some() != active,
+        "device retirement disagrees with its flag",
+    )?;
+    let copies = (airtime, frames) == (total_airtime, tx_count);
+    ensure(
+        copies,
+        "device airtime or frame count is not its duty cycle's",
+    )?;
 
     // Six fields are constants, stored per device: the scenario's four
     // and the two estimators' frame size. The constructors below assert
@@ -989,15 +1038,13 @@ fn get_device<R: Read>(
 
     let tracker = ContactTracker::from_raw_parts(last_success, in_contact, successes, failures);
     let ewma = Ewma::from_raw_parts(alpha, ewma_value);
-    let estimator = RcaEtxEstimator::from_raw_parts(tracker, ewma, rca_bits);
-    let ca = CaEtxEstimator::from_raw_parts(ca_bits, gaps, capacities, last_contact);
+    let estimator = RcaEtxEstimator::from_raw_parts(tracker, ewma);
+    let ca = CaEtxEstimator::from_raw_parts(gaps, capacities, last_contact);
     let ledger = DonorLedger::from_donors(donors);
     let routing_config = cfg.routing_config();
     let policy = cfg.policy.build();
     Ok((
         Device {
-            activated_at,
-            retired_at,
             queue,
             duty: DutyCycleTracker::from_raw_parts(
                 duty_cycle,
@@ -1009,9 +1056,7 @@ fn get_device<R: Read>(
             routing: RoutingState::from_raw_parts(routing_config, policy, estimator, ca, ledger),
             tx_scheduled,
             pending_handover,
-            tx_time,
             rx_window_time,
-            frames_sent,
             grid_pos,
             traffic,
         },
@@ -1022,6 +1067,7 @@ fn get_device<R: Read>(
             last_tx_end,
             gamma,
         },
+        retired_at.filter(|&at| at != end),
     ))
 }
 
@@ -1091,14 +1137,15 @@ mod tests {
             engine.run_until(t);
             let last = engine.world.last_sweep();
             let world = &engine.world;
-            let activated = world.active.iter().any(|&n| {
-                let dev = world.devices.get(n).unwrap();
-                dev.activated_at > last
-            });
+            let trips = world.net.trips();
+            let activated = world
+                .active
+                .iter()
+                .any(|&n| trips[n.index()].depart() > last);
             let retired = world
                 .devices
-                .values()
-                .any(|dev| dev.retired_at.is_some_and(|at| at > last));
+                .iter()
+                .any(|(i, _)| !world.hot.active[i] && trips[i].end() > last);
             if activated && retired {
                 break;
             }
@@ -1295,6 +1342,14 @@ mod tests {
         )
     }
 
+    /// Why `result` was refused as corrupt, if it was.
+    fn refusal<T>(result: Result<T, SnapshotError>) -> Option<&'static str> {
+        match result {
+            Err(SnapshotError::Format(ScenarioIoError::Corrupt(why))) => Some(why),
+            _ => None,
+        }
+    }
+
     #[test]
     fn shard_count_beyond_the_limit_is_refused_at_load() {
         use crate::framing::{get_varint, splice, varint};
@@ -1406,13 +1461,19 @@ mod tests {
         assert!(drifted(Engine::resume(&snap)));
         // Or every device filed where it was, under another master seed
         // (the header's first field), which regenerates the bus network
-        // and so moves every bus. Many seeds are refused sooner, by a
-        // timetable that departed another number of trips.
+        // and so moves every bus. Such a file is refused sooner: its
+        // timetable departed another number of trips, or departed them
+        // at other instants than the device records say.
         let framed: &[u8] = include_bytes!("../../../../tests/fixtures/framed_once.mlss");
         let snap = Snapshot::from_bytes(framed.to_vec()).expect("the fixture loads");
         for seed in [1 << 32, 1 << 63, u64::MAX] {
             let forged = with_varint(&snap, SEC_HEADER, 0, 15, seed);
-            assert!(drifted(Engine::resume(&forged)), "seed {seed}");
+            let why = refusal(Engine::resume(&forged));
+            assert_eq!(
+                why,
+                Some("device activation is not its trip's departure"),
+                "seed {seed}"
+            );
         }
     }
 
@@ -1435,16 +1496,21 @@ mod tests {
             let records = e.events.raw_parts().0.to_vec();
             e.events = EventQueue::from_raw_parts(records, v).unwrap();
         }));
-        assert!(refused(&|e, v| first_device(e).frames_sent = v));
+        // The collector counts what the rows count, so the first
+        // device's count is the only one left standing.
         assert!(refused(&|e, v| {
-            let dev = first_device(e);
-            let (cycle, next_allowed, airtime, _) = dev.duty.raw_parts();
-            dev.duty = DutyCycleTracker::from_raw_parts(cycle, next_allowed, airtime, v);
+            only_first_device(e, v, |dev, v| {
+                let (cycle, next_allowed, airtime, _) = dev.duty.raw_parts();
+                dev.duty = DutyCycleTracker::from_raw_parts(cycle, next_allowed, airtime, v);
+            });
+            e.delivery.collector.report.frames_sent = v;
         }));
         assert!(refused(&|e, v| {
-            let dev = first_device(e);
-            let held: Vec<_> = dev.queue.iter().cloned().collect();
-            dev.queue = DataQueue::from_parts(dev.queue.capacity(), v, held).unwrap();
+            only_first_device(e, v, |dev, v| {
+                let held: Vec<_> = dev.queue.iter().cloned().collect();
+                dev.queue = DataQueue::from_parts(dev.queue.capacity(), v, held).unwrap();
+            });
+            e.delivery.collector.report.queue_drops = v;
         }));
         for count in 0..4 {
             assert!(refused(&|e, v| set_routing_count(e, count, v)), "{count}");
@@ -1475,6 +1541,19 @@ mod tests {
         e.world.devices.get_mut(n).unwrap()
     }
 
+    /// Sets a count of the first active device's row to `v` and the
+    /// same count of every other row to 0.
+    fn only_first_device(e: &mut Engine, v: u64, set: impl Fn(&mut Device, u64)) {
+        let first = e.world.active[0];
+        for i in 0..e.world.devices.slot_count() {
+            let n = NodeId::new(i as u32);
+            set(
+                e.world.devices.get_mut(n).unwrap(),
+                if n == first { v } else { 0 },
+            );
+        }
+    }
+
     /// Sets one of the first active device's routing counts — its
     /// contacts' successes (0) and failures (1), its CA-ETX gap (2) and
     /// capacity (3) `Welford` counts — to `v`.
@@ -1483,9 +1562,9 @@ mod tests {
         let dev = first_device(e);
         let (estimator, ca, ledger) = dev.routing.raw_parts();
         let ledger = DonorLedger::from_donors(ledger.donors_sorted().to_vec());
-        let (tracker, ewma, rca_bits) = estimator.raw_parts();
+        let (tracker, ewma) = estimator.raw_parts();
         let (last_success, in_contact, mut successes, mut failures) = tracker.raw_parts();
-        let (ca_bits, mut gaps, mut capacities, last_contact) = ca.raw_parts();
+        let (mut gaps, mut capacities, last_contact) = ca.raw_parts();
         let counted = |w: Welford| {
             let (_, mean, m2, min, max) = w.raw_parts();
             Welford::from_raw_parts(v, mean, m2, min, max)
@@ -1497,9 +1576,279 @@ mod tests {
             _ => capacities = counted(capacities),
         }
         let tracker = ContactTracker::from_raw_parts(last_success, in_contact, successes, failures);
-        let estimator = RcaEtxEstimator::from_raw_parts(tracker, ewma, rca_bits);
-        let ca = CaEtxEstimator::from_raw_parts(ca_bits, gaps, capacities, last_contact);
+        let estimator = RcaEtxEstimator::from_raw_parts(tracker, ewma);
+        let ca = CaEtxEstimator::from_raw_parts(gaps, capacities, last_contact);
         dev.routing = RoutingState::from_raw_parts(routing, policy, estimator, ca, ledger);
+    }
+
+    /// The byte ranges of device record `record`'s primitives, in the
+    /// order the decoder reads them, and the devices section's payload.
+    fn device_fields(snap: &Snapshot, record: u64) -> (Vec<std::ops::Range<usize>>, Vec<u8>) {
+        let (resumed, tape) = mlora_scenario_io::record_tape(|| Engine::resume(snap));
+        assert!(resumed.is_ok(), "the honest snapshot resumes");
+        let fields = tape
+            .into_iter()
+            .filter(|e| e.magic == SNAPSHOT_MAGIC && e.section == SEC_DEVICES && e.record == record)
+            .map(|e| e.at)
+            .collect();
+        let sections = crate::framing::sections(snap.as_bytes());
+        let devices = sections.into_iter().find(|s| s.id == SEC_DEVICES).unwrap();
+        (fields, devices.payload)
+    }
+
+    /// `snap` with each byte range of its devices section replaced,
+    /// re-sealed so every checksum holds.
+    fn with_device_edits(
+        snap: &Snapshot,
+        mut edits: Vec<(std::ops::Range<usize>, Vec<u8>)>,
+    ) -> Snapshot {
+        edits.sort_unstable_by_key(|(at, _)| std::cmp::Reverse(at.start));
+        let bytes = crate::framing::splice(snap.as_bytes(), SNAPSHOT_MAGIC, SEC_DEVICES, |s| {
+            for (at, with) in edits {
+                s.payload.splice(at, with);
+            }
+        });
+        Snapshot::from_bytes(bytes).expect("the snapshot decodes")
+    }
+
+    /// A device record stores copies of its trip's service window and of
+    /// its duty cycle's airtime and frame count, written from their
+    /// owners. A copy that disagrees with its owner used to resume: a
+    /// bus flagged off the road panicked a debug build at its trip end
+    /// ("retired device missing from the cell list"), a retirement on a
+    /// bus in service kept it from ever retiring, and a forged airtime
+    /// changed the run's energy total.
+    #[test]
+    fn device_copies_that_disagree_with_their_owners_are_refused() {
+        use crate::framing::{get_varint, varint};
+        let mut engine = Engine::new(cfg(), 7);
+        engine.run_until(SimTime::from_secs(3_600));
+        let snap = engine.snapshot().expect("snapshot");
+        let trips = engine.world.net.trips();
+        let end = |i: usize| trips[i].end().min(engine.horizon).as_millis();
+
+        let n = engine.world.active[0];
+        let dev = engine.world.devices.get(n).unwrap();
+        let (fields, payload) = device_fields(&snap, n.index() as u64);
+        let value = |i: usize| get_varint(&payload, &mut fields[i].start.clone());
+        let forged = |edits: Vec<(usize, Vec<u8>)>| {
+            let edits = edits.into_iter().map(|(i, with)| (fields[i].clone(), with));
+            refusal(Engine::resume(&with_device_edits(&snap, edits.collect())))
+        };
+        let flag = "device retirement disagrees with its flag";
+        // Fields 1–4: the active flag, the activation, and the
+        // retirement's flag (and instant, when set).
+        assert_eq!(payload[fields[1].start], 1, "in service");
+        assert_eq!(forged(vec![(1, vec![0])]), Some(flag));
+        let mut retired = vec![1];
+        retired.extend(varint(end(n.index())));
+        assert_eq!(forged(vec![(3, retired.clone())]), Some(flag));
+        assert_eq!(
+            forged(vec![(1, vec![0]), (3, retired)]),
+            Some("device in service outside its trip")
+        );
+        assert_eq!(value(2), trips[n.index()].depart().as_millis());
+        assert_eq!(
+            forged(vec![(2, varint(value(2) + 1))]),
+            Some("device activation is not its trip's departure")
+        );
+        // From the end of the record: the (empty) traffic state, the
+        // filed position, the frame count, the listening time and the
+        // airtime.
+        let last = fields.len() - 1;
+        let (airtime, frames) = (last - 5, last - 3);
+        assert_eq!(value(airtime), dev.duty.total_airtime().as_millis());
+        assert_eq!(value(frames), dev.duty.tx_count());
+        let copies = Some("device airtime or frame count is not its duty cycle's");
+        assert_eq!(forged(vec![(airtime, varint(value(airtime) + 1))]), copies);
+        assert_eq!(forged(vec![(frames, varint(value(frames) + 1))]), copies);
+
+        // A bus retired at the end of its trip, not withdrawn.
+        let r = (0..engine.world.devices.len())
+            .find(|&i| !engine.world.hot.active[i])
+            .expect("a bus retired");
+        let (fields, payload) = device_fields(&snap, r as u64);
+        assert_eq!(get_varint(&payload, &mut fields[4].start.clone()), end(r));
+        let forged = |i: usize, with: Vec<u8>| {
+            refusal(Engine::resume(&with_device_edits(
+                &snap,
+                vec![(fields[i].clone(), with)],
+            )))
+        };
+        assert_eq!(forged(1, vec![1]), Some(flag));
+        assert_eq!(
+            forged(4, varint(end(r) - 1)),
+            Some("device retirement is not its trip's end")
+        );
+    }
+
+    /// A withdrawal truncates its bus's trip when it is applied, and the
+    /// bus retires then: a withdrawal record that would move a stored
+    /// retirement, or that lies past the snapshot instant, used to
+    /// resume.
+    #[test]
+    fn withdrawals_the_retirements_do_not_show_are_refused() {
+        let mut engine = Engine::new(cfg(), 7);
+        engine.run_until(SimTime::from_secs(3_600));
+        let r = (0..engine.world.devices.len())
+            .find(|&i| !engine.world.hot.active[i])
+            .expect("a bus retired");
+        let node = NodeId::new(r as u32);
+        let trip = engine.world.net.trips()[r];
+        let forged = |withdrawal: (NodeId, SimTime)| {
+            let mut e = Engine::resume(&engine.snapshot().unwrap()).unwrap();
+            e.withdrawn.push(withdrawal);
+            refusal(Engine::resume(&e.snapshot().unwrap()))
+        };
+        // Past the trip's end, a withdrawal moves nothing.
+        assert_eq!(forged((node, trip.end())), None);
+        let mid = trip.depart() + (trip.end() - trip.depart()) / 2;
+        assert_eq!(
+            forged((node, mid)),
+            Some("device retirement is not its trip's end")
+        );
+        let active = engine.world.active[0];
+        let later = engine.now + SimDuration::from_secs(1);
+        assert_eq!(
+            forged((active, later)),
+            Some("withdrawal after the snapshot instant")
+        );
+    }
+
+    /// The collector's counts of what the rows hold, and the rows'
+    /// transmission flags, against what they count. Each forged file
+    /// used to resume: a flag that said a transmission was queued when
+    /// none was kept its bus silent for the rest of the run.
+    #[test]
+    fn counts_that_disagree_with_what_they_count_are_refused() {
+        let mut engine = Engine::new(cfg(), 7);
+        engine.run_until(SimTime::from_secs(900));
+        let forged = |edit: &dyn Fn(&mut Engine)| {
+            let mut e = Engine::resume(&engine.snapshot().unwrap()).unwrap();
+            edit(&mut e);
+            refusal(Engine::resume(&e.snapshot().unwrap()))
+        };
+        assert_eq!(forged(&|_| {}), None);
+        fn report(e: &mut Engine) -> &mut SimReport {
+            &mut e.delivery.collector.report
+        }
+        assert!(engine.delivery.collector.report.delivered > 0);
+        assert_eq!(
+            forged(&|e| report(e).delivered -= 1),
+            Some("delivered count is not the messages arrived")
+        );
+        assert_eq!(
+            forged(&|e| report(e).generated_during_outage += 1),
+            Some("outage count is not the messages generated during outages")
+        );
+        assert_eq!(
+            forged(&|e| report(e).devices_seen += 1),
+            Some("devices seen are not the rows retired")
+        );
+        assert_eq!(
+            forged(&|e| report(e).frames_sent += 1),
+            Some("frames sent are not the devices' transmissions")
+        );
+        assert_eq!(
+            forged(&|e| report(e).queue_drops += 1),
+            Some("queue drops are not the devices' drops")
+        );
+
+        let flagged = Some("transmission flag disagrees with the queued events");
+        let (idle, busy) = {
+            let rows = || engine.world.devices.iter();
+            let idle = rows()
+                .find(|(_, d)| !d.tx_scheduled)
+                .expect("an idle row")
+                .0;
+            let busy = rows().find(|(_, d)| d.tx_scheduled).expect("a busy row").0;
+            (NodeId::new(idle as u32), NodeId::new(busy as u32))
+        };
+        assert_eq!(
+            forged(&|e| e.world.devices.get_mut(idle).unwrap().tx_scheduled = true),
+            flagged
+        );
+        assert_eq!(
+            forged(&|e| e.world.devices.get_mut(busy).unwrap().tx_scheduled = false),
+            flagged
+        );
+        // A second `TxStart` for a bus with one queued.
+        let (records, event_seq) = engine.events.raw_parts();
+        let mut records = records.to_vec();
+        let at = u128::from((engine.now + SimDuration::from_secs(1)).as_millis()) << 64;
+        records.push((at | u128::from(event_seq), Event::TxStart(busy)));
+        records.sort_unstable_by_key(|&(key, _)| key);
+        let snap = engine.encode_snapshot(&records, event_seq + 1).unwrap();
+        assert_eq!(
+            refusal(Engine::resume(&snap)),
+            Some("transmission queued twice or for no device")
+        );
+    }
+
+    /// A bus in service retires when its queued `TripEnd` fires, so
+    /// that record must sit under the timetable's key. One moved to
+    /// another instant retired its bus early, and one dropped kept its
+    /// bus on the road past the trip's end; both used to resume.
+    #[test]
+    fn trip_end_off_the_timetable_is_refused() {
+        let mut engine = Engine::new(cfg(), 7);
+        engine.run_until(SimTime::from_secs(900));
+        let (records, event_seq) = engine.events.raw_parts();
+        let end = records
+            .iter()
+            .find(|&&(_, ev)| matches!(ev, Event::TripEnd(_)));
+        let (key, ev) = *end.expect("a trip end queued");
+        let forged = |record: Option<(u128, Event)>| {
+            let mut records: Vec<_> = records
+                .iter()
+                .copied()
+                .filter(|&r| r != (key, ev))
+                .collect();
+            records.extend(record);
+            records.sort_unstable_by_key(|&(key, _)| key);
+            let snap = engine.encode_snapshot(&records, event_seq).unwrap();
+            refusal(Engine::resume(&snap))
+        };
+        assert_eq!(forged(Some((key, ev))), None);
+        let why = Some("device in service without its trip end queued");
+        let early = u128::from((engine.now + SimDuration::from_secs(1)).as_millis()) << 64;
+        assert_eq!(
+            forged(Some((early | (key & u128::from(u64::MAX)), ev))),
+            why
+        );
+        assert_eq!(forged(Some((key + 2, ev))), why);
+        assert_eq!(forged(None), why);
+    }
+
+    /// A device in service generates when its queued `Generate` fires,
+    /// and each one queues the next. A file without it used to resume,
+    /// and its bus never generated again: in the smoke run cut at 900 s,
+    /// device 0 sent 10 frames to the end of its trip instead of 39.
+    #[test]
+    fn generation_missing_or_doubled_is_refused() {
+        let mut engine = Engine::new(cfg(), 7);
+        engine.run_until(SimTime::from_secs(900));
+        let (records, event_seq) = engine.events.raw_parts();
+        let generate = |r: &&(u128, Event)| matches!(r.1, Event::Generate(_));
+        let (key, ev) = *records.iter().find(generate).expect("a generation queued");
+        let forged = |records: Vec<(u128, Event)>, event_seq| {
+            let mut records = records;
+            records.sort_unstable_by_key(|&(key, _)| key);
+            let snap = engine.encode_snapshot(&records, event_seq).unwrap();
+            refusal(Engine::resume(&snap))
+        };
+        let dropped = records.iter().copied().filter(|&r| r != (key, ev));
+        assert_eq!(
+            forged(dropped.collect(), event_seq),
+            Some("device in service without a generation queued")
+        );
+        let mut doubled = records.to_vec();
+        doubled.push(((key >> 64 << 64) | u128::from(event_seq), ev));
+        assert_eq!(
+            forged(doubled, event_seq + 1),
+            Some("generation queued twice or for no device")
+        );
+        assert_eq!(forged(records.to_vec(), event_seq), None);
     }
 
     #[test]

@@ -87,23 +87,21 @@ pub(super) struct DeviceTraffic {
 }
 
 /// Per-device live state — the *cold* remainder after the per-event
-/// hot fields moved into [`HotColumns`] (see the module docs).
+/// hot fields moved into [`HotColumns`] (see the module docs). A row
+/// stores each fact once: the service window is the device's trip in
+/// the timetable (a withdrawal truncates it), and the airtime and
+/// frame count are the duty-cycle tracker's.
 #[derive(Debug, Clone)]
 pub(super) struct Device {
-    pub(super) activated_at: SimTime,
-    pub(super) retired_at: Option<SimTime>,
     pub(super) queue: DataQueue,
     pub(super) duty: DutyCycleTracker,
     pub(super) retransmit: RetransmitPolicy,
     pub(super) routing: RoutingState,
+    /// Set exactly while one `TxStart` of this device is queued.
     pub(super) tx_scheduled: bool,
     pub(super) pending_handover: Option<(NodeId, usize)>,
-    /// Cumulative transmit airtime.
-    pub(super) tx_time: SimDuration,
     /// Cumulative Queue-based Class-A listening time.
     pub(super) rx_window_time: SimDuration,
-    /// Uplink frames sent.
-    pub(super) frames_sent: u64,
     /// The position this device is filed under in the neighbour cell
     /// list: where it stood at the last drift sweep, or at activation.
     pub(super) grid_pos: Point,
@@ -470,20 +468,19 @@ impl World {
         now: SimTime,
         class: DeviceClass,
     ) -> Option<Retirement> {
-        let dev = self.devices.get_mut(n)?;
-        if dev.retired_at.is_some() {
+        let dev = self.devices.get(n)?;
+        if !self.hot.active[n.index()] {
             return None;
         }
         self.hot.active[n.index()] = false;
-        dev.retired_at = Some(now);
         if let Ok(i) = self.active.binary_search(&n) {
             self.active.remove(i);
         }
         let removed = self.cells.remove(n.raw());
         debug_assert!(removed, "retired device missing from the cell list");
         // Energy: time-in-state reconstruction for the whole service window.
-        let active_dur = now.saturating_since(dev.activated_at);
-        let tx = dev.tx_time.min(active_dur);
+        let active_dur = now.saturating_since(self.net.trips()[n.index()].depart());
+        let tx = dev.duty.total_airtime().min(active_dur);
         let non_tx = active_dur.saturating_sub(tx);
         let rx = match class {
             DeviceClass::ModifiedClassC => non_tx,
@@ -586,7 +583,7 @@ mod tests {
         let (retired, _) = world
             .devices
             .iter()
-            .find(|(_, d)| d.retired_at.is_some())
+            .find(|&(i, _)| !world.hot.active[i])
             .unwrap();
         let set_profile = |world: &mut World, profile| {
             let row = world.devices.get_mut(NodeId::new(retired as u32)).unwrap();
@@ -616,6 +613,16 @@ mod tests {
             world.check(now),
             Err("cell list membership differs from the active set")
         );
+    }
+
+    /// A device row stores each fact once. It was 488 bytes on x86-64
+    /// while it kept copies of its trip's service window, of its duty
+    /// cycle's airtime and frame count, and (in both estimators) of
+    /// `PACKET_BITS`; a copy that comes back grows it past the bound.
+    #[test]
+    fn device_row_keeps_no_copies() {
+        let size = std::mem::size_of::<Device>();
+        assert!(size <= 432, "a device row is {size} bytes");
     }
 
     /// Queues that overflow still meet [`World::check`]'s queue premise.

@@ -485,7 +485,8 @@ fn generic_values(kind: TapeKind, v: u64) -> Vec<(String, Vec<u8>)> {
             f64::MIN_POSITIVE,
             1e308,
         ]),
-        TapeKind::U8 | TapeKind::Bool => [2u8, 255].map(|b| (b.to_string(), vec![b])).into(),
+        // Both legal values of a flag, then two bad bytes.
+        TapeKind::U8 | TapeKind::Bool => [0u8, 1, 2, 255].map(|b| (b.to_string(), vec![b])).into(),
     }
 }
 
