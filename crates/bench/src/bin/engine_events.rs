@@ -9,8 +9,11 @@
 //! of heard frames whose logarithms were actually taken is read off
 //! these), the neighbour queries' counters (cell-list entries screened,
 //! exact positions located, candidates in range), the interferer scans'
-//! counters (flight-ring rows visited, time-overlapping frames found)
-//! and the host's available parallelism. Two kernel rows follow:
+//! counters (flight-ring rows visited, time-overlapping frames found),
+//! the forwarding layer's counters (beacons decoded at devices other
+//! than the handover target, and the policy decisions among them that
+//! passed the receivers' offer bits, one device-row fetch each) and the
+//! host's available parallelism. Two kernel rows follow:
 //! one `Channel::receive` of a frame heard alone and among five others,
 //! in ns per reception. The repo-level `BENCH_engine.json` is recorded
 //! with this binary; passing `full` adds the 100 000-bus metro tier,
@@ -112,6 +115,7 @@ fn main() {
              \"events_per_sec\": {eps:.0}, \"receptions\": {}, \"frames_heard\": {}, \
              \"rssi_evaluated\": {}, \"grid_entries\": {}, \"positions_located\": {}, \
              \"candidates\": {}, \"flights_scanned\": {}, \"overlaps\": {}, \
+             \"beacons_decoded\": {}, \"policy_decisions\": {}, \
              \"host_threads\": {host_threads}}}",
             stats.receptions,
             stats.frames_heard,
@@ -120,7 +124,9 @@ fn main() {
             stats.positions_located,
             stats.candidates,
             stats.flights_scanned,
-            stats.overlaps
+            stats.overlaps,
+            stats.beacons_decoded,
+            stats.policy_decisions
         ));
     }
     for (name, audible) in kernels {

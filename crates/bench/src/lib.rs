@@ -124,6 +124,12 @@ mod tests {
         // "PR 27").
         assert_eq!(stats.flights_scanned, 24_317);
         assert_eq!(stats.overlaps, 11_592);
+        // The forwarding layer's work: `beacons_decoded` is the
+        // model's, `policy_decisions` the beacons that passed the
+        // receivers' offer bits and fetched a device row
+        // (docs/lab-notebook.md, "PR 39").
+        assert_eq!(stats.beacons_decoded, 2_305);
+        assert_eq!(stats.policy_decisions, 1_529);
         // `build()` validates the metro tier's world.
         metro_throughput_config(20_000);
     }

@@ -15,6 +15,16 @@
 //! dispatch ([`Engine::apply_reception`]) and the sender's settlement
 //! ([`Engine::settle_sender`]) follow.
 //!
+//! Policy dispatch is screened. A decoded beacon can make its receiver
+//! offer data only while the receiver's queue is non-empty and no offer
+//! is armed: otherwise `RoutingState::decide` keeps without a policy
+//! hook, or the armed offer wins. The world's hot columns hold that
+//! condition as a derived bit, so a receiver whose bit is clear returns
+//! before its device row is fetched. The skipped path drew no RNG,
+//! called no hook and wrote nothing, so the screen is invisible to
+//! reports and to custom policies alike. `EngineStats` counts the
+//! beacons decoded and the decisions that passed the screen.
+//!
 //! A reception says whether the frame decoded; how strongly is a
 //! deferred value ([`Strength`](super::channel::Strength)) that
 //! `apply_reception` hands to the policy as an unevaluated
@@ -120,6 +130,7 @@ impl Engine {
             // try to move the data onwards.
             let dev = self.world.devices.get_mut(x).expect("neighbour exists");
             let dropped = dev.queue.push_bundle(&flight.frame.messages);
+            self.world.hot.set_may_offer(x.index(), dev.may_offer());
             if dropped > 0 {
                 self.delivery.collector.on_queue_drop(dropped);
             }
@@ -138,21 +149,23 @@ impl Engine {
             // (§V.B.2); it does not transmit reactively.
         } else {
             // Treat as a beacon: should x hand its own data to the
-            // flight's sender?
+            // flight's sender? Only if x may offer (see the module
+            // docs): an empty queue keeps, and an already-armed offer
+            // wins, so stateful policies never spend budget on a
+            // decision that would be discarded. (Built-in policies are
+            // pure and draw no RNG, so skipping the call is
+            // bit-identical to the historical always-decide path.)
+            self.beacons_decoded += 1;
+            if !self.world.hot.may_offer(x.index()) {
+                return;
+            }
+            self.policy_decisions += 1;
             let beacon = Beacon {
                 sender: flight.sender,
                 rca_etx: flight.frame.rca_etx,
                 queue_len: flight.frame.queue_len,
             };
             let dev = self.world.devices.get_mut(x).expect("neighbour exists");
-            // An already-armed offer wins: don't consult the policy
-            // again, so stateful policies never spend budget on a
-            // decision that would be discarded. (Built-in policies
-            // are pure and draw no RNG, so skipping the call is
-            // bit-identical to the historical always-decide path.)
-            if dev.pending_handover.is_some() {
-                return;
-            }
             let wait_s = dev
                 .duty
                 .next_opportunity(now)
@@ -166,6 +179,7 @@ impl Engine {
                 .decide(now, wait_s, dev.queue.len(), &beacon, rssi);
             if let ForwardDecision::Forward { target, count } = decision {
                 dev.pending_handover = Some((target, count));
+                self.world.hot.set_may_offer(x.index(), false);
                 to_schedule.push(x);
             }
         }
@@ -202,6 +216,9 @@ impl Engine {
         if delivered_somewhere {
             // Instant-ACK assumption (§VII.A.5): remove the bundle.
             dev.queue.remove(&flight.frame.messages);
+            self.world
+                .hot
+                .set_may_offer(sender.index(), dev.may_offer());
         }
 
         if is_handover {
@@ -228,6 +245,85 @@ impl Engine {
         // their higher RGQ service rate φ.
         if self.world.hot.active[sender.index()] && !dev.queue.is_empty() {
             self.maybe_schedule_tx(sender);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    use mlora_core::{Beacon, ForwardingPolicy, PolicyContext, PolicySpec, Rssi, Scheme};
+    use mlora_simcore::{NodeId, SimTime};
+
+    use crate::engine::Engine;
+    use crate::Scenario;
+
+    /// A scheme's policy that counts the `forwards` calls it answers.
+    #[derive(Debug)]
+    struct Counting {
+        inner: Box<dyn ForwardingPolicy>,
+        calls: Arc<AtomicU64>,
+    }
+
+    impl ForwardingPolicy for Counting {
+        fn label(&self) -> &str {
+            self.inner.label()
+        }
+
+        fn clone_box(&self) -> Box<dyn ForwardingPolicy> {
+            Box::new(Counting {
+                inner: self.inner.clone_box(),
+                calls: Arc::clone(&self.calls),
+            })
+        }
+
+        fn beacon_metric(&self, ctx: &PolicyContext<'_>) -> f64 {
+            self.inner.beacon_metric(ctx)
+        }
+
+        fn forwards(&mut self, ctx: &PolicyContext<'_>, beacon: &Beacon, rssi: Rssi<'_>) -> bool {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.forwards(ctx, beacon, rssi)
+        }
+
+        fn transfer_amount(&self, ctx: &PolicyContext<'_>, beacon: &Beacon) -> usize {
+            self.inner.transfer_amount(ctx, beacon)
+        }
+
+        fn on_sink_slot(&mut self, t: SimTime, capacity_bps: Option<f64>, wait_s: f64) {
+            self.inner.on_sink_slot(t, capacity_bps, wait_s);
+        }
+
+        fn on_received_data(&mut self, donor: NodeId) {
+            self.inner.on_received_data(donor);
+        }
+    }
+
+    /// The offer-bit screen is invisible to policies: a custom policy
+    /// is asked `forwards` exactly once per decision that passed the
+    /// screen, and a run through it reports what the built-in scheme
+    /// does.
+    #[test]
+    fn screen_is_invisible_to_policies() {
+        for scheme in [Scheme::Robc, Scheme::NoRouting] {
+            let calls = Arc::new(AtomicU64::new(0));
+            let counting = PolicySpec::of(Counting {
+                inner: scheme.policy(),
+                calls: Arc::clone(&calls),
+            });
+            let cfg = Scenario::urban().smoke().scheme(counting).build().unwrap();
+            let mut engine = Engine::new(cfg, 7);
+            engine.run_until(SimTime::MAX);
+            let stats = engine.stats();
+            let report = engine.finish();
+            let builtin = Scenario::urban().smoke().scheme(scheme).build().unwrap();
+            assert_eq!(report, Engine::new(builtin, 7).run(), "{scheme:?}");
+
+            assert!(stats.policy_decisions > 0, "{scheme:?}: no decision taken");
+            assert_eq!(calls.load(Ordering::Relaxed), stats.policy_decisions);
+            assert!(stats.policy_decisions <= stats.beacons_decoded);
         }
     }
 }

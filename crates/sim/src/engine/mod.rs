@@ -137,6 +137,12 @@ enum Event {
 /// `flights_scanned` measures how many flight-ring rows the scans read
 /// to find them.
 ///
+/// `beacons_decoded` and `policy_decisions` count the forwarding
+/// layer's work. `beacons_decoded` is a property of the model (decoded
+/// frames at devices they were not handed to); `policy_decisions` is
+/// how many of those reached [`RoutingState::decide`](mlora_core::RoutingState::decide)
+/// past the receivers' offer bits, each fetching the receiver's row.
+///
 /// Like the high-water mark these are host telemetry, not run state:
 /// none is checkpointed, and a resumed engine counts from zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,6 +178,13 @@ pub struct EngineStats {
     /// Time-overlapping frames the interferer scans found, each
     /// subject included.
     pub overlaps: u64,
+    /// Frames decoded at a device that was not their handover target:
+    /// the beacons overheard.
+    pub beacons_decoded: u64,
+    /// Overheard beacons whose receiver held data and had no offer
+    /// armed: the forwarding decisions taken, one device row fetched
+    /// each.
+    pub policy_decisions: u64,
 }
 
 /// The simulation engine. Construct with [`Engine::new`], execute with
@@ -224,6 +237,12 @@ pub struct Engine {
     events_processed: u64,
     /// See [`EngineStats::queue_depth_high_water`].
     queue_depth_high_water: usize,
+    /// See [`EngineStats::beacons_decoded`]; host telemetry, never
+    /// checkpointed.
+    beacons_decoded: u64,
+    /// See [`EngineStats::policy_decisions`]; host telemetry, never
+    /// checkpointed.
+    policy_decisions: u64,
     /// The snapshot section embedding the configuration, framed and
     /// checksummed as it stands in the `.mlss` container: built by the
     /// first [`Engine::snapshot`] and appended verbatim by the rest
@@ -320,6 +339,8 @@ impl Engine {
             started: false,
             events_processed: 0,
             queue_depth_high_water: 0,
+            beacons_decoded: 0,
+            policy_decisions: 0,
             cfg_section: OnceLock::new(),
             last_snapshot_len: AtomicUsize::new(0),
             withdrawn: Vec::new(),
@@ -375,6 +396,8 @@ impl Engine {
             candidates,
             flights_scanned,
             overlaps,
+            beacons_decoded: self.beacons_decoded,
+            policy_decisions: self.policy_decisions,
         }
     }
 
@@ -837,6 +860,7 @@ impl Engine {
         let id = mlora_simcore::MessageId::new(self.delivery.collector.report.generated);
         let msg = AppMessage::new(id, n, self.now).with_traffic(payload, profile, priority);
         let dropped = dev.queue.push(msg);
+        self.world.hot.set_may_offer(n.index(), dev.may_offer());
         self.delivery.collector.on_generated(&msg);
         observer.on_message_generated(&MessageGenerated {
             time: self.now,
@@ -858,7 +882,7 @@ impl Engine {
     /// needed and none is pending.
     pub(super) fn maybe_schedule_tx(&mut self, n: NodeId) {
         let i = n.index();
-        if !self.world.hot.active[i] || self.world.hot.transmitting[i] {
+        if !self.world.hot.active[i] || self.world.hot.transmitting(i) {
             return;
         }
         let Some(dev) = self.world.devices.get_mut(n) else {
@@ -885,7 +909,7 @@ impl Engine {
             return;
         };
         dev.tx_scheduled = false;
-        if !self.world.hot.active[i] || self.world.hot.transmitting[i] {
+        if !self.world.hot.active[i] || self.world.hot.transmitting(i) {
             return;
         }
         if !dev.duty.can_transmit(self.now) {
@@ -901,6 +925,7 @@ impl Engine {
         let mut target = None;
         let mut count = dev.queue.len().min(MAX_BUNDLE);
         if let Some((y, c)) = dev.pending_handover.take() {
+            self.world.hot.set_may_offer(i, dev.may_offer());
             let target_alive = self.world.hot.active[y.index()];
             if target_alive {
                 let c = c.min(MAX_BUNDLE);
@@ -929,7 +954,7 @@ impl Engine {
         );
         let airtime = self.airtime.lookup(frame.payload_bytes());
         dev.duty.record_tx(self.now, airtime);
-        self.world.hot.transmitting[i] = true;
+        self.world.hot.set_transmitting(i, true);
         self.world.hot.tx_window[i] = Some((self.now, self.now + airtime));
         // Queue-based Class-A opens its Eq. 11 window after this uplink.
         if class == DeviceClass::QueueBasedClassA {
@@ -974,7 +999,7 @@ impl Engine {
         let sender = flight.sender;
 
         // Sender leaves the transmit state.
-        self.world.hot.transmitting[sender.index()] = false;
+        self.world.hot.set_transmitting(sender.index(), false);
         self.world.hot.last_tx_end[sender.index()] = Some(self.now);
 
         let mut to_schedule = std::mem::take(&mut self.scratch_schedule);

@@ -656,6 +656,7 @@ impl Engine {
             let trip = trip.ok_or(ScenarioIoError::Corrupt("device without a trip"))?;
             let (dev, hot, retired) = get_device(&mut r, &engine.cfg, &limits, trip)?;
             truncated.extend(retired.map(|at| (node, at)));
+            let offers = dev.may_offer();
             engine.world.open_row(node);
             if hot.active {
                 let pos = dev.grid_pos;
@@ -665,8 +666,10 @@ impl Engine {
             }
             // Scatter the captured hot row over activate()'s defaults —
             // retired devices keep their historical transmit state, so
-            // a re-snapshot reproduces the original bytes.
+            // a re-snapshot reproduces the original bytes — and derive
+            // the offer bit, which no record stores, from the row.
             engine.world.hot.set(node.index(), hot);
+            engine.world.hot.set_may_offer(node.index(), offers);
         }
 
         // Replay withdrawals against the network (the first takes this

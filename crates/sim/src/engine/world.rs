@@ -40,6 +40,15 @@
 //! exact same per-device wire record by gathering a [`DeviceHot`] view
 //! next to each device.
 //!
+//! One column bit is derived rather than stored: whether the device
+//! may offer its data to a beacon's sender ([`Device::may_offer`]: a
+//! non-empty queue and no offer armed). A decoded beacon reaches the
+//! policy only then, so a receiver whose bit is clear never fetches its
+//! row. Every site that changes a queue's emptiness or arms or takes an
+//! offer sets the bit from the row; resume derives it once per filed
+//! row; [`World::check`] holds it, so a missed update fails every debug
+//! slice.
+//!
 //! # Rows follow departures, not the timetable
 //!
 //! [`BusNetwork`](mlora_mobility::BusNetwork) sorts its trips by
@@ -109,6 +118,16 @@ pub(super) struct Device {
     pub(super) traffic: Option<DeviceTraffic>,
 }
 
+impl Device {
+    /// Whether an overheard beacon can make this device offer its data:
+    /// it holds some and has no offer armed. Otherwise
+    /// [`RoutingState::decide`] keeps without a policy hook, or the
+    /// armed offer wins. [`HotColumns`] holds a copy of this bit.
+    pub(super) fn may_offer(&self) -> bool {
+        !self.queue.is_empty() && self.pending_handover.is_none()
+    }
+}
+
 /// One device's hot-column values, gathered/scattered as a unit where
 /// row-shaped access is the right interface (snapshot records).
 #[derive(Debug, Clone, Copy)]
@@ -120,6 +139,29 @@ pub(super) struct DeviceHot {
     pub(super) gamma: f64,
 }
 
+/// One device's flag byte in [`HotColumns`]: whether a frame of it is
+/// on the air, and the derived offer bit (see the module docs). One
+/// byte holds both, so the offer bit adds no column and no allocation.
+#[derive(Debug, Clone, Copy, Default)]
+struct HotFlags(u8);
+
+impl HotFlags {
+    const ON_AIR: u8 = 1;
+    const MAY_OFFER: u8 = 2;
+
+    fn on_air(self) -> bool {
+        self.0 & Self::ON_AIR != 0
+    }
+
+    fn may_offer(self) -> bool {
+        self.0 & Self::MAY_OFFER != 0
+    }
+
+    fn with(self, bit: u8, on: bool) -> Self {
+        HotFlags(if on { self.0 | bit } else { self.0 & !bit })
+    }
+}
+
 /// Struct-of-arrays columns for the per-event hot fields, indexed by
 /// [`NodeId::index`]. Rows exist for every id up to the latest
 /// departure (see the module docs), like the position-hint cursors.
@@ -127,8 +169,11 @@ pub(super) struct DeviceHot {
 pub(super) struct HotColumns {
     /// In service right now.
     pub(super) active: Vec<bool>,
-    /// A frame from this device is on the air right now.
-    pub(super) transmitting: Vec<bool>,
+    /// A frame from this device is on the air right now, and the
+    /// device may offer its data to a beacon's sender
+    /// ([`Device::may_offer`], derived). Read and written through
+    /// [`HotColumns::transmitting`] and [`HotColumns::may_offer`].
+    flags: Vec<HotFlags>,
     /// Window of the most recent transmission, for half-duplex checks.
     pub(super) tx_window: Vec<Option<(SimTime, SimTime)>>,
     /// When the most recent transmission ended (Class-A receive
@@ -142,7 +187,7 @@ impl HotColumns {
     fn with_capacity(n: usize) -> Self {
         HotColumns {
             active: Vec::with_capacity(n),
-            transmitting: Vec::with_capacity(n),
+            flags: Vec::with_capacity(n),
             tx_window: Vec::with_capacity(n),
             last_tx_end: Vec::with_capacity(n),
             gamma: Vec::with_capacity(n),
@@ -152,7 +197,7 @@ impl HotColumns {
     /// Extends every column to `rows` rows of inert defaults.
     fn grow_to(&mut self, rows: usize) {
         self.active.resize(rows, false);
-        self.transmitting.resize(rows, false);
+        self.flags.resize(rows, HotFlags::default());
         self.tx_window.resize(rows, None);
         self.last_tx_end.resize(rows, None);
         self.gamma.resize(rows, 0.0);
@@ -162,20 +207,43 @@ impl HotColumns {
     pub(super) fn device_hot(&self, i: usize) -> DeviceHot {
         DeviceHot {
             active: self.active[i],
-            transmitting: self.transmitting[i],
+            transmitting: self.transmitting(i),
             tx_window: self.tx_window[i],
             last_tx_end: self.last_tx_end[i],
             gamma: self.gamma[i],
         }
     }
 
-    /// Scatters one device's row across the columns (snapshot restore).
+    /// Scatters one device's row across the columns (activation,
+    /// snapshot restore). Clears the offer bit, which [`DeviceHot`] does
+    /// not carry: the caller sets it from the row.
     pub(super) fn set(&mut self, i: usize, h: DeviceHot) {
         self.active[i] = h.active;
-        self.transmitting[i] = h.transmitting;
+        self.flags[i] = HotFlags::default().with(HotFlags::ON_AIR, h.transmitting);
         self.tx_window[i] = h.tx_window;
         self.last_tx_end[i] = h.last_tx_end;
         self.gamma[i] = h.gamma;
+    }
+
+    /// Whether a frame from device `i` is on the air right now.
+    pub(super) fn transmitting(&self, i: usize) -> bool {
+        self.flags[i].on_air()
+    }
+
+    /// Marks a frame from device `i` on the air, or off it.
+    pub(super) fn set_transmitting(&mut self, i: usize, on: bool) {
+        self.flags[i] = self.flags[i].with(HotFlags::ON_AIR, on);
+    }
+
+    /// Device `i`'s copy of [`Device::may_offer`].
+    pub(super) fn may_offer(&self, i: usize) -> bool {
+        self.flags[i].may_offer()
+    }
+
+    /// Sets device `i`'s offer bit; pass [`Device::may_offer`] of its
+    /// row after any change to its queue or its armed offer.
+    pub(super) fn set_may_offer(&mut self, i: usize, on: bool) {
+        self.flags[i] = self.flags[i].with(HotFlags::MAY_OFFER, on);
     }
 }
 
@@ -326,7 +394,8 @@ impl World {
     /// next sweep is due within one period, so the queries' drift pad
     /// covers the drift since the last one; every device's traffic
     /// profile is in the mix; every device's queue
-    /// [`is_well_formed`](mlora_mac::DataQueue::is_well_formed); the
+    /// [`is_well_formed`](mlora_mac::DataQueue::is_well_formed); every
+    /// device's offer bit is its row's [`Device::may_offer`]; the
     /// cell list files exactly the active set, each device at its
     /// `grid_pos`; and no active device lies farther from its `grid_pos`
     /// than the drift bound, or the queries' pad would miss it.
@@ -344,13 +413,18 @@ impl World {
         if self.grid_refresh_due > now + self.grid_refresh_every {
             return Err("drift sweep due past one period");
         }
-        let profiles = self.profiles;
-        let mut traffic = self.devices.values().filter_map(|dev| dev.traffic.as_ref());
-        if traffic.any(|t| t.profile as usize >= profiles) {
-            return Err("traffic profile past the mix");
-        }
-        if !self.devices.values().all(|dev| dev.queue.is_well_formed()) {
-            return Err("device queue over capacity or out of order");
+        // One pass over the rows, each row's premises in turn.
+        for (i, dev) in self.devices.iter() {
+            let profile = dev.traffic.as_ref().map(|t| t.profile as usize);
+            if profile.is_some_and(|p| p >= self.profiles) {
+                return Err("traffic profile past the mix");
+            }
+            if !dev.queue.is_well_formed() {
+                return Err("device queue over capacity or out of order");
+            }
+            if self.hot.flags.get(i).map(|f| f.may_offer()) != Some(dev.may_offer()) {
+                return Err("offer bit disagrees with the queue and the armed offer");
+            }
         }
         // `active` holds each id once, so equal counts and every active
         // device filed where it should be leave no other entry.
@@ -439,7 +513,8 @@ impl World {
     /// Activates a device whose row is open ([`World::open_row`]): files
     /// it in the device map, the sorted active set and the cell list's
     /// overflow run at `pos`, and resets its hot columns to the
-    /// fresh-activation state.
+    /// fresh-activation state (the offer bit clear: a departing bus
+    /// holds no data).
     pub(super) fn activate(&mut self, n: NodeId, device: Device, pos: Point) {
         self.hot.set(
             n.index(),
@@ -553,16 +628,22 @@ impl World {
 
 #[cfg(test)]
 mod tests {
+    use mlora_core::Scheme;
+
     use super::*;
     use crate::engine::Engine;
     use crate::{Scenario, TrafficModel, TrafficProfile};
 
     /// Each premise of [`World::check`] on its own, broken in the world
-    /// of a run under a two-profile mix.
+    /// of a rural ROBC run under a two-profile mix, resumed from a
+    /// checkpoint. Every site that sets an offer bit has set some by
+    /// then, and a debug run checks them all. (An urban run at this
+    /// seed showed no missed update at the acceptor.)
     #[test]
     fn check_refuses_each_broken_premise() {
-        let cfg = Scenario::urban()
+        let cfg = Scenario::rural()
             .smoke()
+            .scheme(Scheme::Robc)
             .traffic(TrafficModel::mix([
                 TrafficProfile::telemetry(),
                 TrafficProfile::alerts(),
@@ -571,6 +652,7 @@ mod tests {
             .unwrap();
         let mut engine = Engine::new(cfg, 7);
         engine.run_until(SimTime::from_secs(3_600));
+        let mut engine = Engine::resume(&engine.snapshot().unwrap()).unwrap();
         let (now, world) = (engine.now, &mut engine.world);
         assert_eq!(world.check(now), Ok(()));
 
@@ -592,6 +674,16 @@ mod tests {
         set_profile(world, 2);
         assert_eq!(world.check(now), Err("traffic profile past the mix"));
         set_profile(world, 0);
+
+        // A stale offer bit: the first active row's, flipped.
+        let i = world.active[0].index();
+        let offers = world.hot.may_offer(i);
+        world.hot.set_may_offer(i, !offers);
+        assert_eq!(
+            world.check(now),
+            Err("offer bit disagrees with the queue and the armed offer")
+        );
+        world.hot.set_may_offer(i, offers);
 
         // Filed 2 km from where it is, consistently: the cell list
         // agrees with the row.
