@@ -102,14 +102,19 @@ mod tests {
     use mlora_simcore::SimTime;
 
     /// `BENCH_engine.json`'s rows stay comparable only while the tiers
-    /// run the workload they were recorded on: its `200_buses` counts,
-    /// and what the neighbour queries did to find the receivers.
+    /// run the workload they were recorded on: every field of its
+    /// `200_buses` [`EngineStats`](mlora_sim::EngineStats), so no
+    /// counter can be dropped or counted twice unseen.
     #[test]
     fn recorded_tiers_run_the_recorded_workload() {
         let mut engine = Engine::new(engine_throughput_config(200), HARNESS_SEED);
         engine.run_until(SimTime::MAX);
         let stats = engine.stats();
         assert_eq!(stats.events_processed, 16_585);
+        // How much state the engine held: one row per departed bus,
+        // and the deepest the event queue got.
+        assert_eq!(stats.device_rows, 169);
+        assert_eq!(stats.queue_depth_high_water, 294);
         assert_eq!(stats.receptions, 3_177);
         assert_eq!(stats.frames_heard, 3_185);
         assert_eq!(stats.rssi_evaluated, 633);

@@ -51,6 +51,7 @@ use mlora_mac::UplinkFrame;
 use mlora_phy::{LogDistanceModel, Rssi, RssiModel, CAPTURE_MARGIN_DB};
 use mlora_simcore::{NodeId, NormalDraw, SimDuration, SimRng, SimTime, Slab, SlabKey};
 
+use super::EngineStats;
 use crate::disruption::NoiseBurst;
 
 /// Below this slot count the deferred sweep never runs: the slab is
@@ -164,15 +165,6 @@ pub(super) struct Channel {
     model: RssiModel,
     /// Decode sensitivity, dBm.
     sensitivity_dbm: f64,
-    /// Receptions resolved and audible frames drawn for so far. Host
-    /// telemetry, like the model's evaluation count: not checkpointed,
-    /// a resumed engine counts from zero.
-    receptions: u64,
-    frames_heard: u64,
-    /// Ring rows the interferer scans visited, and the time-overlapping
-    /// frames they kept. Host telemetry, like `receptions`.
-    flights_scanned: u64,
-    overlaps: u64,
 }
 
 impl Channel {
@@ -199,26 +191,14 @@ impl Channel {
             noise_bursts,
             model: RssiModel::new(path_loss, tx_power_dbm),
             sensitivity_dbm,
-            receptions: 0,
-            frames_heard: 0,
-            flights_scanned: 0,
-            overlaps: 0,
         }
     }
 
-    /// `(receptions, frames_heard, rssi_evaluated)`: receptions resolved,
-    /// audible frames drawn for, and exact strengths evaluated — by a
-    /// comparison the bounds left open or by a reader of the decoded
-    /// value (see [`EngineStats`](super::EngineStats)).
-    pub(super) fn reception_counts(&self) -> (u64, u64, u64) {
-        (self.receptions, self.frames_heard, self.model.evaluations())
-    }
-
-    /// `(flights_scanned, overlaps)`: ring rows the interferer scans
-    /// visited and time-overlapping frames they kept (see
-    /// [`EngineStats`](super::EngineStats)).
-    pub(super) fn scan_counts(&self) -> (u64, u64) {
-        (self.flights_scanned, self.overlaps)
+    /// Exact strengths evaluated so far, by a comparison the bounds
+    /// left open or by a reader of a decoded value
+    /// ([`EngineStats::rssi_evaluated`]).
+    pub(super) fn rssi_evaluated(&self) -> u64 {
+        self.model.evaluations()
     }
 
     /// The legacy per-device generation-phase draw. The paper-default
@@ -297,12 +277,14 @@ impl Channel {
     /// Collects the frames overlapping `(start, end)` in time (including
     /// the subject itself) into `out`, in creation order: storage order
     /// must not leak into RNG draw order. Walks the ring from its newest
-    /// row down to the stop rule (see the module docs).
+    /// row down to the stop rule (see the module docs), and counts the
+    /// rows it read and the frames it kept into `stats`.
     pub(super) fn overlaps_into(
-        &mut self,
+        &self,
         start: SimTime,
         end: SimTime,
         out: &mut Vec<(u64, Point)>,
+        stats: &mut EngineStats,
     ) {
         out.clear();
         let mut scanned = 0;
@@ -316,8 +298,8 @@ impl Channel {
             }
         }
         out.reverse();
-        self.flights_scanned += scanned;
-        self.overlaps += out.len() as u64;
+        stats.flights_scanned += scanned;
+        stats.overlaps += out.len() as u64;
     }
 
     /// The near-overlap cut. Every device receiver sits within `range`
@@ -381,13 +363,15 @@ impl Channel {
     /// `(seq, position)`, ascending by sequence — the draw order; the
     /// ones within `reach` of the receiver `at` are the audible set. A
     /// frame is rejected on its squared distance, and only an audible
-    /// one pays for the square root its RSSI needs.
+    /// one pays for the square root its RSSI needs. The reception and
+    /// its audible frames are counted into `stats`.
     pub(super) fn receive(
         &mut self,
         overlaps: &[(u64, Point)],
         at: Point,
         reach: Reach,
         flight_seq: u64,
+        stats: &mut EngineStats,
     ) -> Reception {
         let noise_db = self.noise_penalty_at(at);
         self.scratch_heard.clear();
@@ -408,8 +392,8 @@ impl Channel {
             }
             self.add_audible(distance_m);
         }
-        self.receptions += 1;
-        self.frames_heard += self.scratch_heard.len() as u64;
+        stats.receptions += 1;
+        stats.frames_heard += self.scratch_heard.len() as u64;
         match subject {
             Some(subject) => self.resolve(subject, noise_db),
             // The subject itself is out of range here.
@@ -713,16 +697,19 @@ mod tests {
                 channel.noise_start(0);
             }
             assert_eq!(channel.noise_penalty_at(ORIGIN), noise_db);
-            let got = channel.receive(&frames, ORIGIN, Reach::new(RANGE_M), subject);
+            let mut stats = EngineStats::default();
+            let got = channel.receive(&frames, ORIGIN, Reach::new(RANGE_M), subject, &mut stats);
             assert_eq!(
                 outcome(&channel, got),
                 expected,
                 "subject {subject}, noisy {noisy}"
             );
             assert_eq!(channel.rng.state(), rng.state());
-            let (receptions, frames_heard, evaluated) = channel.reception_counts();
-            assert_eq!((receptions, frames_heard), (1, audible.len() as u64));
-            assert!(evaluated <= frames_heard);
+            assert_eq!(
+                (stats.receptions, stats.frames_heard),
+                (1, audible.len() as u64)
+            );
+            assert!(channel.rssi_evaluated() <= stats.frames_heard);
         }
     }
 
@@ -761,6 +748,7 @@ mod tests {
                 let seed = pick.gen_u64();
                 let mut channel = channel(path_loss, sensitivity_dbm, seed);
                 let mut rng = SimRng::new(seed).fork(12);
+                let mut stats = EngineStats::default();
                 let mut noisy = false;
                 for _ in 0..RECEPTIONS_PER_CHANNEL {
                     if pick.gen_bool(0.05) {
@@ -803,7 +791,7 @@ mod tests {
                         &mut rng,
                         &mut fused,
                     );
-                    let got = channel.receive(&frames, at, reach, subject);
+                    let got = channel.receive(&frames, at, reach, subject, &mut stats);
                     assert_eq!(
                         outcome(&channel, got),
                         expected,
@@ -816,11 +804,10 @@ mod tests {
                     collided += expected.1 as u64;
                     out_of_range += audible.iter().all(|&(seq, _)| seq != subject) as u64;
                 }
-                let (receptions, frames_heard, rssi_evaluated) = channel.reception_counts();
-                assert_eq!(receptions, RECEPTIONS_PER_CHANNEL as u64);
-                assert!(rssi_evaluated <= frames_heard);
-                heard += frames_heard;
-                evaluated += rssi_evaluated;
+                assert_eq!(stats.receptions, RECEPTIONS_PER_CHANNEL as u64);
+                assert!(channel.rssi_evaluated() <= stats.frames_heard);
+                heard += stats.frames_heard;
+                evaluated += channel.rssi_evaluated();
             }
         }
         // The mix is worth the name: a million receptions, every outcome
@@ -912,15 +899,16 @@ mod tests {
                 );
                 for sensitivity_dbm in offsets(exact) {
                     let mut channel = noisy_channel(sensitivity_dbm);
-                    let got =
-                        channel.receive(&[(0, at_distance(subject_m))], ORIGIN, Reach::new(1e4), 0);
+                    let frame = [(0, at_distance(subject_m))];
+                    let stats = &mut EngineStats::default();
+                    let got = channel.receive(&frame, ORIGIN, Reach::new(1e4), 0, stats);
                     let decodes = exact >= sensitivity_dbm;
                     assert_eq!(
                         outcome(&channel, got),
                         (decodes.then(|| exact.to_bits()), false),
                         "sensitivity {sensitivity_dbm:e} against {exact:e}"
                     );
-                    assert_eq!(channel.reception_counts().2, 1, "bounds cannot decide this");
+                    assert_eq!(channel.rssi_evaluated(), 1, "bounds cannot decide this");
                     cases += 1;
                 }
 
@@ -972,7 +960,8 @@ mod tests {
                                 (captured.then(|| subject_dbm.to_bits()), !captured)
                             );
                             let mut channel = noisy_channel(-200.0);
-                            let got = channel.receive(&frames, ORIGIN, Reach::new(1e7), 0);
+                            let stats = &mut EngineStats::default();
+                            let got = channel.receive(&frames, ORIGIN, Reach::new(1e7), 0, stats);
                             assert_eq!(
                                 outcome(&channel, got),
                                 expected,
@@ -980,11 +969,7 @@ mod tests {
                                 difference(other_m)
                             );
                             assert_eq!(channel.rng.state(), rng.state());
-                            assert_eq!(
-                                channel.reception_counts().2,
-                                2,
-                                "bounds cannot decide this"
-                            );
+                            assert_eq!(channel.rssi_evaluated(), 2, "bounds cannot decide this");
                             cases += 1;
                         }
                     }
@@ -1086,6 +1071,7 @@ mod tests {
             // Transmission ends to come, as `(end, key)`.
             let mut pending: Vec<(SimTime, SlabKey)> = Vec::new();
             let mut overlaps = Vec::new();
+            let mut stats = EngineStats::default();
             for step in 0..steps {
                 for _ in 0..pick.gen_range_u64(0, 4) {
                     let airtime = SimDuration::from_millis(pick.gen_range_u64(1, max_airtime_ms + 1));
@@ -1108,13 +1094,12 @@ mod tests {
                     let subject = &channel.flights[key];
                     let (seq, start) = (subject.seq, subject.start);
                     let expected = brute_force_overlaps(&channel, start, end);
-                    channel.overlaps_into(start, end, &mut overlaps);
+                    channel.overlaps_into(start, end, &mut overlaps, &mut stats);
                     prop_assert_eq!(&overlaps, &expected);
                     prop_assert!(overlaps.iter().any(|&(s, _)| s == seq));
                 }
             }
-            let (scanned, kept) = channel.scan_counts();
-            prop_assert!(kept <= scanned);
+            prop_assert!(stats.overlaps <= stats.flights_scanned);
         }
 
         /// Lazy-vs-eager flight pruning bit-equality: the deferred

@@ -13,6 +13,7 @@ use mlora_mac::AppMessage;
 use mlora_simcore::SimTime;
 
 use super::channel::{Channel, Flight};
+use super::EngineStats;
 use crate::metrics::Collector;
 use crate::observer::{GatewayOutageChanged, MessageDelivered, SimObserver};
 
@@ -134,7 +135,8 @@ impl Delivery {
     }
 
     /// Resolves reception of `flight` at every in-service gateway in
-    /// range of its sender; see [`Channel::receive`] for `overlaps`.
+    /// range of its sender; see [`Channel::receive`] for `overlaps` and
+    /// `stats`.
     /// Returns the best RSSI among gateways that decoded this flight, if
     /// any. Lost-to-interference receptions are counted on the
     /// collector.
@@ -143,13 +145,14 @@ impl Delivery {
         channel: &mut Channel,
         overlaps: &[(u64, Point)],
         flight: &Flight,
+        stats: &mut EngineStats,
     ) -> Option<f64> {
         let mut receivers = std::mem::take(&mut self.scratch_gateways);
         self.gateways_in_range(flight.pos, &mut receivers);
         let mut best: Option<f64> = None;
         for &gi in &receivers {
             let gw = self.gateways[gi as usize];
-            let reception = channel.receive(overlaps, gw, self.reach, flight.seq);
+            let reception = channel.receive(overlaps, gw, self.reach, flight.seq, stats);
             match reception.rssi {
                 // The best decoder's strength sets the sender's observed
                 // capacity, so a gateway always reads the value.

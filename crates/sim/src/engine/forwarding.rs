@@ -68,7 +68,9 @@ impl Engine {
             }
             // Collision resolution at x, under any regional noise at
             // its position.
-            let reception = self.channel.receive(overlaps, pos_x, d2d, flight.seq);
+            let reception = self
+                .channel
+                .receive(overlaps, pos_x, d2d, flight.seq, &mut self.stats);
             self.apply_reception(flight, x, reception, to_schedule, observer, &mut accepted);
         }
         accepted
@@ -155,11 +157,11 @@ impl Engine {
             // decision that would be discarded. (Built-in policies are
             // pure and draw no RNG, so skipping the call is
             // bit-identical to the historical always-decide path.)
-            self.beacons_decoded += 1;
+            self.stats.beacons_decoded += 1;
             if !self.world.hot.may_offer(x.index()) {
                 return;
             }
-            self.policy_decisions += 1;
+            self.stats.policy_decisions += 1;
             let beacon = Beacon {
                 sender: flight.sender,
                 rca_etx: flight.frame.rca_etx,

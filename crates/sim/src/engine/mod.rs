@@ -111,7 +111,9 @@ enum Event {
 
 /// Execution statistics of one engine run so far, read through
 /// [`Engine::stats`] — after [`Engine::run_until`] has reached the
-/// horizon, the whole run's.
+/// horizon, the whole run's. The engine keeps one of these and counts
+/// into it where the work is done; [`Engine::stats`] fills in the two
+/// derived fields, `device_rows` and `rssi_evaluated`.
 ///
 /// `queue_depth_high_water` and `device_rows` measure how much state the
 /// engine holds, in units a test can compare without a clock: both
@@ -143,37 +145,49 @@ enum Event {
 /// how many of those reached [`RoutingState::decide`](mlora_core::RoutingState::decide)
 /// past the receivers' offer bits, each fetching the receiver's row.
 ///
-/// Like the high-water mark these are host telemetry, not run state:
-/// none is checkpointed, and a resumed engine counts from zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a [`Engine::resume`] carries is said per field. Only
+/// `events_processed` is checkpointed; `device_rows` is read off the
+/// restored rows; every other counter is host telemetry and a resumed
+/// engine counts it afresh.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Discrete events processed by the main loop.
+    /// Discrete events processed by the main loop. Checkpointed: a
+    /// resumed engine continues from the snapshot's count.
     pub events_processed: u64,
-    /// The most events the queue held at once. Host telemetry, not run
-    /// state: a resumed engine starts counting from the queue it
-    /// restored.
+    /// The most events the queue held at once. A resumed engine starts
+    /// from the length of the queue it restored.
     pub queue_depth_high_water: usize,
     /// Per-device rows in existence: one per bus that has departed so
-    /// far, in service or retired.
+    /// far, in service or retired. A resumed engine restores every row,
+    /// so it reads the same as the engine it was checkpointed from.
     pub device_rows: usize,
     /// Receptions resolved: one per (transmission end, admitted
-    /// receiver) pair, gateways and devices alike.
+    /// receiver) pair, gateways and devices alike. Restarts at zero on
+    /// resume, like every counter below.
     pub receptions: u64,
     /// Audible frames across all receptions: the subject and every
     /// in-range time-overlapping frame, one shadowing draw each.
     pub frames_heard: u64,
-    /// Exact RSSI evaluations (at most one per frame heard).
+    /// Exact RSSI evaluations (at most one per frame heard), read off
+    /// the channel's model ([`RssiModel::evaluations`](mlora_phy::RssiModel::evaluations)),
+    /// which counts them because a policy outside this crate evaluates
+    /// a deferred strength.
     pub rssi_evaluated: u64,
     /// Cell-list entries the neighbour queries screened, tombstones
-    /// included.
+    /// included. A resume rebuilds the list without tombstones, so a
+    /// resumed run may screen fewer than the uninterrupted one.
     pub grid_entries: u64,
     /// Exact device positions the neighbour queries computed: the
     /// entries that passed the drift-padded screen, less the senders.
+    /// Unlike `grid_entries`, the list's layout does not change it: a
+    /// resume files each device where it was filed.
     pub positions_located: u64,
     /// Devices the neighbour queries found within range.
     pub candidates: u64,
     /// Flight-ring rows the interferer scans visited, the row that
-    /// stopped each walk included.
+    /// stopped each walk included. A resume rebuilds the ring from the
+    /// slab, whose live flights may reach further back than the ring it
+    /// replaces.
     pub flights_scanned: u64,
     /// Time-overlapping frames the interferer scans found, each
     /// subject included.
@@ -233,16 +247,9 @@ pub struct Engine {
     /// Set once initial events are seeded: stepping entry points start
     /// lazily, exactly once.
     started: bool,
-    /// Events processed since the run began, across every stepping call.
-    events_processed: u64,
-    /// See [`EngineStats::queue_depth_high_water`].
-    queue_depth_high_water: usize,
-    /// See [`EngineStats::beacons_decoded`]; host telemetry, never
-    /// checkpointed.
-    beacons_decoded: u64,
-    /// See [`EngineStats::policy_decisions`]; host telemetry, never
-    /// checkpointed.
-    policy_decisions: u64,
+    /// The run's counters, added to where the work is done; the two
+    /// derived fields stay zero here (see [`Engine::stats`]).
+    stats: EngineStats,
     /// The snapshot section embedding the configuration, framed and
     /// checksummed as it stands in the `.mlss` container: built by the
     /// first [`Engine::snapshot`] and appended verbatim by the rest
@@ -337,10 +344,7 @@ impl Engine {
             disruption_rng: root.fork(13),
             traffic_root: root.fork(14),
             started: false,
-            events_processed: 0,
-            queue_depth_high_water: 0,
-            beacons_decoded: 0,
-            policy_decisions: 0,
+            stats: EngineStats::default(),
             cfg_section: OnceLock::new(),
             last_snapshot_len: AtomicUsize::new(0),
             withdrawn: Vec::new(),
@@ -381,23 +385,10 @@ impl Engine {
 
     /// Execution statistics so far (see [`EngineStats`]).
     pub fn stats(&self) -> EngineStats {
-        let (receptions, frames_heard, rssi_evaluated) = self.channel.reception_counts();
-        let (grid_entries, positions_located, candidates) = self.world.candidate_counts();
-        let (flights_scanned, overlaps) = self.channel.scan_counts();
         EngineStats {
-            events_processed: self.events_processed,
-            queue_depth_high_water: self.queue_depth_high_water,
             device_rows: self.world.devices.slot_count(),
-            receptions,
-            frames_heard,
-            rssi_evaluated,
-            grid_entries,
-            positions_located,
-            candidates,
-            flights_scanned,
-            overlaps,
-            beacons_decoded: self.beacons_decoded,
-            policy_decisions: self.policy_decisions,
+            rssi_evaluated: self.channel.rssi_evaluated(),
+            ..self.stats
         }
     }
 
@@ -472,7 +463,7 @@ impl Engine {
         self.start();
         let limit = limit.min(self.horizon);
         let mut events_processed: u64 = 0;
-        let mut high_water = self.queue_depth_high_water;
+        let mut high_water = self.stats.queue_depth_high_water;
         let mut departure = self.next_departure();
         loop {
             high_water = high_water.max(self.events.len());
@@ -509,8 +500,8 @@ impl Engine {
                 Event::Disruption(i) => self.on_disruption(i, observer),
             }
         }
-        self.queue_depth_high_water = high_water;
-        self.events_processed += events_processed;
+        self.stats.queue_depth_high_water = high_water;
+        self.stats.events_processed += events_processed;
         debug_assert_eq!(self.check(), Ok(()));
         events_processed
     }
@@ -683,9 +674,9 @@ impl Engine {
     /// collector into the report.
     fn finalize(mut self, observer: &mut dyn SimObserver) -> SimReport {
         // Retire any device still in service at the horizon.
-        let still_active: Vec<NodeId> = self.world.active.clone();
+        let in_service: Vec<NodeId> = self.world.hot.in_service().collect();
         self.now = self.horizon;
-        for n in still_active {
+        for n in in_service {
             self.retire(n);
         }
         // Close any outage window still open at the horizon.
@@ -744,17 +735,10 @@ impl Engine {
     /// Withdraws a deterministic random subset of the active fleet.
     fn on_withdrawal(&mut self, index: u32, observer: &mut dyn SimObserver) {
         let spec = self.cfg.disruptions.withdrawals[index as usize];
-        let n = self.world.active.len();
-        let count = ((spec.fraction * n as f64).round() as usize).min(n);
-        if count == 0 {
-            return;
-        }
-        // The pool is the sorted active set, so the shuffle (and with it
-        // the withdrawn subset) is a pure function of the plan and seed.
-        let pool = self
+        let pick = self
             .world
-            .take_withdraw_pool(count, &mut self.disruption_rng);
-        for &node in &pool {
+            .pick_withdrawals(spec.fraction, &mut self.disruption_rng);
+        for &node in &pick {
             self.world.withdraw_trip(node, self.now);
             self.withdrawn.push((node, self.now));
             self.retire(node);
@@ -764,7 +748,6 @@ impl Engine {
                 device: node,
             });
         }
-        self.world.return_withdraw_pool(pool);
     }
 
     fn on_trip_start(&mut self, n: NodeId) {
@@ -1009,14 +992,19 @@ impl Engine {
         // ring — and the two spatial queries.
         let mut overlaps = std::mem::take(&mut self.channel.scratch_overlaps);
         self.channel
-            .overlaps_into(flight.start, flight.end, &mut overlaps);
-        let gateway_rssi = self
-            .delivery
-            .resolve_gateways(&mut self.channel, &overlaps, flight);
+            .overlaps_into(flight.start, flight.end, &mut overlaps, &mut self.stats);
+        let gateway_rssi =
+            self.delivery
+                .resolve_gateways(&mut self.channel, &overlaps, flight, &mut self.stats);
 
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
-        self.world
-            .batched_candidates(self.now, sender, flight.pos, &mut candidates);
+        self.world.batched_candidates(
+            self.now,
+            sender,
+            flight.pos,
+            &mut candidates,
+            &mut self.stats,
+        );
         let mut near = std::mem::take(&mut self.channel.scratch_near_overlaps);
         let d2d = self.world.reach().range();
         Channel::near_overlaps_into(&overlaps, flight.pos, d2d, &mut near);

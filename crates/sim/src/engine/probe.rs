@@ -20,6 +20,7 @@ use mlora_phy::LogDistanceModel;
 use mlora_simcore::{NodeId, SimDuration, SimRng, SimTime};
 
 use super::channel::Channel;
+use super::EngineStats;
 
 /// Drives the channel's hot loop as a run does — launch (which trims
 /// the flight ring's front), the time-overlap walk down the ring's
@@ -41,6 +42,8 @@ pub struct FlightScanProbe {
     crowd: Vec<(u64, Point)>,
     /// [`FlightScanProbe::RANGE_M`] as the receiver's reach.
     reach: Reach,
+    /// What the channel counts as it works, as an engine's would.
+    stats: EngineStats,
 }
 
 impl FlightScanProbe {
@@ -82,6 +85,7 @@ impl FlightScanProbe {
             near: Vec::new(),
             crowd,
             reach: Reach::new(Self::RANGE_M),
+            stats: EngineStats::default(),
         }
     }
 
@@ -89,9 +93,9 @@ impl FlightScanProbe {
     /// range: `wave = 1` is the frame heard alone. Returns the outcome
     /// as two bits.
     pub fn receive_crowd(&mut self) -> u64 {
-        let reception = self
-            .channel
-            .receive(&self.crowd, Self::RECEIVER, self.reach, 0);
+        let reception =
+            self.channel
+                .receive(&self.crowd, Self::RECEIVER, self.reach, 0, &mut self.stats);
         reception.rssi.is_some() as u64 | (reception.interfered as u64) << 1
     }
 
@@ -124,14 +128,15 @@ impl FlightScanProbe {
                 .and_then(|key| self.channel.flights.get(key))
                 .expect("a wave launches at least one flight")
                 .seq;
-            self.channel.overlaps_into(start, end, &mut self.overlaps);
+            self.channel
+                .overlaps_into(start, end, &mut self.overlaps, &mut self.stats);
             digest = digest.wrapping_add(self.overlaps.len() as u64);
             // The engine's near-overlap cut.
             let at = Self::RECEIVER;
             Channel::near_overlaps_into(&self.overlaps, at, Self::RANGE_M, &mut self.near);
-            let reception = self
-                .channel
-                .receive(&self.near, at, self.reach, subject_seq);
+            let reception =
+                self.channel
+                    .receive(&self.near, at, self.reach, subject_seq, &mut self.stats);
             digest = digest
                 .wrapping_mul(31)
                 .wrapping_add(reception.rssi.is_some() as u64)

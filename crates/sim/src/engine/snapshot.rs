@@ -368,7 +368,7 @@ impl Engine {
             shards: 1,
             now: self.now,
             next_msg: self.delivery.collector.report.generated,
-            events_processed: Count(self.events_processed),
+            events_processed: Count(self.stats.events_processed),
             event_seq: Count(event_seq),
         };
         write_record(&mut w, SEC_HEADER, |enc| header.put(enc))?;
@@ -568,7 +568,7 @@ impl Engine {
         ensure(merged, "disruption plan does not merge with its overlay")?;
         engine.started = true;
         engine.now = header.now;
-        engine.events_processed = header.events_processed.0;
+        engine.stats.events_processed = header.events_processed.0;
 
         // Every event due at or before `now` has been processed, so the
         // timetable cursor stands past exactly the trips departed by then.
@@ -629,7 +629,7 @@ impl Engine {
             // layout; ascending keys are one.
             records.sort_unstable_by_key(|&(key, _)| key);
         }
-        engine.queue_depth_high_water = records.len();
+        engine.stats.queue_depth_high_water = records.len();
         engine.events = EventQueue::from_raw_parts(records, header.event_seq.0).ok_or(
             ScenarioIoError::Corrupt("event records out of heap order or past the counter"),
         )?;
@@ -640,10 +640,10 @@ impl Engine {
             engine.events.schedule(t, Event::Disruption(at));
         }
 
-        // Devices, one per departed trip in id order: active ones
-        // re-enter the world through activate() (which rebuilds the
-        // sorted active set; `restore_runtime` below builds the cell
-        // list once), retired ones only re-enter the device map.
+        // Devices, one per departed trip in id order, each with its
+        // captured hot row: the row's `active` flag is what puts a device
+        // in service, and `restore_runtime` below files the devices in
+        // service in the cell list once.
         let n = expect_section(&mut r, SEC_DEVICES, "snapshot devices")?;
         let departed = n == limits.devices as u64;
         ensure(departed, "device records are not the departed trips")?;
@@ -658,16 +658,11 @@ impl Engine {
             truncated.extend(retired.map(|at| (node, at)));
             let offers = dev.may_offer();
             engine.world.open_row(node);
-            if hot.active {
-                let pos = dev.grid_pos;
-                engine.world.activate(node, dev, pos);
-            } else {
-                engine.world.devices.insert(node, dev);
-            }
-            // Scatter the captured hot row over activate()'s defaults —
-            // retired devices keep their historical transmit state, so
-            // a re-snapshot reproduces the original bytes — and derive
-            // the offer bit, which no record stores, from the row.
+            engine.world.devices.insert(node, dev);
+            // Scatter the captured hot row — retired devices keep their
+            // historical transmit state, so a re-snapshot reproduces the
+            // original bytes — and derive the offer bit, which no record
+            // stores, from the row.
             engine.world.hot.set(node.index(), hot);
             engine.world.hot.set_may_offer(node.index(), offers);
         }
@@ -1083,6 +1078,7 @@ fn get_device<R: Read>(
 )]
 mod tests {
     use super::*;
+    use crate::engine::EngineStats;
     use crate::Environment;
     use mlora_core::Scheme;
     use mlora_mobility::BusNetwork;
@@ -1115,6 +1111,61 @@ mod tests {
         assert_eq!(resumed.finish(), baseline);
     }
 
+    /// What a resume does to each counter of [`EngineStats`], on a ROBC
+    /// run checkpointed halfway: the event count continues from the
+    /// header, the high-water mark restarts at the restored queue's
+    /// length, and every other counter restarts at zero. For the
+    /// model's counters the trunk's count to the cut and the resumed
+    /// engine's count from it add up to the uninterrupted run's.
+    #[test]
+    fn resume_continues_the_event_count_and_restarts_the_telemetry() {
+        let mut whole = Engine::new(cfg(), 7);
+        whole.run_until(SimTime::MAX);
+        let whole = whole.stats();
+
+        let mut trunk = Engine::new(cfg(), 7);
+        trunk.run_until(SimTime::from_secs(3_600));
+        let cut = trunk.stats();
+        let mut resumed = Engine::resume(&trunk.snapshot().unwrap()).unwrap();
+        let restored = resumed.stats();
+        assert_eq!(restored.events_processed, cut.events_processed);
+        assert_eq!(restored.queue_depth_high_water, resumed.events.len());
+        assert_eq!(restored.device_rows, cut.device_rows);
+        let telemetry = EngineStats {
+            events_processed: 0,
+            queue_depth_high_water: 0,
+            device_rows: 0,
+            ..restored
+        };
+        assert_eq!(telemetry, EngineStats::default());
+
+        resumed.run_until(SimTime::MAX);
+        let tail = resumed.stats();
+        assert_eq!(tail.events_processed, whole.events_processed);
+        assert_eq!(tail.device_rows, whole.device_rows);
+        // `grid_entries` and `flights_scanned` are left out: they
+        // measure layout, which a restore rebuilds. The cell list comes
+        // back without its tombstones and overflow run, and the flight
+        // ring from the slab's live flights. `positions_located` is in:
+        // it counts the live entries filed within the padded radius, and
+        // the restore files each device where it was filed.
+        type Count = fn(&EngineStats) -> u64;
+        let model: [(&str, Count); 8] = [
+            ("receptions", |s| s.receptions),
+            ("frames_heard", |s| s.frames_heard),
+            ("rssi_evaluated", |s| s.rssi_evaluated),
+            ("positions_located", |s| s.positions_located),
+            ("candidates", |s| s.candidates),
+            ("overlaps", |s| s.overlaps),
+            ("beacons_decoded", |s| s.beacons_decoded),
+            ("policy_decisions", |s| s.policy_decisions),
+        ];
+        for (name, count) in model {
+            assert!(count(&cut) > 0, "{name}: nothing counted before the cut");
+            assert_eq!(count(&cut) + count(&tail), count(&whole), "{name}");
+        }
+    }
+
     /// A checkpoint between drift sweeps, with an activation (an entry
     /// in the cell list's overflow run) and a retirement (a tombstone)
     /// since the last sweep: the resumed engine builds its cell list
@@ -1142,9 +1193,9 @@ mod tests {
             let world = &engine.world;
             let trips = world.net.trips();
             let activated = world
-                .active
-                .iter()
-                .any(|&n| trips[n.index()].depart() > last);
+                .hot
+                .in_service()
+                .any(|n| trips[n.index()].depart() > last);
             let retired = world
                 .devices
                 .iter()
@@ -1450,7 +1501,7 @@ mod tests {
         // they miss, silently in a release build.
         let mut engine = Engine::new(cfg(), 7);
         engine.run_until(SimTime::from_secs(900));
-        let n = engine.world.active[0];
+        let n = engine.world.hot.in_service().next().unwrap();
         let dev = engine.world.devices.get_mut(n).unwrap();
         dev.grid_pos = Point::new(dev.grid_pos.x + 2_000.0, dev.grid_pos.y);
         // Filed there consistently: the cell list agrees with the row.
@@ -1494,7 +1545,7 @@ mod tests {
             edit(&mut forged, limit);
             below && is_corrupt(Engine::resume(&forged.snapshot().unwrap()))
         };
-        assert!(refused(&|e, v| e.events_processed = v));
+        assert!(refused(&|e, v| e.stats.events_processed = v));
         assert!(refused(&|e, v| {
             let records = e.events.raw_parts().0.to_vec();
             e.events = EventQueue::from_raw_parts(records, v).unwrap();
@@ -1540,14 +1591,14 @@ mod tests {
 
     /// The first active device's row.
     fn first_device(e: &mut Engine) -> &mut Device {
-        let n = e.world.active[0];
+        let n = e.world.hot.in_service().next().unwrap();
         e.world.devices.get_mut(n).unwrap()
     }
 
     /// Sets a count of the first active device's row to `v` and the
     /// same count of every other row to 0.
     fn only_first_device(e: &mut Engine, v: u64, set: impl Fn(&mut Device, u64)) {
-        let first = e.world.active[0];
+        let first = e.world.hot.in_service().next().unwrap();
         for i in 0..e.world.devices.slot_count() {
             let n = NodeId::new(i as u32);
             set(
@@ -1630,7 +1681,7 @@ mod tests {
         let trips = engine.world.net.trips();
         let end = |i: usize| trips[i].end().min(engine.horizon).as_millis();
 
-        let n = engine.world.active[0];
+        let n = engine.world.hot.in_service().next().unwrap();
         let dev = engine.world.devices.get(n).unwrap();
         let (fields, payload) = device_fields(&snap, n.index() as u64);
         let value = |i: usize| get_varint(&payload, &mut fields[i].start.clone());
@@ -1710,7 +1761,7 @@ mod tests {
             forged((node, mid)),
             Some("device retirement is not its trip's end")
         );
-        let active = engine.world.active[0];
+        let active = engine.world.hot.in_service().next().unwrap();
         let later = engine.now + SimDuration::from_secs(1);
         assert_eq!(
             forged((active, later)),

@@ -3,19 +3,18 @@
 //! scripted withdrawals).
 //!
 //! [`World`] owns everything position- and device-shaped — the mobility
-//! substrate, the `DenseMap` of live [`Device`]s, the sorted active set,
-//! the neighbour cell list with its drift-sweep schedule and the
-//! per-device polyline cursors — behind a narrow interface the event
-//! loop drives. All scratch buffers for neighbour queries and withdrawal
-//! selection live here too, so world queries are allocation-free in
-//! steady state.
+//! substrate, the `DenseMap` of live [`Device`]s, the hot columns (whose
+//! `active` column is the one record of who is in service), the
+//! neighbour cell list with its drift-sweep schedule and the per-device
+//! polyline cursors — behind a narrow interface the event loop drives.
+//! Neighbour queries are allocation-free in steady state.
 //!
 //! # Neighbours: a dense cell list, re-filed once per drift sweep
 //!
 //! Every active device is filed in a [`CellList`] over the network's
 //! area under its `grid_pos`: where it stood at the last drift sweep,
 //! or at its activation if that came later. The periodic sweep
-//! ([`GRID_MARGIN_M`] paces it) re-locates the whole active set and
+//! ([`GRID_MARGIN_M`] paces it) re-locates every device in service and
 //! rebuilds the list in one counting sort; between sweeps an activation
 //! appends to the list's overflow run and a retirement tombstones its
 //! entry, and a snapshot restore files every device and builds once. A
@@ -70,6 +69,8 @@ use mlora_mac::{
     RetransmitPolicy,
 };
 use mlora_simcore::{DenseMap, NodeId, SimDuration, SimRng, SimTime};
+
+use super::EngineStats;
 
 /// The most a filed position may drift from its device between drift
 /// sweeps: the sweep runs early enough that no device outruns it at the
@@ -167,7 +168,8 @@ impl HotFlags {
 /// departure (see the module docs), like the position-hint cursors.
 #[derive(Debug)]
 pub(super) struct HotColumns {
-    /// In service right now.
+    /// In service right now: the only record of who is on the road.
+    /// [`HotColumns::in_service`] reads it in ascending id order.
     pub(super) active: Vec<bool>,
     /// A frame from this device is on the air right now, and the
     /// device may offer its data to a beacon's sender
@@ -201,6 +203,16 @@ impl HotColumns {
         self.tx_window.resize(rows, None);
         self.last_tx_end.resize(rows, None);
         self.gamma.resize(rows, 0.0);
+    }
+
+    /// The devices in service, in ascending id order: the order every
+    /// reader of the set (drift sweep, withdrawal shuffle, retirement
+    /// at the horizon) depends on.
+    pub(super) fn in_service(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (0u32..)
+            .zip(&self.active)
+            .filter(|&(_, &on)| on)
+            .map(|(i, _)| NodeId::new(i))
     }
 
     /// Gathers one device's row across the columns.
@@ -266,8 +278,6 @@ pub(super) struct World {
     pub(super) devices: DenseMap<NodeId, Device>,
     /// The per-event hot fields, in column form (see the module docs).
     pub(super) hot: HotColumns,
-    /// Device ids currently in service, kept sorted for determinism.
-    pub(super) active: Vec<NodeId>,
     /// Every active device at its `grid_pos` (see the module docs).
     cells: CellList,
     /// The device-to-device range, with its exact squared bound.
@@ -282,17 +292,9 @@ pub(super) struct World {
     /// How many profiles the scenario's traffic mix holds: what a
     /// device's [`DeviceTraffic::profile`] may name.
     profiles: usize,
-    /// Host telemetry for [`EngineStats`](super::EngineStats), never
-    /// checkpointed: cell-list entries screened, exact positions
-    /// located and candidates found by neighbour queries.
-    grid_entries: u64,
-    positions_located: u64,
-    candidates: u64,
     /// Per-device polyline segment cursors for O(1) position queries,
     /// one per opened row.
     pos_hints: Vec<u32>,
-    /// Scratch: withdrawal candidate pool.
-    scratch_withdraw: Vec<NodeId>,
 }
 
 impl World {
@@ -313,18 +315,13 @@ impl World {
         World {
             devices: DenseMap::with_capacity(num_trips),
             hot: HotColumns::with_capacity(num_trips),
-            active: Vec::new(),
             cells: CellList::new(net.area(), d2d_range_m.max(200.0)),
             reach: Reach::new(d2d_range_m),
             grid_refresh_due: SimTime::ZERO,
             grid_refresh_every,
             max_speed_mps,
             profiles,
-            grid_entries: 0,
-            positions_located: 0,
-            candidates: 0,
             pos_hints: Vec::with_capacity(num_trips),
-            scratch_withdraw: Vec::new(),
             net,
         }
     }
@@ -365,8 +362,8 @@ impl World {
         now.saturating_since(self.last_sweep()).as_secs_f64() * self.max_speed_mps + 1.0
     }
 
-    /// Re-locates every active device and rebuilds the cell list from
-    /// the active set when the periodic drift sweep is due.
+    /// Re-locates every device in service and rebuilds the cell list
+    /// from them when the periodic drift sweep is due.
     fn refresh_grid_if_due(&mut self, now: SimTime) {
         if now < self.grid_refresh_due {
             return;
@@ -376,12 +373,12 @@ impl World {
         let World {
             net,
             devices,
-            active,
+            hot,
             pos_hints,
             cells,
             ..
         } = self;
-        cells.rebuild(active.iter().map(|&n| {
+        cells.rebuild(hot.in_service().map(|n| {
             let pos = net.position_hinted(n, now, &mut pos_hints[n.index()]);
             let dev = devices.get_mut(n).expect("active device exists");
             dev.grid_pos = pos;
@@ -396,9 +393,10 @@ impl World {
     /// profile is in the mix; every device's queue
     /// [`is_well_formed`](mlora_mac::DataQueue::is_well_formed); every
     /// device's offer bit is its row's [`Device::may_offer`]; the
-    /// cell list files exactly the active set, each device at its
-    /// `grid_pos`; and no active device lies farther from its `grid_pos`
-    /// than the drift bound, or the queries' pad would miss it.
+    /// cell list files exactly the devices in service, each at its
+    /// `grid_pos`, and no retired one; and no active device lies farther
+    /// from its `grid_pos` than the drift bound, or the queries' pad
+    /// would miss it.
     ///
     /// # Errors
     ///
@@ -426,19 +424,20 @@ impl World {
                 return Err("offer bit disagrees with the queue and the armed offer");
             }
         }
-        // `active` holds each id once, so equal counts and every active
+        // The list holds each id once, so equal counts and every active
         // device filed where it should be leave no other entry.
-        let filed = self.cells.len() == self.active.len()
-            && self.active.iter().all(|&n| {
-                let grid_pos = self.devices.get(n).map(|dev| dev.grid_pos);
-                grid_pos.is_some() && self.cells.get(n.raw()) == grid_pos
-            });
-        if !filed {
+        let mut active = 0;
+        let filed = self.hot.in_service().all(|n| {
+            active += 1;
+            let grid_pos = self.devices.get(n).map(|dev| dev.grid_pos);
+            grid_pos.is_some() && self.cells.get(n.raw()) == grid_pos
+        });
+        if !filed || self.cells.len() != active {
             return Err("cell list membership differs from the active set");
         }
         // `<=` is false for NaN as well.
         let drift = self.drift_bound(now);
-        let near = self.active.iter().all(|&n| {
+        let near = self.hot.in_service().all(|n| {
             let filed = self.devices.get(n).map(|dev| dev.grid_pos);
             filed.is_some_and(|at| self.net.position(n, now).distance(at) <= drift)
         });
@@ -465,13 +464,16 @@ impl World {
     /// square root), so the caller receives the final
     /// candidate set and never touches the cell list. Position values are
     /// cursor-order-independent, so locating in cell order instead of id
-    /// order changes nothing downstream.
+    /// order changes nothing downstream. The entries screened, the
+    /// positions located and the candidates found are counted into
+    /// `stats`.
     pub(super) fn batched_candidates(
         &mut self,
         now: SimTime,
         sender: NodeId,
         center: Point,
         out: &mut Vec<(NodeId, Point)>,
+        stats: &mut EngineStats,
     ) {
         self.refresh_grid_if_due(now);
         out.clear();
@@ -499,20 +501,14 @@ impl World {
             }
         });
         out.sort_unstable_by_key(|&(n, _)| n);
-        self.grid_entries += screened as u64;
-        self.positions_located += located;
-        self.candidates += out.len() as u64;
-    }
-
-    /// `(grid_entries, positions_located, candidates)`: the neighbour
-    /// queries' work so far (see [`EngineStats`](super::EngineStats)).
-    pub(super) fn candidate_counts(&self) -> (u64, u64, u64) {
-        (self.grid_entries, self.positions_located, self.candidates)
+        stats.grid_entries += screened as u64;
+        stats.positions_located += located;
+        stats.candidates += out.len() as u64;
     }
 
     /// Activates a device whose row is open ([`World::open_row`]): files
-    /// it in the device map, the sorted active set and the cell list's
-    /// overflow run at `pos`, and resets its hot columns to the
+    /// it in the device map and the cell list's overflow run at `pos`,
+    /// and resets its hot columns (in service) to the
     /// fresh-activation state (the offer bit clear: a departing bus
     /// holds no data).
     pub(super) fn activate(&mut self, n: NodeId, device: Device, pos: Point) {
@@ -527,14 +523,11 @@ impl World {
             },
         );
         self.devices.insert(n, device);
-        if let Err(i) = self.active.binary_search(&n) {
-            self.active.insert(i, n);
-        }
         self.cells.insert(n.raw(), pos);
     }
 
-    /// Retires a device at `now`: removes it from the active set,
-    /// tombstones its cell-list entry and reconstructs its whole-service
+    /// Retires a device at `now`: marks it out of service, tombstones
+    /// its cell-list entry and reconstructs its whole-service
     /// energy spend under the fleet's `class`. Returns `None` when the
     /// device never existed or already retired.
     pub(super) fn retire(
@@ -548,9 +541,6 @@ impl World {
             return None;
         }
         self.hot.active[n.index()] = false;
-        if let Ok(i) = self.active.binary_search(&n) {
-            self.active.remove(i);
-        }
         let removed = self.cells.remove(n.raw());
         debug_assert!(removed, "retired device missing from the cell list");
         // Energy: time-in-state reconstruction for the whole service window.
@@ -573,24 +563,20 @@ impl World {
         })
     }
 
-    /// Selects a deterministic random `count`-strong subset of the
-    /// active fleet for withdrawal: the sorted active set is shuffled
-    /// with `rng` (so the subset is a pure function of the plan and
-    /// seed), truncated and re-sorted. Return the buffer through
-    /// [`World::return_withdraw_pool`] when done.
-    pub(super) fn take_withdraw_pool(&mut self, count: usize, rng: &mut SimRng) -> Vec<NodeId> {
-        let mut pool = std::mem::take(&mut self.scratch_withdraw);
-        pool.clear();
-        pool.extend_from_slice(&self.active);
-        rng.shuffle(&mut pool);
-        pool.truncate(count);
-        pool.sort_unstable();
-        pool
-    }
-
-    /// Returns the withdrawal scratch buffer for reuse.
-    pub(super) fn return_withdraw_pool(&mut self, pool: Vec<NodeId>) {
-        self.scratch_withdraw = pool;
+    /// Selects a deterministic random subset of the devices in service
+    /// for withdrawal, `fraction` of them rounded: the devices, in
+    /// ascending id order, are shuffled with `rng` (so the subset is a
+    /// pure function of the plan and seed), truncated and re-sorted. An
+    /// empty subset draws nothing.
+    pub(super) fn pick_withdrawals(&self, fraction: f64, rng: &mut SimRng) -> Vec<NodeId> {
+        let mut pick: Vec<NodeId> = self.hot.in_service().collect();
+        let count = ((fraction * pick.len() as f64).round() as usize).min(pick.len());
+        if count > 0 {
+            rng.shuffle(&mut pick);
+        }
+        pick.truncate(count);
+        pick.sort_unstable();
+        pick
     }
 
     /// Truncates a withdrawn bus's trip in the mobility substrate. The
@@ -607,9 +593,9 @@ impl World {
     }
 
     /// Restores snapshot-captured runtime state once the caller has
-    /// filed every device ([`World::activate`] rebuilt the active set):
-    /// builds the cell list once from the active set at each device's
-    /// captured `grid_pos`, and pins the drift-sweep schedule where the
+    /// filed every device and scattered its hot row: builds the cell
+    /// list once from the devices in service at each one's captured
+    /// `grid_pos`, and pins the drift-sweep schedule where the
     /// checkpoint left it. The overflow run and the tombstones of the
     /// captured engine are not rebuilt: they are layout, and the live
     /// entries — the only thing a query reads — are the same. Position-hint
@@ -619,7 +605,7 @@ impl World {
     pub(super) fn restore_runtime(&mut self, grid_refresh_due: SimTime) {
         self.grid_refresh_due = grid_refresh_due;
         let devices = &self.devices;
-        self.cells.rebuild(self.active.iter().map(|&n| {
+        self.cells.rebuild(self.hot.in_service().map(|n| {
             let dev = devices.get(n).expect("active device exists");
             (n.raw(), dev.grid_pos)
         }));
@@ -676,7 +662,8 @@ mod tests {
         set_profile(world, 0);
 
         // A stale offer bit: the first active row's, flipped.
-        let i = world.active[0].index();
+        let n = world.hot.in_service().next().unwrap();
+        let i = n.index();
         let offers = world.hot.may_offer(i);
         world.hot.set_may_offer(i, !offers);
         assert_eq!(
@@ -687,7 +674,6 @@ mod tests {
 
         // Filed 2 km from where it is, consistently: the cell list
         // agrees with the row.
-        let n = world.active[0];
         let at = world.devices.get(n).unwrap().grid_pos;
         world.devices.get_mut(n).unwrap().grid_pos = Point::new(at.x + 2_000.0, at.y);
         world.restore_runtime(world.grid_refresh_due);
@@ -699,12 +685,16 @@ mod tests {
         world.restore_runtime(world.grid_refresh_due);
         assert_eq!(world.check(now), Ok(()));
 
-        let filed = world.active[0].raw();
-        assert!(world.cells.remove(filed));
-        assert_eq!(
-            world.check(now),
-            Err("cell list membership differs from the active set")
-        );
+        // A retired device left filed, and an active one not filed.
+        let membership = Err("cell list membership differs from the active set");
+        let left = world.devices.get(NodeId::new(retired as u32)).unwrap();
+        world.cells.insert(retired as u32, left.grid_pos);
+        assert_eq!(world.check(now), membership);
+        assert!(world.cells.remove(retired as u32));
+        assert_eq!(world.check(now), Ok(()));
+
+        assert!(world.cells.remove(n.raw()));
+        assert_eq!(world.check(now), membership);
     }
 
     /// A device row stores each fact once. It was 488 bytes on x86-64

@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use mlora_core::PolicySpec;
+use mlora_simcore::splitmix64;
 use mlora_simcore::stats::Welford;
 
 use crate::{
@@ -373,15 +374,6 @@ fn validate_cells(cells: &[PlanCell]) -> Result<(), RunnerError> {
             })?;
     }
     Ok(())
-}
-
-/// SplitMix64 finalizer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Mixes `(base, cell, rep)` into a decorrelated run seed.

@@ -44,6 +44,6 @@ mod time;
 
 pub use event::EventQueue;
 pub use id::{GatewayId, MessageId, NodeId};
-pub use rng::{NormalDraw, SimRng};
+pub use rng::{splitmix64, NormalDraw, SimRng};
 pub use slab::{DenseKey, DenseMap, Slab, SlabKey};
 pub use time::{SimDuration, SimTime};

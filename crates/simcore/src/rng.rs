@@ -50,8 +50,15 @@ pub struct SimRng {
 /// The SplitMix64 increment.
 const SPLITMIX_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// SplitMix64 step; used to decorrelate seeds derived from small integers.
-fn splitmix64(mut x: u64) -> u64 {
+/// The SplitMix64 finaliser of `x` advanced by one step: decorrelates
+/// seeds derived from small integers. Seeds the generator, derives its
+/// forks, and mixes the runner's per-run seeds.
+///
+/// ```
+/// // The first output of the reference SplitMix64 seeded with 0.
+/// assert_eq!(mlora_simcore::splitmix64(0), 0xE220_A839_7B1D_CDAF);
+/// ```
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(SPLITMIX_GAMMA);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
